@@ -6,9 +6,14 @@ random, uncertainty (closest to the boundary), and expected loss
 minimization (ELM), which retrains a cheap factor-only model per candidate
 on the labeled set plus the candidate's predicted label and scores it by
 expected loss over true-plus-predicted labels.
+
+ELM trains a chunk of candidates at a time as one stacked problem, all
+from the same init; ELM_CHUNK_BYTES bounds the memory of a chunk. Scores
+are bit-identical to training and scoring each candidate on its own.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +101,25 @@ def query_uncertainty(state, model, n, boundary=0.0):
     return [state.pool[i] for i in order[:min(n, len(state.pool))]]
 
 
+# Size in bytes of one stacked (candidates x m x n) float64 array, which
+# sets how many candidates ELM trains at once: 8 at 35x34. Past a few
+# candidates a chunk buys little speed, while its working arrays add to
+# the resident set.
+ELM_CHUNK_BYTES = 80_000
+
+
+class _Stack(NamedTuple):
+    """Values and mask of a stack of training problems, (C, m, n) each."""
+
+    values: np.ndarray
+    mask: np.ndarray
+
+
+def _flat(positions, n_cols):
+    pos = np.array(positions, dtype=np.intp).reshape(-1, 2)
+    return pos[:, 0] * n_cols + pos[:, 1]
+
+
 def expected_losses(state, model, cfg, inner_seed):
     """ELM score per pool candidate, in row-major candidate order.
 
@@ -105,44 +129,75 @@ def expected_losses(state, model, cfg, inner_seed):
     joined with current-model predictions on the other pool positions. All
     candidates share the same fresh init seed so scores differ only through
     the candidate.
+
+    Candidates are trained and scored in chunks, each one stacked problem
+    whose (C, m, n) arrays take at most ELM_CHUNK_BYTES (C >= 1). Every
+    score is bit-identical to training and scoring that candidate alone,
+    and so is the DivergenceError raised for the first candidate, in
+    candidate order, whose model diverges.
     """
     matrix = state.matrix
-    n_cols = matrix.shape[1]
-    candidates = sorted(state.pool, key=lambda p: _row_major_key(p, n_cols))
+    m, n = matrix.shape
+    pool_flat = _flat(state.pool, n)
+    labeled_flat = _flat(state.labeled, n)
+    cand = np.argsort(pool_flat)  # pool indices in row-major order
     if (cfg.elm_candidate_subsample is not None
-            and cfg.elm_candidate_subsample < len(candidates)):
+            and cfg.elm_candidate_subsample < len(cand)):
         rng = np.random.default_rng(inner_seed)
-        keep = rng.choice(len(candidates), size=cfg.elm_candidate_subsample,
+        keep = rng.choice(len(cand), size=cfg.elm_candidate_subsample,
                           replace=False)
-        candidates = [candidates[i] for i in sorted(keep)]
-    pool_preds = dict(zip(state.pool,
-                          alsdl_mod.alsdl_predict_positions(model, state.pool)))
+        cand = cand[np.sort(keep)]
+    pool_preds = alsdl_mod.alsdl_predict_positions(model, state.pool)
 
     inner_cfg = replace(cfg.model_cfg.als, epochs=cfg.elm_inner_epochs,
                         seed=inner_seed)
-    base_values = np.zeros(matrix.shape)
-    base_mask = np.zeros(matrix.shape)
-    for i, j in state.labeled:
-        base_values[i, j] = matrix.values[i, j]
-        base_mask[i, j] = 1.0
+    init = als_mod.init_embeddings(m, n, inner_cfg)
+    base_values = np.zeros(m * n)
+    base_mask = np.zeros(m * n)
+    base_values[labeled_flat] = matrix.values.ravel()[labeled_flat]
+    base_mask[labeled_flat] = 1.0
+    # scoring set: D's true labels, then the pool's predictions; each
+    # candidate drops its own pool column
+    score_flat = np.concatenate([labeled_flat, pool_flat])
+    score_labels = np.concatenate([base_values[labeled_flat], pool_preds])
+    n_labeled, n_score = len(labeled_flat), len(score_flat)
 
+    chunk = max(1, ELM_CHUNK_BYTES // (8 * m * n))
     scores = []
-    for cand in candidates:
-        values = base_values.copy()
-        mask = base_mask.copy()
-        values[cand] = pool_preds[cand]
-        mask[cand] = 1.0
-        train_matrix = replace_matrix(matrix, values, mask)
-        emb, _ = als_mod.train_als(train_matrix, inner_cfg,
-                                   record_history=False)
-        full = emb.x @ emb.w
+    for start in range(0, len(cand), chunk):
+        k = cand[start:start + chunk]
+        c = len(k)
+        rows = np.arange(c)
+        values = np.tile(base_values, (c, 1))
+        mask = np.tile(base_mask, (c, 1))
+        values[rows, pool_flat[k]] = pool_preds[k]
+        mask[rows, pool_flat[k]] = 1.0
+        stack = _Stack(values.reshape(c, m, n), mask.reshape(c, m, n))
+        emb = als_mod.EmbeddingPair(x=np.tile(init.x, (c, 1, 1)),
+                                    w=np.tile(init.w, (c, 1, 1)))
+        for _ in range(inner_cfg.epochs):
+            emb = als_mod.als_epoch(stack, emb, inner_cfg.learning_rate,
+                                    simultaneous=inner_cfg.simultaneous_updates)
+        finite = (np.isfinite(emb.x).all(axis=(1, 2))
+                  & np.isfinite(emb.w).all(axis=(1, 2)))
+        if not finite.all():
+            # x - alpha * g is non-finite wherever x is, so a model that
+            # diverged at any epoch is still non-finite here. Replaying the
+            # first such candidate alone raises its DivergenceError.
+            b = int(np.argmin(finite))
+            als_mod.train_als(replace_matrix(matrix, stack.values[b],
+                                             stack.mask[b]),
+                              inner_cfg, record_history=False)
+            raise RuntimeError("stacked ELM diverged where its replay did not")
 
-        score_pos = state.labeled + [p for p in state.pool if p != cand]
-        preds = np.array([full[p] for p in score_pos])
-        labels = np.array([matrix.values[p] for p in state.labeled]
-                          + [pool_preds[p] for p in state.pool if p != cand])
-        scores.append(rmse(preds, labels))
-    return candidates, scores
+        full = (emb.x @ emb.w).reshape(c, m * n)
+        kept = np.ones((c, n_score), dtype=bool)
+        kept[rows, n_labeled + k] = False
+        idx = np.broadcast_to(score_flat, kept.shape)[kept].reshape(c, -1)
+        labels = np.broadcast_to(score_labels, kept.shape)[kept].reshape(c, -1)
+        preds = np.take_along_axis(full, idx, axis=1)
+        scores.extend(np.sqrt(np.mean((preds - labels) ** 2, axis=1)).tolist())
+    return [state.pool[i] for i in cand], scores
 
 
 def replace_matrix(matrix, values, mask):

@@ -5,9 +5,13 @@ molecule embeddings w (d x n), minimizing squared error over observed
 positions only. No regularization term; the loss is
 
     0.5 * sum over mask==1 of (x @ w - y)^2
+
+The gradient and epoch functions also take stacks of problems: leading
+axes of x, w and the matrix's values and mask are batch axes, and each
+slice is computed exactly as it would be on its own.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +26,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EmbeddingPair:
-    x: np.ndarray  # m x d
-    w: np.ndarray  # d x n
+    x: np.ndarray  # m x d, or stacked: ... x m x d
+    w: np.ndarray  # d x n, or stacked: ... x d x n
 
     @property
     def d(self):
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -58,22 +62,27 @@ def als_loss(matrix, emb):
     return float(0.5 * np.sum(r * r))
 
 
+def _t(a):
+    return a.swapaxes(-1, -2)
+
+
 def als_gradients(matrix, emb):
     r = _residual(matrix, emb)
-    return r @ emb.w.T, emb.x.T @ r
+    return r @ _t(emb.w), _t(emb.x) @ r
 
 
 def als_epoch(matrix, emb, alpha, simultaneous=False):
-    """One training epoch: x-step then w-step on the updated x."""
-    grad_x, grad_w = als_gradients(matrix, emb)
-    x_new = emb.x - alpha * grad_x
+    """One training epoch: x-step then w-step on the updated x.
+
+    With simultaneous=True both steps use the gradients at the old x.
+    """
     if simultaneous:
-        w_new = emb.w - alpha * grad_w
-    else:
-        interim = EmbeddingPair(x=x_new, w=emb.w)
-        _, grad_w = als_gradients(matrix, interim)
-        w_new = emb.w - alpha * grad_w
-    return EmbeddingPair(x=x_new, w=w_new)
+        grad_x, grad_w = als_gradients(matrix, emb)
+        return EmbeddingPair(x=emb.x - alpha * grad_x,
+                             w=emb.w - alpha * grad_w)
+    x_new = emb.x - alpha * (_residual(matrix, emb) @ _t(emb.w))
+    r = _residual(matrix, EmbeddingPair(x=x_new, w=emb.w))
+    return EmbeddingPair(x=x_new, w=emb.w - alpha * (_t(x_new) @ r))
 
 
 def predict(emb, i, j):

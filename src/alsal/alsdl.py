@@ -5,7 +5,7 @@ position's cell and molecule embeddings and trains the network under the
 penalized loss. Embeddings are frozen after stage 1.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -116,10 +116,11 @@ def compute_ifd(fd_c, fd_ctrl):
 
 
 def concentration_key(c):
-    """Canonical fixed-precision string for grouping concentrations.
+    """Canonical string for grouping concentrations.
 
-    Float equality across CSV parses is unreliable; decimals are
-    canonicalized to 9 significant digits.
+    The key is float(c)'s shortest repr in normalized scientific notation,
+    so spellings of one float share a key (0.1, "0.1", "0.10") and any two
+    distinct floats get distinct keys, however close: nothing is rounded.
     """
     try:
         d = Decimal(repr(float(c)))

@@ -1,6 +1,6 @@
 """Shared loss/accuracy metrics and the cross-validation splitter."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,12 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from alsal.active import (ActiveConfig, init_state, query_elm, query_orderly,
-                          query_random, query_uncertainty, run_active_learning)
-from alsal.als import AlsConfig, init_embeddings
+import alsal.active as active_mod
+import alsal.alsdl as alsdl_mod
+from alsal.active import (ActiveConfig, expected_losses, init_state,
+                          query_elm, query_orderly, query_random,
+                          query_uncertainty, run_active_learning)
+from alsal.als import AlsConfig, DivergenceError, init_embeddings, train_als
 from alsal.alsdl import AlsdlConfig, alsdl_predict_positions, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
+from alsal.metrics import rmse
 from alsal.mlp import LossConfig, MlpTrainConfig
+from alsal.runner import ExperimentConfig, SyntheticSpec, run_al_study
 
 
 def fast_model_cfg(seed=0, als_epochs=40, mlp_epochs=40):
@@ -80,6 +87,49 @@ def brute_force_elm(state, model, cfg, inner_seed):
         if best is None or score < best[0]:
             best = (score, cand)
     return best[1]
+
+
+def per_candidate_expected_losses(state, model, cfg, inner_seed):
+    """Reference for the stacked ELM: one train_als and one rmse call per
+    candidate, on its own MaskedMatrix, with positions as (i, j) tuples.
+    """
+    matrix = state.matrix
+    n_cols = matrix.shape[1]
+    candidates = sorted(state.pool, key=lambda p: p[0] * n_cols + p[1])
+    if (cfg.elm_candidate_subsample is not None
+            and cfg.elm_candidate_subsample < len(candidates)):
+        rng = np.random.default_rng(inner_seed)
+        keep = rng.choice(len(candidates), size=cfg.elm_candidate_subsample,
+                          replace=False)
+        candidates = [candidates[i] for i in sorted(keep)]
+    pool_preds = dict(zip(state.pool, alsdl_mod.alsdl_predict_positions(
+        model, state.pool)))
+
+    inner_cfg = replace(cfg.model_cfg.als, epochs=cfg.elm_inner_epochs,
+                        seed=inner_seed)
+    base_values = np.zeros(matrix.shape)
+    base_mask = np.zeros(matrix.shape)
+    for i, j in state.labeled:
+        base_values[i, j] = matrix.values[i, j]
+        base_mask[i, j] = 1.0
+
+    scores = []
+    for cand in candidates:
+        values = base_values.copy()
+        mask = base_mask.copy()
+        values[cand] = pool_preds[cand]
+        mask[cand] = 1.0
+        train_matrix = MaskedMatrix(values, mask, list(matrix.cell_index),
+                                    list(matrix.molecule_index), matrix.target)
+        emb, _ = train_als(train_matrix, inner_cfg, record_history=False)
+        full = emb.x @ emb.w
+
+        score_pos = state.labeled + [p for p in state.pool if p != cand]
+        preds = np.array([full[p] for p in score_pos])
+        labels = np.array([matrix.values[p] for p in state.labeled]
+                          + [pool_preds[p] for p in state.pool if p != cand])
+        scores.append(rmse(preds, labels))
+    return candidates, scores
 
 
 class TestInitState:
@@ -286,3 +336,126 @@ class TestRunActiveLearning:
                            elm_inner_epochs=10, seed=2)
         curve, _ = run_active_learning(mat, cfg)
         assert [pt.n_labeled for pt in curve] == [4, 7, 10]
+
+
+def elm_problem(m=6, n=6, n_init=10, seed=0, noise_sd=0.1, model_cfg=None,
+                **cfg_kw):
+    """A labelled state, its current model, and an ELM config."""
+    mat, _ = generate_synthetic(m, n, 2, noise_sd, seed=seed)
+    cfg = ActiveConfig(n_init=n_init,
+                       model_cfg=model_cfg or fast_model_cfg(seed=seed + 40),
+                       elm_inner_epochs=30, seed=seed, **cfg_kw)
+    state = init_state(mat, cfg)
+    model, _ = train_alsdl(mat.with_mask(state.labeled), fast_model_cfg(seed))
+    return state, model, cfg
+
+
+def set_chunk(monkeypatch, shape, candidates):
+    m, n = shape
+    monkeypatch.setattr(active_mod, "ELM_CHUNK_BYTES", candidates * 8 * m * n)
+
+
+class TestStackedElmExact:
+    """The stacked ELM returns the per-candidate loop's candidates and
+    scores, equal with ==."""
+
+    def assert_exact(self, state, model, cfg, inner_seed=5):
+        got = expected_losses(state, model, cfg, inner_seed)
+        want = per_candidate_expected_losses(state, model, cfg, inner_seed)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+
+    def test_chunk_size_not_dividing_candidates(self, monkeypatch):
+        state, model, cfg = elm_problem()
+        assert len(state.pool) == 26
+        set_chunk(monkeypatch, state.matrix.shape, 3)
+        stacks = []
+        epoch = active_mod.als_mod.als_epoch
+        monkeypatch.setattr(active_mod.als_mod, "als_epoch",
+                            lambda mat, emb, *a, **k: stacks.append(
+                                emb.x.shape[:-2]) or epoch(mat, emb, *a, **k))
+        self.assert_exact(state, model, cfg)
+        assert set(stacks) == {(3,), (2,), ()}  # stacked, then reference
+
+    def test_unordered_pool(self, monkeypatch):
+        state, model, cfg = elm_problem(seed=1)
+        np.random.default_rng(0).shuffle(state.pool)
+        set_chunk(monkeypatch, state.matrix.shape, 4)
+        self.assert_exact(state, model, cfg)
+
+    def test_candidate_subsample(self):
+        state, model, cfg = elm_problem(m=35, n=34, n_init=40, seed=2,
+                                        elm_candidate_subsample=20)
+        self.assert_exact(state, model, cfg, inner_seed=11)
+
+    def test_simultaneous_updates(self, monkeypatch):
+        model_cfg = fast_model_cfg(seed=43)
+        model_cfg = replace(model_cfg, als=replace(
+            model_cfg.als, simultaneous_updates=True))
+        state, model, cfg = elm_problem(seed=3, model_cfg=model_cfg)
+        set_chunk(monkeypatch, state.matrix.shape, 5)
+        self.assert_exact(state, model, cfg)
+
+    def test_single_candidate_pool(self):
+        state, model, cfg = elm_problem(m=2, n=2, n_init=3, seed=4)
+        assert len(state.pool) == 1
+        self.assert_exact(state, model, cfg)
+
+    def test_exact_tie_ordered_by_candidate_index(self, monkeypatch):
+        # zero init is a fixed point of training and every pool position
+        # gets the same prediction, so every candidate scores the same
+        model_cfg = fast_model_cfg(seed=45)
+        model_cfg = replace(model_cfg, als=replace(model_cfg.als,
+                                                   init_scale=0.0))
+        state, model, cfg = elm_problem(seed=5, model_cfg=model_cfg)
+        monkeypatch.setattr(alsdl_mod, "alsdl_predict_positions",
+                            lambda model, pos: np.full(len(pos), 0.25))
+        state.pool = state.pool[::-1]
+        set_chunk(monkeypatch, state.matrix.shape, 4)
+        candidates, scores = expected_losses(state, model, cfg, 5)
+        assert len(set(scores)) == 1
+        self.assert_exact(state, model, cfg)
+        assert query_elm(state, model, 5, cfg, inner_seed=5) == candidates[:5]
+        assert candidates[:5] == sorted(state.pool)[:5]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+class TestStackedElmDivergence:
+    # (0, 1.1): only candidate 23 of 26 diverges, in the eighth chunk;
+    # (2, 1.5): candidate 1 diverges at epoch 18, candidate 2 in the same
+    # chunk already at epoch 13; (0, 100.0): every candidate diverges
+    @pytest.mark.parametrize("seed, learning_rate",
+                             [(0, 1.1), (2, 1.5), (0, 100.0)])
+    def test_same_error_as_per_candidate_loop(self, monkeypatch, seed,
+                                              learning_rate):
+        state, model, cfg = elm_problem(seed=seed, noise_sd=0.0)
+        cfg = replace(cfg, elm_inner_epochs=200, model_cfg=replace(
+            cfg.model_cfg, als=replace(cfg.model_cfg.als,
+                                       learning_rate=learning_rate)))
+        set_chunk(monkeypatch, state.matrix.shape, 3)
+        with pytest.raises(DivergenceError) as want:
+            per_candidate_expected_losses(state, model, cfg, 7)
+        with pytest.raises(DivergenceError) as got:
+            expected_losses(state, model, cfg, 7)
+        assert got.value.epoch == want.value.epoch
+
+    def test_same_diverged_row_from_runner(self, monkeypatch):
+        config = ExperimentConfig(
+            synthetic=SyntheticSpec(m=6, n=6, rank=2, noise_sd=0.0),
+            strategies=("elm",), seeds=(0,),
+            alsdl=AlsdlConfig(als=AlsConfig(d=2, epochs=2, learning_rate=100.0),
+                              mlp_train=MlpTrainConfig(epochs=10),
+                              hidden_sizes=(6, 3)),
+            active=ActiveConfig(n_init=10, n_per_query=3, n_max_query=2,
+                                elm_inner_epochs=200))
+        set_chunk(monkeypatch, (6, 6), 3)
+        got = run_al_study(config).learning_curves
+        monkeypatch.setattr(active_mod, "expected_losses",
+                            per_candidate_expected_losses)
+        want = run_al_study(config).learning_curves
+        assert got == want
+        status = got[-1]["round"]
+        assert status.startswith("diverged@")
+        # past the 2 epochs of the model's own ALS: the ELM retrain diverged
+        assert int(status[len("diverged@"):]) >= 2

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alsal.data import (DataError, build_response_matrix, compute_gr,
-                        compute_ifd, generate_synthetic, parse_dataset,
-                        select_common_concentrations, summarize)
+                        compute_ifd, concentration_key, generate_synthetic,
+                        parse_dataset, select_common_concentrations,
+                        summarize)
 
 from conftest import csv_stream, dataset_shaped_csv, make_observations
 
@@ -90,6 +91,15 @@ class TestParseDataset:
             "cell_id": "cell", "molecule_id": "mol", "concentration": "conc",
             "gr": "g", "ifd": "f"})
         assert obs[0].gr == 1.2
+
+
+class TestConcentrationKey:
+    def test_spellings_of_one_float_share_a_key(self):
+        assert concentration_key(0.1) == concentration_key("0.1")
+        assert concentration_key("0.10") == concentration_key(0.1)
+
+    def test_close_floats_are_not_rounded_together(self):
+        assert concentration_key(0.1) != concentration_key(0.1000000001)
 
 
 class TestSelectCommonConcentrations:
