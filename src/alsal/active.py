@@ -185,8 +185,8 @@ def expected_losses(state, model, cfg, inner_seed):
             # diverged at any epoch is still non-finite here. Replaying the
             # first such candidate alone raises its DivergenceError.
             b = int(np.argmin(finite))
-            als_mod.train_als(replace_matrix(matrix, stack.values[b],
-                                             stack.mask[b]),
+            als_mod.train_als(replace(matrix, values=stack.values[b],
+                                      mask=stack.mask[b]),
                               inner_cfg, record_history=False)
             raise RuntimeError("stacked ELM diverged where its replay did not")
 
@@ -198,12 +198,6 @@ def expected_losses(state, model, cfg, inner_seed):
         preds = np.take_along_axis(full, idx, axis=1)
         scores.extend(np.sqrt(np.mean((preds - labels) ** 2, axis=1)).tolist())
     return [state.pool[i] for i in cand], scores
-
-
-def replace_matrix(matrix, values, mask):
-    from .data import MaskedMatrix
-    return MaskedMatrix(values, mask, list(matrix.cell_index),
-                        list(matrix.molecule_index), matrix.target)
 
 
 def query_elm(state, model, n, cfg, inner_seed=0):

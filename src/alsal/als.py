@@ -92,23 +92,22 @@ def predict(emb, i, j):
     return float(emb.x[i] @ emb.w[:, j])
 
 
-def _eval_point(epoch, matrix, emb, positions_train, positions_test):
+def _eval_point(epoch, matrix, emb, train_idx, test_idx):
     full = emb.x @ emb.w
-    pt, tt = _gather(matrix, full, positions_train)
+    pt, tt = _gather(matrix, full, train_idx)
     point = {"epoch_or_round": epoch,
              "train_loss": rmse(pt, tt),
              "train_accuracy": boundary_accuracy(pt, tt)}
-    if positions_test:
-        pv, tv = _gather(matrix, full, positions_test)
+    if test_idx.size:
+        pv, tv = _gather(matrix, full, test_idx)
         point["test_loss"] = rmse(pv, tv)
         point["test_accuracy"] = boundary_accuracy(pv, tv)
     return EvalPoint(**point)
 
 
-def _gather(matrix, full_pred, positions):
-    rows = [p[0] for p in positions]
-    cols = [p[1] for p in positions]
-    return full_pred[rows, cols], matrix.values[rows, cols]
+def _gather(matrix, full_pred, idx):
+    """Predictions and truths at flat row-major position indices."""
+    return full_pred.ravel()[idx], matrix.values.ravel()[idx]
 
 
 def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
@@ -121,15 +120,16 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
     skips per-epoch evaluation (used for the many throwaway models inside
     the ELM query).
     """
-    positions = matrix.observed_positions()
-    if not positions:
+    observed = np.flatnonzero(matrix.mask)  # row-major, as observed_positions
+    if not observed.size:
         raise ValueError("matrix has no observed positions")
     if eval_positions is not None:
-        pos_train = [positions[i] for i in eval_positions.train_indices]
-        pos_test = [positions[i] for i in eval_positions.test_indices]
-        train_matrix = matrix.with_mask(pos_train)
+        train_idx = observed[np.asarray(eval_positions.train_indices, int)]
+        test_idx = observed[np.asarray(eval_positions.test_indices, int)]
+        train_matrix = matrix.with_mask(
+            np.column_stack(np.unravel_index(train_idx, matrix.shape)))
     else:
-        pos_train, pos_test = positions, []
+        train_idx, test_idx = observed, observed[:0]
         train_matrix = matrix
 
     emb = init_embeddings(*matrix.shape, cfg)
@@ -141,5 +141,5 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
             raise DivergenceError(epoch)
         if record_history:
             history.append(_eval_point(start_epoch + epoch, matrix, emb,
-                                       pos_train, pos_test))
+                                       train_idx, test_idx))
     return emb, history

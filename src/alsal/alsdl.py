@@ -35,16 +35,16 @@ class AlsdlModel:
 
 def build_features(emb, i, j, molecule_first=False):
     """Concatenated feature vector [cell row, molecule column], length 2d."""
-    m, n = emb.x.shape[0], emb.w.shape[1]
-    if not (0 <= i < m and 0 <= j < n):
-        raise IndexError(f"position {(i, j)} out of range for {m}x{n}")
-    parts = (emb.w[:, j], emb.x[i]) if molecule_first else (emb.x[i], emb.w[:, j])
-    return np.concatenate(parts)
+    return _feature_table(emb, [(i, j)], molecule_first)[0]
 
 
 def _feature_table(emb, positions, molecule_first=False):
-    return np.stack([build_features(emb, i, j, molecule_first)
-                     for i, j in positions])
+    """build_features rows for (i, j) pairs, a sequence or a (k, 2) array."""
+    rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
+    if (rows < 0).any() or (cols < 0).any():  # too large raises below
+        raise IndexError("negative position index")
+    cells, mols = emb.x[rows], emb.w.T[cols]
+    return np.hstack((mols, cells) if molecule_first else (cells, mols))
 
 
 def train_alsdl(matrix, cfg, eval_split=None, record_history=True):
@@ -56,9 +56,9 @@ def train_alsdl(matrix, cfg, eval_split=None, record_history=True):
     emb, als_history = als_mod.train_als(matrix, cfg.als, eval_split,
                                          record_history=record_history)
 
-    positions = matrix.observed_positions()
+    positions = np.argwhere(matrix.mask)  # row-major, as observed_positions
     inputs = _feature_table(emb, positions, cfg.molecule_first)
-    truths = matrix.values[tuple(zip(*positions))]
+    truths = matrix.values[positions[:, 0], positions[:, 1]]
 
     net = mlp_mod.init_mlp([2 * emb.d, *cfg.hidden_sizes, 1],
                            seed=cfg.mlp_train.seed)

@@ -56,9 +56,6 @@ def _config_from_json(path):
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
     cfg = ExperimentConfig()
-    nested = {
-        "als": AlsConfig, "alsdl": None, "active": None, "synthetic": SyntheticSpec,
-    }
     for key, value in raw.items():
         if key == "als":
             cfg.als = AlsConfig(**value)

@@ -79,12 +79,15 @@ class MaskedMatrix:
         return list(zip(rows.tolist(), cols.tolist()))
 
     def with_mask(self, positions):
-        """Copy of this matrix observed only at the given positions."""
+        """Copy of this matrix observed only at the given positions, (i, j)
+        pairs as a sequence or a (k, 2) integer array."""
+        rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
+        unobserved = np.flatnonzero(self.mask[rows, cols] != 1)
+        if unobserved.size:
+            first = (int(rows[unobserved[0]]), int(cols[unobserved[0]]))
+            raise DataError(f"position {first} is not observed")
         mask = np.zeros_like(self.mask)
-        for i, j in positions:
-            if self.mask[i, j] != 1:
-                raise DataError(f"position {(i, j)} is not observed")
-            mask[i, j] = 1.0
+        mask[rows, cols] = 1.0
         return MaskedMatrix(self.values.copy(), mask, list(self.cell_index),
                             list(self.molecule_index), self.target)
 

@@ -2,8 +2,8 @@
 
 Hidden activations are tanh, the output is linear. The training objective
 is RMSE minus a weighted classification penalty: the exact penalty is a
-sign term (gradient zero almost everywhere), so training defaults to a
-smooth tanh surrogate; reported loss values always use the exact form.
+sign term (gradient zero almost everywhere), so training defaults to a smooth
+tanh surrogate; reported losses use the exact penalty, evaluated array-wide.
 """
 
 from dataclasses import dataclass, field
@@ -91,18 +91,20 @@ def predict_batch(model, inputs):
 
 def sign_penalty(pred, truth, boundaries):
     """+1 if pred and truth share an inter-boundary interval, -1 if any
-    boundary strictly separates them, 0 on an exact boundary hit."""
-    k = len(boundaries)
+    boundary strictly separates them, 0 on an exact boundary hit;
+    elementwise on arrays (float result), an int for scalars."""
     s = sum(np.sign((pred - c) * (truth - c)) for c in boundaries)
-    return int(np.sign(s - k + 1))
+    penalty = np.sign(s - len(boundaries) + 1)
+    return int(penalty) if penalty.ndim == 0 else penalty
 
 
 def penalized_loss(preds, truths, cfg):
     """RMSE minus beta times the mean sign penalty (exact, non-smooth form)."""
     preds = np.asarray(preds, dtype=float)
     truths = np.asarray(truths, dtype=float)
-    penalties = [sign_penalty(p, t, cfg.boundaries) for p, t in zip(preds, truths)]
-    return rmse(preds, truths) - cfg.beta * float(np.mean(penalties))
+    # the mean of +-1/0 values is exact in float64, in any summation order
+    return rmse(preds, truths) - cfg.beta * float(
+        np.mean(sign_penalty(preds, truths, cfg.boundaries)))
 
 
 def surrogate_objective(preds, truths, cfg):
@@ -196,9 +198,10 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     if tr.size == 0:
         raise ValueError("empty training set")
 
+    inputs_tr, truths_tr = inputs[tr], truths[tr]
     history = []
     for epoch in range(train_cfg.epochs):
-        grads = backward(model, inputs[tr], truths[tr], loss_cfg)
+        grads = backward(model, inputs_tr, truths_tr, loss_cfg)
         try:
             model = rmsprop_step(model, grads, train_cfg)
         except DivergenceError:
@@ -208,9 +211,9 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
         preds = predict_batch(model, inputs)
         b0 = loss_cfg.boundaries[0]
         point = {"epoch_or_round": start_epoch + epoch,
-                 "train_loss": rmse(preds[tr], truths[tr]),
-                 "train_accuracy": boundary_accuracy(preds[tr], truths[tr], b0),
-                 "train_penalized": penalized_loss(preds[tr], truths[tr], loss_cfg)}
+                 "train_loss": rmse(preds[tr], truths_tr),
+                 "train_accuracy": boundary_accuracy(preds[tr], truths_tr, b0),
+                 "train_penalized": penalized_loss(preds[tr], truths_tr, loss_cfg)}
         if te is not None and te.size:
             point.update(
                 test_loss=rmse(preds[te], truths[te]),

@@ -27,8 +27,6 @@ TRAINING_CURVE_COLUMNS = ["model", "target", "concentration", "seed", "fold",
 CV_SUMMARY_COLUMNS = ["model", "target", "concentration", "seed",
                       "mean_test_loss", "mean_test_accuracy"]
 
-SYNTHETIC_TAG = "synthetic"
-
 
 @dataclass
 class SyntheticSpec:
@@ -88,7 +86,8 @@ def load_matrices(config):
         s = config.synthetic
         matrix, _ = data_mod.generate_synthetic(s.m, s.n, s.rank, s.noise_sd,
                                                 seed=config.seeds[0])
-        return [(SYNTHETIC_TAG, SYNTHETIC_TAG, matrix)]
+        tag = data_mod.TARGET_SYNTHETIC
+        return [(tag, tag, matrix)]
     with open(config.dataset_path, newline="", encoding="utf-8") as f:
         obs = data_mod.parse_dataset(f, columns=config.column_map)
     if config.concentrations:
@@ -203,8 +202,7 @@ def aggregate_concentrations(report):
                           (out.cv_summary, CV_SUMMARY_COLUMNS)):
         if not rows:
             continue
-        value_cols = [c for c in columns
-                      if c not in ("concentration",) and _is_metric(rows, c)]
+        value_cols = [c for c in columns if _is_metric(c)]
         key_cols = [c for c in columns
                     if c != "concentration" and c not in value_cols]
         groups = {}
@@ -223,7 +221,7 @@ def aggregate_concentrations(report):
     return out
 
 
-def _is_metric(rows, column):
+def _is_metric(column):
     metric_names = {"full_rmse", "full_accuracy", "train_loss", "test_loss",
                     "train_accuracy", "test_accuracy", "mean_test_loss",
                     "mean_test_accuracy"}

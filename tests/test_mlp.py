@@ -125,6 +125,19 @@ class TestSignPenalty:
     def test_k1_equals_sign_of_product(self, p, t):
         assert sign_penalty(p, t, [0.0]) == int(np.sign(p * t))
 
+    @pytest.mark.parametrize("boundaries", [(0.0,), (-0.5, 0.0, 0.5)])
+    def test_array_form_equals_scalar_form(self, boundaries):
+        grid = [-2.0, -0.5, np.nextafter(-0.5, 0), -0.25, -0.0, 0.0,
+                np.nextafter(0.0, 1), 0.25, 0.5, np.nextafter(0.5, 1), 3.0]
+        p, t = (a.ravel() for a in np.meshgrid(grid, grid))
+        penalties = sign_penalty(p, t, boundaries)
+        assert penalties.shape == p.shape
+        scalars = [sign_penalty(float(a), float(b), boundaries)
+                   for a, b in zip(p, t)]
+        assert all(type(s) is int for s in scalars)
+        assert penalties.tolist() == scalars
+        assert set(scalars) == {-1, 0, 1}
+
 
 class TestPenalizedLoss:
     def test_perfect_fit(self):
