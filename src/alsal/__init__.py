@@ -6,17 +6,18 @@ pool-based active-learning engine with an expected-loss-minimization
 query strategy.
 """
 
-from .data import (MaskedMatrix, Observation, DatasetSummary, compute_gr,
-                   compute_ifd, parse_dataset, select_common_concentrations,
-                   build_response_matrix, generate_synthetic, summarize)
+from .data import (MaskedMatrix, Observation, DatasetSummary, as_positions,
+                   compute_gr, compute_ifd, parse_dataset,
+                   select_common_concentrations, build_response_matrix,
+                   generate_synthetic, summarize)
 from .metrics import EvalPoint, FoldSplit, rmse, boundary_accuracy, kfold_split
 from .als import (AlsConfig, EmbeddingPair, DivergenceError, init_embeddings,
-                  als_loss, als_gradients, als_epoch, train_als, predict)
-from .mlp import (LossConfig, MlpModel, MlpTrainConfig, init_mlp, forward,
-                  sign_penalty, penalized_loss, surrogate_objective, backward,
-                  rmsprop_step, train_mlp)
+                  als_loss, als_gradients, als_epoch, train_als)
+from .mlp import (LossConfig, MlpModel, MlpTrainConfig, init_mlp, sign_penalty,
+                  penalized_loss, surrogate_objective, backward, rmsprop_step,
+                  train_mlp)
 from .alsdl import (AlsdlConfig, AlsdlModel, build_features, train_alsdl,
-                    alsdl_predict, alsdl_predict_positions)
+                    alsdl_predict_positions)
 from .active import (ActiveConfig, ActiveState, LearningCurvePoint, init_state,
                      query_orderly, query_random, query_uncertainty, query_elm,
                      run_active_learning)

@@ -5,7 +5,8 @@ true values. Four query strategies are available: orderly (row-major),
 random, uncertainty (closest to the boundary), and expected loss
 minimization (ELM), which retrains a cheap factor-only model per candidate
 on the labeled set plus the candidate's predicted label and scores it by
-expected loss over true-plus-predicted labels.
+expected loss over true-plus-predicted labels. The labeled set, the pool
+and every query's picks are position arrays (see alsal.data).
 
 ELM trains a chunk of candidates at a time as one stacked problem, all
 from the same init; ELM_CHUNK_BYTES bounds the memory of a chunk. Scores
@@ -48,57 +49,48 @@ class LearningCurvePoint:
 @dataclass
 class ActiveState:
     matrix: object  # MaskedMatrix, all labels known
-    labeled: list  # ordered positions, the training set D
-    pool: list  # ordered positions, the unlabeled pool U
+    labeled: np.ndarray  # positions in labelling order, the training set D
+    pool: np.ndarray  # positions, the unlabeled pool U
     round: int = 0
     history: list = field(default_factory=list)
 
 
-def _row_major_key(pos, n_cols):
-    return pos[0] * n_cols + pos[1]
-
-
 def init_state(matrix, cfg):
     positions = matrix.observed_positions()
-    if cfg.n_init > len(positions):
+    if cfg.n_init > positions.size:
         raise ValueError(
-            f"n_init = {cfg.n_init} exceeds {len(positions)} observed positions")
+            f"n_init = {cfg.n_init} exceeds {positions.size} observed positions")
     rng = np.random.default_rng(cfg.seed)
-    picked = rng.choice(len(positions), size=cfg.n_init, replace=False)
-    labeled = [positions[i] for i in picked]
-    chosen = set(labeled)
-    pool = [p for p in positions if p not in chosen]
-    return ActiveState(matrix=matrix, labeled=labeled, pool=pool)
+    picked = rng.choice(positions.size, size=cfg.n_init, replace=False)
+    return ActiveState(matrix=matrix, labeled=positions[picked],
+                       pool=np.delete(positions, picked))
 
 
 def query_orderly(state, n, column_major=False):
-    if not state.pool:
+    if not state.pool.size:
         raise ValueError("empty pool")
-    n_cols = state.matrix.shape[1]
-    key = ((lambda p: (p[1], p[0])) if column_major
-           else (lambda p: _row_major_key(p, n_cols)))
-    return sorted(state.pool, key=key)[:min(n, len(state.pool))]
+    if column_major:
+        rows, cols = np.divmod(state.pool, state.matrix.shape[1])
+        return state.pool[np.lexsort((rows, cols))[:n]]
+    return np.sort(state.pool)[:n]
 
 
 def query_random(state, n, seed):
-    if not state.pool:
+    if not state.pool.size:
         raise ValueError("empty pool")
     rng = np.random.default_rng(seed)
-    take = min(n, len(state.pool))
-    picked = rng.choice(len(state.pool), size=take, replace=False)
-    return [state.pool[i] for i in picked]
+    take = min(n, state.pool.size)
+    return state.pool[rng.choice(state.pool.size, size=take, replace=False)]
 
 
 def query_uncertainty(state, model, n, boundary=0.0):
-    """Pool positions whose predictions lie closest to the boundary."""
-    if not state.pool:
+    """Pool positions whose predictions lie closest to the boundary, ties
+    in row-major order."""
+    if not state.pool.size:
         raise ValueError("empty pool")
-    n_cols = state.matrix.shape[1]
     preds = alsdl_mod.alsdl_predict_positions(model, state.pool)
-    order = sorted(range(len(state.pool)),
-                   key=lambda i: (abs(preds[i] - boundary),
-                                  _row_major_key(state.pool[i], n_cols)))
-    return [state.pool[i] for i in order[:min(n, len(state.pool))]]
+    order = np.lexsort((state.pool, np.abs(preds - boundary)))
+    return state.pool[order[:n]]
 
 
 # Size in bytes of one stacked (candidates x m x n) float64 array, which
@@ -115,13 +107,8 @@ class _Stack(NamedTuple):
     mask: np.ndarray
 
 
-def _flat(positions, n_cols):
-    pos = np.array(positions, dtype=np.intp).reshape(-1, 2)
-    return pos[:, 0] * n_cols + pos[:, 1]
-
-
 def expected_losses(state, model, cfg, inner_seed):
-    """ELM score per pool candidate, in row-major candidate order.
+    """Pool candidates in row-major order and their ELM scores, as arrays.
 
     For candidate x+: label it with the current model's prediction, retrain
     a factor-only model on D plus the pseudo-labeled candidate for
@@ -138,40 +125,39 @@ def expected_losses(state, model, cfg, inner_seed):
     """
     matrix = state.matrix
     m, n = matrix.shape
-    pool_flat = _flat(state.pool, n)
-    labeled_flat = _flat(state.labeled, n)
-    cand = np.argsort(pool_flat)  # pool indices in row-major order
+    pool, labeled = state.pool, state.labeled
+    cand = np.argsort(pool)  # pool indices in row-major order
     if (cfg.elm_candidate_subsample is not None
             and cfg.elm_candidate_subsample < len(cand)):
         rng = np.random.default_rng(inner_seed)
         keep = rng.choice(len(cand), size=cfg.elm_candidate_subsample,
                           replace=False)
         cand = cand[np.sort(keep)]
-    pool_preds = alsdl_mod.alsdl_predict_positions(model, state.pool)
+    pool_preds = alsdl_mod.alsdl_predict_positions(model, pool)
 
     inner_cfg = replace(cfg.model_cfg.als, epochs=cfg.elm_inner_epochs,
                         seed=inner_seed)
     init = als_mod.init_embeddings(m, n, inner_cfg)
     base_values = np.zeros(m * n)
     base_mask = np.zeros(m * n)
-    base_values[labeled_flat] = matrix.values.ravel()[labeled_flat]
-    base_mask[labeled_flat] = 1.0
+    base_values[labeled] = matrix.values.ravel()[labeled]
+    base_mask[labeled] = 1.0
     # scoring set: D's true labels, then the pool's predictions; each
     # candidate drops its own pool column
-    score_flat = np.concatenate([labeled_flat, pool_flat])
-    score_labels = np.concatenate([base_values[labeled_flat], pool_preds])
-    n_labeled, n_score = len(labeled_flat), len(score_flat)
+    score_flat = np.concatenate([labeled, pool])
+    score_labels = np.concatenate([base_values[labeled], pool_preds])
+    n_labeled, n_score = len(labeled), len(score_flat)
 
     chunk = max(1, ELM_CHUNK_BYTES // (8 * m * n))
-    scores = []
+    scores = np.empty(len(cand))
     for start in range(0, len(cand), chunk):
         k = cand[start:start + chunk]
         c = len(k)
         rows = np.arange(c)
         values = np.tile(base_values, (c, 1))
         mask = np.tile(base_mask, (c, 1))
-        values[rows, pool_flat[k]] = pool_preds[k]
-        mask[rows, pool_flat[k]] = 1.0
+        values[rows, pool[k]] = pool_preds[k]
+        mask[rows, pool[k]] = 1.0
         stack = _Stack(values.reshape(c, m, n), mask.reshape(c, m, n))
         emb = als_mod.EmbeddingPair(x=np.tile(init.x, (c, 1, 1)),
                                     w=np.tile(init.w, (c, 1, 1)))
@@ -196,16 +182,16 @@ def expected_losses(state, model, cfg, inner_seed):
         idx = np.broadcast_to(score_flat, kept.shape)[kept].reshape(c, -1)
         labels = np.broadcast_to(score_labels, kept.shape)[kept].reshape(c, -1)
         preds = np.take_along_axis(full, idx, axis=1)
-        scores.extend(np.sqrt(np.mean((preds - labels) ** 2, axis=1)).tolist())
-    return [state.pool[i] for i in cand], scores
+        scores[start:start + c] = np.sqrt(np.mean((preds - labels) ** 2,
+                                                  axis=1))
+    return pool[cand], scores
 
 
 def query_elm(state, model, n, cfg, inner_seed=0):
-    if not state.pool:
+    if not state.pool.size:
         raise ValueError("empty pool")
     candidates, scores = expected_losses(state, model, cfg, inner_seed)
-    order = sorted(range(len(candidates)), key=lambda i: (scores[i], i))
-    return [candidates[i] for i in order[:min(n, len(candidates))]]
+    return candidates[np.argsort(scores, kind="stable")[:n]]
 
 
 def _select(state, model, cfg, round_seed):
@@ -234,7 +220,7 @@ def run_active_learning(matrix, cfg):
     """
     state = init_state(matrix, cfg)
     positions = matrix.observed_positions()
-    truths = np.array([matrix.values[p] for p in positions])
+    truths = matrix.values.ravel()[positions]
 
     model = None
     for rnd in range(cfg.n_max_query + 1):
@@ -255,10 +241,9 @@ def run_active_learning(matrix, cfg):
             full_accuracy=boundary_accuracy(preds, truths))
         state.history.append(point)
 
-        if rnd == cfg.n_max_query or not state.pool:
+        if rnd == cfg.n_max_query or not state.pool.size:
             break
         picks = _select(state, model, cfg, _round_seed(cfg.seed, 2 * rnd + 1))
-        picked = set(picks)
-        state.pool = [p for p in state.pool if p not in picked]
-        state.labeled = state.labeled + list(picks)
+        state.pool = state.pool[~np.isin(state.pool, picks)]
+        state.labeled = np.concatenate([state.labeled, picks])
     return state.history, model

@@ -85,13 +85,6 @@ def als_epoch(matrix, emb, alpha, simultaneous=False):
     return EmbeddingPair(x=x_new, w=emb.w - alpha * (_t(x_new) @ r))
 
 
-def predict(emb, i, j):
-    m, n = emb.x.shape[0], emb.w.shape[1]
-    if not (0 <= i < m and 0 <= j < n):
-        raise IndexError(f"position {(i, j)} out of range for {m}x{n}")
-    return float(emb.x[i] @ emb.w[:, j])
-
-
 def _eval_point(epoch, matrix, emb, train_idx, test_idx):
     full = emb.x @ emb.w
     pt, tt = _gather(matrix, full, train_idx)
@@ -114,20 +107,19 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
               record_history=True):
     """Run cfg.epochs alternating epochs; returns embeddings and curve.
 
-    When eval_positions (a FoldSplit over the row-major observed-position
-    list) is given, test positions are masked out of training and per-epoch
+    When eval_positions (a FoldSplit over matrix.observed_positions()) is
+    given, test positions are masked out of training and per-epoch
     train/test RMSE and boundary accuracy are recorded. record_history=False
     skips per-epoch evaluation (used for the many throwaway models inside
     the ELM query).
     """
-    observed = np.flatnonzero(matrix.mask)  # row-major, as observed_positions
+    observed = matrix.observed_positions()
     if not observed.size:
         raise ValueError("matrix has no observed positions")
     if eval_positions is not None:
         train_idx = observed[np.asarray(eval_positions.train_indices, int)]
         test_idx = observed[np.asarray(eval_positions.test_indices, int)]
-        train_matrix = matrix.with_mask(
-            np.column_stack(np.unravel_index(train_idx, matrix.shape)))
+        train_matrix = matrix.with_mask(train_idx)
     else:
         train_idx, test_idx = observed, observed[:0]
         train_matrix = matrix

@@ -12,6 +12,7 @@ import numpy as np
 from . import als as als_mod
 from . import mlp as mlp_mod
 from .als import AlsConfig, EmbeddingPair
+from .data import as_positions
 from .mlp import LossConfig, MlpModel, MlpTrainConfig
 
 
@@ -33,16 +34,10 @@ class AlsdlModel:
     molecule_first: bool = False
 
 
-def build_features(emb, i, j, molecule_first=False):
-    """Concatenated feature vector [cell row, molecule column], length 2d."""
-    return _feature_table(emb, [(i, j)], molecule_first)[0]
-
-
-def _feature_table(emb, positions, molecule_first=False):
-    """build_features rows for (i, j) pairs, a sequence or a (k, 2) array."""
-    rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
-    if (rows < 0).any() or (cols < 0).any():  # too large raises below
-        raise IndexError("negative position index")
+def build_features(emb, positions, molecule_first=False):
+    """Feature rows [cell row, molecule column], (k, 2d), one per position."""
+    n = emb.w.shape[1]
+    rows, cols = np.divmod(as_positions(positions, emb.x.shape[0] * n), n)
     cells, mols = emb.x[rows], emb.w.T[cols]
     return np.hstack((mols, cells) if molecule_first else (cells, mols))
 
@@ -56,9 +51,9 @@ def train_alsdl(matrix, cfg, eval_split=None, record_history=True):
     emb, als_history = als_mod.train_als(matrix, cfg.als, eval_split,
                                          record_history=record_history)
 
-    positions = np.argwhere(matrix.mask)  # row-major, as observed_positions
-    inputs = _feature_table(emb, positions, cfg.molecule_first)
-    truths = matrix.values[positions[:, 0], positions[:, 1]]
+    positions = matrix.observed_positions()
+    inputs = build_features(emb, positions, cfg.molecule_first)
+    truths = matrix.values.ravel()[positions]
 
     net = mlp_mod.init_mlp([2 * emb.d, *cfg.hidden_sizes, 1],
                            seed=cfg.mlp_train.seed)
@@ -74,12 +69,7 @@ def train_alsdl(matrix, cfg, eval_split=None, record_history=True):
     return model, als_history + mlp_history
 
 
-def alsdl_predict(model, i, j):
-    return mlp_mod.forward(
-        model.net, build_features(model.embeddings, i, j, model.molecule_first))
-
-
 def alsdl_predict_positions(model, positions):
-    """Vectorized predictions for a list of (i, j) positions."""
-    feats = _feature_table(model.embeddings, positions, model.molecule_first)
+    """Predictions at the given positions."""
+    feats = build_features(model.embeddings, positions, model.molecule_first)
     return mlp_mod.predict_batch(model.net, feats)

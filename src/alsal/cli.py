@@ -2,12 +2,8 @@
 
 import argparse
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
-from .active import ActiveConfig
-from .als import AlsConfig
-from .alsdl import AlsdlConfig
-from .mlp import LossConfig, MlpTrainConfig
 from .runner import (ExperimentConfig, SyntheticSpec, aggregate_concentrations,
                      run_al_study, run_benchmark, write_report)
 
@@ -52,29 +48,26 @@ def build_parser():
     return parser
 
 
+def _from_json(cls, raw, where=""):
+    """Dataclass cls from a JSON object. Fields typed as dataclasses are
+    built the same way and lists become tuples; fields left out keep their
+    defaults, and an unknown key at any level exits with its dotted name."""
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, value in raw.items():
+        if key not in types:
+            raise SystemExit(f"unknown config key {where + key!r}")
+        if is_dataclass(types[key]) and isinstance(value, dict):
+            value = _from_json(types[key], value, f"{where}{key}.")
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
 def _config_from_json(path):
     with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    cfg = ExperimentConfig()
-    for key, value in raw.items():
-        if key == "als":
-            cfg.als = AlsConfig(**value)
-        elif key == "alsdl":
-            cfg.alsdl = AlsdlConfig(
-                als=AlsConfig(**value.get("als", {})),
-                mlp_train=MlpTrainConfig(**value.get("mlp_train", {})),
-                loss=LossConfig(**{k: tuple(v) if k == "boundaries" else v
-                                   for k, v in value.get("loss", {}).items()}),
-                hidden_sizes=tuple(value.get("hidden_sizes", (20, 10, 5))))
-        elif key == "active":
-            cfg.active = ActiveConfig(**value)
-        elif key == "synthetic":
-            cfg.synthetic = SyntheticSpec(**value)
-        elif hasattr(cfg, key):
-            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
-        else:
-            raise SystemExit(f"unknown config key {key!r}")
-    return cfg
+        return _from_json(ExperimentConfig, json.load(f))
 
 
 def _csv_list(s, conv=str):

@@ -3,6 +3,10 @@
 Handles the drug-sensitivity CSV (cell x molecule x concentration triples
 with GR and IFD responses), restriction to fully-covered concentrations,
 and synthetic low-rank ground truth for property tests.
+
+A position, here and in every module, is a flat row-major index into an
+m x n matrix: entry (i, j) is position i * n + j, held as a 1-D np.intp
+array. as_positions is the one place that checks this form.
 """
 
 import csv
@@ -46,6 +50,24 @@ class Observation:
             raise DataError("gr and ifd must be finite")
 
 
+def as_positions(positions, size):
+    """Positions as a 1-D intp array of flat indices below `size`.
+
+    Raises IndexError for non-integer dtypes, indices out of [0, size) and
+    inputs that are not 1-D; an empty input gives an empty array.
+    """
+    pos = np.asarray(positions)
+    if pos.ndim != 1:
+        raise IndexError(f"positions must be 1-D, got shape {pos.shape}")
+    if not pos.size:
+        return np.empty(0, dtype=np.intp)
+    if pos.dtype.kind not in "iu":
+        raise IndexError(f"positions must be integers, got {pos.dtype}")
+    if pos.min() < 0 or pos.max() >= size:
+        raise IndexError(f"position out of range [0, {size})")
+    return pos.astype(np.intp, copy=False)
+
+
 @dataclass
 class MaskedMatrix:
     """Response matrix with a 0-1 observation mask."""
@@ -74,22 +96,21 @@ class MaskedMatrix:
         return self.values.shape
 
     def observed_positions(self):
-        """Observed (row, col) pairs in row-major order."""
-        rows, cols = np.nonzero(self.mask)
-        return list(zip(rows.tolist(), cols.tolist()))
+        """Observed positions, ascending (row-major order)."""
+        return np.flatnonzero(self.mask)
 
     def with_mask(self, positions):
-        """Copy of this matrix observed only at the given positions, (i, j)
-        pairs as a sequence or a (k, 2) integer array."""
-        rows, cols = np.array(positions, dtype=np.intp).reshape(-1, 2).T
-        unobserved = np.flatnonzero(self.mask[rows, cols] != 1)
+        """Copy of this matrix observed only at the given positions."""
+        flat = as_positions(positions, self.mask.size)
+        unobserved = np.flatnonzero(self.mask.ravel()[flat] != 1)
         if unobserved.size:
-            first = (int(rows[unobserved[0]]), int(cols[unobserved[0]]))
+            first = divmod(int(flat[unobserved[0]]), self.shape[1])
             raise DataError(f"position {first} is not observed")
-        mask = np.zeros_like(self.mask)
-        mask[rows, cols] = 1.0
-        return MaskedMatrix(self.values.copy(), mask, list(self.cell_index),
-                            list(self.molecule_index), self.target)
+        mask = np.zeros(self.mask.size)
+        mask[flat] = 1.0
+        return MaskedMatrix(self.values.copy(), mask.reshape(self.shape),
+                            list(self.cell_index), list(self.molecule_index),
+                            self.target)
 
 
 @dataclass(frozen=True)

@@ -77,14 +77,6 @@ def _forward_batch(model, inputs):
     return acts
 
 
-def forward(model, input_vec):
-    """Scalar network output for a single input vector."""
-    x = np.asarray(input_vec, dtype=float)
-    if x.shape != (model.layer_sizes[0],):
-        raise ValueError(f"input shape {x.shape} != ({model.layer_sizes[0]},)")
-    return float(_forward_batch(model, x[None, :])[-1][0, 0])
-
-
 def predict_batch(model, inputs):
     return _forward_batch(model, inputs)[-1][:, 0]
 

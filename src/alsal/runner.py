@@ -81,7 +81,11 @@ def _metadata(config):
 
 
 def load_matrices(config):
-    """Resolve config into a list of (target, concentration_tag, matrix)."""
+    """Resolve config into a list of (target, concentration_tag, matrix).
+
+    A synthetic config yields one matrix, generated from seeds[0] and
+    tagged "synthetic"; it ignores targets and concentrations.
+    """
     if config.synthetic is not None:
         s = config.synthetic
         matrix, _ = data_mod.generate_synthetic(s.m, s.n, s.rank, s.noise_sd,

@@ -105,7 +105,7 @@ def test_elm_oracle_equivalence():
         model, _ = train_alsdl(mat.with_mask(state.labeled), cfg.model_cfg)
         got = query_elm(state, model, 1, cfg, inner_seed=seed + 9)
         expected = brute_force_elm(state, model, cfg, inner_seed=seed + 9)
-        if got != [expected]:
+        if got.tolist() != [expected]:
             mismatches.append(seed)
     elapsed = time.time() - t0
     report("ELM oracle equivalence", not mismatches and elapsed < 60,

@@ -34,14 +34,16 @@ def brute_force_elm(state, model, cfg, inner_seed):
     """
     matrix = state.matrix
     m, n = matrix.shape
-    candidates = sorted(state.pool)
-    pool_pred = dict(zip(state.pool,
+    labeled = [divmod(int(p), n) for p in state.labeled]
+    pool = [divmod(int(p), n) for p in state.pool]
+    candidates = sorted(pool)
+    pool_pred = dict(zip(pool,
                          alsdl_predict_positions(model, state.pool)))
     d = cfg.model_cfg.als.d
     alpha = cfg.model_cfg.als.learning_rate
     best = None
     for cand in candidates:
-        train_set = {p: matrix.values[p] for p in state.labeled}
+        train_set = {p: matrix.values[p] for p in labeled}
         train_set[cand] = pool_pred[cand]
 
         init = init_embeddings(m, n, AlsConfig(
@@ -73,11 +75,11 @@ def brute_force_elm(state, model, cfg, inner_seed):
             w = w_new
 
         sq_sum, count = 0.0, 0
-        for p in state.labeled:
+        for p in labeled:
             pred = sum(x[p[0]][l] * w[l][p[1]] for l in range(d))
             sq_sum += (pred - matrix.values[p]) ** 2
             count += 1
-        for p in state.pool:
+        for p in pool:
             if p == cand:
                 continue
             pred = sum(x[p[0]][l] * w[l][p[1]] for l in range(d))
@@ -86,30 +88,33 @@ def brute_force_elm(state, model, cfg, inner_seed):
         score = (sq_sum / count) ** 0.5
         if best is None or score < best[0]:
             best = (score, cand)
-    return best[1]
+    return best[1][0] * n + best[1][1]
 
 
 def per_candidate_expected_losses(state, model, cfg, inner_seed):
     """Reference for the stacked ELM: one train_als and one rmse call per
-    candidate, on its own MaskedMatrix, with positions as (i, j) tuples.
+    candidate, on its own MaskedMatrix, with positions as (i, j) tuples
+    between its flat-index input and output.
     """
     matrix = state.matrix
     n_cols = matrix.shape[1]
-    candidates = sorted(state.pool, key=lambda p: p[0] * n_cols + p[1])
+    labeled = [divmod(int(p), n_cols) for p in state.labeled]
+    pool = [divmod(int(p), n_cols) for p in state.pool]
+    candidates = sorted(pool, key=lambda p: p[0] * n_cols + p[1])
     if (cfg.elm_candidate_subsample is not None
             and cfg.elm_candidate_subsample < len(candidates)):
         rng = np.random.default_rng(inner_seed)
         keep = rng.choice(len(candidates), size=cfg.elm_candidate_subsample,
                           replace=False)
         candidates = [candidates[i] for i in sorted(keep)]
-    pool_preds = dict(zip(state.pool, alsdl_mod.alsdl_predict_positions(
+    pool_preds = dict(zip(pool, alsdl_mod.alsdl_predict_positions(
         model, state.pool)))
 
     inner_cfg = replace(cfg.model_cfg.als, epochs=cfg.elm_inner_epochs,
                         seed=inner_seed)
     base_values = np.zeros(matrix.shape)
     base_mask = np.zeros(matrix.shape)
-    for i, j in state.labeled:
+    for i, j in labeled:
         base_values[i, j] = matrix.values[i, j]
         base_mask[i, j] = 1.0
 
@@ -124,12 +129,13 @@ def per_candidate_expected_losses(state, model, cfg, inner_seed):
         emb, _ = train_als(train_matrix, inner_cfg, record_history=False)
         full = emb.x @ emb.w
 
-        score_pos = state.labeled + [p for p in state.pool if p != cand]
+        score_pos = labeled + [p for p in pool if p != cand]
         preds = np.array([full[p] for p in score_pos])
-        labels = np.array([matrix.values[p] for p in state.labeled]
-                          + [pool_preds[p] for p in state.pool if p != cand])
+        labels = np.array([matrix.values[p] for p in labeled]
+                          + [pool_preds[p] for p in pool if p != cand])
         scores.append(rmse(preds, labels))
-    return candidates, scores
+    return (np.array([i * n_cols + j for i, j in candidates], dtype=np.intp),
+            np.array(scores))
 
 
 class TestInitState:
@@ -139,17 +145,18 @@ class TestInitState:
         state = init_state(mat, cfg)
         assert len(state.labeled) == 40
         assert len(state.pool) == 1150
-        assert set(state.labeled).isdisjoint(state.pool)
+        assert not np.isin(state.labeled, state.pool).any()
 
     def test_full_budget_empties_pool(self):
         mat, _ = generate_synthetic(3, 3, 1, 0.0, seed=1)
         state = init_state(mat, ActiveConfig(n_init=9, seed=0))
-        assert state.pool == []
+        assert state.pool.tolist() == []
 
     def test_deterministic(self):
         mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=2)
         cfg = ActiveConfig(n_init=10, seed=5)
-        assert init_state(mat, cfg).labeled == init_state(mat, cfg).labeled
+        assert (init_state(mat, cfg).labeled.tolist()
+                == init_state(mat, cfg).labeled.tolist())
 
     def test_budget_exceeds_pool(self):
         mat, _ = generate_synthetic(2, 2, 1, 0.0, seed=3)
@@ -162,26 +169,30 @@ class TestQueryOrderly:
         mat, _ = generate_synthetic(m, n, 1, 0.0, seed=4)
         state = init_state(mat, ActiveConfig(n_init=1, seed=0))
         if pool is not None:
-            state.pool = pool
-            state.labeled = [p for p in mat.observed_positions()
-                             if p not in pool]
+            state.pool = np.array(pool, dtype=np.intp)
+            observed = mat.observed_positions()
+            state.labeled = observed[~np.isin(observed, pool)]
         return state
 
     def test_row_major_from_start(self):
-        state = self._state(pool=[(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert query_orderly(state, 2) == [(0, 0), (0, 1)]
+        state = self._state(pool=[0, 1, 2, 3])
+        assert query_orderly(state, 2).tolist() == [0, 1]
 
     def test_whole_pool_when_n_large(self):
-        state = self._state(pool=[(0, 1), (1, 0)])
-        assert query_orderly(state, 10) == [(0, 1), (1, 0)]
+        state = self._state(pool=[1, 2])
+        assert query_orderly(state, 10).tolist() == [1, 2]
 
     def test_skips_labeled(self):
-        state = self._state(pool=[(0, 1), (1, 0), (1, 1)])
-        assert query_orderly(state, 1) == [(0, 1)]
+        state = self._state(pool=[1, 2, 3])
+        assert query_orderly(state, 1).tolist() == [1]
 
     def test_column_major_option(self):
-        state = self._state(pool=[(0, 1), (1, 0)])
-        assert query_orderly(state, 1, column_major=True) == [(1, 0)]
+        state = self._state(pool=[1, 2])  # (0, 1), (1, 0)
+        assert query_orderly(state, 1, column_major=True).tolist() == [2]
+        # 2 x 3: (0, 1), (0, 2), (1, 0), (1, 1)
+        state = self._state(m=2, n=3, pool=[1, 2, 3, 4])
+        assert query_orderly(state, 4, column_major=True).tolist() == [
+            3, 1, 4, 2]
 
     def test_empty_pool(self):
         state = self._state(pool=[])
@@ -194,17 +205,18 @@ class TestQueryRandom:
         mat, _ = generate_synthetic(3, 3, 1, 0.0, seed=5)
         state = init_state(mat, ActiveConfig(n_init=2, seed=0))
         got = query_random(state, len(state.pool), seed=1)
-        assert sorted(got) == sorted(state.pool)
+        assert sorted(got.tolist()) == sorted(state.pool.tolist())
 
     def test_single_item_pool(self):
         mat, _ = generate_synthetic(2, 2, 1, 0.0, seed=6)
         state = init_state(mat, ActiveConfig(n_init=3, seed=0))
-        assert query_random(state, 1, seed=0) == state.pool
+        assert query_random(state, 1, seed=0).tolist() == state.pool.tolist()
 
     def test_deterministic(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=7)
         state = init_state(mat, ActiveConfig(n_init=4, seed=0))
-        assert query_random(state, 3, seed=2) == query_random(state, 3, seed=2)
+        assert (query_random(state, 3, seed=2).tolist()
+                == query_random(state, 3, seed=2).tolist())
 
 
 class TestQueryUncertainty:
@@ -212,7 +224,8 @@ class TestQueryUncertainty:
         mat, _ = generate_synthetic(1, 3, 1, 0.0, seed=8)
         mat.values[:] = [[0.5, -0.01, 0.3]]
         state = init_state(mat, ActiveConfig(n_init=1, seed=0))
-        state.labeled, state.pool = [], [(0, 0), (0, 1), (0, 2)]
+        state.labeled = np.array([], dtype=np.intp)
+        state.pool = np.array([0, 1, 2], dtype=np.intp)
 
         class Stub:
             pass
@@ -221,22 +234,29 @@ class TestQueryUncertainty:
         real = active_mod.alsdl_mod.alsdl_predict_positions
         try:
             active_mod.alsdl_mod.alsdl_predict_positions = \
-                lambda m, pos: np.array([mat.values[p] for p in pos])
-            assert query_uncertainty(state, model, 1) == [(0, 1)]
-            assert query_uncertainty(state, model, 3) == [(0, 1), (0, 2), (0, 0)]
+                lambda m, pos: mat.values.ravel()[pos]
+            assert query_uncertainty(state, model, 1).tolist() == [1]
+            assert query_uncertainty(state, model, 3).tolist() == [1, 2, 0]
         finally:
             active_mod.alsdl_mod.alsdl_predict_positions = real
 
     def test_boundary_tie_broken_row_major(self):
         mat, _ = generate_synthetic(2, 2, 1, 0.0, seed=9)
         state = init_state(mat, ActiveConfig(n_init=1, seed=0))
-        state.labeled, state.pool = [], [(1, 1), (0, 1)]
+        state.labeled = np.array([], dtype=np.intp)
+        state.pool = np.array([3, 1], dtype=np.intp)  # (1, 1), (0, 1)
+        # 2 x 3: (0, 2) = 2 before (1, 0) = 3 only in row-major order
+        wide, _ = generate_synthetic(2, 3, 1, 0.0, seed=9)
+        wide_state = init_state(wide, ActiveConfig(n_init=1, seed=0))
+        wide_state.labeled = np.array([], dtype=np.intp)
+        wide_state.pool = np.array([3, 2], dtype=np.intp)
         import alsal.active as active_mod
         real = active_mod.alsdl_mod.alsdl_predict_positions
         try:
             active_mod.alsdl_mod.alsdl_predict_positions = \
                 lambda m, pos: np.zeros(len(pos))
-            assert query_uncertainty(state, None, 2) == [(0, 1), (1, 1)]
+            assert query_uncertainty(state, None, 2).tolist() == [1, 3]
+            assert query_uncertainty(wide_state, None, 2).tolist() == [2, 3]
         finally:
             active_mod.alsdl_mod.alsdl_predict_positions = real
 
@@ -250,7 +270,7 @@ class TestQueryElm:
                            elm_inner_epochs=20, seed=0)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
                                fast_model_cfg(als_epochs=20, mlp_epochs=20))
-        assert query_elm(state, model, 1, cfg) == state.pool
+        assert query_elm(state, model, 1, cfg).tolist() == state.pool.tolist()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force_oracle(self, seed):
@@ -262,7 +282,7 @@ class TestQueryElm:
                                cfg.model_cfg)
         got = query_elm(state, model, 1, cfg, inner_seed=seed + 77)
         expected = brute_force_elm(state, model, cfg, inner_seed=seed + 77)
-        assert got == [expected]
+        assert got.tolist() == [expected]
 
 
 class TestElmSubsampling:
@@ -275,7 +295,7 @@ class TestElmSubsampling:
         model, _ = train_alsdl(mat.with_mask(state.labeled), cfg.model_cfg)
         got = query_elm(state, model, 3, cfg, inner_seed=5)
         assert len(got) == 3
-        assert set(got) <= set(state.pool)
+        assert set(got.tolist()) <= set(state.pool.tolist())
 
     def test_subsample_deterministic(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=21)
@@ -286,7 +306,7 @@ class TestElmSubsampling:
         model, _ = train_alsdl(mat.with_mask(state.labeled), cfg.model_cfg)
         a = query_elm(state, model, 2, cfg, inner_seed=9)
         b = query_elm(state, model, 2, cfg, inner_seed=9)
-        assert a == b
+        assert a.tolist() == b.tolist()
 
 
 class TestRunActiveLearning:
@@ -299,6 +319,11 @@ class TestRunActiveLearning:
         assert len(curve) == 4
         assert [pt.n_labeled for pt in curve] == [4, 8, 12, 16]
         assert [pt.round for pt in curve] == [0, 1, 2, 3]
+        # the curve scores the final model against every true entry
+        positions = mat.observed_positions()
+        truths = [mat.values[divmod(int(p), 6)] for p in positions]
+        assert curve[-1].full_rmse == rmse(
+            alsdl_predict_positions(model, positions), truths)
 
     def test_zero_max_query_single_point(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=12)
@@ -362,8 +387,8 @@ class TestStackedElmExact:
     def assert_exact(self, state, model, cfg, inner_seed=5):
         got = expected_losses(state, model, cfg, inner_seed)
         want = per_candidate_expected_losses(state, model, cfg, inner_seed)
-        assert got[0] == want[0]
-        assert got[1] == want[1]
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
 
     def test_chunk_size_not_dividing_candidates(self, monkeypatch):
         state, model, cfg = elm_problem()
@@ -415,8 +440,9 @@ class TestStackedElmExact:
         candidates, scores = expected_losses(state, model, cfg, 5)
         assert len(set(scores)) == 1
         self.assert_exact(state, model, cfg)
-        assert query_elm(state, model, 5, cfg, inner_seed=5) == candidates[:5]
-        assert candidates[:5] == sorted(state.pool)[:5]
+        assert (query_elm(state, model, 5, cfg, inner_seed=5).tolist()
+                == candidates[:5].tolist())
+        assert candidates[:5].tolist() == sorted(state.pool.tolist())[:5]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered",

@@ -3,7 +3,7 @@ import pytest
 
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.als import (AlsConfig, EmbeddingPair, als_epoch, als_gradients,
-                       als_loss, init_embeddings, predict, train_als)
+                       als_loss, init_embeddings, train_als)
 from alsal.metrics import FoldSplit
 
 
@@ -167,7 +167,7 @@ class TestTrainAls:
         mat2 = full_matrix(mat.values.copy())
         positions = mat.observed_positions()
         for idx in split.test_indices:
-            i, j = positions[idx]
+            i, j = divmod(int(positions[idx]), 5)
             mat2.values[i, j] += 100.0
         emb2, _ = train_als(mat2, cfg, eval_positions=split)
         np.testing.assert_array_equal(emb1.x, emb2.x)
@@ -189,24 +189,3 @@ class TestTrainAls:
         np.testing.assert_array_equal(emb1.x, emb2.x)
         np.testing.assert_array_equal(emb1.w, emb2.w)
 
-
-class TestPredict:
-    def test_orthogonal(self):
-        emb = EmbeddingPair(np.array([[1.0, 0.0]]), np.array([[0.0], [1.0]]))
-        assert predict(emb, 0, 0) == 0.0
-
-    def test_dot_product(self):
-        emb = EmbeddingPair(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert predict(emb, 0, 0) == pytest.approx(11.0)
-
-    def test_exact_fit_matches_matrix(self):
-        emb = EmbeddingPair(np.array([[1.0], [2.0]]), np.array([[3.0, 4.0]]))
-        expected = [[3, 4], [6, 8]]
-        for i in range(2):
-            for j in range(2):
-                assert predict(emb, i, j) == expected[i][j]
-
-    def test_out_of_range(self):
-        emb = EmbeddingPair(np.ones((2, 2)), np.ones((2, 2)))
-        with pytest.raises(IndexError):
-            predict(emb, 2, 0)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from alsal.als import AlsConfig, EmbeddingPair
-from alsal.alsdl import (AlsdlConfig, build_features, alsdl_predict,
-                         alsdl_predict_positions, train_alsdl)
+from alsal.alsdl import (AlsdlConfig, build_features, alsdl_predict_positions,
+                         train_alsdl)
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.metrics import FoldSplit
-from alsal.mlp import LossConfig, MlpTrainConfig, forward
+from alsal.mlp import LossConfig, MlpTrainConfig, predict_batch
 
 
 def small_config(seed=0, als_epochs=30, mlp_epochs=300):
@@ -20,25 +20,25 @@ def small_config(seed=0, als_epochs=30, mlp_epochs=300):
 class TestBuildFeatures:
     def test_concatenation_order(self):
         emb = EmbeddingPair(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(build_features(emb, 0, 0),
-                                      [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(build_features(emb, [0]),
+                                      [[1.0, 2.0, 3.0, 4.0]])
 
     def test_molecule_first(self):
         emb = EmbeddingPair(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
         np.testing.assert_array_equal(
-            build_features(emb, 0, 0, molecule_first=True),
-            [3.0, 4.0, 1.0, 2.0])
+            build_features(emb, [0], molecule_first=True),
+            [[3.0, 4.0, 1.0, 2.0]])
 
     def test_zero_embeddings(self):
         emb = EmbeddingPair(np.zeros((2, 5)), np.zeros((5, 3)))
-        feats = build_features(emb, 1, 2)
-        assert feats.shape == (10,)
+        feats = build_features(emb, [1 * 3 + 2])
+        assert feats.shape == (1, 10)
         assert np.all(feats == 0)
 
     def test_out_of_range(self):
         emb = EmbeddingPair(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(IndexError):
-            build_features(emb, 0, 5)
+            build_features(emb, [0 * 2 + 5])
 
 
 class TestTrainAlsdl:
@@ -83,7 +83,7 @@ class TestTrainAlsdl:
                             list(mat.cell_index), list(mat.molecule_index),
                             mat.target)
         for idx in split.test_indices:
-            mat2.values[positions[idx]] += 7.0
+            mat2.values[divmod(int(positions[idx]), 5)] += 7.0
         model2, _ = train_alsdl(mat2, cfg, eval_split=split)
         np.testing.assert_array_equal(model1.embeddings.x, model2.embeddings.x)
         for w1, w2 in zip(model1.net.weights, model2.net.weights):
@@ -106,14 +106,17 @@ class TestAlsdlPredict:
             w[:] = 0.0
         for b in model.net.biases:
             b[:] = 0.0
-        assert alsdl_predict(model, 0, 0) == 0.0
+        assert alsdl_predict_positions(model, [0]).tolist() == [0.0]
 
     def test_composition_contract(self):
         mat, _ = generate_synthetic(4, 4, 2, 0.0, seed=13)
         cfg = small_config(seed=14, als_epochs=10, mlp_epochs=10)
         model, _ = train_alsdl(mat, cfg)
-        expected = forward(model.net, build_features(model.embeddings, 1, 2))
-        assert alsdl_predict(model, 1, 2) == expected
+        position = 1 * 4 + 2
+        expected = predict_batch(model.net,
+                                 build_features(model.embeddings, [position]))
+        assert alsdl_predict_positions(model, [position]).tolist() == \
+            expected.tolist()
 
     def test_batch_predictions_match_scalar(self):
         mat, _ = generate_synthetic(4, 4, 2, 0.0, seed=15)
@@ -121,7 +124,7 @@ class TestAlsdlPredict:
         model, _ = train_alsdl(mat, cfg)
         positions = mat.observed_positions()
         batch = alsdl_predict_positions(model, positions)
-        scalars = [alsdl_predict(model, i, j) for i, j in positions]
+        scalars = [alsdl_predict_positions(model, [p])[0] for p in positions]
         np.testing.assert_allclose(batch, scalars, rtol=1e-12)
 
     def test_end_to_end_fit_on_noise_free_synthetic(self):
@@ -132,6 +135,6 @@ class TestAlsdlPredict:
         model, _ = train_alsdl(mat, cfg)
         positions = mat.observed_positions()
         preds = alsdl_predict_positions(model, positions)
-        truths = np.array([mat.values[p] for p in positions])
+        truths = mat.values.ravel()[positions]
         from alsal.metrics import rmse
         assert rmse(preds, truths) < 0.1

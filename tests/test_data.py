@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from alsal.als import AlsConfig, init_embeddings
+from alsal.alsdl import AlsdlModel, alsdl_predict_positions, build_features
 from alsal.data import (DataError, build_response_matrix, compute_gr,
                         compute_ifd, concentration_key, generate_synthetic,
                         parse_dataset, select_common_concentrations,
                         summarize)
+from alsal.mlp import LossConfig, init_mlp
 
 from conftest import csv_stream, dataset_shaped_csv, make_observations
 
@@ -240,3 +243,34 @@ class TestGenerateSynthetic:
     def test_rank_too_large(self):
         with pytest.raises(DataError):
             generate_synthetic(3, 4, 5, 0.0, seed=0)
+
+
+# inputs that are not positions of a 3 x 4 matrix
+BAD_POSITIONS = {"negative": [-1], "float": [1.7], "past the end": [12],
+                 "(k, 2) pairs": np.array([[1, 0], [2, 3]])}
+POSITION_CALLERS = ["with_mask", "build_features", "alsdl_predict_positions"]
+
+
+def position_caller(name):
+    mat, _ = generate_synthetic(3, 4, 1, 0.0, seed=0)
+    emb = init_embeddings(3, 4, AlsConfig(d=2, seed=1))
+    model = AlsdlModel(emb, init_mlp([4, 3, 1], seed=2), LossConfig())
+    return {"with_mask": lambda pos: mat.with_mask(pos).observed_positions(),
+            "build_features": lambda pos: build_features(emb, pos),
+            "alsdl_predict_positions":
+                lambda pos: alsdl_predict_positions(model, pos)}[name]
+
+
+class TestBadPositions:
+    @pytest.mark.parametrize("bad", BAD_POSITIONS.values(),
+                             ids=BAD_POSITIONS.keys())
+    @pytest.mark.parametrize("caller", POSITION_CALLERS)
+    def test_rejected(self, caller, bad):
+        call = position_caller(caller)
+        assert len(call([11, 0])) == 2
+        with pytest.raises(IndexError):
+            call(bad)
+
+    @pytest.mark.parametrize("caller", POSITION_CALLERS)
+    def test_empty_gives_empty(self, caller):
+        assert len(position_caller(caller)([])) == 0

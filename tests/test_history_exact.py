@@ -2,16 +2,17 @@
 
 The reference_* functions below are the scalar implementations that
 train_als, train_alsdl, penalized_loss, MaskedMatrix.with_mask and
-alsdl._feature_table used before positions became flat index arrays.
-Results must match them with ==, not approximately: the array forms do
-the same float64 arithmetic on the same values.
+alsdl.build_features used before positions became flat index arrays.
+They take positions as (i, j) pairs; observed_pairs and to_pairs convert
+at their entry. Results must match them with ==, not approximately: the
+array forms do the same float64 arithmetic on the same values.
 """
 
 import numpy as np
 import pytest
 
 from alsal.als import AlsConfig, als_epoch, init_embeddings, train_als
-from alsal.alsdl import AlsdlConfig, _feature_table, train_alsdl
+from alsal.alsdl import AlsdlConfig, build_features, train_alsdl
 from alsal.data import DataError, MaskedMatrix, generate_synthetic
 from alsal.metrics import (EvalPoint, FoldSplit, boundary_accuracy,
                            kfold_split, rmse)
@@ -20,6 +21,14 @@ from alsal.mlp import (LossConfig, MlpTrainConfig, backward, init_mlp,
                        sign_penalty)
 
 THREE_BOUNDARIES = LossConfig(boundaries=(-0.5, 0.0, 0.5))
+
+
+def to_pairs(positions, n_cols):
+    return [divmod(int(p), n_cols) for p in positions]
+
+
+def observed_pairs(matrix):
+    return to_pairs(matrix.observed_positions(), matrix.shape[1])
 
 
 def reference_sign_penalty(pred, truth, boundaries):
@@ -62,7 +71,7 @@ def reference_feature_table(emb, positions, molecule_first=False):
 
 
 def reference_train_als(matrix, cfg, split=None):
-    positions = matrix.observed_positions()
+    positions = observed_pairs(matrix)
     if split is not None:
         pos_train = [positions[i] for i in split.train_indices]
         pos_test = [positions[i] for i in split.test_indices]
@@ -89,7 +98,7 @@ def reference_train_als(matrix, cfg, split=None):
 
 def reference_train_alsdl(matrix, cfg, split=None):
     emb, als_history = reference_train_als(matrix, cfg.als, split)
-    positions = matrix.observed_positions()
+    positions = observed_pairs(matrix)
     inputs = reference_feature_table(emb, positions, cfg.molecule_first)
     truths = matrix.values[tuple(zip(*positions))]
     net = init_mlp([2 * emb.d, *cfg.hidden_sizes, 1], seed=cfg.mlp_train.seed)
@@ -204,8 +213,8 @@ class TestWithMask:
     def test_matches_reference(self):
         mat = holey_matrix()
         positions = mat.observed_positions()[::3]
-        want = reference_with_mask(mat, positions)
-        for given in (positions, np.array(positions)):
+        want = reference_with_mask(mat, to_pairs(positions, 6))
+        for given in (positions, positions.tolist()):
             got = mat.with_mask(given)
             np.testing.assert_array_equal(got.mask, want.mask)
             np.testing.assert_array_equal(got.values, want.values)
@@ -216,9 +225,9 @@ class TestWithMask:
 
     def test_names_first_unobserved_in_input_order(self):
         mat = holey_matrix()  # unobserved: (1, 2), (4, 0), (6, 5)
-        positions = [(0, 1), (6, 5), (3, 3), (1, 2)]
+        positions = [0 * 6 + 1, 6 * 6 + 5, 3 * 6 + 3, 1 * 6 + 2]
         with pytest.raises(DataError) as want:
-            reference_with_mask(mat, positions)
+            reference_with_mask(mat, to_pairs(positions, 6))
         with pytest.raises(DataError, match=r"position \(6, 5\) is not") as e:
             mat.with_mask(positions)
         assert str(e.value) == str(want.value)
@@ -230,13 +239,15 @@ class TestFeatureTable:
         mat, _ = generate_synthetic(5, 4, 2, 0.0, seed=1)
         emb = init_embeddings(5, 4, AlsConfig(d=3, seed=2))
         positions = mat.observed_positions()[::-1]
-        want = reference_feature_table(emb, positions, molecule_first)
-        for given in (positions, np.array(positions)):
+        want = reference_feature_table(emb, to_pairs(positions, 4),
+                                       molecule_first)
+        for given in (positions, positions.tolist()):
             np.testing.assert_array_equal(
-                _feature_table(emb, given, molecule_first), want)
+                build_features(emb, given, molecule_first), want)
 
-    @pytest.mark.parametrize("bad", [(0, -1), (-1, 0), (5, 0), (0, 4)])
+    # flat indices into 5 x 4: (0, -1), (-1, 0), (5, 0), and far past the end
+    @pytest.mark.parametrize("bad", [[-1], [-4], [20], [2**40]])
     def test_out_of_range(self, bad):
         emb = init_embeddings(5, 4, AlsConfig(d=3, seed=2))
         with pytest.raises(IndexError):
-            _feature_table(emb, [(1, 1), bad])
+            build_features(emb, [1 * 4 + 1] + bad)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alsal.metrics import FoldSplit, rmse
-from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, backward, forward,
-                       init_mlp, penalized_loss, predict_batch, rmsprop_step,
+from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, backward, init_mlp,
+                       penalized_loss, predict_batch, rmsprop_step,
                        sign_penalty, surrogate_objective, train_mlp)
 
 
@@ -83,25 +83,25 @@ class TestForward:
         model = init_mlp([3, 4, 1], seed=0)
         for w in model.weights:
             w[:] = 0.0
-        assert forward(model, [1.0, -2.0, 3.0]) == 0.0
+        assert predict_batch(model, [[1.0, -2.0, 3.0]]).tolist() == [0.0]
 
     def test_single_linear_layer(self):
         model = init_mlp([2, 1], seed=0)
         model.weights[0][:] = 1.0
         model.biases[0][:] = 0.0
-        assert forward(model, [0.3, 0.4]) == pytest.approx(0.7)
+        assert predict_batch(model, [[0.3, 0.4]])[0] == pytest.approx(0.7)
 
     def test_matches_hand_rolled_oracle(self, rng):
         model = init_mlp([4, 5, 3, 1], seed=21)
-        for _ in range(5):
-            x = rng.uniform(-2, 2, size=4)
-            assert forward(model, x) == pytest.approx(
-                hand_rolled_forward(model, x), rel=1e-12)
+        xs = rng.uniform(-2, 2, size=(5, 4))
+        for x, pred in zip(xs, predict_batch(model, xs)):
+            assert pred == pytest.approx(hand_rolled_forward(model, x),
+                                         rel=1e-12)
 
     def test_dimension_mismatch(self):
         model = init_mlp([3, 1], seed=0)
         with pytest.raises(ValueError):
-            forward(model, [1.0, 2.0])
+            predict_batch(model, [[1.0, 2.0]])
 
 
 class TestSignPenalty:

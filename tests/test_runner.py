@@ -7,8 +7,8 @@ import pytest
 from alsal.active import ActiveConfig
 from alsal.als import AlsConfig
 from alsal.alsdl import AlsdlConfig
-from alsal.cli import main
-from alsal.mlp import MlpTrainConfig
+from alsal.cli import _config_from_json, main
+from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import (ExperimentConfig, SyntheticSpec,
                           aggregate_concentrations, run_al_study,
                           run_benchmark, write_report, Report)
@@ -170,3 +170,32 @@ class TestCli:
         assert rc == 0
         rows = read_rows(out / "learning_curves.csv")
         assert any(r["seed"] == "3" for r in rows)
+
+    def test_config_file_alsdl_fields(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alsdl": {"molecule_first": True,
+                                                  "hidden_sizes": [3]}}))
+        cfg = _config_from_json(cfg_path)
+        assert cfg.alsdl.molecule_first is True
+        assert cfg.alsdl.hidden_sizes == (3,)
+        # fields the file leaves out keep AlsdlConfig's defaults
+        assert cfg.alsdl.als == AlsdlConfig().als
+
+    @pytest.mark.parametrize("alsdl, name", [
+        ({"molecule_first": True, "hiden_sizes": [3]}, "alsdl.hiden_sizes"),
+        ({"loss": {"beta": 0.2, "bta": 0.1}}, "alsdl.loss.bta")])
+    def test_config_file_unknown_alsdl_key(self, tmp_path, alsdl, name):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alsdl": alsdl}))
+        with pytest.raises(SystemExit) as e:
+            _config_from_json(cfg_path)
+        assert str(e.value) == f"unknown config key {name!r}"
+
+    def test_config_file_nested_model_cfg(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"active": {
+            "n_init": 5, "model_cfg": {"hidden_sizes": [4],
+                                       "loss": {"boundaries": [-0.5, 0.5]}}}}))
+        cfg = _config_from_json(cfg_path)
+        assert cfg.active == ActiveConfig(n_init=5, model_cfg=AlsdlConfig(
+            hidden_sizes=(4,), loss=LossConfig(boundaries=(-0.5, 0.5))))
