@@ -50,15 +50,20 @@ def build_parser():
 
 def _from_json(cls, raw, where=""):
     """Dataclass cls from a JSON object. Fields typed as dataclasses are
-    built the same way and lists become tuples; fields left out keep their
-    defaults, and an unknown key at any level exits with its dotted name."""
-    types = {f.name: f.type for f in fields(cls)}
+    built the same way (null only where the default is None) and lists
+    become tuples; fields left out keep their defaults, and an unknown key
+    or a non-object where an object belongs exits with its dotted name."""
+    if not isinstance(raw, dict):
+        raise SystemExit(f"config key {where[:-1]!r} must be an object"
+                         if where else "config must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
-        if key not in types:
+        if key not in known:
             raise SystemExit(f"unknown config key {where + key!r}")
-        if is_dataclass(types[key]) and isinstance(value, dict):
-            value = _from_json(types[key], value, f"{where}{key}.")
+        f = known[key]
+        if is_dataclass(f.type) and not (value is None and f.default is None):
+            value = _from_json(f.type, value, f"{where}{key}.")
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value

@@ -4,9 +4,24 @@ Hidden activations are tanh, the output is linear. The training objective
 is RMSE minus a weighted classification penalty: the exact penalty is a
 sign term (gradient zero almost everywhere), so training defaults to a smooth
 tanh surrogate; reported losses use the exact penalty, evaluated array-wide.
+
+Training allocates nothing per epoch that scales with the number of rows.
+`_Buffers` holds one batch size's per-layer (rows, width) arrays: the
+activations, the back-propagated deltas and the tanh-derivative scratch.
+`train_mlp` makes one for its training rows and, with history on, one for
+all rows, and passes them to `backward` and `predict_batch`, whose ufuncs
+write through `out=`. Called without buffers, those functions make fresh
+ones, so a public caller's result is never overwritten by a later call.
+The parameters of a model made here live in one flat float64 vector (all
+weight matrices in layer order, then all biases) that its `weights` and
+`biases` lists view, and the rmsprop accumulators in another;
+`rmsprop_step` updates the flat vectors in one pass, with the same
+per-element arithmetic as a per-layer update.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,6 +64,24 @@ class MlpTrainConfig:
     seed: int = 0
 
 
+def _model_from_flat(params, sq_grads, shapes):
+    """An MlpModel whose lists view `params` and `sq_grads`, each laid out
+    as all the weight matrices in layer order, then all the bias vectors."""
+    bounds = list(accumulate((math.prod(s) for s in shapes), initial=0))
+
+    def split(flat):
+        return [flat[a:b].reshape(s)
+                for a, b, s in zip(bounds, bounds[1:], shapes)]
+
+    p, sq = split(params), split(sq_grads)
+    n_layers = len(shapes) // 2
+    return MlpModel(p[:n_layers], p[n_layers:], sq[:n_layers], sq[n_layers:])
+
+
+def _flatten(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 def init_mlp(layer_sizes, seed):
     """Glorot-uniform weights, zero biases, zero rmsprop accumulators."""
     if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
@@ -59,26 +92,43 @@ def init_mlp(layer_sizes, seed):
         s = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(
-        weights=weights,
-        biases=biases,
-        sq_grad_w=[np.zeros_like(w) for w in weights],
-        sq_grad_b=[np.zeros_like(b) for b in biases],
-    )
+    params = _flatten(weights + biases)
+    return _model_from_flat(params, np.zeros_like(params),
+                            [a.shape for a in weights + biases])
 
 
-def _forward_batch(model, inputs):
-    """Activations per layer; inputs is (batch, fan_in)."""
+class _Buffers:
+    """Work arrays for one batch size: per layer, its (rows, width)
+    activations, and per hidden layer the back-propagated delta and the
+    tanh-derivative scratch. Each call that is given them overwrites them."""
+
+    def __init__(self, layer_sizes, rows):
+        widths = layer_sizes[1:]
+        self.acts = [np.empty((rows, w)) for w in widths]
+        self.deltas = [np.empty((rows, w)) for w in widths[:-1]]
+        self.scratch = [np.empty((rows, w)) for w in widths[:-1]]
+
+
+def _forward_batch(model, inputs, buffers=None):
+    """Activations per layer; inputs is (batch, fan_in). The layer outputs
+    are written into `buffers` (fresh ones if not given)."""
     acts = [np.asarray(inputs, dtype=float)]
+    if buffers is None:
+        buffers = _Buffers(model.layer_sizes, acts[0].shape[0])
     n_layers = len(model.weights)
-    for li, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w + b
-        acts.append(z if li == n_layers - 1 else np.tanh(z))
+    for li, (w, b, z) in enumerate(zip(model.weights, model.biases,
+                                       buffers.acts)):
+        np.matmul(acts[-1], w, out=z)
+        np.add(z, b, out=z)
+        if li < n_layers - 1:
+            np.tanh(z, out=z)
+        acts.append(z)
     return acts
 
 
-def predict_batch(model, inputs):
-    return _forward_batch(model, inputs)[-1][:, 0]
+def predict_batch(model, inputs, buffers=None):
+    """Network output per input row; a view into `buffers` when given."""
+    return _forward_batch(model, inputs, buffers)[-1][:, 0]
 
 
 def sign_penalty(pred, truth, boundaries):
@@ -130,17 +180,21 @@ def _output_gradient(preds, truths, cfg):
     return grad
 
 
-def backward(model, batch_inputs, batch_truths, cfg):
+def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
     """Gradients of the training objective w.r.t. weights and biases.
 
     With the surrogate off the penalty contributes nothing (the true sign
-    term has zero gradient almost everywhere).
+    term has zero gradient almost everywhere). The forward pass and the
+    hidden deltas use `buffers` (fresh ones if not given); the returned
+    gradients are always new arrays.
     """
     inputs = np.atleast_2d(np.asarray(batch_inputs, dtype=float))
     truths = np.asarray(batch_truths, dtype=float)
     if inputs.shape[0] != truths.size:
         raise ValueError("batch size mismatch")
-    acts = _forward_batch(model, inputs)
+    if buffers is None:
+        buffers = _Buffers(model.layer_sizes, inputs.shape[0])
+    acts = _forward_batch(model, inputs, buffers)
     preds = acts[-1][:, 0]
 
     delta = _output_gradient(preds, truths, cfg)[:, None]  # (batch, 1)
@@ -149,29 +203,34 @@ def backward(model, batch_inputs, batch_truths, cfg):
         grad_w.append(acts[li].T @ delta)
         grad_b.append(delta.sum(axis=0))
         if li > 0:
-            delta = (delta @ model.weights[li].T) * (1.0 - acts[li] ** 2)
+            # delta <- (delta @ w.T) * (1 - a**2), a = this layer's input
+            nxt, deriv = buffers.deltas[li - 1], buffers.scratch[li - 1]
+            np.matmul(delta, model.weights[li].T, out=nxt)
+            np.square(acts[li], out=deriv)
+            np.subtract(1.0, deriv, out=deriv)
+            delta = np.multiply(nxt, deriv, out=nxt)
     return grad_w[::-1], grad_b[::-1]
 
 
 def rmsprop_step(model, gradients, cfg):
-    """One rmsprop update; returns a new model, accumulators included."""
+    """One rmsprop update; returns a new model, accumulators included.
+
+    The update runs once over all parameters laid out as one flat vector;
+    the new model's lists view the new vectors, and the input model is
+    left as it was.
+    """
     grad_w, grad_b = gradients
-    new_w, new_b, new_sw, new_sb = [], [], [], []
-    for w, b, sw, sb, gw, gb in zip(model.weights, model.biases,
-                                    model.sq_grad_w, model.sq_grad_b,
-                                    grad_w, grad_b):
-        sw = cfg.rmsprop_decay * sw + (1.0 - cfg.rmsprop_decay) * gw * gw
-        sb = cfg.rmsprop_decay * sb + (1.0 - cfg.rmsprop_decay) * gb * gb
-        w = w - cfg.rmsprop_learning_rate * gw / (np.sqrt(sw) + cfg.rmsprop_epsilon)
-        b = b - cfg.rmsprop_learning_rate * gb / (np.sqrt(sb) + cfg.rmsprop_epsilon)
-        new_w.append(w)
-        new_b.append(b)
-        new_sw.append(sw)
-        new_sb.append(sb)
-    out = MlpModel(new_w, new_b, new_sw, new_sb)
-    if not all(np.all(np.isfinite(a)) for a in new_w + new_b):
+    shapes = [a.shape for a in model.weights + model.biases]
+    g = _flatten(grad_w + grad_b)
+    decay = cfg.rmsprop_decay
+    sq = decay * _flatten(model.sq_grad_w + model.sq_grad_b)
+    sq += (1.0 - decay) * g * g
+    step = cfg.rmsprop_learning_rate * g
+    step /= np.sqrt(sq) + cfg.rmsprop_epsilon
+    params = _flatten(model.weights + model.biases) - step
+    if not np.isfinite(params).all():
         raise DivergenceError(-1)
-    return out
+    return _model_from_flat(params, sq, shapes)
 
 
 def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
@@ -191,25 +250,32 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
         raise ValueError("empty training set")
 
     inputs_tr, truths_tr = inputs[tr], truths[tr]
+    truths_te = None if te is None else truths[te]
+    # allocated once: each epoch overwrites them
+    train_buffers = _Buffers(model.layer_sizes, tr.size)
+    if record_history:
+        all_buffers = _Buffers(model.layer_sizes, inputs.shape[0])
     history = []
     for epoch in range(train_cfg.epochs):
-        grads = backward(model, inputs_tr, truths_tr, loss_cfg)
+        grads = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
         try:
             model = rmsprop_step(model, grads, train_cfg)
         except DivergenceError:
             raise DivergenceError(epoch)
         if not record_history:
             continue
-        preds = predict_batch(model, inputs)
+        preds = predict_batch(model, inputs, all_buffers)
         b0 = loss_cfg.boundaries[0]
+        p_tr = preds[tr]
         point = {"epoch_or_round": start_epoch + epoch,
-                 "train_loss": rmse(preds[tr], truths_tr),
-                 "train_accuracy": boundary_accuracy(preds[tr], truths_tr, b0),
-                 "train_penalized": penalized_loss(preds[tr], truths_tr, loss_cfg)}
+                 "train_loss": rmse(p_tr, truths_tr),
+                 "train_accuracy": boundary_accuracy(p_tr, truths_tr, b0),
+                 "train_penalized": penalized_loss(p_tr, truths_tr, loss_cfg)}
         if te is not None and te.size:
+            p_te = preds[te]
             point.update(
-                test_loss=rmse(preds[te], truths[te]),
-                test_accuracy=boundary_accuracy(preds[te], truths[te], b0),
-                test_penalized=penalized_loss(preds[te], truths[te], loss_cfg))
+                test_loss=rmse(p_te, truths_te),
+                test_accuracy=boundary_accuracy(p_te, truths_te, b0),
+                test_penalized=penalized_loss(p_te, truths_te, loss_cfg))
         history.append(EvalPoint(**point))
     return model, history

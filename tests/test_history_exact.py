@@ -1,24 +1,27 @@
-"""The per-epoch history path against the tuple-list code it replaced.
+"""The per-epoch history path against the code it replaced.
 
 The reference_* functions below are the scalar implementations that
 train_als, train_alsdl, penalized_loss, MaskedMatrix.with_mask and
 alsdl.build_features used before positions became flat index arrays.
 They take positions as (i, j) pairs; observed_pairs and to_pairs convert
-at their entry. Results must match them with ==, not approximately: the
-array forms do the same float64 arithmetic on the same values.
+at their entry. The reference MLP functions (forward pass, backward pass,
+rmsprop step and training loop) are the per-layer code that allocated
+fresh arrays every epoch, before the buffers and the flat parameter
+vector. Results must match them with ==, not approximately: the new forms
+do the same float64 arithmetic on the same values.
 """
 
 import numpy as np
 import pytest
 
-from alsal.als import AlsConfig, als_epoch, init_embeddings, train_als
+from alsal.als import (AlsConfig, DivergenceError, als_epoch,
+                       init_embeddings, train_als)
 from alsal.alsdl import AlsdlConfig, build_features, train_alsdl
 from alsal.data import DataError, MaskedMatrix, generate_synthetic
 from alsal.metrics import (EvalPoint, FoldSplit, boundary_accuracy,
                            kfold_split, rmse)
-from alsal.mlp import (LossConfig, MlpTrainConfig, backward, init_mlp,
-                       penalized_loss, predict_batch, rmsprop_step,
-                       sign_penalty)
+from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, _output_gradient,
+                       init_mlp, penalized_loss, sign_penalty, train_mlp)
 
 THREE_BOUNDARIES = LossConfig(boundaries=(-0.5, 0.0, 0.5))
 
@@ -96,29 +99,82 @@ def reference_train_als(matrix, cfg, split=None):
     return emb, history
 
 
-def reference_train_alsdl(matrix, cfg, split=None):
-    emb, als_history = reference_train_als(matrix, cfg.als, split)
-    positions = observed_pairs(matrix)
-    inputs = reference_feature_table(emb, positions, cfg.molecule_first)
-    truths = matrix.values[tuple(zip(*positions))]
-    net = init_mlp([2 * emb.d, *cfg.hidden_sizes, 1], seed=cfg.mlp_train.seed)
-    if split is not None:
-        tr = np.asarray(split.train_indices, dtype=int)
-        te = np.asarray(split.test_indices, dtype=int)
+def reference_forward_batch(model, inputs):
+    acts = [np.asarray(inputs, dtype=float)]
+    n_layers = len(model.weights)
+    for li, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if li == n_layers - 1 else np.tanh(z))
+    return acts
+
+
+def reference_predict_batch(model, inputs):
+    return reference_forward_batch(model, inputs)[-1][:, 0]
+
+
+def reference_backward(model, batch_inputs, batch_truths, cfg):
+    inputs = np.atleast_2d(np.asarray(batch_inputs, dtype=float))
+    truths = np.asarray(batch_truths, dtype=float)
+    acts = reference_forward_batch(model, inputs)
+    preds = acts[-1][:, 0]
+    delta = _output_gradient(preds, truths, cfg)[:, None]
+    grad_w, grad_b = [], []
+    for li in range(len(model.weights) - 1, -1, -1):
+        grad_w.append(acts[li].T @ delta)
+        grad_b.append(delta.sum(axis=0))
+        if li > 0:
+            delta = (delta @ model.weights[li].T) * (1.0 - acts[li] ** 2)
+    return grad_w[::-1], grad_b[::-1]
+
+
+def reference_rmsprop_step(model, gradients, cfg):
+    grad_w, grad_b = gradients
+    new_w, new_b, new_sw, new_sb = [], [], [], []
+    for w, b, sw, sb, gw, gb in zip(model.weights, model.biases,
+                                    model.sq_grad_w, model.sq_grad_b,
+                                    grad_w, grad_b):
+        sw = cfg.rmsprop_decay * sw + (1.0 - cfg.rmsprop_decay) * gw * gw
+        sb = cfg.rmsprop_decay * sb + (1.0 - cfg.rmsprop_decay) * gb * gb
+        w = w - cfg.rmsprop_learning_rate * gw / (np.sqrt(sw)
+                                                  + cfg.rmsprop_epsilon)
+        b = b - cfg.rmsprop_learning_rate * gb / (np.sqrt(sb)
+                                                  + cfg.rmsprop_epsilon)
+        new_w.append(w)
+        new_b.append(b)
+        new_sw.append(sw)
+        new_sb.append(sb)
+    out = MlpModel(new_w, new_b, new_sw, new_sb)
+    if not all(np.all(np.isfinite(a)) for a in new_w + new_b):
+        raise DivergenceError(-1)
+    return out
+
+
+def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
+                        eval_split=None, start_epoch=0, record_history=True):
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    truths = np.asarray(truths, dtype=float)
+    if eval_split is not None:
+        tr = np.asarray(eval_split.train_indices, dtype=int)
+        te = np.asarray(eval_split.test_indices, dtype=int)
     else:
-        tr, te = np.arange(len(positions)), None
-    loss_cfg = cfg.loss
+        tr, te = np.arange(inputs.shape[0]), None
+    inputs_tr, truths_tr = inputs[tr], truths[tr]
     history = []
-    for epoch in range(cfg.mlp_train.epochs):
-        grads = backward(net, inputs[tr], truths[tr], loss_cfg)
-        net = rmsprop_step(net, grads, cfg.mlp_train)
-        preds = predict_batch(net, inputs)
+    for epoch in range(train_cfg.epochs):
+        grads = reference_backward(model, inputs_tr, truths_tr, loss_cfg)
+        try:
+            model = reference_rmsprop_step(model, grads, train_cfg)
+        except DivergenceError:
+            raise DivergenceError(epoch)
+        if not record_history:
+            continue
+        preds = reference_predict_batch(model, inputs)
         b0 = loss_cfg.boundaries[0]
-        point = {"epoch_or_round": cfg.als.epochs + epoch,
-                 "train_loss": rmse(preds[tr], truths[tr]),
-                 "train_accuracy": boundary_accuracy(preds[tr], truths[tr], b0),
+        point = {"epoch_or_round": start_epoch + epoch,
+                 "train_loss": rmse(preds[tr], truths_tr),
+                 "train_accuracy": boundary_accuracy(preds[tr], truths_tr, b0),
                  "train_penalized": reference_penalized_loss(
-                     preds[tr], truths[tr], loss_cfg)}
+                     preds[tr], truths_tr, loss_cfg)}
         if te is not None and te.size:
             point.update(
                 test_loss=rmse(preds[te], truths[te]),
@@ -126,6 +182,18 @@ def reference_train_alsdl(matrix, cfg, split=None):
                 test_penalized=reference_penalized_loss(
                     preds[te], truths[te], loss_cfg))
         history.append(EvalPoint(**point))
+    return model, history
+
+
+def reference_train_alsdl(matrix, cfg, split=None):
+    emb, als_history = reference_train_als(matrix, cfg.als, split)
+    positions = observed_pairs(matrix)
+    inputs = reference_feature_table(emb, positions, cfg.molecule_first)
+    truths = matrix.values[tuple(zip(*positions))]
+    net = init_mlp([2 * emb.d, *cfg.hidden_sizes, 1], seed=cfg.mlp_train.seed)
+    net, history = reference_train_mlp(
+        net, inputs, truths, cfg.mlp_train, cfg.loss, eval_split=split,
+        start_epoch=cfg.als.epochs)
     return emb, net, als_history + history
 
 
@@ -142,6 +210,15 @@ def assert_same_curve(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w, (g, w)  # field by field, exact
+
+
+def assert_same_net(got, want):
+    for name in ("weights", "biases", "sq_grad_w", "sq_grad_b"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
 
 
 def split_for(mat, seed=0):
@@ -186,8 +263,7 @@ class TestAlsdlHistory:
                           molecule_first=molecule_first)
         model, hist = train_alsdl(mat, cfg, eval_split=split)
         _, net_ref, hist_ref = reference_train_alsdl(mat, cfg, split)
-        for w, w_ref in zip(model.net.weights, net_ref.weights):
-            np.testing.assert_array_equal(w, w_ref)
+        assert_same_net(model.net, net_ref)
         assert_same_curve(hist, hist_ref)
         assert (hist[-1].test_penalized is not None) == with_split
 
@@ -251,3 +327,73 @@ class TestFeatureTable:
         emb = init_embeddings(5, 4, AlsConfig(d=3, seed=2))
         with pytest.raises(IndexError):
             build_features(emb, [1 * 4 + 1] + bad)
+
+
+def mlp_problem(layer_sizes, rows=37, seed=0, boundary_hits=True):
+    """Random inputs and truths, some truths exactly on the boundaries."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.5, 1.5, size=(rows, layer_sizes[0]))
+    t = rng.uniform(-1.0, 1.0, size=rows)
+    if boundary_hits:
+        t[::5] = 0.0
+        t[1::7] = 0.5
+    return x, t
+
+
+MLP_LOSSES = [LossConfig(), LossConfig(beta=0.0),
+              LossConfig(beta=0.3, use_smooth_surrogate=False),
+              THREE_BOUNDARIES]
+
+
+class TestMlpTraining:
+    @pytest.mark.parametrize("sizes", [[1, 1], [2, 8, 1], [10, 20, 10, 5, 1]])
+    @pytest.mark.parametrize("loss", MLP_LOSSES)
+    @pytest.mark.parametrize("with_split", [True, False])
+    @pytest.mark.parametrize("record_history", [True, False])
+    def test_matches_reference(self, sizes, loss, with_split, record_history):
+        x, t = mlp_problem(sizes)
+        split = (kfold_split(len(t), 4, seed=2)[3] if with_split else None)
+        cfg = MlpTrainConfig(epochs=30, rmsprop_learning_rate=0.01, seed=1)
+        got, hist = train_mlp(init_mlp(sizes, seed=5), x, t, cfg, loss,
+                              eval_split=split, start_epoch=7,
+                              record_history=record_history)
+        want, hist_ref = reference_train_mlp(
+            init_mlp(sizes, seed=5), x, t, cfg, loss, eval_split=split,
+            start_epoch=7, record_history=record_history)
+        assert_same_net(got, want)
+        assert_same_curve(hist, hist_ref)
+        assert len(hist) == (30 if record_history else 0)
+        if record_history:
+            assert (hist[-1].test_penalized is not None) == with_split
+
+    def test_init_matches_per_layer_draws(self):
+        sizes = [10, 20, 10, 5, 1]
+        model = init_mlp(sizes, seed=9)
+        rng = np.random.default_rng(9)
+        for (fan_in, fan_out), w, b in zip(zip(sizes[:-1], sizes[1:]),
+                                           model.weights, model.biases):
+            s = np.sqrt(6.0 / (fan_in + fan_out))
+            np.testing.assert_array_equal(
+                w, rng.uniform(-s, s, size=(fan_in, fan_out)))
+            assert b.shape == (fan_out,) and not b.any()
+        assert not any(a.any() for a in model.sq_grad_w + model.sq_grad_b)
+
+    # 2e307 overflows in the second epoch, 1e308 in the first
+    @pytest.mark.parametrize("learning_rate", [2e307, 1e308])
+    @pytest.mark.parametrize("sizes", [[2, 1], [2, 8, 1]])
+    @pytest.mark.parametrize("record_history", [True, False])
+    def test_same_divergence_epoch(self, learning_rate, sizes,
+                                   record_history):
+        # an infinite prediction times a truth on the boundary is NaN,
+        # which the scalar reference penalty cannot turn into an int
+        x, t = mlp_problem(sizes, boundary_hits=False)
+        cfg = MlpTrainConfig(epochs=20, rmsprop_learning_rate=learning_rate)
+        errors = []
+        for train in (train_mlp, reference_train_mlp):
+            with np.errstate(all="ignore"), \
+                    pytest.raises(DivergenceError) as e:
+                train(init_mlp(sizes, seed=1), x, t, cfg, LossConfig(),
+                      record_history=record_history)
+            errors.append(e.value.epoch)
+        assert errors[0] == errors[1]
+        assert errors[0] == (1 if learning_rate == 2e307 else 0)

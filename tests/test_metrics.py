@@ -35,6 +35,48 @@ class TestRmse:
         assert rmse(p + c, t + c) == pytest.approx(rmse(p, t), abs=1e-9)
 
 
+class TestMeansEqualNpMean:
+    """rmse and boundary_accuracy skip np.mean's wrapper; the result must
+    still be np.mean's, bit for bit."""
+
+    @staticmethod
+    def np_mean_rmse(p, t):
+        return float(np.sqrt(np.mean((np.asarray(p, float)
+                                      - np.asarray(t, float)) ** 2)))
+
+    @staticmethod
+    def np_mean_accuracy(p, t, b):
+        p, t = np.asarray(p, float), np.asarray(t, float)
+        return float(np.mean(np.sign(p - b) == np.sign(t - b)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 127, 128, 129, 1071,
+                                   1190, 4097])
+    def test_random_inputs(self, n, rng):
+        p, t = rng.normal(size=n), rng.normal(size=n)
+        assert rmse(p, t) == self.np_mean_rmse(p, t)
+        for b in (0.0, 0.3):
+            assert boundary_accuracy(p, t, b) == self.np_mean_accuracy(p, t, b)
+
+    def test_two_dimensional(self, rng):
+        p, t = rng.normal(size=(13, 7)), rng.normal(size=(13, 7))
+        assert rmse(p, t) == self.np_mean_rmse(p, t)
+        assert boundary_accuracy(p, t) == self.np_mean_accuracy(p, t, 0.0)
+
+    def test_exact_boundary_hits_and_negative_zero(self):
+        grid = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nextafter(0.0, 1)]
+        p, t = (a.ravel() for a in np.meshgrid(grid, grid))
+        for b in (-0.5, 0.0, 0.5):
+            assert boundary_accuracy(p, t, b) == self.np_mean_accuracy(p, t, b)
+        assert rmse(p, t) == self.np_mean_rmse(p, t)
+        assert boundary_accuracy([-0.0], [0.0]) == 1.0
+        assert rmse([-0.0], [0.0]) == 0.0
+
+    def test_size_one(self):
+        assert rmse([0.3], [-0.1]) == self.np_mean_rmse([0.3], [-0.1])
+        assert boundary_accuracy([0.3], [-0.1]) == 0.0
+        assert type(boundary_accuracy([0.3], [0.1])) is float
+
+
 class TestBoundaryAccuracy:
     def test_two_of_three(self):
         assert boundary_accuracy([0.2, -0.3, 0.5], [0.1, 0.4, 0.7]) \

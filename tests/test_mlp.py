@@ -275,3 +275,109 @@ class TestTrainMlp:
                             eval_split=split)
         assert hist[-1].test_loss is not None
         assert hist[-1].test_penalized is not None
+
+
+class TestNoSharedMemory:
+    """Public calls hand out arrays that no later call overwrites; training
+    reuses its buffers only inside train_mlp."""
+
+    def model_and_batch(self, rng):
+        model = init_mlp([3, 6, 4, 1], seed=7)
+        return model, rng.normal(size=(9, 3)), rng.normal(size=9)
+
+    def test_predict_batch_results_independent(self, rng):
+        model, x, _ = self.model_and_batch(rng)
+        a = predict_batch(model, x)
+        a_copy = a.copy()
+        b = predict_batch(model, x[::-1])
+        assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(a, a_copy)
+
+    def test_backward_results_independent(self, rng):
+        model, x, t = self.model_and_batch(rng)
+        first = backward(model, x, t, LossConfig())
+        copies = [g.copy() for g in first[0] + first[1]]
+        second = backward(model, x[::-1], t, LossConfig())
+        for g, c in zip(first[0] + first[1], copies):
+            np.testing.assert_array_equal(g, c)
+            assert not any(np.shares_memory(g, h)
+                           for h in second[0] + second[1])
+
+    def test_rmsprop_step_leaves_input_model(self, rng):
+        model, x, t = self.model_and_batch(rng)
+        model = rmsprop_step(model, backward(model, x, t, LossConfig()),
+                             MlpTrainConfig())
+        arrays = model.weights + model.biases + model.sq_grad_w \
+            + model.sq_grad_b
+        before = [a.copy() for a in arrays]
+        out = rmsprop_step(model, backward(model, x, t, LossConfig()),
+                           MlpTrainConfig())
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+        new = out.weights + out.biases + out.sq_grad_w + out.sq_grad_b
+        assert not any(np.shares_memory(a, b) for a in arrays for b in new)
+        assert any((a != b).any() for a, b in zip(arrays, new))
+
+    def test_in_place_edit_takes_effect_next_step(self, rng):
+        model, x, t = self.model_and_batch(rng)
+        cfg = MlpTrainConfig()
+        stepped = rmsprop_step(model, backward(model, x, t, LossConfig()),
+                               cfg)
+        stepped.weights[1][:] = 0.25
+        stepped.biases[2][:] = -1.0
+        stepped.sq_grad_w[0][:] = 4.0
+        grads = backward(stepped, x, t, LossConfig())
+        # the edited model, copied layer by layer, gives the same step
+        copied = MlpModel([w.copy() for w in stepped.weights],
+                          [b.copy() for b in stepped.biases],
+                          [s.copy() for s in stepped.sq_grad_w],
+                          [s.copy() for s in stepped.sq_grad_b])
+        np.testing.assert_array_equal(predict_batch(stepped, x),
+                                      predict_batch(copied, x))
+        out = rmsprop_step(stepped, grads, cfg)
+        want = rmsprop_step(copied, backward(copied, x, t, LossConfig()), cfg)
+        for a, b in zip(out.weights + out.biases + out.sq_grad_w,
+                        want.weights + want.biases + want.sq_grad_w):
+            np.testing.assert_array_equal(a, b)
+        zero = ([np.zeros_like(w) for w in stepped.weights],
+                [np.zeros_like(b) for b in stepped.biases])
+        held = rmsprop_step(stepped, zero, cfg)
+        assert (held.weights[1] == 0.25).all()
+        assert (held.biases[2] == -1.0).all()
+        assert (held.sq_grad_w[0] == 0.9 * 4.0).all()
+
+    def test_train_mlp_returns_fresh_model(self, rng):
+        model, x, t = self.model_and_batch(rng)
+        before = [w.copy() for w in model.weights]
+        out, _ = train_mlp(model, x, t, MlpTrainConfig(epochs=3),
+                           LossConfig())
+        for w, b in zip(model.weights, before):
+            np.testing.assert_array_equal(w, b)
+        assert not any(np.shares_memory(a, b) for a in model.weights
+                       for b in out.weights)
+
+
+class TestPerEpochCalls:
+    """Each epoch calls the public functions through the module, so that a
+    wrapper installed on the module attribute sees every epoch."""
+
+    @pytest.mark.parametrize("split, per_epoch_penalized", [
+        (None, 1), (FoldSplit((0, 1, 2, 3, 4, 5), (6, 7)), 2)])
+    def test_counts(self, monkeypatch, split, per_epoch_penalized):
+        import alsal.mlp as mlp_mod
+        counts = {}
+        for name in ("backward", "rmsprop_step", "predict_batch",
+                     "penalized_loss"):
+            orig = getattr(mlp_mod, name)
+
+            def counted(*args, _orig=orig, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _orig(*args)
+            monkeypatch.setattr(mlp_mod, name, counted)
+        x = np.linspace(-1, 1, 8)[:, None]
+        mlp_mod.train_mlp(init_mlp([1, 3, 1], seed=0), x, x[:, 0],
+                          MlpTrainConfig(epochs=5), LossConfig(),
+                          eval_split=split)
+        assert counts == {"backward": 5, "rmsprop_step": 5,
+                          "predict_batch": 5,
+                          "penalized_loss": 5 * per_epoch_penalized}

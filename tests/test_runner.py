@@ -199,3 +199,25 @@ class TestCli:
         cfg = _config_from_json(cfg_path)
         assert cfg.active == ActiveConfig(n_init=5, model_cfg=AlsdlConfig(
             hidden_sizes=(4,), loss=LossConfig(boundaries=(-0.5, 0.5))))
+
+    @pytest.mark.parametrize("raw, message", [
+        ([1], "config must be a JSON object"),
+        ({"als": 5}, "config key 'als' must be an object"),
+        ({"als": None}, "config key 'als' must be an object"),
+        ({"alsdl": {"loss": [0.1]}},
+         "config key 'alsdl.loss' must be an object"),
+        ({"active": {"model_cfg": {"als": "d=2"}}},
+         "config key 'active.model_cfg.als' must be an object")])
+    def test_config_file_non_object(self, tmp_path, raw, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as e:
+            _config_from_json(cfg_path)
+        assert str(e.value) == message
+
+    def test_config_file_null_where_default_is_none(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": None, "folds": 3}))
+        cfg = _config_from_json(cfg_path)
+        assert cfg.synthetic is None
+        assert cfg.folds == 3
