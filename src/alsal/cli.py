@@ -88,8 +88,7 @@ def resolve_config(args):
         m, n, rank, noise = args.synthetic.split(",")
         cfg.synthetic = SyntheticSpec(int(m), int(n), int(rank), float(noise))
         cfg.dataset_path = None
-    if args.target:
-        cfg.targets = ("gr", "ifd") if args.target == "both" else (args.target,)
+    cfg.targets = ("gr", "ifd") if args.target == "both" else (args.target,)
     if args.concentrations:
         cfg.concentrations = _csv_list(args.concentrations, float)
     cfg.seeds = _csv_list(args.seeds, int)

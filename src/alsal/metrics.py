@@ -17,19 +17,14 @@ class FoldSplit:
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """One point of a training curve.
-
-    Losses are RMSE; for penalized training the exact sign-penalty loss is
-    carried separately (it can be negative, RMSE cannot).
-    """
+    """One point of a training curve: RMSE losses and boundary accuracies,
+    the test ones None when there is no test split."""
 
     epoch_or_round: int
     train_loss: float
     test_loss: float = None
     train_accuracy: float = None
     test_accuracy: float = None
-    train_penalized: float = None
-    test_penalized: float = None
 
 
 def _check_pair(preds, truths):

@@ -3,7 +3,8 @@
 Hidden activations are tanh, the output is linear. The training objective
 is RMSE minus a weighted classification penalty: the exact penalty is a
 sign term (gradient zero almost everywhere), so training defaults to a smooth
-tanh surrogate; reported losses use the exact penalty, evaluated array-wide.
+tanh surrogate. The training curve records RMSE and boundary accuracy;
+`penalized_loss` evaluates the exact objective, array-wide, on request.
 
 Training allocates nothing per epoch that scales with the number of rows.
 `_Buffers` holds one batch size's per-layer (rows, width) arrays: the
@@ -12,11 +13,11 @@ activations, the back-propagated deltas and the tanh-derivative scratch.
 all rows, and passes them to `backward` and `predict_batch`, whose ufuncs
 write through `out=`. Called without buffers, those functions make fresh
 ones, so a public caller's result is never overwritten by a later call.
-The parameters of a model made here live in one flat float64 vector (all
-weight matrices in layer order, then all biases) that its `weights` and
-`biases` lists view, and the rmsprop accumulators in another;
-`rmsprop_step` updates the flat vectors in one pass, with the same
-per-element arithmetic as a per-layer update.
+An `MlpModel` stores its parameters, its rmsprop accumulators and, from
+`backward`, its gradients as flat float64 vectors in one layout (all weight
+matrices in layer order, then all biases), and `MlpModel.split` gives the
+per-layer views of any of them; `rmsprop_step` updates the flat vectors in
+one pass, with the same per-element arithmetic as a per-layer update.
 """
 
 import math
@@ -31,14 +32,31 @@ from .metrics import EvalPoint, rmse, boundary_accuracy
 
 @dataclass
 class MlpModel:
-    weights: list  # per layer, (fan_in, fan_out)
-    biases: list  # per layer, (fan_out,)
-    sq_grad_w: list  # rmsprop accumulators, same shapes as weights
-    sq_grad_b: list
+    """A network's parameters and rmsprop accumulators, each one flat
+    float64 vector laid out as all the weight matrices in layer order, then
+    all the bias vectors. `weights`/`biases` (per layer, (fan_in, fan_out)
+    and (fan_out,)) view `params`, and `sq_grad_w`/`sq_grad_b` view
+    `sq_grads`, so an edit through a view changes the vector."""
 
-    @property
-    def layer_sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+    params: np.ndarray
+    sq_grads: np.ndarray
+    layer_sizes: list
+
+    def __post_init__(self):
+        self.weights, self.biases = self.split(self.params)
+        self.sq_grad_w, self.sq_grad_b = self.split(self.sq_grads)
+
+    def split(self, flat):
+        """Per-layer views (weights, biases) of a vector in this layout."""
+        sizes = self.layer_sizes
+        shapes = [*zip(sizes[:-1], sizes[1:]), *((s,) for s in sizes[1:])]
+        bounds = list(accumulate((math.prod(s) for s in shapes), initial=0))
+        if flat.shape != (bounds[-1],):
+            raise ValueError(f"flat vector of shape {flat.shape} does not "
+                             f"fit layer sizes {sizes}")
+        views = [flat[a:b].reshape(s)
+                 for a, b, s in zip(bounds, bounds[1:], shapes)]
+        return views[:len(sizes) - 1], views[len(sizes) - 1:]
 
 
 @dataclass(frozen=True)
@@ -49,10 +67,11 @@ class LossConfig:
     use_smooth_surrogate: bool = True
 
     def __post_init__(self):
-        if list(self.boundaries) != sorted(self.boundaries):
-            raise ValueError("boundaries must be strictly increasing")
-        if len(set(self.boundaries)) != len(self.boundaries):
-            raise ValueError("boundaries must be strictly increasing")
+        b = self.boundaries
+        if (not isinstance(b, tuple) or not b
+                or any(lo >= hi for lo, hi in zip(b, b[1:]))):
+            raise ValueError("boundaries must be a non-empty, strictly "
+                             f"increasing tuple, not {b!r}")
 
 
 @dataclass(frozen=True)
@@ -64,37 +83,19 @@ class MlpTrainConfig:
     seed: int = 0
 
 
-def _model_from_flat(params, sq_grads, shapes):
-    """An MlpModel whose lists view `params` and `sq_grads`, each laid out
-    as all the weight matrices in layer order, then all the bias vectors."""
-    bounds = list(accumulate((math.prod(s) for s in shapes), initial=0))
-
-    def split(flat):
-        return [flat[a:b].reshape(s)
-                for a, b, s in zip(bounds, bounds[1:], shapes)]
-
-    p, sq = split(params), split(sq_grads)
-    n_layers = len(shapes) // 2
-    return MlpModel(p[:n_layers], p[n_layers:], sq[:n_layers], sq[n_layers:])
-
-
-def _flatten(arrays):
-    return np.concatenate([a.ravel() for a in arrays])
-
-
 def init_mlp(layer_sizes, seed):
     """Glorot-uniform weights, zero biases, zero rmsprop accumulators."""
     if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
         raise ValueError(f"bad layer sizes {layer_sizes}")
+    size = sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+    model = MlpModel(np.zeros(size), np.zeros(size), list(layer_sizes))
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+    for w in model.weights:
+        fan_in, fan_out = w.shape
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    params = _flatten(weights + biases)
-    return _model_from_flat(params, np.zeros_like(params),
-                            [a.shape for a in weights + biases])
+        w[:] = rng.uniform(-s, s, size=(fan_in, fan_out))
+    return model
 
 
 class _Buffers:
@@ -181,12 +182,12 @@ def _output_gradient(preds, truths, cfg):
 
 
 def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
-    """Gradients of the training objective w.r.t. weights and biases.
+    """Gradient of the training objective, one new flat vector in the
+    layout of `model.params`.
 
     With the surrogate off the penalty contributes nothing (the true sign
     term has zero gradient almost everywhere). The forward pass and the
-    hidden deltas use `buffers` (fresh ones if not given); the returned
-    gradients are always new arrays.
+    hidden deltas use `buffers` (fresh ones if not given).
     """
     inputs = np.atleast_2d(np.asarray(batch_inputs, dtype=float))
     truths = np.asarray(batch_truths, dtype=float)
@@ -197,11 +198,12 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
     acts = _forward_batch(model, inputs, buffers)
     preds = acts[-1][:, 0]
 
+    grad = np.empty_like(model.params)
+    grad_w, grad_b = model.split(grad)
     delta = _output_gradient(preds, truths, cfg)[:, None]  # (batch, 1)
-    grad_w, grad_b = [], []
     for li in range(len(model.weights) - 1, -1, -1):
-        grad_w.append(acts[li].T @ delta)
-        grad_b.append(delta.sum(axis=0))
+        np.matmul(acts[li].T, delta, out=grad_w[li])
+        np.sum(delta, axis=0, out=grad_b[li])
         if li > 0:
             # delta <- (delta @ w.T) * (1 - a**2), a = this layer's input
             nxt, deriv = buffers.deltas[li - 1], buffers.scratch[li - 1]
@@ -209,28 +211,21 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
             np.square(acts[li], out=deriv)
             np.subtract(1.0, deriv, out=deriv)
             delta = np.multiply(nxt, deriv, out=nxt)
-    return grad_w[::-1], grad_b[::-1]
+    return grad
 
 
-def rmsprop_step(model, gradients, cfg):
-    """One rmsprop update; returns a new model, accumulators included.
-
-    The update runs once over all parameters laid out as one flat vector;
-    the new model's lists view the new vectors, and the input model is
-    left as it was.
-    """
-    grad_w, grad_b = gradients
-    shapes = [a.shape for a in model.weights + model.biases]
-    g = _flatten(grad_w + grad_b)
+def rmsprop_step(model, grad, cfg):
+    """One rmsprop update for the flat gradient `grad`; returns a new model,
+    accumulators included, and leaves the input model as it was."""
     decay = cfg.rmsprop_decay
-    sq = decay * _flatten(model.sq_grad_w + model.sq_grad_b)
-    sq += (1.0 - decay) * g * g
-    step = cfg.rmsprop_learning_rate * g
+    sq = decay * model.sq_grads
+    sq += (1.0 - decay) * grad * grad
+    step = cfg.rmsprop_learning_rate * grad
     step /= np.sqrt(sq) + cfg.rmsprop_epsilon
-    params = _flatten(model.weights + model.biases) - step
+    params = model.params - step
     if not np.isfinite(params).all():
         raise DivergenceError(-1)
-    return _model_from_flat(params, sq, shapes)
+    return MlpModel(params, sq, model.layer_sizes)
 
 
 def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
@@ -257,9 +252,9 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
         all_buffers = _Buffers(model.layer_sizes, inputs.shape[0])
     history = []
     for epoch in range(train_cfg.epochs):
-        grads = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
+        grad = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
         try:
-            model = rmsprop_step(model, grads, train_cfg)
+            model = rmsprop_step(model, grad, train_cfg)
         except DivergenceError:
             raise DivergenceError(epoch)
         if not record_history:
@@ -269,13 +264,11 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
         p_tr = preds[tr]
         point = {"epoch_or_round": start_epoch + epoch,
                  "train_loss": rmse(p_tr, truths_tr),
-                 "train_accuracy": boundary_accuracy(p_tr, truths_tr, b0),
-                 "train_penalized": penalized_loss(p_tr, truths_tr, loss_cfg)}
+                 "train_accuracy": boundary_accuracy(p_tr, truths_tr, b0)}
         if te is not None and te.size:
             p_te = preds[te]
             point.update(
                 test_loss=rmse(p_te, truths_te),
-                test_accuracy=boundary_accuracy(p_te, truths_te, b0),
-                test_penalized=penalized_loss(p_te, truths_te, loss_cfg))
+                test_accuracy=boundary_accuracy(p_te, truths_te, b0))
         history.append(EvalPoint(**point))
     return model, history

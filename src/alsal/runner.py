@@ -59,6 +59,9 @@ class ExperimentConfig:
             raise ValueError("at least one seed required")
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("either dataset_path or synthetic must be given")
+        if self.active.model_cfg != AlsdlConfig():
+            raise ValueError("active.model_cfg is not read: the AL study "
+                             "trains the alsdl config, so set alsdl instead")
 
 
 @dataclass
@@ -169,12 +172,13 @@ def run_al_study(config):
     config.validate()
     if not config.strategies:
         raise ValueError("empty strategy list")
-    report = Report(metadata=_metadata(config))
+    # the manifest records the model config the study trains
+    active = replace(config.active, model_cfg=config.alsdl)
+    report = Report(metadata=_metadata(replace(config, active=active)))
     for target, conc, matrix in load_matrices(config):
         for strategy in config.strategies:
             for seed in config.seeds:
-                cfg = replace(config.active, strategy=strategy, seed=seed,
-                              model_cfg=config.alsdl)
+                cfg = replace(active, strategy=strategy, seed=seed)
                 try:
                     curve, _ = active_mod.run_active_learning(matrix, cfg)
                 except DivergenceError as e:

@@ -7,6 +7,8 @@ from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, backward, init_mlp,
                        penalized_loss, predict_batch, rmsprop_step,
                        sign_penalty, surrogate_objective, train_mlp)
 
+from test_history_exact import reference_backward, to_flat
+
 
 def hand_rolled_forward(model, x):
     """Independent per-neuron evaluation, no matrix ops."""
@@ -21,35 +23,24 @@ def hand_rolled_forward(model, x):
     return a[0]
 
 
-def flatten_params(model):
-    return [("w", li, idx) for li, w in enumerate(model.weights)
-            for idx in np.ndindex(w.shape)] + \
-           [("b", li, idx) for li, b in enumerate(model.biases)
-            for idx in np.ndindex(b.shape)]
-
-
 def fd_gradient(model, inputs, truths, cfg, step=1e-5):
-    """Central differences of the surrogate objective through the net."""
-    grads_w = [np.zeros_like(w) for w in model.weights]
-    grads_b = [np.zeros_like(b) for b in model.biases]
-    for kind, li, idx in flatten_params(model):
-        arr = model.weights[li] if kind == "w" else model.biases[li]
-        orig = arr[idx]
+    """Central differences of the surrogate objective through the net, one
+    per parameter, in the flat layout of `model.params`."""
+    grad = np.zeros_like(model.params)
+    for k in range(model.params.size):
+        orig = model.params[k]
         vals = []
         for s in (step, -step):
-            arr[idx] = orig + s
+            model.params[k] = orig + s
             preds = predict_batch(model, inputs)
             vals.append(surrogate_objective(preds, truths, cfg))
-        arr[idx] = orig
-        g = (vals[0] - vals[1]) / (2 * step)
-        (grads_w if kind == "w" else grads_b)[li][idx] = g
-    return grads_w, grads_b
+        model.params[k] = orig
+        grad[k] = (vals[0] - vals[1]) / (2 * step)
+    return grad
 
 
 def rel_error(analytic, fd):
-    a = np.concatenate([g.ravel() for g in analytic[0] + analytic[1]])
-    f = np.concatenate([g.ravel() for g in fd[0] + fd[1]])
-    return np.linalg.norm(a - f) / max(np.linalg.norm(f), 1e-12)
+    return np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
 
 
 class TestInitMlp:
@@ -172,8 +163,7 @@ class TestBackward:
         cfg = LossConfig(beta=0.1, use_smooth_surrogate=False)
         x = np.array([[0.1, 0.2], [0.3, -0.4]])
         t = predict_batch(model, x)
-        gw, gb = backward(model, x, t, cfg)
-        assert all(np.all(g == 0) for g in gw + gb)
+        assert not backward(model, x, t, cfg).any()
 
     def test_matches_finite_differences(self):
         cfg = LossConfig(beta=0.1, surrogate_sharpness=10.0)
@@ -192,8 +182,7 @@ class TestBackward:
         g0 = backward(model, x, t, LossConfig(beta=0.0))
         g_off = backward(model, x, t,
                          LossConfig(beta=0.5, use_smooth_surrogate=False))
-        for a, b in zip(g0[0] + g0[1], g_off[0] + g_off[1]):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(g0, g_off)
 
 
 class TestRmspropStep:
@@ -205,7 +194,7 @@ class TestRmspropStep:
     def test_zero_gradient_fixed_point(self):
         model = self._single_param_model(0.7)
         cfg = MlpTrainConfig()
-        zeros = ([np.zeros((1, 1))], [np.zeros(1)])
+        zeros = np.zeros(2)  # the one weight, then the one bias
         out = rmsprop_step(model, zeros, cfg)
         assert out.weights[0][0, 0] == 0.7
         # accumulators decay even with zero gradient
@@ -217,7 +206,7 @@ class TestRmspropStep:
         model = self._single_param_model(0.0)
         cfg = MlpTrainConfig(rmsprop_learning_rate=0.001, rmsprop_decay=0.9,
                              rmsprop_epsilon=1e-8)
-        grads = ([np.ones((1, 1))], [np.zeros(1)])
+        grads = np.array([1.0, 0.0])  # weight gradient 1, bias gradient 0
         out = rmsprop_step(model, grads, cfg)
         assert out.sq_grad_w[0][0, 0] == pytest.approx(0.1)
         assert out.weights[0][0, 0] == pytest.approx(
@@ -226,7 +215,7 @@ class TestRmspropStep:
     def test_repeated_steps_shrink(self):
         model = self._single_param_model(0.0)
         cfg = MlpTrainConfig()
-        grads = ([np.ones((1, 1))], [np.zeros(1)])
+        grads = np.array([1.0, 0.0])
         step1 = rmsprop_step(model, grads, cfg)
         move1 = abs(step1.weights[0][0, 0] - model.weights[0][0, 0])
         step2 = rmsprop_step(step1, grads, cfg)
@@ -274,7 +263,7 @@ class TestTrainMlp:
         _, hist = train_mlp(model, x, t, MlpTrainConfig(epochs=10), LossConfig(),
                             eval_split=split)
         assert hist[-1].test_loss is not None
-        assert hist[-1].test_penalized is not None
+        assert hist[-1].test_accuracy is not None
 
 
 class TestNoSharedMemory:
@@ -296,12 +285,10 @@ class TestNoSharedMemory:
     def test_backward_results_independent(self, rng):
         model, x, t = self.model_and_batch(rng)
         first = backward(model, x, t, LossConfig())
-        copies = [g.copy() for g in first[0] + first[1]]
+        copy = first.copy()
         second = backward(model, x[::-1], t, LossConfig())
-        for g, c in zip(first[0] + first[1], copies):
-            np.testing.assert_array_equal(g, c)
-            assert not any(np.shares_memory(g, h)
-                           for h in second[0] + second[1])
+        np.testing.assert_array_equal(first, copy)
+        assert not np.shares_memory(first, second)
 
     def test_rmsprop_step_leaves_input_model(self, rng):
         model, x, t = self.model_and_batch(rng)
@@ -328,10 +315,10 @@ class TestNoSharedMemory:
         stepped.sq_grad_w[0][:] = 4.0
         grads = backward(stepped, x, t, LossConfig())
         # the edited model, copied layer by layer, gives the same step
-        copied = MlpModel([w.copy() for w in stepped.weights],
-                          [b.copy() for b in stepped.biases],
-                          [s.copy() for s in stepped.sq_grad_w],
-                          [s.copy() for s in stepped.sq_grad_b])
+        copied = MlpModel(
+            to_flat(stepped.weights + stepped.biases),
+            to_flat(stepped.sq_grad_w + stepped.sq_grad_b),
+            stepped.layer_sizes)
         np.testing.assert_array_equal(predict_batch(stepped, x),
                                       predict_batch(copied, x))
         out = rmsprop_step(stepped, grads, cfg)
@@ -339,8 +326,7 @@ class TestNoSharedMemory:
         for a, b in zip(out.weights + out.biases + out.sq_grad_w,
                         want.weights + want.biases + want.sq_grad_w):
             np.testing.assert_array_equal(a, b)
-        zero = ([np.zeros_like(w) for w in stepped.weights],
-                [np.zeros_like(b) for b in stepped.biases])
+        zero = np.zeros_like(stepped.params)
         held = rmsprop_step(stepped, zero, cfg)
         assert (held.weights[1] == 0.25).all()
         assert (held.biases[2] == -1.0).all()
@@ -361,9 +347,9 @@ class TestPerEpochCalls:
     """Each epoch calls the public functions through the module, so that a
     wrapper installed on the module attribute sees every epoch."""
 
-    @pytest.mark.parametrize("split, per_epoch_penalized", [
-        (None, 1), (FoldSplit((0, 1, 2, 3, 4, 5), (6, 7)), 2)])
-    def test_counts(self, monkeypatch, split, per_epoch_penalized):
+    @pytest.mark.parametrize("split", [
+        None, FoldSplit((0, 1, 2, 3, 4, 5), (6, 7))])
+    def test_counts(self, monkeypatch, split):
         import alsal.mlp as mlp_mod
         counts = {}
         for name in ("backward", "rmsprop_step", "predict_batch",
@@ -378,6 +364,75 @@ class TestPerEpochCalls:
         mlp_mod.train_mlp(init_mlp([1, 3, 1], seed=0), x, x[:, 0],
                           MlpTrainConfig(epochs=5), LossConfig(),
                           eval_split=split)
+        # the curve records RMSE and accuracy only: no penalized_loss call
         assert counts == {"backward": 5, "rmsprop_step": 5,
-                          "predict_batch": 5,
-                          "penalized_loss": 5 * per_epoch_penalized}
+                          "predict_batch": 5}
+
+
+class TestFlatLayout:
+    """An MlpModel's per-layer lists are views of its two flat vectors."""
+
+    def models(self, rng):
+        model = init_mlp([3, 6, 4, 1], seed=7)
+        x, t = rng.normal(size=(9, 3)), rng.normal(size=9)
+        stepped = rmsprop_step(model, backward(model, x, t, LossConfig()),
+                               MlpTrainConfig())
+        built = MlpModel(rng.normal(size=model.params.size),
+                         rng.uniform(size=model.params.size), [3, 6, 4, 1])
+        return {"init_mlp": model, "rmsprop_step": stepped,
+                "constructor": built}
+
+    @pytest.mark.parametrize("source",
+                             ["init_mlp", "rmsprop_step", "constructor"])
+    def test_lists_view_flat_vectors(self, rng, source):
+        model = self.models(rng)[source]
+        for name, flat in (("weights", model.params),
+                           ("biases", model.params),
+                           ("sq_grad_w", model.sq_grads),
+                           ("sq_grad_b", model.sq_grads)):
+            views = getattr(model, name)
+            assert len(views) == 3
+            assert all(np.shares_memory(v, flat) for v in views), name
+        np.testing.assert_array_equal(
+            to_flat(model.weights + model.biases), model.params)
+        np.testing.assert_array_equal(
+            to_flat(model.sq_grad_w + model.sq_grad_b), model.sq_grads)
+
+    def test_edit_through_weights_shows_in_params(self):
+        model = init_mlp([2, 3, 1], seed=0)
+        model.weights[1][2, 0] = 42.0
+        # layout: weights (2, 3) then (3, 1), then biases (3,) and (1,)
+        assert model.params[6 + 2] == 42.0
+        model.biases[0][:] = -1.0
+        assert (model.params[9:12] == -1.0).all()
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [2, 8, 1], [10, 20, 10, 5, 1]])
+    def test_backward_equals_reference(self, sizes):
+        rng = np.random.default_rng(11)
+        model = init_mlp(sizes, seed=3)
+        x = rng.uniform(-1.5, 1.5, size=(37, sizes[0]))
+        t = rng.uniform(-1.0, 1.0, size=37)
+        t[::5] = 0.0
+        grad = backward(model, x, t, LossConfig())
+        grad_w, grad_b = reference_backward(model, x, t, LossConfig())
+        assert grad.shape == model.params.shape
+        assert (grad == to_flat(grad_w + grad_b)).all()
+
+    def test_split_rejects_wrong_length(self):
+        model = init_mlp([2, 3, 1], seed=0)
+        with pytest.raises(ValueError, match="does not fit"):
+            model.split(np.zeros(model.params.size + 1))
+        with pytest.raises(ValueError, match="does not fit"):
+            MlpModel(np.zeros(3), np.zeros(3), [2, 3, 1])
+
+
+class TestLossConfig:
+    @pytest.mark.parametrize("boundaries", [(), (0.5, 0.0), (0.0, 0.0),
+                                            (-0.5, 0.0, 0.0, 0.5)])
+    def test_rejects_empty_unsorted_or_duplicated(self, boundaries):
+        with pytest.raises(ValueError, match="non-empty, strictly increasing"):
+            LossConfig(boundaries=boundaries)
+
+    def test_accepts_increasing(self):
+        assert LossConfig(boundaries=(-0.5, 0.0, 0.5)).boundaries \
+            == (-0.5, 0.0, 0.5)

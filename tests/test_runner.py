@@ -77,6 +77,14 @@ class TestRunAlStudy:
         with pytest.raises(ValueError, match="empty strategy list"):
             run_al_study(small_config(strategies=()))
 
+    @pytest.mark.parametrize("run", [run_benchmark, run_al_study])
+    def test_active_model_cfg_rejected(self, run):
+        # the study trains config.alsdl; a separate model_cfg would be unused
+        cfg = small_config(active=ActiveConfig(
+            n_init=6, model_cfg=AlsdlConfig(hidden_sizes=(3,))))
+        with pytest.raises(ValueError, match="set alsdl instead"):
+            run(cfg)
+
 
 class TestAggregateConcentrations:
     def test_single_concentration_mean_equals_original(self):
@@ -214,6 +222,26 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             _config_from_json(cfg_path)
         assert str(e.value) == message
+
+    def test_config_file_empty_boundaries(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alsdl": {"loss": {"boundaries": []}}}))
+        with pytest.raises(ValueError, match="boundaries must be a non-empty"):
+            _config_from_json(cfg_path)
+
+    def test_manifest_records_trained_model_cfg(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alsdl": {
+            "als": {"d": 2, "epochs": 5}, "hidden_sizes": [3],
+            "mlp_train": {"epochs": 5}}}))
+        out = tmp_path / "run"
+        main(["al-study", "--config", str(cfg_path), "--synthetic",
+              "5,5,2,0.1", "--strategy", "random", "--n-init", "5",
+              "--n-per-query", "5", "--n-max-query", "1", "--out", str(out)])
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["active"]["model_cfg"] == config["alsdl"]
+        assert config["alsdl"]["hidden_sizes"] == [3]
+        assert config["alsdl"]["mlp_train"]["epochs"] == 5
 
     def test_config_file_null_where_default_is_none(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
