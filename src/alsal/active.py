@@ -9,10 +9,14 @@ expected loss over true-plus-predicted labels. The labeled set, the pool
 and every query's picks are position arrays (see alsal.data).
 
 ELM trains a chunk of candidates at a time as one stacked problem, all
-from the same init; ELM_CHUNK_BYTES bounds the memory of a chunk. Scores
-are bit-identical to training and scoring each candidate on its own.
+from the same init; ELM_CHUNK_BYTES bounds the memory of a chunk (24
+candidates at 35x34). A query allocates its chunk arrays once, and every
+epoch writes into them in place (als.als_epoch with an als.EpochWork).
+Scores are bit-identical to training and scoring each candidate on its
+own.
 """
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -36,6 +40,17 @@ class ActiveConfig:
     elm_candidate_subsample: int = None
     orderly_column_major: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        _check_positive("n_per_query", self.n_per_query)
+        if self.elm_candidate_subsample is not None:
+            _check_positive("elm_candidate_subsample",
+                            self.elm_candidate_subsample)
+
+
+def _check_positive(name, value):
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +109,11 @@ def query_uncertainty(state, model, n, boundary=0.0):
 
 
 # Size in bytes of one stacked (candidates x m x n) float64 array, which
-# sets how many candidates ELM trains at once: 8 at 35x34. Past a few
-# candidates a chunk buys little speed, while its working arrays add to
-# the resident set.
-ELM_CHUNK_BYTES = 80_000
+# sets how many candidates ELM trains at once: 24 at 35x34. A query holds
+# about five such arrays at once (values, mask, residual and scoring). At
+# 35x34, 32 candidates were no faster than 24 and raised peak RSS by
+# 1.1 MB, against 0.6 MB at 24.
+ELM_CHUNK_BYTES = 230_000
 
 
 class _Stack(NamedTuple):
@@ -118,7 +134,8 @@ def expected_losses(state, model, cfg, inner_seed):
     the candidate.
 
     Candidates are trained and scored in chunks, each one stacked problem
-    whose (C, m, n) arrays take at most ELM_CHUNK_BYTES (C >= 1). Every
+    whose (C, m, n) arrays take at most ELM_CHUNK_BYTES (C >= 1), in
+    buffers allocated once per query. Every
     score is bit-identical to training and scoring that candidate alone,
     and so is the DivergenceError raised for the first candidate, in
     candidate order, whose model diverges.
@@ -146,26 +163,36 @@ def expected_losses(state, model, cfg, inner_seed):
     # candidate drops its own pool column
     score_flat = np.concatenate([labeled, pool])
     score_labels = np.concatenate([base_values[labeled], pool_preds])
-    n_labeled, n_score = len(labeled), len(score_flat)
+    n_labeled = len(labeled)
 
-    chunk = max(1, ELM_CHUNK_BYTES // (8 * m * n))
+    chunk = max(1, min(ELM_CHUNK_BYTES // (8 * m * n), len(cand)))
+    # one set of chunk-sized arrays per query; a shorter last chunk uses
+    # leading-axis views of them
+    values = np.empty((chunk, m * n))
+    mask = np.empty((chunk, m * n))
+    emb = als_mod.EmbeddingPair(x=np.empty((chunk,) + init.x.shape),
+                                w=np.empty((chunk,) + init.w.shape))
+    work = als_mod.EpochWork.like(emb)
     scores = np.empty(len(cand))
     for start in range(0, len(cand), chunk):
         k = cand[start:start + chunk]
         c = len(k)
         rows = np.arange(c)
-        values = np.tile(base_values, (c, 1))
-        mask = np.tile(base_mask, (c, 1))
+        values[:c] = base_values
+        mask[:c] = base_mask
         values[rows, pool[k]] = pool_preds[k]
         mask[rows, pool[k]] = 1.0
-        stack = _Stack(values.reshape(c, m, n), mask.reshape(c, m, n))
-        emb = als_mod.EmbeddingPair(x=np.tile(init.x, (c, 1, 1)),
-                                    w=np.tile(init.w, (c, 1, 1)))
+        stack = _Stack(values[:c].reshape(c, m, n), mask[:c].reshape(c, m, n))
+        c_emb = als_mod.EmbeddingPair(x=emb.x[:c], w=emb.w[:c])
+        c_work = als_mod.EpochWork(*(a[:c] for a in work))
+        c_emb.x[:] = init.x
+        c_emb.w[:] = init.w
         for _ in range(inner_cfg.epochs):
-            emb = als_mod.als_epoch(stack, emb, inner_cfg.learning_rate,
-                                    simultaneous=inner_cfg.simultaneous_updates)
-        finite = (np.isfinite(emb.x).all(axis=(1, 2))
-                  & np.isfinite(emb.w).all(axis=(1, 2)))
+            als_mod.als_epoch(stack, c_emb, inner_cfg.learning_rate,
+                              simultaneous=inner_cfg.simultaneous_updates,
+                              work=c_work)
+        finite = (np.isfinite(c_emb.x).all(axis=(1, 2))
+                  & np.isfinite(c_emb.w).all(axis=(1, 2)))
         if not finite.all():
             # x - alpha * g is non-finite wherever x is, so a model that
             # diverged at any epoch is still non-finite here. Replaying the
@@ -176,14 +203,14 @@ def expected_losses(state, model, cfg, inner_seed):
                               inner_cfg, record_history=False)
             raise RuntimeError("stacked ELM diverged where its replay did not")
 
-        full = (emb.x @ emb.w).reshape(c, m * n)
-        kept = np.ones((c, n_score), dtype=bool)
+        full = np.matmul(c_emb.x, c_emb.w, out=c_work.residual).reshape(c, -1)
+        sq_err = full[:, score_flat]
+        sq_err -= score_labels
+        np.square(sq_err, out=sq_err)
+        kept = np.ones(sq_err.shape, dtype=bool)
         kept[rows, n_labeled + k] = False
-        idx = np.broadcast_to(score_flat, kept.shape)[kept].reshape(c, -1)
-        labels = np.broadcast_to(score_labels, kept.shape)[kept].reshape(c, -1)
-        preds = np.take_along_axis(full, idx, axis=1)
-        scores[start:start + c] = np.sqrt(np.mean((preds - labels) ** 2,
-                                                  axis=1))
+        scores[start:start + c] = np.sqrt(np.mean(
+            sq_err[kept].reshape(c, -1), axis=1))
     return pool[cand], scores
 
 

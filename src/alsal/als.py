@@ -12,6 +12,7 @@ slice is computed exactly as it would be on its own.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,12 @@ def init_embeddings(m, n, cfg):
     return EmbeddingPair(x=x, w=w)
 
 
-def _residual(matrix, emb):
-    return matrix.mask * (emb.x @ emb.w - matrix.values)
+def _residual(matrix, emb, out=None):
+    """mask * (x @ w - values), written into out when it is given."""
+    r = np.matmul(emb.x, emb.w, out=out)
+    r -= matrix.values
+    r *= matrix.mask
+    return r
 
 
 def als_loss(matrix, emb):
@@ -71,18 +76,45 @@ def als_gradients(matrix, emb):
     return r @ _t(emb.w), _t(emb.x) @ r
 
 
-def als_epoch(matrix, emb, alpha, simultaneous=False):
+class EpochWork(NamedTuple):
+    """Work arrays for als_epoch: the residual (..., m, n) and the
+    gradients of x (..., m, d) and w (..., d, n)."""
+
+    residual: np.ndarray
+    grad_x: np.ndarray
+    grad_w: np.ndarray
+
+    @classmethod
+    def like(cls, emb):
+        return cls(np.empty(emb.x.shape[:-1] + emb.w.shape[-1:]),
+                   np.empty_like(emb.x), np.empty_like(emb.w))
+
+
+def als_epoch(matrix, emb, alpha, simultaneous=False, work=None):
     """One training epoch: x-step then w-step on the updated x.
 
     With simultaneous=True both steps use the gradients at the old x.
+    Given work (an EpochWork shaped for emb), the epoch writes its
+    temporaries there, updates emb.x and emb.w in place and returns emb;
+    without it, emb is left as it is and a new pair is returned.
     """
+    if work is None:
+        emb = EmbeddingPair(x=emb.x.copy(), w=emb.w.copy())
+        work = EpochWork.like(emb)
+    x, w = emb.x, emb.w
+    r, gx, gw = work
+    _residual(matrix, emb, out=r)
+    np.matmul(r, _t(w), out=gx)
     if simultaneous:
-        grad_x, grad_w = als_gradients(matrix, emb)
-        return EmbeddingPair(x=emb.x - alpha * grad_x,
-                             w=emb.w - alpha * grad_w)
-    x_new = emb.x - alpha * (_residual(matrix, emb) @ _t(emb.w))
-    r = _residual(matrix, EmbeddingPair(x=x_new, w=emb.w))
-    return EmbeddingPair(x=x_new, w=emb.w - alpha * (_t(x_new) @ r))
+        np.matmul(_t(x), r, out=gw)
+    gx *= alpha
+    x -= gx
+    if not simultaneous:
+        _residual(matrix, emb, out=r)
+        np.matmul(_t(x), r, out=gw)
+    gw *= alpha
+    w -= gw
+    return emb
 
 
 def _eval_point(epoch, matrix, emb, train_idx, test_idx):
@@ -125,10 +157,11 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
         train_matrix = matrix
 
     emb = init_embeddings(*matrix.shape, cfg)
+    work = EpochWork.like(emb)
     history = []
     for epoch in range(cfg.epochs):
         emb = als_epoch(train_matrix, emb, cfg.learning_rate,
-                        simultaneous=cfg.simultaneous_updates)
+                        simultaneous=cfg.simultaneous_updates, work=work)
         if not (np.all(np.isfinite(emb.x)) and np.all(np.isfinite(emb.w))):
             raise DivergenceError(epoch)
         if record_history:

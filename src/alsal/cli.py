@@ -45,14 +45,18 @@ def build_parser():
     a.add_argument("--n-per-query", type=int)
     a.add_argument("--n-max-query", type=int)
     a.add_argument("--elm-inner-epochs", type=int)
+    a.add_argument("--elm-candidate-subsample", type=int,
+                   help="ELM scores a seeded random subset of this many "
+                   "pool candidates per query")
     return parser
 
 
 def _from_json(cls, raw, where=""):
     """Dataclass cls from a JSON object. Fields typed as dataclasses are
     built the same way (null only where the default is None) and lists
-    become tuples; fields left out keep their defaults, and an unknown key
-    or a non-object where an object belongs exits with its dotted name."""
+    become tuples; fields left out keep their defaults. An unknown key, a
+    non-object where an object belongs, or a value the dataclass itself
+    rejects exits with its dotted name."""
     if not isinstance(raw, dict):
         raise SystemExit(f"config key {where[:-1]!r} must be an object"
                          if where else "config must be a JSON object")
@@ -67,7 +71,11 @@ def _from_json(cls, raw, where=""):
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise SystemExit(f"invalid config key {where[:-1]!r}: {e}"
+                         if where else f"invalid config: {e}") from e
 
 
 def _config_from_json(path):
@@ -111,11 +119,19 @@ def resolve_config(args):
     else:
         cfg.strategies = _csv_list(args.strategy)
         updates = {}
-        for name in ("n_init", "n_per_query", "n_max_query", "elm_inner_epochs"):
+        for name in ("n_init", "n_per_query", "n_max_query", "elm_inner_epochs",
+                     "elm_candidate_subsample"):
             v = getattr(args, name)
             if v is not None:
                 updates[name] = v
-        cfg.active = replace(cfg.active, **updates)
+        try:
+            cfg.active = replace(cfg.active, **updates)
+        except ValueError as e:
+            raise SystemExit(f"invalid option: {e}") from e
+    try:
+        cfg.validate()
+    except ValueError as e:
+        raise SystemExit(f"invalid config: {e}") from e
     return cfg
 
 

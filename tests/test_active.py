@@ -285,6 +285,23 @@ class TestQueryElm:
         assert got.tolist() == [expected]
 
 
+class TestActiveConfigChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("elm_candidate_subsample", 0), ("elm_candidate_subsample", -3),
+        ("elm_candidate_subsample", 2.5), ("n_per_query", 0),
+        ("n_per_query", -1)])
+    def test_rejects_non_positive_counts(self, field, value):
+        # 0 ran rounds that labelled nothing; -3 died inside Generator.choice
+        with pytest.raises(ValueError, match=f"{field} must be a positive"):
+            ActiveConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be a positive"):
+            replace(ActiveConfig(), **{field: value})
+
+    def test_accepts_one_and_unset_subsample(self):
+        cfg = ActiveConfig(n_per_query=1, elm_candidate_subsample=1)
+        assert replace(cfg, elm_candidate_subsample=None).n_per_query == 1
+
+
 class TestElmSubsampling:
     def test_subsample_restricts_candidates(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=20)

@@ -1,9 +1,11 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from alsal.data import MaskedMatrix, generate_synthetic
-from alsal.als import (AlsConfig, EmbeddingPair, als_epoch, als_gradients,
-                       als_loss, init_embeddings, train_als)
+from alsal.als import (AlsConfig, EmbeddingPair, EpochWork, als_epoch,
+                       als_gradients, als_loss, init_embeddings, train_als)
 from alsal.metrics import FoldSplit
 
 
@@ -30,6 +32,42 @@ def finite_difference_gradients(matrix, emb, step=1e-5):
             g[idx] /= 2 * step
         grads.append(g)
     return tuple(grads)
+
+
+def reference_als_epoch(matrix, emb, alpha, simultaneous=False):
+    """The allocating epoch: every temporary a new array."""
+    def residual(x, w):
+        return matrix.mask * (x @ w - matrix.values)
+
+    def t(a):
+        return a.swapaxes(-1, -2)
+
+    if simultaneous:
+        r = residual(emb.x, emb.w)
+        return EmbeddingPair(x=emb.x - alpha * (r @ t(emb.w)),
+                             w=emb.w - alpha * (t(emb.x) @ r))
+    x_new = emb.x - alpha * (residual(emb.x, emb.w) @ t(emb.w))
+    r = residual(x_new, emb.w)
+    return EmbeddingPair(x=x_new, w=emb.w - alpha * (t(x_new) @ r))
+
+
+# what als_epoch reads of a matrix, for stacks of problems
+Stack = namedtuple("Stack", "values mask")
+
+
+def epoch_problem(stack, seed, m=7, n=6, d=3):
+    """A masked problem, as a MaskedMatrix or a (stack, m, n) Stack, and
+    embeddings of the same leading shape."""
+    rng = np.random.default_rng(seed)
+    lead = (stack,) if stack else ()
+    values = rng.normal(size=lead + (m, n))
+    mask = (rng.uniform(size=lead + (m, n)) < 0.5).astype(float)
+    matrix = Stack(values, mask) if stack else MaskedMatrix(
+        values, mask, [f"c{i}" for i in range(m)],
+        [f"m{j}" for j in range(n)], "synthetic")
+    emb = EmbeddingPair(rng.uniform(-1, 1, size=lead + (m, d)),
+                        rng.uniform(-1, 1, size=lead + (d, n)))
+    return matrix, emb
 
 
 class TestInitEmbeddings:
@@ -135,6 +173,66 @@ class TestAlsEpoch:
             before = als_loss(mat, emb)
             after = als_loss(mat, als_epoch(mat, emb, alpha=0.001))
             assert after <= before + 1e-12
+
+
+class TestAlsEpochWork:
+    """als_epoch with work buffers, in place, against the pure call and the
+    allocating reference; every comparison is ==."""
+
+    @pytest.mark.parametrize("stack", [0, 1, 4])
+    @pytest.mark.parametrize("simultaneous", [False, True])
+    def test_in_place_equals_pure_and_reference(self, stack, simultaneous):
+        matrix, emb = epoch_problem(stack, seed=stack + 10 * simultaneous)
+        ref = pure = emb
+        work_emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
+        work = EpochWork.like(work_emb)
+        for _ in range(25):
+            ref = reference_als_epoch(matrix, ref, 0.05, simultaneous)
+            pure = als_epoch(matrix, pure, 0.05, simultaneous)
+            out = als_epoch(matrix, work_emb, 0.05, simultaneous, work=work)
+            assert out is work_emb
+        for got in (pure, work_emb):
+            assert got.x.tolist() == ref.x.tolist()
+            assert got.w.tolist() == ref.w.tolist()
+
+    @pytest.mark.parametrize("simultaneous", [False, True])
+    def test_stack_slices_equal_unstacked(self, simultaneous):
+        stacked, emb = epoch_problem(3, seed=4)
+        got = als_epoch(stacked, emb, 0.05, simultaneous)
+        for b in range(3):
+            alone = als_epoch(Stack(stacked.values[b], stacked.mask[b]),
+                              EmbeddingPair(emb.x[b], emb.w[b]), 0.05,
+                              simultaneous)
+            assert got.x[b].tolist() == alone.x.tolist()
+            assert got.w[b].tolist() == alone.w.tolist()
+
+    def test_leading_axis_views(self):
+        # a shorter chunk trains in [:c] views of larger buffers
+        matrix, emb = epoch_problem(2, seed=5)
+        x, w = np.empty((5, 7, 3)), np.empty((5, 3, 6))
+        x[:2], w[:2] = emb.x, emb.w
+        view = EmbeddingPair(x[:2], w[:2])
+        work = EpochWork(*(a[:2] for a in EpochWork.like(
+            EmbeddingPair(x, w))))
+        als_epoch(matrix, view, 0.05, work=work)
+        want = reference_als_epoch(matrix, emb, 0.05)
+        assert x[:2].tolist() == want.x.tolist()
+        assert w[:2].tolist() == want.w.tolist()
+
+    @pytest.mark.parametrize("simultaneous", [False, True])
+    def test_pure_call_leaves_input_unmodified(self, simultaneous):
+        matrix, emb = epoch_problem(0, seed=6)
+        x, w = emb.x.copy(), emb.w.copy()
+        out = als_epoch(matrix, emb, 0.05, simultaneous)
+        assert emb.x.tolist() == x.tolist() and emb.w.tolist() == w.tolist()
+        assert not np.shares_memory(out.x, emb.x)
+        assert not np.shares_memory(out.w, emb.w)
+        assert not np.array_equal(out.w, emb.w)
+
+    def test_work_shapes(self):
+        _, emb = epoch_problem(4, seed=7)
+        work = EpochWork.like(emb)
+        assert [a.shape for a in work] == [(4, 7, 6), (4, 7, 3), (4, 3, 6)]
 
 
 class TestTrainAls:

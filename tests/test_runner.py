@@ -226,8 +226,80 @@ class TestCli:
     def test_config_file_empty_boundaries(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alsdl": {"loss": {"boundaries": []}}}))
-        with pytest.raises(ValueError, match="boundaries must be a non-empty"):
+        with pytest.raises(SystemExit) as e:
             _config_from_json(cfg_path)
+        assert str(e.value) == (
+            "invalid config key 'alsdl.loss': boundaries must be a non-empty, "
+            "strictly increasing tuple, not ()")
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"active": {"elm_candidate_subsample": 0}},
+         "invalid config key 'active': elm_candidate_subsample must be a "
+         "positive integer, not 0"),
+        ({"active": {"n_per_query": -3}},
+         "invalid config key 'active': n_per_query must be a positive "
+         "integer, not -3"),
+        ({"alsdl": {"loss": {"boundaries": ["a", 1]}}},
+         "invalid config key 'alsdl.loss': '>=' not supported between "
+         "instances of 'str' and 'int'")])
+    def test_config_file_value_rejected(self, tmp_path, raw, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as e:
+            main(["al-study", "--config", str(cfg_path), "--synthetic",
+                  "5,5,2,0", "--out", str(tmp_path / "run")])
+        assert str(e.value) == message
+        assert not (tmp_path / "run").exists()
+
+    def test_config_file_model_cfg_rejected_by_cli(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"active": {"model_cfg": {"hidden_sizes": [3]}}}))
+        with pytest.raises(SystemExit) as e:
+            main(["benchmark", "--config", str(cfg_path), "--synthetic",
+                  "5,5,2,0", "--out", str(tmp_path / "run")])
+        assert str(e.value).startswith(
+            "invalid config: active.model_cfg is not read")
+        assert not (tmp_path / "run").exists()
+
+    def test_no_source_rejected_by_cli(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["benchmark", "--out", str(tmp_path / "run")])
+        assert str(e.value) == ("invalid config: either dataset_path or "
+                                "synthetic must be given")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-per-query", "0"), ("--elm-candidate-subsample", "-3")])
+    def test_flag_value_rejected(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as e:
+            main(["al-study", "--synthetic", "5,5,2,0", flag, value,
+                  "--out", str(tmp_path / "run")])
+        name = flag[2:].replace("-", "_")
+        assert str(e.value) == (f"invalid option: {name} must be a positive "
+                                f"integer, not {value}")
+
+    def test_elm_candidate_subsample_flag_matches_config_key(self, tmp_path):
+        common = ["al-study", "--synthetic", "6,6,2,0.1", "--strategy", "elm",
+                  "--seeds", "0,1", "--n-init", "6", "--n-per-query", "2",
+                  "--n-max-query", "2", "--als-epochs", "10",
+                  "--mlp-epochs", "10", "--elm-inner-epochs", "10",
+                  "--embedding-dim", "2"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"active": {"elm_candidate_subsample": 4}}))
+        runs = {"flag": ["--elm-candidate-subsample", "4"],
+                "json": ["--config", str(cfg_path)], "full": []}
+        for name, extra in runs.items():
+            main(common + extra + ["--out", str(tmp_path / name)])
+        for csv_name in ("learning_curves.csv", "training_curves.csv",
+                         "cv_summary.csv"):
+            flag = (tmp_path / "flag" / csv_name).read_bytes()
+            assert flag == (tmp_path / "json" / csv_name).read_bytes()
+        config = json.loads((tmp_path / "flag" / "manifest.json").read_text())
+        assert config["config"]["active"]["elm_candidate_subsample"] == 4
+        # the subsample changes the picks of a full-pool query
+        assert ((tmp_path / "flag" / "learning_curves.csv").read_bytes()
+                != (tmp_path / "full" / "learning_curves.csv").read_bytes())
 
     def test_manifest_records_trained_model_cfg(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
