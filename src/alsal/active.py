@@ -16,7 +16,6 @@ Scores are bit-identical to training and scoring each candidate on its
 own.
 """
 
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -42,15 +41,12 @@ class ActiveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_positive("n_per_query", self.n_per_query)
+        for name, minimum in (("n_init", 1), ("n_per_query", 1),
+                              ("n_max_query", 0), ("elm_inner_epochs", 1)):
+            als_mod.check_count(name, getattr(self, name), minimum)
         if self.elm_candidate_subsample is not None:
-            _check_positive("elm_candidate_subsample",
-                            self.elm_candidate_subsample)
-
-
-def _check_positive(name, value):
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+            als_mod.check_count("elm_candidate_subsample",
+                                self.elm_candidate_subsample)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ axes of x, w and the matrix's values and mask are batch axes, and each
 slice is computed exactly as it would be on its own.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +24,15 @@ class DivergenceError(RuntimeError):
     def __init__(self, epoch):
         super().__init__(f"non-finite values at epoch {epoch}")
         self.epoch = epoch
+
+
+def check_count(name, value, minimum=1):
+    """Raise ValueError unless value is an integer, not a bool, of at least
+    minimum (1 or 0). The config dataclasses check their counts with it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,10 @@ class AlsConfig:
     # epoch semantics: by default w's gradient is recomputed after x moves
     # (true alternation); True applies both updates from the same residual
     simultaneous_updates: bool = False
+
+    def __post_init__(self):
+        check_count("d", self.d)
+        check_count("epochs", self.epochs)
 
 
 def init_embeddings(m, n, cfg):

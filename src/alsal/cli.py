@@ -87,6 +87,29 @@ def _csv_list(s, conv=str):
     return tuple(conv(x) for x in s.split(",") if x != "")
 
 
+def _apply_flags(cfg, args):
+    """Model and budget flags over the config; a value a config dataclass
+    rejects raises its ValueError."""
+    if args.als_epochs is not None:
+        cfg.als = replace(cfg.als, epochs=args.als_epochs)
+        cfg.alsdl = replace(cfg.alsdl,
+                            als=replace(cfg.alsdl.als, epochs=args.als_epochs))
+    if args.mlp_epochs is not None:
+        cfg.alsdl = replace(cfg.alsdl, mlp_train=replace(
+            cfg.alsdl.mlp_train, epochs=args.mlp_epochs))
+    if args.embedding_dim is not None:
+        cfg.als = replace(cfg.als, d=args.embedding_dim)
+        cfg.alsdl = replace(cfg.alsdl,
+                            als=replace(cfg.alsdl.als, d=args.embedding_dim))
+    updates = {}
+    for name in ("n_init", "n_per_query", "n_max_query", "elm_inner_epochs",
+                 "elm_candidate_subsample"):
+        v = getattr(args, name, None)  # benchmark has no budget flags
+        if v is not None:
+            updates[name] = v
+    cfg.active = replace(cfg.active, **updates)
+
+
 def resolve_config(args):
     cfg = _config_from_json(args.config) if args.config else ExperimentConfig()
     if args.dataset:
@@ -101,33 +124,15 @@ def resolve_config(args):
         cfg.concentrations = _csv_list(args.concentrations, float)
     cfg.seeds = _csv_list(args.seeds, int)
     cfg.output_dir = args.out
-    if args.als_epochs is not None:
-        cfg.als = replace(cfg.als, epochs=args.als_epochs)
-        cfg.alsdl = replace(cfg.alsdl,
-                            als=replace(cfg.alsdl.als, epochs=args.als_epochs))
-    if args.mlp_epochs is not None:
-        cfg.alsdl = replace(cfg.alsdl, mlp_train=replace(
-            cfg.alsdl.mlp_train, epochs=args.mlp_epochs))
-    if args.embedding_dim is not None:
-        cfg.als = replace(cfg.als, d=args.embedding_dim)
-        cfg.alsdl = replace(cfg.alsdl,
-                            als=replace(cfg.alsdl.als, d=args.embedding_dim))
-
+    try:
+        _apply_flags(cfg, args)
+    except ValueError as e:
+        raise SystemExit(f"invalid option: {e}") from e
     if args.command == "benchmark":
         cfg.models = _csv_list(args.models)
         cfg.folds = args.folds
     else:
         cfg.strategies = _csv_list(args.strategy)
-        updates = {}
-        for name in ("n_init", "n_per_query", "n_max_query", "elm_inner_epochs",
-                     "elm_candidate_subsample"):
-            v = getattr(args, name)
-            if v is not None:
-                updates[name] = v
-        try:
-            cfg.active = replace(cfg.active, **updates)
-        except ValueError as e:
-            raise SystemExit(f"invalid option: {e}") from e
     try:
         cfg.validate()
     except ValueError as e:

@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .als import DivergenceError
+from .als import DivergenceError, check_count
 from .metrics import EvalPoint, rmse, boundary_accuracy
 
 
@@ -81,6 +81,9 @@ class MlpTrainConfig:
     rmsprop_decay: float = 0.9
     rmsprop_epsilon: float = 1e-8
     seed: int = 0
+
+    def __post_init__(self):
+        check_count("epochs", self.epochs, minimum=0)
 
 
 def init_mlp(layer_sizes, seed):

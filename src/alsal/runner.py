@@ -1,5 +1,9 @@
 """Experiment runner: cross-validated benchmarks, active-learning studies,
-and CSV report emission with concentration averaging."""
+and CSV report emission with concentration averaging.
+
+Report schema 2 (manifest "schema_version"): a cv_summary or learning_curves
+row has status ok or diverged; a diverged one holds only its key and
+diverged_epoch. For mean rows see aggregate_concentrations."""
 
 import csv
 import hashlib
@@ -19,13 +23,21 @@ from .alsdl import AlsdlConfig
 from .als import AlsConfig, DivergenceError
 from .metrics import kfold_split
 
+SCHEMA_VERSION = 2
 LEARNING_CURVE_COLUMNS = ["strategy", "target", "concentration", "seed",
-                          "round", "n_labeled", "full_rmse", "full_accuracy"]
+                          "round", "n_labeled", "full_rmse", "full_accuracy",
+                          "status", "diverged_epoch"]
 TRAINING_CURVE_COLUMNS = ["model", "target", "concentration", "seed", "fold",
                           "epoch_or_round", "train_loss", "test_loss",
                           "train_accuracy", "test_accuracy"]
 CV_SUMMARY_COLUMNS = ["model", "target", "concentration", "seed",
-                      "mean_test_loss", "mean_test_accuracy"]
+                      "mean_test_loss", "mean_test_accuracy", "status",
+                      "diverged_epoch"]
+METRIC_COLUMNS = frozenset({
+    "full_rmse", "full_accuracy", "train_loss", "test_loss", "train_accuracy",
+    "test_accuracy", "mean_test_loss", "mean_test_accuracy"})
+# neither metrics nor part of the key that aggregate_concentrations groups by
+_UNGROUPED = METRIC_COLUMNS | {"concentration", "status", "diverged_epoch"}
 
 
 @dataclass
@@ -78,7 +90,7 @@ def config_digest(config):
 
 
 def _metadata(config):
-    return {"config": asdict(config),
+    return {"schema_version": SCHEMA_VERSION, "config": asdict(config),
             "config_hash": config_digest(config),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
 
@@ -119,6 +131,8 @@ def run_benchmark(config):
         n_obs = len(matrix.observed_positions())
         for model_name in config.models:
             for seed in config.seeds:
+                key = {"model": model_name, "target": target,
+                       "concentration": conc, "seed": seed}
                 fold_losses, fold_accs = [], []
                 for fold_idx, split in enumerate(
                         kfold_split(n_obs, config.folds, seed)):
@@ -126,30 +140,23 @@ def run_benchmark(config):
                         history = _train_one(config, model_name, matrix,
                                              split, seed)
                     except DivergenceError as e:
-                        report.cv_summary.append({
-                            "model": model_name, "target": target,
-                            "concentration": conc, "seed": seed,
-                            "mean_test_loss": f"diverged@{e.epoch}",
-                            "mean_test_accuracy": ""})
+                        report.cv_summary.append(dict(
+                            key, status="diverged", diverged_epoch=e.epoch))
                         break
                     for pt in history:
-                        report.training_curves.append({
-                            "model": model_name, "target": target,
-                            "concentration": conc, "seed": seed,
-                            "fold": fold_idx,
-                            "epoch_or_round": pt.epoch_or_round,
-                            "train_loss": pt.train_loss,
-                            "test_loss": pt.test_loss,
-                            "train_accuracy": pt.train_accuracy,
-                            "test_accuracy": pt.test_accuracy})
+                        report.training_curves.append(dict(
+                            key, fold=fold_idx,
+                            epoch_or_round=pt.epoch_or_round,
+                            train_loss=pt.train_loss, test_loss=pt.test_loss,
+                            train_accuracy=pt.train_accuracy,
+                            test_accuracy=pt.test_accuracy))
                     fold_losses.append(history[-1].test_loss)
                     fold_accs.append(history[-1].test_accuracy)
                 else:
-                    report.cv_summary.append({
-                        "model": model_name, "target": target,
-                        "concentration": conc, "seed": seed,
-                        "mean_test_loss": float(np.mean(fold_losses)),
-                        "mean_test_accuracy": float(np.mean(fold_accs))})
+                    report.cv_summary.append(dict(
+                        key, mean_test_loss=float(np.mean(fold_losses)),
+                        mean_test_accuracy=float(np.mean(fold_accs)),
+                        status="ok"))
     return report
 
 
@@ -178,29 +185,28 @@ def run_al_study(config):
     for target, conc, matrix in load_matrices(config):
         for strategy in config.strategies:
             for seed in config.seeds:
+                key = {"strategy": strategy, "target": target,
+                       "concentration": conc, "seed": seed}
                 cfg = replace(active, strategy=strategy, seed=seed)
                 try:
                     curve, _ = active_mod.run_active_learning(matrix, cfg)
                 except DivergenceError as e:
-                    report.learning_curves.append({
-                        "strategy": strategy, "target": target,
-                        "concentration": conc, "seed": seed,
-                        "round": f"diverged@{e.epoch}", "n_labeled": "",
-                        "full_rmse": "", "full_accuracy": ""})
+                    report.learning_curves.append(dict(
+                        key, status="diverged", diverged_epoch=e.epoch))
                     continue
                 for pt in curve:
-                    report.learning_curves.append({
-                        "strategy": strategy, "target": target,
-                        "concentration": conc, "seed": seed,
-                        "round": pt.round, "n_labeled": pt.n_labeled,
-                        "full_rmse": pt.full_rmse,
-                        "full_accuracy": pt.full_accuracy})
+                    report.learning_curves.append(dict(
+                        key, round=pt.round, n_labeled=pt.n_labeled,
+                        full_rmse=pt.full_rmse,
+                        full_accuracy=pt.full_accuracy, status="ok"))
     return report
 
 
 def aggregate_concentrations(report):
     """Append rows tagged concentration="mean": unweighted arithmetic mean
-    across concentrations within each otherwise-identical key."""
+    across concentrations within each otherwise-identical key. A key gets
+    one only when the table has two or more concentrations and each has an
+    ok row for that key, so no mean leaves out a diverged concentration."""
     out = Report(metadata=report.metadata,
                  training_curves=list(report.training_curves),
                  learning_curves=list(report.learning_curves),
@@ -208,41 +214,33 @@ def aggregate_concentrations(report):
     for rows, columns in ((out.learning_curves, LEARNING_CURVE_COLUMNS),
                           (out.training_curves, TRAINING_CURVE_COLUMNS),
                           (out.cv_summary, CV_SUMMARY_COLUMNS)):
-        if not rows:
+        n_concs = len({row["concentration"] for row in rows})
+        if n_concs < 2:
             continue
-        value_cols = [c for c in columns if _is_metric(c)]
-        key_cols = [c for c in columns
-                    if c != "concentration" and c not in value_cols]
+        key_cols = [c for c in columns if c not in _UNGROUPED]
+        value_cols = [c for c in columns if c in METRIC_COLUMNS]
         groups = {}
         for row in rows:
-            if row["concentration"] == "mean":
-                continue
-            key = tuple(row[c] for c in key_cols)
-            groups.setdefault(key, []).append(row)
+            if row.get("status", "ok") == "ok":
+                key = tuple(row[c] for c in key_cols)
+                groups.setdefault(key, []).append(row)
         for key, members in groups.items():
-            mean_row = dict(zip(key_cols, key))
-            mean_row["concentration"] = "mean"
+            if len(members) < n_concs:
+                continue
+            mean_row = dict(zip(key_cols, key), concentration="mean")
             for c in value_cols:
-                vals = [m[c] for m in members if isinstance(m[c], (int, float))]
-                mean_row[c] = float(np.mean(vals)) if vals else ""
+                mean_row[c] = float(np.mean([m[c] for m in members]))
+            if "status" in columns:
+                mean_row["status"] = "ok"
             rows.append(mean_row)
     return out
 
 
-def _is_metric(column):
-    metric_names = {"full_rmse", "full_accuracy", "train_loss", "test_loss",
-                    "train_accuracy", "test_accuracy", "mean_test_loss",
-                    "mean_test_accuracy"}
-    return column in metric_names
-
-
 def _write_csv(path, columns, rows):
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=columns)
+        writer = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({c: ("" if row.get(c) is None else row.get(c))
-                             for c in columns})
+        writer.writerows(rows)
 
 
 def write_report(report, out_dir):

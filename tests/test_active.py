@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -289,9 +290,11 @@ class TestActiveConfigChecks:
     @pytest.mark.parametrize("field, value", [
         ("elm_candidate_subsample", 0), ("elm_candidate_subsample", -3),
         ("elm_candidate_subsample", 2.5), ("n_per_query", 0),
-        ("n_per_query", -1)])
+        ("n_per_query", -1), ("n_per_query", True), ("n_init", 0),
+        ("n_init", 4.0), ("elm_inner_epochs", 0)])
     def test_rejects_non_positive_counts(self, field, value):
-        # 0 ran rounds that labelled nothing; -3 died inside Generator.choice
+        # 0 ran rounds that labelled nothing; -3 died inside Generator.choice;
+        # True is an integer to isinstance, but never a count
         with pytest.raises(ValueError, match=f"{field} must be a positive"):
             ActiveConfig(**{field: value})
         with pytest.raises(ValueError, match=f"{field} must be a positive"):
@@ -300,6 +303,25 @@ class TestActiveConfigChecks:
     def test_accepts_one_and_unset_subsample(self):
         cfg = ActiveConfig(n_per_query=1, elm_candidate_subsample=1)
         assert replace(cfg, elm_candidate_subsample=None).n_per_query == 1
+
+    @pytest.mark.parametrize("cls, field, value, kind", [
+        (ActiveConfig, "n_max_query", -1, "non-negative"),
+        (ActiveConfig, "n_max_query", 1.5, "non-negative"),
+        (AlsConfig, "d", 0, "positive"),
+        (AlsConfig, "epochs", 10.5, "positive"),
+        (AlsConfig, "epochs", False, "positive"),
+        (MlpTrainConfig, "epochs", -1, "non-negative"),
+        (MlpTrainConfig, "epochs", True, "non-negative")])
+    def test_rejects_bad_counts(self, cls, field, value, kind):
+        message = f"{field} must be a {kind} integer, not {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**{field: value})
+
+    def test_accepts_lowest_counts(self):
+        assert ActiveConfig(n_init=1, n_max_query=0,
+                            elm_inner_epochs=1).n_max_query == 0
+        assert AlsConfig(d=1, epochs=np.int64(1)).epochs == 1
+        assert MlpTrainConfig(epochs=0).epochs == 0
 
 
 class TestElmSubsampling:
@@ -498,7 +520,6 @@ class TestStackedElmDivergence:
                             per_candidate_expected_losses)
         want = run_al_study(config).learning_curves
         assert got == want
-        status = got[-1]["round"]
-        assert status.startswith("diverged@")
+        assert got[-1]["status"] == "diverged"
         # past the 2 epochs of the model's own ALS: the ELM retrain diverged
-        assert int(status[len("diverged@"):]) >= 2
+        assert got[-1]["diverged_epoch"] >= 2

@@ -87,16 +87,13 @@ class TestRunAlStudy:
 
 
 class TestAggregateConcentrations:
-    def test_single_concentration_mean_equals_original(self):
+    def test_single_concentration_gets_no_mean_row(self):
         report = Report(metadata={}, learning_curves=[
             {"strategy": "random", "target": "gr", "concentration": "0.01",
              "seed": 0, "round": 0, "n_labeled": 40,
-             "full_rmse": 0.5, "full_accuracy": 0.8}])
+             "full_rmse": 0.5, "full_accuracy": 0.8, "status": "ok"}])
         out = aggregate_concentrations(report)
-        mean_rows = [r for r in out.learning_curves
-                     if r["concentration"] == "mean"]
-        assert len(mean_rows) == 1
-        assert mean_rows[0]["full_rmse"] == 0.5
+        assert out.learning_curves == report.learning_curves
 
     def test_two_concentrations_averaged(self):
         base = {"strategy": "elm", "target": "gr", "seed": 0, "round": 1,
@@ -109,6 +106,68 @@ class TestAggregateConcentrations:
         assert len(mean) == 1
         assert mean[0]["full_rmse"] == pytest.approx(0.2)
         assert mean[0]["full_accuracy"] == pytest.approx(0.8)
+
+    def test_report_text(self, tmp_path):
+        # two concentrations; one key only at 0.1, and one diverged run
+        al = {"strategy": "random", "target": "gr", "seed": 0, "status": "ok"}
+        tc = {"model": "als", "target": "gr", "seed": 0, "fold": 0}
+        cv = {"model": "als", "target": "gr", "seed": 0}
+        report = Report(metadata={}, learning_curves=[
+            dict(al, concentration="0.1", round=0, n_labeled=40,
+                 full_rmse=0.25, full_accuracy=0.5),
+            dict(al, concentration="0.1", round=1, n_labeled=80,
+                 full_rmse=0.125, full_accuracy=0.75),
+            dict(al, concentration="1.0", round=0, n_labeled=40,
+                 full_rmse=0.75, full_accuracy=1.0),
+            dict(al, strategy="elm", concentration="0.1", round=0,
+                 n_labeled=40, full_rmse=0.5, full_accuracy=0.5),
+            dict(al, strategy="elm", concentration="1.0", status="diverged",
+                 diverged_epoch=12),
+        ], training_curves=[
+            dict(tc, concentration="0.1", epoch_or_round=0, train_loss=1.0,
+                 test_loss=2.0, train_accuracy=0.5, test_accuracy=0.25),
+            dict(tc, concentration="1.0", epoch_or_round=0, train_loss=3.0,
+                 test_loss=4.0, train_accuracy=1.0, test_accuracy=0.75),
+            dict(tc, concentration="1.0", epoch_or_round=1, train_loss=0.5,
+                 test_loss=0.5, train_accuracy=1.0, test_accuracy=1.0),
+        ], cv_summary=[
+            dict(cv, concentration="0.1", mean_test_loss=0.5,
+                 mean_test_accuracy=0.25, status="ok"),
+            dict(cv, concentration="1.0", mean_test_loss=1.5,
+                 mean_test_accuracy=0.75, status="ok"),
+            dict(cv, model="alsdl", concentration="0.1", status="diverged",
+                 diverged_epoch=3),
+            dict(cv, model="alsdl", concentration="1.0", mean_test_loss=1.0,
+                 mean_test_accuracy=1.0, status="ok"),
+        ])
+        write_report(aggregate_concentrations(report), tmp_path)
+        text = {name: (tmp_path / name).read_bytes().decode()
+                for name in ("learning_curves.csv", "training_curves.csv",
+                             "cv_summary.csv")}
+        assert text["learning_curves.csv"] == (
+            "strategy,target,concentration,seed,round,n_labeled,full_rmse,"
+            "full_accuracy,status,diverged_epoch\r\n"
+            "random,gr,0.1,0,0,40,0.25,0.5,ok,\r\n"
+            "random,gr,0.1,0,1,80,0.125,0.75,ok,\r\n"
+            "random,gr,1.0,0,0,40,0.75,1.0,ok,\r\n"
+            "elm,gr,0.1,0,0,40,0.5,0.5,ok,\r\n"
+            "elm,gr,1.0,0,,,,,diverged,12\r\n"
+            "random,gr,mean,0,0,40,0.5,0.75,ok,\r\n")
+        assert text["training_curves.csv"] == (
+            "model,target,concentration,seed,fold,epoch_or_round,train_loss,"
+            "test_loss,train_accuracy,test_accuracy\r\n"
+            "als,gr,0.1,0,0,0,1.0,2.0,0.5,0.25\r\n"
+            "als,gr,1.0,0,0,0,3.0,4.0,1.0,0.75\r\n"
+            "als,gr,1.0,0,0,1,0.5,0.5,1.0,1.0\r\n"
+            "als,gr,mean,0,0,0,2.0,3.0,0.75,0.5\r\n")
+        assert text["cv_summary.csv"] == (
+            "model,target,concentration,seed,mean_test_loss,"
+            "mean_test_accuracy,status,diverged_epoch\r\n"
+            "als,gr,0.1,0,0.5,0.25,ok,\r\n"
+            "als,gr,1.0,0,1.5,0.75,ok,\r\n"
+            "alsdl,gr,0.1,0,,,diverged,3\r\n"
+            "alsdl,gr,1.0,0,1.0,1.0,ok,\r\n"
+            "als,gr,mean,0,1.0,0.5,ok,\r\n")
 
 
 class TestCli:
@@ -135,6 +194,30 @@ class TestCli:
         assert rc == 0
         assert len(read_rows(out / "cv_summary.csv")) >= 1
         assert (out / "training_curves.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["schema_version"] == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_diverged_benchmark_is_a_status_row(self, tmp_path):
+        from conftest import dataset_shaped_csv
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(dataset_shaped_csv().getvalue())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"als": {"learning_rate": 100.0}}))
+        out = tmp_path / "run"
+        main(["benchmark", "--dataset", str(csv_path), "--target", "gr",
+              "--concentrations", "0.01,0.1", "--models", "als",
+              "--folds", "2", "--config", str(cfg_path), "--out", str(out),
+              "--als-epochs", "20", "--embedding-dim", "2"])
+        rows = read_rows(out / "cv_summary.csv")
+        # every concentration diverged, so no mean row averages them
+        assert [r["concentration"] for r in rows] == ["0.01", "0.1"]
+        for row in rows:
+            assert row["status"] == "diverged"
+            assert row["diverged_epoch"].isdigit()
+            assert row["mean_test_loss"] == row["mean_test_accuracy"] == ""
+        assert read_rows(out / "training_curves.csv") == []
 
     def test_repeat_runs_byte_identical_csvs(self, tmp_path):
         args = ["al-study", "--synthetic", "5,5,2,0.1", "--strategy",
@@ -241,7 +324,22 @@ class TestCli:
          "integer, not -3"),
         ({"alsdl": {"loss": {"boundaries": ["a", 1]}}},
          "invalid config key 'alsdl.loss': '>=' not supported between "
-         "instances of 'str' and 'int'")])
+         "instances of 'str' and 'int'"),
+        # an empty curve, a TypeError in train_als, and a failure in numpy
+        ({"active": {"n_max_query": -1}},
+         "invalid config key 'active': n_max_query must be a non-negative "
+         "integer, not -1"),
+        ({"alsdl": {"als": {"epochs": 10.5}}},
+         "invalid config key 'alsdl.als': epochs must be a positive integer, "
+         "not 10.5"),
+        ({"active": {"n_per_query": True}},
+         "invalid config key 'active': n_per_query must be a positive "
+         "integer, not True"),
+        ({"als": {"d": 0}},
+         "invalid config key 'als': d must be a positive integer, not 0"),
+        ({"alsdl": {"mlp_train": {"epochs": -1}}},
+         "invalid config key 'alsdl.mlp_train': epochs must be a "
+         "non-negative integer, not -1")])
     def test_config_file_value_rejected(self, tmp_path, raw, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
@@ -269,14 +367,21 @@ class TestCli:
                                 "synthetic must be given")
 
     @pytest.mark.parametrize("flag, value", [
-        ("--n-per-query", "0"), ("--elm-candidate-subsample", "-3")])
+        ("--n-per-query", "0"), ("--elm-candidate-subsample", "-3"),
+        ("--als-epochs", "-1"), ("--mlp-epochs", "-1"),
+        ("--embedding-dim", "0"), ("--n-init", "0"), ("--n-max-query", "-1"),
+        ("--elm-inner-epochs", "0")])
     def test_flag_value_rejected(self, tmp_path, flag, value):
         with pytest.raises(SystemExit) as e:
             main(["al-study", "--synthetic", "5,5,2,0", flag, value,
                   "--out", str(tmp_path / "run")])
-        name = flag[2:].replace("-", "_")
-        assert str(e.value) == (f"invalid option: {name} must be a positive "
+        name = {"--als-epochs": "epochs", "--mlp-epochs": "epochs",
+                "--embedding-dim": "d"}.get(flag, flag[2:].replace("-", "_"))
+        kind = ("non-negative" if flag in ("--mlp-epochs", "--n-max-query")
+                else "positive")
+        assert str(e.value) == (f"invalid option: {name} must be a {kind} "
                                 f"integer, not {value}")
+        assert not (tmp_path / "run").exists()
 
     def test_elm_candidate_subsample_flag_matches_config_key(self, tmp_path):
         common = ["al-study", "--synthetic", "6,6,2,0.1", "--strategy", "elm",
