@@ -27,12 +27,15 @@ from .alsdl import AlsdlConfig
 from .metrics import rmse, boundary_accuracy
 
 
+STRATEGIES = ("orderly", "random", "uncertainty", "elm")
+
+
 @dataclass(frozen=True)
 class ActiveConfig:
     n_init: int = 40
     n_per_query: int = 40
     n_max_query: int = 8
-    strategy: str = "elm"  # orderly | random | uncertainty | elm
+    strategy: str = "elm"  # one of STRATEGIES
     model_cfg: AlsdlConfig = field(default_factory=AlsdlConfig)
     elm_inner_epochs: int = 200
     # when set, ELM scores only a seeded random subset of the pool

@@ -131,22 +131,19 @@ def als_epoch(matrix, emb, alpha, simultaneous=False, work=None):
     return emb
 
 
-def _eval_point(epoch, matrix, emb, train_idx, test_idx):
-    full = emb.x @ emb.w
-    pt, tt = _gather(matrix, full, train_idx)
+def _eval_point(epoch, emb, train_idx, test_idx, train_truths, test_truths):
+    """Curve point at flat row-major position indices, given the truths
+    there."""
+    full = (emb.x @ emb.w).ravel()
+    pt = full[train_idx]
     point = {"epoch_or_round": epoch,
-             "train_loss": rmse(pt, tt),
-             "train_accuracy": boundary_accuracy(pt, tt)}
+             "train_loss": rmse(pt, train_truths),
+             "train_accuracy": boundary_accuracy(pt, train_truths)}
     if test_idx.size:
-        pv, tv = _gather(matrix, full, test_idx)
-        point["test_loss"] = rmse(pv, tv)
-        point["test_accuracy"] = boundary_accuracy(pv, tv)
+        pv = full[test_idx]
+        point["test_loss"] = rmse(pv, test_truths)
+        point["test_accuracy"] = boundary_accuracy(pv, test_truths)
     return EvalPoint(**point)
-
-
-def _gather(matrix, full_pred, idx):
-    """Predictions and truths at flat row-major position indices."""
-    return full_pred.ravel()[idx], matrix.values.ravel()[idx]
 
 
 def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
@@ -170,6 +167,9 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
         train_idx, test_idx = observed, observed[:0]
         train_matrix = matrix
 
+    if record_history:
+        values = matrix.values.ravel()  # gathered once: they do not change
+        truths = values[train_idx], values[test_idx]
     emb = init_embeddings(*matrix.shape, cfg)
     work = EpochWork.like(emb)
     history = []
@@ -179,6 +179,6 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
         if not (np.all(np.isfinite(emb.x)) and np.all(np.isfinite(emb.w))):
             raise DivergenceError(epoch)
         if record_history:
-            history.append(_eval_point(start_epoch + epoch, matrix, emb,
-                                       train_idx, test_idx))
+            history.append(_eval_point(start_epoch + epoch, emb, train_idx,
+                                       test_idx, *truths))
     return emb, history

@@ -4,8 +4,9 @@ import argparse
 import json
 from dataclasses import fields, is_dataclass, replace
 
-from .runner import (ExperimentConfig, SyntheticSpec, aggregate_concentrations,
-                     run_al_study, run_benchmark, write_report)
+from .runner import (ConfigError, ExperimentConfig, SyntheticSpec,
+                     aggregate_concentrations, run_al_study, run_benchmark,
+                     write_report)
 
 
 def _add_common(p):
@@ -143,10 +144,11 @@ def resolve_config(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     cfg = resolve_config(args)
-    if args.command == "benchmark":
-        report = run_benchmark(cfg)
-    else:
-        report = run_al_study(cfg)
+    run = run_benchmark if args.command == "benchmark" else run_al_study
+    try:
+        report = run(cfg)
+    except ConfigError as e:  # raised after loading, before any training
+        raise SystemExit(f"invalid config key {e.key!r}: {e}") from e
     report = aggregate_concentrations(report)
     out = write_report(report, cfg.output_dir)
     print(f"wrote report to {out}")

@@ -9,10 +9,14 @@ tanh surrogate. The training curve records RMSE and boundary accuracy;
 Training allocates nothing per epoch that scales with the number of rows.
 `_Buffers` holds one batch size's per-layer (rows, width) arrays: the
 activations, the back-propagated deltas and the tanh-derivative scratch.
-`train_mlp` makes one for its training rows and, with history on, one for
-all rows, and passes them to `backward` and `predict_batch`, whose ufuncs
-write through `out=`. Called without buffers, those functions make fresh
-ones, so a public caller's result is never overwritten by a later call.
+`train_mlp` makes one for its training rows and, with history on and a
+test split, one for the test rows, and passes them to `backward` and
+`predict_batch`, whose ufuncs write through `out=`. Called without
+buffers, those functions make fresh ones, so a public caller's result is
+never overwritten by a later call. A history point's train cells come from
+the next epoch's training forward pass (the one `backward` runs anyway),
+so history costs one forward pass over the test rows per epoch, not one
+over all rows.
 An `MlpModel` stores its parameters, its rmsprop accumulators and, from
 `backward`, its gradients as flat float64 vectors in one layout (all weight
 matrices in layer order, then all biases), and `MlpModel.split` gives the
@@ -231,11 +235,20 @@ def rmsprop_step(model, grad, cfg):
     return MlpModel(params, sq, model.layer_sizes)
 
 
+def _with_train_cells(point, p_tr, truths_tr, b0):
+    return EvalPoint(**point, train_loss=rmse(p_tr, truths_tr),
+                     train_accuracy=boundary_accuracy(p_tr, truths_tr, b0))
+
+
 def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
               start_epoch=0, record_history=True):
     """Full-batch rmsprop training; deterministic given the initial model.
 
     eval_split indexes rows of `inputs`; training uses the train rows only.
+    History point e takes its train cells from the forward pass of epoch
+    e + 1's `backward`, which runs on the model that epoch e left (the last
+    point from one more pass over the train rows), and its test cells from
+    a pass over the test rows alone.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     truths = np.asarray(truths, dtype=float)
@@ -248,30 +261,34 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
         raise ValueError("empty training set")
 
     inputs_tr, truths_tr = inputs[tr], truths[tr]
-    truths_te = None if te is None else truths[te]
     # allocated once: each epoch overwrites them
     train_buffers = _Buffers(model.layer_sizes, tr.size)
-    if record_history:
-        all_buffers = _Buffers(model.layer_sizes, inputs.shape[0])
+    with_test = record_history and te is not None and te.size > 0
+    if with_test:
+        inputs_te, truths_te = inputs[te], truths[te]
+        test_buffers = _Buffers(model.layer_sizes, te.size)
+    b0 = loss_cfg.boundaries[0]
     history = []
+    point = None  # the previous epoch's cells, still without its train cells
     for epoch in range(train_cfg.epochs):
         grad = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
+        if point is not None:
+            history.append(_with_train_cells(
+                point, train_buffers.acts[-1][:, 0], truths_tr, b0))
         try:
             model = rmsprop_step(model, grad, train_cfg)
         except DivergenceError:
             raise DivergenceError(epoch)
         if not record_history:
             continue
-        preds = predict_batch(model, inputs, all_buffers)
-        b0 = loss_cfg.boundaries[0]
-        p_tr = preds[tr]
-        point = {"epoch_or_round": start_epoch + epoch,
-                 "train_loss": rmse(p_tr, truths_tr),
-                 "train_accuracy": boundary_accuracy(p_tr, truths_tr, b0)}
-        if te is not None and te.size:
-            p_te = preds[te]
+        point = {"epoch_or_round": start_epoch + epoch}
+        if with_test:
+            p_te = predict_batch(model, inputs_te, test_buffers)
             point.update(
                 test_loss=rmse(p_te, truths_te),
                 test_accuracy=boundary_accuracy(p_te, truths_te, b0))
-        history.append(EvalPoint(**point))
+    if point is not None:
+        history.append(_with_train_cells(
+            point, predict_batch(model, inputs_tr, train_buffers), truths_tr,
+            b0))
     return model, history

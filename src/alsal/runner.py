@@ -8,6 +8,7 @@ diverged_epoch. For mean rows see aggregate_concentrations."""
 import csv
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from .als import AlsConfig, DivergenceError
 from .metrics import kfold_split
 
 SCHEMA_VERSION = 2
+MODELS = ("als", "alsdl")
 LEARNING_CURVE_COLUMNS = ["strategy", "target", "concentration", "seed",
                           "round", "n_labeled", "full_rmse", "full_accuracy",
                           "status", "diverged_epoch"]
@@ -74,6 +76,40 @@ class ExperimentConfig:
         if self.active.model_cfg != AlsdlConfig():
             raise ValueError("active.model_cfg is not read: the AL study "
                              "trains the alsdl config, so set alsdl instead")
+        for kind, names, known in (
+                ("model", self.models, MODELS),
+                ("strategy", self.strategies, active_mod.STRATEGIES)):
+            if not names:
+                raise ValueError(f"empty {kind} list")
+            for name in names:
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}; known: "
+                                     f"{', '.join(known)}")
+        if (isinstance(self.folds, bool)
+                or not isinstance(self.folds, numbers.Integral)
+                or self.folds < 2):
+            raise ValueError("folds must be an integer of at least 2, "
+                             f"not {self.folds!r}")
+
+
+class ConfigError(ValueError):
+    """A config value the loaded data cannot satisfy; `key` is its dotted
+    name in the config."""
+
+    def __init__(self, key, message):
+        super().__init__(message)
+        self.key = key
+
+
+def _check_against_positions(key, value, matrices):
+    """Raise ConfigError if value exceeds the observed positions of any of
+    the (target, concentration, matrix) triples."""
+    for target, conc, matrix in matrices:
+        n_obs = matrix.observed_positions().size
+        if value > n_obs:
+            raise ConfigError(key, f"{key.rsplit('.', 1)[-1]} = {value} "
+                              f"exceeds the {n_obs} observed positions of "
+                              f"target {target}, concentration {conc}")
 
 
 @dataclass
@@ -124,10 +160,10 @@ def load_matrices(config):
 def run_benchmark(config):
     """k-fold cross-validation per target x concentration x model."""
     config.validate()
-    if not config.models:
-        raise ValueError("empty model list")
+    matrices = load_matrices(config)
+    _check_against_positions("folds", config.folds, matrices)
     report = Report(metadata=_metadata(config))
-    for target, conc, matrix in load_matrices(config):
+    for target, conc, matrix in matrices:
         n_obs = len(matrix.observed_positions())
         for model_name in config.models:
             for seed in config.seeds:
@@ -164,25 +200,23 @@ def _train_one(config, model_name, matrix, split, seed):
     if model_name == "als":
         cfg = replace(config.als, seed=seed)
         _, history = als_mod.train_als(matrix, cfg, eval_positions=split)
-    elif model_name == "alsdl":
+    else:  # "alsdl", the only other name validate accepts
         cfg = replace(config.alsdl,
                       als=replace(config.alsdl.als, seed=seed),
                       mlp_train=replace(config.alsdl.mlp_train, seed=seed + 1))
         _, history = alsdl_mod.train_alsdl(matrix, cfg, eval_split=split)
-    else:
-        raise ValueError(f"unknown model {model_name!r}")
     return history
 
 
 def run_al_study(config):
     """Active-learning curves per target x concentration x strategy x seed."""
     config.validate()
-    if not config.strategies:
-        raise ValueError("empty strategy list")
     # the manifest records the model config the study trains
     active = replace(config.active, model_cfg=config.alsdl)
+    matrices = load_matrices(config)
+    _check_against_positions("active.n_init", active.n_init, matrices)
     report = Report(metadata=_metadata(replace(config, active=active)))
-    for target, conc, matrix in load_matrices(config):
+    for target, conc, matrix in matrices:
         for strategy in config.strategies:
             for seed in config.seeds:
                 key = {"strategy": strategy, "target": target,

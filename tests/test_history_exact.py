@@ -9,7 +9,18 @@ rmsprop step and training loop) are the per-layer code that allocated
 fresh arrays every epoch, before the buffers and the flat parameter
 vector. Results must match them with ==, not approximately: the new forms
 do the same float64 arithmetic on the same values.
+
+The MLP history has two reference orders. split_preds, the default, is
+the one train_mlp uses: the train cells come from a forward pass over the
+train rows, the test cells from one over the test rows, and it must match
+with ==. all_rows_preds is the order train_mlp used before: one pass over
+all rows, with the train and test rows picked out of it. With a split its
+GEMMs have other shapes, so its curves may differ in the last bits; the
+tests against it hold the nets equal and the curves within a bound fixed
+from float64 eps.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -156,8 +167,24 @@ def reference_rmsprop_step(model, gradients, cfg):
     return out
 
 
+def all_rows_preds(model, inputs, tr, te):
+    """The history order train_mlp had before its train cells came from
+    the training forward pass: one pass over all rows, then the train and
+    test rows picked out of it."""
+    preds = reference_predict_batch(model, inputs)
+    return preds[tr], None if te is None else preds[te]
+
+
+def split_preds(model, inputs, tr, te):
+    """The history order train_mlp has now: one pass over the train rows
+    (the next epoch's backward pass) and one over the test rows."""
+    p_te = None if te is None else reference_predict_batch(model, inputs[te])
+    return reference_predict_batch(model, inputs[tr]), p_te
+
+
 def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
-                        eval_split=None, start_epoch=0, record_history=True):
+                        eval_split=None, start_epoch=0, record_history=True,
+                        history_preds=split_preds):
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     truths = np.asarray(truths, dtype=float)
     if eval_split is not None:
@@ -175,15 +202,15 @@ def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
             raise DivergenceError(epoch)
         if not record_history:
             continue
-        preds = reference_predict_batch(model, inputs)
+        p_tr, p_te = history_preds(model, inputs, tr, te)
         b0 = loss_cfg.boundaries[0]
         point = {"epoch_or_round": start_epoch + epoch,
-                 "train_loss": rmse(preds[tr], truths_tr),
-                 "train_accuracy": boundary_accuracy(preds[tr], truths_tr, b0)}
+                 "train_loss": rmse(p_tr, truths_tr),
+                 "train_accuracy": boundary_accuracy(p_tr, truths_tr, b0)}
         if te is not None and te.size:
             point.update(
-                test_loss=rmse(preds[te], truths[te]),
-                test_accuracy=boundary_accuracy(preds[te], truths[te], b0))
+                test_loss=rmse(p_te, truths[te]),
+                test_accuracy=boundary_accuracy(p_te, truths[te], b0))
         history.append(EvalPoint(**point))
     return model, history
 
@@ -348,6 +375,22 @@ MLP_LOSSES = [LossConfig(), LossConfig(beta=0.0),
               THREE_BOUNDARIES]
 
 
+def assert_within_rounding(got, want, n_train, n_test):
+    """Each loss within 4 ulp of the reference, each accuracy equal or one
+    row apart: the bound, fixed from float64 eps, for curves whose
+    predictions differ only by the summation order of the forward GEMMs."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.epoch_or_round == w.epoch_or_round
+        for loss in ("train_loss", "test_loss"):
+            a, b = getattr(g, loss), getattr(w, loss)
+            assert abs(a - b) <= 4 * math.ulp(b), (loss, a, b)
+        for acc, n in (("train_accuracy", n_train),
+                       ("test_accuracy", n_test)):
+            a, b = getattr(g, acc), getattr(w, acc)
+            assert abs(round(a * n) - round(b * n)) <= 1, (acc, a, b)
+
+
 class TestMlpTraining:
     @pytest.mark.parametrize("sizes", [[1, 1], [2, 8, 1], [10, 20, 10, 5, 1]])
     @pytest.mark.parametrize("loss", MLP_LOSSES)
@@ -368,6 +411,29 @@ class TestMlpTraining:
         assert len(hist) == (30 if record_history else 0)
         if record_history:
             assert (hist[-1].test_loss is not None) == with_split
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [2, 8, 1], [10, 20, 10, 5, 1]])
+    @pytest.mark.parametrize("loss", MLP_LOSSES)
+    @pytest.mark.parametrize("with_split", [True, False])
+    def test_near_all_rows_order(self, sizes, loss, with_split):
+        """Against the old history order the nets stay equal, and so does
+        the curve without a split (the train rows are all rows, so the
+        GEMM shapes are the same); with a split the curve cells may move
+        by rounding only."""
+        x, t = mlp_problem(sizes)
+        split = (kfold_split(len(t), 4, seed=2)[3] if with_split else None)
+        cfg = MlpTrainConfig(epochs=30, rmsprop_learning_rate=0.01, seed=1)
+        got, hist = train_mlp(init_mlp(sizes, seed=5), x, t, cfg, loss,
+                              eval_split=split, start_epoch=7)
+        want, hist_ref = reference_train_mlp(
+            init_mlp(sizes, seed=5), x, t, cfg, loss, eval_split=split,
+            start_epoch=7, history_preds=all_rows_preds)
+        assert_same_net(got, want)
+        if with_split:
+            assert_within_rounding(hist, hist_ref, len(split.train_indices),
+                                   len(split.test_indices))
+        else:
+            assert_same_curve(hist, hist_ref)
 
     def test_init_matches_per_layer_draws(self):
         sizes = [10, 20, 10, 5, 1]

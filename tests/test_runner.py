@@ -9,7 +9,7 @@ from alsal.als import AlsConfig
 from alsal.alsdl import AlsdlConfig
 from alsal.cli import _config_from_json, main
 from alsal.mlp import LossConfig, MlpTrainConfig
-from alsal.runner import (ExperimentConfig, SyntheticSpec,
+from alsal.runner import (ConfigError, ExperimentConfig, SyntheticSpec,
                           aggregate_concentrations, run_al_study,
                           run_benchmark, write_report, Report)
 
@@ -84,6 +84,81 @@ class TestRunAlStudy:
             n_init=6, model_cfg=AlsdlConfig(hidden_sizes=(3,))))
         with pytest.raises(ValueError, match="set alsdl instead"):
             run(cfg)
+
+
+def forbid_training(monkeypatch):
+    """Make any model training in a run fail the test."""
+    import alsal.runner as runner_mod
+
+    def trained(*args, **kwargs):
+        raise AssertionError("a model was trained")
+    monkeypatch.setattr(runner_mod, "_train_one", trained)
+    monkeypatch.setattr(runner_mod.active_mod, "run_active_learning", trained)
+
+
+class TestConfigChecks:
+    """Bad names and counts are rejected before any model trains."""
+
+    @pytest.mark.parametrize("run", [run_benchmark, run_al_study])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"models": ("als", "foo")},
+         "unknown model 'foo'; known: als, alsdl"),
+        ({"strategies": ("random", "rand")},
+         "unknown strategy 'rand'; known: orderly, random, uncertainty, elm"),
+        ({"folds": 1}, "folds must be an integer of at least 2, not 1"),
+        ({"folds": 2.0}, "folds must be an integer of at least 2, not 2.0"),
+        ({"folds": True}, "folds must be an integer of at least 2, not True")])
+    def test_validate(self, monkeypatch, run, overrides, message):
+        forbid_training(monkeypatch)
+        with pytest.raises(ValueError) as e:
+            run(small_config(**overrides))
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("run, overrides, key, value", [
+        (run_benchmark, {"folds": 37}, "folds", 37),
+        (run_al_study, {"active": ActiveConfig(n_init=37)}, "active.n_init",
+         37)])
+    def test_limit_from_matrix(self, monkeypatch, run, overrides, key, value):
+        forbid_training(monkeypatch)
+        with pytest.raises(ConfigError) as e:
+            run(small_config(**overrides))  # 6 x 6, all 36 observed
+        assert e.value.key == key
+        assert str(e.value) == (
+            f"{key.split('.')[-1]} = {value} exceeds the 36 observed "
+            "positions of target synthetic, concentration synthetic")
+
+    @pytest.mark.parametrize("run", [run_benchmark, run_al_study])
+    def test_limits_reached_exactly(self, run):
+        cfg = small_config(folds=36, active=ActiveConfig(
+            n_init=36, n_max_query=0), models=("als",),
+                           strategies=("random",), als=AlsConfig(epochs=1))
+        assert run(cfg)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["benchmark", "--folds", "1"],
+         "invalid config: folds must be an integer of at least 2, not 1"),
+        (["benchmark", "--models", "als,foo", "--folds", "2"],
+         "invalid config: unknown model 'foo'; known: als, alsdl"),
+        (["benchmark", "--models", ","], "invalid config: empty model list"),
+        (["al-study", "--strategy", ","],
+         "invalid config: empty strategy list"),
+        (["al-study", "--strategy", "rand"],
+         "invalid config: unknown strategy 'rand'; known: orderly, random, "
+         "uncertainty, elm"),
+        (["benchmark", "--folds", "37"],
+         "invalid config key 'folds': folds = 37 exceeds the 36 observed "
+         "positions of target synthetic, concentration synthetic"),
+        # the default n_init, 40
+        (["al-study", "--strategy", "random"],
+         "invalid config key 'active.n_init': n_init = 40 exceeds the 36 "
+         "observed positions of target synthetic, concentration synthetic")])
+    def test_cli_exit(self, monkeypatch, tmp_path, argv, message):
+        forbid_training(monkeypatch)
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--synthetic", "6,6,2,0.1",
+                         "--out", str(tmp_path / "run")])
+        assert str(e.value) == message
+        assert not (tmp_path / "run").exists()
 
 
 class TestAggregateConcentrations:
