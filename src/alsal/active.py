@@ -50,6 +50,10 @@ class ActiveConfig:
         if self.elm_candidate_subsample is not None:
             als_mod.check_count("elm_candidate_subsample",
                                 self.elm_candidate_subsample)
+        if self.strategy not in STRATEGIES:
+            raise als_mod.ConfigError(
+                "strategy", f"unknown strategy {self.strategy!r}; known: "
+                f"{', '.join(STRATEGIES)}")
 
 
 @dataclass(frozen=True)
@@ -227,10 +231,8 @@ def _select(state, model, cfg, round_seed):
         return query_random(state, cfg.n_per_query, seed=round_seed)
     if cfg.strategy == "uncertainty":
         return query_uncertainty(state, model, cfg.n_per_query)
-    if cfg.strategy == "elm":
-        return query_elm(state, model, cfg.n_per_query, cfg,
-                         inner_seed=round_seed)
-    raise ValueError(f"unknown strategy {cfg.strategy!r}")
+    # ActiveConfig admits only STRATEGIES, so this is "elm"
+    return query_elm(state, model, cfg.n_per_query, cfg, inner_seed=round_seed)
 
 
 def _round_seed(base_seed, rnd):

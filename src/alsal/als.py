@@ -17,13 +17,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import EvalPoint, rmse, boundary_accuracy
+from .metrics import EvalPoint, Scorer
 
 
 class DivergenceError(RuntimeError):
     def __init__(self, epoch):
         super().__init__(f"non-finite values at epoch {epoch}")
         self.epoch = epoch
+
+
+class ConfigError(ValueError):
+    """A config value that is out of place: one the loaded data cannot
+    satisfy (`key` is its dotted name in the config), or one a config
+    dataclass rejects (`key` is its field name)."""
+
+    def __init__(self, key, message):
+        super().__init__(message)
+        self.key = key
 
 
 def check_count(name, value, minimum=1):
@@ -131,19 +141,17 @@ def als_epoch(matrix, emb, alpha, simultaneous=False, work=None):
     return emb
 
 
-def _eval_point(epoch, emb, train_idx, test_idx, train_truths, test_truths):
-    """Curve point at flat row-major position indices, given the truths
-    there."""
+def _eval_point(epoch, emb, train_idx, test_idx, score_train, score_test):
+    """Curve point at flat row-major position indices, scored by the
+    Scorers of the truths there (score_test None without test positions)."""
     full = (emb.x @ emb.w).ravel()
-    pt = full[train_idx]
-    point = {"epoch_or_round": epoch,
-             "train_loss": rmse(pt, train_truths),
-             "train_accuracy": boundary_accuracy(pt, train_truths)}
-    if test_idx.size:
-        pv = full[test_idx]
-        point["test_loss"] = rmse(pv, test_truths)
-        point["test_accuracy"] = boundary_accuracy(pv, test_truths)
-    return EvalPoint(**point)
+    train_loss, train_accuracy = score_train(full[train_idx])
+    test_loss = test_accuracy = None
+    if score_test is not None:
+        test_loss, test_accuracy = score_test(full[test_idx])
+    return EvalPoint(epoch, train_loss=train_loss, test_loss=test_loss,
+                     train_accuracy=train_accuracy,
+                     test_accuracy=test_accuracy)
 
 
 def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
@@ -168,17 +176,18 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
         train_matrix = matrix
 
     if record_history:
-        values = matrix.values.ravel()  # gathered once: they do not change
-        truths = values[train_idx], values[test_idx]
+        values = matrix.values.ravel()  # the truths, prepared once
+        scorers = (Scorer(values[train_idx]),
+                   Scorer(values[test_idx]) if test_idx.size else None)
     emb = init_embeddings(*matrix.shape, cfg)
     work = EpochWork.like(emb)
     history = []
     for epoch in range(cfg.epochs):
         emb = als_epoch(train_matrix, emb, cfg.learning_rate,
                         simultaneous=cfg.simultaneous_updates, work=work)
-        if not (np.all(np.isfinite(emb.x)) and np.all(np.isfinite(emb.w))):
+        if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
             raise DivergenceError(epoch)
         if record_history:
             history.append(_eval_point(start_epoch + epoch, emb, train_idx,
-                                       test_idx, *truths))
+                                       test_idx, *scorers))
     return emb, history

@@ -57,7 +57,8 @@ def _from_json(cls, raw, where=""):
     built the same way (null only where the default is None) and lists
     become tuples; fields left out keep their defaults. An unknown key, a
     non-object where an object belongs, or a value the dataclass itself
-    rejects exits with its dotted name."""
+    rejects exits with its dotted name: the field's when the dataclass
+    raises a ConfigError, else the dataclass's."""
     if not isinstance(raw, dict):
         raise SystemExit(f"config key {where[:-1]!r} must be an object"
                          if where else "config must be a JSON object")
@@ -74,6 +75,8 @@ def _from_json(cls, raw, where=""):
         kwargs[key] = value
     try:
         return cls(**kwargs)
+    except ConfigError as e:
+        raise SystemExit(f"invalid config key {where + e.key!r}: {e}") from e
     except (TypeError, ValueError) as e:
         raise SystemExit(f"invalid config key {where[:-1]!r}: {e}"
                          if where else f"invalid config: {e}") from e

@@ -1,4 +1,11 @@
-"""Shared loss/accuracy metrics and the cross-validation splitter."""
+"""Shared loss/accuracy metrics and the cross-validation splitter.
+
+`rmse` and `boundary_accuracy` check and convert their inputs on every
+call. A training loop that scores every epoch against the same truths
+uses a `Scorer` instead: it takes the truths once, computes their boundary
+signs once, and writes into scratch arrays it owns, with the same
+arithmetic as the two checked functions, which call the same code.
+"""
 
 from dataclasses import dataclass
 
@@ -37,11 +44,26 @@ def _check_pair(preds, truths):
     return preds, truths
 
 
-def rmse(preds, truths):
-    preds, truths = _check_pair(preds, truths)
-    sq = (preds - truths) ** 2
+def residual_rmse(resid, out=None):
+    """RMSE from the residuals preds - truths. The squares are written into
+    out when it is given (resid itself is allowed), else into a new array."""
+    sq = np.square(resid, out=out)
     # np.mean's own arithmetic, without its Python wrapper
     return float(np.sqrt(np.add.reduce(sq, axis=None) / sq.size))
+
+
+def _accuracy(preds, truth_signs, boundary, scratch=None, same=None):
+    """Fraction of preds whose boundary sign equals truth_signs; the signs
+    of preds go into scratch and the matches into same, when given."""
+    side = np.sign(np.subtract(preds, boundary, out=scratch), out=scratch)
+    same = np.equal(side, truth_signs, out=same)
+    # equal to np.mean(same): the count is exact, and so is its division
+    return float(np.count_nonzero(same) / same.size)
+
+
+def rmse(preds, truths):
+    preds, truths = _check_pair(preds, truths)
+    return residual_rmse(preds - truths)
 
 
 def boundary_accuracy(preds, truths, boundary=0.0):
@@ -51,9 +73,37 @@ def boundary_accuracy(preds, truths, boundary=0.0):
     exactly on the boundary.
     """
     preds, truths = _check_pair(preds, truths)
-    same = np.sign(preds - boundary) == np.sign(truths - boundary)
-    # equal to np.mean(same): the count is exact, and so is its division
-    return float(np.count_nonzero(same) / same.size)
+    return _accuracy(preds, np.sign(truths - boundary), boundary)
+
+
+class Scorer:
+    """RMSE and boundary accuracy against one fixed set of truths.
+
+    The truths are checked, and their boundary signs computed, once; each
+    call then checks only the shape of its float64 predictions and
+    overwrites the scorer's scratch arrays. A call gives what
+    `rmse(preds, truths)` and `boundary_accuracy(preds, truths, boundary)`
+    give, bit for bit.
+    """
+
+    def __init__(self, truths, boundary=0.0):
+        self.truths = np.asarray(truths, dtype=float)
+        if self.truths.size == 0:
+            raise MetricError("empty input")
+        self.boundary = boundary
+        self.signs = np.sign(self.truths - boundary)
+        self._scratch = np.empty_like(self.truths)
+        self._same = np.empty(self.truths.shape, dtype=bool)
+
+    def __call__(self, preds):
+        """(RMSE, boundary accuracy) of preds."""
+        if preds.shape != self.truths.shape:
+            raise MetricError(f"length mismatch: {preds.shape} vs "
+                              f"{self.truths.shape}")
+        resid = np.subtract(preds, self.truths, out=self._scratch)
+        loss = residual_rmse(resid, resid)
+        return loss, _accuracy(preds, self.signs, self.boundary,
+                               self._scratch, self._same)
 
 
 def kfold_split(n_positions, k, seed):

@@ -6,17 +6,22 @@ sign term (gradient zero almost everywhere), so training defaults to a smooth
 tanh surrogate. The training curve records RMSE and boundary accuracy;
 `penalized_loss` evaluates the exact objective, array-wide, on request.
 
-Training allocates nothing per epoch that scales with the number of rows.
-`_Buffers` holds one batch size's per-layer (rows, width) arrays: the
-activations, the back-propagated deltas and the tanh-derivative scratch.
+A training epoch allocates no array. `_Buffers` holds one batch size's
+work arrays: per layer, the (rows, width) activations, back-propagated
+deltas and tanh-derivative scratch; the output gradient and its two
+scratch rows; and the flat parameter gradient with its per-layer views.
 `train_mlp` makes one for its training rows and, with history on and a
 test split, one for the test rows, and passes them to `backward` and
-`predict_batch`, whose ufuncs write through `out=`. Called without
-buffers, those functions make fresh ones, so a public caller's result is
-never overwritten by a later call. A history point's train cells come from
-the next epoch's training forward pass (the one `backward` runs anyway),
-so history costs one forward pass over the test rows per epoch, not one
-over all rows.
+`predict_batch`, whose ufuncs write through `out=`. It copies the model
+once and then steps that copy in place through `rmsprop_step` and a
+`StepWork`. Called without buffers or work, these functions make fresh
+ones (and `rmsprop_step` a new model), so a public caller's result is
+never overwritten by a later call. Either way each product and sum is
+taken in the same order, so both forms give the same bits.
+A history point's train cells come from the next epoch's training forward
+pass (the one `backward` runs anyway), so history costs one forward pass
+over the test rows per epoch, not one over all rows. The points are
+scored by `metrics.Scorer`s that prepare the train and test truths once.
 An `MlpModel` stores its parameters, its rmsprop accumulators and, from
 `backward`, its gradients as flat float64 vectors in one layout (all weight
 matrices in layer order, then all biases), and `MlpModel.split` gives the
@@ -27,11 +32,12 @@ one pass, with the same per-element arithmetic as a per-layer update.
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .als import DivergenceError, check_count
-from .metrics import EvalPoint, rmse, boundary_accuracy
+from .metrics import EvalPoint, Scorer, residual_rmse, rmse
 
 
 @dataclass
@@ -61,6 +67,10 @@ class MlpModel:
         views = [flat[a:b].reshape(s)
                  for a, b, s in zip(bounds, bounds[1:], shapes)]
         return views[:len(sizes) - 1], views[len(sizes) - 1:]
+
+    def copy(self):
+        return MlpModel(self.params.copy(), self.sq_grads.copy(),
+                        self.layer_sizes)
 
 
 @dataclass(frozen=True)
@@ -106,15 +116,21 @@ def init_mlp(layer_sizes, seed):
 
 
 class _Buffers:
-    """Work arrays for one batch size: per layer, its (rows, width)
-    activations, and per hidden layer the back-propagated delta and the
-    tanh-derivative scratch. Each call that is given them overwrites them."""
+    """Work arrays for one batch size of one network shape: per layer, its
+    (rows, width) activations, and per hidden layer the back-propagated
+    delta and the tanh-derivative scratch; the output gradient and two
+    scratch rows, (3, rows); and a flat gradient in the layout of
+    `model.params` with its per-layer views `grad_w`/`grad_b`. Each call
+    that is given them overwrites them."""
 
-    def __init__(self, layer_sizes, rows):
-        widths = layer_sizes[1:]
+    def __init__(self, model, rows):
+        widths = model.layer_sizes[1:]
         self.acts = [np.empty((rows, w)) for w in widths]
         self.deltas = [np.empty((rows, w)) for w in widths[:-1]]
         self.scratch = [np.empty((rows, w)) for w in widths[:-1]]
+        self.output_rows = np.empty((3, rows))
+        self.grad = np.empty_like(model.params)
+        self.grad_w, self.grad_b = model.split(self.grad)
 
 
 def _forward_batch(model, inputs, buffers=None):
@@ -122,7 +138,7 @@ def _forward_batch(model, inputs, buffers=None):
     are written into `buffers` (fresh ones if not given)."""
     acts = [np.asarray(inputs, dtype=float)]
     if buffers is None:
-        buffers = _Buffers(model.layer_sizes, acts[0].shape[0])
+        buffers = _Buffers(model, acts[0].shape[0])
     n_layers = len(model.weights)
     for li, (w, b, z) in enumerate(zip(model.weights, model.biases,
                                        buffers.acts)):
@@ -172,42 +188,60 @@ def surrogate_objective(preds, truths, cfg):
     return loss - cfg.beta * float(pen)
 
 
-def _output_gradient(preds, truths, cfg):
-    """d(objective)/d(pred) for the full batch."""
+def _output_gradient(preds, truths, cfg, out=None):
+    """d(objective)/d(pred) for the full batch, written into out[0]. out is
+    a (3, batch) array whose other two rows are scratch; a new one if not
+    given."""
     n = preds.size
-    resid = preds - truths
-    r = rmse(preds, truths)
+    if out is None:
+        out = np.empty((3, n))
+    grad, th, t_c = out
+    resid = np.subtract(preds, truths, out=grad)
+    r = residual_rmse(resid, out=th)
     # RMSE = 0 means every residual is 0; the gradient limit is taken as 0
-    grad = np.zeros_like(preds) if r == 0 else resid / (n * r)
+    if r == 0:
+        grad.fill(0.0)
+    else:
+        grad /= n * r
     if cfg.beta != 0 and cfg.use_smooth_surrogate:
         kappa = cfg.surrogate_sharpness
         k = len(cfg.boundaries)
         for c in cfg.boundaries:
-            th = np.tanh(kappa * (preds - c) * (truths - c))
-            grad -= cfg.beta / (n * k) * kappa * (truths - c) * (1.0 - th * th)
+            # grad -= beta / (n k) * kappa * (truths - c) * (1 - th**2),
+            # th = tanh(kappa * (preds - c) * (truths - c)), in that order
+            np.subtract(preds, c, out=th)
+            th *= kappa
+            np.subtract(truths, c, out=t_c)
+            th *= t_c
+            np.tanh(th, out=th)
+            np.multiply(th, th, out=th)
+            np.subtract(1.0, th, out=th)
+            t_c *= cfg.beta / (n * k) * kappa
+            t_c *= th
+            grad -= t_c
     return grad
 
 
 def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
-    """Gradient of the training objective, one new flat vector in the
-    layout of `model.params`.
+    """Gradient of the training objective, a flat vector in the layout of
+    `model.params`: `buffers.grad`, which the next call given the same
+    buffers overwrites (fresh buffers if not given).
 
     With the surrogate off the penalty contributes nothing (the true sign
-    term has zero gradient almost everywhere). The forward pass and the
-    hidden deltas use `buffers` (fresh ones if not given).
+    term has zero gradient almost everywhere).
     """
     inputs = np.atleast_2d(np.asarray(batch_inputs, dtype=float))
     truths = np.asarray(batch_truths, dtype=float)
     if inputs.shape[0] != truths.size:
         raise ValueError("batch size mismatch")
     if buffers is None:
-        buffers = _Buffers(model.layer_sizes, inputs.shape[0])
+        buffers = _Buffers(model, inputs.shape[0])
     acts = _forward_batch(model, inputs, buffers)
     preds = acts[-1][:, 0]
 
-    grad = np.empty_like(model.params)
-    grad_w, grad_b = model.split(grad)
-    delta = _output_gradient(preds, truths, cfg)[:, None]  # (batch, 1)
+    grad_w, grad_b = buffers.grad_w, buffers.grad_b
+    delta = _output_gradient(preds, truths, cfg,
+                             buffers.output_rows)[:, None]  # (batch, 1)
     for li in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[li].T, delta, out=grad_w[li])
         np.sum(delta, axis=0, out=grad_b[li])
@@ -218,26 +252,56 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
             np.square(acts[li], out=deriv)
             np.subtract(1.0, deriv, out=deriv)
             delta = np.multiply(nxt, deriv, out=nxt)
-    return grad
+    return buffers.grad
 
 
-def rmsprop_step(model, grad, cfg):
-    """One rmsprop update for the flat gradient `grad`; returns a new model,
-    accumulators included, and leaves the input model as it was."""
+class StepWork(NamedTuple):
+    """Work vectors for rmsprop_step, each the size of `model.params`: the
+    step, its denominator and the finiteness flags."""
+
+    step: np.ndarray
+    denom: np.ndarray
+    finite: np.ndarray
+
+    @classmethod
+    def like(cls, model):
+        p = model.params
+        return cls(np.empty_like(p), np.empty_like(p),
+                   np.empty(p.shape, dtype=bool))
+
+
+def rmsprop_step(model, grad, cfg, work=None):
+    """One rmsprop update for the flat gradient `grad`.
+
+    Given work (a StepWork for the model), it updates `model.params` and
+    `model.sq_grads` in place and returns the model; without it, the model
+    is left as it was and a new one, accumulators included, is returned.
+    A non-finite parameter raises DivergenceError(-1), after the update.
+    """
+    if work is None:
+        model = model.copy()
+        work = StepWork.like(model)
+    step, denom, finite = work
     decay = cfg.rmsprop_decay
-    sq = decay * model.sq_grads
-    sq += (1.0 - decay) * grad * grad
-    step = cfg.rmsprop_learning_rate * grad
-    step /= np.sqrt(sq) + cfg.rmsprop_epsilon
-    params = model.params - step
-    if not np.isfinite(params).all():
+    # sq_grads <- decay * sq_grads + (1 - decay) * grad * grad
+    model.sq_grads *= decay
+    np.multiply(grad, 1.0 - decay, out=step)
+    step *= grad
+    model.sq_grads += step
+    # params <- params - learning_rate * grad / (sqrt(sq_grads) + epsilon)
+    np.multiply(grad, cfg.rmsprop_learning_rate, out=step)
+    np.sqrt(model.sq_grads, out=denom)
+    denom += cfg.rmsprop_epsilon
+    step /= denom
+    model.params -= step
+    if not np.isfinite(model.params, out=finite).all():
         raise DivergenceError(-1)
-    return MlpModel(params, sq, model.layer_sizes)
+    return model
 
 
-def _with_train_cells(point, p_tr, truths_tr, b0):
-    return EvalPoint(**point, train_loss=rmse(p_tr, truths_tr),
-                     train_accuracy=boundary_accuracy(p_tr, truths_tr, b0))
+def _with_train_cells(point, scores):
+    loss, accuracy = scores
+    return EvalPoint(**point, train_loss=loss, train_accuracy=accuracy)
 
 
 def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
@@ -261,34 +325,37 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
         raise ValueError("empty training set")
 
     inputs_tr, truths_tr = inputs[tr], truths[tr]
+    model = model.copy()  # stepped in place from here on
     # allocated once: each epoch overwrites them
-    train_buffers = _Buffers(model.layer_sizes, tr.size)
+    train_buffers = _Buffers(model, tr.size)
+    step_work = StepWork.like(model)
+    b0 = loss_cfg.boundaries[0]
+    if record_history:
+        score_train = Scorer(truths_tr, b0)
     with_test = record_history and te is not None and te.size > 0
     if with_test:
-        inputs_te, truths_te = inputs[te], truths[te]
-        test_buffers = _Buffers(model.layer_sizes, te.size)
-    b0 = loss_cfg.boundaries[0]
+        inputs_te = inputs[te]
+        score_test = Scorer(truths[te], b0)
+        test_buffers = _Buffers(model, te.size)
     history = []
     point = None  # the previous epoch's cells, still without its train cells
     for epoch in range(train_cfg.epochs):
         grad = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
         if point is not None:
             history.append(_with_train_cells(
-                point, train_buffers.acts[-1][:, 0], truths_tr, b0))
+                point, score_train(train_buffers.acts[-1][:, 0])))
         try:
-            model = rmsprop_step(model, grad, train_cfg)
+            model = rmsprop_step(model, grad, train_cfg, step_work)
         except DivergenceError:
             raise DivergenceError(epoch)
         if not record_history:
             continue
         point = {"epoch_or_round": start_epoch + epoch}
         if with_test:
-            p_te = predict_batch(model, inputs_te, test_buffers)
-            point.update(
-                test_loss=rmse(p_te, truths_te),
-                test_accuracy=boundary_accuracy(p_te, truths_te, b0))
+            point["test_loss"], point["test_accuracy"] = score_test(
+                predict_batch(model, inputs_te, test_buffers))
     if point is not None:
         history.append(_with_train_cells(
-            point, predict_batch(model, inputs_tr, train_buffers), truths_tr,
-            b0))
+            point, score_train(predict_batch(model, inputs_tr,
+                                             train_buffers))))
     return model, history

@@ -21,7 +21,7 @@ from . import alsdl as alsdl_mod
 from . import data as data_mod
 from .active import ActiveConfig
 from .alsdl import AlsdlConfig
-from .als import AlsConfig, DivergenceError
+from .als import AlsConfig, ConfigError, DivergenceError
 from .metrics import kfold_split
 
 SCHEMA_VERSION = 2
@@ -90,15 +90,6 @@ class ExperimentConfig:
                 or self.folds < 2):
             raise ValueError("folds must be an integer of at least 2, "
                              f"not {self.folds!r}")
-
-
-class ConfigError(ValueError):
-    """A config value the loaded data cannot satisfy; `key` is its dotted
-    name in the config."""
-
-    def __init__(self, key, message):
-        super().__init__(message)
-        self.key = key
 
 
 def _check_against_positions(key, value, matrices):

@@ -9,7 +9,8 @@ import alsal.alsdl as alsdl_mod
 from alsal.active import (ActiveConfig, expected_losses, init_state,
                           query_elm, query_orderly, query_random,
                           query_uncertainty, run_active_learning)
-from alsal.als import AlsConfig, DivergenceError, init_embeddings, train_als
+from alsal.als import (AlsConfig, ConfigError, DivergenceError,
+                       init_embeddings, train_als)
 from alsal.alsdl import AlsdlConfig, alsdl_predict_positions, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.metrics import rmse
@@ -316,6 +317,17 @@ class TestActiveConfigChecks:
         message = f"{field} must be a {kind} integer, not {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(**{field: value})
+
+    def test_rejects_unknown_strategy(self):
+        # run_active_learning(m, ActiveConfig(strategy="rand")) trained
+        # round 0 and only then failed in _select; now the config fails
+        message = ("unknown strategy 'rand'; known: orderly, random, "
+                   "uncertainty, elm")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as e:
+            ActiveConfig(strategy="rand", n_init=6)
+        assert e.value.key == "strategy"
+        with pytest.raises(ValueError, match="unknown strategy"):
+            replace(ActiveConfig(), strategy="ELM")
 
     def test_accepts_lowest_counts(self):
         assert ActiveConfig(n_init=1, n_max_query=0,

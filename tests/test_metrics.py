@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from alsal.metrics import (MetricError, boundary_accuracy, kfold_split, rmse)
+from alsal.metrics import (MetricError, Scorer, boundary_accuracy,
+                           kfold_split, residual_rmse, rmse)
 
 finite_lists = st.lists(st.floats(-100, 100), min_size=1, max_size=30)
 
@@ -75,6 +76,43 @@ class TestMeansEqualNpMean:
         assert rmse([0.3], [-0.1]) == self.np_mean_rmse([0.3], [-0.1])
         assert boundary_accuracy([0.3], [-0.1]) == 0.0
         assert type(boundary_accuracy([0.3], [0.1])) is float
+
+
+class TestScorer:
+    """A Scorer gives rmse and boundary_accuracy's values with ==, call
+    after call on its reused scratch arrays."""
+
+    @pytest.mark.parametrize("boundary", [0.0, 0.3, -0.5])
+    @pytest.mark.parametrize("n", [1, 7, 129, 1071])
+    def test_equals_checked_functions(self, n, boundary, rng):
+        t = rng.normal(size=n)
+        score = Scorer(t, boundary)
+        for _ in range(3):
+            p = rng.normal(size=n)
+            assert score(p) == (rmse(p, t), boundary_accuracy(p, t, boundary))
+
+    @pytest.mark.parametrize("boundary", [0.0, -0.0, 0.5])
+    def test_zeros_and_boundary_hits(self, boundary):
+        grid = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nextafter(0.0, 1)]
+        p, t = (a.ravel() for a in np.meshgrid(grid, grid))
+        score = Scorer(t, boundary)
+        assert score(p) == (rmse(p, t), boundary_accuracy(p, t, boundary))
+        assert score(t) == (0.0, 1.0)
+        assert Scorer([0.0], boundary)(np.array([-0.0])) == (0.0, 1.0)
+
+    def test_checks(self):
+        with pytest.raises(MetricError, match="empty input"):
+            Scorer([])
+        with pytest.raises(MetricError, match="length mismatch"):
+            Scorer([1.0, 2.0])(np.zeros(3))
+
+    def test_residual_rmse_keeps_its_input_unless_given_it(self, rng):
+        p, t = rng.normal(size=11), rng.normal(size=11)
+        resid = p - t
+        kept = resid.copy()
+        assert residual_rmse(resid) == rmse(p, t)
+        np.testing.assert_array_equal(resid, kept)
+        assert residual_rmse(resid, resid) == rmse(p, t)
 
 
 class TestBoundaryAccuracy:

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from alsal.als import DivergenceError
 from alsal.metrics import FoldSplit, rmse
-from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, backward, init_mlp,
+from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, StepWork,
+                       _Buffers, _output_gradient, backward, init_mlp,
                        penalized_loss, predict_batch, rmsprop_step,
                        sign_penalty, surrogate_objective, train_mlp)
 
@@ -439,3 +443,116 @@ class TestLossConfig:
     def test_accepts_increasing(self):
         assert LossConfig(boundaries=(-0.5, 0.0, 0.5)).boundaries \
             == (-0.5, 0.0, 0.5)
+
+
+def reference_output_gradient(preds, truths, cfg):
+    """_output_gradient as it was written before it took scratch rows: every
+    temporary a new array."""
+    n = preds.size
+    resid = preds - truths
+    r = rmse(preds, truths)
+    grad = np.zeros_like(preds) if r == 0 else resid / (n * r)
+    if cfg.beta != 0 and cfg.use_smooth_surrogate:
+        kappa = cfg.surrogate_sharpness
+        k = len(cfg.boundaries)
+        for c in cfg.boundaries:
+            th = np.tanh(kappa * (preds - c) * (truths - c))
+            grad -= cfg.beta / (n * k) * kappa * (truths - c) * (1.0 - th * th)
+    return grad
+
+
+class TestInPlaceForms:
+    """Each function that writes into work arrays gives, with ==, what its
+    allocating form gives, also when the work arrays hold an earlier
+    call's values."""
+
+    LOSSES = [LossConfig(), LossConfig(beta=0.0),
+              LossConfig(use_smooth_surrogate=False),
+              LossConfig(boundaries=(-0.5, 0.0, 0.5))]
+
+    @pytest.mark.parametrize("cfg", LOSSES)
+    @pytest.mark.parametrize("case", ["random", "all_zero_residuals",
+                                      "boundary_hits"])
+    def test_output_gradient(self, rng, cfg, case):
+        truths = rng.normal(size=12)
+        if case == "random":
+            preds = rng.normal(size=12)
+        elif case == "all_zero_residuals":  # the r == 0 branch
+            preds = truths.copy()
+        else:
+            preds = rng.normal(size=12)
+            preds[:3] = truths[3:6] = (-0.5, 0.0, 0.5)
+            truths[:3] = (0.0, 0.5, -0.0)
+        want = reference_output_gradient(preds, truths, cfg)
+        fresh = _output_gradient(preds, truths, cfg)
+        out = rng.normal(size=(3, 12))  # stale values
+        got = _output_gradient(preds, truths, cfg, out)
+        assert np.shares_memory(got, out[0])
+        np.testing.assert_array_equal(fresh, want)
+        np.testing.assert_array_equal(got, want)
+        if case == "all_zero_residuals" and (
+                cfg.beta == 0 or not cfg.use_smooth_surrogate):
+            assert not got.any()
+
+    @pytest.mark.parametrize("cfg", LOSSES)
+    def test_backward(self, rng, cfg):
+        model = init_mlp([3, 6, 4, 1], seed=2)
+        x, t = rng.normal(size=(9, 3)), rng.normal(size=9)
+        buffers = _Buffers(model, 9)
+        backward(init_mlp([3, 6, 4, 1], seed=5), x[::-1], -t, cfg, buffers)
+        got = backward(model, x, t, cfg, buffers)
+        assert got is buffers.grad
+        np.testing.assert_array_equal(got, backward(model, x, t, cfg))
+        np.testing.assert_array_equal(
+            got, to_flat(sum(reference_backward(model, x, t, cfg), [])))
+
+    def test_rmsprop_step(self, rng):
+        model = init_mlp([3, 6, 4, 1], seed=2)
+        model.sq_grads[:] = rng.uniform(0, 1, size=model.sq_grads.size)
+        cfg = MlpTrainConfig()
+        grad = rng.normal(size=model.params.size)
+        want = rmsprop_step(model, grad, cfg)
+        in_place = model.copy()
+        work = StepWork.like(model)
+        work.step[:] = work.denom[:] = np.nan  # stale values
+        got = rmsprop_step(in_place, grad, cfg, work)
+        assert got is in_place
+        np.testing.assert_array_equal(got.params, want.params)
+        np.testing.assert_array_equal(got.sq_grads, want.sq_grads)
+        # the allocating form left its input as it was
+        assert not np.shares_memory(want.params, model.params)
+        assert (want.params != model.params).any()
+
+    def test_rmsprop_step_divergence(self, rng):
+        model = init_mlp([3, 6, 4, 1], seed=2)
+        cfg = MlpTrainConfig(rmsprop_learning_rate=1e308)
+        grad = rng.normal(size=model.params.size)
+        before = model.params.copy()
+        with np.errstate(over="ignore"):
+            for work in (None, StepWork.like(model)):
+                with pytest.raises(DivergenceError) as e:
+                    rmsprop_step(model if work is None else model.copy(),
+                                 grad, cfg, work)
+                assert e.value.epoch == -1
+        np.testing.assert_array_equal(model.params, before)
+
+
+class TestTrainingAllocations:
+    def test_epochs_allocate_nothing_that_scales_with_rows(self, rng):
+        # A (rows,) float64 vector is 160 KB at 20,000 rows. Before training
+        # stepped in place, 20 epochs allocated about 1 MB more at peak than
+        # none; numpy's fixed buffer for the broadcast bias add stays.
+        rows = 20_000
+        x, t = rng.normal(size=(rows, 10)), rng.normal(size=rows)
+        model = init_mlp([10, 20, 10, 5, 1], seed=0)
+
+        def peak(epochs):
+            tracemalloc.start()
+            try:
+                train_mlp(model, x, t, MlpTrainConfig(epochs=epochs),
+                          LossConfig(), record_history=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(1)  # first-call caches, outside the comparison
+        assert peak(20) - peak(0) < rows * 8

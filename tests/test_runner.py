@@ -414,7 +414,12 @@ class TestCli:
          "invalid config key 'als': d must be a positive integer, not 0"),
         ({"alsdl": {"mlp_train": {"epochs": -1}}},
          "invalid config key 'alsdl.mlp_train': epochs must be a "
-         "non-negative integer, not -1")])
+         "non-negative integer, not -1"),
+        # the field's own name: the runner overrides it per --strategy
+        # entry, so only ActiveConfig's check sees it
+        ({"active": {"strategy": "rand"}},
+         "invalid config key 'active.strategy': unknown strategy 'rand'; "
+         "known: orderly, random, uncertainty, elm")])
     def test_config_file_value_rejected(self, tmp_path, raw, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
