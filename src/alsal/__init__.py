@@ -6,11 +6,14 @@ pool-based active-learning engine with an expected-loss-minimization
 query strategy.
 """
 
+# set before the imports: the runner records it in every manifest
+__version__ = "0.1.0"
+
 from .data import (MaskedMatrix, Observation, DatasetSummary, as_positions,
                    compute_gr, compute_ifd, parse_dataset,
                    select_common_concentrations, build_response_matrix,
                    generate_synthetic, summarize)
-from .metrics import EvalPoint, FoldSplit, rmse, boundary_accuracy, kfold_split
+from .metrics import Curve, FoldSplit, rmse, boundary_accuracy, kfold_split
 from .als import (AlsConfig, EmbeddingPair, DivergenceError, init_embeddings,
                   als_loss, als_gradients, als_epoch, train_als)
 from .mlp import (LossConfig, MlpModel, MlpTrainConfig, init_mlp, sign_penalty,
@@ -23,5 +26,3 @@ from .active import (ActiveConfig, ActiveState, LearningCurvePoint, init_state,
                      run_active_learning)
 from .runner import (ExperimentConfig, SyntheticSpec, Report, run_benchmark,
                      run_al_study, aggregate_concentrations, write_report)
-
-__version__ = "0.1.0"

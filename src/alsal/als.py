@@ -9,6 +9,9 @@ positions only. No regularization term; the loss is
 The gradient and epoch functions also take stacks of problems: leading
 axes of x, w and the matrix's values and mask are batch axes, and each
 slice is computed exactly as it would be on its own.
+
+`train_als` writes each epoch's x @ w into a row of a (HISTORY_BLOCK,
+m*n) block, and scores each filled block in one pass.
 """
 
 import numbers
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import EvalPoint, Scorer
+from .metrics import Curve, Scorer
 
 
 class DivergenceError(RuntimeError):
@@ -141,28 +144,16 @@ def als_epoch(matrix, emb, alpha, simultaneous=False, work=None):
     return emb
 
 
-def _eval_point(epoch, emb, train_idx, test_idx, score_train, score_test):
-    """Curve point at flat row-major position indices, scored by the
-    Scorers of the truths there (score_test None without test positions)."""
-    full = (emb.x @ emb.w).ravel()
-    train_loss, train_accuracy = score_train(full[train_idx])
-    test_loss = test_accuracy = None
-    if score_test is not None:
-        test_loss, test_accuracy = score_test(full[test_idx])
-    return EvalPoint(epoch, train_loss=train_loss, test_loss=test_loss,
-                     train_accuracy=train_accuracy,
-                     test_accuracy=test_accuracy)
-
-
 def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
               record_history=True):
-    """Run cfg.epochs alternating epochs; returns embeddings and curve.
+    """Run cfg.epochs alternating epochs; returns embeddings and a Curve
+    numbered from start_epoch.
 
     When eval_positions (a FoldSplit over matrix.observed_positions()) is
-    given, test positions are masked out of training and per-epoch
-    train/test RMSE and boundary accuracy are recorded. record_history=False
-    skips per-epoch evaluation (used for the many throwaway models inside
-    the ELM query).
+    given, test positions are masked out of training and scored in the
+    curve's test columns. record_history=False skips per-epoch evaluation
+    and returns None for the curve (used for the many throwaway models
+    inside the ELM query).
     """
     observed = matrix.observed_positions()
     if not observed.size:
@@ -177,17 +168,26 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
 
     if record_history:
         values = matrix.values.ravel()  # the truths, prepared once
-        scorers = (Scorer(values[train_idx]),
-                   Scorer(values[test_idx]) if test_idx.size else None)
+        scored = [(Scorer(values[idx], epochs=cfg.epochs), idx)
+                  for idx in (train_idx, test_idx) if idx.size]
+        full = np.empty((len(scored[0][0].block), values.size))
     emb = init_embeddings(*matrix.shape, cfg)
     work = EpochWork.like(emb)
-    history = []
     for epoch in range(cfg.epochs):
         emb = als_epoch(train_matrix, emb, cfg.learning_rate,
                         simultaneous=cfg.simultaneous_updates, work=work)
         if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
             raise DivergenceError(epoch)
-        if record_history:
-            history.append(_eval_point(start_epoch + epoch, emb, train_idx,
-                                       test_idx, *scorers))
-    return emb, history
+        if not record_history:
+            continue
+        row = epoch % len(full)
+        np.matmul(emb.x, emb.w, out=full[row].reshape(matrix.shape))
+        if row == len(full) - 1 or epoch == cfg.epochs - 1:
+            for scorer, idx in scored:
+                # mode="clip" writes straight into out; idx is in range
+                np.take(full[:row + 1], idx, axis=1, mode="clip",
+                        out=scorer.block[:row + 1])
+                scorer.score(row + 1)
+    if not record_history:
+        return emb, None
+    return emb, Curve.scored(start_epoch, *(s for s, _ in scored))

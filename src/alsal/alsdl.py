@@ -43,13 +43,14 @@ def build_features(emb, positions, molecule_first=False):
 
 
 def train_alsdl(matrix, cfg, eval_split=None, record_history=True):
-    """Train both stages; the returned curve covers stage 1 then stage 2.
+    """Train both stages; returns the model and one Curve that covers
+    stage 1 then stage 2 (None when record_history is False).
 
     Stage-2 epochs continue the stage-1 numbering so the handover between
     the factor model and the network stays visible in the curve.
     """
-    emb, als_history = als_mod.train_als(matrix, cfg.als, eval_split,
-                                         record_history=record_history)
+    emb, curve = als_mod.train_als(matrix, cfg.als, eval_split,
+                                   record_history=record_history)
 
     positions = matrix.observed_positions()
     inputs = build_features(emb, positions, cfg.molecule_first)
@@ -57,16 +58,12 @@ def train_alsdl(matrix, cfg, eval_split=None, record_history=True):
 
     net = mlp_mod.init_mlp([2 * emb.d, *cfg.hidden_sizes, 1],
                            seed=cfg.mlp_train.seed)
-    if cfg.mlp_train.epochs > 0:
-        net, mlp_history = mlp_mod.train_mlp(
-            net, inputs, truths, cfg.mlp_train, cfg.loss,
-            eval_split=eval_split, start_epoch=cfg.als.epochs,
-            record_history=record_history)
-    else:
-        mlp_history = []
+    net, mlp_curve = mlp_mod.train_mlp(
+        net, inputs, truths, cfg.mlp_train, cfg.loss, eval_split=eval_split,
+        start_epoch=cfg.als.epochs, record_history=record_history)
     model = AlsdlModel(embeddings=emb, net=net, loss_cfg=cfg.loss,
                        molecule_first=cfg.molecule_first)
-    return model, als_history + mlp_history
+    return model, None if curve is None else curve.then(mlp_curve)
 
 
 def alsdl_predict_positions(model, positions):

@@ -18,10 +18,10 @@ once and then steps that copy in place through `rmsprop_step` and a
 ones (and `rmsprop_step` a new model), so a public caller's result is
 never overwritten by a later call. Either way each product and sum is
 taken in the same order, so both forms give the same bits.
-A history point's train cells come from the next epoch's training forward
-pass (the one `backward` runs anyway), so history costs one forward pass
-over the test rows per epoch, not one over all rows. The points are
-scored by `metrics.Scorer`s that prepare the train and test truths once.
+An epoch's train history cells come from the next epoch's training
+forward pass (the one `backward` runs anyway), so history costs one
+forward pass over the test rows per epoch. Two `metrics.Scorer`s score the
+train and test cells HISTORY_BLOCK epochs at a time.
 An `MlpModel` stores its parameters, its rmsprop accumulators and, from
 `backward`, its gradients as flat float64 vectors in one layout (all weight
 matrices in layer order, then all biases), and `MlpModel.split` gives the
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .als import DivergenceError, check_count
-from .metrics import EvalPoint, Scorer, residual_rmse, rmse
+from .metrics import Curve, Scorer, residual_rmse, rmse
 
 
 @dataclass
@@ -299,20 +299,17 @@ def rmsprop_step(model, grad, cfg, work=None):
     return model
 
 
-def _with_train_cells(point, scores):
-    loss, accuracy = scores
-    return EvalPoint(**point, train_loss=loss, train_accuracy=accuracy)
-
-
 def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
               start_epoch=0, record_history=True):
     """Full-batch rmsprop training; deterministic given the initial model.
+    Returns the trained model and a Curve numbered from start_epoch, or
+    None for the curve when record_history is False.
 
     eval_split indexes rows of `inputs`; training uses the train rows only.
-    History point e takes its train cells from the forward pass of epoch
-    e + 1's `backward`, which runs on the model that epoch e left (the last
-    point from one more pass over the train rows), and its test cells from
-    a pass over the test rows alone.
+    Epoch e's train cells come from the forward pass of epoch e + 1's
+    `backward`, which runs on the model that epoch e left (the last epoch's
+    from one more pass over the train rows), and its test cells from a pass
+    over the test rows alone.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     truths = np.asarray(truths, dtype=float)
@@ -329,33 +326,26 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     # allocated once: each epoch overwrites them
     train_buffers = _Buffers(model, tr.size)
     step_work = StepWork.like(model)
-    b0 = loss_cfg.boundaries[0]
+    epochs, b0 = train_cfg.epochs, loss_cfg.boundaries[0]
+    scorers = []
     if record_history:
-        score_train = Scorer(truths_tr, b0)
-    with_test = record_history and te is not None and te.size > 0
-    if with_test:
-        inputs_te = inputs[te]
-        score_test = Scorer(truths[te], b0)
-        test_buffers = _Buffers(model, te.size)
-    history = []
-    point = None  # the previous epoch's cells, still without its train cells
-    for epoch in range(train_cfg.epochs):
+        scorers.append(Scorer(truths_tr, b0, epochs))
+        if te is not None and te.size > 0:
+            inputs_te = inputs[te]
+            scorers.append(Scorer(truths[te], b0, epochs))
+            test_buffers = _Buffers(model, te.size)
+    for epoch in range(epochs):
         grad = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
-        if point is not None:
-            history.append(_with_train_cells(
-                point, score_train(train_buffers.acts[-1][:, 0])))
+        if scorers and epoch:  # the previous epoch's train cells
+            scorers[0].add(train_buffers.acts[-1][:, 0])
         try:
             model = rmsprop_step(model, grad, train_cfg, step_work)
         except DivergenceError:
             raise DivergenceError(epoch)
-        if not record_history:
-            continue
-        point = {"epoch_or_round": start_epoch + epoch}
-        if with_test:
-            point["test_loss"], point["test_accuracy"] = score_test(
-                predict_batch(model, inputs_te, test_buffers))
-    if point is not None:
-        history.append(_with_train_cells(
-            point, score_train(predict_batch(model, inputs_tr,
-                                             train_buffers))))
-    return model, history
+        if len(scorers) == 2:
+            scorers[1].add(predict_batch(model, inputs_te, test_buffers))
+    if not record_history:
+        return model, None
+    if epochs:
+        scorers[0].add(predict_batch(model, inputs_tr, train_buffers))
+    return model, Curve.scored(start_epoch, *scorers)

@@ -3,18 +3,23 @@ and CSV report emission with concentration averaging.
 
 Report schema 2 (manifest "schema_version"): a cv_summary or learning_curves
 row has status ok or diverged; a diverged one holds only its key and
-diverged_epoch. For mean rows see aggregate_concentrations."""
+diverged_epoch. For mean rows see aggregate_concentrations. Only the
+manifest records the environment; the data CSVs do not depend on it."""
 
 import csv
 import hashlib
 import json
 import numbers
+import os
+import platform
 import time
 from dataclasses import dataclass, field, asdict, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import active as active_mod
 from . import als as als_mod
 from . import alsdl as alsdl_mod
@@ -39,7 +44,8 @@ METRIC_COLUMNS = frozenset({
     "full_rmse", "full_accuracy", "train_loss", "test_loss", "train_accuracy",
     "test_accuracy", "mean_test_loss", "mean_test_accuracy"})
 # neither metrics nor part of the key that aggregate_concentrations groups by
-_UNGROUPED = METRIC_COLUMNS | {"concentration", "status", "diverged_epoch"}
+_UNGROUPED = METRIC_COLUMNS | {"concentration", "status", "diverged_epoch",
+                               "epoch_or_round"}
 
 
 @dataclass
@@ -105,6 +111,9 @@ def _check_against_positions(key, value, matrices):
 
 @dataclass
 class Report:
+    """Tables of row dicts; a training_curves row holds one fold's Curve,
+    an array per curve column, and is written as one line per epoch."""
+
     metadata: dict
     training_curves: list = field(default_factory=list)
     learning_curves: list = field(default_factory=list)
@@ -117,8 +126,14 @@ def config_digest(config):
 
 
 def _metadata(config):
+    blas = {k: v for k, v in sorted(os.environ.items())
+            if k.startswith("OPENBLAS_")
+            or k in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     return {"schema_version": SCHEMA_VERSION, "config": asdict(config),
             "config_hash": config_digest(config),
+            "environment": {"alsal": __version__,
+                            "python": platform.python_version(),
+                            "numpy": np.__version__, **blas},
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
 
 
@@ -164,21 +179,16 @@ def run_benchmark(config):
                 for fold_idx, split in enumerate(
                         kfold_split(n_obs, config.folds, seed)):
                     try:
-                        history = _train_one(config, model_name, matrix,
-                                             split, seed)
+                        curve = _train_one(config, model_name, matrix,
+                                           split, seed)
                     except DivergenceError as e:
                         report.cv_summary.append(dict(
                             key, status="diverged", diverged_epoch=e.epoch))
                         break
-                    for pt in history:
-                        report.training_curves.append(dict(
-                            key, fold=fold_idx,
-                            epoch_or_round=pt.epoch_or_round,
-                            train_loss=pt.train_loss, test_loss=pt.test_loss,
-                            train_accuracy=pt.train_accuracy,
-                            test_accuracy=pt.test_accuracy))
-                    fold_losses.append(history[-1].test_loss)
-                    fold_accs.append(history[-1].test_accuracy)
+                    report.training_curves.append(
+                        dict(key, fold=fold_idx, **curve._asdict()))
+                    fold_losses.append(curve.test_loss[-1])
+                    fold_accs.append(curve.test_accuracy[-1])
                 else:
                     report.cv_summary.append(dict(
                         key, mean_test_loss=float(np.mean(fold_losses)),
@@ -190,13 +200,13 @@ def run_benchmark(config):
 def _train_one(config, model_name, matrix, split, seed):
     if model_name == "als":
         cfg = replace(config.als, seed=seed)
-        _, history = als_mod.train_als(matrix, cfg, eval_positions=split)
+        _, curve = als_mod.train_als(matrix, cfg, eval_positions=split)
     else:  # "alsdl", the only other name validate accepts
         cfg = replace(config.alsdl,
                       als=replace(config.alsdl.als, seed=seed),
                       mlp_train=replace(config.alsdl.mlp_train, seed=seed + 1))
-        _, history = alsdl_mod.train_alsdl(matrix, cfg, eval_split=split)
-    return history
+        _, curve = alsdl_mod.train_alsdl(matrix, cfg, eval_split=split)
+    return curve
 
 
 def run_al_study(config):
@@ -231,7 +241,8 @@ def aggregate_concentrations(report):
     """Append rows tagged concentration="mean": unweighted arithmetic mean
     across concentrations within each otherwise-identical key. A key gets
     one only when the table has two or more concentrations and each has an
-    ok row for that key, so no mean leaves out a diverged concentration."""
+    ok row for that key, so no mean leaves out a diverged concentration.
+    Curves are averaged entry by entry, over the epochs all of them reach."""
     out = Report(metadata=report.metadata,
                  training_curves=list(report.training_curves),
                  learning_curves=list(report.learning_curves),
@@ -254,18 +265,39 @@ def aggregate_concentrations(report):
                 continue
             mean_row = dict(zip(key_cols, key), concentration="mean")
             for c in value_cols:
-                mean_row[c] = float(np.mean([m[c] for m in members]))
+                mean_row[c] = _mean([m[c] for m in members])
             if "status" in columns:
                 mean_row["status"] = "ok"
+            else:  # a curve: its epochs are the first member's
+                mean_row["epoch_or_round"] = members[0]["epoch_or_round"][
+                    :len(mean_row["train_loss"])]
             rows.append(mean_row)
     return out
 
 
+def _mean(values):
+    """float(np.mean(values)), or for curve cells the same per entry, as
+    the row-wise mean of a C-ordered array gives it."""
+    if not isinstance(values[0], np.ndarray):
+        return float(np.mean(values))
+    n = min(map(len, values))
+    return np.mean(np.ascontiguousarray(np.transpose([v[:n] for v in values])),
+                   axis=1)
+
+
 def _write_csv(path, columns, rows):
+    """Row dicts as CSV lines; a curve row gives one per .tolist() entry."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        for row in rows:
+            cells = [row.get(c) for c in columns]
+            if isinstance(row.get("epoch_or_round"), np.ndarray):
+                writer.writerows(zip(*(
+                    c.tolist() if isinstance(c, np.ndarray) else repeat(c)
+                    for c in cells)))
+            else:
+                writer.writerow(cells)
 
 
 def write_report(report, out_dir):

@@ -89,7 +89,7 @@ def test_rank_recovery():
     cfg = AlsConfig(d=5, learning_rate=0.01, epochs=400, seed=202)
     _, hist = train_als(mat, cfg)
     elapsed = time.time() - t0
-    final = hist[-1].train_loss
+    final = hist.train_loss[-1]
     report("rank recovery", final < 0.05 and elapsed < 30,
            f"train RMSE {final:.2e}, {elapsed:.1f}s")
 

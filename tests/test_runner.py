@@ -1,13 +1,18 @@
 import csv
 import json
+import os
+import platform
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import alsal
 from alsal.active import ActiveConfig
 from alsal.als import AlsConfig
 from alsal.alsdl import AlsdlConfig
 from alsal.cli import _config_from_json, main
+from alsal.metrics import Curve
 from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import (ConfigError, ExperimentConfig, SyntheticSpec,
                           aggregate_concentrations, run_al_study,
@@ -44,8 +49,9 @@ class TestRunBenchmark:
         for r in report.cv_summary:
             assert 0.0 <= r["mean_test_accuracy"] <= 1.0
         # 3 folds x (20 als epochs) + 3 folds x (15+15 alsdl epochs)
-        als_rows = [r for r in report.training_curves if r["model"] == "als"]
-        assert len(als_rows) == 3 * 20
+        als_rows = sum(len(r["epoch_or_round"])
+                       for r in report.training_curves if r["model"] == "als")
+        assert als_rows == 3 * 20
 
     def test_noise_free_als_fits_well(self):
         cfg = small_config(models=("als",),
@@ -161,6 +167,12 @@ class TestConfigChecks:
         assert not (tmp_path / "run").exists()
 
 
+def curve_row(key, concentration, *columns):
+    """A training_curves row: key cells and a Curve's columns as arrays."""
+    return dict(key, concentration=concentration,
+                **Curve(*map(np.array, columns))._asdict())
+
+
 class TestAggregateConcentrations:
     def test_single_concentration_gets_no_mean_row(self):
         report = Report(metadata={}, learning_curves=[
@@ -199,12 +211,9 @@ class TestAggregateConcentrations:
             dict(al, strategy="elm", concentration="1.0", status="diverged",
                  diverged_epoch=12),
         ], training_curves=[
-            dict(tc, concentration="0.1", epoch_or_round=0, train_loss=1.0,
-                 test_loss=2.0, train_accuracy=0.5, test_accuracy=0.25),
-            dict(tc, concentration="1.0", epoch_or_round=0, train_loss=3.0,
-                 test_loss=4.0, train_accuracy=1.0, test_accuracy=0.75),
-            dict(tc, concentration="1.0", epoch_or_round=1, train_loss=0.5,
-                 test_loss=0.5, train_accuracy=1.0, test_accuracy=1.0),
+            curve_row(tc, "0.1", [0], [1.0], [2.0], [0.5], [0.25]),
+            curve_row(tc, "1.0", [0, 1], [3.0, 0.5], [4.0, 0.5], [1.0, 1.0],
+                      [0.75, 1.0]),
         ], cv_summary=[
             dict(cv, concentration="0.1", mean_test_loss=0.5,
                  mean_test_accuracy=0.25, status="ok"),
@@ -243,6 +252,62 @@ class TestAggregateConcentrations:
             "alsdl,gr,0.1,0,,,diverged,3\r\n"
             "alsdl,gr,1.0,0,1.0,1.0,ok,\r\n"
             "als,gr,mean,0,1.0,0.5,ok,\r\n")
+
+    @pytest.mark.parametrize("n_concs", [3, 9])
+    def test_curve_means_equal_per_key_means(self, n_concs, rng):
+        """Each mean cell is float(np.mean(...)) of its key's cells, as the
+        row-by-row averaging computed it; nine concentrations pass numpy's
+        eight-way unrolled summation."""
+        rows = [curve_row({"model": model, "target": "gr", "seed": 0,
+                           "fold": fold}, repr(0.1 * (c + 1)), range(3, 40),
+                          *rng.normal(size=(4, 37)))
+                for c in range(n_concs) for model in ("als", "alsdl")
+                for fold in (0, 1)]
+        del rows[1]  # als fold 1 misses a concentration: no mean for it
+        out = aggregate_concentrations(Report(metadata={},
+                                              training_curves=rows))
+        means = out.training_curves[len(rows):]
+        assert [(r["model"], r["fold"], r["concentration"]) for r in means] \
+            == [("als", 0, "mean"), ("alsdl", 0, "mean"), ("alsdl", 1, "mean")]
+        for mean in means:
+            members = [r for r in rows if (r["model"], r["fold"])
+                       == (mean["model"], mean["fold"])]
+            assert len(members) == n_concs
+            assert mean["epoch_or_round"].tolist() == list(range(3, 40))
+            for col in Curve._fields[1:]:
+                for e in range(37):
+                    want = float(np.mean([m[col][e] for m in members]))
+                    assert mean[col][e] == want, (mean, col, e)
+
+
+class TestManifestEnvironment:
+    ARGS = ["benchmark", "--synthetic", "6,6,2,0.1", "--models", "als,alsdl",
+            "--folds", "2", "--als-epochs", "5", "--mlp-epochs", "5",
+            "--embedding-dim", "2"]
+
+    def test_recorded_in_the_manifest_only(self, tmp_path, monkeypatch):
+        for var in [k for k in os.environ if k.startswith("OPENBLAS_")] + [
+                "OMP_NUM_THREADS", "MKL_NUM_THREADS"]:
+            monkeypatch.delenv(var, raising=False)
+        main(self.ARGS + ["--out", str(tmp_path / "plain")])
+        # BLAS read these when it loaded: now they are only recorded
+        monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("ALSAL_UNRELATED", "x")
+        main(self.ARGS + ["--out", str(tmp_path / "env")])
+        versions = {"alsal": alsal.__version__,
+                    "python": platform.python_version(),
+                    "numpy": np.__version__}
+        manifests = [json.loads((tmp_path / d / "manifest.json").read_text())
+                     for d in ("plain", "env")]
+        assert manifests[0]["environment"] == versions
+        assert manifests[1]["environment"] == dict(
+            versions, OMP_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell")
+        for name in ("learning_curves.csv", "training_curves.csv",
+                     "cv_summary.csv"):
+            raw = (tmp_path / "env" / name).read_bytes()
+            assert raw == (tmp_path / "plain" / name).read_bytes()
+            assert b"Haswell" not in raw and b"numpy" not in raw
 
 
 class TestCli:
