@@ -23,7 +23,6 @@ import numpy as np
 
 from . import als as als_mod
 from . import alsdl as alsdl_mod
-from .alsdl import AlsdlConfig
 from .metrics import rmse, boundary_accuracy
 
 
@@ -36,7 +35,6 @@ class ActiveConfig:
     n_per_query: int = 40
     n_max_query: int = 8
     strategy: str = "elm"  # one of STRATEGIES
-    model_cfg: AlsdlConfig = field(default_factory=AlsdlConfig)
     elm_inner_epochs: int = 200
     # when set, ELM scores only a seeded random subset of the pool
     elm_candidate_subsample: int = None
@@ -69,7 +67,6 @@ class ActiveState:
     matrix: object  # MaskedMatrix, all labels known
     labeled: np.ndarray  # positions in labelling order, the training set D
     pool: np.ndarray  # positions, the unlabeled pool U
-    round: int = 0
     history: list = field(default_factory=list)
 
 
@@ -132,7 +129,8 @@ def expected_losses(state, model, cfg, inner_seed):
     For candidate x+: label it with the current model's prediction, retrain
     a factor-only model on D plus the pseudo-labeled candidate for
     cfg.elm_inner_epochs epochs, and evaluate its RMSE over D's true labels
-    joined with current-model predictions on the other pool positions. All
+    joined with current-model predictions on the other pool positions. The
+    retrain uses model.cfg.als with the epochs and seed replaced; all
     candidates share the same fresh init seed so scores differ only through
     the candidate.
 
@@ -155,7 +153,7 @@ def expected_losses(state, model, cfg, inner_seed):
         cand = cand[np.sort(keep)]
     pool_preds = alsdl_mod.alsdl_predict_positions(model, pool)
 
-    inner_cfg = replace(cfg.model_cfg.als, epochs=cfg.elm_inner_epochs,
+    inner_cfg = replace(model.cfg.als, epochs=cfg.elm_inner_epochs,
                         seed=inner_seed)
     init = als_mod.init_embeddings(m, n, inner_cfg)
     base_values = np.zeros(m * n)
@@ -240,8 +238,9 @@ def _round_seed(base_seed, rnd):
     return int(np.random.SeedSequence([base_seed, rnd]).generate_state(1)[0])
 
 
-def run_active_learning(matrix, cfg):
-    """Full scheme: init, then train/record/query for n_max_query rounds.
+def run_active_learning(matrix, model_cfg, cfg):
+    """Full scheme: init, then train/record/query for n_max_query rounds,
+    each round training model_cfg (an AlsdlConfig) under its own seed.
 
     Returns the learning curve (one point per training round, evaluated on
     every observed position against ground truth) and the final model.
@@ -252,15 +251,10 @@ def run_active_learning(matrix, cfg):
 
     model = None
     for rnd in range(cfg.n_max_query + 1):
-        state.round = rnd
-        model_seed = _round_seed(cfg.seed, 2 * rnd)
-        model_cfg = replace(
-            cfg.model_cfg,
-            als=replace(cfg.model_cfg.als, seed=model_seed),
-            mlp_train=replace(cfg.model_cfg.mlp_train, seed=model_seed + 1))
         train_matrix = matrix.with_mask(state.labeled)
-        model, _ = alsdl_mod.train_alsdl(train_matrix, model_cfg,
-                                         record_history=False)
+        model, _ = alsdl_mod.train_alsdl(
+            train_matrix, model_cfg.seeded(_round_seed(cfg.seed, 2 * rnd)),
+            record_history=False)
 
         preds = alsdl_mod.alsdl_predict_positions(model, positions)
         point = LearningCurvePoint(

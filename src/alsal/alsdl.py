@@ -5,7 +5,7 @@ position's cell and molecule embeddings and trains the network under the
 penalized loss. Embeddings are frozen after stage 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,13 +25,19 @@ class AlsdlConfig:
     # cell embedding first in the feature vector; flip for ablation
     molecule_first: bool = False
 
+    def seeded(self, seed):
+        """Seed the factor model with seed and the network with seed + 1."""
+        return replace(self, als=replace(self.als, seed=seed),
+                       mlp_train=replace(self.mlp_train, seed=seed + 1))
+
 
 @dataclass
 class AlsdlModel:
+    """A trained composite and the config it was trained with."""
+
     embeddings: EmbeddingPair
     net: MlpModel
-    loss_cfg: LossConfig
-    molecule_first: bool = False
+    cfg: AlsdlConfig
 
 
 def build_features(emb, positions, molecule_first=False):
@@ -43,8 +49,9 @@ def build_features(emb, positions, molecule_first=False):
 
 
 def train_alsdl(matrix, cfg, eval_split=None, record_history=True):
-    """Train both stages; returns the model and one Curve that covers
-    stage 1 then stage 2 (None when record_history is False).
+    """Train both stages; returns the model, which keeps cfg, and one
+    Curve that covers stage 1 then stage 2 (None when record_history is
+    False).
 
     Stage-2 epochs continue the stage-1 numbering so the handover between
     the factor model and the network stays visible in the curve.
@@ -61,12 +68,12 @@ def train_alsdl(matrix, cfg, eval_split=None, record_history=True):
     net, mlp_curve = mlp_mod.train_mlp(
         net, inputs, truths, cfg.mlp_train, cfg.loss, eval_split=eval_split,
         start_epoch=cfg.als.epochs, record_history=record_history)
-    model = AlsdlModel(embeddings=emb, net=net, loss_cfg=cfg.loss,
-                       molecule_first=cfg.molecule_first)
+    model = AlsdlModel(embeddings=emb, net=net, cfg=cfg)
     return model, None if curve is None else curve.then(mlp_curve)
 
 
 def alsdl_predict_positions(model, positions):
     """Predictions at the given positions."""
-    feats = build_features(model.embeddings, positions, model.molecule_first)
+    feats = build_features(model.embeddings, positions,
+                           model.cfg.molecule_first)
     return mlp_mod.predict_batch(model.net, feats)

@@ -14,12 +14,13 @@ def _add_common(p):
     src.add_argument("--dataset", help="path to the sensitivity CSV")
     src.add_argument("--synthetic", metavar="M,N,RANK,NOISE",
                      help="generate a synthetic low-rank matrix instead")
-    p.add_argument("--target", choices=["gr", "ifd", "both"], default="both")
+    p.add_argument("--target", choices=["gr", "ifd", "both"])
     p.add_argument("--concentrations", help="comma-separated list; default: "
                    "all fully-covered concentrations")
-    p.add_argument("--seeds", default="0", help="comma-separated integer seeds")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--config", help="JSON config file (overridden by flags)")
+    p.add_argument("--seeds", help="comma-separated integer seeds")
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--config", help="JSON config file (overridden by the "
+                   "flags given)")
     p.add_argument("--als-epochs", type=int)
     p.add_argument("--mlp-epochs", type=int)
     p.add_argument("--embedding-dim", type=int)
@@ -34,13 +35,12 @@ def build_parser():
     b = sub.add_parser("benchmark", help="10-fold cross-validated model "
                        "comparison (ALS vs ALSDL)")
     _add_common(b)
-    b.add_argument("--models", default="als,alsdl")
-    b.add_argument("--folds", type=int, default=10)
+    b.add_argument("--models")
+    b.add_argument("--folds", type=int)
 
     a = sub.add_parser("al-study", help="active-learning strategy comparison")
     _add_common(a)
-    a.add_argument("--strategy", default="orderly,random,uncertainty,elm",
-                   help="comma-separated subset of "
+    a.add_argument("--strategy", help="comma-separated subset of "
                    "orderly,random,uncertainty,elm")
     a.add_argument("--n-init", type=int)
     a.add_argument("--n-per-query", type=int)
@@ -115,6 +115,7 @@ def _apply_flags(cfg, args):
 
 
 def resolve_config(args):
+    """The --config file, or ExperimentConfig(), under the flags given."""
     cfg = _config_from_json(args.config) if args.config else ExperimentConfig()
     if args.dataset:
         cfg.dataset_path = args.dataset
@@ -123,20 +124,25 @@ def resolve_config(args):
         m, n, rank, noise = args.synthetic.split(",")
         cfg.synthetic = SyntheticSpec(int(m), int(n), int(rank), float(noise))
         cfg.dataset_path = None
-    cfg.targets = ("gr", "ifd") if args.target == "both" else (args.target,)
+    if args.target is not None:
+        cfg.targets = (("gr", "ifd") if args.target == "both"
+                       else (args.target,))
     if args.concentrations:
         cfg.concentrations = _csv_list(args.concentrations, float)
-    cfg.seeds = _csv_list(args.seeds, int)
-    cfg.output_dir = args.out
+    # benchmark has no --strategy, al-study no --models or --folds
+    for flag, name, conv in (("seeds", "seeds", int),
+                             ("models", "models", str),
+                             ("strategy", "strategies", str)):
+        if getattr(args, flag, None) is not None:
+            setattr(cfg, name, _csv_list(getattr(args, flag), conv))
+    if getattr(args, "folds", None) is not None:
+        cfg.folds = args.folds
+    if args.out is not None:
+        cfg.output_dir = args.out
     try:
         _apply_flags(cfg, args)
     except ValueError as e:
         raise SystemExit(f"invalid option: {e}") from e
-    if args.command == "benchmark":
-        cfg.models = _csv_list(args.models)
-        cfg.folds = args.folds
-    else:
-        cfg.strategies = _csv_list(args.strategy)
     try:
         cfg.validate()
     except ValueError as e:

@@ -1,5 +1,6 @@
-"""Experiment runner: cross-validated benchmarks, active-learning studies,
-and CSV report emission with concentration averaging.
+"""Experiment runner: cross-validated benchmarks and active-learning
+studies, each one loop over units (target, concentration, model or
+strategy, seed), and CSV report emission with concentration averaging.
 
 Report schema 2 (manifest "schema_version"): a cv_summary or learning_curves
 row has status ok or diverged; a diverged one holds only its key and
@@ -15,6 +16,7 @@ import platform
 import time
 from dataclasses import dataclass, field, asdict, replace
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +81,6 @@ class ExperimentConfig:
             raise ValueError("at least one seed required")
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("either dataset_path or synthetic must be given")
-        if self.active.model_cfg != AlsdlConfig():
-            raise ValueError("active.model_cfg is not read: the AL study "
-                             "trains the alsdl config, so set alsdl instead")
         for kind, names, known in (
                 ("model", self.models, MODELS),
                 ("strategy", self.strategies, active_mod.STRATEGIES)):
@@ -96,17 +95,6 @@ class ExperimentConfig:
                 or self.folds < 2):
             raise ValueError("folds must be an integer of at least 2, "
                              f"not {self.folds!r}")
-
-
-def _check_against_positions(key, value, matrices):
-    """Raise ConfigError if value exceeds the observed positions of any of
-    the (target, concentration, matrix) triples."""
-    for target, conc, matrix in matrices:
-        n_obs = matrix.observed_positions().size
-        if value > n_obs:
-            raise ConfigError(key, f"{key.rsplit('.', 1)[-1]} = {value} "
-                              f"exceeds the {n_obs} observed positions of "
-                              f"target {target}, concentration {conc}")
 
 
 @dataclass
@@ -164,37 +152,61 @@ def load_matrices(config):
 
 
 def run_benchmark(config):
-    """k-fold cross-validation per target x concentration x model."""
+    """k-fold cross-validation per target x concentration x model x seed."""
+    return _run_units(config, "model", config.models, "cv_summary", "folds",
+                      _cv_unit)
+
+
+def run_al_study(config):
+    """Active-learning curves per target x concentration x strategy x seed;
+    every strategy trains config.alsdl."""
+    return _run_units(config, "strategy", config.strategies,
+                      "learning_curves", "active.n_init", _al_unit)
+
+
+def _run_units(config, kind, names, status_table, limit, unit):
+    """Validate config, load its matrices, raise ConfigError if the count
+    at the dotted key limit exceeds the observed positions of any of them,
+    then run unit(config, name, matrix, seed) per (target, concentration,
+    name, seed), in that nesting order. A unit yields (table, row) pairs,
+    which gain the unit's key; when it raises DivergenceError, the rows it
+    yielded stay and status_table gains one diverged row."""
     config.validate()
     matrices = load_matrices(config)
-    _check_against_positions("folds", config.folds, matrices)
+    value = attrgetter(limit)(config)
+    for target, conc, matrix in matrices:
+        n_obs = matrix.observed_positions().size
+        if value > n_obs:
+            raise ConfigError(limit, f"{limit.rsplit('.', 1)[-1]} = {value} "
+                              f"exceeds the {n_obs} observed positions of "
+                              f"target {target}, concentration {conc}")
     report = Report(metadata=_metadata(config))
     for target, conc, matrix in matrices:
-        n_obs = len(matrix.observed_positions())
-        for model_name in config.models:
+        for name in names:
             for seed in config.seeds:
-                key = {"model": model_name, "target": target,
-                       "concentration": conc, "seed": seed}
-                fold_losses, fold_accs = [], []
-                for fold_idx, split in enumerate(
-                        kfold_split(n_obs, config.folds, seed)):
-                    try:
-                        curve = _train_one(config, model_name, matrix,
-                                           split, seed)
-                    except DivergenceError as e:
-                        report.cv_summary.append(dict(
-                            key, status="diverged", diverged_epoch=e.epoch))
-                        break
-                    report.training_curves.append(
-                        dict(key, fold=fold_idx, **curve._asdict()))
-                    fold_losses.append(curve.test_loss[-1])
-                    fold_accs.append(curve.test_accuracy[-1])
-                else:
-                    report.cv_summary.append(dict(
-                        key, mean_test_loss=float(np.mean(fold_losses)),
-                        mean_test_accuracy=float(np.mean(fold_accs)),
-                        status="ok"))
+                key = {kind: name, "target": target, "concentration": conc,
+                       "seed": seed}
+                try:
+                    for table, row in unit(config, name, matrix, seed):
+                        getattr(report, table).append(dict(key, **row))
+                except DivergenceError as e:
+                    getattr(report, status_table).append(dict(
+                        key, status="diverged", diverged_epoch=e.epoch))
     return report
+
+
+def _cv_unit(config, model_name, matrix, seed):
+    """One training_curves row per fold, then the cv_summary row."""
+    losses, accuracies = [], []
+    n_obs = len(matrix.observed_positions())
+    for fold, split in enumerate(kfold_split(n_obs, config.folds, seed)):
+        curve = _train_one(config, model_name, matrix, split, seed)
+        yield "training_curves", dict(fold=fold, **curve._asdict())
+        losses.append(curve.test_loss[-1])
+        accuracies.append(curve.test_accuracy[-1])
+    yield "cv_summary", dict(mean_test_loss=float(np.mean(losses)),
+                             mean_test_accuracy=float(np.mean(accuracies)),
+                             status="ok")
 
 
 def _train_one(config, model_name, matrix, split, seed):
@@ -202,39 +214,17 @@ def _train_one(config, model_name, matrix, split, seed):
         cfg = replace(config.als, seed=seed)
         _, curve = als_mod.train_als(matrix, cfg, eval_positions=split)
     else:  # "alsdl", the only other name validate accepts
-        cfg = replace(config.alsdl,
-                      als=replace(config.alsdl.als, seed=seed),
-                      mlp_train=replace(config.alsdl.mlp_train, seed=seed + 1))
-        _, curve = alsdl_mod.train_alsdl(matrix, cfg, eval_split=split)
+        _, curve = alsdl_mod.train_alsdl(matrix, config.alsdl.seeded(seed),
+                                         eval_split=split)
     return curve
 
 
-def run_al_study(config):
-    """Active-learning curves per target x concentration x strategy x seed."""
-    config.validate()
-    # the manifest records the model config the study trains
-    active = replace(config.active, model_cfg=config.alsdl)
-    matrices = load_matrices(config)
-    _check_against_positions("active.n_init", active.n_init, matrices)
-    report = Report(metadata=_metadata(replace(config, active=active)))
-    for target, conc, matrix in matrices:
-        for strategy in config.strategies:
-            for seed in config.seeds:
-                key = {"strategy": strategy, "target": target,
-                       "concentration": conc, "seed": seed}
-                cfg = replace(active, strategy=strategy, seed=seed)
-                try:
-                    curve, _ = active_mod.run_active_learning(matrix, cfg)
-                except DivergenceError as e:
-                    report.learning_curves.append(dict(
-                        key, status="diverged", diverged_epoch=e.epoch))
-                    continue
-                for pt in curve:
-                    report.learning_curves.append(dict(
-                        key, round=pt.round, n_labeled=pt.n_labeled,
-                        full_rmse=pt.full_rmse,
-                        full_accuracy=pt.full_accuracy, status="ok"))
-    return report
+def _al_unit(config, strategy, matrix, seed):
+    """One learning_curves row per AL round."""
+    cfg = replace(config.active, strategy=strategy, seed=seed)
+    curve, _ = active_mod.run_active_learning(matrix, config.alsdl, cfg)
+    for point in curve:
+        yield "learning_curves", dict(asdict(point), status="ok")
 
 
 def aggregate_concentrations(report):

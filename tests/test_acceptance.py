@@ -99,10 +99,10 @@ def test_elm_oracle_equivalence():
     mismatches = []
     for seed in range(20):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=seed)
-        cfg = ActiveConfig(n_init=8, model_cfg=fast_model_cfg(seed=seed + 40),
-                           elm_inner_epochs=50, seed=seed)
+        cfg = ActiveConfig(n_init=8, elm_inner_epochs=50, seed=seed)
         state = init_state(mat, cfg)
-        model, _ = train_alsdl(mat.with_mask(state.labeled), cfg.model_cfg)
+        model, _ = train_alsdl(mat.with_mask(state.labeled),
+                               fast_model_cfg(seed=seed + 40))
         got = query_elm(state, model, 1, cfg, inner_seed=seed + 9)
         expected = brute_force_elm(state, model, cfg, inner_seed=seed + 9)
         if got.tolist() != [expected]:
@@ -122,9 +122,9 @@ def test_strategy_ordering_statistical():
         mat, _ = generate_synthetic(10, 10, 2, 0.1, seed=seed)
         for strategy in finals:
             cfg = ActiveConfig(n_init=10, n_per_query=10, n_max_query=4,
-                               strategy=strategy, model_cfg=model_cfg,
-                               elm_inner_epochs=100, seed=seed)
-            curve, _ = run_active_learning(mat, cfg)
+                               strategy=strategy, elm_inner_epochs=100,
+                               seed=seed)
+            curve, _ = run_active_learning(mat, model_cfg, cfg)
             finals[strategy].append(curve[-1].full_rmse)
     elm, rand = np.mean(finals["elm"]), np.mean(finals["random"])
     elapsed = time.time() - t0

@@ -41,15 +41,15 @@ def brute_force_elm(state, model, cfg, inner_seed):
     candidates = sorted(pool)
     pool_pred = dict(zip(pool,
                          alsdl_predict_positions(model, state.pool)))
-    d = cfg.model_cfg.als.d
-    alpha = cfg.model_cfg.als.learning_rate
+    d = model.cfg.als.d
+    alpha = model.cfg.als.learning_rate
     best = None
     for cand in candidates:
         train_set = {p: matrix.values[p] for p in labeled}
         train_set[cand] = pool_pred[cand]
 
         init = init_embeddings(m, n, AlsConfig(
-            d=d, seed=inner_seed, init_scale=cfg.model_cfg.als.init_scale))
+            d=d, seed=inner_seed, init_scale=model.cfg.als.init_scale))
         x = [[init.x[i, l] for l in range(d)] for i in range(m)]
         w = [[init.w[l, j] for j in range(n)] for l in range(d)]
         for _ in range(cfg.elm_inner_epochs):
@@ -112,7 +112,7 @@ def per_candidate_expected_losses(state, model, cfg, inner_seed):
     pool_preds = dict(zip(pool, alsdl_mod.alsdl_predict_positions(
         model, state.pool)))
 
-    inner_cfg = replace(cfg.model_cfg.als, epochs=cfg.elm_inner_epochs,
+    inner_cfg = replace(model.cfg.als, epochs=cfg.elm_inner_epochs,
                         seed=inner_seed)
     base_values = np.zeros(matrix.shape)
     base_mask = np.zeros(matrix.shape)
@@ -268,8 +268,7 @@ class TestQueryElm:
         mat, _ = generate_synthetic(2, 2, 1, 0.0, seed=10)
         state = init_state(mat, ActiveConfig(n_init=3, seed=0))
         assert len(state.pool) == 1
-        cfg = ActiveConfig(n_init=3, model_cfg=fast_model_cfg(),
-                           elm_inner_epochs=20, seed=0)
+        cfg = ActiveConfig(n_init=3, elm_inner_epochs=20, seed=0)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
                                fast_model_cfg(als_epochs=20, mlp_epochs=20))
         assert query_elm(state, model, 1, cfg).tolist() == state.pool.tolist()
@@ -277,11 +276,10 @@ class TestQueryElm:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force_oracle(self, seed):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=seed)
-        cfg = ActiveConfig(n_init=8, model_cfg=fast_model_cfg(seed=seed + 30),
-                           elm_inner_epochs=50, seed=seed)
+        cfg = ActiveConfig(n_init=8, elm_inner_epochs=50, seed=seed)
         state = init_state(mat, cfg)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
-                               cfg.model_cfg)
+                               fast_model_cfg(seed=seed + 30))
         got = query_elm(state, model, 1, cfg, inner_seed=seed + 77)
         expected = brute_force_elm(state, model, cfg, inner_seed=seed + 77)
         assert got.tolist() == [expected]
@@ -339,22 +337,22 @@ class TestActiveConfigChecks:
 class TestElmSubsampling:
     def test_subsample_restricts_candidates(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=20)
-        cfg = ActiveConfig(n_init=8, model_cfg=fast_model_cfg(seed=60),
-                           elm_inner_epochs=20, elm_candidate_subsample=3,
-                           seed=0)
+        cfg = ActiveConfig(n_init=8, elm_inner_epochs=20,
+                           elm_candidate_subsample=3, seed=0)
         state = init_state(mat, cfg)
-        model, _ = train_alsdl(mat.with_mask(state.labeled), cfg.model_cfg)
+        model, _ = train_alsdl(mat.with_mask(state.labeled),
+                               fast_model_cfg(seed=60))
         got = query_elm(state, model, 3, cfg, inner_seed=5)
         assert len(got) == 3
         assert set(got.tolist()) <= set(state.pool.tolist())
 
     def test_subsample_deterministic(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=21)
-        cfg = ActiveConfig(n_init=6, model_cfg=fast_model_cfg(seed=61),
-                           elm_inner_epochs=20, elm_candidate_subsample=4,
-                           seed=0)
+        cfg = ActiveConfig(n_init=6, elm_inner_epochs=20,
+                           elm_candidate_subsample=4, seed=0)
         state = init_state(mat, cfg)
-        model, _ = train_alsdl(mat.with_mask(state.labeled), cfg.model_cfg)
+        model, _ = train_alsdl(mat.with_mask(state.labeled),
+                               fast_model_cfg(seed=61))
         a = query_elm(state, model, 2, cfg, inner_seed=9)
         b = query_elm(state, model, 2, cfg, inner_seed=9)
         assert a.tolist() == b.tolist()
@@ -364,9 +362,8 @@ class TestRunActiveLearning:
     def test_point_count_and_budgets(self):
         mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=11)
         cfg = ActiveConfig(n_init=4, n_per_query=4, n_max_query=3,
-                           strategy="random", model_cfg=fast_model_cfg(),
-                           seed=1)
-        curve, model = run_active_learning(mat, cfg)
+                           strategy="random", seed=1)
+        curve, model = run_active_learning(mat, fast_model_cfg(), cfg)
         assert len(curve) == 4
         assert [pt.n_labeled for pt in curve] == [4, 8, 12, 16]
         assert [pt.round for pt in curve] == [0, 1, 2, 3]
@@ -379,27 +376,24 @@ class TestRunActiveLearning:
     def test_zero_max_query_single_point(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=12)
         cfg = ActiveConfig(n_init=5, n_per_query=5, n_max_query=0,
-                           strategy="orderly", model_cfg=fast_model_cfg(),
-                           seed=0)
-        curve, _ = run_active_learning(mat, cfg)
+                           strategy="orderly", seed=0)
+        curve, _ = run_active_learning(mat, fast_model_cfg(), cfg)
         assert len(curve) == 1
         assert curve[0].n_labeled == 5
 
     def test_deterministic(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.1, seed=13)
         cfg = ActiveConfig(n_init=5, n_per_query=5, n_max_query=2,
-                           strategy="random", model_cfg=fast_model_cfg(),
-                           seed=3)
-        c1, _ = run_active_learning(mat, cfg)
-        c2, _ = run_active_learning(mat, cfg)
+                           strategy="random", seed=3)
+        c1, _ = run_active_learning(mat, fast_model_cfg(), cfg)
+        c2, _ = run_active_learning(mat, fast_model_cfg(), cfg)
         assert c1 == c2
 
     def test_pool_exhaustion_stops_early(self):
         mat, _ = generate_synthetic(3, 3, 1, 0.0, seed=14)
         cfg = ActiveConfig(n_init=3, n_per_query=6, n_max_query=5,
-                           strategy="orderly", model_cfg=fast_model_cfg(),
-                           seed=0)
-        curve, _ = run_active_learning(mat, cfg)
+                           strategy="orderly", seed=0)
+        curve, _ = run_active_learning(mat, fast_model_cfg(), cfg)
         assert curve[-1].n_labeled == 9
         assert len(curve) == 2
 
@@ -408,21 +402,22 @@ class TestRunActiveLearning:
     def test_conservation_no_double_query(self, strategy):
         mat, _ = generate_synthetic(4, 4, 2, 0.0, seed=15)
         cfg = ActiveConfig(n_init=4, n_per_query=3, n_max_query=2,
-                           strategy=strategy, model_cfg=fast_model_cfg(),
-                           elm_inner_epochs=10, seed=2)
-        curve, _ = run_active_learning(mat, cfg)
+                           strategy=strategy, elm_inner_epochs=10, seed=2)
+        curve, _ = run_active_learning(mat, fast_model_cfg(), cfg)
         assert [pt.n_labeled for pt in curve] == [4, 7, 10]
 
 
-def elm_problem(m=6, n=6, n_init=10, seed=0, noise_sd=0.1, model_cfg=None,
+def elm_problem(m=6, n=6, n_init=10, seed=0, noise_sd=0.1, inner_als=None,
                 **cfg_kw):
-    """A labelled state, its current model, and an ELM config."""
+    """A labelled state, its current model, and an ELM config. inner_als
+    replaces fields of the model's recorded ALS config, which ELM's
+    retrains read, without retraining the model."""
     mat, _ = generate_synthetic(m, n, 2, noise_sd, seed=seed)
-    cfg = ActiveConfig(n_init=n_init,
-                       model_cfg=model_cfg or fast_model_cfg(seed=seed + 40),
-                       elm_inner_epochs=30, seed=seed, **cfg_kw)
+    cfg = ActiveConfig(n_init=n_init, elm_inner_epochs=30, seed=seed, **cfg_kw)
     state = init_state(mat, cfg)
     model, _ = train_alsdl(mat.with_mask(state.labeled), fast_model_cfg(seed))
+    model.cfg = replace(model.cfg, als=replace(model.cfg.als,
+                                               **(inner_als or {})))
     return state, model, cfg
 
 
@@ -465,10 +460,8 @@ class TestStackedElmExact:
         self.assert_exact(state, model, cfg, inner_seed=11)
 
     def test_simultaneous_updates(self, monkeypatch):
-        model_cfg = fast_model_cfg(seed=43)
-        model_cfg = replace(model_cfg, als=replace(
-            model_cfg.als, simultaneous_updates=True))
-        state, model, cfg = elm_problem(seed=3, model_cfg=model_cfg)
+        state, model, cfg = elm_problem(
+            seed=3, inner_als={"simultaneous_updates": True})
         set_chunk(monkeypatch, state.matrix.shape, 5)
         self.assert_exact(state, model, cfg)
 
@@ -480,10 +473,8 @@ class TestStackedElmExact:
     def test_exact_tie_ordered_by_candidate_index(self, monkeypatch):
         # zero init is a fixed point of training and every pool position
         # gets the same prediction, so every candidate scores the same
-        model_cfg = fast_model_cfg(seed=45)
-        model_cfg = replace(model_cfg, als=replace(model_cfg.als,
-                                                   init_scale=0.0))
-        state, model, cfg = elm_problem(seed=5, model_cfg=model_cfg)
+        state, model, cfg = elm_problem(seed=5,
+                                        inner_als={"init_scale": 0.0})
         monkeypatch.setattr(alsdl_mod, "alsdl_predict_positions",
                             lambda model, pos: np.full(len(pos), 0.25))
         state.pool = state.pool[::-1]
@@ -506,10 +497,10 @@ class TestStackedElmDivergence:
                              [(0, 1.1), (2, 1.5), (0, 100.0)])
     def test_same_error_as_per_candidate_loop(self, monkeypatch, seed,
                                               learning_rate):
-        state, model, cfg = elm_problem(seed=seed, noise_sd=0.0)
-        cfg = replace(cfg, elm_inner_epochs=200, model_cfg=replace(
-            cfg.model_cfg, als=replace(cfg.model_cfg.als,
-                                       learning_rate=learning_rate)))
+        inner_als = {"learning_rate": learning_rate}
+        state, model, cfg = elm_problem(seed=seed, noise_sd=0.0,
+                                        inner_als=inner_als)
+        cfg = replace(cfg, elm_inner_epochs=200)
         set_chunk(monkeypatch, state.matrix.shape, 3)
         with pytest.raises(DivergenceError) as want:
             per_candidate_expected_losses(state, model, cfg, 7)

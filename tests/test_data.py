@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alsal.als import AlsConfig, init_embeddings
-from alsal.alsdl import AlsdlModel, alsdl_predict_positions, build_features
+from alsal.alsdl import (AlsdlConfig, AlsdlModel, alsdl_predict_positions,
+                         build_features)
 from alsal.data import (DataError, build_response_matrix, compute_gr,
                         compute_ifd, concentration_key, generate_synthetic,
                         parse_dataset, select_common_concentrations,
                         summarize)
-from alsal.mlp import LossConfig, init_mlp
+from alsal.mlp import init_mlp
 
 from conftest import csv_stream, dataset_shaped_csv, make_observations
 
@@ -254,7 +255,7 @@ POSITION_CALLERS = ["with_mask", "build_features", "alsdl_predict_positions"]
 def position_caller(name):
     mat, _ = generate_synthetic(3, 4, 1, 0.0, seed=0)
     emb = init_embeddings(3, 4, AlsConfig(d=2, seed=1))
-    model = AlsdlModel(emb, init_mlp([4, 3, 1], seed=2), LossConfig())
+    model = AlsdlModel(emb, init_mlp([4, 3, 1], seed=2), AlsdlConfig())
     return {"with_mask": lambda pos: mat.with_mask(pos).observed_positions(),
             "build_features": lambda pos: build_features(emb, pos),
             "alsdl_predict_positions":

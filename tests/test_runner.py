@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 
 import alsal
 from alsal.active import ActiveConfig
-from alsal.als import AlsConfig
+from alsal.als import AlsConfig, DivergenceError
 from alsal.alsdl import AlsdlConfig
-from alsal.cli import _config_from_json, main
+from alsal.cli import _config_from_json, build_parser, main, resolve_config
 from alsal.metrics import Curve
 from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import (ConfigError, ExperimentConfig, SyntheticSpec,
@@ -38,6 +39,20 @@ def small_config(**overrides):
 def read_rows(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+CSV_NAMES = ("learning_curves.csv", "training_curves.csv", "cv_summary.csv")
+
+
+def small_dataset(path):
+    """A 6 x 5 sensitivity CSV with two fully covered concentrations."""
+    from conftest import csv_stream
+    rng = np.random.default_rng(5)
+    path.write_text(csv_stream(
+        f"C{i},M{j},{c},{rng.uniform(0.5, 1.5):.6f},"
+        f"{rng.uniform(-0.5, 0.5):.6f}\n"
+        for i in range(6) for j in range(5) for c in (0.1, 1.0)).getvalue())
+    return path
 
 
 class TestRunBenchmark:
@@ -83,13 +98,48 @@ class TestRunAlStudy:
         with pytest.raises(ValueError, match="empty strategy list"):
             run_al_study(small_config(strategies=()))
 
-    @pytest.mark.parametrize("run", [run_benchmark, run_al_study])
-    def test_active_model_cfg_rejected(self, run):
-        # the study trains config.alsdl; a separate model_cfg would be unused
-        cfg = small_config(active=ActiveConfig(
-            n_init=6, model_cfg=AlsdlConfig(hidden_sizes=(3,))))
-        with pytest.raises(ValueError, match="set alsdl instead"):
-            run(cfg)
+    def test_every_unit_trains_the_alsdl_config(self, monkeypatch):
+        import alsal.runner as runner_mod
+        real, calls = runner_mod.active_mod.run_active_learning, []
+
+        def spy(matrix, model_cfg, cfg):
+            calls.append((model_cfg, cfg.strategy, cfg.seed))
+            return real(matrix, model_cfg, cfg)
+        monkeypatch.setattr(runner_mod.active_mod, "run_active_learning", spy)
+        cfg = small_config(strategies=("random", "orderly"), seeds=(0, 1))
+        run_al_study(cfg)
+        assert calls == [(cfg.alsdl, strategy, seed)
+                         for strategy in ("random", "orderly")
+                         for seed in (0, 1)]
+        assert not hasattr(cfg.active, "model_cfg")
+
+
+class TestUnitDivergence:
+    @pytest.mark.parametrize("fold", [0, 1])
+    def test_rows_before_the_divergence_stay(self, monkeypatch, fold):
+        import alsal.runner as runner_mod
+        real, calls = runner_mod._train_one, Counter()
+
+        def train(config, model_name, matrix, split, seed):
+            calls[model_name, seed] += 1
+            if (model_name, seed, calls["als", 0]) == ("als", 0, fold + 1):
+                raise DivergenceError(7)
+            return real(config, model_name, matrix, split, seed)
+        monkeypatch.setattr(runner_mod, "_train_one", train)
+        report = run_benchmark(small_config(seeds=(0, 1)))
+        key = {"target": "synthetic", "concentration": "synthetic"}
+        assert report.cv_summary[0] == dict(
+            key, model="als", seed=0, status="diverged", diverged_epoch=7)
+        # the next (model, seed) units still run, each to its summary
+        assert [(r["model"], r["seed"], r["status"])
+                for r in report.cv_summary[1:]] == [
+            ("als", 1, "ok"), ("alsdl", 0, "ok"), ("alsdl", 1, "ok")]
+        assert [(r["model"], r["seed"], r["fold"])
+                for r in report.training_curves] == [
+            ("als", 0, f) for f in range(fold)] + [
+            (model, seed, f) for model in ("als", "alsdl")
+            for seed in (0, 1) if (model, seed) != ("als", 0)
+            for f in range(3)]
 
 
 def forbid_training(monkeypatch):
@@ -424,12 +474,14 @@ class TestCli:
 
     def test_config_file_nested_model_cfg(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"active": {
-            "n_init": 5, "model_cfg": {"hidden_sizes": [4],
-                                       "loss": {"boundaries": [-0.5, 0.5]}}}}))
+        cfg_path.write_text(json.dumps({
+            "active": {"n_init": 5},
+            "alsdl": {"hidden_sizes": [4],
+                      "loss": {"boundaries": [-0.5, 0.5]}}}))
         cfg = _config_from_json(cfg_path)
-        assert cfg.active == ActiveConfig(n_init=5, model_cfg=AlsdlConfig(
-            hidden_sizes=(4,), loss=LossConfig(boundaries=(-0.5, 0.5))))
+        assert cfg.active == ActiveConfig(n_init=5)
+        assert cfg.alsdl == AlsdlConfig(
+            hidden_sizes=(4,), loss=LossConfig(boundaries=(-0.5, 0.5)))
 
     @pytest.mark.parametrize("raw, message", [
         ([1], "config must be a JSON object"),
@@ -437,8 +489,8 @@ class TestCli:
         ({"als": None}, "config key 'als' must be an object"),
         ({"alsdl": {"loss": [0.1]}},
          "config key 'alsdl.loss' must be an object"),
-        ({"active": {"model_cfg": {"als": "d=2"}}},
-         "config key 'active.model_cfg.als' must be an object")])
+        ({"alsdl": {"als": "d=2"}},
+         "config key 'alsdl.als' must be an object")])
     def test_config_file_non_object(self, tmp_path, raw, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
@@ -501,8 +553,8 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             main(["benchmark", "--config", str(cfg_path), "--synthetic",
                   "5,5,2,0", "--out", str(tmp_path / "run")])
-        assert str(e.value).startswith(
-            "invalid config: active.model_cfg is not read")
+        # the AL study trains alsdl; ActiveConfig has no model config
+        assert str(e.value) == "unknown config key 'active.model_cfg'"
         assert not (tmp_path / "run").exists()
 
     def test_no_source_rejected_by_cli(self, tmp_path):
@@ -561,9 +613,73 @@ class TestCli:
               "5,5,2,0.1", "--strategy", "random", "--n-init", "5",
               "--n-per-query", "5", "--n-max-query", "1", "--out", str(out)])
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert config["active"]["model_cfg"] == config["alsdl"]
+        assert "model_cfg" not in config["active"]
         assert config["alsdl"]["hidden_sizes"] == [3]
         assert config["alsdl"]["mlp_train"]["epochs"] == 5
+
+    @pytest.mark.parametrize("command", ["benchmark", "al-study"])
+    def test_defaults_are_experiment_config(self, command):
+        args = build_parser().parse_args([command, "--synthetic", "5,5,2,0"])
+        assert resolve_config(args) == ExperimentConfig(
+            synthetic=SyntheticSpec(5, 5, 2, 0.0))
+
+    def test_config_file_kept_where_no_flag_is_given(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset_path": str(small_dataset(tmp_path / "data.csv")),
+            "concentrations": [0.1], "seeds": [3], "folds": 3,
+            "models": ["als"], "targets": ["gr"], "strategies": ["random"],
+            "als": {"d": 2, "epochs": 5},
+            "alsdl": {"als": {"d": 2, "epochs": 5},
+                      "mlp_train": {"epochs": 5}, "hidden_sizes": [3]},
+            "output_dir": str(tmp_path / "from-config")}))
+        main(["benchmark", "--config", str(cfg_path)])
+        out = tmp_path / "from-config"
+        assert [(r["model"], r["target"], r["seed"])
+                for r in read_rows(out / "cv_summary.csv")] == [
+            ("als", "gr", "3")]
+        assert {r["fold"] for r in read_rows(out / "training_curves.csv")} \
+            == {"0", "1", "2"}
+        # a flag given still wins
+        out = tmp_path / "from-flags"
+        main(["benchmark", "--config", str(cfg_path), "--seeds", "1",
+              "--folds", "2", "--models", "alsdl", "--target", "ifd",
+              "--out", str(out)])
+        assert [(r["model"], r["target"], r["seed"])
+                for r in read_rows(out / "cv_summary.csv")] == [
+            ("alsdl", "ifd", "1")]
+        assert {r["fold"] for r in read_rows(out / "training_curves.csv")} \
+            == {"0", "1"}
+        args = build_parser().parse_args(["al-study", "--config",
+                                          str(cfg_path)])
+        assert resolve_config(args).strategies == ("random",)
+        args = build_parser().parse_args(["al-study", "--config",
+                                          str(cfg_path), "--strategy", "elm"])
+        assert resolve_config(args).strategies == ("elm",)
+
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--models", "alsdl,als", "--folds", "3", "--seeds",
+         "2,5", "--als-epochs", "7", "--mlp-epochs", "4"],
+        ["al-study", "--strategy", "elm,uncertainty,orderly", "--seeds",
+         "4,1", "--n-init", "6", "--n-per-query", "4", "--n-max-query", "2",
+         "--als-epochs", "6", "--mlp-epochs", "5", "--elm-inner-epochs", "3",
+         "--elm-candidate-subsample", "5"]])
+    def test_manifest_config_reproduces_the_run(self, tmp_path, argv):
+        first, again = tmp_path / "first", tmp_path / "again"
+        main(argv + ["--dataset", str(small_dataset(tmp_path / "data.csv")),
+                     "--target", "ifd", "--embedding-dim", "2",
+                     "--out", str(first)])
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        main([argv[0], "--config", str(cfg_path), "--out", str(again)])
+        for name in CSV_NAMES:
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+        rows = read_rows(first / ("cv_summary.csv" if argv[0] == "benchmark"
+                                  else "learning_curves.csv"))
+        assert {r["concentration"] for r in rows} == {"0.1", "1.0", "mean"}
+        assert json.loads((again / "manifest.json").read_text())["config"] \
+            == dict(config, output_dir=str(again))
 
     def test_config_file_null_where_default_is_none(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
