@@ -41,11 +41,12 @@ class ConfigError(ValueError):
 
 def check_count(name, value, minimum=1):
     """Raise ValueError unless value is an integer, not a bool, of at least
-    minimum (1 or 0). The config dataclasses check their counts with it."""
+    minimum. The config dataclasses check their counts with it."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < minimum):
-        kind = "positive" if minimum == 1 else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, not {value!r}")
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer of at least {minimum}")
+        raise ValueError(f"{name} must be {kind}, not {value!r}")
 
 
 @dataclass(frozen=True)

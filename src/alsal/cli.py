@@ -9,21 +9,59 @@ from .runner import (ConfigError, ExperimentConfig, SyntheticSpec,
                      write_report)
 
 
+# The dotted ExperimentConfig keys each flag sets, by argparse dest, in order
+FLAG_KEYS = {
+    "dataset": ("dataset_path",), "synthetic": ("synthetic",),
+    "target": ("targets",), "concentrations": ("concentrations",),
+    "seeds": ("seeds",), "models": ("models",), "folds": ("folds",),
+    "strategy": ("strategies",), "out": ("output_dir",),
+    "als_epochs": ("als.epochs", "alsdl.als.epochs"),
+    "mlp_epochs": ("alsdl.mlp_train.epochs",),
+    "embedding_dim": ("als.d", "alsdl.als.d"),
+    **{dest: ("active." + dest,) for dest in (
+        "n_init", "n_per_query", "n_max_query", "elm_inner_epochs",
+        "elm_candidate_subsample")}}
+
+
+def _csv_list(conv):
+    """Argparse type: a tuple of conv values; errors name it by __name__."""
+    def parse(s):
+        return tuple(conv(x) for x in s.split(",") if x != "")
+    parse.__name__ = f"comma-separated {conv.__name__}"
+    return parse
+
+
+def _synthetic(s):
+    """An argparse type: M,N,RANK,NOISE as a SyntheticSpec, which checks it."""
+    try:
+        m, n, rank, noise = s.split(",")
+        return SyntheticSpec(int(m), int(n), int(rank), float(noise))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{s!r}: {e}") from e
+
+
+class _Targets(argparse.Action):
+    """--target's choice as the tuple of targets it studies."""
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest,
+                ("gr", "ifd") if value == "both" else (value,))
+
+
 def _add_common(p):
     src = p.add_mutually_exclusive_group()
     src.add_argument("--dataset", help="path to the sensitivity CSV")
-    src.add_argument("--synthetic", metavar="M,N,RANK,NOISE",
+    src.add_argument("--synthetic", metavar="M,N,RANK,NOISE", type=_synthetic,
                      help="generate a synthetic low-rank matrix instead")
-    p.add_argument("--target", choices=["gr", "ifd", "both"])
-    p.add_argument("--concentrations", help="comma-separated list; default: "
-                   "all fully-covered concentrations")
-    p.add_argument("--seeds", help="comma-separated integer seeds")
+    p.add_argument("--target", choices=["gr", "ifd", "both"], action=_Targets)
+    p.add_argument("--concentrations", type=_csv_list(float), help="comma-"
+                   "separated list; default: all fully-covered concentrations")
+    p.add_argument("--seeds", type=_csv_list(int),
+                   help="comma-separated integer seeds")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="JSON config file (overridden by the "
                    "flags given)")
-    p.add_argument("--als-epochs", type=int)
-    p.add_argument("--mlp-epochs", type=int)
-    p.add_argument("--embedding-dim", type=int)
+    for flag in ("--als-epochs", "--mlp-epochs", "--embedding-dim"):
+        p.add_argument(flag, type=int)
 
 
 def build_parser():
@@ -35,17 +73,16 @@ def build_parser():
     b = sub.add_parser("benchmark", help="10-fold cross-validated model "
                        "comparison (ALS vs ALSDL)")
     _add_common(b)
-    b.add_argument("--models")
+    b.add_argument("--models", type=_csv_list(str))
     b.add_argument("--folds", type=int)
 
     a = sub.add_parser("al-study", help="active-learning strategy comparison")
     _add_common(a)
-    a.add_argument("--strategy", help="comma-separated subset of "
-                   "orderly,random,uncertainty,elm")
-    a.add_argument("--n-init", type=int)
-    a.add_argument("--n-per-query", type=int)
-    a.add_argument("--n-max-query", type=int)
-    a.add_argument("--elm-inner-epochs", type=int)
+    a.add_argument("--strategy", type=_csv_list(str), help="comma-separated "
+                   "subset of orderly,random,uncertainty,elm")
+    for flag in ("--n-init", "--n-per-query", "--n-max-query",
+                 "--elm-inner-epochs"):
+        a.add_argument(flag, type=int)
     a.add_argument("--elm-candidate-subsample", type=int,
                    help="ELM scores a seeded random subset of this many "
                    "pool candidates per query")
@@ -87,60 +124,24 @@ def _config_from_json(path):
         return _from_json(ExperimentConfig, json.load(f))
 
 
-def _csv_list(s, conv=str):
-    return tuple(conv(x) for x in s.split(",") if x != "")
-
-
-def _apply_flags(cfg, args):
-    """Model and budget flags over the config; a value a config dataclass
-    rejects raises its ValueError."""
-    if args.als_epochs is not None:
-        cfg.als = replace(cfg.als, epochs=args.als_epochs)
-        cfg.alsdl = replace(cfg.alsdl,
-                            als=replace(cfg.alsdl.als, epochs=args.als_epochs))
-    if args.mlp_epochs is not None:
-        cfg.alsdl = replace(cfg.alsdl, mlp_train=replace(
-            cfg.alsdl.mlp_train, epochs=args.mlp_epochs))
-    if args.embedding_dim is not None:
-        cfg.als = replace(cfg.als, d=args.embedding_dim)
-        cfg.alsdl = replace(cfg.alsdl,
-                            als=replace(cfg.alsdl.als, d=args.embedding_dim))
-    updates = {}
-    for name in ("n_init", "n_per_query", "n_max_query", "elm_inner_epochs",
-                 "elm_candidate_subsample"):
-        v = getattr(args, name, None)  # benchmark has no budget flags
-        if v is not None:
-            updates[name] = v
-    cfg.active = replace(cfg.active, **updates)
+def _set(obj, key, value):
+    """obj with the dotted key set, each dataclass on the path replaced."""
+    name, _, rest = key.partition(".")
+    return replace(obj, **{name: _set(getattr(obj, name), rest, value)
+                           if rest else value})
 
 
 def resolve_config(args):
-    """The --config file, or ExperimentConfig(), under the flags given."""
+    """The --config file, or ExperimentConfig(), with each flag given set at
+    its FLAG_KEYS; a source flag replaces the file's source."""
     cfg = _config_from_json(args.config) if args.config else ExperimentConfig()
-    if args.dataset:
-        cfg.dataset_path = args.dataset
-        cfg.synthetic = None
-    if args.synthetic:
-        m, n, rank, noise = args.synthetic.split(",")
-        cfg.synthetic = SyntheticSpec(int(m), int(n), int(rank), float(noise))
-        cfg.dataset_path = None
-    if args.target is not None:
-        cfg.targets = (("gr", "ifd") if args.target == "both"
-                       else (args.target,))
-    if args.concentrations:
-        cfg.concentrations = _csv_list(args.concentrations, float)
-    # benchmark has no --strategy, al-study no --models or --folds
-    for flag, name, conv in (("seeds", "seeds", int),
-                             ("models", "models", str),
-                             ("strategy", "strategies", str)):
-        if getattr(args, flag, None) is not None:
-            setattr(cfg, name, _csv_list(getattr(args, flag), conv))
-    if getattr(args, "folds", None) is not None:
-        cfg.folds = args.folds
-    if args.out is not None:
-        cfg.output_dir = args.out
+    if args.dataset is not None or args.synthetic is not None:
+        cfg = replace(cfg, dataset_path=None, synthetic=None)
     try:
-        _apply_flags(cfg, args)
+        for dest, keys in FLAG_KEYS.items():
+            value = getattr(args, dest, None)  # a subcommand has a subset
+            for key in keys if value is not None else ():
+                cfg = _set(cfg, key, value)
     except ValueError as e:
         raise SystemExit(f"invalid option: {e}") from e
     try:
@@ -156,10 +157,9 @@ def main(argv=None):
     run = run_benchmark if args.command == "benchmark" else run_al_study
     try:
         report = run(cfg)
-    except ConfigError as e:  # raised after loading, before any training
+    except ConfigError as e:  # raised by loading, before any training
         raise SystemExit(f"invalid config key {e.key!r}: {e}") from e
-    report = aggregate_concentrations(report)
-    out = write_report(report, cfg.output_dir)
+    out = write_report(aggregate_concentrations(report), cfg.output_dir)
     print(f"wrote report to {out}")
     return 0
 

@@ -10,7 +10,6 @@ manifest records the environment; the data CSVs do not depend on it."""
 import csv
 import hashlib
 import json
-import numbers
 import os
 import platform
 import time
@@ -28,7 +27,7 @@ from . import alsdl as alsdl_mod
 from . import data as data_mod
 from .active import ActiveConfig
 from .alsdl import AlsdlConfig
-from .als import AlsConfig, ConfigError, DivergenceError
+from .als import AlsConfig, ConfigError, DivergenceError, check_count
 from .metrics import kfold_split
 
 SCHEMA_VERSION = 2
@@ -48,6 +47,10 @@ METRIC_COLUMNS = frozenset({
 # neither metrics nor part of the key that aggregate_concentrations groups by
 _UNGROUPED = METRIC_COLUMNS | {"concentration", "status", "diverged_epoch",
                                "epoch_or_round"}
+# keys each unit overwrites, and the run-level field it takes them from
+_PER_UNIT = {"als.seed": "seeds", "alsdl.als.seed": "seeds",
+             "alsdl.mlp_train.seed": "seeds", "active.seed": "seeds",
+             "active.strategy": "strategies"}
 
 
 @dataclass
@@ -56,6 +59,15 @@ class SyntheticSpec:
     n: int = 34
     rank: int = 5
     noise_sd: float = 0.0
+
+    def __post_init__(self):
+        for name in ("m", "n", "rank"):
+            check_count(name, getattr(self, name))
+        if self.rank > min(self.m, self.n):
+            raise ValueError(f"rank {self.rank} exceeds min(m, n) = "
+                             f"{min(self.m, self.n)}")
+        if not self.noise_sd >= 0:
+            raise ValueError(f"noise_sd must be >= 0, not {self.noise_sd!r}")
 
 
 @dataclass
@@ -77,8 +89,13 @@ class ExperimentConfig:
     def validate(self):
         if not self.targets:
             raise ValueError("at least one target required")
+        if not isinstance(self.seeds, tuple):
+            raise ValueError(f"seeds must be a tuple of integers, not "
+                             f"{self.seeds!r}")
         if not self.seeds:
             raise ValueError("at least one seed required")
+        for seed in self.seeds:
+            check_count("each seed", seed, minimum=0)
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("either dataset_path or synthetic must be given")
         for kind, names, known in (
@@ -90,11 +107,14 @@ class ExperimentConfig:
                 if name not in known:
                     raise ValueError(f"unknown {kind} {name!r}; known: "
                                      f"{', '.join(known)}")
-        if (isinstance(self.folds, bool)
-                or not isinstance(self.folds, numbers.Integral)
-                or self.folds < 2):
-            raise ValueError("folds must be an integer of at least 2, "
-                             f"not {self.folds!r}")
+        check_count("folds", self.folds, minimum=2)
+        defaults = ExperimentConfig()
+        for key, run_field in _PER_UNIT.items():
+            value = attrgetter(key)(self)
+            if value != attrgetter(key)(defaults):
+                raise ValueError(f"{key} = {value!r} would be ignored: each "
+                                 f"unit sets it from {run_field}; set "
+                                 f"{run_field} instead")
 
 
 @dataclass
@@ -129,7 +149,8 @@ def load_matrices(config):
     """Resolve config into a list of (target, concentration_tag, matrix).
 
     A synthetic config yields one matrix, generated from seeds[0] and
-    tagged "synthetic"; it ignores targets and concentrations.
+    tagged "synthetic"; it ignores targets and concentrations. A
+    dataset_path that cannot be opened raises ConfigError.
     """
     if config.synthetic is not None:
         s = config.synthetic
@@ -137,7 +158,11 @@ def load_matrices(config):
                                                 seed=config.seeds[0])
         tag = data_mod.TARGET_SYNTHETIC
         return [(tag, tag, matrix)]
-    with open(config.dataset_path, newline="", encoding="utf-8") as f:
+    try:
+        f = open(config.dataset_path, newline="", encoding="utf-8")
+    except OSError as e:
+        raise ConfigError("dataset_path", str(e)) from e
+    with f:
         obs = data_mod.parse_dataset(f, columns=config.column_map)
     if config.concentrations:
         concs = list(config.concentrations)
@@ -165,12 +190,13 @@ def run_al_study(config):
 
 
 def _run_units(config, kind, names, status_table, limit, unit):
-    """Validate config, load its matrices, raise ConfigError if the count
-    at the dotted key limit exceeds the observed positions of any of them,
-    then run unit(config, name, matrix, seed) per (target, concentration,
-    name, seed), in that nesting order. A unit yields (table, row) pairs,
-    which gain the unit's key; when it raises DivergenceError, the rows it
-    yielded stay and status_table gains one diverged row."""
+    """Validate config, load its matrices, raise ConfigError if the dataset
+    cannot be opened or the count at the dotted key limit exceeds the
+    observed positions of any matrix, then run unit(config, name, matrix,
+    seed) per (target, concentration, name, seed), in that nesting order.
+    A unit yields (table, row) pairs, which gain the unit's key; when it
+    raises DivergenceError, the rows it yielded stay and status_table gains
+    one diverged row."""
     config.validate()
     matrices = load_matrices(config)
     value = attrgetter(limit)(config)

@@ -5,7 +5,8 @@ import pytest
 
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.als import (AlsConfig, EmbeddingPair, EpochWork, als_epoch,
-                       als_gradients, als_loss, init_embeddings, train_als)
+                       als_gradients, als_loss, check_count, init_embeddings,
+                       train_als)
 from alsal.metrics import FoldSplit
 
 
@@ -68,6 +69,26 @@ def epoch_problem(stack, seed, m=7, n=6, d=3):
     emb = EmbeddingPair(rng.uniform(-1, 1, size=lead + (m, d)),
                         rng.uniform(-1, 1, size=lead + (d, n)))
     return matrix, emb
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value, minimum", [
+        (0, 0), (1, 1), (2, 2), (np.int64(5), 3), (10**20, 2)])
+    def test_accepts(self, value, minimum):
+        check_count("k", value, minimum)
+
+    @pytest.mark.parametrize("value, minimum, message", [
+        (-1, 0, "k must be a non-negative integer, not -1"),
+        (0, 1, "k must be a positive integer, not 0"),
+        (1, 2, "k must be an integer of at least 2, not 1"),
+        (2, 3, "k must be an integer of at least 3, not 2"),
+        (True, 1, "k must be a positive integer, not True"),
+        (2.0, 2, "k must be an integer of at least 2, not 2.0"),
+        ("3", 0, "k must be a non-negative integer, not '3'")])
+    def test_rejects(self, value, minimum, message):
+        with pytest.raises(ValueError) as e:
+            check_count("k", value, minimum)
+        assert str(e.value) == message
 
 
 class TestInitEmbeddings:

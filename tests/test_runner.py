@@ -1,9 +1,12 @@
+import argparse
 import csv
 import json
+import math
 import os
 import platform
 from collections import Counter
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ import alsal
 from alsal.active import ActiveConfig
 from alsal.als import AlsConfig, DivergenceError
 from alsal.alsdl import AlsdlConfig
-from alsal.cli import _config_from_json, build_parser, main, resolve_config
+from alsal.cli import (FLAG_KEYS, _config_from_json, build_parser, main,
+                       resolve_config)
 from alsal.metrics import Curve
 from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import (ConfigError, ExperimentConfig, SyntheticSpec,
@@ -687,3 +691,171 @@ class TestCli:
         cfg = _config_from_json(cfg_path)
         assert cfg.synthetic is None
         assert cfg.folds == 3
+
+
+def subparsers():
+    """{command: parser} of the CLI's subcommands."""
+    action, = [a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestFlagKeys:
+    """FLAG_KEYS and the parser name the same flags."""
+
+    def test_every_option_has_keys(self):
+        for command, parser in subparsers().items():
+            for action in parser._actions:
+                if action.option_strings and action.dest not in ("help",
+                                                                 "config"):
+                    assert action.dest in FLAG_KEYS, (command, action.dest)
+
+    @pytest.mark.parametrize("dest", sorted(FLAG_KEYS))
+    def test_keys_resolve_on_the_config(self, dest):
+        for key in FLAG_KEYS[dest]:
+            attrgetter(key)(ExperimentConfig())
+
+    @pytest.mark.parametrize("dest", sorted(FLAG_KEYS))
+    def test_each_entry_is_a_flag(self, dest):
+        assert any(dest in {a.dest for a in parser._actions}
+                   for parser in subparsers().values())
+
+    @pytest.mark.parametrize("flag, keys", [
+        ("--als-epochs", ("als.epochs", "alsdl.als.epochs")),
+        ("--embedding-dim", ("als.d", "alsdl.als.d"))])
+    def test_two_key_flags_set_both(self, tmp_path, flag, keys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"als": {"d": 3, "epochs": 9},
+                                        "alsdl": {"als": {"d": 4}}}))
+        args = build_parser().parse_args(["benchmark", "--synthetic",
+                                          "5,5,2,0", "--config",
+                                          str(cfg_path), flag, "2"])
+        cfg = resolve_config(args)
+        assert [attrgetter(key)(cfg) for key in keys] == [2, 2]
+        # the file's other values stay
+        assert cfg.als.epochs + cfg.als.d + cfg.alsdl.als.d == (
+            {"--als-epochs": 2 + 3 + 4, "--embedding-dim": 9 + 2 + 2}[flag])
+
+    def test_source_flag_replaces_the_files_source(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": {"m": 5}}))
+        args = build_parser().parse_args(["benchmark", "--config",
+                                          str(cfg_path), "--dataset", "d.csv"])
+        cfg = resolve_config(args)
+        assert (cfg.dataset_path, cfg.synthetic) == ("d.csv", None)
+
+
+class TestRejectedInput:
+    """Malformed flags, seeds and keys the run would ignore exit before any
+    data loads, without a traceback, and write nothing."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--synthetic", "6,6,2,0", "--seeds", "a"],
+         "argument --seeds: invalid comma-separated int value: 'a'"),
+        (["--synthetic", "6,6,2,0", "--seeds", "0,1.5"],
+         "argument --seeds: invalid comma-separated int value: '0,1.5'"),
+        (["--synthetic", "6,6,2,0", "--concentrations", "x"],
+         "argument --concentrations: invalid comma-separated float value: "
+         "'x'"),
+        (["--synthetic", "6,6"], "argument --synthetic: '6,6': not enough "
+         "values to unpack (expected 4, got 2)"),
+        (["--synthetic", "6,6,9,0"],
+         "argument --synthetic: '6,6,9,0': rank 9 exceeds min(m, n) = 6"),
+        (["--synthetic", "6,6,2,-0.5"], "argument --synthetic: '6,6,2,-0.5': "
+         "noise_sd must be >= 0, not -0.5"),
+        (["--synthetic", "0,6,1,0"], "argument --synthetic: '0,6,1,0': m "
+         "must be a positive integer, not 0")])
+    def test_usage_error(self, monkeypatch, capsys, tmp_path, argv, message):
+        forbid_training(monkeypatch)
+        with pytest.raises(SystemExit) as e:
+            main(["benchmark", *argv, "--out", str(tmp_path / "run")])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"alsal benchmark: error: {message}"
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"seeds": [1.5]},
+         "invalid config: each seed must be a non-negative integer, not 1.5"),
+        ({"seeds": [-1]},
+         "invalid config: each seed must be a non-negative integer, not -1"),
+        ({"seeds": [0, True]},
+         "invalid config: each seed must be a non-negative integer, not True"),
+        ({"seeds": ["a"]},
+         "invalid config: each seed must be a non-negative integer, not 'a'"),
+        ({"seeds": 3},
+         "invalid config: seeds must be a tuple of integers, not 3"),
+        ({"als": {"seed": 5}}, "invalid config: als.seed = 5 would be "
+         "ignored: each unit sets it from seeds; set seeds instead"),
+        ({"alsdl": {"als": {"seed": 5}}}, "invalid config: alsdl.als.seed = "
+         "5 would be ignored: each unit sets it from seeds; set seeds "
+         "instead"),
+        ({"alsdl": {"mlp_train": {"seed": 1}}}, "invalid config: "
+         "alsdl.mlp_train.seed = 1 would be ignored: each unit sets it from "
+         "seeds; set seeds instead"),
+        ({"active": {"seed": 2}}, "invalid config: active.seed = 2 would be "
+         "ignored: each unit sets it from seeds; set seeds instead"),
+        ({"active": {"strategy": "random"}}, "invalid config: "
+         "active.strategy = 'random' would be ignored: each unit sets it "
+         "from strategies; set strategies instead"),
+        ({"synthetic": {"m": 6, "n": 6, "rank": 9}},
+         "invalid config key 'synthetic': rank 9 exceeds min(m, n) = 6"),
+        ({"synthetic": {"noise_sd": -1}},
+         "invalid config key 'synthetic': noise_sd must be >= 0, not -1"),
+        ({"synthetic": {"rank": 2.0}}, "invalid config key 'synthetic': "
+         "rank must be a positive integer, not 2.0")])
+    @pytest.mark.parametrize("command", ["benchmark", "al-study"])
+    def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
+        forbid_training(monkeypatch)
+        import alsal.runner as runner_mod
+
+        def loaded(config):
+            raise AssertionError("data was loaded")
+        monkeypatch.setattr(runner_mod, "load_matrices", loaded)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict({"synthetic": {}}, **raw)))
+        with pytest.raises(SystemExit) as e:
+            main([command, "--config", str(cfg_path),
+                  "--out", str(tmp_path / "run")])
+        assert str(e.value) == message
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name", ["missing.csv", ""])
+    def test_unreadable_dataset(self, monkeypatch, tmp_path, name):
+        forbid_training(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            main(["benchmark", "--dataset", name, "--out", "run"])
+        assert str(e.value) == ("invalid config key 'dataset_path': [Errno 2] "
+                                f"No such file or directory: {name!r}")
+        assert not (tmp_path / "run").exists()
+
+    def test_per_unit_defaults_accepted(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "synthetic": {}, "als": {"seed": 0},
+            "alsdl": {"als": {"seed": 0, "epochs": 200},
+                      "mlp_train": {"seed": 0}},
+            "active": {"seed": 0, "strategy": "elm"}}))
+        args = build_parser().parse_args(["al-study", "--config",
+                                          str(cfg_path)])
+        assert resolve_config(args) == ExperimentConfig(
+            synthetic=SyntheticSpec())
+
+
+class TestSyntheticSpec:
+    def test_accepts_full_rank(self):
+        assert SyntheticSpec(3, 4, 3, 0.5).rank == 3
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"m": 0}, "m must be a positive integer, not 0"),
+        ({"n": 2.0}, "n must be a positive integer, not 2.0"),
+        ({"rank": True}, "rank must be a positive integer, not True"),
+        ({"m": 4, "rank": 5}, "rank 5 exceeds min(m, n) = 4"),
+        ({"noise_sd": -0.1}, "noise_sd must be >= 0, not -0.1"),
+        ({"noise_sd": math.nan}, "noise_sd must be >= 0, not nan")])
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError) as e:
+            SyntheticSpec(**kwargs)
+        assert str(e.value) == message
