@@ -11,7 +11,10 @@ axes of x, w and the matrix's values and mask are batch axes, and each
 slice is computed exactly as it would be on its own.
 
 `train_als` writes each epoch's x @ w into a row of a (HISTORY_BLOCK,
-m*n) block, and scores each filled block in one pass.
+m*n) block, and scores each filled block in one pass. A row scores to
+the same bits in any block, so a run resumed from its embeddings at any
+epoch (`train_als(..., start_epoch=k, emb=...)`) gives the curve of an
+uninterrupted one.
 """
 
 import numbers
@@ -146,7 +149,7 @@ def als_epoch(matrix, emb, alpha, simultaneous=False, work=None):
 
 
 def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
-              record_history=True):
+              record_history=True, emb=None):
     """Run cfg.epochs alternating epochs; returns embeddings and a Curve
     numbered from start_epoch.
 
@@ -155,7 +158,18 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
     curve's test columns. record_history=False skips per-epoch evaluation
     and returns None for the curve (used for the many throwaway models
     inside the ELM query).
+
+    Given emb, the embeddings a run of this config had after start_epoch
+    epochs, the run resumes there: it trains epochs start_epoch to
+    cfg.epochs - 1 from a copy of emb, and its curve and DivergenceError
+    count epochs from the start of the run, so the two legs give what one
+    uninterrupted run does. Without emb, start_epoch must be 0.
     """
+    m, n = matrix.shape
+    if not 0 <= start_epoch <= cfg.epochs or (start_epoch and emb is None):
+        raise ValueError(f"cannot start at epoch {start_epoch} of "
+                         f"{cfg.epochs}" + (" without embeddings"
+                                            if emb is None else ""))
     observed = matrix.observed_positions()
     if not observed.size:
         raise ValueError("matrix has no observed positions")
@@ -167,22 +181,26 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
         train_idx, test_idx = observed, observed[:0]
         train_matrix = matrix
 
+    epochs = cfg.epochs - start_epoch
     if record_history:
         values = matrix.values.ravel()  # the truths, prepared once
-        scored = [(Scorer(values[idx], epochs=cfg.epochs), idx)
+        scored = [(Scorer(values[idx], epochs=epochs), idx)
                   for idx in (train_idx, test_idx) if idx.size]
         full = np.empty((len(scored[0][0].block), values.size))
-    emb = init_embeddings(*matrix.shape, cfg)
+    if emb is None:
+        emb = init_embeddings(m, n, cfg)
+    else:  # trained in place from here on
+        emb = EmbeddingPair(x=emb.x.copy(), w=emb.w.copy())
     work = EpochWork.like(emb)
-    for epoch in range(cfg.epochs):
+    for epoch in range(start_epoch, cfg.epochs):
         emb = als_epoch(train_matrix, emb, cfg.learning_rate,
                         simultaneous=cfg.simultaneous_updates, work=work)
         if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
             raise DivergenceError(epoch)
         if not record_history:
             continue
-        row = epoch % len(full)
-        np.matmul(emb.x, emb.w, out=full[row].reshape(matrix.shape))
+        row = (epoch - start_epoch) % len(full)
+        np.matmul(emb.x, emb.w, out=full[row].reshape(m, n))
         if row == len(full) - 1 or epoch == cfg.epochs - 1:
             for scorer, idx in scored:
                 # mode="clip" writes straight into out; idx is in range

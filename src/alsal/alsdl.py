@@ -48,16 +48,22 @@ def build_features(emb, positions, molecule_first=False):
     return np.hstack((mols, cells) if molecule_first else (cells, mols))
 
 
-def train_alsdl(matrix, cfg, eval_split=None, record_history=True):
+def train_alsdl(matrix, cfg, eval_split=None, record_history=True,
+                stage1=None):
     """Train both stages; returns the model, which keeps cfg, and one
     Curve that covers stage 1 then stage 2 (None when record_history is
     False).
 
     Stage-2 epochs continue the stage-1 numbering so the handover between
-    the factor model and the network stays visible in the curve.
+    the factor model and the network stays visible in the curve. stage1,
+    when given, is the (embeddings, curve) pair that train_als(matrix,
+    cfg.als, eval_split, record_history=record_history) returns, trained
+    already; it is used as it is.
     """
-    emb, curve = als_mod.train_als(matrix, cfg.als, eval_split,
+    if stage1 is None:
+        stage1 = als_mod.train_als(matrix, cfg.als, eval_split,
                                    record_history=record_history)
+    emb, curve = stage1
 
     positions = matrix.observed_positions()
     inputs = build_features(emb, positions, cfg.molecule_first)

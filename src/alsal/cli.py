@@ -89,29 +89,33 @@ def build_parser():
     return parser
 
 
-def _from_json(cls, raw, where=""):
-    """Dataclass cls from a JSON object. Fields typed as dataclasses are
-    built the same way (null only where the default is None) and lists
-    become tuples; fields left out keep their defaults. An unknown key, a
-    non-object where an object belongs, or a value the dataclass itself
-    rejects exits with its dotted name: the field's when the dataclass
-    raises a ConfigError, else the dataclass's."""
+def _from_json(cls, raw, where="", default=None):
+    """Dataclass cls from a JSON object: default (cls() if None) with the
+    object's fields replaced. Fields typed as dataclasses are built the
+    same way on default's value (null only where the default is None), so
+    a field left out keeps the value its enclosing default gives it, not
+    its class default; lists become tuples. An unknown key, a non-object
+    where an object belongs, or a value the dataclass itself rejects exits
+    with its dotted name: the field's when the dataclass raises a
+    ConfigError, else the dataclass's."""
     if not isinstance(raw, dict):
         raise SystemExit(f"config key {where[:-1]!r} must be an object"
                          if where else "config must be a JSON object")
     known = {f.name: f for f in fields(cls)}
+    base = cls() if default is None else default
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
             raise SystemExit(f"unknown config key {where + key!r}")
         f = known[key]
         if is_dataclass(f.type) and not (value is None and f.default is None):
-            value = _from_json(f.type, value, f"{where}{key}.")
+            value = _from_json(f.type, value, f"{where}{key}.",
+                               getattr(base, key))
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
     try:
-        return cls(**kwargs)
+        return replace(base, **kwargs)
     except ConfigError as e:
         raise SystemExit(f"invalid config key {where + e.key!r}: {e}") from e
     except (TypeError, ValueError) as e:

@@ -18,6 +18,16 @@ once and then steps that copy in place through `rmsprop_step` and a
 ones (and `rmsprop_step` a new model), so a public caller's result is
 never overwritten by a later call. Either way each product and sum is
 taken in the same order, so both forms give the same bits.
+A layer's bias gradient is the column sums of its (rows, width) delta.
+`_column_sums` takes them by `np.einsum("ij->j")` when width > 1 (the
+hidden layers): like `np.sum(delta, axis=0)` it adds each column's rows
+one at a time in row order, so it gives the same bits, in well under half
+the time. At width 1 (the output layer) it uses `np.add.reduce(axis=0)`,
+which sums a single column pairwise as `np.sum` does and einsum does not.
+(A column of only -0.0 sums to +0.0 under einsum, against -0.0; the
+gradient is only squared, and subtracted from a bias, which starts at +0.0
+and so is never -0.0, so this sign of zero changes no result.) The tests
+pin both forms against `np.sum`.
 An epoch's train history cells come from the next epoch's training
 forward pass (the one `backward` runs anyway), so history costs one
 forward pass over the test rows per epoch. Two `metrics.Scorer`s score the
@@ -222,6 +232,16 @@ def _output_gradient(preds, truths, cfg, out=None):
     return grad
 
 
+def _column_sums(delta, out):
+    """np.sum(delta, axis=0) of a C-ordered (rows, width) array, written
+    into out, with its bits: einsum adds each column's rows one by one in
+    row order, as np.sum does, except for a single column, which np.sum
+    (that is, add.reduce) sums pairwise."""
+    if delta.shape[1] > 1:
+        return np.einsum("ij->j", delta, out=out)
+    return np.add.reduce(delta, axis=0, out=out)
+
+
 def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
     """Gradient of the training objective, a flat vector in the layout of
     `model.params`: `buffers.grad`, which the next call given the same
@@ -244,7 +264,7 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
                              buffers.output_rows)[:, None]  # (batch, 1)
     for li in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[li].T, delta, out=grad_w[li])
-        np.sum(delta, axis=0, out=grad_b[li])
+        _column_sums(delta, grad_b[li])
         if li > 0:
             # delta <- (delta @ w.T) * (1 - a**2), a = this layer's input
             nxt, deriv = buffers.deltas[li - 1], buffers.scratch[li - 1]

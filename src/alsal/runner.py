@@ -1,6 +1,10 @@
 """Experiment runner: cross-validated benchmarks and active-learning
 studies, each one loop over units (target, concentration, model or
 strategy, seed), and CSV report emission with concentration averaging.
+When a benchmark's als model and ALSDL's stage 1 differ only in epochs,
+they train the same ALS run up to the shorter one's end: per fold,
+whichever comes first trains that part once, and the other takes it over
+(see _train_one).
 
 Report schema 2 (manifest "schema_version"): a cv_summary or learning_curves
 row has status ok or diverged; a diverged one holds only its key and
@@ -193,10 +197,11 @@ def _run_units(config, kind, names, status_table, limit, unit):
     """Validate config, load its matrices, raise ConfigError if the dataset
     cannot be opened or the count at the dotted key limit exceeds the
     observed positions of any matrix, then run unit(config, name, matrix,
-    seed) per (target, concentration, name, seed), in that nesting order.
-    A unit yields (table, row) pairs, which gain the unit's key; when it
-    raises DivergenceError, the rows it yielded stay and status_table gains
-    one diverged row."""
+    seed, shared) per (target, concentration, name, seed), in that nesting
+    order. shared is one dict per matrix, in which a unit may leave work
+    for a later unit of the same matrix. A unit yields (table, row) pairs,
+    which gain the unit's key; when it raises DivergenceError, the rows it
+    yielded stay and status_table gains one diverged row."""
     config.validate()
     matrices = load_matrices(config)
     value = attrgetter(limit)(config)
@@ -208,12 +213,14 @@ def _run_units(config, kind, names, status_table, limit, unit):
                               f"target {target}, concentration {conc}")
     report = Report(metadata=_metadata(config))
     for target, conc, matrix in matrices:
+        shared = {}
         for name in names:
             for seed in config.seeds:
                 key = {kind: name, "target": target, "concentration": conc,
                        "seed": seed}
                 try:
-                    for table, row in unit(config, name, matrix, seed):
+                    for table, row in unit(config, name, matrix, seed,
+                                           shared):
                         getattr(report, table).append(dict(key, **row))
                 except DivergenceError as e:
                     getattr(report, status_table).append(dict(
@@ -221,12 +228,12 @@ def _run_units(config, kind, names, status_table, limit, unit):
     return report
 
 
-def _cv_unit(config, model_name, matrix, seed):
+def _cv_unit(config, model_name, matrix, seed, shared):
     """One training_curves row per fold, then the cv_summary row."""
     losses, accuracies = [], []
     n_obs = len(matrix.observed_positions())
     for fold, split in enumerate(kfold_split(n_obs, config.folds, seed)):
-        curve = _train_one(config, model_name, matrix, split, seed)
+        curve = _train_one(config, model_name, matrix, split, seed, shared)
         yield "training_curves", dict(fold=fold, **curve._asdict())
         losses.append(curve.test_loss[-1])
         accuracies.append(curve.test_accuracy[-1])
@@ -235,18 +242,46 @@ def _cv_unit(config, model_name, matrix, seed):
                              status="ok")
 
 
-def _train_one(config, model_name, matrix, split, seed):
+def _train_one(config, model_name, matrix, split, seed, shared):
+    """The fold's curve. When a study trains both models and their
+    AlsConfigs differ only in epochs, the als model's run and ALSDL's stage
+    1 share their first k epochs, the shorter run's: whichever model comes
+    first leaves them in shared, and the other takes them from there."""
+    als_cfg = replace(config.als, seed=seed)
+    alsdl_cfg = config.alsdl.seeded(seed)
+    k = min(als_cfg.epochs, alsdl_cfg.als.epochs)
+    if (not set(MODELS) <= set(config.models)
+            or replace(als_cfg, epochs=k) != replace(alsdl_cfg.als, epochs=k)):
+        k = 0
     if model_name == "als":
-        cfg = replace(config.als, seed=seed)
-        _, curve = als_mod.train_als(matrix, cfg, eval_positions=split)
-    else:  # "alsdl", the only other name validate accepts
-        _, curve = alsdl_mod.train_alsdl(matrix, config.alsdl.seeded(seed),
-                                         eval_split=split)
-    return curve
+        return _train_als(matrix, als_cfg, split, shared, k)[1]
+    # "alsdl", the only other name validate accepts
+    stage1 = _train_als(matrix, alsdl_cfg.als, split, shared, k)
+    return alsdl_mod.train_alsdl(matrix, alsdl_cfg, eval_split=split,
+                                 stage1=stage1)[1]
 
 
-def _al_unit(config, strategy, matrix, seed):
-    """One learning_curves row per AL round."""
+def _train_als(matrix, cfg, split, shared, k):
+    """train_als(matrix, cfg, eval_positions=split), its first k epochs
+    taken from shared if a run of this seed and split left them there, else
+    trained and left there; k = 0 shares nothing."""
+    if not k:
+        return als_mod.train_als(matrix, cfg, eval_positions=split)
+    key = cfg.seed, split
+    if key in shared:  # the second of the two runs: nothing else needs it
+        emb, curve = shared.pop(key)
+    else:
+        emb, curve = shared[key] = als_mod.train_als(
+            matrix, replace(cfg, epochs=k), eval_positions=split)
+    if cfg.epochs == k:
+        return emb, curve
+    emb, rest = als_mod.train_als(matrix, cfg, eval_positions=split,
+                                  start_epoch=k, emb=emb)
+    return emb, curve.then(rest)
+
+
+def _al_unit(config, strategy, matrix, seed, shared):
+    """One learning_curves row per AL round; shared is not used."""
     cfg = replace(config.active, strategy=strategy, seed=seed)
     curve, _ = active_mod.run_active_learning(matrix, config.alsdl, cfg)
     for point in curve:

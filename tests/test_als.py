@@ -1,12 +1,13 @@
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alsal.data import MaskedMatrix, generate_synthetic
-from alsal.als import (AlsConfig, EmbeddingPair, EpochWork, als_epoch,
-                       als_gradients, als_loss, check_count, init_embeddings,
-                       train_als)
+from alsal.als import (AlsConfig, DivergenceError, EmbeddingPair, EpochWork,
+                       als_epoch, als_gradients, als_loss, check_count,
+                       init_embeddings, train_als)
 from alsal.metrics import FoldSplit
 
 
@@ -309,3 +310,62 @@ class TestTrainAls:
         np.testing.assert_array_equal(emb1.x, emb2.x)
         np.testing.assert_array_equal(emb1.w, emb2.w)
 
+
+
+class TestResume:
+    """A run resumed from its own embeddings gives the uninterrupted run."""
+
+    def legs(self, cfg, k, split):
+        mat, _ = generate_synthetic(7, 6, 2, 0.1, seed=3)
+        whole = train_als(mat, cfg, eval_positions=split)
+        first = emb, _ = train_als(mat, replace(cfg, epochs=k),
+                                   eval_positions=split)
+        x, w = emb.x.copy(), emb.w.copy()
+        resumed = train_als(mat, cfg, eval_positions=split, start_epoch=k,
+                            emb=emb)
+        # the given embeddings are copied, not trained in place
+        assert (emb.x == x).all() and (emb.w == w).all()
+        return whole, first, resumed
+
+    @pytest.mark.parametrize("split", [None, FoldSplit(
+        tuple(range(0, 42, 2)), tuple(range(1, 42, 2)))])
+    def test_equals_uninterrupted_run(self, split):
+        # 37 + 20 epochs: the legs meet inside a 32-epoch history block
+        cfg = AlsConfig(d=2, epochs=57, seed=4)
+        (emb, curve), (_, first), (emb2, rest) = self.legs(cfg, 37, split)
+        assert (emb2.x == emb.x).all() and (emb2.w == emb.w).all()
+        assert (rest.epoch_or_round == np.arange(37, 57)).all()
+        for name, column, joined in zip(curve._fields, curve,
+                                        first.then(rest)):
+            if split is None and name.startswith("test"):
+                assert column is None and joined is None
+            else:
+                assert (column == joined).all(), name
+
+    def test_resume_at_the_last_epoch_trains_nothing(self):
+        cfg = AlsConfig(d=2, epochs=5, seed=4)
+        (emb, _), _, (emb2, rest) = self.legs(cfg, 5, None)
+        assert (emb2.x == emb.x).all() and (emb2.w == emb.w).all()
+        assert rest.train_loss.size == 0
+
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_divergence_epoch_counts_from_the_run_start(self, k):
+        mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=4)
+        cfg = AlsConfig(d=2, epochs=30, learning_rate=0.6, seed=1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as whole:
+                train_als(mat, cfg)
+            emb, _ = train_als(mat, replace(cfg, epochs=k))
+            with pytest.raises(DivergenceError) as resumed:
+                train_als(mat, cfg, start_epoch=k, emb=emb)
+        assert k < whole.value.epoch < 30
+        assert resumed.value.epoch == whole.value.epoch
+
+    @pytest.mark.parametrize("start_epoch, with_emb", [(2, False), (-1, True),
+                                                       (6, True)])
+    def test_rejects_a_start_it_cannot_resume(self, start_epoch, with_emb):
+        mat, _ = generate_synthetic(4, 4, 2, 0.0, seed=0)
+        cfg = AlsConfig(d=2, epochs=5)
+        emb = init_embeddings(4, 4, cfg) if with_emb else None
+        with pytest.raises(ValueError, match="cannot start at epoch"):
+            train_als(mat, cfg, start_epoch=start_epoch, emb=emb)

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from alsal.als import DivergenceError
 from alsal.metrics import FoldSplit, rmse
 from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, StepWork,
-                       _Buffers, _output_gradient, backward, init_mlp,
-                       penalized_loss, predict_batch, rmsprop_step,
+                       _Buffers, _column_sums, _output_gradient, backward,
+                       init_mlp, penalized_loss, predict_batch, rmsprop_step,
                        sign_penalty, surrogate_objective, train_mlp)
 
 from test_history_exact import reference_backward, to_flat
@@ -413,17 +413,34 @@ class TestFlatLayout:
         model.biases[0][:] = -1.0
         assert (model.params[9:12] == -1.0).all()
 
-    @pytest.mark.parametrize("sizes", [[1, 1], [2, 8, 1], [10, 20, 10, 5, 1]])
-    def test_backward_equals_reference(self, sizes):
+    @pytest.mark.parametrize("sizes, rows", [
+        ([1, 1], 37), ([2, 8, 1], 37), ([10, 20, 10, 5, 1], 37),
+        ([10, 20, 10, 5, 1], 1071)],
+        ids=["sizes0", "sizes1", "sizes2", "bench"])
+    def test_backward_equals_reference(self, sizes, rows):
         rng = np.random.default_rng(11)
         model = init_mlp(sizes, seed=3)
-        x = rng.uniform(-1.5, 1.5, size=(37, sizes[0]))
-        t = rng.uniform(-1.0, 1.0, size=37)
+        x = rng.uniform(-1.5, 1.5, size=(rows, sizes[0]))
+        t = rng.uniform(-1.0, 1.0, size=rows)
         t[::5] = 0.0
         grad = backward(model, x, t, LossConfig())
         grad_w, grad_b = reference_backward(model, x, t, LossConfig())
         assert grad.shape == model.params.shape
         assert (grad == to_flat(grad_w + grad_b)).all()
+
+    @pytest.mark.parametrize("rows", [1, 2, 37, 1071])
+    def test_bias_sums_equal_np_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        for width in range(1, 33):
+            # magnitudes from 1e-8 to 1e3, so any other order of adding
+            # shows in the last bits; and entries of +0 and -0
+            delta = 10.0 ** rng.uniform(-8, 3, size=(rows, width))
+            delta *= rng.choice([-1.0, 1.0], size=delta.shape)
+            delta[rng.uniform(size=delta.shape) < 0.1] = 0.0
+            delta[rng.uniform(size=delta.shape) < 0.1] = -0.0
+            out = np.full(width, np.nan)
+            assert _column_sums(delta, out) is out
+            assert (out == np.sum(delta, axis=0)).all(), width
 
     def test_split_rejects_wrong_length(self):
         model = init_mlp([2, 3, 1], seed=0)

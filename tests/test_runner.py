@@ -19,9 +19,9 @@ from alsal.cli import (FLAG_KEYS, _config_from_json, build_parser, main,
                        resolve_config)
 from alsal.metrics import Curve
 from alsal.mlp import LossConfig, MlpTrainConfig
-from alsal.runner import (ConfigError, ExperimentConfig, SyntheticSpec,
-                          aggregate_concentrations, run_al_study,
-                          run_benchmark, write_report, Report)
+from alsal.runner import (MODELS, ConfigError, ExperimentConfig,
+                          SyntheticSpec, aggregate_concentrations,
+                          run_al_study, run_benchmark, write_report, Report)
 
 
 def small_config(**overrides):
@@ -124,11 +124,11 @@ class TestUnitDivergence:
         import alsal.runner as runner_mod
         real, calls = runner_mod._train_one, Counter()
 
-        def train(config, model_name, matrix, split, seed):
+        def train(config, model_name, matrix, split, seed, *shared):
             calls[model_name, seed] += 1
             if (model_name, seed, calls["als", 0]) == ("als", 0, fold + 1):
                 raise DivergenceError(7)
-            return real(config, model_name, matrix, split, seed)
+            return real(config, model_name, matrix, split, seed, *shared)
         monkeypatch.setattr(runner_mod, "_train_one", train)
         report = run_benchmark(small_config(seeds=(0, 1)))
         key = {"target": "synthetic", "concentration": "synthetic"}
@@ -144,6 +144,93 @@ class TestUnitDivergence:
             (model, seed, f) for model in ("als", "alsdl")
             for seed in (0, 1) if (model, seed) != ("als", 0)
             for f in range(3)]
+
+
+def count_als_epochs(monkeypatch):
+    """A Counter whose "epochs" counts every als.als_epoch call."""
+    import alsal.als as als_mod
+    real, calls = als_mod.als_epoch, Counter()
+
+    def counted(*args, **kwargs):
+        calls["epochs"] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(als_mod, "als_epoch", counted)
+    return calls
+
+
+def lines_by_model(report, out):
+    """{(CSV name, model): its data lines} of the report written to out."""
+    write_report(report, out)
+    lines = {}
+    for name in ("training_curves.csv", "cv_summary.csv"):
+        for line in (out / name).read_text().splitlines()[1:]:
+            lines.setdefault((name, line.split(",")[0]), []).append(line)
+    return lines
+
+
+class TestSharedAlsRuns:
+    """The als model's run and ALSDL's stage 1 share the epochs both train
+    (here 15 of 20), in either model order, and every data line is the one
+    each model gives when it is studied alone."""
+
+    def compare(self, monkeypatch, tmp_path, cfg):
+        """The ALS epochs of each model order, after checking that its
+        lines equal those of the models run alone."""
+        alone = {}
+        for model in MODELS:
+            alone.update(lines_by_model(
+                run_benchmark(replace(cfg, models=(model,))),
+                tmp_path / f"alone-{model}"))
+        calls = count_als_epochs(monkeypatch)
+        epochs = {}
+        for models in (MODELS, MODELS[::-1]):
+            calls.clear()
+            report = run_benchmark(replace(cfg, models=models))
+            epochs[models] = calls["epochs"]
+            assert lines_by_model(report, tmp_path / "-".join(models)) \
+                == alone
+        return epochs
+
+    def test_either_order_equals_each_model_alone(self, monkeypatch,
+                                                  tmp_path):
+        epochs = self.compare(monkeypatch, tmp_path, small_config())
+        # 3 folds x 20 epochs, where each model alone trains 3 x (20 + 15)
+        assert epochs == {MODELS: 60, MODELS[::-1]: 60}
+
+    def test_configs_that_differ_beyond_epochs_share_nothing(
+            self, monkeypatch, tmp_path):
+        cfg = small_config()
+        cfg.alsdl = replace(cfg.alsdl, als=replace(cfg.alsdl.als,
+                                                   learning_rate=0.02))
+        epochs = self.compare(monkeypatch, tmp_path, cfg)
+        assert epochs == {MODELS: 105, MODELS[::-1]: 105}
+
+    @pytest.mark.parametrize("stage1_epochs, epochs", [(15, 18), (5, 19)])
+    def test_divergence_before_or_after_the_shared_epochs(
+            self, monkeypatch, tmp_path, stage1_epochs, epochs):
+        # fold 0's ALS runs diverge at epoch 8 of 40: before the 15 epochs
+        # both models train (9 + 9 epochs, nothing shared), or after 5
+        # (9 + 2 x 5: alsdl takes fold 0's 5 epochs; 9 + 3 x 5 alone)
+        cfg = small_config()
+        cfg.als = replace(cfg.als, epochs=40, learning_rate=0.6)
+        cfg.alsdl = replace(cfg.alsdl, als=replace(
+            cfg.als, epochs=stage1_epochs))
+        with np.errstate(all="ignore"):
+            assert self.compare(monkeypatch, tmp_path, cfg) == {
+                MODELS: epochs, MODELS[::-1]: epochs}
+            report = run_benchmark(cfg)
+        assert report.cv_summary[0] == dict(
+            model="als", target="synthetic", concentration="synthetic",
+            seed=0, status="diverged", diverged_epoch=8)
+        assert report.cv_summary[1]["status"] == (
+            "diverged" if stage1_epochs > 8 else "ok")
+
+    def test_default_study_trains_4000_als_epochs(self, monkeypatch):
+        cfg = ExperimentConfig(synthetic=SyntheticSpec(8, 7, 2, 0.1))
+        calls = count_als_epochs(monkeypatch)
+        run_benchmark(cfg)
+        # 10 folds x 400, where alone the models train 10 x (400 + 200)
+        assert calls["epochs"] == 4000
 
 
 def forbid_training(monkeypatch):
@@ -684,6 +771,15 @@ class TestCli:
         assert {r["concentration"] for r in rows} == {"0.1", "1.0", "mean"}
         assert json.loads((again / "manifest.json").read_text())["config"] \
             == dict(config, output_dir=str(again))
+
+    @pytest.mark.parametrize("raw", [
+        {"alsdl": {"als": {"d": 5}}}, {"alsdl": {"als": {"seed": 0}}},
+        {"alsdl": {"loss": {"beta": 0.1}, "als": {}}}, {"als": {"d": 5}}])
+    def test_config_file_keeps_the_enclosing_defaults(self, tmp_path, raw):
+        # alsdl.als.epochs stays AlsdlConfig's 200, not AlsConfig's 400
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert _config_from_json(cfg_path) == ExperimentConfig()
 
     def test_config_file_null_where_default_is_none(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
