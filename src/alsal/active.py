@@ -188,10 +188,11 @@ def expected_losses(state, model, cfg, inner_seed):
         c_work = als_mod.EpochWork(*(a[:c] for a in work))
         c_emb.x[:] = init.x
         c_emb.w[:] = init.w
-        for _ in range(inner_cfg.epochs):
-            als_mod.als_epoch(stack, c_emb, inner_cfg.learning_rate,
-                              simultaneous=inner_cfg.simultaneous_updates,
-                              work=c_work)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for _ in range(inner_cfg.epochs):
+                als_mod.als_epoch(stack, c_emb, inner_cfg.learning_rate,
+                                  simultaneous=inner_cfg.simultaneous_updates,
+                                  work=c_work)
         finite = (np.isfinite(c_emb.x).all(axis=(1, 2))
                   & np.isfinite(c_emb.w).all(axis=(1, 2)))
         if not finite.all():

@@ -10,11 +10,13 @@ The gradient and epoch functions also take stacks of problems: leading
 axes of x, w and the matrix's values and mask are batch axes, and each
 slice is computed exactly as it would be on its own.
 
-`train_als` writes each epoch's x @ w into a row of a (HISTORY_BLOCK,
-m*n) block, and scores each filled block in one pass. A row scores to
-the same bits in any block, so a run resumed from its embeddings at any
-epoch (`train_als(..., start_epoch=k, emb=...)`) gives the curve of an
-uninterrupted one.
+`train_als` steps its embeddings in place, raises DivergenceError at the
+first epoch that leaves them non-finite, and hands each epoch's x @ w at
+the train and test positions to a `metrics.Scorer`. An epoch scores to
+the same bits in any history block, so a run resumed from its embeddings
+at any epoch (`train_als(..., start_epoch=k, emb=...)`) gives the curve
+of an uninterrupted one. Its epochs run under np.errstate with overflow
+and invalid values ignored: the finiteness check reports a divergence.
 """
 
 import numbers
@@ -174,39 +176,34 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
     if not observed.size:
         raise ValueError("matrix has no observed positions")
     if eval_positions is not None:
-        train_idx = observed[np.asarray(eval_positions.train_indices, int)]
-        test_idx = observed[np.asarray(eval_positions.test_indices, int)]
+        train_idx = observed[eval_positions.train_indices]
+        test_idx = observed[eval_positions.test_indices]
         train_matrix = matrix.with_mask(train_idx)
     else:
         train_idx, test_idx = observed, observed[:0]
         train_matrix = matrix
 
-    epochs = cfg.epochs - start_epoch
+    scored = []
     if record_history:
         values = matrix.values.ravel()  # the truths, prepared once
-        scored = [(Scorer(values[idx], epochs=epochs), idx)
+        scored = [(Scorer(values[idx], cfg.epochs - start_epoch), idx)
                   for idx in (train_idx, test_idx) if idx.size]
-        full = np.empty((len(scored[0][0].block), values.size))
+        pred = np.empty(m * n)
     if emb is None:
         emb = init_embeddings(m, n, cfg)
     else:  # trained in place from here on
         emb = EmbeddingPair(x=emb.x.copy(), w=emb.w.copy())
     work = EpochWork.like(emb)
-    for epoch in range(start_epoch, cfg.epochs):
-        emb = als_epoch(train_matrix, emb, cfg.learning_rate,
-                        simultaneous=cfg.simultaneous_updates, work=work)
-        if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
-            raise DivergenceError(epoch)
-        if not record_history:
-            continue
-        row = (epoch - start_epoch) % len(full)
-        np.matmul(emb.x, emb.w, out=full[row].reshape(m, n))
-        if row == len(full) - 1 or epoch == cfg.epochs - 1:
-            for scorer, idx in scored:
-                # mode="clip" writes straight into out; idx is in range
-                np.take(full[:row + 1], idx, axis=1, mode="clip",
-                        out=scorer.block[:row + 1])
-                scorer.score(row + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(start_epoch, cfg.epochs):
+            emb = als_epoch(train_matrix, emb, cfg.learning_rate,
+                            simultaneous=cfg.simultaneous_updates, work=work)
+            if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
+                raise DivergenceError(epoch)
+            if scored:
+                np.matmul(emb.x, emb.w, out=pred.reshape(m, n))
+                for scorer, idx in scored:
+                    scorer.add(pred[idx])
     if not record_history:
         return emb, None
     return emb, Curve.scored(start_epoch, *(s for s, _ in scored))

@@ -10,7 +10,7 @@ array. as_positions is the one place that checks this form.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 import math
 
@@ -111,15 +111,6 @@ class MaskedMatrix:
         return MaskedMatrix(self.values.copy(), mask.reshape(self.shape),
                             list(self.cell_index), list(self.molecule_index),
                             self.target)
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    n_cells: int
-    n_molecules: int
-    concentrations_kept: frozenset
-    n_instances_total: int
-    n_instances_kept: int
 
 
 def compute_gr(x_c, x_0, x_ctrl):
@@ -235,19 +226,6 @@ def build_response_matrix(obs, target, concentration):
         mask[i, j] = 1.0
     tag = TARGET_GR if target == "gr" else TARGET_IFD
     return MaskedMatrix(values, mask, cells, mols, tag)
-
-
-def summarize(obs):
-    kept = select_common_concentrations(obs)
-    kept_keys = {concentration_key(c) for c in kept}
-    n_kept = sum(1 for o in obs if concentration_key(o.concentration) in kept_keys)
-    return DatasetSummary(
-        n_cells=len({o.cell_id for o in obs}),
-        n_molecules=len({o.molecule_id for o in obs}),
-        concentrations_kept=frozenset(kept),
-        n_instances_total=len(obs),
-        n_instances_kept=n_kept,
-    )
 
 
 def generate_synthetic(m, n, rank, noise_sd, seed):

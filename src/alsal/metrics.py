@@ -6,8 +6,8 @@ call. Training loops score their history with a `Scorer` instead, a block
 of epochs per pass, and get a `Curve`: an array per CSV column. A row-wise
 `np.add.reduce` over a C-ordered block sums each row as a lone row is
 summed, so each entry has the checked functions' bits; numpy does not
-promise this, and the tests pin it. (An F-ordered block, such as
-`full[:n][:, idx]`, sums in another order.)
+promise this, and the tests pin it. (An F-ordered block sums in another
+order.)
 """
 
 from dataclasses import dataclass
@@ -23,10 +23,18 @@ class MetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldSplit:
-    train_indices: tuple
-    test_indices: tuple
+    """Train and test indices into a list of positions, held as intp
+    arrays; any integer sequences given are converted once, here."""
+
+    train_indices: np.ndarray
+    test_indices: np.ndarray
+
+    def __post_init__(self):
+        for name in ("train_indices", "test_indices"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name),
+                                                      dtype=np.intp))
 
 
 class Curve(NamedTuple):
@@ -89,20 +97,19 @@ def boundary_accuracy(preds, truths, boundary=0.0):
 
 
 class Scorer:
-    """RMSE and boundary accuracy against one fixed set of truths, with the
-    bits of `rmse(preds, truths)` and `boundary_accuracy(preds, truths,
-    boundary)`. The truths are checked, and their boundary signs computed,
-    once.
+    """RMSE and boundary accuracy of a curve's predictions against one fixed
+    set of truths, with the bits of `rmse(preds, truths)` and
+    `boundary_accuracy(preds, truths, boundary)`. The truths are checked,
+    and their boundary signs computed, once.
 
-    A call scores one row of float64 predictions. For a curve of `epochs`
-    epochs, `add` copies each epoch's predictions into a row of `block` (or
-    the caller fills rows and calls `score(n)`), and each full block, and
-    the last, is scored into `loss` and `accuracy`. Accuracy tests
-    sign(d) == truth sign, d = pred - boundary, as d * sign > 0 where the
-    truth sign is +-1 and d == 0 where it is 0, without the slow np.sign.
+    `add` copies each epoch's predictions into a row of `block`, and each
+    full block, and the one that holds the last of `epochs` epochs, is
+    scored into `loss` and `accuracy`. Accuracy tests sign(d) == truth
+    sign, d = pred - boundary, as d * sign > 0 where the truth sign is +-1
+    and d == 0 where it is 0, without the slow np.sign.
     """
 
-    def __init__(self, truths, boundary=0.0, epochs=0):
+    def __init__(self, truths, epochs, boundary=0.0):
         self.truths = np.asarray(truths, dtype=float)
         if self.truths.size == 0:
             raise MetricError("empty input")
@@ -116,30 +123,19 @@ class Scorer:
         self.loss, self.accuracy = np.empty(epochs), np.empty(epochs)
         self.scored = self.pending = 0
 
-    def __call__(self, preds):
-        """(RMSE, boundary accuracy) of preds."""
+    def add(self, preds):
+        """Copy the next epoch's predictions into the block, and score the
+        block once it is full or holds the last epoch."""
         if preds.shape != self.truths.shape:
             raise MetricError(f"length mismatch: {preds.shape} vs "
                               f"{self.truths.shape}")
-        loss, accuracy = np.empty(1), np.empty(1)
-        self._score_rows(preds[None], loss, accuracy)
-        return float(loss[0]), float(accuracy[0])
-
-    def add(self, preds):
-        """Copy the next epoch's predictions into the block, and score it
-        once it is full or holds the last epoch."""
         self.block[self.pending] = preds
         self.pending += 1
-        if (self.pending == len(self.block)
-                or self.scored + self.pending == self.loss.size):
-            self.score(self.pending)
-            self.pending = 0
-
-    def score(self, n):
-        """Score the first n rows of `block` as the next n epochs."""
-        done, self.scored = self.scored, self.scored + n
-        self._score_rows(self.block[:n], self.loss[done:self.scored],
-                         self.accuracy[done:self.scored])
+        n, done = self.pending, self.scored
+        if n == len(self.block) or done + n == self.loss.size:
+            self.scored, self.pending = done + n, 0
+            self._score_rows(self.block[:n], self.loss[done:done + n],
+                             self.accuracy[done:done + n])
 
     def _score_rows(self, preds, loss, accuracy):
         n, k = preds.shape
@@ -169,8 +165,5 @@ def kfold_split(n_positions, k, seed):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_positions)
     folds = np.array_split(perm, k)
-    out = []
-    for i, fold in enumerate(folds):
-        train = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        out.append(FoldSplit(tuple(train.tolist()), tuple(fold.tolist())))
-    return out
+    return [FoldSplit(np.concatenate(folds[:i] + folds[i + 1:]), fold)
+            for i, fold in enumerate(folds)]

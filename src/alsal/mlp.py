@@ -6,18 +6,21 @@ sign term (gradient zero almost everywhere), so training defaults to a smooth
 tanh surrogate. The training curve records RMSE and boundary accuracy;
 `penalized_loss` evaluates the exact objective, array-wide, on request.
 
-A training epoch allocates no array. `_Buffers` holds one batch size's
-work arrays: per layer, the (rows, width) activations, back-propagated
-deltas and tanh-derivative scratch; the output gradient and its two
-scratch rows; and the flat parameter gradient with its per-layer views.
-`train_mlp` makes one for its training rows and, with history on and a
-test split, one for the test rows, and passes them to `backward` and
-`predict_batch`, whose ufuncs write through `out=`. It copies the model
-once and then steps that copy in place through `rmsprop_step` and a
-`StepWork`. Called without buffers or work, these functions make fresh
-ones (and `rmsprop_step` a new model), so a public caller's result is
-never overwritten by a later call. Either way each product and sum is
-taken in the same order, so both forms give the same bits.
+A training epoch allocates no array that grows with the rows; only its
+finiteness check takes a flag per parameter. `_Buffers` holds one batch
+size's work arrays: per layer, the (rows, width) activations,
+back-propagated deltas and tanh-derivative scratch; the output gradient
+and its two scratch rows; and the flat parameter gradient with its
+per-layer views. `train_mlp` makes one for its training rows and, with
+history on and a test split, one for the test rows, and passes them to
+`backward` and `predict_batch`, whose ufuncs write through `out=`. It
+copies the model once and then steps that copy in place through
+`rmsprop_step` and a `StepWork`, and, as `train_als` does, raises
+DivergenceError at the first epoch that leaves a parameter non-finite.
+Called without buffers or work, these functions make fresh ones (and
+`rmsprop_step` a new model), so a public caller's result is never
+overwritten by a later call. Either way each product and sum is taken in
+the same order, so both forms give the same bits.
 A layer's bias gradient is the column sums of its (rows, width) delta.
 `_column_sums` takes them by `np.einsum("ij->j")` when width > 1 (the
 hidden layers): like `np.sum(delta, axis=0)` it adds each column's rows
@@ -31,7 +34,8 @@ pin both forms against `np.sum`.
 An epoch's train history cells come from the next epoch's training
 forward pass (the one `backward` runs anyway), so history costs one
 forward pass over the test rows per epoch. Two `metrics.Scorer`s score the
-train and test cells HISTORY_BLOCK epochs at a time.
+train and test cells HISTORY_BLOCK epochs at a time, at the boundary 0
+that the data and the ALS history use.
 An `MlpModel` stores its parameters, its rmsprop accumulators and, from
 `backward`, its gradients as flat float64 vectors in one layout (all weight
 matrices in layer order, then all biases), and `MlpModel.split` gives the
@@ -277,17 +281,14 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
 
 class StepWork(NamedTuple):
     """Work vectors for rmsprop_step, each the size of `model.params`: the
-    step, its denominator and the finiteness flags."""
+    step and its denominator."""
 
     step: np.ndarray
     denom: np.ndarray
-    finite: np.ndarray
 
     @classmethod
     def like(cls, model):
-        p = model.params
-        return cls(np.empty_like(p), np.empty_like(p),
-                   np.empty(p.shape, dtype=bool))
+        return cls(np.empty_like(model.params), np.empty_like(model.params))
 
 
 def rmsprop_step(model, grad, cfg, work=None):
@@ -296,12 +297,12 @@ def rmsprop_step(model, grad, cfg, work=None):
     Given work (a StepWork for the model), it updates `model.params` and
     `model.sq_grads` in place and returns the model; without it, the model
     is left as it was and a new one, accumulators included, is returned.
-    A non-finite parameter raises DivergenceError(-1), after the update.
+    It does not check the result for finiteness; train_mlp does.
     """
     if work is None:
         model = model.copy()
         work = StepWork.like(model)
-    step, denom, finite = work
+    step, denom = work
     decay = cfg.rmsprop_decay
     # sq_grads <- decay * sq_grads + (1 - decay) * grad * grad
     model.sq_grads *= decay
@@ -314,8 +315,6 @@ def rmsprop_step(model, grad, cfg, work=None):
     denom += cfg.rmsprop_epsilon
     step /= denom
     model.params -= step
-    if not np.isfinite(model.params, out=finite).all():
-        raise DivergenceError(-1)
     return model
 
 
@@ -329,13 +328,13 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     Epoch e's train cells come from the forward pass of epoch e + 1's
     `backward`, which runs on the model that epoch e left (the last epoch's
     from one more pass over the train rows), and its test cells from a pass
-    over the test rows alone.
+    over the test rows alone. Both are scored at the boundary 0. A step
+    that leaves a parameter non-finite raises DivergenceError(epoch).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     truths = np.asarray(truths, dtype=float)
     if eval_split is not None:
-        tr = np.asarray(eval_split.train_indices, dtype=int)
-        te = np.asarray(eval_split.test_indices, dtype=int)
+        tr, te = eval_split.train_indices, eval_split.test_indices
     else:
         tr, te = np.arange(inputs.shape[0]), None
     if tr.size == 0:
@@ -346,21 +345,20 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     # allocated once: each epoch overwrites them
     train_buffers = _Buffers(model, tr.size)
     step_work = StepWork.like(model)
-    epochs, b0 = train_cfg.epochs, loss_cfg.boundaries[0]
+    epochs = train_cfg.epochs
     scorers = []
     if record_history:
-        scorers.append(Scorer(truths_tr, b0, epochs))
+        scorers.append(Scorer(truths_tr, epochs))
         if te is not None and te.size > 0:
             inputs_te = inputs[te]
-            scorers.append(Scorer(truths[te], b0, epochs))
+            scorers.append(Scorer(truths[te], epochs))
             test_buffers = _Buffers(model, te.size)
     for epoch in range(epochs):
         grad = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
         if scorers and epoch:  # the previous epoch's train cells
             scorers[0].add(train_buffers.acts[-1][:, 0])
-        try:
-            model = rmsprop_step(model, grad, train_cfg, step_work)
-        except DivergenceError:
+        model = rmsprop_step(model, grad, train_cfg, step_work)
+        if not np.isfinite(model.params).all():
             raise DivergenceError(epoch)
         if len(scorers) == 2:
             scorers[1].add(predict_batch(model, inputs_te, test_buffers))

@@ -111,6 +111,11 @@ class ExperimentConfig:
                 if name not in known:
                     raise ValueError(f"unknown {kind} {name!r}; known: "
                                      f"{', '.join(known)}")
+        for kind, names in (("model", self.models),
+                            ("strategy", self.strategies),
+                            ("seed", self.seeds)):
+            if len(set(names)) < len(names):  # units with the same key
+                raise ValueError(f"repeated {kind} in {names!r}")
         check_count("folds", self.folds, minimum=2)
         defaults = ExperimentConfig()
         for key, run_field in _PER_UNIT.items():
@@ -233,7 +238,8 @@ def _cv_unit(config, model_name, matrix, seed, shared):
     losses, accuracies = [], []
     n_obs = len(matrix.observed_positions())
     for fold, split in enumerate(kfold_split(n_obs, config.folds, seed)):
-        curve = _train_one(config, model_name, matrix, split, seed, shared)
+        curve = _train_one(config, model_name, matrix, split, seed, fold,
+                           shared)
         yield "training_curves", dict(fold=fold, **curve._asdict())
         losses.append(curve.test_loss[-1])
         accuracies.append(curve.test_accuracy[-1])
@@ -242,7 +248,7 @@ def _cv_unit(config, model_name, matrix, seed, shared):
                              status="ok")
 
 
-def _train_one(config, model_name, matrix, split, seed, shared):
+def _train_one(config, model_name, matrix, split, seed, fold, shared):
     """The fold's curve. When a study trains both models and their
     AlsConfigs differ only in epochs, the als model's run and ALSDL's stage
     1 share their first k epochs, the shorter run's: whichever model comes
@@ -254,20 +260,21 @@ def _train_one(config, model_name, matrix, split, seed, shared):
             or replace(als_cfg, epochs=k) != replace(alsdl_cfg.als, epochs=k)):
         k = 0
     if model_name == "als":
-        return _train_als(matrix, als_cfg, split, shared, k)[1]
+        return _train_als(matrix, als_cfg, split, fold, shared, k)[1]
     # "alsdl", the only other name validate accepts
-    stage1 = _train_als(matrix, alsdl_cfg.als, split, shared, k)
+    stage1 = _train_als(matrix, alsdl_cfg.als, split, fold, shared, k)
     return alsdl_mod.train_alsdl(matrix, alsdl_cfg, eval_split=split,
                                  stage1=stage1)[1]
 
 
-def _train_als(matrix, cfg, split, shared, k):
-    """train_als(matrix, cfg, eval_positions=split), its first k epochs
-    taken from shared if a run of this seed and split left them there, else
-    trained and left there; k = 0 shares nothing."""
+def _train_als(matrix, cfg, split, fold, shared, k):
+    """train_als(matrix, cfg, eval_positions=split), split being fold
+    `fold` of the seed's k-fold split, its first k epochs taken from shared
+    if a run of this seed and fold left them there, else trained and left
+    there; k = 0 shares nothing."""
     if not k:
         return als_mod.train_als(matrix, cfg, eval_positions=split)
-    key = cfg.seed, split
+    key = cfg.seed, fold
     if key in shared:  # the second of the two runs: nothing else needs it
         emb, curve = shared.pop(key)
     else:

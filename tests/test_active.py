@@ -487,8 +487,8 @@ class TestStackedElmExact:
         assert candidates[:5].tolist() == sorted(state.pool.tolist())[:5]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered",
-                            "ignore:invalid value encountered")
+# a divergence is an error with its epoch, not a numpy warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStackedElmDivergence:
     # (0, 1.1): only candidate 23 of 26 diverges, in the eighth chunk;
     # (2, 1.5): candidate 1 diverges at epoch 18, candidate 2 in the same

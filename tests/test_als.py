@@ -279,6 +279,18 @@ class TestTrainAls:
         for a, b in zip(hist1, hist2):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("record_history", [True, False])
+    def test_divergence_raises_no_numpy_warning(self, record_history):
+        """Overflow is reported once, as DivergenceError with its epoch;
+        numpy prints no RuntimeWarning on the way."""
+        mat, _ = generate_synthetic(8, 7, 2, 0.1, seed=0)
+        split = FoldSplit(range(0, 56, 2), range(1, 56, 2))
+        cfg = AlsConfig(d=2, epochs=20, learning_rate=100.0)
+        with pytest.raises(DivergenceError) as e:
+            train_als(mat, cfg, split, record_history=record_history)
+        assert e.value.epoch == 3  # epochs 0-2 stay finite
+
     def test_eval_split_excludes_test_from_training(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=8)
         split = FoldSplit(tuple(range(20)), tuple(range(20, 25)))

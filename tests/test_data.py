@@ -9,8 +9,7 @@ from alsal.alsdl import (AlsdlConfig, AlsdlModel, alsdl_predict_positions,
                          build_features)
 from alsal.data import (DataError, build_response_matrix, compute_gr,
                         compute_ifd, concentration_key, generate_synthetic,
-                        parse_dataset, select_common_concentrations,
-                        summarize)
+                        parse_dataset, select_common_concentrations)
 from alsal.mlp import init_mlp
 
 from conftest import csv_stream, dataset_shaped_csv, make_observations
@@ -186,17 +185,6 @@ class TestBuildResponseMatrix:
         assert mat.shape == (1, 1)
 
 
-class TestSummarize:
-    def test_counts(self):
-        obs = (make_observations(["c1", "c2"], ["m1", "m2"], [1.0, 2.0])
-               + make_observations(["c1"], ["m1"], [3.0]))
-        s = summarize(obs)
-        assert s.n_cells == 2 and s.n_molecules == 2
-        assert s.concentrations_kept == {1.0, 2.0}
-        assert s.n_instances_total == 9
-        assert s.n_instances_kept == 8
-
-
 @pytest.fixture(scope="module")
 def obs():
     return parse_dataset(dataset_shaped_csv())
@@ -212,9 +200,10 @@ class TestDatasetShapedCorpus:
         assert select_common_concentrations(obs) == {0.01, 0.1, 1.0, 10.0}
 
     def test_kept_instances(self, obs):
-        s = summarize(obs)
-        assert s.n_cells == 35 and s.n_molecules == 34
-        assert s.n_instances_kept == 4760
+        kept = [build_response_matrix(obs, "gr", c)
+                for c in select_common_concentrations(obs)]
+        assert {m.shape for m in kept} == {(35, 34)}
+        assert sum(int(m.mask.sum()) for m in kept) == 4760
 
     def test_matrix_shape_and_coverage(self, obs):
         mat = build_response_matrix(obs, "gr", 0.01)

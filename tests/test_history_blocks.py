@@ -10,9 +10,10 @@ The blocked scoring relies on numpy behaviour that numpy does not promise:
 on a C-ordered (rows, k) block, a row-wise np.add.reduce sums each row in
 the order it sums that row alone, and a row-wise np.count_nonzero counts
 it alike. TestRowWiseReduction pins it, and checks scored blocks against
-rmse and boundary_accuracy, which take np.sign and a 1-D sum. An F-ordered block, such as
-full[:n][:, idx], is summed in another order and differs in the last bits,
-so TestBlocksAreCOrdered checks every block the training loops score.
+rmse and boundary_accuracy, which take np.sign and a 1-D sum. An
+F-ordered block, such as a column gather from a block of whole-matrix
+predictions, is summed in another order and differs in the last bits, so
+TestBlocksAreCOrdered checks every block the training loops score.
 """
 
 import csv
@@ -61,24 +62,20 @@ class TestRowWiseReduction:
     @pytest.mark.parametrize("boundary", [0.0, 0.3, -0.5])
     @pytest.mark.parametrize("k", [1, 7, 119, 1071, 4096, 10001])
     def test_block_equals_per_row_scores(self, k, boundary, rng):
-        """Each row of two scored blocks against a per-row call and the
-        checked functions, which use np.sign and a 1-D sum."""
+        """Each row of two scored blocks against a Scorer of one epoch and
+        the checked functions, which use np.sign and a 1-D sum."""
         truths = rng.normal(size=k)
         truths[::5] = boundary  # truths on the boundary
-        scorer = Scorer(truths, boundary, 2 * B)
-        blocks = []
-        for _ in range(2):
-            preds = rng.normal(size=(B, k))
-            preds[1, ::3] = boundary  # predictions on the boundary
-            preds[2] = truths
-            scorer.block[:] = preds
-            scorer.score(B)
-            blocks.append(preds)
-        per_row = Scorer(truths, boundary)
-        for i, row in enumerate(np.concatenate(blocks)):
+        rows = rng.normal(size=(2 * B, k))
+        rows[1::B, ::3] = boundary  # predictions on the boundary
+        rows[2::B] = truths
+        scorer = Scorer(truths, 2 * B, boundary)
+        for row in rows:
+            scorer.add(row)
+        for i, row in enumerate(rows):
             want = (rmse(row, truths), boundary_accuracy(row, truths, boundary))
             assert (scorer.loss[i], scorer.accuracy[i]) == want
-            assert per_row(row) == want
+            assert scored_alone(truths, row, boundary) == want
 
     @pytest.mark.parametrize("boundary", [0.0, -0.0, 0.5])
     def test_special_values(self, boundary):
@@ -89,16 +86,23 @@ class TestRowWiseReduction:
                 np.nan]
         p, t = (a.ravel() for a in np.meshgrid(grid, grid))
         rows = np.stack([np.roll(p, shift) for shift in range(7)])
-        scorer = Scorer(t, boundary, len(rows))
-        scorer.block[:] = rows
+        scorer = Scorer(t, len(rows), boundary)
         with np.errstate(invalid="ignore"):
-            scorer.score(len(rows))
+            for row in rows:
+                scorer.add(row)
             for row, loss, accuracy in zip(rows, scorer.loss,
                                            scorer.accuracy):
                 assert accuracy == boundary_accuracy(row, t, boundary)
                 assert math.isnan(loss) and math.isnan(rmse(row, t))
         finite = t[np.isfinite(t)]
-        assert Scorer(finite, boundary)(finite) == (0.0, 1.0)
+        assert scored_alone(finite, finite, boundary) == (0.0, 1.0)
+
+
+def scored_alone(truths, preds, boundary):
+    """(loss, accuracy) of preds as the one epoch of a Scorer."""
+    scorer = Scorer(truths, 1, boundary)
+    scorer.add(preds)
+    return scorer.loss[0], scorer.accuracy[0]
 
 
 class TestBlocksAreCOrdered:
@@ -282,8 +286,10 @@ class TestNoHistory:
         assert train_alsdl(mat, cfg, split, record_history=False)[1] is None
 
     def test_als_peak_memory_stays_under_one_block(self):
-        """The (HISTORY_BLOCK, m*n) prediction block alone is 299 KB at
-        35 x 34; without history training never holds that much."""
+        """A (HISTORY_BLOCK, m*n) block is 299 KB at 35 x 34: training
+        without history never holds that much, and with history its train
+        Scorer's block and scratch block, 32 epochs of 952 positions each,
+        take more."""
         mat, _ = generate_synthetic(35, 34, 5, 0.1, seed=1)
         split = split_for(mat)
         cfg = AlsConfig(epochs=B + 1)

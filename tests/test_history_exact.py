@@ -33,7 +33,8 @@ import pytest
 
 from alsal.als import (AlsConfig, DivergenceError, als_epoch,
                        init_embeddings, train_als)
-from alsal.alsdl import AlsdlConfig, build_features, train_alsdl
+from alsal.alsdl import (AlsdlConfig, alsdl_predict_positions,
+                         build_features, train_alsdl)
 from alsal.data import DataError, MaskedMatrix, generate_synthetic
 from alsal.metrics import FoldSplit, boundary_accuracy, kfold_split, rmse
 from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, _output_gradient,
@@ -228,14 +229,14 @@ def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
         if not record_history:
             continue
         p_tr, p_te = history_preds(model, inputs, tr, te)
-        b0 = loss_cfg.boundaries[0]
+        # accuracy at the data's boundary 0, whatever the loss's boundaries
         point = {"epoch_or_round": start_epoch + epoch,
                  "train_loss": rmse(p_tr, truths_tr),
-                 "train_accuracy": boundary_accuracy(p_tr, truths_tr, b0)}
+                 "train_accuracy": boundary_accuracy(p_tr, truths_tr)}
         if te is not None and te.size:
             point.update(
                 test_loss=rmse(p_te, truths[te]),
-                test_accuracy=boundary_accuracy(p_te, truths[te], b0))
+                test_accuracy=boundary_accuracy(p_te, truths[te]))
         history.append(EvalPoint(**point))
     return model, history
 
@@ -322,6 +323,27 @@ class TestAlsdlHistory:
         assert_same_net(model.net, net_ref)
         assert_same_curve(hist, hist_ref)
         assert (hist.test_loss is not None) == with_split
+
+    def test_both_stages_score_accuracy_at_zero(self):
+        """Loss boundaries shape the network's penalty only: the ALS and
+        the network stage of one curve both score accuracy at the data's
+        boundary 0, which for the network is not the first loss boundary."""
+        mat = holey_matrix(seed=5)
+        split = split_for(mat, seed=1)
+        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=15, seed=2),
+                          mlp_train=MlpTrainConfig(epochs=25, seed=3),
+                          loss=LossConfig(boundaries=(-0.5, 0.5)),
+                          hidden_sizes=(8, 4))
+        model, hist = train_alsdl(mat, cfg, eval_split=split)
+        train = mat.observed_positions()[split.train_indices]
+        truths = mat.values.ravel()[train]
+        emb = model.embeddings
+        stage1 = (emb.x @ emb.w).ravel()[train]
+        stage2 = alsdl_predict_positions(model, train)
+        assert hist.train_accuracy[14] == boundary_accuracy(stage1, truths)
+        assert hist.train_accuracy[-1] == boundary_accuracy(stage2, truths)
+        assert hist.train_accuracy[-1] != boundary_accuracy(stage2, truths,
+                                                            -0.5)
 
 
 class TestPenalizedLossReference:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from alsal.metrics import (MetricError, Scorer, boundary_accuracy,
-                           kfold_split, residual_rmse, rmse)
+from alsal.metrics import (FoldSplit, MetricError, Scorer,
+                           boundary_accuracy, kfold_split, residual_rmse,
+                           rmse)
 
 finite_lists = st.lists(st.floats(-100, 100), min_size=1, max_size=30)
 
@@ -78,33 +79,42 @@ class TestMeansEqualNpMean:
         assert type(boundary_accuracy([0.3], [0.1])) is float
 
 
+def scores(truths, rows, boundary=0.0):
+    """(loss, accuracy) per row of a Scorer that was given the rows, one
+    epoch each, through add."""
+    scorer = Scorer(truths, len(rows), boundary)
+    for row in rows:
+        scorer.add(np.asarray(row, dtype=float))
+    return list(zip(scorer.loss.tolist(), scorer.accuracy.tolist()))
+
+
 class TestScorer:
-    """A Scorer gives rmse and boundary_accuracy's values with ==, call
-    after call on its reused scratch arrays."""
+    """A Scorer gives rmse and boundary_accuracy's values with ==, epoch
+    after epoch on its reused scratch arrays."""
 
     @pytest.mark.parametrize("boundary", [0.0, 0.3, -0.5])
     @pytest.mark.parametrize("n", [1, 7, 129, 1071])
     def test_equals_checked_functions(self, n, boundary, rng):
         t = rng.normal(size=n)
-        score = Scorer(t, boundary)
-        for _ in range(3):
-            p = rng.normal(size=n)
-            assert score(p) == (rmse(p, t), boundary_accuracy(p, t, boundary))
+        rows = rng.normal(size=(3, n))
+        assert scores(t, rows, boundary) == [
+            (rmse(p, t), boundary_accuracy(p, t, boundary)) for p in rows]
 
     @pytest.mark.parametrize("boundary", [0.0, -0.0, 0.5])
     def test_zeros_and_boundary_hits(self, boundary):
         grid = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nextafter(0.0, 1)]
         p, t = (a.ravel() for a in np.meshgrid(grid, grid))
-        score = Scorer(t, boundary)
-        assert score(p) == (rmse(p, t), boundary_accuracy(p, t, boundary))
-        assert score(t) == (0.0, 1.0)
-        assert Scorer([0.0], boundary)(np.array([-0.0])) == (0.0, 1.0)
+        assert scores(t, [p, t], boundary) == [
+            (rmse(p, t), boundary_accuracy(p, t, boundary)), (0.0, 1.0)]
+        assert scores([0.0], [[-0.0]], boundary) == [(0.0, 1.0)]
 
     def test_checks(self):
         with pytest.raises(MetricError, match="empty input"):
-            Scorer([])
+            Scorer([], 1)
         with pytest.raises(MetricError, match="length mismatch"):
-            Scorer([1.0, 2.0])(np.zeros(3))
+            Scorer([1.0, 2.0], 1).add(np.zeros(3))
+        with pytest.raises(MetricError, match="length mismatch"):
+            Scorer([1.0, 2.0], 1).add(np.zeros(1))  # would broadcast
 
     def test_residual_rmse_keeps_its_input_unless_given_it(self, rng):
         p, t = rng.normal(size=11), rng.normal(size=11)
@@ -150,7 +160,17 @@ class TestKfoldSplit:
         assert [len(s.test_indices) for s in splits] == [119] * 10
 
     def test_deterministic(self):
-        assert kfold_split(57, 5, seed=9) == kfold_split(57, 5, seed=9)
+        for a, b in zip(*(kfold_split(57, 5, seed=9) for _ in range(2))):
+            np.testing.assert_array_equal(a.train_indices, b.train_indices)
+            np.testing.assert_array_equal(a.test_indices, b.test_indices)
+
+    def test_splits_hold_intp_arrays(self):
+        given = FoldSplit((0, 2), [1])
+        for split in (given, *kfold_split(7, 2, seed=0)):
+            for a in (split.train_indices, split.test_indices):
+                assert isinstance(a, np.ndarray) and a.dtype == np.intp
+        assert given.train_indices.tolist() == [0, 2]
+        assert FoldSplit((0, 1), ()).test_indices.size == 0
 
     def test_remainder_spread_from_fold_zero(self):
         sizes = [len(s.test_indices) for s in kfold_split(13, 5, seed=1)]

@@ -541,16 +541,29 @@ class TestInPlaceForms:
         assert (want.params != model.params).any()
 
     def test_rmsprop_step_divergence(self, rng):
+        """rmsprop_step returns a non-finite step as it is, in both forms;
+        train_mlp raises DivergenceError at the epoch of the first step
+        that leaves a parameter non-finite."""
         model = init_mlp([3, 6, 4, 1], seed=2)
-        cfg = MlpTrainConfig(rmsprop_learning_rate=1e308)
-        grad = rng.normal(size=model.params.size)
-        before = model.params.copy()
-        with np.errstate(over="ignore"):
-            for work in (None, StepWork.like(model)):
+        x, t = rng.normal(size=(9, 3)), rng.normal(size=9)
+        before, epochs = model.params.copy(), []
+        for learning_rate in (1e308, 2e307):
+            cfg = MlpTrainConfig(epochs=10,
+                                 rmsprop_learning_rate=learning_rate)
+            with np.errstate(all="ignore"):
+                stepped, work = model.copy(), StepWork.like(model)
+                for epoch in range(cfg.epochs):
+                    grad = backward(stepped, x, t, LossConfig())
+                    fresh = rmsprop_step(stepped, grad, cfg)
+                    rmsprop_step(stepped, grad, cfg, work)
+                    np.testing.assert_array_equal(fresh.params, stepped.params)
+                    if not np.isfinite(stepped.params).all():
+                        break
                 with pytest.raises(DivergenceError) as e:
-                    rmsprop_step(model if work is None else model.copy(),
-                                 grad, cfg, work)
-                assert e.value.epoch == -1
+                    train_mlp(model, x, t, cfg, LossConfig())
+            assert e.value.epoch == epoch
+            epochs.append(epoch)
+        assert epochs == [0, 1]
         np.testing.assert_array_equal(model.params, before)
 
 

@@ -122,13 +122,13 @@ class TestUnitDivergence:
     @pytest.mark.parametrize("fold", [0, 1])
     def test_rows_before_the_divergence_stay(self, monkeypatch, fold):
         import alsal.runner as runner_mod
-        real, calls = runner_mod._train_one, Counter()
+        real = runner_mod._train_one
 
-        def train(config, model_name, matrix, split, seed, *shared):
-            calls[model_name, seed] += 1
-            if (model_name, seed, calls["als", 0]) == ("als", 0, fold + 1):
+        def train(config, model_name, matrix, split, seed, this_fold, shared):
+            if (model_name, seed, this_fold) == ("als", 0, fold):
                 raise DivergenceError(7)
-            return real(config, model_name, matrix, split, seed, *shared)
+            return real(config, model_name, matrix, split, seed, this_fold,
+                        shared)
         monkeypatch.setattr(runner_mod, "_train_one", train)
         report = run_benchmark(small_config(seeds=(0, 1)))
         key = {"target": "synthetic", "concentration": "synthetic"}
@@ -254,7 +254,12 @@ class TestConfigChecks:
          "unknown strategy 'rand'; known: orderly, random, uncertainty, elm"),
         ({"folds": 1}, "folds must be an integer of at least 2, not 1"),
         ({"folds": 2.0}, "folds must be an integer of at least 2, not 2.0"),
-        ({"folds": True}, "folds must be an integer of at least 2, not True")])
+        ({"folds": True}, "folds must be an integer of at least 2, not True"),
+        ({"models": ("als", "alsdl", "als")},
+         "repeated model in ('als', 'alsdl', 'als')"),
+        ({"strategies": ("elm", "elm")},
+         "repeated strategy in ('elm', 'elm')"),
+        ({"seeds": (0, 1, 1)}, "repeated seed in (0, 1, 1)")])
     def test_validate(self, monkeypatch, run, overrides, message):
         forbid_training(monkeypatch)
         with pytest.raises(ValueError) as e:
@@ -298,7 +303,9 @@ class TestConfigChecks:
         # the default n_init, 40
         (["al-study", "--strategy", "random"],
          "invalid config key 'active.n_init': n_init = 40 exceeds the 36 "
-         "observed positions of target synthetic, concentration synthetic")])
+         "observed positions of target synthetic, concentration synthetic"),
+        (["benchmark", "--models", "als,als"],
+         "invalid config: repeated model in ('als', 'als')")])
     def test_cli_exit(self, monkeypatch, tmp_path, argv, message):
         forbid_training(monkeypatch)
         with pytest.raises(SystemExit) as e:
