@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 from .data import (MaskedMatrix, Observation, as_positions, compute_gr,
                    compute_ifd, parse_dataset, select_common_concentrations,
                    build_response_matrix, generate_synthetic)
-from .metrics import Curve, FoldSplit, rmse, boundary_accuracy, kfold_split
+from .metrics import Curve, FoldSplit, kfold_split
 from .als import (AlsConfig, EmbeddingPair, DivergenceError, init_embeddings,
                   als_loss, als_gradients, als_epoch, train_als)
-from .mlp import (LossConfig, MlpModel, MlpTrainConfig, init_mlp, sign_penalty,
-                  penalized_loss, surrogate_objective, backward, rmsprop_step,
-                  train_mlp)
+from .mlp import (LossConfig, MlpModel, MlpTrainConfig, init_mlp, backward,
+                  rmsprop_step, train_mlp)
 from .alsdl import (AlsdlConfig, AlsdlModel, build_features, train_alsdl,
                     alsdl_predict_positions)
 from .active import (ActiveConfig, ActiveState, LearningCurvePoint, init_state,

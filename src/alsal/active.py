@@ -23,7 +23,7 @@ import numpy as np
 
 from . import als as als_mod
 from . import alsdl as alsdl_mod
-from .metrics import rmse, boundary_accuracy
+from .metrics import Scorer
 
 
 STRATEGIES = ("orderly", "random", "uncertainty", "elm")
@@ -191,8 +191,7 @@ def expected_losses(state, model, cfg, inner_seed):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             for _ in range(inner_cfg.epochs):
                 als_mod.als_epoch(stack, c_emb, inner_cfg.learning_rate,
-                                  simultaneous=inner_cfg.simultaneous_updates,
-                                  work=c_work)
+                                  inner_cfg.simultaneous_updates, c_work)
         finite = (np.isfinite(c_emb.x).all(axis=(1, 2))
                   & np.isfinite(c_emb.w).all(axis=(1, 2)))
         if not finite.all():
@@ -257,12 +256,12 @@ def run_active_learning(matrix, model_cfg, cfg):
             train_matrix, model_cfg.seeded(_round_seed(cfg.seed, 2 * rnd)),
             record_history=False)
 
-        preds = alsdl_mod.alsdl_predict_positions(model, positions)
-        point = LearningCurvePoint(
+        scorer = Scorer(truths, 1)
+        scorer.add(alsdl_mod.alsdl_predict_positions(model, positions))
+        state.history.append(LearningCurvePoint(
             round=rnd, n_labeled=len(state.labeled),
-            full_rmse=rmse(preds, truths),
-            full_accuracy=boundary_accuracy(preds, truths))
-        state.history.append(point)
+            full_rmse=float(scorer.loss[0]),
+            full_accuracy=float(scorer.accuracy[0])))
 
         if rnd == cfg.n_max_query or not state.pool.size:
             break

@@ -10,13 +10,16 @@ The gradient and epoch functions also take stacks of problems: leading
 axes of x, w and the matrix's values and mask are batch axes, and each
 slice is computed exactly as it would be on its own.
 
-`train_als` steps its embeddings in place, raises DivergenceError at the
-first epoch that leaves them non-finite, and hands each epoch's x @ w at
-the train and test positions to a `metrics.Scorer`. An epoch scores to
-the same bits in any history block, so a run resumed from its embeddings
-at any epoch (`train_als(..., start_epoch=k, emb=...)`) gives the curve
-of an uninterrupted one. Its epochs run under np.errstate with overflow
-and invalid values ignored: the finiteness check reports a divergence.
+`train_als` steps its embeddings in place (`als_epoch` into an
+`EpochWork`), raises DivergenceError at the first epoch that leaves them
+non-finite, and hands each epoch's x @ w at the train and test positions
+to a `metrics.Scorer`. An epoch scores to the same bits in any history
+block, so a run resumed from its embeddings at any epoch
+(`train_als(..., start_epoch=k, emb=...)`) gives the curve of an
+uninterrupted one. Its epochs run under np.errstate with overflow and
+invalid values ignored: the finiteness check reports a divergence.
+Finite embeddings whose product overflows are reported at the next
+epoch, which that product makes non-finite.
 """
 
 import numbers
@@ -29,6 +32,9 @@ from .metrics import Curve, Scorer
 
 
 class DivergenceError(RuntimeError):
+    """The step of `epoch` left a parameter non-finite or, in `train_mlp`,
+    a training RMSE that is not finite."""
+
     def __init__(self, epoch):
         super().__init__(f"non-finite values at epoch {epoch}")
         self.epoch = epoch
@@ -123,17 +129,13 @@ class EpochWork(NamedTuple):
                    np.empty_like(emb.x), np.empty_like(emb.w))
 
 
-def als_epoch(matrix, emb, alpha, simultaneous=False, work=None):
+def als_epoch(matrix, emb, alpha, simultaneous, work):
     """One training epoch: x-step then w-step on the updated x.
 
-    With simultaneous=True both steps use the gradients at the old x.
-    Given work (an EpochWork shaped for emb), the epoch writes its
-    temporaries there, updates emb.x and emb.w in place and returns emb;
-    without it, emb is left as it is and a new pair is returned.
+    With simultaneous=True both steps use the gradients at the old x. The
+    epoch writes its temporaries into work (an EpochWork shaped for emb),
+    updates emb.x and emb.w in place and returns emb.
     """
-    if work is None:
-        emb = EmbeddingPair(x=emb.x.copy(), w=emb.w.copy())
-        work = EpochWork.like(emb)
     x, w = emb.x, emb.w
     r, gx, gw = work
     _residual(matrix, emb, out=r)
@@ -157,9 +159,10 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
 
     When eval_positions (a FoldSplit over matrix.observed_positions()) is
     given, test positions are masked out of training and scored in the
-    curve's test columns. record_history=False skips per-epoch evaluation
-    and returns None for the curve (used for the many throwaway models
-    inside the ELM query).
+    curve's test columns; a split that `FoldSplit.indices` rejects raises
+    IndexError before any epoch. record_history=False skips per-epoch
+    evaluation and returns None for the curve (used for the many throwaway
+    models inside the ELM query).
 
     Given emb, the embeddings a run of this config had after start_epoch
     epochs, the run resumes there: it trains epochs start_epoch to
@@ -176,8 +179,8 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
     if not observed.size:
         raise ValueError("matrix has no observed positions")
     if eval_positions is not None:
-        train_idx = observed[eval_positions.train_indices]
-        test_idx = observed[eval_positions.test_indices]
+        train, test = eval_positions.indices(observed.size)
+        train_idx, test_idx = observed[train], observed[test]
         train_matrix = matrix.with_mask(train_idx)
     else:
         train_idx, test_idx = observed, observed[:0]
@@ -196,8 +199,8 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
     work = EpochWork.like(emb)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(start_epoch, cfg.epochs):
-            emb = als_epoch(train_matrix, emb, cfg.learning_rate,
-                            simultaneous=cfg.simultaneous_updates, work=work)
+            als_epoch(train_matrix, emb, cfg.learning_rate,
+                      cfg.simultaneous_updates, work)
             if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
                 raise DivergenceError(epoch)
             if scored:

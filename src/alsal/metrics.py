@@ -1,19 +1,19 @@
-"""Shared loss/accuracy metrics, training curves and the cross-validation
-splitter.
+"""Training curves, the curve scorer and the cross-validation splitter.
 
-`rmse` and `boundary_accuracy` check and convert their inputs on every
-call. Training loops score their history with a `Scorer` instead, a block
-of epochs per pass, and get a `Curve`: an array per CSV column. A row-wise
-`np.add.reduce` over a C-ordered block sums each row as a lone row is
-summed, so each entry has the checked functions' bits; numpy does not
-promise this, and the tests pin it. (An F-ordered block sums in another
-order.)
+Training loops and the active-learning loop score their predictions with
+a `Scorer`, a block of epochs (or rounds) per pass, and get a `Curve`: an
+array per CSV column. Each entry has the bits of a lone row's RMSE and
+boundary accuracy: a row-wise `np.add.reduce` over a C-ordered block sums
+each row as a lone row is summed. numpy does not promise this, and the
+tests pin it. (An F-ordered block sums in another order.)
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .data import as_positions
 
 # epochs scored per pass; a block of 32 x 1,071 float64 is 274 KB
 HISTORY_BLOCK = 32
@@ -25,16 +25,32 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FoldSplit:
-    """Train and test indices into a list of positions, held as intp
-    arrays; any integer sequences given are converted once, here."""
+    """Train and test indices into a list of positions, held as arrays of
+    the values given; the trainers check them with `indices` against the
+    list's length."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
 
     def __post_init__(self):
         for name in ("train_indices", "test_indices"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name),
-                                                      dtype=np.intp))
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+
+    def indices(self, size):
+        """The train and test indices as intp arrays, checked against a
+        list of `size` positions: 1-D integers in [0, size) (see
+        `data.as_positions`), none repeated, none in both sets. Raises
+        IndexError otherwise."""
+        train = as_positions(self.train_indices, size)
+        test = as_positions(self.test_indices, size)
+        # bincount, not np.unique: that imports numpy.ma, about 1 MB
+        in_train = np.bincount(train, minlength=size)
+        if (in_train.max(initial=0) > 1
+                or np.bincount(test, minlength=size).max(initial=0) > 1):
+            raise IndexError("a fold split repeats an index")
+        if in_train[test].any():
+            raise IndexError("a fold split's train and test indices overlap")
+        return train, test
 
 
 class Curve(NamedTuple):
@@ -61,16 +77,6 @@ class Curve(NamedTuple):
                        for a, b in zip(self, later)))
 
 
-def _check_pair(preds, truths):
-    preds = np.asarray(preds, dtype=float)
-    truths = np.asarray(truths, dtype=float)
-    if preds.shape != truths.shape:
-        raise MetricError(f"length mismatch: {preds.shape} vs {truths.shape}")
-    if preds.size == 0:
-        raise MetricError("empty input")
-    return preds, truths
-
-
 def residual_rmse(resid, out=None):
     """RMSE from the residuals preds - truths. The squares are written into
     out when it is given (resid itself is allowed), else into a new array."""
@@ -79,28 +85,13 @@ def residual_rmse(resid, out=None):
     return float(np.sqrt(np.add.reduce(sq, axis=None) / sq.size))
 
 
-def rmse(preds, truths):
-    preds, truths = _check_pair(preds, truths)
-    return residual_rmse(preds - truths)
-
-
-def boundary_accuracy(preds, truths, boundary=0.0):
-    """Fraction of pairs on the same side of the boundary.
-
-    sign(0) = 0: a prediction exactly on the boundary matches only a truth
-    exactly on the boundary.
-    """
-    preds, truths = _check_pair(preds, truths)
-    same = np.sign(preds - boundary) == np.sign(truths - boundary)
-    # equal to np.mean(same): the count is exact, and so is its division
-    return float(np.count_nonzero(same) / same.size)
-
-
 class Scorer:
     """RMSE and boundary accuracy of a curve's predictions against one fixed
-    set of truths, with the bits of `rmse(preds, truths)` and
-    `boundary_accuracy(preds, truths, boundary)`. The truths are checked,
-    and their boundary signs computed, once.
+    set of truths. A row's RMSE is sqrt(mean((preds - truths)**2)), with
+    `residual_rmse`'s bits; its accuracy is the fraction of predictions on
+    the same side of `boundary` as their truths, where sign(0) = 0: a
+    prediction exactly on the boundary matches only a truth exactly on it.
+    The truths are checked, and their boundary signs computed, once.
 
     `add` copies each epoch's predictions into a row of `block`, and each
     full block, and the one that holds the last of `epochs` epochs, is

@@ -3,8 +3,7 @@
 Hidden activations are tanh, the output is linear. The training objective
 is RMSE minus a weighted classification penalty: the exact penalty is a
 sign term (gradient zero almost everywhere), so training defaults to a smooth
-tanh surrogate. The training curve records RMSE and boundary accuracy;
-`penalized_loss` evaluates the exact objective, array-wide, on request.
+tanh surrogate. The training curve records RMSE and boundary accuracy.
 
 A training epoch allocates no array that grows with the rows; only its
 finiteness check takes a flag per parameter. `_Buffers` holds one batch
@@ -15,12 +14,11 @@ per-layer views. `train_mlp` makes one for its training rows and, with
 history on and a test split, one for the test rows, and passes them to
 `backward` and `predict_batch`, whose ufuncs write through `out=`. It
 copies the model once and then steps that copy in place through
-`rmsprop_step` and a `StepWork`, and, as `train_als` does, raises
-DivergenceError at the first epoch that leaves a parameter non-finite.
-Called without buffers or work, these functions make fresh ones (and
-`rmsprop_step` a new model), so a public caller's result is never
-overwritten by a later call. Either way each product and sum is taken in
-the same order, so both forms give the same bits.
+`rmsprop_step` and a `StepWork`. `predict_batch` alone also runs without
+buffers, making fresh ones, so that a caller outside training owns its
+result.
+`train_mlp` checks each step's training RMSE, which the next epoch's
+`backward` finds anyway (`_Buffers.rmse`), as well as its parameters.
 A layer's bias gradient is the column sums of its (rows, width) delta.
 `_column_sums` takes them by `np.einsum("ij->j")` when width > 1 (the
 hidden layers): like `np.sum(delta, axis=0)` it adds each column's rows
@@ -51,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .als import DivergenceError, check_count
-from .metrics import Curve, Scorer, residual_rmse, rmse
+from .metrics import Curve, Scorer, residual_rmse
 
 
 @dataclass
@@ -134,8 +132,9 @@ class _Buffers:
     (rows, width) activations, and per hidden layer the back-propagated
     delta and the tanh-derivative scratch; the output gradient and two
     scratch rows, (3, rows); and a flat gradient in the layout of
-    `model.params` with its per-layer views `grad_w`/`grad_b`. Each call
-    that is given them overwrites them."""
+    `model.params` with its per-layer views `grad_w`/`grad_b`; and `rmse`,
+    the batch RMSE that the last `backward` found. Each call that is given
+    them overwrites them."""
 
     def __init__(self, model, rows):
         widths = model.layer_sizes[1:]
@@ -145,14 +144,13 @@ class _Buffers:
         self.output_rows = np.empty((3, rows))
         self.grad = np.empty_like(model.params)
         self.grad_w, self.grad_b = model.split(self.grad)
+        self.rmse = math.nan
 
 
-def _forward_batch(model, inputs, buffers=None):
+def _forward_batch(model, inputs, buffers):
     """Activations per layer; inputs is (batch, fan_in). The layer outputs
-    are written into `buffers` (fresh ones if not given)."""
+    are written into `buffers`."""
     acts = [np.asarray(inputs, dtype=float)]
-    if buffers is None:
-        buffers = _Buffers(model, acts[0].shape[0])
     n_layers = len(model.weights)
     for li, (w, b, z) in enumerate(zip(model.weights, model.biases,
                                        buffers.acts)):
@@ -165,50 +163,18 @@ def _forward_batch(model, inputs, buffers=None):
 
 
 def predict_batch(model, inputs, buffers=None):
-    """Network output per input row; a view into `buffers` when given."""
+    """Network output per input row; a view into `buffers` when given,
+    else an array of fresh buffers that no later call overwrites."""
+    if buffers is None:
+        buffers = _Buffers(model, np.shape(inputs)[0])
     return _forward_batch(model, inputs, buffers)[-1][:, 0]
 
 
-def sign_penalty(pred, truth, boundaries):
-    """+1 if pred and truth share an inter-boundary interval, -1 if any
-    boundary strictly separates them, 0 on an exact boundary hit;
-    elementwise on arrays (float result), an int for scalars."""
-    s = sum(np.sign((pred - c) * (truth - c)) for c in boundaries)
-    penalty = np.sign(s - len(boundaries) + 1)
-    return int(penalty) if penalty.ndim == 0 else penalty
-
-
-def penalized_loss(preds, truths, cfg):
-    """RMSE minus beta times the mean sign penalty (exact, non-smooth form)."""
-    preds = np.asarray(preds, dtype=float)
-    truths = np.asarray(truths, dtype=float)
-    # the mean of +-1/0 values is exact in float64, in any summation order
-    return rmse(preds, truths) - cfg.beta * float(
-        np.mean(sign_penalty(preds, truths, cfg.boundaries)))
-
-
-def surrogate_objective(preds, truths, cfg):
-    """The differentiable objective actually optimized when the smooth
-    surrogate is on: the sign penalty is replaced per boundary by
-    tanh(kappa * (pred - c) * (truth - c)), averaged over boundaries."""
-    preds = np.asarray(preds, dtype=float)
-    truths = np.asarray(truths, dtype=float)
-    loss = rmse(preds, truths)
-    if cfg.beta == 0:
-        return loss
-    kappa = cfg.surrogate_sharpness
-    pen = np.mean([np.mean(np.tanh(kappa * (preds - c) * (truths - c)))
-                   for c in cfg.boundaries])
-    return loss - cfg.beta * float(pen)
-
-
-def _output_gradient(preds, truths, cfg, out=None):
-    """d(objective)/d(pred) for the full batch, written into out[0]. out is
-    a (3, batch) array whose other two rows are scratch; a new one if not
-    given."""
+def _output_gradient(preds, truths, cfg, out):
+    """d(objective)/d(pred) for the full batch, written into out[0], a
+    (3, batch) array whose other two rows are scratch. Returns the RMSE of
+    preds, which the gradient divides by."""
     n = preds.size
-    if out is None:
-        out = np.empty((3, n))
     grad, th, t_c = out
     resid = np.subtract(preds, truths, out=grad)
     r = residual_rmse(resid, out=th)
@@ -233,7 +199,7 @@ def _output_gradient(preds, truths, cfg, out=None):
             t_c *= cfg.beta / (n * k) * kappa
             t_c *= th
             grad -= t_c
-    return grad
+    return r
 
 
 def _column_sums(delta, out):
@@ -246,10 +212,11 @@ def _column_sums(delta, out):
     return np.add.reduce(delta, axis=0, out=out)
 
 
-def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
+def backward(model, batch_inputs, batch_truths, cfg, buffers):
     """Gradient of the training objective, a flat vector in the layout of
     `model.params`: `buffers.grad`, which the next call given the same
-    buffers overwrites (fresh buffers if not given).
+    buffers overwrites. The model's RMSE on the batch, found on the way,
+    is left in `buffers.rmse`.
 
     With the surrogate off the penalty contributes nothing (the true sign
     term has zero gradient almost everywhere).
@@ -258,14 +225,11 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers=None):
     truths = np.asarray(batch_truths, dtype=float)
     if inputs.shape[0] != truths.size:
         raise ValueError("batch size mismatch")
-    if buffers is None:
-        buffers = _Buffers(model, inputs.shape[0])
     acts = _forward_batch(model, inputs, buffers)
-    preds = acts[-1][:, 0]
-
+    buffers.rmse = _output_gradient(acts[-1][:, 0], truths, cfg,
+                                    buffers.output_rows)
     grad_w, grad_b = buffers.grad_w, buffers.grad_b
-    delta = _output_gradient(preds, truths, cfg,
-                             buffers.output_rows)[:, None]  # (batch, 1)
+    delta = buffers.output_rows[0][:, None]  # (batch, 1)
     for li in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[li].T, delta, out=grad_w[li])
         _column_sums(delta, grad_b[li])
@@ -291,17 +255,12 @@ class StepWork(NamedTuple):
         return cls(np.empty_like(model.params), np.empty_like(model.params))
 
 
-def rmsprop_step(model, grad, cfg, work=None):
-    """One rmsprop update for the flat gradient `grad`.
-
-    Given work (a StepWork for the model), it updates `model.params` and
-    `model.sq_grads` in place and returns the model; without it, the model
-    is left as it was and a new one, accumulators included, is returned.
-    It does not check the result for finiteness; train_mlp does.
+def rmsprop_step(model, grad, cfg, work):
+    """One rmsprop update for the flat gradient `grad`, written through
+    work (a StepWork for the model) into `model.params` and
+    `model.sq_grads`; returns the model. It does not check the result for
+    finiteness; train_mlp does.
     """
-    if work is None:
-        model = model.copy()
-        work = StepWork.like(model)
     step, denom = work
     decay = cfg.rmsprop_decay
     # sq_grads <- decay * sq_grads + (1 - decay) * grad * grad
@@ -324,17 +283,24 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     Returns the trained model and a Curve numbered from start_epoch, or
     None for the curve when record_history is False.
 
-    eval_split indexes rows of `inputs`; training uses the train rows only.
-    Epoch e's train cells come from the forward pass of epoch e + 1's
-    `backward`, which runs on the model that epoch e left (the last epoch's
-    from one more pass over the train rows), and its test cells from a pass
-    over the test rows alone. Both are scored at the boundary 0. A step
-    that leaves a parameter non-finite raises DivergenceError(epoch).
+    eval_split indexes rows of `inputs`; training uses the train rows only,
+    and a split that `FoldSplit.indices` rejects raises IndexError before
+    any epoch. Epoch e's train cells come from the forward pass of epoch
+    e + 1's `backward`, which runs on the model that epoch e left (the
+    last epoch's from one more pass over the train rows), and its test
+    cells from a pass over the test rows alone. Both are scored at the
+    boundary 0.
+
+    Epoch e's step diverges when it leaves a parameter non-finite, or a
+    model whose training RMSE (from that same forward pass) is not finite;
+    the first such step raises DivergenceError(e). The epochs run under
+    np.errstate with overflow and invalid values ignored: these checks
+    report a divergence.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     truths = np.asarray(truths, dtype=float)
     if eval_split is not None:
-        tr, te = eval_split.train_indices, eval_split.test_indices
+        tr, te = eval_split.indices(inputs.shape[0])
     else:
         tr, te = np.arange(inputs.shape[0]), None
     if tr.size == 0:
@@ -353,17 +319,28 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
             inputs_te = inputs[te]
             scorers.append(Scorer(truths[te], epochs))
             test_buffers = _Buffers(model, te.size)
-    for epoch in range(epochs):
-        grad = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
-        if scorers and epoch:  # the previous epoch's train cells
-            scorers[0].add(train_buffers.acts[-1][:, 0])
-        model = rmsprop_step(model, grad, train_cfg, step_work)
-        if not np.isfinite(model.params).all():
-            raise DivergenceError(epoch)
-        if len(scorers) == 2:
-            scorers[1].add(predict_batch(model, inputs_te, test_buffers))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            grad = backward(model, inputs_tr, truths_tr, loss_cfg,
+                            train_buffers)
+            if epoch:  # the model the previous epoch's step left
+                if not math.isfinite(train_buffers.rmse):
+                    raise DivergenceError(epoch - 1)
+                if scorers:
+                    scorers[0].add(train_buffers.acts[-1][:, 0])
+            rmsprop_step(model, grad, train_cfg, step_work)
+            if not np.isfinite(model.params).all():
+                raise DivergenceError(epoch)
+            if len(scorers) == 2:
+                scorers[1].add(predict_batch(model, inputs_te, test_buffers))
+        if epochs:  # the model the last step left
+            preds = predict_batch(model, inputs_tr, train_buffers)
+            resid = np.subtract(preds, truths_tr,
+                                out=train_buffers.output_rows[0])
+            if not math.isfinite(residual_rmse(resid, out=resid)):
+                raise DivergenceError(epochs - 1)
+            if scorers:
+                scorers[0].add(preds)
     if not record_history:
         return model, None
-    if epochs:
-        scorers[0].add(predict_batch(model, inputs_tr, train_buffers))
     return model, Curve.scored(start_epoch, *scorers)

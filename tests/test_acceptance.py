@@ -14,13 +14,13 @@ from alsal.active import ActiveConfig, init_state, query_elm, run_active_learnin
 from alsal.als import AlsConfig, EmbeddingPair, als_gradients, train_als
 from alsal.alsdl import AlsdlConfig, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
-from alsal.mlp import (LossConfig, MlpTrainConfig, backward, init_mlp,
-                       predict_batch, sign_penalty)
+from alsal.mlp import LossConfig, MlpTrainConfig, init_mlp, predict_batch
 from alsal.runner import (ExperimentConfig, SyntheticSpec, run_al_study,
                           run_benchmark, write_report)
 
+from oracles import sign_penalty
 from test_als import finite_difference_gradients, full_matrix
-from test_mlp import fd_gradient, rel_error
+from test_mlp import fd_gradient, gradient, rel_error
 from test_active import brute_force_elm, fast_model_cfg
 
 DATASET = os.environ.get("ALSAL_DATASET")
@@ -65,7 +65,7 @@ def test_mlp_gradient_correctness():
         model = init_mlp([4, 5, 3, 1], seed=seed)
         x = rng.uniform(-1, 1, size=(8, 4))
         t = rng.uniform(-1, 1, size=8)
-        worst = max(worst, rel_error(backward(model, x, t, cfg),
+        worst = max(worst, rel_error(gradient(model, x, t, cfg),
                                      fd_gradient(model, x, t, cfg)))
     elapsed = time.time() - t0
     report("MLP gradient correctness", worst < 1e-4 and elapsed < 10,

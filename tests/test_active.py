@@ -13,7 +13,7 @@ from alsal.als import (AlsConfig, ConfigError, DivergenceError,
                        init_embeddings, train_als)
 from alsal.alsdl import AlsdlConfig, alsdl_predict_positions, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
-from alsal.metrics import rmse
+from oracles import rmse
 from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import ExperimentConfig, SyntheticSpec, run_al_study
 

@@ -137,5 +137,5 @@ class TestAlsdlPredict:
         positions = mat.observed_positions()
         preds = alsdl_predict_positions(model, positions)
         truths = mat.values.ravel()[positions]
-        from alsal.metrics import rmse
+        from oracles import rmse
         assert rmse(preds, truths) < 0.1

@@ -29,10 +29,10 @@ import test_history_exact
 from alsal.als import AlsConfig, DivergenceError, train_als
 from alsal.alsdl import AlsdlConfig, train_alsdl
 from alsal.data import generate_synthetic
-from alsal.metrics import (HISTORY_BLOCK, Scorer, boundary_accuracy,
-                           kfold_split, rmse)
+from alsal.metrics import HISTORY_BLOCK, Scorer, kfold_split
 from alsal.mlp import LossConfig, MlpTrainConfig, init_mlp, train_mlp
 from alsal.runner import Report, write_report
+from oracles import boundary_accuracy, rmse
 from test_history_exact import (THREE_BOUNDARIES, assert_same_curve,
                                 assert_same_net, curve_points, holey_matrix,
                                 mlp_problem, reference_train_als,
@@ -221,6 +221,39 @@ class TestMlpBlockEdges:
                     pytest.raises(DivergenceError) as e:
                 train(init_mlp(MLP_SIZES, seed=1), x, t, cfg, LossConfig(),
                       eval_split=mlp_split(t))
+            epochs.append(e.value.epoch)
+        assert epochs == [bad_epoch, bad_epoch]
+
+    @pytest.mark.parametrize("bad_epoch", [0, B // 2, B + 5, 3 * B - 1])
+    @pytest.mark.parametrize("record_history", [True, False])
+    def test_rmse_overflow_mid_block(self, bad_epoch, record_history,
+                                     monkeypatch):
+        """A step that leaves finite parameters whose predictions' RMSE
+        overflows (an output bias of 1e200) stops both forms at that
+        epoch, the last one included."""
+        step, ref_step = (mlp_mod.rmsprop_step,
+                          test_history_exact.reference_rmsprop_step)
+        calls = []
+
+        def overflow(model):
+            calls.append(None)
+            if len(calls) == bad_epoch + 1:
+                model.biases[-1][:] = 1e200
+            return model
+
+        monkeypatch.setattr(mlp_mod, "rmsprop_step",
+                            lambda *args: overflow(step(*args)))
+        monkeypatch.setattr(test_history_exact, "reference_rmsprop_step",
+                            lambda *args: overflow(ref_step(*args)))
+        x, t = mlp_problem(MLP_SIZES)
+        cfg = MlpTrainConfig(epochs=3 * B)
+        epochs = []
+        for train in (train_mlp, reference_train_mlp):
+            calls.clear()
+            with np.errstate(over="ignore"), \
+                    pytest.raises(DivergenceError) as e:
+                train(init_mlp(MLP_SIZES, seed=1), x, t, cfg, LossConfig(),
+                      eval_split=mlp_split(t), record_history=record_history)
             epochs.append(e.value.epoch)
         assert epochs == [bad_epoch, bad_epoch]
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from alsal.metrics import (FoldSplit, MetricError, Scorer,
-                           boundary_accuracy, kfold_split, residual_rmse,
-                           rmse)
+from alsal.metrics import (FoldSplit, MetricError, Scorer, kfold_split,
+                           residual_rmse)
+from oracles import boundary_accuracy, rmse
 
 finite_lists = st.lists(st.floats(-100, 100), min_size=1, max_size=30)
 
@@ -147,6 +147,50 @@ class TestBoundaryAccuracy:
         t = -p
         f = lambda v: v + v ** 3
         assert boundary_accuracy(p, t) == boundary_accuracy(f(p), f(t))
+
+
+# (train, test) index pairs into a list of 30 positions
+BAD_SPLITS = {
+    "floats": ((1.5, 2.7), (3,)),
+    "negative": ((0, 1), (-1,)),
+    "past_the_end": ((0, 1), (30,)),
+    "repeat_in_train": ((0, 1, 1), (2,)),
+    "repeat_in_test": ((0,), (2, 2)),
+    "overlap": ((0, 1, 2), (2, 3)),
+    "two_dimensional": (((0, 1), (2, 3)), (4,)),
+}
+
+
+class TestFoldSplitChecks:
+    """A split that does not index distinct positions of the list, apart
+    between train and test, raises IndexError in both trainers before any
+    epoch runs."""
+
+    def test_indices(self):
+        train, test = FoldSplit((4, 0, 29), [7]).indices(30)
+        assert train.dtype == test.dtype == np.intp
+        assert train.tolist() == [4, 0, 29] and test.tolist() == [7]
+        train, test = FoldSplit(range(30), ()).indices(30)
+        assert train.size == 30 and test.size == 0
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPLITS))
+    def test_rejected_before_training(self, case, monkeypatch):
+        import alsal.als as als_mod
+        import alsal.mlp as mlp_mod
+        from alsal.data import generate_synthetic
+        split = FoldSplit(*BAD_SPLITS[case])
+        for mod, name in ((als_mod, "als_epoch"), (mlp_mod, "backward")):
+            monkeypatch.setattr(mod, name, lambda *a: pytest.fail(name))
+        matrix, _ = generate_synthetic(6, 5, 2, 0.1, seed=0)
+        with pytest.raises(IndexError):
+            als_mod.train_als(matrix, als_mod.AlsConfig(d=2, epochs=3), split)
+        inputs = np.zeros((30, 4))
+        with pytest.raises(IndexError):
+            mlp_mod.train_mlp(mlp_mod.init_mlp([4, 3, 1], seed=0), inputs,
+                              np.zeros(30), mlp_mod.MlpTrainConfig(epochs=3),
+                              mlp_mod.LossConfig(), eval_split=split)
+        with pytest.raises(IndexError):
+            split.indices(30)
 
 
 class TestKfoldSplit:

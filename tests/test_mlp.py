@@ -5,13 +5,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alsal.als import DivergenceError
-from alsal.metrics import FoldSplit, rmse
+from alsal.metrics import FoldSplit
 from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, StepWork,
                        _Buffers, _column_sums, _output_gradient, backward,
-                       init_mlp, penalized_loss, predict_batch, rmsprop_step,
-                       sign_penalty, surrogate_objective, train_mlp)
+                       init_mlp, predict_batch, rmsprop_step, train_mlp)
 
-from test_history_exact import reference_backward, to_flat
+from oracles import penalized_loss, rmse, sign_penalty, surrogate_objective
+from test_history_exact import (reference_backward, reference_rmsprop_step,
+                                to_flat)
+
+
+def gradient(model, inputs, truths, cfg):
+    """backward's gradient for one batch, in buffers of its own."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    return backward(model, inputs, truths, cfg,
+                    _Buffers(model, inputs.shape[0]))
+
+
+def step_copy(model, grad, cfg):
+    """A copy of model, stepped in place by rmsprop_step."""
+    model = model.copy()
+    return rmsprop_step(model, grad, cfg, StepWork.like(model))
 
 
 def hand_rolled_forward(model, x):
@@ -167,7 +181,7 @@ class TestBackward:
         cfg = LossConfig(beta=0.1, use_smooth_surrogate=False)
         x = np.array([[0.1, 0.2], [0.3, -0.4]])
         t = predict_batch(model, x)
-        assert not backward(model, x, t, cfg).any()
+        assert not gradient(model, x, t, cfg).any()
 
     def test_matches_finite_differences(self):
         cfg = LossConfig(beta=0.1, surrogate_sharpness=10.0)
@@ -175,7 +189,7 @@ class TestBackward:
         model = init_mlp([4, 5, 3, 1], seed=13)
         x = rng.uniform(-1, 1, size=(8, 4))
         t = rng.uniform(-1, 1, size=8)
-        analytic = backward(model, x, t, cfg)
+        analytic = gradient(model, x, t, cfg)
         fd = fd_gradient(model, x, t, cfg)
         assert rel_error(analytic, fd) < 1e-4
 
@@ -183,8 +197,8 @@ class TestBackward:
         model = init_mlp([3, 4, 1], seed=2)
         x = rng.uniform(-1, 1, size=(6, 3))
         t = rng.uniform(-1, 1, size=6)
-        g0 = backward(model, x, t, LossConfig(beta=0.0))
-        g_off = backward(model, x, t,
+        g0 = gradient(model, x, t, LossConfig(beta=0.0))
+        g_off = gradient(model, x, t,
                          LossConfig(beta=0.5, use_smooth_surrogate=False))
         np.testing.assert_array_equal(g0, g_off)
 
@@ -199,11 +213,13 @@ class TestRmspropStep:
         model = self._single_param_model(0.7)
         cfg = MlpTrainConfig()
         zeros = np.zeros(2)  # the one weight, then the one bias
-        out = rmsprop_step(model, zeros, cfg)
+        work = StepWork.like(model)
+        out = rmsprop_step(model, zeros, cfg, work)
+        assert out is model
         assert out.weights[0][0, 0] == 0.7
         # accumulators decay even with zero gradient
         model.sq_grad_w[0][:] = 1.0
-        out = rmsprop_step(model, zeros, cfg)
+        out = rmsprop_step(model, zeros, cfg, work)
         assert out.sq_grad_w[0][0, 0] == pytest.approx(0.9)
 
     def test_hand_evaluated_step(self):
@@ -211,7 +227,7 @@ class TestRmspropStep:
         cfg = MlpTrainConfig(rmsprop_learning_rate=0.001, rmsprop_decay=0.9,
                              rmsprop_epsilon=1e-8)
         grads = np.array([1.0, 0.0])  # weight gradient 1, bias gradient 0
-        out = rmsprop_step(model, grads, cfg)
+        out = rmsprop_step(model, grads, cfg, StepWork.like(model))
         assert out.sq_grad_w[0][0, 0] == pytest.approx(0.1)
         assert out.weights[0][0, 0] == pytest.approx(
             -0.001 / (np.sqrt(0.1) + 1e-8))
@@ -220,9 +236,9 @@ class TestRmspropStep:
         model = self._single_param_model(0.0)
         cfg = MlpTrainConfig()
         grads = np.array([1.0, 0.0])
-        step1 = rmsprop_step(model, grads, cfg)
+        step1 = step_copy(model, grads, cfg)
         move1 = abs(step1.weights[0][0, 0] - model.weights[0][0, 0])
-        step2 = rmsprop_step(step1, grads, cfg)
+        step2 = step_copy(step1, grads, cfg)
         move2 = abs(step2.weights[0][0, 0] - step1.weights[0][0, 0])
         assert move2 < move1
 
@@ -271,8 +287,9 @@ class TestTrainMlp:
 
 
 class TestNoSharedMemory:
-    """Public calls hand out arrays that no later call overwrites; training
-    reuses its buffers only inside train_mlp."""
+    """A call writes only into the buffers, work and model it is given, so
+    results in other buffers or models stay as they were; predict_batch
+    without buffers hands out arrays that no later call overwrites."""
 
     def model_and_batch(self, rng):
         model = init_mlp([3, 6, 4, 1], seed=7)
@@ -288,21 +305,31 @@ class TestNoSharedMemory:
 
     def test_backward_results_independent(self, rng):
         model, x, t = self.model_and_batch(rng)
-        first = backward(model, x, t, LossConfig())
+        buffers = [_Buffers(model, 9), _Buffers(model, 9)]
+        first = backward(model, x, t, LossConfig(), buffers[0])
         copy = first.copy()
-        second = backward(model, x[::-1], t, LossConfig())
+        second = backward(model, x[::-1], t, LossConfig(), buffers[1])
         np.testing.assert_array_equal(first, copy)
         assert not np.shares_memory(first, second)
+        # the same buffers again: the result is overwritten
+        again = backward(model, x[::-1], t, LossConfig(), buffers[0])
+        assert again is first
+        np.testing.assert_array_equal(first, second)
 
     def test_rmsprop_step_leaves_input_model(self, rng):
+        """A step changes only the model it is given: a copy taken before
+        it keeps its values and shares no memory with the stepped model."""
         model, x, t = self.model_and_batch(rng)
-        model = rmsprop_step(model, backward(model, x, t, LossConfig()),
-                             MlpTrainConfig())
-        arrays = model.weights + model.biases + model.sq_grad_w \
-            + model.sq_grad_b
+        work = StepWork.like(model)
+        rmsprop_step(model, gradient(model, x, t, LossConfig()),
+                     MlpTrainConfig(), work)
+        kept = model.copy()
+        arrays = kept.weights + kept.biases + kept.sq_grad_w \
+            + kept.sq_grad_b
         before = [a.copy() for a in arrays]
-        out = rmsprop_step(model, backward(model, x, t, LossConfig()),
-                           MlpTrainConfig())
+        out = rmsprop_step(model, gradient(model, x, t, LossConfig()),
+                           MlpTrainConfig(), work)
+        assert out is model
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
         new = out.weights + out.biases + out.sq_grad_w + out.sq_grad_b
@@ -312,12 +339,11 @@ class TestNoSharedMemory:
     def test_in_place_edit_takes_effect_next_step(self, rng):
         model, x, t = self.model_and_batch(rng)
         cfg = MlpTrainConfig()
-        stepped = rmsprop_step(model, backward(model, x, t, LossConfig()),
-                               cfg)
+        stepped = step_copy(model, gradient(model, x, t, LossConfig()), cfg)
         stepped.weights[1][:] = 0.25
         stepped.biases[2][:] = -1.0
         stepped.sq_grad_w[0][:] = 4.0
-        grads = backward(stepped, x, t, LossConfig())
+        grads = gradient(stepped, x, t, LossConfig())
         # the edited model, copied layer by layer, gives the same step
         copied = MlpModel(
             to_flat(stepped.weights + stepped.biases),
@@ -325,13 +351,13 @@ class TestNoSharedMemory:
             stepped.layer_sizes)
         np.testing.assert_array_equal(predict_batch(stepped, x),
                                       predict_batch(copied, x))
-        out = rmsprop_step(stepped, grads, cfg)
-        want = rmsprop_step(copied, backward(copied, x, t, LossConfig()), cfg)
+        out = step_copy(stepped, grads, cfg)
+        want = step_copy(copied, gradient(copied, x, t, LossConfig()), cfg)
         for a, b in zip(out.weights + out.biases + out.sq_grad_w,
                         want.weights + want.biases + want.sq_grad_w):
             np.testing.assert_array_equal(a, b)
         zero = np.zeros_like(stepped.params)
-        held = rmsprop_step(stepped, zero, cfg)
+        held = step_copy(stepped, zero, cfg)
         assert (held.weights[1] == 0.25).all()
         assert (held.biases[2] == -1.0).all()
         assert (held.sq_grad_w[0] == 0.9 * 4.0).all()
@@ -356,8 +382,7 @@ class TestPerEpochCalls:
     def test_counts(self, monkeypatch, split):
         import alsal.mlp as mlp_mod
         counts = {}
-        for name in ("backward", "rmsprop_step", "predict_batch",
-                     "penalized_loss"):
+        for name in ("backward", "rmsprop_step", "predict_batch"):
             orig = getattr(mlp_mod, name)
 
             def counted(*args, _orig=orig, _name=name):
@@ -368,7 +393,6 @@ class TestPerEpochCalls:
         mlp_mod.train_mlp(init_mlp([1, 3, 1], seed=0), x, x[:, 0],
                           MlpTrainConfig(epochs=5), LossConfig(),
                           eval_split=split)
-        # the curve records RMSE and accuracy only: no penalized_loss call.
         # The train cells come from the next epoch's backward pass, so
         # predict_batch runs once per epoch on the test rows, if any, and
         # once on the train rows for the last epoch
@@ -382,8 +406,8 @@ class TestFlatLayout:
     def models(self, rng):
         model = init_mlp([3, 6, 4, 1], seed=7)
         x, t = rng.normal(size=(9, 3)), rng.normal(size=9)
-        stepped = rmsprop_step(model, backward(model, x, t, LossConfig()),
-                               MlpTrainConfig())
+        stepped = step_copy(model, gradient(model, x, t, LossConfig()),
+                            MlpTrainConfig())
         built = MlpModel(rng.normal(size=model.params.size),
                          rng.uniform(size=model.params.size), [3, 6, 4, 1])
         return {"init_mlp": model, "rmsprop_step": stepped,
@@ -423,7 +447,7 @@ class TestFlatLayout:
         x = rng.uniform(-1.5, 1.5, size=(rows, sizes[0]))
         t = rng.uniform(-1.0, 1.0, size=rows)
         t[::5] = 0.0
-        grad = backward(model, x, t, LossConfig())
+        grad = gradient(model, x, t, LossConfig())
         grad_w, grad_b = reference_backward(model, x, t, LossConfig())
         assert grad.shape == model.params.shape
         assert (grad == to_flat(grad_w + grad_b)).all()
@@ -480,7 +504,7 @@ def reference_output_gradient(preds, truths, cfg):
 
 class TestInPlaceForms:
     """Each function that writes into work arrays gives, with ==, what its
-    allocating form gives, also when the work arrays hold an earlier
+    allocating reference gives, also when the work arrays hold an earlier
     call's values."""
 
     LOSSES = [LossConfig(), LossConfig(beta=0.0),
@@ -501,11 +525,9 @@ class TestInPlaceForms:
             preds[:3] = truths[3:6] = (-0.5, 0.0, 0.5)
             truths[:3] = (0.0, 0.5, -0.0)
         want = reference_output_gradient(preds, truths, cfg)
-        fresh = _output_gradient(preds, truths, cfg)
         out = rng.normal(size=(3, 12))  # stale values
-        got = _output_gradient(preds, truths, cfg, out)
-        assert np.shares_memory(got, out[0])
-        np.testing.assert_array_equal(fresh, want)
+        assert _output_gradient(preds, truths, cfg, out) == rmse(preds, truths)
+        got = out[0]
         np.testing.assert_array_equal(got, want)
         if case == "all_zero_residuals" and (
                 cfg.beta == 0 or not cfg.use_smooth_surrogate):
@@ -519,7 +541,7 @@ class TestInPlaceForms:
         backward(init_mlp([3, 6, 4, 1], seed=5), x[::-1], -t, cfg, buffers)
         got = backward(model, x, t, cfg, buffers)
         assert got is buffers.grad
-        np.testing.assert_array_equal(got, backward(model, x, t, cfg))
+        assert buffers.rmse == rmse(predict_batch(model, x), t)
         np.testing.assert_array_equal(
             got, to_flat(sum(reference_backward(model, x, t, cfg), [])))
 
@@ -528,7 +550,7 @@ class TestInPlaceForms:
         model.sq_grads[:] = rng.uniform(0, 1, size=model.sq_grads.size)
         cfg = MlpTrainConfig()
         grad = rng.normal(size=model.params.size)
-        want = rmsprop_step(model, grad, cfg)
+        want = reference_rmsprop_step(model, model.split(grad), cfg)
         in_place = model.copy()
         work = StepWork.like(model)
         work.step[:] = work.denom[:] = np.nan  # stale values
@@ -536,34 +558,40 @@ class TestInPlaceForms:
         assert got is in_place
         np.testing.assert_array_equal(got.params, want.params)
         np.testing.assert_array_equal(got.sq_grads, want.sq_grads)
-        # the allocating form left its input as it was
-        assert not np.shares_memory(want.params, model.params)
-        assert (want.params != model.params).any()
 
     def test_rmsprop_step_divergence(self, rng):
-        """rmsprop_step returns a non-finite step as it is, in both forms;
-        train_mlp raises DivergenceError at the epoch of the first step
-        that leaves a parameter non-finite."""
+        """rmsprop_step returns a non-finite step as it is, where the
+        reference raises, and the reference's values before it; train_mlp
+        raises DivergenceError at the epoch of the first step that leaves
+        a parameter non-finite (1e308) or a model whose training RMSE is
+        not finite (2e307: its parameters stay finite)."""
         model = init_mlp([3, 6, 4, 1], seed=2)
         x, t = rng.normal(size=(9, 3)), rng.normal(size=9)
-        before, epochs = model.params.copy(), []
+        before, found = model.params.copy(), []
         for learning_rate in (1e308, 2e307):
             cfg = MlpTrainConfig(epochs=10,
                                  rmsprop_learning_rate=learning_rate)
             with np.errstate(all="ignore"):
                 stepped, work = model.copy(), StepWork.like(model)
+                ref = model.copy()
                 for epoch in range(cfg.epochs):
-                    grad = backward(stepped, x, t, LossConfig())
-                    fresh = rmsprop_step(stepped, grad, cfg)
+                    grad = gradient(stepped, x, t, LossConfig())
                     rmsprop_step(stepped, grad, cfg, work)
-                    np.testing.assert_array_equal(fresh.params, stepped.params)
-                    if not np.isfinite(stepped.params).all():
+                    ref_grad = reference_backward(ref, x, t, LossConfig())
+                    finite = np.isfinite(stepped.params).all()
+                    if not finite:
+                        with pytest.raises(DivergenceError):
+                            reference_rmsprop_step(ref, ref_grad, cfg)
+                        break
+                    ref = reference_rmsprop_step(ref, ref_grad, cfg)
+                    np.testing.assert_array_equal(stepped.params, ref.params)
+                    if not np.isfinite(rmse(predict_batch(stepped, x), t)):
                         break
                 with pytest.raises(DivergenceError) as e:
                     train_mlp(model, x, t, cfg, LossConfig())
             assert e.value.epoch == epoch
-            epochs.append(epoch)
-        assert epochs == [0, 1]
+            found.append((epoch, bool(finite)))
+        assert found == [(0, False), (0, True)]
         np.testing.assert_array_equal(model.params, before)
 
 

@@ -507,6 +507,24 @@ class TestCli:
             assert row["mean_test_loss"] == row["mean_test_accuracy"] == ""
         assert read_rows(out / "training_curves.csv") == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_network_predictions_are_a_divergence(self, tmp_path):
+        """At rmsprop learning rate 1e250 the network's first step leaves
+        finite parameters whose predictions' RMSE overflows: ALSDL's row
+        says diverged at epoch 0, rather than a mean test loss of inf, and
+        numpy prints no RuntimeWarning on the way."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"alsdl": {"mlp_train": {"rmsprop_learning_rate": 1e250}}}))
+        out = tmp_path / "run"
+        main(["benchmark", "--synthetic", "8,7,2,0.1", "--folds", "3",
+              "--als-epochs", "20", "--mlp-epochs", "20",
+              "--config", str(cfg_path), "--out", str(out)])
+        rows = {r["model"]: r for r in read_rows(out / "cv_summary.csv")}
+        assert rows["als"]["status"] == "ok"
+        assert (rows["alsdl"]["status"], rows["alsdl"]["diverged_epoch"],
+                rows["alsdl"]["mean_test_loss"]) == ("diverged", "0", "")
+
     def test_repeat_runs_byte_identical_csvs(self, tmp_path):
         args = ["al-study", "--synthetic", "5,5,2,0.1", "--strategy",
                 "random,orderly", "--seeds", "0,1", "--als-epochs", "10",
