@@ -200,8 +200,7 @@ def expected_losses(state, model, cfg, inner_seed):
             # first such candidate alone raises its DivergenceError.
             b = int(np.argmin(finite))
             als_mod.train_als(replace(matrix, values=stack.values[b],
-                                      mask=stack.mask[b]),
-                              inner_cfg, record_history=False)
+                                      mask=stack.mask[b]), inner_cfg)
             raise RuntimeError("stacked ELM diverged where its replay did not")
 
         full = np.matmul(c_emb.x, c_emb.w, out=c_work.residual).reshape(c, -1)
@@ -253,8 +252,7 @@ def run_active_learning(matrix, model_cfg, cfg):
     for rnd in range(cfg.n_max_query + 1):
         train_matrix = matrix.with_mask(state.labeled)
         model, _ = alsdl_mod.train_alsdl(
-            train_matrix, model_cfg.seeded(_round_seed(cfg.seed, 2 * rnd)),
-            record_history=False)
+            train_matrix, model_cfg.seeded(_round_seed(cfg.seed, 2 * rnd)))
 
         scorer = Scorer(truths, 1)
         scorer.add(alsdl_mod.alsdl_predict_positions(model, positions))

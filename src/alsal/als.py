@@ -12,12 +12,12 @@ slice is computed exactly as it would be on its own.
 
 `train_als` steps its embeddings in place (`als_epoch` into an
 `EpochWork`), raises DivergenceError at the first epoch that leaves them
-non-finite, and hands each epoch's x @ w at the train and test positions
-to a `metrics.Scorer`. An epoch scores to the same bits in any history
-block, so a run resumed from its embeddings at any epoch
-(`train_als(..., start_epoch=k, emb=...)`) gives the curve of an
-uninterrupted one. Its epochs run under np.errstate with overflow and
-invalid values ignored: the finiteness check reports a divergence.
+non-finite, and, given a held-out split, hands each epoch's x @ w at
+its train and test positions to a `metrics.Scorer`. An epoch scores to
+the same bits in any history block, so a run resumed from its embeddings
+at any epoch (`train_als(..., start_epoch=k, emb=...)`) gives the curve
+of an uninterrupted one. Its epochs run under np.errstate with overflow
+and invalid values ignored: the finiteness check reports a divergence.
 Finite embeddings whose product overflows are reported at the next
 epoch, which that product makes non-finite.
 """
@@ -152,17 +152,15 @@ def als_epoch(matrix, emb, alpha, simultaneous, work):
     return emb
 
 
-def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
-              record_history=True, emb=None):
-    """Run cfg.epochs alternating epochs; returns embeddings and a Curve
-    numbered from start_epoch.
+def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
+    """Run cfg.epochs alternating epochs; returns the embeddings and a
+    Curve numbered from start_epoch, or None for the curve when no split
+    is held out.
 
     When eval_positions (a FoldSplit over matrix.observed_positions()) is
-    given, test positions are masked out of training and scored in the
-    curve's test columns; a split that `FoldSplit.indices` rejects raises
-    IndexError before any epoch. record_history=False skips per-epoch
-    evaluation and returns None for the curve (used for the many throwaway
-    models inside the ELM query).
+    given, test positions are masked out of training, and each epoch is
+    scored at the train and test positions; a split that
+    `FoldSplit.indices` rejects raises IndexError before any epoch.
 
     Given emb, the embeddings a run of this config had after start_epoch
     epochs, the run resumes there: it trains epochs start_epoch to
@@ -178,19 +176,14 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
     observed = matrix.observed_positions()
     if not observed.size:
         raise ValueError("matrix has no observed positions")
+    train_matrix, scored = matrix, []
     if eval_positions is not None:
-        train, test = eval_positions.indices(observed.size)
-        train_idx, test_idx = observed[train], observed[test]
-        train_matrix = matrix.with_mask(train_idx)
-    else:
-        train_idx, test_idx = observed, observed[:0]
-        train_matrix = matrix
-
-    scored = []
-    if record_history:
+        train, test = (observed[i]
+                       for i in eval_positions.indices(observed.size))
+        train_matrix = matrix.with_mask(train)
         values = matrix.values.ravel()  # the truths, prepared once
         scored = [(Scorer(values[idx], cfg.epochs - start_epoch), idx)
-                  for idx in (train_idx, test_idx) if idx.size]
+                  for idx in (train, test)]
         pred = np.empty(m * n)
     if emb is None:
         emb = init_embeddings(m, n, cfg)
@@ -207,6 +200,6 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0,
                 np.matmul(emb.x, emb.w, out=pred.reshape(m, n))
                 for scorer, idx in scored:
                     scorer.add(pred[idx])
-    if not record_history:
+    if not scored:
         return emb, None
     return emb, Curve.scored(start_epoch, *(s for s, _ in scored))

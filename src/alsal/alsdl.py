@@ -48,21 +48,18 @@ def build_features(emb, positions, molecule_first=False):
     return np.hstack((mols, cells) if molecule_first else (cells, mols))
 
 
-def train_alsdl(matrix, cfg, eval_split=None, record_history=True,
-                stage1=None):
+def train_alsdl(matrix, cfg, eval_split=None, stage1=None):
     """Train both stages; returns the model, which keeps cfg, and one
-    Curve that covers stage 1 then stage 2 (None when record_history is
-    False).
+    Curve that covers stage 1 then stage 2, or None for the curve when no
+    split is held out.
 
     Stage-2 epochs continue the stage-1 numbering so the handover between
     the factor model and the network stays visible in the curve. stage1,
     when given, is the (embeddings, curve) pair that train_als(matrix,
-    cfg.als, eval_split, record_history=record_history) returns, trained
-    already; it is used as it is.
+    cfg.als, eval_split) returns, trained already; it is used as it is.
     """
     if stage1 is None:
-        stage1 = als_mod.train_als(matrix, cfg.als, eval_split,
-                                   record_history=record_history)
+        stage1 = als_mod.train_als(matrix, cfg.als, eval_split)
     emb, curve = stage1
 
     positions = matrix.observed_positions()
@@ -73,7 +70,7 @@ def train_alsdl(matrix, cfg, eval_split=None, record_history=True,
                            seed=cfg.mlp_train.seed)
     net, mlp_curve = mlp_mod.train_mlp(
         net, inputs, truths, cfg.mlp_train, cfg.loss, eval_split=eval_split,
-        start_epoch=cfg.als.epochs, record_history=record_history)
+        start_epoch=cfg.als.epochs)
     model = AlsdlModel(embeddings=emb, net=net, cfg=cfg)
     return model, None if curve is None else curve.then(mlp_curve)
 

@@ -11,7 +11,6 @@ array. as_positions is the one place that checks this form.
 
 import csv
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 import math
 
 import numpy as np
@@ -130,20 +129,6 @@ def compute_ifd(fd_c, fd_ctrl):
     return fd_c - fd_ctrl
 
 
-def concentration_key(c):
-    """Canonical string for grouping concentrations.
-
-    The key is float(c)'s shortest repr in normalized scientific notation,
-    so spellings of one float share a key (0.1, "0.1", "0.10") and any two
-    distinct floats get distinct keys, however close: nothing is rounded.
-    """
-    try:
-        d = Decimal(repr(float(c)))
-    except (InvalidOperation, ValueError) as e:
-        raise DataError(f"bad concentration {c!r}") from e
-    return format(d.normalize(), "e")
-
-
 def parse_dataset(csv_stream, columns=None):
     """Parse the sensitivity CSV into a list of Observations.
 
@@ -179,17 +164,18 @@ def parse_dataset(csv_stream, columns=None):
 
 
 def select_common_concentrations(obs):
-    """Concentrations at which every (cell, molecule) pair has a measurement."""
+    """Concentrations at which every (cell, molecule) pair has a measurement,
+    as floats. Concentrations are grouped by float value, here and in
+    build_response_matrix: spellings of one float ("0.1", "0.10") are one
+    concentration, and two distinct floats are two, however close."""
     if not obs:
         raise DataError("empty observation list")
-    all_pairs = {(o.cell_id, o.molecule_id) for o in obs}
-    pairs_at = {}
-    value_at = {}
+    # each pair as a shared int id: sets of those take far less memory
+    pair_ids, ids_at = {}, {}
     for o in obs:
-        key = concentration_key(o.concentration)
-        pairs_at.setdefault(key, set()).add((o.cell_id, o.molecule_id))
-        value_at.setdefault(key, o.concentration)
-    return {value_at[k] for k, pairs in pairs_at.items() if pairs >= all_pairs}
+        pair = pair_ids.setdefault((o.cell_id, o.molecule_id), len(pair_ids))
+        ids_at.setdefault(float(o.concentration), set()).add(pair)
+    return {c for c, ids in ids_at.items() if len(ids) == len(pair_ids)}
 
 
 def build_response_matrix(obs, target, concentration):
@@ -200,8 +186,8 @@ def build_response_matrix(obs, target, concentration):
     """
     if target not in ("gr", "ifd"):
         raise DataError(f"unknown target {target!r}")
-    key = concentration_key(concentration)
-    subset = [o for o in obs if concentration_key(o.concentration) == key]
+    key = float(concentration)
+    subset = [o for o in obs if float(o.concentration) == key]
     if not subset:
         raise DataError(f"no observations at concentration {concentration}")
     all_pairs = {(o.cell_id, o.molecule_id) for o in obs}

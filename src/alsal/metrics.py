@@ -39,10 +39,12 @@ class FoldSplit:
     def indices(self, size):
         """The train and test indices as intp arrays, checked against a
         list of `size` positions: 1-D integers in [0, size) (see
-        `data.as_positions`), none repeated, none in both sets. Raises
-        IndexError otherwise."""
+        `data.as_positions`), neither set empty, none repeated, none in
+        both sets. Raises IndexError otherwise."""
         train = as_positions(self.train_indices, size)
         test = as_positions(self.test_indices, size)
+        if not (train.size and test.size):
+            raise IndexError("a fold split has an empty train or test side")
         # bincount, not np.unique: that imports numpy.ma, about 1 MB
         in_train = np.bincount(train, minlength=size)
         if (in_train.max(initial=0) > 1
@@ -54,8 +56,7 @@ class FoldSplit:
 
 
 class Curve(NamedTuple):
-    """A training curve, one array entry per epoch; the test columns are
-    None when there is no test split."""
+    """A training curve, one array entry per epoch in each column."""
 
     epoch_or_round: np.ndarray
     train_loss: np.ndarray
@@ -64,22 +65,20 @@ class Curve(NamedTuple):
     test_accuracy: np.ndarray
 
     @classmethod
-    def scored(cls, start_epoch, train, test=None):
-        """The curve that Scorers train and test (None without a test
-        split) recorded, its epochs numbered from start_epoch."""
+    def scored(cls, start_epoch, train, test):
+        """The curve that Scorers train and test recorded, its epochs
+        numbered from start_epoch."""
         return cls(np.arange(start_epoch, start_epoch + train.loss.size),
-                   train.loss, None if test is None else test.loss,
-                   train.accuracy, None if test is None else test.accuracy)
+                   train.loss, test.loss, train.accuracy, test.accuracy)
 
     def then(self, later):
         """This curve followed by `later`, column by column."""
-        return Curve(*(None if a is None else np.concatenate((a, b))
-                       for a, b in zip(self, later)))
+        return Curve(*map(np.concatenate, zip(self, later)))
 
 
-def residual_rmse(resid, out=None):
+def residual_rmse(resid, out):
     """RMSE from the residuals preds - truths. The squares are written into
-    out when it is given (resid itself is allowed), else into a new array."""
+    out (resid itself is allowed)."""
     sq = np.square(resid, out=out)
     # np.mean's own arithmetic, without its Python wrapper
     return float(np.sqrt(np.add.reduce(sq, axis=None) / sq.size))

@@ -10,13 +10,13 @@ finiteness check takes a flag per parameter. `_Buffers` holds one batch
 size's work arrays: per layer, the (rows, width) activations,
 back-propagated deltas and tanh-derivative scratch; the output gradient
 and its two scratch rows; and the flat parameter gradient with its
-per-layer views. `train_mlp` makes one for its training rows and, with
-history on and a test split, one for the test rows, and passes them to
-`backward` and `predict_batch`, whose ufuncs write through `out=`. It
-copies the model once and then steps that copy in place through
-`rmsprop_step` and a `StepWork`. `predict_batch` alone also runs without
-buffers, making fresh ones, so that a caller outside training owns its
-result.
+per-layer views. `train_mlp` makes one for its training rows and, given
+a split, one for the test rows, and passes them to `backward` and
+`predict_batch`, whose ufuncs write through `out=`. It copies the model
+once and then steps that copy in place through `rmsprop_step` and a
+`StepWork`. `predict_batch` alone also runs without buffers: it then
+allocates only the activations, so that a caller outside training owns
+its result.
 `train_mlp` checks each step's training RMSE, which the next epoch's
 `backward` finds anyway (`_Buffers.rmse`), as well as its parameters.
 A layer's bias gradient is the column sums of its (rows, width) delta.
@@ -29,8 +29,8 @@ which sums a single column pairwise as `np.sum` does and einsum does not.
 gradient is only squared, and subtracted from a bias, which starts at +0.0
 and so is never -0.0, so this sign of zero changes no result.) The tests
 pin both forms against `np.sum`.
-An epoch's train history cells come from the next epoch's training
-forward pass (the one `backward` runs anyway), so history costs one
+An epoch's train curve cells come from the next epoch's training
+forward pass (the one `backward` runs anyway), so the curve costs one
 forward pass over the test rows per epoch. Two `metrics.Scorer`s score the
 train and test cells HISTORY_BLOCK epochs at a time, at the boundary 0
 that the data and the ALS history use.
@@ -147,13 +147,12 @@ class _Buffers:
         self.rmse = math.nan
 
 
-def _forward_batch(model, inputs, buffers):
+def _forward_batch(model, inputs, outs):
     """Activations per layer; inputs is (batch, fan_in). The layer outputs
-    are written into `buffers`."""
+    are written into `outs`, one (batch, width) array per layer."""
     acts = [np.asarray(inputs, dtype=float)]
     n_layers = len(model.weights)
-    for li, (w, b, z) in enumerate(zip(model.weights, model.biases,
-                                       buffers.acts)):
+    for li, (w, b, z) in enumerate(zip(model.weights, model.biases, outs)):
         np.matmul(acts[-1], w, out=z)
         np.add(z, b, out=z)
         if li < n_layers - 1:
@@ -164,10 +163,13 @@ def _forward_batch(model, inputs, buffers):
 
 def predict_batch(model, inputs, buffers=None):
     """Network output per input row; a view into `buffers` when given,
-    else an array of fresh buffers that no later call overwrites."""
+    else into fresh activations that no later call overwrites."""
     if buffers is None:
-        buffers = _Buffers(model, np.shape(inputs)[0])
-    return _forward_batch(model, inputs, buffers)[-1][:, 0]
+        outs = [np.empty((np.shape(inputs)[0], w))
+                for w in model.layer_sizes[1:]]
+    else:
+        outs = buffers.acts
+    return _forward_batch(model, inputs, outs)[-1][:, 0]
 
 
 def _output_gradient(preds, truths, cfg, out):
@@ -225,7 +227,7 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers):
     truths = np.asarray(batch_truths, dtype=float)
     if inputs.shape[0] != truths.size:
         raise ValueError("batch size mismatch")
-    acts = _forward_batch(model, inputs, buffers)
+    acts = _forward_batch(model, inputs, buffers.acts)
     buffers.rmse = _output_gradient(acts[-1][:, 0], truths, cfg,
                                     buffers.output_rows)
     grad_w, grad_b = buffers.grad_w, buffers.grad_b
@@ -278,10 +280,10 @@ def rmsprop_step(model, grad, cfg, work):
 
 
 def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
-              start_epoch=0, record_history=True):
+              start_epoch=0):
     """Full-batch rmsprop training; deterministic given the initial model.
     Returns the trained model and a Curve numbered from start_epoch, or
-    None for the curve when record_history is False.
+    None for the curve when no split is held out.
 
     eval_split indexes rows of `inputs`; training uses the train rows only,
     and a split that `FoldSplit.indices` rejects raises IndexError before
@@ -299,10 +301,10 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     truths = np.asarray(truths, dtype=float)
-    if eval_split is not None:
-        tr, te = eval_split.indices(inputs.shape[0])
+    if eval_split is None:
+        tr = np.arange(inputs.shape[0])
     else:
-        tr, te = np.arange(inputs.shape[0]), None
+        tr, te = eval_split.indices(inputs.shape[0])
     if tr.size == 0:
         raise ValueError("empty training set")
 
@@ -312,13 +314,12 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     train_buffers = _Buffers(model, tr.size)
     step_work = StepWork.like(model)
     epochs = train_cfg.epochs
-    scorers = []
-    if record_history:
-        scorers.append(Scorer(truths_tr, epochs))
-        if te is not None and te.size > 0:
-            inputs_te = inputs[te]
-            scorers.append(Scorer(truths[te], epochs))
-            test_buffers = _Buffers(model, te.size)
+    train_scorer = test_scorer = None
+    if eval_split is not None:
+        inputs_te = inputs[te]
+        train_scorer = Scorer(truths_tr, epochs)
+        test_scorer = Scorer(truths[te], epochs)
+        test_buffers = _Buffers(model, te.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             grad = backward(model, inputs_tr, truths_tr, loss_cfg,
@@ -326,21 +327,21 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
             if epoch:  # the model the previous epoch's step left
                 if not math.isfinite(train_buffers.rmse):
                     raise DivergenceError(epoch - 1)
-                if scorers:
-                    scorers[0].add(train_buffers.acts[-1][:, 0])
+                if train_scorer:
+                    train_scorer.add(train_buffers.acts[-1][:, 0])
             rmsprop_step(model, grad, train_cfg, step_work)
             if not np.isfinite(model.params).all():
                 raise DivergenceError(epoch)
-            if len(scorers) == 2:
-                scorers[1].add(predict_batch(model, inputs_te, test_buffers))
+            if test_scorer:
+                test_scorer.add(predict_batch(model, inputs_te, test_buffers))
         if epochs:  # the model the last step left
             preds = predict_batch(model, inputs_tr, train_buffers)
             resid = np.subtract(preds, truths_tr,
                                 out=train_buffers.output_rows[0])
             if not math.isfinite(residual_rmse(resid, out=resid)):
                 raise DivergenceError(epochs - 1)
-            if scorers:
-                scorers[0].add(preds)
-    if not record_history:
+            if train_scorer:
+                train_scorer.add(preds)
+    if eval_split is None:
         return model, None
-    return model, Curve.scored(start_epoch, *scorers)
+    return model, Curve.scored(start_epoch, train_scorer, test_scorer)

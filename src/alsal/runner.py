@@ -14,6 +14,8 @@ manifest records the environment; the data CSVs do not depend on it."""
 import csv
 import hashlib
 import json
+import math
+import numbers
 import os
 import platform
 import time
@@ -91,8 +93,6 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self):
-        if not self.targets:
-            raise ValueError("at least one target required")
         if not isinstance(self.seeds, tuple):
             raise ValueError(f"seeds must be a tuple of integers, not "
                              f"{self.seeds!r}")
@@ -102,7 +102,17 @@ class ExperimentConfig:
             check_count("each seed", seed, minimum=0)
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("either dataset_path or synthetic must be given")
+        if self.concentrations is not None:
+            if not isinstance(self.concentrations, tuple):
+                raise ValueError(f"concentrations must be a tuple of numbers, "
+                                 f"not {self.concentrations!r}")
+            for c in self.concentrations:
+                if (isinstance(c, bool) or not isinstance(c, numbers.Real)
+                        or not (math.isfinite(c) and c > 0)):
+                    raise ValueError(f"each concentration must be a finite "
+                                     f"number > 0, not {c!r}")
         for kind, names, known in (
+                ("target", self.targets, ("gr", "ifd")),
                 ("model", self.models, MODELS),
                 ("strategy", self.strategies, active_mod.STRATEGIES)):
             if not names:
@@ -159,7 +169,9 @@ def load_matrices(config):
 
     A synthetic config yields one matrix, generated from seeds[0] and
     tagged "synthetic"; it ignores targets and concentrations. A
-    dataset_path that cannot be opened raises ConfigError.
+    dataset_path that cannot be opened or read as a dataset raises
+    ConfigError, and so does a requested concentration at which some
+    (cell, molecule) pair has no measurement.
     """
     if config.synthetic is not None:
         s = config.synthetic
@@ -171,18 +183,21 @@ def load_matrices(config):
         f = open(config.dataset_path, newline="", encoding="utf-8")
     except OSError as e:
         raise ConfigError("dataset_path", str(e)) from e
-    with f:
-        obs = data_mod.parse_dataset(f, columns=config.column_map)
-    if config.concentrations:
-        concs = list(config.concentrations)
-    else:
-        concs = sorted(data_mod.select_common_concentrations(obs))
-    out = []
-    for target in config.targets:
-        for c in concs:
-            out.append((target, repr(float(c)),
-                        data_mod.build_response_matrix(obs, target, c)))
-    return out
+    try:
+        with f:
+            obs = data_mod.parse_dataset(f, columns=config.column_map)
+        common = data_mod.select_common_concentrations(obs)
+        for c in config.concentrations or ():
+            if float(c) not in common:
+                raise ConfigError("concentrations", f"concentration {c!r} is "
+                                  "absent or not fully covered; fully "
+                                  f"covered: {sorted(common)}")
+        concs = config.concentrations or sorted(common)
+        return [(target, repr(float(c)),
+                 data_mod.build_response_matrix(obs, target, c))
+                for target in config.targets for c in concs]
+    except data_mod.DataError as e:
+        raise ConfigError("dataset_path", str(e)) from e
 
 
 def run_benchmark(config):
@@ -199,11 +214,11 @@ def run_al_study(config):
 
 
 def _run_units(config, kind, names, status_table, limit, unit):
-    """Validate config, load its matrices, raise ConfigError if the dataset
-    cannot be opened or the count at the dotted key limit exceeds the
-    observed positions of any matrix, then run unit(config, name, matrix,
-    seed, shared) per (target, concentration, name, seed), in that nesting
-    order. shared is one dict per matrix, in which a unit may leave work
+    """Validate config, load its matrices, raise ConfigError if they
+    cannot be loaded (see load_matrices) or the count at the dotted key
+    limit exceeds the observed positions of any matrix, then run
+    unit(config, name, matrix, seed, shared) per (target, concentration,
+    name, seed), in that nesting order. shared is one dict per matrix, in which a unit may leave work
     for a later unit of the same matrix. A unit yields (table, row) pairs,
     which gain the unit's key; when it raises DivergenceError, the rows it
     yielded stay and status_table gains one diverged row."""

@@ -2,7 +2,8 @@
 
 `rmse` and `boundary_accuracy` check and convert their inputs on every
 call and score one set of predictions; `metrics.Scorer` must give their
-values with ==. `sign_penalty`, `penalized_loss` and `surrogate_objective`
+values with ==. `als_rmse` scores a trained factor model the way an
+unsplit run, which returns no curve, would score its training set. `sign_penalty`, `penalized_loss` and `surrogate_objective`
 evaluate the network's training objective: the exact sign-penalty form and
 the smooth tanh form whose gradient `mlp.backward` takes, which the
 finite-difference gradient checks difference.
@@ -25,7 +26,16 @@ def check_pair(preds, truths):
 
 def rmse(preds, truths):
     preds, truths = check_pair(preds, truths)
-    return residual_rmse(preds - truths)
+    resid = preds - truths
+    return residual_rmse(resid, out=resid)
+
+
+def als_rmse(matrix, emb):
+    """RMSE of the factor model emb over the matrix's observed positions,
+    which an unsplit training run trains on: its final train RMSE."""
+    positions = matrix.observed_positions()
+    return rmse((emb.x @ emb.w).ravel()[positions],
+                matrix.values.ravel()[positions])
 
 
 def boundary_accuracy(preds, truths, boundary=0.0):

@@ -128,7 +128,7 @@ def per_candidate_expected_losses(state, model, cfg, inner_seed):
         mask[cand] = 1.0
         train_matrix = MaskedMatrix(values, mask, list(matrix.cell_index),
                                     list(matrix.molecule_index), matrix.target)
-        emb, _ = train_als(train_matrix, inner_cfg, record_history=False)
+        emb, _ = train_als(train_matrix, inner_cfg)
         full = emb.x @ emb.w
 
         score_pos = labeled + [p for p in pool if p != cand]
@@ -372,6 +372,26 @@ class TestRunActiveLearning:
         truths = [mat.values[divmod(int(p), 6)] for p in positions]
         assert curve[-1].full_rmse == rmse(
             alsdl_predict_positions(model, positions), truths)
+
+    def test_orderly_column_major_from_config(self, monkeypatch):
+        """ActiveConfig.orderly_column_major makes each orderly query take
+        the pool down each column in turn, not along each row."""
+        states = []
+
+        def kept(matrix, cfg):
+            states.append(init_state(matrix, cfg))
+            return states[-1]
+        monkeypatch.setattr(active_mod, "init_state", kept)
+        mat, _ = generate_synthetic(5, 4, 2, 0.0, seed=15)
+        cfg = ActiveConfig(n_init=3, n_per_query=4, n_max_query=2,
+                           strategy="orderly", orderly_column_major=True,
+                           seed=2)
+        run_active_learning(mat, fast_model_cfg(), cfg)
+        labeled = states[0].labeled.tolist()  # in labelling order
+        pool = [p for p in range(20) if p not in labeled[:3]]
+        column_major = sorted(pool, key=lambda p: (p % 4, p // 4))
+        assert labeled[3:] == column_major[:8]
+        assert labeled[3:] != sorted(pool)[:8]
 
     def test_zero_max_query_single_point(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=12)

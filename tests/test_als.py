@@ -8,7 +8,8 @@ from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.als import (AlsConfig, DivergenceError, EmbeddingPair, EpochWork,
                        als_epoch, als_gradients, als_loss, check_count,
                        init_embeddings, train_als)
-from alsal.metrics import FoldSplit
+from alsal.metrics import FoldSplit, kfold_split
+from oracles import als_rmse
 
 
 def full_matrix(values):
@@ -260,34 +261,36 @@ class TestTrainAls:
     def test_low_rank_recovery_small(self):
         mat, _ = generate_synthetic(12, 10, 3, 0.0, seed=2)
         emb, hist = train_als(mat, AlsConfig(d=3, epochs=400, seed=9))
-        assert hist.train_loss[-1] < 0.05
+        assert hist is None
+        assert als_rmse(mat, emb) < 0.05
 
     def test_all_zero_matrix_zero_init(self):
         mat = full_matrix(np.zeros((3, 3)))
         cfg = AlsConfig(d=2, epochs=5, init_scale=0.0, seed=0)
-        emb, hist = train_als(mat, cfg)
+        emb, hist = train_als(mat, cfg, kfold_split(9, 3, seed=0)[0])
         assert np.all(emb.x == 0) and np.all(emb.w == 0)
-        assert hist.train_loss[-1] == 0.0
+        assert hist.train_loss[-1] == hist.test_loss[-1] == 0.0
 
     def test_deterministic(self):
         mat, _ = generate_synthetic(6, 6, 2, 0.1, seed=4)
         cfg = AlsConfig(d=2, epochs=50, seed=7)
-        emb1, hist1 = train_als(mat, cfg)
-        emb2, hist2 = train_als(mat, cfg)
+        split = kfold_split(36, 4, seed=0)[1]
+        emb1, hist1 = train_als(mat, cfg, split)
+        emb2, hist2 = train_als(mat, cfg, split)
         np.testing.assert_array_equal(emb1.x, emb2.x)
         for a, b in zip(hist1, hist2):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("record_history", [True, False])
-    def test_divergence_raises_no_numpy_warning(self, record_history):
+    @pytest.mark.parametrize("with_split", [True, False])
+    def test_divergence_raises_no_numpy_warning(self, with_split):
         """Overflow is reported once, as DivergenceError with its epoch;
         numpy prints no RuntimeWarning on the way."""
         mat, _ = generate_synthetic(8, 7, 2, 0.1, seed=0)
         split = FoldSplit(range(0, 56, 2), range(1, 56, 2))
         cfg = AlsConfig(d=2, epochs=20, learning_rate=100.0)
         with pytest.raises(DivergenceError) as e:
-            train_als(mat, cfg, split, record_history=record_history)
+            train_als(mat, cfg, split if with_split else None)
         assert e.value.epoch == 3  # epochs 0-2 stay finite
 
     def test_eval_split_excludes_test_from_training(self):
@@ -345,17 +348,18 @@ class TestResume:
         cfg = AlsConfig(d=2, epochs=57, seed=4)
         (emb, curve), (_, first), (emb2, rest) = self.legs(cfg, 37, split)
         assert (emb2.x == emb.x).all() and (emb2.w == emb.w).all()
+        if split is None:
+            assert curve is first is rest is None
+            return
         assert (rest.epoch_or_round == np.arange(37, 57)).all()
         for name, column, joined in zip(curve._fields, curve,
                                         first.then(rest)):
-            if split is None and name.startswith("test"):
-                assert column is None and joined is None
-            else:
-                assert (column == joined).all(), name
+            assert (column == joined).all(), name
 
     def test_resume_at_the_last_epoch_trains_nothing(self):
         cfg = AlsConfig(d=2, epochs=5, seed=4)
-        (emb, _), _, (emb2, rest) = self.legs(cfg, 5, None)
+        (emb, _), _, (emb2, rest) = self.legs(cfg, 5, FoldSplit(
+            tuple(range(0, 42, 2)), tuple(range(1, 42, 2))))
         assert (emb2.x == emb.x).all() and (emb2.w == emb.w).all()
         assert rest.train_loss.size == 0
 

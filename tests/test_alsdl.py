@@ -5,8 +5,9 @@ from alsal.als import AlsConfig, EmbeddingPair
 from alsal.alsdl import (AlsdlConfig, build_features, alsdl_predict_positions,
                          train_alsdl)
 from alsal.data import MaskedMatrix, generate_synthetic
-from alsal.metrics import FoldSplit
+from alsal.metrics import FoldSplit, kfold_split
 from alsal.mlp import LossConfig, MlpTrainConfig, predict_batch
+from oracles import als_rmse, rmse
 
 
 def small_config(seed=0, als_epochs=30, mlp_epochs=300):
@@ -46,15 +47,18 @@ class TestTrainAlsdl:
         mat, _ = generate_synthetic(8, 8, 2, 0.0, seed=0)
         cfg = small_config(seed=50)
         model, hist = train_alsdl(mat, cfg)
-        stage1_final = hist.train_loss[cfg.als.epochs - 1]
-        assert hist.train_loss[-1] < stage1_final
+        assert hist is None
+        positions = mat.observed_positions()
+        final = rmse(alsdl_predict_positions(model, positions),
+                     mat.values.ravel()[positions])
+        assert final < als_rmse(mat, model.embeddings)
 
     def test_curve_covers_both_stages(self):
         mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=1)
         cfg = small_config(seed=2, als_epochs=20, mlp_epochs=30)
-        _, hist = train_alsdl(mat, cfg)
+        _, hist = train_alsdl(mat, cfg, kfold_split(36, 4, seed=0)[2])
         assert hist.epoch_or_round.tolist() == list(range(50))
-        assert all(col.shape == (50,) for col in hist if col is not None)
+        assert len(hist) == 5 and all(col.shape == (50,) for col in hist)
 
     def test_zero_mlp_epochs_keeps_stage1_embeddings(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=3)
@@ -92,8 +96,9 @@ class TestTrainAlsdl:
     def test_deterministic(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.1, seed=9)
         cfg = small_config(seed=10, als_epochs=15, mlp_epochs=20)
-        _, hist1 = train_alsdl(mat, cfg)
-        _, hist2 = train_alsdl(mat, cfg)
+        split = kfold_split(25, 5, seed=1)[0]
+        _, hist1 = train_alsdl(mat, cfg, split)
+        _, hist2 = train_alsdl(mat, cfg, split)
         for a, b in zip(hist1, hist2):
             np.testing.assert_array_equal(a, b)
 

@@ -8,7 +8,7 @@ from alsal.als import AlsConfig, init_embeddings
 from alsal.alsdl import (AlsdlConfig, AlsdlModel, alsdl_predict_positions,
                          build_features)
 from alsal.data import (DataError, build_response_matrix, compute_gr,
-                        compute_ifd, concentration_key, generate_synthetic,
+                        compute_ifd, generate_synthetic,
                         parse_dataset, select_common_concentrations)
 from alsal.mlp import init_mlp
 
@@ -96,15 +96,6 @@ class TestParseDataset:
         assert obs[0].gr == 1.2
 
 
-class TestConcentrationKey:
-    def test_spellings_of_one_float_share_a_key(self):
-        assert concentration_key(0.1) == concentration_key("0.1")
-        assert concentration_key("0.10") == concentration_key(0.1)
-
-    def test_close_floats_are_not_rounded_together(self):
-        assert concentration_key(0.1) != concentration_key(0.1000000001)
-
-
 class TestSelectCommonConcentrations:
     def test_single_common(self):
         obs = make_observations(["c1", "c2"], ["m1"], [1.0])
@@ -126,6 +117,17 @@ class TestSelectCommonConcentrations:
         obs = make_observations(["c1"], ["m1", "m2"], [0.1, 0.2, 0.3])
         got = select_common_concentrations(obs)
         assert got <= {o.concentration for o in obs}
+
+    def test_spellings_of_one_float_are_one_concentration(self):
+        obs = parse_dataset(csv_stream(["c1,m1,0.1,0.8,0.05\n",
+                                        "c2,m1,0.10,0.8,0.05\n",
+                                        "c1,m1,1e-1,0.8,0.05\n"]))
+        assert select_common_concentrations(obs) == {0.1}
+
+    def test_close_floats_stay_apart(self):
+        obs = (make_observations(["c1", "c2"], ["m1"], [0.1])
+               + make_observations(["c1"], ["m1"], [0.1000000001]))
+        assert select_common_concentrations(obs) == {0.1}
 
     def test_removing_single_observation_removes_concentration(self):
         obs = make_observations(["c1", "c2"], ["m1"], [1.0, 2.0])
@@ -171,6 +173,23 @@ class TestBuildResponseMatrix:
                + make_observations(["c1"], ["m1"], [9.0]))
         with pytest.raises(DataError, match="not fully covered"):
             build_response_matrix(obs, "gr", 9.0)
+
+    @pytest.mark.parametrize("spelling", [0.1, "0.1", "0.10", "1e-1"])
+    def test_spellings_of_one_float_select_one_matrix(self, spelling):
+        obs = make_observations(["c1", "c2"], ["m1", "m2"], [0.1, 1.0])
+        mat = build_response_matrix(obs, "gr", spelling)
+        assert np.array_equal(mat.values,
+                              build_response_matrix(obs, "gr", 0.1).values)
+        assert mat.mask.sum() == 4
+
+    def test_close_floats_stay_apart(self):
+        obs = make_observations(["c1", "c2"], ["m1"], [0.1])
+        close = make_observations(["c1"], ["m1"], [0.1000000001],
+                                  value_fn=lambda i, j, c: 9.9)
+        mat = build_response_matrix(obs + close, "gr", 0.1)
+        assert not np.any(mat.values == 9.9 - 1.0)
+        with pytest.raises(DataError, match="not fully covered"):
+            build_response_matrix(obs + close, "gr", 0.1000000001)
 
     def test_conflicting_duplicates_rejected(self):
         obs = make_observations(["c1"], ["m1"], [1.0])

@@ -3,8 +3,8 @@
 train_als and train_mlp score their history a block at a time with
 metrics.Scorer. Here their curves meet the per-epoch references of
 test_history_exact with == at the block edges (1, B - 1, B, B + 1 and
-2B + 3 epochs), at a divergence inside a block, without a test split,
-with no MLP epochs and with no history at all.
+2B + 3 epochs), at a divergence inside a block and with no MLP epochs;
+without a split they score nothing at all.
 
 The blocked scoring relies on numpy behaviour that numpy does not promise:
 on a C-ordered (rows, k) block, a row-wise np.add.reduce sums each row in
@@ -16,7 +16,6 @@ predictions, is summed in another order and differs in the last bits, so
 TestBlocksAreCOrdered checks every block the training loops score.
 """
 
-import csv
 import math
 import tracemalloc
 
@@ -31,7 +30,6 @@ from alsal.alsdl import AlsdlConfig, train_alsdl
 from alsal.data import generate_synthetic
 from alsal.metrics import HISTORY_BLOCK, Scorer, kfold_split
 from alsal.mlp import LossConfig, MlpTrainConfig, init_mlp, train_mlp
-from alsal.runner import Report, write_report
 from oracles import boundary_accuracy, rmse
 from test_history_exact import (THREE_BOUNDARIES, assert_same_curve,
                                 assert_same_net, curve_points, holey_matrix,
@@ -147,12 +145,12 @@ class TestAlsBlockEdges:
         emb_ref, hist_ref = reference_train_als(mat, cfg, split)
         np.testing.assert_array_equal(emb.x, emb_ref.x)
         assert_same_curve(hist, hist_ref)
-        assert (hist.test_loss is None) == (not with_split)
+        assert (hist is None) == (not with_split)
 
     @pytest.mark.parametrize("bad_epoch", [0, B // 2, B + 5, 2 * B - 1])
     def test_divergence_mid_block(self, bad_epoch, monkeypatch):
         """A NaN put into the embeddings at bad_epoch stops training at
-        that epoch, with the history block part filled or without history.
+        that epoch, with the history block part filled or without a split.
         (The reference checks no finiteness.)"""
         epoch_fn = als_mod.als_epoch
         calls = []
@@ -166,11 +164,10 @@ class TestAlsBlockEdges:
         monkeypatch.setattr(als_mod, "als_epoch", poisoned)
         mat = holey_matrix()
         cfg = AlsConfig(d=2, epochs=3 * B, seed=4)
-        for record_history in (True, False):
+        for split in (split_for(mat), None):
             calls.clear()
             with pytest.raises(DivergenceError) as e:
-                train_als(mat, cfg, split_for(mat),
-                          record_history=record_history)
+                train_als(mat, cfg, split)
             assert e.value.epoch == bad_epoch
 
 
@@ -189,7 +186,7 @@ class TestMlpBlockEdges:
                                              start_epoch=3)
         assert_same_net(got, want)
         assert_same_curve(hist, hist_ref)
-        assert (hist.test_loss is None) == (not with_split)
+        assert (hist is None) == (not with_split)
 
     @pytest.mark.parametrize("bad_epoch", [0, B // 2, B + 5, 2 * B - 1])
     def test_divergence_mid_block(self, bad_epoch, monkeypatch):
@@ -225,8 +222,8 @@ class TestMlpBlockEdges:
         assert epochs == [bad_epoch, bad_epoch]
 
     @pytest.mark.parametrize("bad_epoch", [0, B // 2, B + 5, 3 * B - 1])
-    @pytest.mark.parametrize("record_history", [True, False])
-    def test_rmse_overflow_mid_block(self, bad_epoch, record_history,
+    @pytest.mark.parametrize("with_split", [True, False])
+    def test_rmse_overflow_mid_block(self, bad_epoch, with_split,
                                      monkeypatch):
         """A step that leaves finite parameters whose predictions' RMSE
         overflows (an output bias of 1e200) stops both forms at that
@@ -253,7 +250,7 @@ class TestMlpBlockEdges:
             with np.errstate(over="ignore"), \
                     pytest.raises(DivergenceError) as e:
                 train(init_mlp(MLP_SIZES, seed=1), x, t, cfg, LossConfig(),
-                      eval_split=mlp_split(t), record_history=record_history)
+                      eval_split=mlp_split(t) if with_split else None)
             epochs.append(e.value.epoch)
         assert epochs == [bad_epoch, bad_epoch]
 
@@ -264,8 +261,10 @@ class TestMlpBlockEdges:
                             MlpTrainConfig(epochs=0), LossConfig(),
                             eval_split=mlp_split(t) if with_split else None,
                             start_epoch=9)
-        assert curve_points(hist) == []
-        assert (hist.test_loss is None) == (not with_split)
+        if with_split:
+            assert curve_points(hist) == []
+        else:
+            assert hist is None
 
     def test_zero_epochs_in_alsdl(self):
         mat = holey_matrix(seed=5)
@@ -277,61 +276,64 @@ class TestMlpBlockEdges:
         assert_same_curve(hist, reference_train_alsdl(mat, cfg, split)[2])
 
 
-class TestNoTestSplit:
-    def test_test_cells_stay_empty_in_the_csv(self, tmp_path):
+class TestCurveExactlyWithASplit:
+    """Each trainer returns a curve of five equal-length arrays when it is
+    given a split, and None for the curve without one."""
+
+    @pytest.mark.parametrize("with_split", [True, False])
+    def test_five_arrays_or_none(self, with_split):
         mat = holey_matrix(seed=5)
-        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=B + 1, seed=2),
-                          mlp_train=MlpTrainConfig(epochs=B - 1, seed=3),
+        x, t = mlp_problem(MLP_SIZES)
+        split = split_for(mat) if with_split else None
+        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=7),
+                          mlp_train=MlpTrainConfig(epochs=9),
                           hidden_sizes=(4,))
-        _, hist = train_alsdl(mat, cfg)
-        row = dict(model="alsdl", target="gr", concentration="1.0", seed=0,
-                   fold=0, **hist._asdict())
-        write_report(Report(metadata={}, training_curves=[row]), tmp_path)
-        with open(tmp_path / "training_curves.csv", newline="") as f:
-            rows = list(csv.DictReader(f))
-        want = reference_train_alsdl(mat, cfg)[2]
-        assert len(rows) == len(want) == 2 * B
-        for row, point in zip(rows, want):
-            assert row["test_loss"] == row["test_accuracy"] == ""
-            assert row["epoch_or_round"] == str(point.epoch_or_round)
-            assert row["train_loss"] == repr(point.train_loss)
-            assert row["train_accuracy"] == repr(point.train_accuracy)
+        curves = {
+            7: train_als(mat, cfg.als, split)[1],
+            9: train_mlp(init_mlp(MLP_SIZES, seed=1), x, t, cfg.mlp_train,
+                         LossConfig(),
+                         eval_split=mlp_split(t) if with_split else None)[1],
+            16: train_alsdl(mat, cfg, split)[1]}
+        for epochs, curve in curves.items():
+            if not with_split:
+                assert curve is None
+                continue
+            assert len(curve) == 5
+            for column in curve:
+                assert isinstance(column, np.ndarray)
+                assert column.shape == (epochs,)
+            assert np.isfinite(np.column_stack(curve)).all()
 
 
 class TestNoHistory:
     def test_no_block_is_built(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("a Scorer without history")
+            raise AssertionError("a Scorer without a split")
         monkeypatch.setattr(als_mod, "Scorer", forbidden)
         monkeypatch.setattr(mlp_mod, "Scorer", forbidden)
         mat = holey_matrix(seed=5)
-        split = split_for(mat)
-        assert train_als(mat, AlsConfig(d=2, epochs=B + 1), split,
-                         record_history=False)[1] is None
+        assert train_als(mat, AlsConfig(d=2, epochs=B + 1))[1] is None
         x, t = mlp_problem(MLP_SIZES)
         assert train_mlp(init_mlp(MLP_SIZES, seed=1), x, t,
-                         MlpTrainConfig(epochs=B + 1), LossConfig(),
-                         eval_split=mlp_split(t),
-                         record_history=False)[1] is None
+                         MlpTrainConfig(epochs=B + 1), LossConfig())[1] is None
         cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=3),
                           mlp_train=MlpTrainConfig(epochs=3),
                           hidden_sizes=(4,))
-        assert train_alsdl(mat, cfg, split, record_history=False)[1] is None
+        assert train_alsdl(mat, cfg)[1] is None
 
     def test_als_peak_memory_stays_under_one_block(self):
         """A (HISTORY_BLOCK, m*n) block is 299 KB at 35 x 34: training
-        without history never holds that much, and with history its train
+        without a split never holds that much, and with one its train
         Scorer's block and scratch block, 32 epochs of 952 positions each,
         take more."""
         mat, _ = generate_synthetic(35, 34, 5, 0.1, seed=1)
-        split = split_for(mat)
         cfg = AlsConfig(epochs=B + 1)
         block_bytes = B * mat.values.size * 8
         peaks = []
-        for record_history in (False, True):
+        for split in (None, split_for(mat)):
             tracemalloc.start()
             try:
-                train_als(mat, cfg, split, record_history=record_history)
+                train_als(mat, cfg, split)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

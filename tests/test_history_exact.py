@@ -12,9 +12,10 @@ vector. Results must match them with ==, not approximately: the new forms
 do the same float64 arithmetic on the same values.
 
 The references return per-epoch EvalPoint lists, the form the curves had
-before they became arrays. curve_points is the adapter: it turns a
-metrics.Curve into that list, cell by cell, so a curve scored in blocks is
-compared with == against references scored one epoch at a time.
+before they became arrays, and, as the trainers do, no curve (None)
+without a split. curve_points is the adapter: it turns a metrics.Curve
+into that list, cell by cell, so a curve scored in blocks is compared with
+== against references scored one epoch at a time.
 
 The MLP history has two reference orders. split_preds, the default, is
 the one train_mlp uses: the train cells come from a forward pass over the
@@ -37,7 +38,7 @@ from alsal.als import (AlsConfig, DivergenceError, EpochWork, EmbeddingPair,
 from alsal.alsdl import (AlsdlConfig, alsdl_predict_positions,
                          build_features, train_alsdl)
 from alsal.data import DataError, MaskedMatrix, generate_synthetic
-from alsal.metrics import FoldSplit, kfold_split
+from alsal.metrics import kfold_split
 from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, _output_gradient,
                        init_mlp, train_mlp)
 from oracles import boundary_accuracy, penalized_loss, rmse, sign_penalty
@@ -47,22 +48,18 @@ THREE_BOUNDARIES = LossConfig(boundaries=(-0.5, 0.0, 0.5))
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """One epoch of a reference curve; test cells None without a split."""
+    """One epoch of a reference curve."""
 
     epoch_or_round: int
     train_loss: float
-    test_loss: float = None
-    train_accuracy: float = None
-    test_accuracy: float = None
+    test_loss: float
+    train_accuracy: float
+    test_accuracy: float
 
 
 def curve_points(curve):
-    """A Curve (None for no curve) as a list of EvalPoints."""
-    if curve is None:
-        return []
-    n = len(curve.epoch_or_round)
-    columns = [[None] * n if col is None else col.tolist() for col in curve]
-    return [EvalPoint(*cells) for cells in zip(*columns)]
+    """A Curve as a list of EvalPoints."""
+    return [EvalPoint(*cells) for cells in zip(*(c.tolist() for c in curve))]
 
 
 def to_pairs(positions, n_cols):
@@ -120,29 +117,27 @@ def reference_feature_table(emb, positions, molecule_first=False):
 
 def reference_train_als(matrix, cfg, split=None):
     positions = observed_pairs(matrix)
+    train_matrix, history = matrix, None
     if split is not None:
         pos_train = [positions[i] for i in split.train_indices]
         pos_test = [positions[i] for i in split.test_indices]
         train_matrix = reference_with_mask(matrix, pos_train)
-    else:
-        pos_train, pos_test = positions, []
-        train_matrix = matrix
+        history = []
     emb = init_embeddings(*matrix.shape, cfg)
-    history = []
     for epoch in range(cfg.epochs):
         # a new pair each epoch, stepped in place from a copy of the last
         emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
         als_epoch(train_matrix, emb, cfg.learning_rate,
                   cfg.simultaneous_updates, EpochWork.like(emb))
+        if history is None:
+            continue
         full = emb.x @ emb.w
         pt, tt = reference_gather(matrix, full, pos_train)
-        point = {"epoch_or_round": epoch, "train_loss": rmse(pt, tt),
-                 "train_accuracy": boundary_accuracy(pt, tt)}
-        if pos_test:
-            pv, tv = reference_gather(matrix, full, pos_test)
-            point["test_loss"] = rmse(pv, tv)
-            point["test_accuracy"] = boundary_accuracy(pv, tv)
-        history.append(EvalPoint(**point))
+        pv, tv = reference_gather(matrix, full, pos_test)
+        history.append(EvalPoint(
+            epoch, train_loss=rmse(pt, tt), test_loss=rmse(pv, tv),
+            train_accuracy=boundary_accuracy(pt, tt),
+            test_accuracy=boundary_accuracy(pv, tv)))
     return emb, history
 
 
@@ -204,28 +199,27 @@ def all_rows_preds(model, inputs, tr, te):
     the training forward pass: one pass over all rows, then the train and
     test rows picked out of it."""
     preds = reference_predict_batch(model, inputs)
-    return preds[tr], None if te is None else preds[te]
+    return preds[tr], preds[te]
 
 
 def split_preds(model, inputs, tr, te):
     """The history order train_mlp has now: one pass over the train rows
     (the next epoch's backward pass) and one over the test rows."""
-    p_te = None if te is None else reference_predict_batch(model, inputs[te])
-    return reference_predict_batch(model, inputs[tr]), p_te
+    return (reference_predict_batch(model, inputs[tr]),
+            reference_predict_batch(model, inputs[te]))
 
 
 def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
-                        eval_split=None, start_epoch=0, record_history=True,
+                        eval_split=None, start_epoch=0,
                         history_preds=split_preds):
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     truths = np.asarray(truths, dtype=float)
+    tr, history = np.arange(inputs.shape[0]), None
     if eval_split is not None:
         tr = np.asarray(eval_split.train_indices, dtype=int)
         te = np.asarray(eval_split.test_indices, dtype=int)
-    else:
-        tr, te = np.arange(inputs.shape[0]), None
+        history = []
     inputs_tr, truths_tr = inputs[tr], truths[tr]
-    history = []
     for epoch in range(train_cfg.epochs):
         grads = reference_backward(model, inputs_tr, truths_tr, loss_cfg)
         try:
@@ -236,18 +230,15 @@ def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
         if not math.isfinite(rmse(reference_predict_batch(model, inputs_tr),
                                   truths_tr)):
             raise DivergenceError(epoch)
-        if not record_history:
+        if history is None:
             continue
         p_tr, p_te = history_preds(model, inputs, tr, te)
         # accuracy at the data's boundary 0, whatever the loss's boundaries
-        point = {"epoch_or_round": start_epoch + epoch,
-                 "train_loss": rmse(p_tr, truths_tr),
-                 "train_accuracy": boundary_accuracy(p_tr, truths_tr)}
-        if te is not None and te.size:
-            point.update(
-                test_loss=rmse(p_te, truths[te]),
-                test_accuracy=boundary_accuracy(p_te, truths[te]))
-        history.append(EvalPoint(**point))
+        history.append(EvalPoint(
+            start_epoch + epoch, train_loss=rmse(p_tr, truths_tr),
+            test_loss=rmse(p_te, truths[te]),
+            train_accuracy=boundary_accuracy(p_tr, truths_tr),
+            test_accuracy=boundary_accuracy(p_te, truths[te])))
     return model, history
 
 
@@ -260,7 +251,7 @@ def reference_train_alsdl(matrix, cfg, split=None):
     net, history = reference_train_mlp(
         net, inputs, truths, cfg.mlp_train, cfg.loss, eval_split=split,
         start_epoch=cfg.als.epochs)
-    return emb, net, als_history + history
+    return emb, net, None if split is None else als_history + history
 
 
 def holey_matrix(seed=3):
@@ -273,6 +264,13 @@ def holey_matrix(seed=3):
 
 
 def assert_same_curve(curve, want):
+    """A trainer's curve against a reference's points, or both None."""
+    if want is None:
+        assert curve is None
+        return
+    assert len(curve) == 5 and all(
+        isinstance(c, np.ndarray) and c.shape == curve[0].shape
+        for c in curve)
     got = curve_points(curve)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -305,16 +303,7 @@ class TestAlsHistory:
         np.testing.assert_array_equal(emb.x, emb_ref.x)
         np.testing.assert_array_equal(emb.w, emb_ref.w)
         assert_same_curve(hist, hist_ref)
-        assert (hist.test_loss is not None) == with_split
-
-    def test_empty_test_split(self):
-        mat = holey_matrix()
-        n_obs = len(mat.observed_positions())
-        split = FoldSplit(tuple(range(n_obs)), ())
-        cfg = AlsConfig(d=2, epochs=10, seed=1)
-        _, hist = train_als(mat, cfg, eval_positions=split)
-        assert_same_curve(hist, reference_train_als(mat, cfg, split)[1])
-        assert hist.test_loss is None
+        assert (hist is not None) == with_split
 
 
 class TestAlsdlHistory:
@@ -332,7 +321,7 @@ class TestAlsdlHistory:
         _, net_ref, hist_ref = reference_train_alsdl(mat, cfg, split)
         assert_same_net(model.net, net_ref)
         assert_same_curve(hist, hist_ref)
-        assert (hist.test_loss is not None) == with_split
+        assert (hist is not None) == with_split
 
     def test_both_stages_score_accuracy_at_zero(self):
         """Loss boundaries shape the network's penalty only: the ALS and
@@ -454,22 +443,20 @@ class TestMlpTraining:
     @pytest.mark.parametrize("sizes", [[1, 1], [2, 8, 1], [10, 20, 10, 5, 1]])
     @pytest.mark.parametrize("loss", MLP_LOSSES)
     @pytest.mark.parametrize("with_split", [True, False])
-    @pytest.mark.parametrize("record_history", [True, False])
-    def test_matches_reference(self, sizes, loss, with_split, record_history):
-        x, t = mlp_problem(sizes)
+    @pytest.mark.parametrize("boundary_hits", [True, False])
+    def test_matches_reference(self, sizes, loss, with_split, boundary_hits):
+        x, t = mlp_problem(sizes, boundary_hits=boundary_hits)
         split = (kfold_split(len(t), 4, seed=2)[3] if with_split else None)
         cfg = MlpTrainConfig(epochs=30, rmsprop_learning_rate=0.01, seed=1)
         got, hist = train_mlp(init_mlp(sizes, seed=5), x, t, cfg, loss,
-                              eval_split=split, start_epoch=7,
-                              record_history=record_history)
+                              eval_split=split, start_epoch=7)
         want, hist_ref = reference_train_mlp(
             init_mlp(sizes, seed=5), x, t, cfg, loss, eval_split=split,
-            start_epoch=7, record_history=record_history)
+            start_epoch=7)
         assert_same_net(got, want)
         assert_same_curve(hist, hist_ref)
-        if record_history:
+        if with_split:
             assert len(hist.epoch_or_round) == 30
-            assert (hist.test_loss is not None) == with_split
         else:
             assert hist is None
 
@@ -477,10 +464,9 @@ class TestMlpTraining:
     @pytest.mark.parametrize("loss", MLP_LOSSES)
     @pytest.mark.parametrize("with_split", [True, False])
     def test_near_all_rows_order(self, sizes, loss, with_split):
-        """Against the old history order the nets stay equal, and so does
-        the curve without a split (the train rows are all rows, so the
-        GEMM shapes are the same); with a split the curve cells may move
-        by rounding only."""
+        """Against the old history order the nets stay equal, and with a
+        split the curve cells may move by rounding only; without one
+        neither side has a curve."""
         x, t = mlp_problem(sizes)
         split = (kfold_split(len(t), 4, seed=2)[3] if with_split else None)
         cfg = MlpTrainConfig(epochs=30, rmsprop_learning_rate=0.01, seed=1)
@@ -513,9 +499,8 @@ class TestMlpTraining:
     # whose training RMSE overflows, which is a divergence too
     @pytest.mark.parametrize("learning_rate", [2e307, 1e308])
     @pytest.mark.parametrize("sizes", [[2, 1], [2, 8, 1]])
-    @pytest.mark.parametrize("record_history", [True, False])
-    def test_same_divergence_epoch(self, learning_rate, sizes,
-                                   record_history):
+    @pytest.mark.parametrize("with_split", [True, False])
+    def test_same_divergence_epoch(self, learning_rate, sizes, with_split):
         # an infinite prediction times a truth on the boundary is NaN,
         # which the scalar reference penalty cannot turn into an int
         x, t = mlp_problem(sizes, boundary_hits=False)
@@ -525,6 +510,7 @@ class TestMlpTraining:
             with np.errstate(all="ignore"), \
                     pytest.raises(DivergenceError) as e:
                 train(init_mlp(sizes, seed=1), x, t, cfg, LossConfig(),
-                      record_history=record_history)
+                      eval_split=(kfold_split(len(t), 4, seed=2)[3]
+                                  if with_split else None))
             errors.append(e.value.epoch)
         assert errors[0] == errors[1] == 0

@@ -120,9 +120,11 @@ class TestScorer:
         p, t = rng.normal(size=11), rng.normal(size=11)
         resid = p - t
         kept = resid.copy()
-        assert residual_rmse(resid) == rmse(p, t)
+        assert residual_rmse(resid, np.empty(11)) == rmse(p, t)
         np.testing.assert_array_equal(resid, kept)
         assert residual_rmse(resid, resid) == rmse(p, t)
+        with pytest.raises(TypeError):
+            residual_rmse(resid)  # no allocating form
 
 
 class TestBoundaryAccuracy:
@@ -158,20 +160,20 @@ BAD_SPLITS = {
     "repeat_in_test": ((0,), (2, 2)),
     "overlap": ((0, 1, 2), (2, 3)),
     "two_dimensional": (((0, 1), (2, 3)), (4,)),
+    "empty_train": ((), (0, 1)),
+    "empty_test": ((0, 1), ()),
 }
 
 
 class TestFoldSplitChecks:
     """A split that does not index distinct positions of the list, apart
-    between train and test, raises IndexError in both trainers before any
-    epoch runs."""
+    between train and test and on both sides, raises IndexError in both
+    trainers before any epoch runs."""
 
     def test_indices(self):
         train, test = FoldSplit((4, 0, 29), [7]).indices(30)
         assert train.dtype == test.dtype == np.intp
         assert train.tolist() == [4, 0, 29] and test.tolist() == [7]
-        train, test = FoldSplit(range(30), ()).indices(30)
-        assert train.size == 30 and test.size == 0
 
     @pytest.mark.parametrize("case", sorted(BAD_SPLITS))
     def test_rejected_before_training(self, case, monkeypatch):

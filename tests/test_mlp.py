@@ -10,7 +10,9 @@ from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, StepWork,
                        _Buffers, _column_sums, _output_gradient, backward,
                        init_mlp, predict_batch, rmsprop_step, train_mlp)
 
-from oracles import penalized_loss, rmse, sign_penalty, surrogate_objective
+import alsal.mlp as mlp_mod
+from oracles import (boundary_accuracy, penalized_loss, rmse, sign_penalty,
+                     surrogate_objective)
 from test_history_exact import (reference_backward, reference_rmsprop_step,
                                 to_flat)
 
@@ -254,14 +256,16 @@ class TestTrainMlp:
         model = init_mlp([1, 8, 1], seed=3)
         cfg = MlpTrainConfig(epochs=500, seed=3)
         model, hist = train_mlp(model, x, t, cfg, LossConfig())
-        assert hist.train_accuracy[-1] == 1.0
+        assert hist is None
+        assert boundary_accuracy(predict_batch(model, x), t) == 1.0
 
     def test_zero_epochs_unchanged(self):
         x, t = self.separable_toy()
         model = init_mlp([1, 4, 1], seed=0)
         before = [w.copy() for w in model.weights]
         out, hist = train_mlp(model, x, t, MlpTrainConfig(epochs=0),
-                              LossConfig())
+                              LossConfig(),
+                              eval_split=FoldSplit(tuple(range(6)), (6, 7)))
         assert hist.epoch_or_round.size == 0
         for w0, w1 in zip(before, out.weights):
             np.testing.assert_array_equal(w0, w1)
@@ -272,7 +276,8 @@ class TestTrainMlp:
         runs = []
         for _ in range(2):
             model = init_mlp([1, 4, 1], seed=4)
-            _, hist = train_mlp(model, x, t, cfg, LossConfig())
+            _, hist = train_mlp(model, x, t, cfg, LossConfig(),
+                                eval_split=FoldSplit((0, 2, 3, 5, 7), (1, 4, 6)))
             runs.append(hist)
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
@@ -284,6 +289,38 @@ class TestTrainMlp:
         _, hist = train_mlp(model, x, t, MlpTrainConfig(epochs=10), LossConfig(),
                             eval_split=split)
         assert hist.test_loss.shape == hist.test_accuracy.shape == (10,)
+
+
+class TestPredictWithoutBuffers:
+    """Outside training, predict_batch allocates the (rows, width)
+    activations of each layer and no training buffers: no deltas, scratch
+    rows or flat gradient."""
+
+    def test_builds_no_training_buffers(self, rng, monkeypatch):
+        model = init_mlp([10, 20, 10, 5, 1], seed=0)
+        x = rng.normal(size=(37, 10))
+        want = predict_batch(model, x, _Buffers(model, 37)).copy()
+
+        def forbidden(*args):
+            raise AssertionError("training buffers built for a prediction")
+        monkeypatch.setattr(mlp_mod, "_Buffers", forbidden)
+        np.testing.assert_array_equal(predict_batch(model, x), want)
+
+    def test_peak_memory_is_about_the_activations(self, rng):
+        rows, sizes = 1190, [10, 20, 10, 5, 1]
+        model = init_mlp(sizes, seed=0)
+        x = rng.normal(size=(rows, 10))
+        acts_bytes = rows * sum(sizes[1:]) * 8  # 343 KB
+        predict_batch(model, x)  # first-call caches, outside the measure
+        tracemalloc.start()
+        try:
+            predict_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy's ufunc buffer for the broadcast bias add comes on top; a
+        # whole _Buffers took about three times the activations
+        assert peak < 1.5 * acts_bytes
 
 
 class TestNoSharedMemory:
@@ -608,7 +645,7 @@ class TestTrainingAllocations:
             tracemalloc.start()
             try:
                 train_mlp(model, x, t, MlpTrainConfig(epochs=epochs),
-                          LossConfig(), record_history=False)
+                          LossConfig())
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -305,7 +305,13 @@ class TestConfigChecks:
          "invalid config key 'active.n_init': n_init = 40 exceeds the 36 "
          "observed positions of target synthetic, concentration synthetic"),
         (["benchmark", "--models", "als,als"],
-         "invalid config: repeated model in ('als', 'als')")])
+         "invalid config: repeated model in ('als', 'als')"),
+        (["benchmark", "--concentrations", "0"],
+         "invalid config: each concentration must be a finite number > 0, "
+         "not 0.0"),
+        (["al-study", "--concentrations", "1,inf"],
+         "invalid config: each concentration must be a finite number > 0, "
+         "not inf")])
     def test_cli_exit(self, monkeypatch, tmp_path, argv, message):
         forbid_training(monkeypatch)
         with pytest.raises(SystemExit) as e:
@@ -925,7 +931,20 @@ class TestRejectedInput:
         ({"synthetic": {"noise_sd": -1}},
          "invalid config key 'synthetic': noise_sd must be >= 0, not -1"),
         ({"synthetic": {"rank": 2.0}}, "invalid config key 'synthetic': "
-         "rank must be a positive integer, not 2.0")])
+         "rank must be a positive integer, not 2.0"),
+        ({"concentrations": ["x"]}, "invalid config: each concentration must "
+         "be a finite number > 0, not 'x'"),
+        ({"concentrations": [True]}, "invalid config: each concentration "
+         "must be a finite number > 0, not True"),
+        ({"concentrations": [1.0, -1]}, "invalid config: each concentration "
+         "must be a finite number > 0, not -1"),
+        ({"concentrations": [math.nan]}, "invalid config: each concentration "
+         "must be a finite number > 0, not nan"),
+        ({"concentrations": 5}, "invalid config: concentrations must be a "
+         "tuple of numbers, not 5"),
+        ({"targets": ["gr", "x"]},
+         "invalid config: unknown target 'x'; known: gr, ifd"),
+        ({"targets": []}, "invalid config: empty target list")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
         forbid_training(monkeypatch)
@@ -950,6 +969,33 @@ class TestRejectedInput:
             main(["benchmark", "--dataset", name, "--out", "run"])
         assert str(e.value) == ("invalid config key 'dataset_path': [Errno 2] "
                                 f"No such file or directory: {name!r}")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("raw, argv, message", [
+        ({}, ["--concentrations", "5.0"],
+         "invalid config key 'concentrations': concentration 5.0 is absent "
+         "or not fully covered; fully covered: [0.1, 1.0]"),
+        ({}, ["--concentrations", "0.1,3.16"],
+         "invalid config key 'concentrations': concentration 3.16 is absent "
+         "or not fully covered; fully covered: [0.1, 1.0]"),
+        ({"column_map": {"gr": "nope"}}, [],
+         "invalid config key 'dataset_path': missing required columns: "
+         "['nope']")])
+    @pytest.mark.parametrize("command", ["benchmark", "al-study"])
+    def test_dataset_config_error(self, monkeypatch, tmp_path, command, raw,
+                                  argv, message):
+        """A dataset the run cannot use, or a concentration it does not
+        cover, exits naming the config key, before any model trains."""
+        forbid_training(monkeypatch)
+        csv_path = small_dataset(tmp_path / "data.csv")
+        with open(csv_path, "a") as f:  # 3.16 measured for one pair only
+            f.write("C0,M0,3.16,0.9,0.1\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as e:
+            main([command, "--dataset", str(csv_path), "--config",
+                  str(cfg_path), *argv, "--out", str(tmp_path / "run")])
+        assert str(e.value) == message
         assert not (tmp_path / "run").exists()
 
     def test_per_unit_defaults_accepted(self, tmp_path):
