@@ -8,16 +8,12 @@ on the labeled set plus the candidate's predicted label and scores it by
 expected loss over true-plus-predicted labels. The labeled set, the pool
 and every query's picks are position arrays (see alsal.data).
 
-ELM trains a chunk of candidates at a time as one stacked problem, all
-from the same init; ELM_CHUNK_BYTES bounds the memory of a chunk (24
-candidates at 35x34). A query allocates its chunk arrays once, and every
-epoch writes into them in place (als.als_epoch with an als.EpochWork).
-Scores are bit-identical to training and scoring each candidate on its
-own.
+ELM trains a chunk of candidates (24 at 35x34) at a time as one
+`als.train_als` run on an `als.Stack`, all from the same init, to the bits
+of training and scoring each candidate on its own.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -116,13 +112,6 @@ def query_uncertainty(state, model, n, boundary=0.0):
 ELM_CHUNK_BYTES = 230_000
 
 
-class _Stack(NamedTuple):
-    """Values and mask of a stack of training problems, (C, m, n) each."""
-
-    values: np.ndarray
-    mask: np.ndarray
-
-
 def expected_losses(state, model, cfg, inner_seed):
     """Pool candidates in row-major order and their ELM scores, as arrays.
 
@@ -134,12 +123,10 @@ def expected_losses(state, model, cfg, inner_seed):
     candidates share the same fresh init seed so scores differ only through
     the candidate.
 
-    Candidates are trained and scored in chunks, each one stacked problem
-    whose (C, m, n) arrays take at most ELM_CHUNK_BYTES (C >= 1), in
-    buffers allocated once per query. Every
-    score is bit-identical to training and scoring that candidate alone,
-    and so is the DivergenceError raised for the first candidate, in
-    candidate order, whose model diverges.
+    Candidates train in chunks, each one train_als run on a Stack whose
+    (C, m, n) arrays take at most ELM_CHUNK_BYTES (C >= 1). Every score,
+    and the DivergenceError of the first candidate to diverge, is that of
+    training and scoring the candidate alone.
     """
     matrix = state.matrix
     m, n = matrix.shape
@@ -167,13 +154,10 @@ def expected_losses(state, model, cfg, inner_seed):
     n_labeled = len(labeled)
 
     chunk = max(1, min(ELM_CHUNK_BYTES // (8 * m * n), len(cand)))
-    # one set of chunk-sized arrays per query; a shorter last chunk uses
-    # leading-axis views of them
+    # one pair of chunk-sized values and mask arrays per query; a shorter
+    # last chunk uses leading-axis views of them
     values = np.empty((chunk, m * n))
     mask = np.empty((chunk, m * n))
-    emb = als_mod.EmbeddingPair(x=np.empty((chunk,) + init.x.shape),
-                                w=np.empty((chunk,) + init.w.shape))
-    work = als_mod.EpochWork.like(emb)
     scores = np.empty(len(cand))
     for start in range(0, len(cand), chunk):
         k = cand[start:start + chunk]
@@ -183,28 +167,11 @@ def expected_losses(state, model, cfg, inner_seed):
         mask[:c] = base_mask
         values[rows, pool[k]] = pool_preds[k]
         mask[rows, pool[k]] = 1.0
-        stack = _Stack(values[:c].reshape(c, m, n), mask[:c].reshape(c, m, n))
-        c_emb = als_mod.EmbeddingPair(x=emb.x[:c], w=emb.w[:c])
-        c_work = als_mod.EpochWork(*(a[:c] for a in work))
-        c_emb.x[:] = init.x
-        c_emb.w[:] = init.w
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for _ in range(inner_cfg.epochs):
-                als_mod.als_epoch(stack, c_emb, inner_cfg.learning_rate,
-                                  inner_cfg.simultaneous_updates, c_work)
-        finite = (np.isfinite(c_emb.x).all(axis=(1, 2))
-                  & np.isfinite(c_emb.w).all(axis=(1, 2)))
-        if not finite.all():
-            # x - alpha * g is non-finite wherever x is, so a model that
-            # diverged at any epoch is still non-finite here. Replaying the
-            # first such candidate alone raises its DivergenceError.
-            b = int(np.argmin(finite))
-            als_mod.train_als(replace(matrix, values=stack.values[b],
-                                      mask=stack.mask[b]), inner_cfg)
-            raise RuntimeError("stacked ELM diverged where its replay did not")
-
-        full = np.matmul(c_emb.x, c_emb.w, out=c_work.residual).reshape(c, -1)
-        sq_err = full[:, score_flat]
+        inits = (np.broadcast_to(a, (c,) + a.shape) for a in (init.x, init.w))
+        emb, _ = als_mod.train_als(als_mod.Stack(
+            values[:c].reshape(c, m, n), mask[:c].reshape(c, m, n)),
+            inner_cfg, emb=als_mod.EmbeddingPair(*inits))
+        sq_err = (emb.x @ emb.w).reshape(c, -1)[:, score_flat]
         sq_err -= score_labels
         np.square(sq_err, out=sq_err)
         kept = np.ones(sq_err.shape, dtype=bool)

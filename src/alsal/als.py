@@ -10,16 +10,17 @@ The gradient and epoch functions also take stacks of problems: leading
 axes of x, w and the matrix's values and mask are batch axes, and each
 slice is computed exactly as it would be on its own.
 
-`train_als` steps its embeddings in place (`als_epoch` into an
-`EpochWork`), raises DivergenceError at the first epoch that leaves them
-non-finite, and, given a held-out split, hands each epoch's x @ w at
-its train and test positions to a `metrics.Scorer`. An epoch scores to
-the same bits in any history block, so a run resumed from its embeddings
-at any epoch (`train_als(..., start_epoch=k, emb=...)`) gives the curve
-of an uninterrupted one. Its epochs run under np.errstate with overflow
-and invalid values ignored: the finiteness check reports a divergence.
-Finite embeddings whose product overflows are reported at the next
-epoch, which that product makes non-finite.
+`train_als`, the one loop that steps ALS epochs, trains a matrix or a
+`Stack` in place (`als_epoch` into an `EpochWork`) and, given a held-out
+split, hands each epoch's x @ w at its train and test positions to a
+`metrics.Scorer`. An epoch scores to the same bits in any history block,
+so a run resumed from its embeddings at any epoch gives the curve of an
+uninterrupted one. Its epochs run under np.errstate with overflow and
+invalid values ignored; finiteness is checked once, after the last epoch
+(a non-finite entry stays non-finite under x - alpha * g), and the first
+problem found non-finite is replayed alone, checked every epoch, for its
+DivergenceError. Finite embeddings whose product overflows are reported
+at the next epoch, which that product makes non-finite.
 """
 
 import numbers
@@ -115,6 +116,17 @@ def als_gradients(matrix, emb):
     return r @ _t(emb.w), _t(emb.x) @ r
 
 
+class Stack(NamedTuple):
+    """Values and mask of a stack of training problems, (..., m, n) each."""
+
+    values: np.ndarray
+    mask: np.ndarray
+
+    @property
+    def shape(self):  # one problem's (m, n), as for a MaskedMatrix
+        return self.values.shape[-2:]
+
+
 class EpochWork(NamedTuple):
     """Work arrays for als_epoch: the residual (..., m, n) and the
     gradients of x (..., m, d) and w (..., d, n)."""
@@ -166,18 +178,20 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
     epochs, the run resumes there: it trains epochs start_epoch to
     cfg.epochs - 1 from a copy of emb, and its curve and DivergenceError
     count epochs from the start of the run, so the two legs give what one
-    uninterrupted run does. Without emb, start_epoch must be 0.
+    uninterrupted run does. Without emb, start_epoch must be 0. Given a
+    stacked emb and no split, matrix may be a Stack: each problem trains
+    as it would alone, and the first in stack order to diverge raises.
     """
     m, n = matrix.shape
     if not 0 <= start_epoch <= cfg.epochs or (start_epoch and emb is None):
         raise ValueError(f"cannot start at epoch {start_epoch} of "
                          f"{cfg.epochs}" + (" without embeddings"
                                             if emb is None else ""))
-    observed = matrix.observed_positions()
-    if not observed.size:
+    if not matrix.mask.any(axis=(-2, -1)).all():
         raise ValueError("matrix has no observed positions")
     train_matrix, scored = matrix, []
     if eval_positions is not None:
+        observed = matrix.observed_positions()
         train, test = (observed[i]
                        for i in eval_positions.indices(observed.size))
         train_matrix = matrix.with_mask(train)
@@ -185,21 +199,31 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
         scored = [(Scorer(values[idx], cfg.epochs - start_epoch), idx)
                   for idx in (train, test)]
         pred = np.empty(m * n)
-    if emb is None:
-        emb = init_embeddings(m, n, cfg)
-    else:  # trained in place from here on
-        emb = EmbeddingPair(x=emb.x.copy(), w=emb.w.copy())
+    start = init_embeddings(m, n, cfg) if emb is None else emb
+    emb = EmbeddingPair(x=start.x.copy(), w=start.w.copy())  # trained in place
     work = EpochWork.like(emb)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(start_epoch, cfg.epochs):
             als_epoch(train_matrix, emb, cfg.learning_rate,
                       cfg.simultaneous_updates, work)
-            if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
-                raise DivergenceError(epoch)
             if scored:
                 np.matmul(emb.x, emb.w, out=pred.reshape(m, n))
                 for scorer, idx in scored:
                     scorer.add(pred[idx])
+        finite = (np.isfinite(emb.x).all(axis=(-2, -1))
+                  & np.isfinite(emb.w).all(axis=(-2, -1)))
+        if not finite.all():  # replay the first such problem alone
+            b = np.unravel_index(np.argmin(finite), finite.shape)
+            alone = Stack(train_matrix.values[b], train_matrix.mask[b])
+            emb = EmbeddingPair(x=start.x[b].copy(), w=start.w[b].copy())
+            work = EpochWork.like(emb)
+            for epoch in range(start_epoch, cfg.epochs):
+                als_epoch(alone, emb, cfg.learning_rate,
+                          cfg.simultaneous_updates, work)
+                if not (np.isfinite(emb.x).all()
+                        and np.isfinite(emb.w).all()):
+                    raise DivergenceError(epoch)
+            raise RuntimeError("an ALS run diverged where its replay did not")
     if not scored:
         return emb, None
     return emb, Curve.scored(start_epoch, *(s for s, _ in scored))

@@ -19,16 +19,8 @@ allocates only the activations, so that a caller outside training owns
 its result.
 `train_mlp` checks each step's training RMSE, which the next epoch's
 `backward` finds anyway (`_Buffers.rmse`), as well as its parameters.
-A layer's bias gradient is the column sums of its (rows, width) delta.
-`_column_sums` takes them by `np.einsum("ij->j")` when width > 1 (the
-hidden layers): like `np.sum(delta, axis=0)` it adds each column's rows
-one at a time in row order, so it gives the same bits, in well under half
-the time. At width 1 (the output layer) it uses `np.add.reduce(axis=0)`,
-which sums a single column pairwise as `np.sum` does and einsum does not.
-(A column of only -0.0 sums to +0.0 under einsum, against -0.0; the
-gradient is only squared, and subtracted from a bias, which starts at +0.0
-and so is never -0.0, so this sign of zero changes no result.) The tests
-pin both forms against `np.sum`.
+A layer's bias gradient is the column sums of its delta, taken by
+`_column_sums` with the bits of `np.sum(delta, axis=0)`.
 An epoch's train curve cells come from the next epoch's training
 forward pass (the one `backward` runs anyway), so the curve costs one
 forward pass over the test rows per epoch. Two `metrics.Scorer`s score the
@@ -206,9 +198,12 @@ def _output_gradient(preds, truths, cfg, out):
 
 def _column_sums(delta, out):
     """np.sum(delta, axis=0) of a C-ordered (rows, width) array, written
-    into out, with its bits: einsum adds each column's rows one by one in
-    row order, as np.sum does, except for a single column, which np.sum
-    (that is, add.reduce) sums pairwise."""
+    into out, with its bits, in well under half np.sum's time at width > 1:
+    einsum adds each column's rows one by one in row order, as np.sum does,
+    except for a single column, which np.sum (that is, add.reduce) sums
+    pairwise. (A column of only -0.0 sums to +0.0 under einsum; a bias
+    gradient is only squared and subtracted from a bias, which is never
+    -0.0, so this changes no result.) The tests pin both forms."""
     if delta.shape[1] > 1:
         return np.einsum("ij->j", delta, out=out)
     return np.add.reduce(delta, axis=0, out=out)

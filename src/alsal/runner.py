@@ -102,6 +102,17 @@ class ExperimentConfig:
             check_count("each seed", seed, minimum=0)
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("either dataset_path or synthetic must be given")
+        cmap = self.column_map
+        for key, ok, kind in (
+                ("dataset_path", self.dataset_path is None
+                 or isinstance(self.dataset_path, str), "null or a string"),
+                ("output_dir", isinstance(self.output_dir, str), "a string"),
+                ("column_map", cmap is None or isinstance(cmap, dict) and all(
+                    isinstance(s, str) for s in (*cmap, *cmap.values())),
+                 "null or an object mapping strings to strings")):
+            if not ok:
+                raise ValueError(f"{key} must be {kind}, not "
+                                 f"{getattr(self, key)!r}")
         if self.concentrations is not None:
             if not isinstance(self.concentrations, tuple):
                 raise ValueError(f"concentrations must be a tuple of numbers, "
@@ -121,9 +132,10 @@ class ExperimentConfig:
                 if name not in known:
                     raise ValueError(f"unknown {kind} {name!r}; known: "
                                      f"{', '.join(known)}")
-        for kind, names in (("model", self.models),
+        concs = tuple(map(float, self.concentrations or ()))
+        for kind, names in (("target", self.targets), ("model", self.models),
                             ("strategy", self.strategies),
-                            ("seed", self.seeds)):
+                            ("seed", self.seeds), ("concentration", concs)):
             if len(set(names)) < len(names):  # units with the same key
                 raise ValueError(f"repeated {kind} in {names!r}")
         check_count("folds", self.folds, minimum=2)

@@ -1,16 +1,23 @@
-"""Checked, allocating metrics that the package's scoring is pinned against.
+"""Checked, allocating references that the package's scoring and ALS
+divergence are pinned against.
 
 `rmse` and `boundary_accuracy` check and convert their inputs on every
 call and score one set of predictions; `metrics.Scorer` must give their
 values with ==. `als_rmse` scores a trained factor model the way an
-unsplit run, which returns no curve, would score its training set. `sign_penalty`, `penalized_loss` and `surrogate_objective`
-evaluate the network's training objective: the exact sign-penalty form and
-the smooth tanh form whose gradient `mlp.backward` takes, which the
-finite-difference gradient checks difference.
+unsplit run, which returns no curve, would score its training set.
+`stepped_als` trains an unsplit ALS run one checked epoch at a time,
+sharing no divergence logic with `train_als`. `sign_penalty`,
+`penalized_loss` and `surrogate_objective` evaluate the network's
+training objective: the exact sign-penalty form and the smooth tanh form
+whose gradient `mlp.backward` takes, which the finite-difference
+gradient checks difference.
 """
 
 import numpy as np
 
+import alsal.als as als_mod
+from alsal.als import (DivergenceError, EmbeddingPair, EpochWork,
+                       init_embeddings)
 from alsal.metrics import MetricError, residual_rmse
 
 
@@ -81,3 +88,21 @@ def surrogate_objective(preds, truths, cfg):
     pen = np.mean([np.mean(np.tanh(kappa * (preds - c) * (truths - c)))
                    for c in cfg.boundaries])
     return loss - cfg.beta * float(pen)
+
+
+def stepped_als(matrix, cfg, start_epoch=0, emb=None):
+    """An unsplit ALS run stepped by hand, one `als_epoch` at a time from a
+    copy of emb (the config's init when None), with a finiteness check
+    after every step: raises DivergenceError at the first epoch that
+    leaves x or w non-finite, else returns the embeddings."""
+    if emb is None:
+        emb = init_embeddings(*matrix.shape, cfg)
+    emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
+    work = EpochWork.like(emb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(start_epoch, cfg.epochs):
+            als_mod.als_epoch(matrix, emb, cfg.learning_rate,
+                              cfg.simultaneous_updates, work)
+            if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
+                raise DivergenceError(epoch)
+    return emb

@@ -10,10 +10,10 @@ from alsal.active import (ActiveConfig, expected_losses, init_state,
                           query_elm, query_orderly, query_random,
                           query_uncertainty, run_active_learning)
 from alsal.als import (AlsConfig, ConfigError, DivergenceError,
-                       init_embeddings, train_als)
+                       init_embeddings)
 from alsal.alsdl import AlsdlConfig, alsdl_predict_positions, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
-from oracles import rmse
+from oracles import rmse, stepped_als
 from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import ExperimentConfig, SyntheticSpec, run_al_study
 
@@ -94,9 +94,10 @@ def brute_force_elm(state, model, cfg, inner_seed):
 
 
 def per_candidate_expected_losses(state, model, cfg, inner_seed):
-    """Reference for the stacked ELM: one train_als and one rmse call per
-    candidate, on its own MaskedMatrix, with positions as (i, j) tuples
-    between its flat-index input and output.
+    """Reference for the stacked ELM: one stepped_als and one rmse call
+    per candidate, on its own MaskedMatrix, with positions as (i, j) tuples
+    between its flat-index input and output. stepped_als checks every
+    epoch, so a divergence is found without train_als's replay.
     """
     matrix = state.matrix
     n_cols = matrix.shape[1]
@@ -128,7 +129,7 @@ def per_candidate_expected_losses(state, model, cfg, inner_seed):
         mask[cand] = 1.0
         train_matrix = MaskedMatrix(values, mask, list(matrix.cell_index),
                                     list(matrix.molecule_index), matrix.target)
-        emb, _ = train_als(train_matrix, inner_cfg)
+        emb = stepped_als(train_matrix, inner_cfg)
         full = emb.x @ emb.w
 
         score_pos = labeled + [p for p in pool if p != cand]

@@ -1,15 +1,15 @@
-from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import alsal.als as als_mod
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.als import (AlsConfig, DivergenceError, EmbeddingPair, EpochWork,
-                       als_epoch, als_gradients, als_loss, check_count,
+                       Stack, als_epoch, als_gradients, als_loss, check_count,
                        init_embeddings, train_als)
 from alsal.metrics import FoldSplit, kfold_split
-from oracles import als_rmse
+from oracles import als_rmse, stepped_als
 
 
 def full_matrix(values):
@@ -58,10 +58,6 @@ def epoch_copy(matrix, emb, alpha, simultaneous=False):
     """A copy of emb, stepped in place by als_epoch with fresh work."""
     emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
     return als_epoch(matrix, emb, alpha, simultaneous, EpochWork.like(emb))
-
-
-# what als_epoch reads of a matrix, for stacks of problems
-Stack = namedtuple("Stack", "values mask")
 
 
 def epoch_problem(stack, seed, m=7, n=6, d=3):
@@ -239,7 +235,7 @@ class TestAlsEpochWork:
             assert got.w[b].tolist() == alone.w.tolist() == want.w.tolist()
 
     def test_leading_axis_views(self):
-        # a shorter chunk trains in [:c] views of larger buffers
+        # [:c] views of larger buffers step as whole arrays do
         matrix, emb = epoch_problem(2, seed=5)
         x, w = np.empty((5, 7, 3)), np.empty((5, 3, 6))
         x[:2], w[:2] = emb.x, emb.w
@@ -384,3 +380,121 @@ class TestResume:
         emb = init_embeddings(4, 4, cfg) if with_emb else None
         with pytest.raises(ValueError, match="cannot start at epoch"):
             train_als(mat, cfg, start_epoch=start_epoch, emb=emb)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def problem_of(stack, b):
+    """Problem b of a Stack as its own MaskedMatrix."""
+    m, n = stack.shape
+    return MaskedMatrix(stack.values[b], stack.mask[b],
+                        [f"c{i}" for i in range(m)],
+                        [f"m{j}" for j in range(n)], "synthetic")
+
+
+def stacked(problems):
+    """A Stack and stacked embeddings of (matrix, embeddings) pairs."""
+    return (Stack(*(np.stack([getattr(mat, k) for mat, _ in problems])
+                    for k in ("values", "mask"))),
+            EmbeddingPair(*(np.stack([getattr(emb, k) for _, emb in problems])
+                            for k in ("x", "w"))))
+
+
+class TestTrainStack:
+    """train_als on a Stack trains each problem to the bits it has alone,
+    and reports the divergence of the first problem, in stack order, that
+    diverges."""
+
+    @pytest.mark.parametrize("simultaneous", [False, True])
+    @pytest.mark.parametrize("start_epoch", [0, 7])
+    def test_equals_each_problem_alone(self, simultaneous, start_epoch):
+        stack, emb = epoch_problem(4, seed=20 + simultaneous)
+        assert stack.shape == (7, 6)  # one problem's, as for a MaskedMatrix
+        cfg = AlsConfig(d=3, epochs=40, learning_rate=0.05,
+                        simultaneous_updates=simultaneous)
+        got, curve = train_als(stack, cfg, start_epoch=start_epoch, emb=emb)
+        assert curve is None and got.x.shape == (4, 7, 3)
+        assert np.isfinite(got.x).all() and np.isfinite(got.w).all()
+        for b in range(4):
+            want, _ = train_als(problem_of(stack, b), cfg,
+                                start_epoch=start_epoch,
+                                emb=EmbeddingPair(emb.x[b], emb.w[b]))
+            assert same_bits(got.x[b], want.x) and same_bits(got.w[b], want.w)
+
+    @staticmethod
+    def problems():
+        """At learning rate 0.8 and d = 2, by the stepped oracle: a 6 x 6
+        problem that does not diverge, one that diverges late and one that
+        diverges early."""
+        def problem(seed, init_scale):
+            mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=seed)
+            return mat, init_embeddings(6, 6, AlsConfig(
+                d=2, seed=1, init_scale=init_scale))
+        return {"stays": problem(1, 1.0), "late": problem(1, 0.1),
+                "early": problem(0, 1.0)}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("order", [
+        ("stays", "late", "early"), ("early", "late", "stays"),
+        ("stays", "early", "late", "stays")])
+    def test_first_divergence_in_stack_order(self, order):
+        cfg = AlsConfig(d=2, epochs=60, learning_rate=0.8)
+        problems, epochs = self.problems(), {}
+        for name, (mat, emb) in problems.items():
+            try:
+                stepped_als(mat, cfg, emb=emb)
+            except DivergenceError as e:
+                epochs[name] = e.epoch
+        assert epochs.keys() == {"late", "early"}
+        assert epochs["late"] > epochs["early"] + 10
+        stack, emb = stacked([problems[name] for name in order])
+        with pytest.raises(DivergenceError) as e:
+            train_als(stack, cfg, emb=emb)
+        first = next(name for name in order if name in epochs)
+        assert e.value.epoch == epochs[first]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDivergenceEpoch:
+    """train_als, which checks finiteness once, raises DivergenceError at
+    the epoch where the stepped oracle, which checks every epoch, does."""
+
+    @pytest.mark.parametrize("seed, learning_rate", [
+        (0, 0.6), (1, 0.8), (2, 1.5), (0, 100.0)])
+    @pytest.mark.parametrize("leg", ["unsplit", "split", "resumed"])
+    def test_matches_stepped_oracle(self, seed, learning_rate, leg):
+        mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=seed)
+        cfg = AlsConfig(d=2, epochs=60, learning_rate=learning_rate, seed=1)
+        split, trained, start_epoch, emb = None, mat, 0, None
+        if leg == "split":
+            split = kfold_split(36, 4, seed=seed)[0]
+            trained = mat.with_mask(
+                mat.observed_positions()[split.train_indices])
+        elif leg == "resumed":
+            start_epoch = 2
+            emb, _ = train_als(mat, replace(cfg, epochs=start_epoch))
+        with pytest.raises(DivergenceError) as want:
+            stepped_als(trained, cfg, start_epoch, emb)
+        with pytest.raises(DivergenceError) as got:
+            train_als(mat, cfg, split, start_epoch, emb)
+        assert got.value.epoch == want.value.epoch
+
+    def test_a_replay_that_stays_finite_is_an_error(self, monkeypatch):
+        """A NaN put into the first pass only: the replay that looks for
+        its epoch finds none, which is a fault, not a divergence."""
+        epoch_fn, calls = als_mod.als_epoch, []
+
+        def poisoned_once(matrix, emb, *args):
+            epoch_fn(matrix, emb, *args)
+            calls.append(None)
+            if len(calls) == 5:
+                emb.x[0, 0] = np.nan
+            return emb
+        monkeypatch.setattr(als_mod, "als_epoch", poisoned_once)
+        mat, _ = generate_synthetic(6, 6, 2, 0.1, seed=3)
+        with pytest.raises(RuntimeError, match="replay did not") as e:
+            train_als(mat, AlsConfig(d=2, epochs=10))
+        assert type(e.value) is RuntimeError
+        assert len(calls) == 20  # the run, then its replay

@@ -149,26 +149,31 @@ class TestAlsBlockEdges:
 
     @pytest.mark.parametrize("bad_epoch", [0, B // 2, B + 5, 2 * B - 1])
     def test_divergence_mid_block(self, bad_epoch, monkeypatch):
-        """A NaN put into the embeddings at bad_epoch stops training at
-        that epoch, with the history block part filled or without a split.
-        (The reference checks no finiteness.)"""
+        """A NaN put into the embeddings at bad_epoch of every pass over
+        the epochs stops training at that epoch, with the history block
+        part filled or without a split: the run trains to its end, then
+        replays up to the bad epoch. (The reference checks no finiteness.)
+        """
         epoch_fn = als_mod.als_epoch
-        calls = []
+        passes = []  # [embeddings, epochs stepped] per pass, in call order
 
-        def poisoned(*args, **kwargs):
-            emb = epoch_fn(*args, **kwargs)
-            calls.append(None)
-            if len(calls) == bad_epoch + 1:
+        def poisoned(matrix, emb, *args):
+            if not passes or passes[-1][0] is not emb:
+                passes.append([emb, 0])
+            epoch_fn(matrix, emb, *args)
+            passes[-1][1] += 1
+            if passes[-1][1] == bad_epoch + 1:
                 emb.x[0, 0] = np.nan
             return emb
         monkeypatch.setattr(als_mod, "als_epoch", poisoned)
         mat = holey_matrix()
         cfg = AlsConfig(d=2, epochs=3 * B, seed=4)
         for split in (split_for(mat), None):
-            calls.clear()
+            passes.clear()
             with pytest.raises(DivergenceError) as e:
                 train_als(mat, cfg, split)
             assert e.value.epoch == bad_epoch
+            assert [n for _, n in passes] == [3 * B, bad_epoch + 1]
 
 
 class TestMlpBlockEdges:

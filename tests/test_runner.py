@@ -205,12 +205,16 @@ class TestSharedAlsRuns:
         epochs = self.compare(monkeypatch, tmp_path, cfg)
         assert epochs == {MODELS: 105, MODELS[::-1]: 105}
 
-    @pytest.mark.parametrize("stage1_epochs, epochs", [(15, 18), (5, 19)])
+    @pytest.mark.parametrize("stage1_epochs, epochs", [(15, 48), (5, 54)])
     def test_divergence_before_or_after_the_shared_epochs(
             self, monkeypatch, tmp_path, stage1_epochs, epochs):
-        # fold 0's ALS runs diverge at epoch 8 of 40: before the 15 epochs
-        # both models train (9 + 9 epochs, nothing shared), or after 5
-        # (9 + 2 x 5: alsdl takes fold 0's 5 epochs; 9 + 3 x 5 alone)
+        # fold 0's ALS runs diverge at epoch 8 of 40. A diverged run trains
+        # to its end, then replays from its start up to epoch 8. Before the
+        # 15 epochs both models train, nothing is shared: each model trains
+        # 15 and replays 9, 2 x (15 + 9). After 5: fold 0's 5 shared
+        # epochs, the als run's other 35 and its replay of epochs 5-8, and
+        # alsdl's 5 for each other fold, 5 + 35 + 4 + 2 x 5 (alsdl first:
+        # 3 x 5 + 35 + 4)
         cfg = small_config()
         cfg.als = replace(cfg.als, epochs=40, learning_rate=0.6)
         cfg.alsdl = replace(cfg.alsdl, als=replace(
@@ -259,7 +263,25 @@ class TestConfigChecks:
          "repeated model in ('als', 'alsdl', 'als')"),
         ({"strategies": ("elm", "elm")},
          "repeated strategy in ('elm', 'elm')"),
-        ({"seeds": (0, 1, 1)}, "repeated seed in (0, 1, 1)")])
+        ({"seeds": (0, 1, 1)}, "repeated seed in (0, 1, 1)"),
+        ({"targets": ("gr", "ifd", "gr")},
+         "repeated target in ('gr', 'ifd', 'gr')"),
+        # concentrations are compared by float value
+        ({"concentrations": (1.0, 0.1, 1)},
+         "repeated concentration in (1.0, 0.1, 1.0)"),
+        ({"concentrations": (2 ** 53 + 1, 2.0 ** 53)},
+         "repeated concentration in (9007199254740992.0, "
+         "9007199254740992.0)"),
+        ({"column_map": 5}, "column_map must be null or an object mapping "
+         "strings to strings, not 5"),
+        ({"column_map": {"gr": 5}}, "column_map must be null or an object "
+         "mapping strings to strings, not {'gr': 5}"),
+        ({"column_map": {5: "gr"}}, "column_map must be null or an object "
+         "mapping strings to strings, not {5: 'gr'}"),
+        ({"column_map": ["gr"]}, "column_map must be null or an object "
+         "mapping strings to strings, not ['gr']"),
+        ({"dataset_path": 5}, "dataset_path must be null or a string, not 5"),
+        ({"output_dir": None}, "output_dir must be a string, not None")])
     def test_validate(self, monkeypatch, run, overrides, message):
         forbid_training(monkeypatch)
         with pytest.raises(ValueError) as e:
@@ -311,7 +333,9 @@ class TestConfigChecks:
          "not 0.0"),
         (["al-study", "--concentrations", "1,inf"],
          "invalid config: each concentration must be a finite number > 0, "
-         "not inf")])
+         "not inf"),
+        (["benchmark", "--concentrations", "1.0,1"],
+         "invalid config: repeated concentration in (1.0, 1.0)")])
     def test_cli_exit(self, monkeypatch, tmp_path, argv, message):
         forbid_training(monkeypatch)
         with pytest.raises(SystemExit) as e:
@@ -944,7 +968,17 @@ class TestRejectedInput:
          "tuple of numbers, not 5"),
         ({"targets": ["gr", "x"]},
          "invalid config: unknown target 'x'; known: gr, ifd"),
-        ({"targets": []}, "invalid config: empty target list")])
+        ({"targets": []}, "invalid config: empty target list"),
+        ({"targets": ["gr", "gr"]},
+         "invalid config: repeated target in ('gr', 'gr')"),
+        ({"concentrations": [0.1, 1, 1.0]},
+         "invalid config: repeated concentration in (0.1, 1.0, 1.0)"),
+        ({"column_map": 5}, "invalid config: column_map must be null or an "
+         "object mapping strings to strings, not 5"),
+        ({"column_map": {"gr": None}}, "invalid config: column_map must be "
+         "null or an object mapping strings to strings, not {'gr': None}"),
+        ({"dataset_path": 5},
+         "invalid config: dataset_path must be null or a string, not 5")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
         forbid_training(monkeypatch)
@@ -960,6 +994,23 @@ class TestRejectedInput:
                   "--out", str(tmp_path / "run")])
         assert str(e.value) == message
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["benchmark", "al-study"])
+    def test_output_dir_not_a_string(self, monkeypatch, tmp_path, command):
+        """Checked before any data loads, not when the report is written
+        after the whole study; without --out, which would replace it."""
+        forbid_training(monkeypatch)
+        import alsal.runner as runner_mod
+
+        def loaded(config):
+            raise AssertionError("data was loaded")
+        monkeypatch.setattr(runner_mod, "load_matrices", loaded)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": {}, "output_dir": 5}))
+        with pytest.raises(SystemExit) as e:
+            main([command, "--config", str(cfg_path)])
+        assert str(e.value) == ("invalid config: output_dir must be a "
+                                "string, not 5")
 
     @pytest.mark.parametrize("name", ["missing.csv", ""])
     def test_unreadable_dataset(self, monkeypatch, tmp_path, name):
