@@ -9,7 +9,7 @@ query strategy.
 # set before the imports: the runner records it in every manifest
 __version__ = "0.1.0"
 
-from .data import (MaskedMatrix, Observation, as_positions, compute_gr,
+from .data import (Dataset, MaskedMatrix, as_positions, compute_gr,
                    compute_ifd, parse_dataset, select_common_concentrations,
                    build_response_matrix, generate_synthetic)
 from .metrics import Curve, FoldSplit, kfold_split

@@ -1,8 +1,9 @@
 """Dataset ingestion and masked response-matrix construction.
 
 Handles the drug-sensitivity CSV (cell x molecule x concentration triples
-with GR and IFD responses), restriction to fully-covered concentrations,
-and synthetic low-rank ground truth for property tests.
+with GR and IFD responses), read in one pass into a columnar Dataset,
+restriction to fully-covered concentrations, and synthetic low-rank
+ground truth for property tests.
 
 A position, here and in every module, is a flat row-major index into an
 m x n matrix: entry (i, j) is position i * n + j, held as a 1-D np.intp
@@ -12,6 +13,7 @@ array. as_positions is the one place that checks this form.
 import csv
 from dataclasses import dataclass
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,19 +36,28 @@ class DataError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Observation:
-    cell_id: str
-    molecule_id: str
-    concentration: float
-    gr: float
-    ifd: float
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """The sensitivity CSV as columns, one entry per data row.
 
-    def __post_init__(self):
-        if not self.concentration > 0:
-            raise DataError(f"concentration must be > 0, got {self.concentration}")
-        if not (math.isfinite(self.gr) and math.isfinite(self.ifd)):
-            raise DataError("gr and ifd must be finite")
+    cell and molecule hold each row's index into the sorted cell_ids and
+    molecule_ids; concentration, gr and ifd are float64.
+    """
+
+    cell_ids: list
+    molecule_ids: list
+    cell: np.ndarray
+    molecule: np.ndarray
+    concentration: np.ndarray
+    gr: np.ndarray
+    ifd: np.ndarray
+
+    def __len__(self):
+        return self.concentration.size
+
+    def pairs(self):
+        """Each row's (cell, molecule) as a position of the m x n matrix."""
+        return self.cell * len(self.molecule_ids) + self.molecule
 
 
 def as_positions(positions, size):
@@ -130,88 +141,128 @@ def compute_ifd(fd_c, fd_ctrl):
 
 
 def parse_dataset(csv_stream, columns=None):
-    """Parse the sensitivity CSV into a list of Observations.
+    """Parse the sensitivity CSV into a Dataset in one pass.
 
     `columns` maps the logical names (cell_id, molecule_id, concentration,
     gr, ifd) to actual header names; defaults follow the LINCS export.
+    Blank lines are skipped, and errors number the rows that are left,
+    the header being row 1.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
         colmap.update(columns)
-    reader = csv.DictReader(csv_stream)
-    if reader.fieldnames is None:
+    reader = csv.reader(csv_stream)
+    header = next(reader, None)
+    if header is None:
         raise DataError("empty file: no header row")
-    missing = [v for v in colmap.values() if v not in reader.fieldnames]
+    missing = [v for v in colmap.values() if v not in header]
     if missing:
         raise DataError(f"missing required columns: {missing}")
+    # a repeated header name reads its last column, as csv.DictReader does
+    where = {name: k for k, name in enumerate(header)}
+    cell_k, mol_k, *number_k = (where[colmap[key]] for key in (
+        "cell_id", "molecule_id", "concentration", "gr", "ifd"))
+    rows = list(filter(None, reader))  # a blank line reads as []
 
-    out = []
-    for rownum, row in enumerate(reader, start=2):
+    numbers = None
+    if min(map(len, rows), default=len(header)) >= len(header):
         try:
-            conc = float(row[colmap["concentration"]])
-            gr = float(row[colmap["gr"]])
-            ifd = float(row[colmap["ifd"]])
+            numbers = [np.fromiter(map(float, map(itemgetter(k), rows)),
+                                   float, len(rows)) for k in number_k]
+        except ValueError:
+            pass
+    if numbers is None or not _valid_numbers(*numbers):
+        _raise_first_bad_row(rows, len(header), number_k)
+    cell_ids, cell = _codes([row[cell_k] for row in rows])
+    molecule_ids, molecule = _codes([row[mol_k] for row in rows])
+    return Dataset(cell_ids, molecule_ids, cell, molecule, *numbers)
+
+
+def _valid_numbers(concentration, gr, ifd):
+    return bool((concentration > 0).all() and np.isfinite(concentration).all()
+                and np.isfinite(gr).all() and np.isfinite(ifd).all())
+
+
+def _raise_first_bad_row(rows, width, number_k):
+    """Raise the DataError of the first row, in file order, that is short
+    or whose concentration, gr or ifd fails a check."""
+    for rownum, row in enumerate(rows, start=2):
+        if len(row) < width:
+            raise DataError(f"row {rownum}: {len(row)} fields, but the header "
+                            f"has {width}")
+        try:
+            conc, gr, ifd = (float(row[k]) for k in number_k)
         except ValueError as e:
             raise DataError(f"row {rownum}: malformed numeric ({e})") from e
-        out.append(Observation(
-            cell_id=row[colmap["cell_id"]],
-            molecule_id=row[colmap["molecule_id"]],
-            concentration=conc,
-            gr=gr,
-            ifd=ifd,
-        ))
-    return out
+        if not conc > 0:
+            raise DataError(f"concentration must be > 0, got {conc}")
+        if not math.isfinite(conc):
+            raise DataError(f"row {rownum}: concentration must be finite, "
+                            f"got {conc}")
+        if not (math.isfinite(gr) and math.isfinite(ifd)):
+            raise DataError("gr and ifd must be finite")
 
 
-def select_common_concentrations(obs):
+def _codes(ids):
+    """(sorted distinct ids, each id's index into them as an intp array)."""
+    distinct = sorted(set(ids))
+    index = {name: k for k, name in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, ids), np.intp,
+                                 len(ids))
+
+
+def select_common_concentrations(table):
     """Concentrations at which every (cell, molecule) pair has a measurement,
     as floats. Concentrations are grouped by float value, here and in
     build_response_matrix: spellings of one float ("0.1", "0.10") are one
     concentration, and two distinct floats are two, however close."""
-    if not obs:
+    if not len(table):
         raise DataError("empty observation list")
-    # each pair as a shared int id: sets of those take far less memory
-    pair_ids, ids_at = {}, {}
-    for o in obs:
-        pair = pair_ids.setdefault((o.cell_id, o.molecule_id), len(pair_ids))
-        ids_at.setdefault(float(o.concentration), set()).add(pair)
-    return {c for c, ids in ids_at.items() if len(ids) == len(pair_ids)}
+    concs, conc = np.unique(table.concentration, return_inverse=True)
+    pair_ids, pair = np.unique(table.pairs(), return_inverse=True)
+    n_pairs = pair_ids.size
+    # each distinct (concentration, pair) once, as its concentration; a
+    # sort, as np.unique without return arrays hashes, several times slower
+    key = np.sort(conc * n_pairs + pair)
+    measured = key[np.diff(key, prepend=-1) != 0] // n_pairs
+    covered = np.bincount(measured, minlength=concs.size) == n_pairs
+    return set(concs[covered].tolist())
 
 
-def build_response_matrix(obs, target, concentration):
+def build_response_matrix(table, target, concentration):
     """Masked m x n matrix for one target at one concentration.
 
     Rows are cells, columns molecules, both sorted by id. GR values are
-    stored minus 1 so the classification boundary is 0.
+    stored minus 1 so the classification boundary is 0. Duplicate rows
+    must agree (==); the matrix holds the last of them.
     """
     if target not in ("gr", "ifd"):
         raise DataError(f"unknown target {target!r}")
-    key = float(concentration)
-    subset = [o for o in obs if float(o.concentration) == key]
-    if not subset:
+    rows = np.flatnonzero(table.concentration == float(concentration))
+    if not rows.size:
         raise DataError(f"no observations at concentration {concentration}")
-    all_pairs = {(o.cell_id, o.molecule_id) for o in obs}
-    have_pairs = {(o.cell_id, o.molecule_id) for o in subset}
-    if have_pairs != all_pairs:
+    m, n = len(table.cell_ids), len(table.molecule_ids)
+    pairs = table.pairs()
+    at = pairs[rows]
+    mask = np.zeros(m * n)
+    mask[at] = 1.0
+    if not mask[pairs].all():
         raise DataError(f"concentration {concentration} is not fully covered")
 
-    cells = sorted({o.cell_id for o in subset})
-    mols = sorted({o.molecule_id for o in subset})
-    row = {c: i for i, c in enumerate(cells)}
-    col = {m: j for j, m in enumerate(mols)}
-
-    values = np.zeros((len(cells), len(mols)))
-    mask = np.zeros_like(values)
-    for o in subset:
-        v = o.gr - 1.0 if target == "gr" else o.ifd
-        i, j = row[o.cell_id], col[o.molecule_id]
-        if mask[i, j] == 1 and values[i, j] != v:
-            raise DataError(
-                f"conflicting duplicate for ({o.cell_id}, {o.molecule_id}, {concentration})")
-        values[i, j] = v
-        mask[i, j] = 1.0
+    v = table.gr[rows] - 1.0 if target == "gr" else table.ifd[rows]
+    _, first, group = np.unique(at, return_index=True, return_inverse=True)
+    conflict = np.flatnonzero(v != v[first[group]])
+    if conflict.size:
+        i, j = divmod(int(at[conflict[0]]), n)
+        raise DataError(f"conflicting duplicate for ({table.cell_ids[i]}, "
+                        f"{table.molecule_ids[j]}, {concentration})")
+    _, last = np.unique(at[::-1], return_index=True)
+    last = at.size - 1 - last
+    values = np.zeros(m * n)
+    values[at[last]] = v[last]
     tag = TARGET_GR if target == "gr" else TARGET_IFD
-    return MaskedMatrix(values, mask, cells, mols, tag)
+    return MaskedMatrix(values.reshape(m, n), mask.reshape(m, n),
+                        list(table.cell_ids), list(table.molecule_ids), tag)
 
 
 def generate_synthetic(m, n, rank, noise_sd, seed):

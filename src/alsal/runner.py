@@ -14,10 +14,10 @@ manifest records the environment; the data CSVs do not depend on it."""
 import csv
 import hashlib
 import json
-import math
 import numbers
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, field, asdict, replace
 from itertools import repeat
@@ -118,14 +118,19 @@ class ExperimentConfig:
                 raise ValueError(f"concentrations must be a tuple of numbers, "
                                  f"not {self.concentrations!r}")
             for c in self.concentrations:
+                # finite, and for an int, within a float's range
                 if (isinstance(c, bool) or not isinstance(c, numbers.Real)
-                        or not (math.isfinite(c) and c > 0)):
+                        or not 0 < c <= sys.float_info.max):
                     raise ValueError(f"each concentration must be a finite "
                                      f"number > 0, not {c!r}")
-        for kind, names, known in (
-                ("target", self.targets, ("gr", "ifd")),
-                ("model", self.models, MODELS),
-                ("strategy", self.strategies, active_mod.STRATEGIES)):
+        for key, kind, known in (
+                ("targets", "target", ("gr", "ifd")),
+                ("models", "model", MODELS),
+                ("strategies", "strategy", active_mod.STRATEGIES)):
+            names = getattr(self, key)
+            if not isinstance(names, tuple):
+                raise ValueError(f"{key} must be a tuple of names, not "
+                                 f"{names!r}")
             if not names:
                 raise ValueError(f"empty {kind} list")
             for name in names:
@@ -197,8 +202,8 @@ def load_matrices(config):
         raise ConfigError("dataset_path", str(e)) from e
     try:
         with f:
-            obs = data_mod.parse_dataset(f, columns=config.column_map)
-        common = data_mod.select_common_concentrations(obs)
+            table = data_mod.parse_dataset(f, columns=config.column_map)
+        common = data_mod.select_common_concentrations(table)
         for c in config.concentrations or ():
             if float(c) not in common:
                 raise ConfigError("concentrations", f"concentration {c!r} is "
@@ -206,7 +211,7 @@ def load_matrices(config):
                                   f"covered: {sorted(common)}")
         concs = config.concentrations or sorted(common)
         return [(target, repr(float(c)),
-                 data_mod.build_response_matrix(obs, target, c))
+                 data_mod.build_response_matrix(table, target, c))
                 for target in config.targets for c in concs]
     except data_mod.DataError as e:
         raise ConfigError("dataset_path", str(e)) from e

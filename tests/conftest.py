@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from alsal.data import Observation
+from alsal.data import parse_dataset
 
 CSV_HEADER = ("Cell HMS LINCS ID,Small Molecule HMS LINCS ID,"
               "Small Mol Concentration (uM),"
@@ -15,8 +15,14 @@ def csv_stream(rows):
     return io.StringIO(CSV_HEADER + "".join(rows))
 
 
-def make_observations(cells, molecules, concentrations, value_fn=None):
-    """Fully-covered synthetic observation grid."""
+def parse_rows(rows):
+    """The Dataset of CSV data rows under the default header."""
+    return parse_dataset(csv_stream(rows))
+
+
+def grid_rows(cells, molecules, concentrations, value_fn=None):
+    """CSV data rows of a fully-covered grid: gr = value_fn(i, j, c) and
+    ifd = gr / 10, written so that they parse back to the same floats."""
     if value_fn is None:
         value_fn = lambda i, j, c: 1.0 + 0.1 * i - 0.05 * j + 0.01 * c
     out = []
@@ -24,7 +30,7 @@ def make_observations(cells, molecules, concentrations, value_fn=None):
         for j, mol in enumerate(molecules):
             for c in concentrations:
                 gr = value_fn(i, j, c)
-                out.append(Observation(cell, mol, c, gr, ifd=gr / 10.0))
+                out.append(f"{cell},{mol},{c!r},{gr!r},{gr / 10.0!r}\n")
     return out
 
 

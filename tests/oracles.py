@@ -10,14 +10,24 @@ sharing no divergence logic with `train_als`. `sign_penalty`,
 `penalized_loss` and `surrogate_objective` evaluate the network's
 training objective: the exact sign-penalty form and the smooth tanh form
 whose gradient `mlp.backward` takes, which the finite-difference
-gradient checks difference.
+gradient checks difference. `parse_observations`,
+`common_concentrations` and `response_matrix` ingest the CSV one Python
+object per row; the columnar `data.parse_dataset`,
+`select_common_concentrations` and `build_response_matrix` must give
+their concentrations, matrices and errors.
 """
+
+import csv
+from dataclasses import dataclass
+import math
 
 import numpy as np
 
 import alsal.als as als_mod
 from alsal.als import (DivergenceError, EmbeddingPair, EpochWork,
                        init_embeddings)
+from alsal.data import (DEFAULT_COLUMNS, TARGET_GR, TARGET_IFD, DataError,
+                        MaskedMatrix)
 from alsal.metrics import MetricError, residual_rmse
 
 
@@ -106,3 +116,94 @@ def stepped_als(matrix, cfg, start_epoch=0, emb=None):
             if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
                 raise DivergenceError(epoch)
     return emb
+
+
+@dataclass(frozen=True)
+class Observation:
+    cell_id: str
+    molecule_id: str
+    concentration: float
+    gr: float
+    ifd: float
+
+    def __post_init__(self):
+        if not self.concentration > 0:
+            raise DataError(f"concentration must be > 0, got {self.concentration}")
+        if not (math.isfinite(self.gr) and math.isfinite(self.ifd)):
+            raise DataError("gr and ifd must be finite")
+
+
+def parse_observations(csv_stream, columns=None):
+    """The sensitivity CSV as a list of Observations, one per data row."""
+    colmap = dict(DEFAULT_COLUMNS)
+    if columns:
+        colmap.update(columns)
+    reader = csv.DictReader(csv_stream)
+    if reader.fieldnames is None:
+        raise DataError("empty file: no header row")
+    missing = [v for v in colmap.values() if v not in reader.fieldnames]
+    if missing:
+        raise DataError(f"missing required columns: {missing}")
+
+    out = []
+    for rownum, row in enumerate(reader, start=2):
+        try:
+            conc = float(row[colmap["concentration"]])
+            gr = float(row[colmap["gr"]])
+            ifd = float(row[colmap["ifd"]])
+        except ValueError as e:
+            raise DataError(f"row {rownum}: malformed numeric ({e})") from e
+        out.append(Observation(
+            cell_id=row[colmap["cell_id"]],
+            molecule_id=row[colmap["molecule_id"]],
+            concentration=conc,
+            gr=gr,
+            ifd=ifd,
+        ))
+    return out
+
+
+def common_concentrations(obs):
+    """Concentrations, grouped by float value, at which every (cell,
+    molecule) pair of obs has a measurement."""
+    if not obs:
+        raise DataError("empty observation list")
+    pair_ids, ids_at = {}, {}
+    for o in obs:
+        pair = pair_ids.setdefault((o.cell_id, o.molecule_id), len(pair_ids))
+        ids_at.setdefault(float(o.concentration), set()).add(pair)
+    return {c for c, ids in ids_at.items() if len(ids) == len(pair_ids)}
+
+
+def response_matrix(obs, target, concentration):
+    """Masked matrix for one target at one concentration, written row by
+    row: a duplicate must equal the value already written, and replaces
+    it."""
+    if target not in ("gr", "ifd"):
+        raise DataError(f"unknown target {target!r}")
+    key = float(concentration)
+    subset = [o for o in obs if float(o.concentration) == key]
+    if not subset:
+        raise DataError(f"no observations at concentration {concentration}")
+    all_pairs = {(o.cell_id, o.molecule_id) for o in obs}
+    have_pairs = {(o.cell_id, o.molecule_id) for o in subset}
+    if have_pairs != all_pairs:
+        raise DataError(f"concentration {concentration} is not fully covered")
+
+    cells = sorted({o.cell_id for o in subset})
+    mols = sorted({o.molecule_id for o in subset})
+    row = {c: i for i, c in enumerate(cells)}
+    col = {m: j for j, m in enumerate(mols)}
+
+    values = np.zeros((len(cells), len(mols)))
+    mask = np.zeros_like(values)
+    for o in subset:
+        v = o.gr - 1.0 if target == "gr" else o.ifd
+        i, j = row[o.cell_id], col[o.molecule_id]
+        if mask[i, j] == 1 and values[i, j] != v:
+            raise DataError(
+                f"conflicting duplicate for ({o.cell_id}, {o.molecule_id}, {concentration})")
+        values[i, j] = v
+        mask[i, j] = 1.0
+    tag = TARGET_GR if target == "gr" else TARGET_IFD
+    return MaskedMatrix(values, mask, cells, mols, tag)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from alsal.als import AlsConfig, init_embeddings
 from alsal.alsdl import (AlsdlConfig, AlsdlModel, alsdl_predict_positions,
@@ -12,7 +12,9 @@ from alsal.data import (DataError, build_response_matrix, compute_gr,
                         parse_dataset, select_common_concentrations)
 from alsal.mlp import init_mlp
 
-from conftest import csv_stream, dataset_shaped_csv, make_observations
+import oracles
+from conftest import (CSV_HEADER, csv_stream, dataset_shaped_csv, grid_rows,
+                      parse_rows)
 
 
 class TestComputeGr:
@@ -62,15 +64,31 @@ class TestComputeIfd:
 
 class TestParseDataset:
     def test_header_only(self):
-        assert parse_dataset(csv_stream([])) == []
+        table = parse_rows([])
+        assert len(table) == 0
+        assert table.cell_ids == [] and table.molecule_ids == []
+        assert table.cell.dtype == np.intp and table.gr.dtype == np.float64
 
     def test_single_row(self):
-        obs = parse_dataset(csv_stream(["c1,m1,0.01,0.8,0.05\n"]))
-        assert len(obs) == 1
-        o = obs[0]
-        assert (o.cell_id, o.molecule_id) == ("c1", "m1")
-        assert o.concentration == 0.01
-        assert o.gr == 0.8 and o.ifd == 0.05
+        table = parse_rows(["c1,m1,0.01,0.8,0.05\n"])
+        assert len(table) == 1
+        assert (table.cell_ids, table.molecule_ids) == (["c1"], ["m1"])
+        assert table.cell.tolist() == [0] and table.molecule.tolist() == [0]
+        assert table.concentration.tolist() == [0.01]
+        assert table.gr.tolist() == [0.8] and table.ifd.tolist() == [0.05]
+
+    def test_columns_per_row(self):
+        table = parse_rows(["zz,m2,1.0,0.8,0.05\n", "aa,m1,2.0,0.7,0.04\n",
+                            "zz,m1,3.0,0.6,0.03\n"])
+        assert table.cell_ids == ["aa", "zz"]
+        assert table.molecule_ids == ["m1", "m2"]
+        assert table.cell.dtype == np.intp and table.molecule.dtype == np.intp
+        assert table.cell.tolist() == [1, 0, 1]
+        assert table.molecule.tolist() == [1, 0, 0]
+        assert table.concentration.tolist() == [1.0, 2.0, 3.0]
+        assert table.gr.tolist() == [0.8, 0.7, 0.6]
+        assert table.ifd.tolist() == [0.05, 0.04, 0.03]
+        assert table.pairs().tolist() == [3, 0, 2]
 
     def test_missing_column(self):
         import io
@@ -82,6 +100,32 @@ class TestParseDataset:
         with pytest.raises(DataError, match="row 3"):
             parse_dataset(stream)
 
+    def test_short_row_reports_row(self):
+        stream = csv_stream(["C0,M0,1.0,0.9,0.1\n", "C0,M1,1.0,0.8\n",
+                             "C1,M0,1.0,0.7,0.1\n"])
+        with pytest.raises(DataError,
+                           match="row 3: 4 fields, but the header has 5"):
+            parse_dataset(stream)
+
+    def test_short_row_with_every_required_field(self):
+        import io
+        stream = io.StringIO("cell,mol,conc,g,f,note\nc1,m1,1.0,1.2,0.1\n")
+        with pytest.raises(DataError, match="row 2: 5 fields"):
+            parse_dataset(stream, columns={
+                "cell_id": "cell", "molecule_id": "mol",
+                "concentration": "conc", "gr": "g", "ifd": "f"})
+
+    @pytest.mark.parametrize("conc", ["1e400", "inf", "-1e400"])
+    def test_nonfinite_concentration_reports_row(self, conc):
+        stream = csv_stream(["c1,m1,0.01,0.8,0.05\n",
+                             f"c1,m2,{conc},0.8,0.05\n"])
+        if conc.startswith("-"):
+            match = "concentration must be > 0, got -inf"
+        else:
+            match = "row 3: concentration must be finite, got inf"
+        with pytest.raises(DataError, match=match):
+            parse_dataset(stream)
+
     def test_empty_file(self):
         import io
         with pytest.raises(DataError, match="empty file"):
@@ -90,142 +134,281 @@ class TestParseDataset:
     def test_custom_column_map(self):
         import io
         stream = io.StringIO("cell,mol,conc,g,f\nc1,m1,1.0,1.2,0.1\n")
-        obs = parse_dataset(stream, columns={
+        table = parse_dataset(stream, columns={
             "cell_id": "cell", "molecule_id": "mol", "concentration": "conc",
             "gr": "g", "ifd": "f"})
-        assert obs[0].gr == 1.2
+        assert table.gr[0] == 1.2
 
 
 class TestSelectCommonConcentrations:
     def test_single_common(self):
-        obs = make_observations(["c1", "c2"], ["m1"], [1.0])
-        assert select_common_concentrations(obs) == {1.0}
+        table = parse_rows(grid_rows(["c1", "c2"], ["m1"], [1.0]))
+        assert select_common_concentrations(table) == {1.0}
 
     def test_coverage_broken_by_missing_pair(self):
-        obs = make_observations(["c1", "c2"], ["m1", "m2"], [2.0])
-        obs = [o for o in obs if not (o.cell_id == "c2" and o.molecule_id == "m2")]
+        rows = grid_rows(["c1", "c2"], ["m1", "m2"], [2.0])
+        rows = [r for r in rows if not r.startswith("c2,m2,")]
         # (c2, m2) still exists in the dataset at another concentration
-        obs += make_observations(["c2"], ["m2"], [5.0])
-        assert select_common_concentrations(obs) == set()
+        rows += grid_rows(["c2"], ["m2"], [5.0])
+        assert select_common_concentrations(parse_rows(rows)) == set()
 
     def test_partial_coverage(self):
-        obs = (make_observations(["c1", "c2"], ["m1", "m2"], [1.0, 2.0])
-               + make_observations(["c1"], ["m1"], [3.0]))
-        assert select_common_concentrations(obs) == {1.0, 2.0}
+        rows = (grid_rows(["c1", "c2"], ["m1", "m2"], [1.0, 2.0])
+                + grid_rows(["c1"], ["m1"], [3.0]))
+        assert select_common_concentrations(parse_rows(rows)) == {1.0, 2.0}
 
     def test_subset_of_present_concentrations(self):
-        obs = make_observations(["c1"], ["m1", "m2"], [0.1, 0.2, 0.3])
-        got = select_common_concentrations(obs)
-        assert got <= {o.concentration for o in obs}
+        table = parse_rows(grid_rows(["c1"], ["m1", "m2"], [0.1, 0.2, 0.3]))
+        got = select_common_concentrations(table)
+        assert got <= set(table.concentration.tolist())
+
+    def test_returns_python_floats(self):
+        table = parse_rows(grid_rows(["c1"], ["m1"], [0.1, 0.2]))
+        assert {type(c) for c in select_common_concentrations(table)} == {float}
 
     def test_spellings_of_one_float_are_one_concentration(self):
-        obs = parse_dataset(csv_stream(["c1,m1,0.1,0.8,0.05\n",
-                                        "c2,m1,0.10,0.8,0.05\n",
-                                        "c1,m1,1e-1,0.8,0.05\n"]))
-        assert select_common_concentrations(obs) == {0.1}
+        table = parse_rows(["c1,m1,0.1,0.8,0.05\n", "c2,m1,0.10,0.8,0.05\n",
+                            "c1,m1,1e-1,0.8,0.05\n"])
+        assert select_common_concentrations(table) == {0.1}
 
     def test_close_floats_stay_apart(self):
-        obs = (make_observations(["c1", "c2"], ["m1"], [0.1])
-               + make_observations(["c1"], ["m1"], [0.1000000001]))
-        assert select_common_concentrations(obs) == {0.1}
+        rows = (grid_rows(["c1", "c2"], ["m1"], [0.1])
+                + grid_rows(["c1"], ["m1"], [0.1000000001]))
+        assert select_common_concentrations(parse_rows(rows)) == {0.1}
 
     def test_removing_single_observation_removes_concentration(self):
-        obs = make_observations(["c1", "c2"], ["m1"], [1.0, 2.0])
-        full = select_common_concentrations(obs)
-        assert full == {1.0, 2.0}
-        without = [o for o in obs
-                   if not (o.cell_id == "c2" and o.concentration == 2.0)]
-        assert select_common_concentrations(without) == {1.0}
+        rows = grid_rows(["c1", "c2"], ["m1"], [1.0, 2.0])
+        assert select_common_concentrations(parse_rows(rows)) == {1.0, 2.0}
+        without = [r for r in rows if not r.startswith("c2,m1,2.0,")]
+        assert len(without) == len(rows) - 1
+        assert select_common_concentrations(parse_rows(without)) == {1.0}
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(DataError, match="empty observation list"):
+            select_common_concentrations(parse_rows([]))
 
 
 class TestBuildResponseMatrix:
     def test_gr_shift(self):
-        obs = make_observations(["cellA"], ["molB"], [1.0],
-                                value_fn=lambda i, j, c: 1.0)
-        mat = build_response_matrix(obs, "gr", 1.0)
+        table = parse_rows(grid_rows(["cellA"], ["molB"], [1.0],
+                                     value_fn=lambda i, j, c: 1.0))
+        mat = build_response_matrix(table, "gr", 1.0)
         assert mat.shape == (1, 1)
         assert mat.values[0, 0] == 0.0
         assert mat.mask[0, 0] == 1.0
 
     def test_ifd_stored_as_is(self):
-        obs = make_observations(["cellA"], ["molB"], [1.0],
-                                value_fn=lambda i, j, c: 2.5)  # ifd = 0.25
-        mat = build_response_matrix(obs, "ifd", 1.0)
+        table = parse_rows(grid_rows(["cellA"], ["molB"], [1.0],
+                                     value_fn=lambda i, j, c: 2.5))  # ifd = 0.25
+        mat = build_response_matrix(table, "ifd", 1.0)
         assert mat.values[0, 0] == pytest.approx(0.25)
 
     def test_roundtrip_full_coverage(self):
-        obs = make_observations(["c1", "c2", "c3"], ["m1", "m2"], [0.5])
-        mat = build_response_matrix(obs, "gr", 0.5)
+        table = parse_rows(grid_rows(["c1", "c2", "c3"], ["m1", "m2"], [0.5]))
+        mat = build_response_matrix(table, "gr", 0.5)
         assert np.all(mat.mask == 1.0)
-        lookup = {(o.cell_id, o.molecule_id): o.gr for o in obs}
+        lookup = {(table.cell_ids[a], table.molecule_ids[b]): gr
+                  for a, b, gr in zip(table.cell, table.molecule, table.gr)}
+        assert len(lookup) == 6
         for i, cell in enumerate(mat.cell_index):
             for j, mol in enumerate(mat.molecule_index):
                 assert mat.values[i, j] == pytest.approx(lookup[(cell, mol)] - 1.0)
 
     def test_sorted_indices(self):
-        obs = make_observations(["zz", "aa"], ["m2", "m1"], [1.0])
-        mat = build_response_matrix(obs, "gr", 1.0)
+        table = parse_rows(grid_rows(["zz", "aa"], ["m2", "m1"], [1.0]))
+        mat = build_response_matrix(table, "gr", 1.0)
         assert mat.cell_index == ["aa", "zz"]
         assert mat.molecule_index == ["m1", "m2"]
 
+    def test_matrices_share_no_index_list(self):
+        table = parse_rows(grid_rows(["c1"], ["m1"], [1.0]))
+        a = build_response_matrix(table, "gr", 1.0)
+        b = build_response_matrix(table, "ifd", 1.0)
+        a.cell_index.append("x")
+        assert b.cell_index == table.cell_ids == ["c1"]
+
     def test_uncovered_concentration_rejected(self):
-        obs = (make_observations(["c1", "c2"], ["m1"], [1.0])
-               + make_observations(["c1"], ["m1"], [9.0]))
+        table = parse_rows(grid_rows(["c1", "c2"], ["m1"], [1.0])
+                           + grid_rows(["c1"], ["m1"], [9.0]))
         with pytest.raises(DataError, match="not fully covered"):
-            build_response_matrix(obs, "gr", 9.0)
+            build_response_matrix(table, "gr", 9.0)
+
+    def test_absent_concentration_rejected(self):
+        table = parse_rows(grid_rows(["c1"], ["m1"], [1.0]))
+        with pytest.raises(DataError, match="no observations at concentration 2"):
+            build_response_matrix(table, "gr", 2)
+
+    def test_unknown_target_rejected(self):
+        table = parse_rows(grid_rows(["c1"], ["m1"], [1.0]))
+        with pytest.raises(DataError, match="unknown target 'synthetic'"):
+            build_response_matrix(table, "synthetic", 1.0)
 
     @pytest.mark.parametrize("spelling", [0.1, "0.1", "0.10", "1e-1"])
     def test_spellings_of_one_float_select_one_matrix(self, spelling):
-        obs = make_observations(["c1", "c2"], ["m1", "m2"], [0.1, 1.0])
-        mat = build_response_matrix(obs, "gr", spelling)
+        table = parse_rows(grid_rows(["c1", "c2"], ["m1", "m2"], [0.1, 1.0]))
+        mat = build_response_matrix(table, "gr", spelling)
         assert np.array_equal(mat.values,
-                              build_response_matrix(obs, "gr", 0.1).values)
+                              build_response_matrix(table, "gr", 0.1).values)
         assert mat.mask.sum() == 4
 
     def test_close_floats_stay_apart(self):
-        obs = make_observations(["c1", "c2"], ["m1"], [0.1])
-        close = make_observations(["c1"], ["m1"], [0.1000000001],
-                                  value_fn=lambda i, j, c: 9.9)
-        mat = build_response_matrix(obs + close, "gr", 0.1)
+        rows = grid_rows(["c1", "c2"], ["m1"], [0.1])
+        close = grid_rows(["c1"], ["m1"], [0.1000000001],
+                          value_fn=lambda i, j, c: 9.9)
+        table = parse_rows(rows + close)
+        mat = build_response_matrix(table, "gr", 0.1)
         assert not np.any(mat.values == 9.9 - 1.0)
         with pytest.raises(DataError, match="not fully covered"):
-            build_response_matrix(obs + close, "gr", 0.1000000001)
+            build_response_matrix(table, "gr", 0.1000000001)
 
     def test_conflicting_duplicates_rejected(self):
-        obs = make_observations(["c1"], ["m1"], [1.0])
-        conflict = make_observations(["c1"], ["m1"], [1.0],
-                                     value_fn=lambda i, j, c: 9.9)
+        rows = grid_rows(["c1"], ["m1"], [1.0])
+        conflict = grid_rows(["c1"], ["m1"], [1.0],
+                             value_fn=lambda i, j, c: 9.9)
         with pytest.raises(DataError, match="conflicting duplicate"):
-            build_response_matrix(obs + conflict, "gr", 1.0)
+            build_response_matrix(parse_rows(rows + conflict), "gr", 1.0)
 
     def test_identical_duplicates_deduplicated(self):
-        obs = make_observations(["c1"], ["m1"], [1.0])
-        mat = build_response_matrix(obs + obs, "gr", 1.0)
+        rows = grid_rows(["c1"], ["m1"], [1.0])
+        mat = build_response_matrix(parse_rows(rows + rows), "gr", 1.0)
         assert mat.shape == (1, 1)
 
 
+def outcome(fn, *args):
+    """fn's result, or the message of the DataError it raises."""
+    try:
+        return fn(*args)
+    except DataError as e:
+        return f"DataError: {e}"
+
+
+def assert_same_matrix(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+    assert np.array_equal(got.mask, want.mask)
+    assert (got.cell_index, got.molecule_index, got.target) == (
+        want.cell_index, want.molecule_index, want.target)
+
+
+def assert_matches_oracle(text, concentrations=None):
+    """Parse, the common set and every target x concentration matrix of
+    the CSV text, against the row-wise reference in tests/oracles.py."""
+    import io
+    table = outcome(parse_dataset, io.StringIO(text))
+    obs = outcome(oracles.parse_observations, io.StringIO(text))
+    if isinstance(obs, str):
+        assert table == obs
+        return
+    assert len(table) == len(obs)
+    assert (outcome(select_common_concentrations, table)
+            == outcome(oracles.common_concentrations, obs))
+    if concentrations is None:
+        concentrations = sorted(set(table.concentration.tolist()))
+    for c in concentrations:
+        for target in ("gr", "ifd"):
+            assert_same_matrix(
+                outcome(build_response_matrix, table, target, c),
+                outcome(oracles.response_matrix, obs, target, c))
+
+
+class TestAgainstRowwiseOracle:
+    """The columnar ingest gives the row-wise reference's values, index
+    lists, common set and errors."""
+
+    def test_dataset_shaped_corpus(self):
+        assert_matches_oracle(dataset_shaped_csv().getvalue())
+
+    @pytest.mark.parametrize("rows", [
+        # missing pairs at one concentration, present at another
+        ["c1,m1,1.0,0.5,0.1\n", "c2,m1,1.0,0.6,0.2\n", "c1,m1,2.0,0.7,0.3\n"],
+        # identical duplicates, in and out of order
+        ["c2,m1,1.0,0.5,0.1\n", "c1,m1,1.0,0.6,0.2\n", "c2,m1,1.0,0.5,0.1\n",
+         "c1,m1,1.0,0.6,0.2\n", "c1,m1,1.0,0.6,0.2\n"],
+        # duplicates that agree as floats but are spelled apart
+        ["c1,m1,1.0,0.5,0.1\n", "c1,m1,1,0.50,1e-1\n", "c2,m1,1.0,1.5,0.0\n"],
+        # duplicates equal by ==, which keep the last zero's sign
+        ["c1,m1,1.0,1.0,0.0\n", "c1,m1,1.0,1.0,-0.0\n",
+         "c2,m1,1.0,1.0,-0.0\n", "c2,m1,1.0,1.0,0.0\n"],
+        # a conflict for gr only, then a conflict for both
+        ["c1,m1,1.0,0.5,0.1\n", "c1,m2,1.0,0.5,0.1\n", "c1,m1,1.0,0.7,0.1\n",
+         "c1,m2,1.0,0.6,0.2\n"],
+        # the first conflict in file order names its pair, not the first
+        # pair that has one
+        ["c1,m1,1.0,0.5,0.1\n", "c1,m2,1.0,0.5,0.1\n", "c1,m2,1.0,0.6,0.2\n",
+         "c1,m1,1.0,0.7,0.3\n"],
+        # spellings of one concentration, and two close ones
+        ["c1,m1,0.1,0.8,0.05\n", "c2,m1,0.10,0.9,0.06\n",
+         "c1,m1,1e-1,0.8,0.05\n", "c2,m1,0.1000000001,0.9,0.06\n"],
+        # a row longer than the header
+        ["c1,m1,1.0,0.5,0.1,extra\n", "c2,m1,1.0,0.6,0.2\n"],
+        # blank lines, which row numbers skip
+        ["c1,m1,1.0,0.5,0.1\n", "\n", "c2,m1,1.0,oops,0.2\n"],
+        # the first failing row's first failing check wins
+        ["c1,m1,0,0.5,0.1\n", "c2,m1,x,0.6,0.2\n"],
+        ["c1,m1,1.0,inf,0.1\n", "c2,m1,-1,0.6,0.2\n"],
+        ["c1,m1,1.0,0.5,nan\n"],
+        ["c1,m1,nan,0.5,0.1\n"],
+        ["c1,m1,-0.0,0.5,0.1\n"],
+        ["c1,m1,1.0,0.5,0.1\n", "c1,m2,1.0,0.5,\n"],
+    ], ids=["missing-pair", "identical-duplicates", "respelled-duplicates",
+            "signed-zero-duplicates", "conflict", "first-conflict-in-order",
+            "spellings", "long-row", "blank-lines", "first-row-wins",
+            "check-order", "nan-ifd", "nan-concentration", "zero-concentration",
+            "empty-field"])
+    def test_small_csv(self, rows):
+        assert_matches_oracle(CSV_HEADER + "".join(rows),
+                              concentrations=[0.1, "0.10", 1.0, 2, 5.0])
+
+    def test_repeated_header_name_reads_last_column(self):
+        text = ("cell,mol,conc,g,f,g\n"
+                "c1,m1,1.0,9.0,0.1,1.5\n"
+                "c2,m1,1.0,9.0,0.2,0.5\n")
+        columns = {"cell_id": "cell", "molecule_id": "mol",
+                   "concentration": "conc", "gr": "g", "ifd": "f"}
+        import io
+        table = parse_dataset(io.StringIO(text), columns=columns)
+        obs = oracles.parse_observations(io.StringIO(text), columns=columns)
+        assert table.gr.tolist() == [o.gr for o in obs] == [1.5, 0.5]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(["c1", "c2", "c10", "C2"]),
+                              st.sampled_from(["m1", "m2"]),
+                              st.sampled_from(["0.1", "0.10", "1", "1.0",
+                                               "2.5"]),
+                              st.sampled_from(["0.5", "1.0", "1.5", "0.50"]),
+                              st.sampled_from(["0.0", "-0.0", "0.1", "-0.2"])),
+                    max_size=14))
+    def test_random_csv(self, rows):
+        assert_matches_oracle(
+            CSV_HEADER + "".join(",".join(r) + "\n" for r in rows),
+            concentrations=[0.1, 1.0, 2.5, 3.0])
+
+
 @pytest.fixture(scope="module")
-def obs():
+def table():
     return parse_dataset(dataset_shaped_csv())
 
 
 class TestDatasetShapedCorpus:
     """Counting checks on a corpus with the real dataset's shape."""
 
-    def test_total_instances(self, obs):
-        assert len(obs) == 10710
+    def test_total_instances(self, table):
+        assert len(table) == 10710
 
-    def test_four_common_concentrations(self, obs):
-        assert select_common_concentrations(obs) == {0.01, 0.1, 1.0, 10.0}
+    def test_four_common_concentrations(self, table):
+        assert select_common_concentrations(table) == {0.01, 0.1, 1.0, 10.0}
 
-    def test_kept_instances(self, obs):
-        kept = [build_response_matrix(obs, "gr", c)
-                for c in select_common_concentrations(obs)]
+    def test_kept_instances(self, table):
+        kept = [build_response_matrix(table, "gr", c)
+                for c in select_common_concentrations(table)]
         assert {m.shape for m in kept} == {(35, 34)}
         assert sum(int(m.mask.sum()) for m in kept) == 4760
 
-    def test_matrix_shape_and_coverage(self, obs):
-        mat = build_response_matrix(obs, "gr", 0.01)
+    def test_matrix_shape_and_coverage(self, table):
+        mat = build_response_matrix(table, "gr", 0.01)
         assert mat.shape == (35, 34)
         assert int(mat.mask.sum()) == 1190
 

@@ -978,7 +978,17 @@ class TestRejectedInput:
         ({"column_map": {"gr": None}}, "invalid config: column_map must be "
          "null or an object mapping strings to strings, not {'gr': None}"),
         ({"dataset_path": 5},
-         "invalid config: dataset_path must be null or a string, not 5")])
+         "invalid config: dataset_path must be null or a string, not 5"),
+        ({"concentrations": [10 ** 400]}, "invalid config: each "
+         f"concentration must be a finite number > 0, not {10 ** 400}"),
+        ({"concentrations": [-10 ** 400]}, "invalid config: each "
+         f"concentration must be a finite number > 0, not {-10 ** 400}"),
+        ({"targets": "gr"},
+         "invalid config: targets must be a tuple of names, not 'gr'"),
+        ({"models": "als"},
+         "invalid config: models must be a tuple of names, not 'als'"),
+        ({"strategies": "elm"},
+         "invalid config: strategies must be a tuple of names, not 'elm'")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
         forbid_training(monkeypatch)
@@ -1047,6 +1057,25 @@ class TestRejectedInput:
             main([command, "--dataset", str(csv_path), "--config",
                   str(cfg_path), *argv, "--out", str(tmp_path / "run")])
         assert str(e.value) == message
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("C0,M1,1.0,0.8\n", "row 62: 4 fields, but the header has 5"),
+        ("C0,M1,1e400,0.8,0.1\n",
+         "row 62: concentration must be finite, got inf")])
+    @pytest.mark.parametrize("command", ["benchmark", "al-study"])
+    def test_bad_dataset_row(self, monkeypatch, tmp_path, command, row,
+                             message):
+        """A data row the run cannot read exits naming the config key and
+        the row (the header is row 1), before any model trains."""
+        forbid_training(monkeypatch)
+        csv_path = small_dataset(tmp_path / "data.csv")
+        with open(csv_path, "a") as f:
+            f.write(row)
+        with pytest.raises(SystemExit) as e:
+            main([command, "--dataset", str(csv_path),
+                  "--out", str(tmp_path / "run")])
+        assert str(e.value) == f"invalid config key 'dataset_path': {message}"
         assert not (tmp_path / "run").exists()
 
     def test_per_unit_defaults_accepted(self, tmp_path):
