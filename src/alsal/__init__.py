@@ -9,9 +9,9 @@ query strategy.
 # set before the imports: the runner records it in every manifest
 __version__ = "0.1.0"
 
-from .data import (Dataset, MaskedMatrix, as_positions, compute_gr,
-                   compute_ifd, parse_dataset, select_common_concentrations,
-                   build_response_matrix, generate_synthetic)
+from .data import (Dataset, MaskedMatrix, as_positions, parse_dataset,
+                   select_common_concentrations, build_response_matrix,
+                   generate_synthetic)
 from .metrics import Curve, FoldSplit, kfold_split
 from .als import (AlsConfig, EmbeddingPair, DivergenceError, init_embeddings,
                   als_loss, als_gradients, als_epoch, train_als)

@@ -9,16 +9,17 @@ expected loss over true-plus-predicted labels. The labeled set, the pool
 and every query's picks are position arrays (see alsal.data).
 
 ELM trains a chunk of candidates (24 at 35x34) at a time as one
-`als.train_als` run on an `als.Stack`, all from the same init, to the bits
-of training and scoring each candidate on its own.
+`als.train_als` run on a stacked `MaskedMatrix`, all from the same init,
+to the bits of training and scoring each candidate on its own.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import als as als_mod
 from . import alsdl as alsdl_mod
+from .data import MaskedMatrix
 from .metrics import Scorer
 
 
@@ -63,7 +64,6 @@ class ActiveState:
     matrix: object  # MaskedMatrix, all labels known
     labeled: np.ndarray  # positions in labelling order, the training set D
     pool: np.ndarray  # positions, the unlabeled pool U
-    history: list = field(default_factory=list)
 
 
 def init_state(matrix, cfg):
@@ -123,10 +123,10 @@ def expected_losses(state, model, cfg, inner_seed):
     candidates share the same fresh init seed so scores differ only through
     the candidate.
 
-    Candidates train in chunks, each one train_als run on a Stack whose
-    (C, m, n) arrays take at most ELM_CHUNK_BYTES (C >= 1). Every score,
-    and the DivergenceError of the first candidate to diverge, is that of
-    training and scoring the candidate alone.
+    Candidates train in chunks, each one train_als run on a stacked
+    MaskedMatrix whose (C, m, n) arrays take at most ELM_CHUNK_BYTES
+    (C >= 1). Every score, and the DivergenceError of the first candidate
+    to diverge, is that of training and scoring the candidate alone.
     """
     matrix = state.matrix
     m, n = matrix.shape
@@ -168,7 +168,7 @@ def expected_losses(state, model, cfg, inner_seed):
         values[rows, pool[k]] = pool_preds[k]
         mask[rows, pool[k]] = 1.0
         inits = (np.broadcast_to(a, (c,) + a.shape) for a in (init.x, init.w))
-        emb, _ = als_mod.train_als(als_mod.Stack(
+        emb, _ = als_mod.train_als(MaskedMatrix(
             values[:c].reshape(c, m, n), mask[:c].reshape(c, m, n)),
             inner_cfg, emb=als_mod.EmbeddingPair(*inits))
         sq_err = (emb.x @ emb.w).reshape(c, -1)[:, score_flat]
@@ -215,7 +215,7 @@ def run_active_learning(matrix, model_cfg, cfg):
     positions = matrix.observed_positions()
     truths = matrix.values.ravel()[positions]
 
-    model = None
+    model, curve = None, []
     for rnd in range(cfg.n_max_query + 1):
         train_matrix = matrix.with_mask(state.labeled)
         model, _ = alsdl_mod.train_alsdl(
@@ -223,7 +223,7 @@ def run_active_learning(matrix, model_cfg, cfg):
 
         scorer = Scorer(truths, 1)
         scorer.add(alsdl_mod.alsdl_predict_positions(model, positions))
-        state.history.append(LearningCurvePoint(
+        curve.append(LearningCurvePoint(
             round=rnd, n_labeled=len(state.labeled),
             full_rmse=float(scorer.loss[0]),
             full_accuracy=float(scorer.accuracy[0])))
@@ -233,4 +233,4 @@ def run_active_learning(matrix, model_cfg, cfg):
         picks = _select(state, model, cfg, _round_seed(cfg.seed, 2 * rnd + 1))
         state.pool = state.pool[~np.isin(state.pool, picks)]
         state.labeled = np.concatenate([state.labeled, picks])
-    return state.history, model
+    return curve, model

@@ -10,17 +10,18 @@ The gradient and epoch functions also take stacks of problems: leading
 axes of x, w and the matrix's values and mask are batch axes, and each
 slice is computed exactly as it would be on its own.
 
-`train_als`, the one loop that steps ALS epochs, trains a matrix or a
-`Stack` in place (`als_epoch` into an `EpochWork`) and, given a held-out
-split, hands each epoch's x @ w at its train and test positions to a
-`metrics.Scorer`. An epoch scores to the same bits in any history block,
-so a run resumed from its embeddings at any epoch gives the curve of an
-uninterrupted one. Its epochs run under np.errstate with overflow and
-invalid values ignored; finiteness is checked once, after the last epoch
-(a non-finite entry stays non-finite under x - alpha * g), and the first
-problem found non-finite is replayed alone, checked every epoch, for its
-DivergenceError. Finite embeddings whose product overflows are reported
-at the next epoch, which that product makes non-finite.
+`train_als`, the one loop that steps ALS epochs, trains a `MaskedMatrix`,
+one problem or a stack, in place (`als_epoch` into an `EpochWork`) and,
+given a held-out split, hands each epoch's x @ w at its train and test
+positions to a `metrics.Scorer`. An epoch scores to the same bits in any
+history block, so a run resumed from its embeddings at any epoch gives
+the curve of an uninterrupted one. Its epochs run under np.errstate with
+overflow and invalid values ignored; finiteness is checked once, after
+the last epoch (a non-finite entry stays non-finite under
+x - alpha * g), and the first problem found non-finite is replayed alone,
+checked every epoch, for its DivergenceError. Finite embeddings whose
+product overflows are reported at the next epoch, which that product
+makes non-finite.
 """
 
 import numbers
@@ -29,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import MaskedMatrix
 from .metrics import Curve, Scorer
 
 
@@ -116,17 +118,6 @@ def als_gradients(matrix, emb):
     return r @ _t(emb.w), _t(emb.x) @ r
 
 
-class Stack(NamedTuple):
-    """Values and mask of a stack of training problems, (..., m, n) each."""
-
-    values: np.ndarray
-    mask: np.ndarray
-
-    @property
-    def shape(self):  # one problem's (m, n), as for a MaskedMatrix
-        return self.values.shape[-2:]
-
-
 class EpochWork(NamedTuple):
     """Work arrays for als_epoch: the residual (..., m, n) and the
     gradients of x (..., m, d) and w (..., d, n)."""
@@ -179,8 +170,9 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
     cfg.epochs - 1 from a copy of emb, and its curve and DivergenceError
     count epochs from the start of the run, so the two legs give what one
     uninterrupted run does. Without emb, start_epoch must be 0. Given a
-    stacked emb and no split, matrix may be a Stack: each problem trains
-    as it would alone, and the first in stack order to diverge raises.
+    stacked emb and no split, matrix may be a stacked MaskedMatrix: each
+    problem trains as it would alone, and the first in stack order to
+    diverge raises. A stacked matrix with a split raises ValueError.
     """
     m, n = matrix.shape
     if not 0 <= start_epoch <= cfg.epochs or (start_epoch and emb is None):
@@ -189,6 +181,8 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
                                             if emb is None else ""))
     if not matrix.mask.any(axis=(-2, -1)).all():
         raise ValueError("matrix has no observed positions")
+    if eval_positions is not None and matrix.values.ndim > 2:
+        raise ValueError("a stacked matrix cannot hold out a split")
     train_matrix, scored = matrix, []
     if eval_positions is not None:
         observed = matrix.observed_positions()
@@ -214,7 +208,7 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
                   & np.isfinite(emb.w).all(axis=(-2, -1)))
         if not finite.all():  # replay the first such problem alone
             b = np.unravel_index(np.argmin(finite), finite.shape)
-            alone = Stack(train_matrix.values[b], train_matrix.mask[b])
+            alone = MaskedMatrix(train_matrix.values[b], train_matrix.mask[b])
             emb = EmbeddingPair(x=start.x[b].copy(), w=start.w[b].copy())
             work = EpochWork.like(emb)
             for epoch in range(start_epoch, cfg.epochs):

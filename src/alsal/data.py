@@ -25,10 +25,7 @@ DEFAULT_COLUMNS = {
     "ifd": "Increased Fraction Dead",
 }
 
-# Target tags. GR is stored shifted by 1 at ingestion so the decision
-# boundary is 0 for both targets.
-TARGET_GR = "gr_shifted"
-TARGET_IFD = "ifd"
+# the target and concentration tag of a synthetic matrix's report rows
 TARGET_SYNTHETIC = "synthetic"
 
 
@@ -80,22 +77,24 @@ def as_positions(positions, size):
 
 @dataclass
 class MaskedMatrix:
-    """Response matrix with a 0-1 observation mask."""
+    """Response values with a 0-1 observation mask: one m x n problem, or
+    a stack of them whose leading axes are batch axes, (..., m, n) each.
 
-    values: np.ndarray  # m x n
-    mask: np.ndarray  # m x n, entries in {0, 1}
-    cell_index: list
-    molecule_index: list
-    target: str
+    Rows are cells and columns molecules; a matrix built from a Dataset
+    has its sorted cell_ids and molecule_ids in that order.
+    observed_positions and with_mask take one problem.
+    """
+
+    values: np.ndarray
+    mask: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.mask = np.asarray(self.mask, dtype=float)
-        m, n = self.values.shape
-        if self.mask.shape != (m, n):
-            raise DataError("values and mask shapes differ")
-        if len(self.cell_index) != m or len(self.molecule_index) != n:
-            raise DataError("index lengths do not match matrix shape")
+        if self.values.ndim < 2 or self.mask.shape != self.values.shape:
+            raise DataError(f"values {self.values.shape} and mask "
+                            f"{self.mask.shape} must share one shape "
+                            "(..., m, n)")
         if not np.all((self.mask == 0) | (self.mask == 1)):
             raise DataError("mask entries must be 0 or 1")
         if not np.all(np.isfinite(self.values[self.mask == 1])):
@@ -103,7 +102,8 @@ class MaskedMatrix:
 
     @property
     def shape(self):
-        return self.values.shape
+        """One problem's (m, n)."""
+        return self.values.shape[-2:]
 
     def observed_positions(self):
         """Observed positions, ascending (row-major order)."""
@@ -118,26 +118,7 @@ class MaskedMatrix:
             raise DataError(f"position {first} is not observed")
         mask = np.zeros(self.mask.size)
         mask[flat] = 1.0
-        return MaskedMatrix(self.values.copy(), mask.reshape(self.shape),
-                            list(self.cell_index), list(self.molecule_index),
-                            self.target)
-
-
-def compute_gr(x_c, x_0, x_ctrl):
-    """Normalized growth rate from live cell counts (treated, day-0, control)."""
-    if x_c <= 0 or x_0 <= 0 or x_ctrl <= 0:
-        raise DataError("cell counts must be positive")
-    if x_ctrl == x_0:
-        raise DataError("control count equals day-0 count (zero denominator)")
-    return 2.0 ** (math.log2(x_c / x_0) / math.log2(x_ctrl / x_0))
-
-
-def compute_ifd(fd_c, fd_ctrl):
-    """Increased fraction dead: treated minus control dead fraction."""
-    for v in (fd_c, fd_ctrl):
-        if not 0.0 <= v <= 1.0:
-            raise DataError(f"fraction dead must be in [0, 1], got {v}")
-    return fd_c - fd_ctrl
+        return MaskedMatrix(self.values.copy(), mask.reshape(self.shape))
 
 
 def parse_dataset(csv_stream, columns=None):
@@ -260,9 +241,7 @@ def build_response_matrix(table, target, concentration):
     last = at.size - 1 - last
     values = np.zeros(m * n)
     values[at[last]] = v[last]
-    tag = TARGET_GR if target == "gr" else TARGET_IFD
-    return MaskedMatrix(values.reshape(m, n), mask.reshape(m, n),
-                        list(table.cell_ids), list(table.molecule_ids), tag)
+    return MaskedMatrix(values.reshape(m, n), mask.reshape(m, n))
 
 
 def generate_synthetic(m, n, rank, noise_sd, seed):
@@ -279,7 +258,4 @@ def generate_synthetic(m, n, rank, noise_sd, seed):
     values = x @ w
     if noise_sd > 0:
         values = values + rng.normal(0.0, noise_sd, size=(m, n))
-    cells = [f"cell{i:03d}" for i in range(m)]
-    mols = [f"mol{j:03d}" for j in range(n)]
-    matrix = MaskedMatrix(values, np.ones((m, n)), cells, mols, TARGET_SYNTHETIC)
-    return matrix, EmbeddingPair(x=x, w=w)
+    return MaskedMatrix(values, np.ones((m, n))), EmbeddingPair(x=x, w=w)

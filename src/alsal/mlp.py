@@ -2,8 +2,9 @@
 
 Hidden activations are tanh, the output is linear. The training objective
 is RMSE minus a weighted classification penalty: the exact penalty is a
-sign term (gradient zero almost everywhere), so training defaults to a smooth
-tanh surrogate. The training curve records RMSE and boundary accuracy.
+sign term (gradient zero almost everywhere), so training uses a smooth
+tanh surrogate, and beta = 0 trains on the RMSE alone. The training curve
+records RMSE and boundary accuracy.
 
 A training epoch allocates no array that grows with the rows; only its
 finiteness check takes a flag per parameter. `_Buffers` holds one batch
@@ -82,7 +83,6 @@ class LossConfig:
     beta: float = 0.1
     boundaries: tuple = (0.0,)
     surrogate_sharpness: float = 10.0
-    use_smooth_surrogate: bool = True
 
     def __post_init__(self):
         b = self.boundaries
@@ -177,7 +177,7 @@ def _output_gradient(preds, truths, cfg, out):
         grad.fill(0.0)
     else:
         grad /= n * r
-    if cfg.beta != 0 and cfg.use_smooth_surrogate:
+    if cfg.beta != 0:
         kappa = cfg.surrogate_sharpness
         k = len(cfg.boundaries)
         for c in cfg.boundaries:
@@ -214,9 +214,6 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers):
     `model.params`: `buffers.grad`, which the next call given the same
     buffers overwrites. The model's RMSE on the batch, found on the way,
     is left in `buffers.rmse`.
-
-    With the surrogate off the penalty contributes nothing (the true sign
-    term has zero gradient almost everywhere).
     """
     inputs = np.atleast_2d(np.asarray(batch_inputs, dtype=float))
     truths = np.asarray(batch_truths, dtype=float)

@@ -113,6 +113,10 @@ class ExperimentConfig:
             if not ok:
                 raise ValueError(f"{key} must be {kind}, not "
                                  f"{getattr(self, key)!r}")
+        for key in cmap or ():
+            if key not in data_mod.DEFAULT_COLUMNS:
+                raise ValueError(f"unknown column_map key {key!r}; known: "
+                                 f"{', '.join(data_mod.DEFAULT_COLUMNS)}")
         if self.concentrations is not None:
             if not isinstance(self.concentrations, tuple):
                 raise ValueError(f"concentrations must be a tuple of numbers, "

@@ -14,7 +14,7 @@ gradient checks difference. `parse_observations`,
 `common_concentrations` and `response_matrix` ingest the CSV one Python
 object per row; the columnar `data.parse_dataset`,
 `select_common_concentrations` and `build_response_matrix` must give
-their concentrations, matrices and errors.
+their concentrations, matrices, row and column order and errors.
 """
 
 import csv
@@ -26,8 +26,7 @@ import numpy as np
 import alsal.als as als_mod
 from alsal.als import (DivergenceError, EmbeddingPair, EpochWork,
                        init_embeddings)
-from alsal.data import (DEFAULT_COLUMNS, TARGET_GR, TARGET_IFD, DataError,
-                        MaskedMatrix)
+from alsal.data import DEFAULT_COLUMNS, DataError, MaskedMatrix
 from alsal.metrics import MetricError, residual_rmse
 
 
@@ -177,8 +176,8 @@ def common_concentrations(obs):
 
 def response_matrix(obs, target, concentration):
     """Masked matrix for one target at one concentration, written row by
-    row: a duplicate must equal the value already written, and replaces
-    it."""
+    row (a duplicate must equal the value already written, and replaces
+    it), with its sorted row and column labels: (matrix, cells, mols)."""
     if target not in ("gr", "ifd"):
         raise DataError(f"unknown target {target!r}")
     key = float(concentration)
@@ -205,5 +204,4 @@ def response_matrix(obs, target, concentration):
                 f"conflicting duplicate for ({o.cell_id}, {o.molecule_id}, {concentration})")
         values[i, j] = v
         mask[i, j] = 1.0
-    tag = TARGET_GR if target == "gr" else TARGET_IFD
-    return MaskedMatrix(values, mask, cells, mols, tag)
+    return MaskedMatrix(values, mask), cells, mols

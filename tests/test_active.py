@@ -127,8 +127,7 @@ def per_candidate_expected_losses(state, model, cfg, inner_seed):
         mask = base_mask.copy()
         values[cand] = pool_preds[cand]
         mask[cand] = 1.0
-        train_matrix = MaskedMatrix(values, mask, list(matrix.cell_index),
-                                    list(matrix.molecule_index), matrix.target)
+        train_matrix = MaskedMatrix(values, mask)
         emb = stepped_als(train_matrix, inner_cfg)
         full = emb.x @ emb.w
 

@@ -6,7 +6,7 @@ import pytest
 import alsal.als as als_mod
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.als import (AlsConfig, DivergenceError, EmbeddingPair, EpochWork,
-                       Stack, als_epoch, als_gradients, als_loss, check_count,
+                       als_epoch, als_gradients, als_loss, check_count,
                        init_embeddings, train_als)
 from alsal.metrics import FoldSplit, kfold_split
 from oracles import als_rmse, stepped_als
@@ -14,10 +14,7 @@ from oracles import als_rmse, stepped_als
 
 def full_matrix(values):
     values = np.asarray(values, dtype=float)
-    m, n = values.shape
-    return MaskedMatrix(values, np.ones((m, n)),
-                        [f"c{i}" for i in range(m)],
-                        [f"m{j}" for j in range(n)], "synthetic")
+    return MaskedMatrix(values, np.ones(values.shape))
 
 
 def finite_difference_gradients(matrix, emb, step=1e-5):
@@ -61,15 +58,13 @@ def epoch_copy(matrix, emb, alpha, simultaneous=False):
 
 
 def epoch_problem(stack, seed, m=7, n=6, d=3):
-    """A masked problem, as a MaskedMatrix or a (stack, m, n) Stack, and
+    """A masked problem, m x n or a (stack, m, n) stack of them, and
     embeddings of the same leading shape."""
     rng = np.random.default_rng(seed)
     lead = (stack,) if stack else ()
     values = rng.normal(size=lead + (m, n))
     mask = (rng.uniform(size=lead + (m, n)) < 0.5).astype(float)
-    matrix = Stack(values, mask) if stack else MaskedMatrix(
-        values, mask, [f"c{i}" for i in range(m)],
-        [f"m{j}" for j in range(n)], "synthetic")
+    matrix = MaskedMatrix(values, mask)
     emb = EmbeddingPair(rng.uniform(-1, 1, size=lead + (m, d)),
                         rng.uniform(-1, 1, size=lead + (d, n)))
     return matrix, emb
@@ -227,7 +222,7 @@ class TestAlsEpochWork:
         stacked, emb = epoch_problem(3, seed=4)
         got = epoch_copy(stacked, emb, 0.05, simultaneous)
         for b in range(3):
-            problem = Stack(stacked.values[b], stacked.mask[b])
+            problem = MaskedMatrix(stacked.values[b], stacked.mask[b])
             lone = EmbeddingPair(emb.x[b], emb.w[b])
             alone = epoch_copy(problem, lone, 0.05, simultaneous)
             want = reference_als_epoch(problem, lone, 0.05, simultaneous)
@@ -312,9 +307,7 @@ class TestTrainAls:
         mat.mask[0, 0] = 1.0
         cfg = AlsConfig(d=2, epochs=20, seed=5)
         emb1, _ = train_als(mat, cfg)
-        flipped = MaskedMatrix(mat.values.copy(), mat.mask.copy(),
-                               list(mat.cell_index), list(mat.molecule_index),
-                               mat.target)
+        flipped = MaskedMatrix(mat.values.copy(), mat.mask.copy())
         flipped.values[flipped.mask == 0] = 1e6
         emb2, _ = train_als(flipped, cfg)
         np.testing.assert_array_equal(emb1.x, emb2.x)
@@ -387,23 +380,21 @@ def same_bits(a, b):
 
 
 def problem_of(stack, b):
-    """Problem b of a Stack as its own MaskedMatrix."""
-    m, n = stack.shape
-    return MaskedMatrix(stack.values[b], stack.mask[b],
-                        [f"c{i}" for i in range(m)],
-                        [f"m{j}" for j in range(n)], "synthetic")
+    """Problem b of a stacked MaskedMatrix as its own MaskedMatrix."""
+    return MaskedMatrix(stack.values[b], stack.mask[b])
 
 
 def stacked(problems):
-    """A Stack and stacked embeddings of (matrix, embeddings) pairs."""
-    return (Stack(*(np.stack([getattr(mat, k) for mat, _ in problems])
+    """A stacked MaskedMatrix and stacked embeddings of (matrix,
+    embeddings) pairs."""
+    return (MaskedMatrix(*(np.stack([getattr(mat, k) for mat, _ in problems])
                     for k in ("values", "mask"))),
             EmbeddingPair(*(np.stack([getattr(emb, k) for _, emb in problems])
                             for k in ("x", "w"))))
 
 
 class TestTrainStack:
-    """train_als on a Stack trains each problem to the bits it has alone,
+    """train_als on a stacked MaskedMatrix trains each problem to the bits it has alone,
     and reports the divergence of the first problem, in stack order, that
     diverges."""
 
@@ -422,6 +413,17 @@ class TestTrainStack:
                                 start_epoch=start_epoch,
                                 emb=EmbeddingPair(emb.x[b], emb.w[b]))
             assert same_bits(got.x[b], want.x) and same_bits(got.w[b], want.w)
+
+    def test_split_rejected_before_any_epoch(self, monkeypatch):
+        stack, emb = epoch_problem(2, seed=3)
+        split = kfold_split(int(stack.mask[0].sum()), 2, seed=0)[0]
+        epochs = []
+        monkeypatch.setattr(als_mod, "als_epoch",
+                            lambda *args: epochs.append(args))
+        with pytest.raises(ValueError, match="stacked matrix"):
+            train_als(stack, AlsConfig(d=3, epochs=5), eval_positions=split,
+                      emb=emb)
+        assert not epochs
 
     @staticmethod
     def problems():

@@ -83,9 +83,7 @@ class TestTrainAlsdl:
         cfg = small_config(seed=8, als_epochs=15, mlp_epochs=20)
         model1, _ = train_alsdl(mat, cfg, eval_split=split)
         positions = mat.observed_positions()
-        mat2 = MaskedMatrix(mat.values.copy(), mat.mask.copy(),
-                            list(mat.cell_index), list(mat.molecule_index),
-                            mat.target)
+        mat2 = MaskedMatrix(mat.values.copy(), mat.mask.copy())
         for idx in split.test_indices:
             mat2.values[divmod(int(positions[idx]), 5)] += 7.0
         model2, _ = train_alsdl(mat2, cfg, eval_split=split)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,59 +5,14 @@ from hypothesis import given, settings, strategies as st
 from alsal.als import AlsConfig, init_embeddings
 from alsal.alsdl import (AlsdlConfig, AlsdlModel, alsdl_predict_positions,
                          build_features)
-from alsal.data import (DataError, build_response_matrix, compute_gr,
-                        compute_ifd, generate_synthetic,
-                        parse_dataset, select_common_concentrations)
+from alsal.data import (DataError, MaskedMatrix, build_response_matrix,
+                        generate_synthetic, parse_dataset,
+                        select_common_concentrations)
 from alsal.mlp import init_mlp
 
 import oracles
 from conftest import (CSV_HEADER, csv_stream, dataset_shaped_csv, grid_rows,
                       parse_rows)
-
-
-class TestComputeGr:
-    def test_zero_exponent(self):
-        assert compute_gr(100, 100, 400) == pytest.approx(1.0)
-
-    def test_unit_exponent(self):
-        assert compute_gr(400, 100, 400) == pytest.approx(2.0)
-
-    def test_half_exponent(self):
-        assert compute_gr(200, 100, 400) == pytest.approx(math.sqrt(2))
-
-    @pytest.mark.parametrize("args", [(-1, 100, 400), (100, 0, 400),
-                                      (100, 100, -5)])
-    def test_nonpositive_counts_rejected(self, args):
-        with pytest.raises(DataError):
-            compute_gr(*args)
-
-    def test_control_equals_day0_rejected(self):
-        with pytest.raises(DataError):
-            compute_gr(100, 200, 200)
-
-    @given(x0=st.floats(1.0, 1e3), xc=st.floats(1.0, 1e3))
-    def test_fixed_points(self, x0, xc):
-        # treated == control -> 2; treated == day-0 count -> 1
-        xctrl = x0 * 3.0
-        assert compute_gr(xctrl, x0, xctrl) == pytest.approx(2.0)
-        assert compute_gr(x0, x0, xctrl) == pytest.approx(1.0)
-
-
-class TestComputeIfd:
-    def test_equal_fractions(self):
-        assert compute_ifd(0.1, 0.1) == 0.0
-
-    def test_subtraction(self):
-        assert compute_ifd(0.3, 0.1) == pytest.approx(0.2)
-
-    def test_extreme_bounds(self):
-        assert compute_ifd(0.0, 1.0) == -1.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            compute_ifd(1.5, 0.1)
-        with pytest.raises(DataError):
-            compute_ifd(0.5, -0.1)
 
 
 class TestParseDataset:
@@ -210,22 +163,30 @@ class TestBuildResponseMatrix:
         lookup = {(table.cell_ids[a], table.molecule_ids[b]): gr
                   for a, b, gr in zip(table.cell, table.molecule, table.gr)}
         assert len(lookup) == 6
-        for i, cell in enumerate(mat.cell_index):
-            for j, mol in enumerate(mat.molecule_index):
+        for i, cell in enumerate(table.cell_ids):
+            for j, mol in enumerate(table.molecule_ids):
                 assert mat.values[i, j] == pytest.approx(lookup[(cell, mol)] - 1.0)
 
     def test_sorted_indices(self):
-        table = parse_rows(grid_rows(["zz", "aa"], ["m2", "m1"], [1.0]))
+        """Rows and columns follow the table's sorted cell_ids and
+        molecule_ids, not the order of the file."""
+        table = parse_rows(grid_rows(["zz", "aa"], ["m2", "m1"], [1.0],
+                                     value_fn=lambda i, j, c: 10 * i + j))
         mat = build_response_matrix(table, "gr", 1.0)
-        assert mat.cell_index == ["aa", "zz"]
-        assert mat.molecule_index == ["m1", "m2"]
+        assert table.cell_ids == ["aa", "zz"]
+        assert table.molecule_ids == ["m1", "m2"]
+        # gr - 1 = 10 i + j - 1 for the i-th cell and j-th molecule written
+        assert mat.values.tolist() == [[10.0, 9.0], [0.0, -1.0]]
 
     def test_matrices_share_no_index_list(self):
+        """Two matrices of one table share no array with each other."""
         table = parse_rows(grid_rows(["c1"], ["m1"], [1.0]))
         a = build_response_matrix(table, "gr", 1.0)
         b = build_response_matrix(table, "ifd", 1.0)
-        a.cell_index.append("x")
-        assert b.cell_index == table.cell_ids == ["c1"]
+        a.values += 5.0
+        a.mask[:] = 0.0
+        assert b.values.tolist() == [[table.ifd[0]]]
+        assert b.mask.tolist() == [[1.0]]
 
     def test_uncovered_concentration_rejected(self):
         table = parse_rows(grid_rows(["c1", "c2"], ["m1"], [1.0])
@@ -282,15 +243,17 @@ def outcome(fn, *args):
         return f"DataError: {e}"
 
 
-def assert_same_matrix(got, want):
+def assert_same_matrix(got, want, table):
+    """got, built from table, against the oracle's (matrix, row labels,
+    column labels) or the message of its DataError."""
     if isinstance(want, str):
         assert got == want
         return
+    want, cells, mols = want
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
     assert np.array_equal(got.mask, want.mask)
-    assert (got.cell_index, got.molecule_index, got.target) == (
-        want.cell_index, want.molecule_index, want.target)
+    assert (table.cell_ids, table.molecule_ids) == (cells, mols)
 
 
 def assert_matches_oracle(text, concentrations=None):
@@ -311,12 +274,12 @@ def assert_matches_oracle(text, concentrations=None):
         for target in ("gr", "ifd"):
             assert_same_matrix(
                 outcome(build_response_matrix, table, target, c),
-                outcome(oracles.response_matrix, obs, target, c))
+                outcome(oracles.response_matrix, obs, target, c), table)
 
 
 class TestAgainstRowwiseOracle:
-    """The columnar ingest gives the row-wise reference's values, index
-    lists, common set and errors."""
+    """The columnar ingest gives the row-wise reference's values, row and
+    column order, common set and errors."""
 
     def test_dataset_shaped_corpus(self):
         assert_matches_oracle(dataset_shaped_csv().getvalue())
@@ -435,6 +398,41 @@ class TestGenerateSynthetic:
     def test_rank_too_large(self):
         with pytest.raises(DataError):
             generate_synthetic(3, 4, 5, 0.0, seed=0)
+
+
+class TestMaskedMatrix:
+    """One checked form for one m x n problem and for a stack of them."""
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_shape_is_one_problems(self, lead):
+        mat = MaskedMatrix(np.zeros(lead + (4, 5)), np.ones(lead + (4, 5)))
+        assert mat.shape == (4, 5)
+        assert mat.values.shape == mat.mask.shape == lead + (4, 5)
+
+    @pytest.mark.parametrize("mask_shape", [(3, 4, 5), (2, 5, 4), (4, 5)])
+    def test_stacked_shape_mismatch_rejected(self, mask_shape):
+        with pytest.raises(DataError, match="must share one shape"):
+            MaskedMatrix(np.zeros((2, 4, 5)), np.ones(mask_shape))
+
+    def test_fewer_than_two_axes_rejected(self):
+        with pytest.raises(DataError, match="must share one shape"):
+            MaskedMatrix(np.zeros(5), np.ones(5))
+
+    @pytest.mark.parametrize("entry", [0.5, -1.0, 2.0, np.nan])
+    def test_stacked_non_binary_mask_rejected(self, entry):
+        mask = np.ones((3, 2, 2))
+        mask[2, 1, 0] = entry
+        with pytest.raises(DataError, match="0 or 1"):
+            MaskedMatrix(np.zeros((3, 2, 2)), mask)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_stacked_non_finite_observed_value_rejected(self, value):
+        values, mask = np.zeros((3, 2, 2)), np.ones((3, 2, 2))
+        values[1, 0, 1] = value
+        with pytest.raises(DataError, match="non-finite value"):
+            MaskedMatrix(values, mask)
+        mask[1, 0, 1] = 0.0
+        MaskedMatrix(values, mask)  # an unobserved value is never read
 
 
 # inputs that are not positions of a 3 x 4 matrix

@@ -102,8 +102,7 @@ def reference_with_mask(matrix, positions):
         if matrix.mask[i, j] != 1:
             raise DataError(f"position {(i, j)} is not observed")
         mask[i, j] = 1.0
-    return MaskedMatrix(matrix.values.copy(), mask, list(matrix.cell_index),
-                        list(matrix.molecule_index), matrix.target)
+    return MaskedMatrix(matrix.values.copy(), mask)
 
 
 def reference_feature_table(emb, positions, molecule_first=False):
@@ -418,7 +417,7 @@ def mlp_problem(layer_sizes, rows=37, seed=0, boundary_hits=True):
 
 
 MLP_LOSSES = [LossConfig(), LossConfig(beta=0.0),
-              LossConfig(beta=0.3, use_smooth_surrogate=False),
+              LossConfig(beta=0.3),
               THREE_BOUNDARIES]
 
 

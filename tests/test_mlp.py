@@ -180,7 +180,7 @@ class TestPenalizedLoss:
 class TestBackward:
     def test_perfect_predictions_surrogate_off(self):
         model = init_mlp([2, 3, 1], seed=1)
-        cfg = LossConfig(beta=0.1, use_smooth_surrogate=False)
+        cfg = LossConfig(beta=0.0)  # no penalty, and so no surrogate
         x = np.array([[0.1, 0.2], [0.3, -0.4]])
         t = predict_batch(model, x)
         assert not gradient(model, x, t, cfg).any()
@@ -200,9 +200,12 @@ class TestBackward:
         x = rng.uniform(-1, 1, size=(6, 3))
         t = rng.uniform(-1, 1, size=6)
         g0 = gradient(model, x, t, LossConfig(beta=0.0))
-        g_off = gradient(model, x, t,
-                         LossConfig(beta=0.5, use_smooth_surrogate=False))
-        np.testing.assert_array_equal(g0, g_off)
+        # beta = 0 reads no other penalty setting, and leaves the RMSE's
+        g_other = gradient(model, x, t, LossConfig(
+            beta=0.0, boundaries=(-0.5, 0.5), surrogate_sharpness=3.0))
+        np.testing.assert_array_equal(g0, g_other)
+        fd = fd_gradient(model, x, t, LossConfig(beta=0.0))
+        assert rel_error(g0, fd) < 1e-4
 
 
 class TestRmspropStep:
@@ -530,7 +533,7 @@ def reference_output_gradient(preds, truths, cfg):
     resid = preds - truths
     r = rmse(preds, truths)
     grad = np.zeros_like(preds) if r == 0 else resid / (n * r)
-    if cfg.beta != 0 and cfg.use_smooth_surrogate:
+    if cfg.beta != 0:
         kappa = cfg.surrogate_sharpness
         k = len(cfg.boundaries)
         for c in cfg.boundaries:
@@ -545,7 +548,7 @@ class TestInPlaceForms:
     call's values."""
 
     LOSSES = [LossConfig(), LossConfig(beta=0.0),
-              LossConfig(use_smooth_surrogate=False),
+              LossConfig(beta=0.3, surrogate_sharpness=3.0),
               LossConfig(boundaries=(-0.5, 0.0, 0.5))]
 
     @pytest.mark.parametrize("cfg", LOSSES)
@@ -566,8 +569,7 @@ class TestInPlaceForms:
         assert _output_gradient(preds, truths, cfg, out) == rmse(preds, truths)
         got = out[0]
         np.testing.assert_array_equal(got, want)
-        if case == "all_zero_residuals" and (
-                cfg.beta == 0 or not cfg.use_smooth_surrogate):
+        if case == "all_zero_residuals" and cfg.beta == 0:
             assert not got.any()
 
     @pytest.mark.parametrize("cfg", LOSSES)

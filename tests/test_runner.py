@@ -281,7 +281,11 @@ class TestConfigChecks:
         ({"column_map": ["gr"]}, "column_map must be null or an object "
          "mapping strings to strings, not ['gr']"),
         ({"dataset_path": 5}, "dataset_path must be null or a string, not 5"),
-        ({"output_dir": None}, "output_dir must be a string, not None")])
+        ({"output_dir": None}, "output_dir must be a string, not None"),
+        # a misspelt key would leave its column at the default header
+        ({"column_map": {"cel_id": "Cell HMS LINCS ID"}}, "unknown "
+         "column_map key 'cel_id'; known: cell_id, molecule_id, "
+         "concentration, gr, ifd")])
     def test_validate(self, monkeypatch, run, overrides, message):
         forbid_training(monkeypatch)
         with pytest.raises(ValueError) as e:
@@ -610,7 +614,10 @@ class TestCli:
 
     @pytest.mark.parametrize("alsdl, name", [
         ({"molecule_first": True, "hiden_sizes": [3]}, "alsdl.hiden_sizes"),
-        ({"loss": {"beta": 0.2, "bta": 0.1}}, "alsdl.loss.bta")])
+        ({"loss": {"beta": 0.2, "bta": 0.1}}, "alsdl.loss.bta"),
+        # a key that was removed: beta = 0 trains without the penalty
+        ({"loss": {"use_smooth_surrogate": False}},
+         "alsdl.loss.use_smooth_surrogate")])
     def test_config_file_unknown_alsdl_key(self, tmp_path, alsdl, name):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alsdl": alsdl}))
@@ -988,7 +995,10 @@ class TestRejectedInput:
         ({"models": "als"},
          "invalid config: models must be a tuple of names, not 'als'"),
         ({"strategies": "elm"},
-         "invalid config: strategies must be a tuple of names, not 'elm'")])
+         "invalid config: strategies must be a tuple of names, not 'elm'"),
+        ({"column_map": {"gr": "Mean GR", "IFD": "Dead"}}, "invalid config: "
+         "unknown column_map key 'IFD'; known: cell_id, molecule_id, "
+         "concentration, gr, ifd")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
         forbid_training(monkeypatch)
