@@ -19,6 +19,7 @@ import numpy as np
 
 from . import als as als_mod
 from . import alsdl as alsdl_mod
+from .als import check_fields, in_range
 from .data import MaskedMatrix
 from .metrics import Scorer
 
@@ -28,23 +29,17 @@ STRATEGIES = ("orderly", "random", "uncertainty", "elm")
 
 @dataclass(frozen=True)
 class ActiveConfig:
-    n_init: int = 40
-    n_per_query: int = 40
-    n_max_query: int = 8
+    n_init: int = in_range(40, ">= 1")
+    n_per_query: int = in_range(40, ">= 1")
+    n_max_query: int = in_range(8, ">= 0")
     strategy: str = "elm"  # one of STRATEGIES
-    elm_inner_epochs: int = 200
+    elm_inner_epochs: int = in_range(200, ">= 1")
     # when set, ELM scores only a seeded random subset of the pool
-    elm_candidate_subsample: int = None
-    orderly_column_major: bool = False
-    seed: int = 0
+    elm_candidate_subsample: int | None = in_range(None, ">= 1")
+    seed: int = in_range(0, ">= 0")
 
     def __post_init__(self):
-        for name, minimum in (("n_init", 1), ("n_per_query", 1),
-                              ("n_max_query", 0), ("elm_inner_epochs", 1)):
-            als_mod.check_count(name, getattr(self, name), minimum)
-        if self.elm_candidate_subsample is not None:
-            als_mod.check_count("elm_candidate_subsample",
-                                self.elm_candidate_subsample)
+        check_fields(self)
         if self.strategy not in STRATEGIES:
             raise als_mod.ConfigError(
                 "strategy", f"unknown strategy {self.strategy!r}; known: "
@@ -77,12 +72,9 @@ def init_state(matrix, cfg):
                        pool=np.delete(positions, picked))
 
 
-def query_orderly(state, n, column_major=False):
+def query_orderly(state, n):
     if not state.pool.size:
         raise ValueError("empty pool")
-    if column_major:
-        rows, cols = np.divmod(state.pool, state.matrix.shape[1])
-        return state.pool[np.lexsort((rows, cols))[:n]]
     return np.sort(state.pool)[:n]
 
 
@@ -190,7 +182,7 @@ def query_elm(state, model, n, cfg, inner_seed=0):
 
 def _select(state, model, cfg, round_seed):
     if cfg.strategy == "orderly":
-        return query_orderly(state, cfg.n_per_query, cfg.orderly_column_major)
+        return query_orderly(state, cfg.n_per_query)
     if cfg.strategy == "random":
         return query_random(state, cfg.n_per_query, seed=round_seed)
     if cfg.strategy == "uncertainty":

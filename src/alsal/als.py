@@ -24,9 +24,13 @@ product overflows are reported at the next epoch, which that product
 makes non-finite.
 """
 
+import math
 import numbers
-from dataclasses import dataclass
-from typing import NamedTuple
+import operator
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
+from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -46,21 +50,70 @@ class DivergenceError(RuntimeError):
 class ConfigError(ValueError):
     """A config value that is out of place: one the loaded data cannot
     satisfy (`key` is its dotted name in the config), or one a config
-    dataclass rejects (`key` is its field name)."""
+    dataclass rejects (`key` is the dotted name below that dataclass)."""
 
     def __init__(self, key, message):
         super().__init__(message)
         self.key = key
 
 
-def check_count(name, value, minimum=1):
-    """Raise ValueError unless value is an integer, not a bool, of at least
-    minimum. The config dataclasses check their counts with it."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < minimum):
-        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
-            minimum, f"an integer of at least {minimum}")
-        raise ValueError(f"{name} must be {kind}, not {value!r}")
+def in_range(default, bounds):
+    """A config field with this default whose number, or each number of
+    its tuple, meets bounds: "any", or comparisons joined by " and ", as
+    in ">= 0 and < 1". Every int and float field declares one."""
+    return field(default=default, metadata={"range": bounds})
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+
+@cache
+def _rule(tp, bounds):
+    """(test, kind) for a field annotated tp with range bounds (None if
+    undeclared): test(value) tells whether value fits, kind what fits."""
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        test, kind = _rule(args[0], bounds)
+        return (lambda v: v is None or test(v)), f"null or {kind}"
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        test, kind = _rule(args[0], bounds)
+        return (lambda v: isinstance(v, tuple) and all(map(test, v)),
+                f"a tuple, each {kind}")
+    if get_origin(tp) is dict:
+        (test_k, kind_k), (test_v, kind_v) = (_rule(a, None) for a in args)
+        return (lambda v: isinstance(v, dict) and all(map(test_k, v))
+                and all(map(test_v, v.values())),
+                f"a dict, each key {kind_k} and each value {kind_v}")
+    if tp in (int, float):  # a bool is neither; a float is finite
+        if bounds is None:
+            raise TypeError(f"a {tp.__name__} field needs a declared range")
+        limits = [(_COMPARE[op], float(x)) for op, x in (
+            b.split() for b in bounds.split(" and ") if b != "any")]
+        number, top = ((numbers.Integral, math.inf) if tp is int
+                       else (numbers.Real, sys.float_info.max))
+        kind = "an integer" if tp is int else "a finite number"
+        return (lambda v: isinstance(v, number) and not isinstance(v, bool)
+                and -top <= v <= top and all(c(v, x) for c, x in limits),
+                kind if bounds == "any" else f"{kind} {bounds}")
+    if tp in (bool, str) or is_dataclass(tp):
+        return (lambda v: isinstance(v, tp)), {
+            bool: "true or false", str: "a string"}.get(tp, f"a {tp.__name__}")
+    raise TypeError(f"unsupported config annotation {tp!r}")
+
+
+def check_fields(config, tree=False, prefix=""):
+    """Raise ConfigError, keyed by the field's dotted name after prefix,
+    unless each field of the config dataclass holds a value of its
+    annotated type within its declared range (see in_range); with tree,
+    each config dataclass it holds too. Values are kept as they are."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        test, kind = _rule(f.type, f.metadata.get("range"))
+        if not test(value):
+            raise ConfigError(prefix + f.name,
+                              f"{f.name} must be {kind}, not {value!r}")
+        if tree and is_dataclass(value):
+            check_fields(value, tree, f"{prefix}{f.name}.")
 
 
 @dataclass(frozen=True)
@@ -75,18 +128,17 @@ class EmbeddingPair:
 
 @dataclass(frozen=True)
 class AlsConfig:
-    d: int = 5
-    learning_rate: float = 0.01
-    epochs: int = 400
-    init_scale: float = 0.1
-    seed: int = 0
+    d: int = in_range(5, ">= 1")
+    learning_rate: float = in_range(0.01, "> 0")
+    epochs: int = in_range(400, ">= 1")
+    init_scale: float = in_range(0.1, ">= 0")
+    seed: int = in_range(0, ">= 0")
     # epoch semantics: by default w's gradient is recomputed after x moves
     # (true alternation); True applies both updates from the same residual
     simultaneous_updates: bool = False
 
     def __post_init__(self):
-        check_count("d", self.d)
-        check_count("epochs", self.epochs)
+        check_fields(self)
 
 
 def init_embeddings(m, n, cfg):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import als as als_mod
 from . import mlp as mlp_mod
-from .als import AlsConfig, EmbeddingPair
+from .als import AlsConfig, EmbeddingPair, check_fields, in_range
 from .data import as_positions
 from .mlp import LossConfig, MlpModel, MlpTrainConfig
 
@@ -21,9 +21,10 @@ class AlsdlConfig:
     als: AlsConfig = field(default_factory=lambda: AlsConfig(epochs=200))
     mlp_train: MlpTrainConfig = field(default_factory=MlpTrainConfig)
     loss: LossConfig = field(default_factory=LossConfig)
-    hidden_sizes: tuple = (20, 10, 5)
-    # cell embedding first in the feature vector; flip for ablation
-    molecule_first: bool = False
+    hidden_sizes: tuple[int, ...] = in_range((20, 10, 5), ">= 1")
+
+    def __post_init__(self):
+        check_fields(self)
 
     def seeded(self, seed):
         """Seed the factor model with seed and the network with seed + 1."""
@@ -40,12 +41,11 @@ class AlsdlModel:
     cfg: AlsdlConfig
 
 
-def build_features(emb, positions, molecule_first=False):
+def build_features(emb, positions):
     """Feature rows [cell row, molecule column], (k, 2d), one per position."""
     n = emb.w.shape[1]
     rows, cols = np.divmod(as_positions(positions, emb.x.shape[0] * n), n)
-    cells, mols = emb.x[rows], emb.w.T[cols]
-    return np.hstack((mols, cells) if molecule_first else (cells, mols))
+    return np.hstack((emb.x[rows], emb.w.T[cols]))
 
 
 def train_alsdl(matrix, cfg, eval_split=None, stage1=None):
@@ -63,7 +63,7 @@ def train_alsdl(matrix, cfg, eval_split=None, stage1=None):
     emb, curve = stage1
 
     positions = matrix.observed_positions()
-    inputs = build_features(emb, positions, cfg.molecule_first)
+    inputs = build_features(emb, positions)
     truths = matrix.values.ravel()[positions]
 
     net = mlp_mod.init_mlp([2 * emb.d, *cfg.hidden_sizes, 1],
@@ -77,6 +77,5 @@ def train_alsdl(matrix, cfg, eval_split=None, stage1=None):
 
 def alsdl_predict_positions(model, positions):
     """Predictions at the given positions."""
-    feats = build_features(model.embeddings, positions,
-                           model.cfg.molecule_first)
+    feats = build_features(model.embeddings, positions)
     return mlp_mod.predict_batch(model.net, feats)

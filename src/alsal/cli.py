@@ -3,6 +3,7 @@
 import argparse
 import json
 from dataclasses import fields, is_dataclass, replace
+from typing import get_args
 
 from .runner import (ConfigError, ExperimentConfig, SyntheticSpec,
                      aggregate_concentrations, run_al_study, run_benchmark,
@@ -91,13 +92,12 @@ def build_parser():
 
 def _from_json(cls, raw, where="", default=None):
     """Dataclass cls from a JSON object: default (cls() if None) with the
-    object's fields replaced. Fields typed as dataclasses are built the
-    same way on default's value (null only where the default is None), so
-    a field left out keeps the value its enclosing default gives it, not
-    its class default; lists become tuples. An unknown key, a non-object
-    where an object belongs, or a value the dataclass itself rejects exits
-    with its dotted name: the field's when the dataclass raises a
-    ConfigError, else the dataclass's."""
+    object's fields replaced. Fields annotated with a dataclass are built
+    the same way on default's value (null only where the default is None),
+    so a field left out keeps the value its enclosing default gives it,
+    not its class default; lists become tuples. An unknown key, a
+    non-object where an object belongs, or a value the dataclass rejects
+    exits with its dotted name."""
     if not isinstance(raw, dict):
         raise SystemExit(f"config key {where[:-1]!r} must be an object"
                          if where else "config must be a JSON object")
@@ -108,8 +108,9 @@ def _from_json(cls, raw, where="", default=None):
         if key not in known:
             raise SystemExit(f"unknown config key {where + key!r}")
         f = known[key]
-        if is_dataclass(f.type) and not (value is None and f.default is None):
-            value = _from_json(f.type, value, f"{where}{key}.",
+        sub = [t for t in (f.type, *get_args(f.type)) if is_dataclass(t)]
+        if sub and not (value is None and f.default is None):
+            value = _from_json(sub[0], value, f"{where}{key}.",
                                getattr(base, key))
         elif isinstance(value, list):
             value = tuple(value)
@@ -118,9 +119,6 @@ def _from_json(cls, raw, where="", default=None):
         return replace(base, **kwargs)
     except ConfigError as e:
         raise SystemExit(f"invalid config key {where + e.key!r}: {e}") from e
-    except (TypeError, ValueError) as e:
-        raise SystemExit(f"invalid config key {where[:-1]!r}: {e}"
-                         if where else f"invalid config: {e}") from e
 
 
 def _config_from_json(path):
@@ -141,15 +139,19 @@ def resolve_config(args):
     cfg = _config_from_json(args.config) if args.config else ExperimentConfig()
     if args.dataset is not None or args.synthetic is not None:
         cfg = replace(cfg, dataset_path=None, synthetic=None)
-    try:
-        for dest, keys in FLAG_KEYS.items():
-            value = getattr(args, dest, None)  # a subcommand has a subset
-            for key in keys if value is not None else ():
+    for dest, keys in FLAG_KEYS.items():
+        value = getattr(args, dest, None)  # a subcommand has a subset
+        for key in keys if value is not None else ():
+            try:
                 cfg = _set(cfg, key, value)
-    except ValueError as e:
-        raise SystemExit(f"invalid option: {e}") from e
+            except ConfigError as e:
+                raise SystemExit(
+                    f"invalid config key {key!r} (set by "
+                    f"--{dest.replace('_', '-')}): {e}") from e
     try:
         cfg.validate()
+    except ConfigError as e:
+        raise SystemExit(f"invalid config key {e.key!r}: {e}") from e
     except ValueError as e:
         raise SystemExit(f"invalid config: {e}") from e
     return cfg

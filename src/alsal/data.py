@@ -75,30 +75,32 @@ def as_positions(positions, size):
     return pos.astype(np.intp, copy=False)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MaskedMatrix:
     """Response values with a 0-1 observation mask: one m x n problem, or
     a stack of them whose leading axes are batch axes, (..., m, n) each.
 
     Rows are cells and columns molecules; a matrix built from a Dataset
     has its sorted cell_ids and molecule_ids in that order.
-    observed_positions and with_mask take one problem.
+    observed_positions and with_mask take one problem. Frozen, so that
+    values and mask are never replaced unchecked.
     """
 
     values: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=float)
-        if self.values.ndim < 2 or self.mask.shape != self.values.shape:
-            raise DataError(f"values {self.values.shape} and mask "
-                            f"{self.mask.shape} must share one shape "
-                            "(..., m, n)")
-        if not np.all((self.mask == 0) | (self.mask == 1)):
+        values = np.asarray(self.values, dtype=float)
+        mask = np.asarray(self.mask, dtype=float)
+        if values.ndim < 2 or mask.shape != values.shape:
+            raise DataError(f"values {values.shape} and mask {mask.shape} "
+                            "must share one shape (..., m, n)")
+        if not np.all((mask == 0) | (mask == 1)):
             raise DataError("mask entries must be 0 or 1")
-        if not np.all(np.isfinite(self.values[self.mask == 1])):
+        if not np.all(np.isfinite(values[mask == 1])):
             raise DataError("non-finite value at an observed position")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def shape(self):

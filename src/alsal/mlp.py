@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .als import DivergenceError, check_count
+from .als import ConfigError, DivergenceError, check_fields, in_range
 from .metrics import Curve, Scorer, residual_rmse
 
 
@@ -80,28 +80,28 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class LossConfig:
-    beta: float = 0.1
-    boundaries: tuple = (0.0,)
-    surrogate_sharpness: float = 10.0
+    beta: float = in_range(0.1, ">= 0")
+    boundaries: tuple[float, ...] = in_range((0.0,), "any")
+    surrogate_sharpness: float = in_range(10.0, "> 0")
 
     def __post_init__(self):
+        check_fields(self)
         b = self.boundaries
-        if (not isinstance(b, tuple) or not b
-                or any(lo >= hi for lo, hi in zip(b, b[1:]))):
-            raise ValueError("boundaries must be a non-empty, strictly "
-                             f"increasing tuple, not {b!r}")
+        if not b or any(lo >= hi for lo, hi in zip(b, b[1:])):
+            raise ConfigError("boundaries", "boundaries must be a non-empty, "
+                              f"strictly increasing tuple, not {b!r}")
 
 
 @dataclass(frozen=True)
 class MlpTrainConfig:
-    epochs: int = 200
-    rmsprop_learning_rate: float = 0.001
-    rmsprop_decay: float = 0.9
-    rmsprop_epsilon: float = 1e-8
-    seed: int = 0
+    epochs: int = in_range(200, ">= 0")
+    rmsprop_learning_rate: float = in_range(0.001, "> 0")
+    rmsprop_decay: float = in_range(0.9, ">= 0 and < 1")
+    rmsprop_epsilon: float = in_range(1e-8, "> 0")
+    seed: int = in_range(0, ">= 0")
 
     def __post_init__(self):
-        check_count("epochs", self.epochs, minimum=0)
+        check_fields(self)
 
 
 def init_mlp(layer_sizes, seed):

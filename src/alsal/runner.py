@@ -14,10 +14,8 @@ manifest records the environment; the data CSVs do not depend on it."""
 import csv
 import hashlib
 import json
-import numbers
 import os
 import platform
-import sys
 import time
 from dataclasses import dataclass, field, asdict, replace
 from itertools import repeat
@@ -33,7 +31,8 @@ from . import alsdl as alsdl_mod
 from . import data as data_mod
 from .active import ActiveConfig
 from .alsdl import AlsdlConfig
-from .als import AlsConfig, ConfigError, DivergenceError, check_count
+from .als import (AlsConfig, ConfigError, DivergenceError, check_fields,
+                  in_range)
 from .metrics import kfold_split
 
 SCHEMA_VERSION = 2
@@ -61,93 +60,63 @@ _PER_UNIT = {"als.seed": "seeds", "alsdl.als.seed": "seeds",
 
 @dataclass
 class SyntheticSpec:
-    m: int = 35
-    n: int = 34
-    rank: int = 5
-    noise_sd: float = 0.0
+    m: int = in_range(35, ">= 1")
+    n: int = in_range(34, ">= 1")
+    rank: int = in_range(5, ">= 1")
+    noise_sd: float = in_range(0.0, ">= 0")
 
     def __post_init__(self):
-        for name in ("m", "n", "rank"):
-            check_count(name, getattr(self, name))
+        check_fields(self)
         if self.rank > min(self.m, self.n):
-            raise ValueError(f"rank {self.rank} exceeds min(m, n) = "
-                             f"{min(self.m, self.n)}")
-        if not self.noise_sd >= 0:
-            raise ValueError(f"noise_sd must be >= 0, not {self.noise_sd!r}")
+            raise ConfigError("rank", f"rank {self.rank} exceeds min(m, n) = "
+                              f"{min(self.m, self.n)}")
 
 
 @dataclass
 class ExperimentConfig:
-    dataset_path: str = None
-    synthetic: SyntheticSpec = None
-    targets: tuple = ("gr", "ifd")
-    concentrations: tuple = None  # None = all fully-covered ones
-    models: tuple = ("als", "alsdl")
-    strategies: tuple = ("orderly", "random", "uncertainty", "elm")
-    seeds: tuple = (0,)
-    folds: int = 10
+    dataset_path: str | None = None
+    synthetic: SyntheticSpec | None = None
+    targets: tuple[str, ...] = ("gr", "ifd")
+    # None = all fully-covered ones
+    concentrations: tuple[float, ...] | None = in_range(None, "> 0")
+    models: tuple[str, ...] = ("als", "alsdl")
+    strategies: tuple[str, ...] = ("orderly", "random", "uncertainty", "elm")
+    seeds: tuple[int, ...] = in_range((0,), ">= 0")
+    folds: int = in_range(10, ">= 2")
     als: AlsConfig = field(default_factory=AlsConfig)
     alsdl: AlsdlConfig = field(default_factory=AlsdlConfig)
     active: ActiveConfig = field(default_factory=ActiveConfig)
-    column_map: dict = None
+    column_map: dict[str, str] | None = None
     output_dir: str = "out"
 
+    def __post_init__(self):
+        check_fields(self)
+
     def validate(self):
-        if not isinstance(self.seeds, tuple):
-            raise ValueError(f"seeds must be a tuple of integers, not "
-                             f"{self.seeds!r}")
-        if not self.seeds:
-            raise ValueError("at least one seed required")
-        for seed in self.seeds:
-            check_count("each seed", seed, minimum=0)
+        """Check the fields of the whole tree again, ExperimentConfig being
+        mutable, then the rules across fields: a source is given, names are
+        known, none is repeated, and the keys each unit sets are left alone."""
+        check_fields(self, tree=True)
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("either dataset_path or synthetic must be given")
-        cmap = self.column_map
-        for key, ok, kind in (
-                ("dataset_path", self.dataset_path is None
-                 or isinstance(self.dataset_path, str), "null or a string"),
-                ("output_dir", isinstance(self.output_dir, str), "a string"),
-                ("column_map", cmap is None or isinstance(cmap, dict) and all(
-                    isinstance(s, str) for s in (*cmap, *cmap.values())),
-                 "null or an object mapping strings to strings")):
-            if not ok:
-                raise ValueError(f"{key} must be {kind}, not "
-                                 f"{getattr(self, key)!r}")
-        for key in cmap or ():
+        for key in self.column_map or ():
             if key not in data_mod.DEFAULT_COLUMNS:
                 raise ValueError(f"unknown column_map key {key!r}; known: "
                                  f"{', '.join(data_mod.DEFAULT_COLUMNS)}")
-        if self.concentrations is not None:
-            if not isinstance(self.concentrations, tuple):
-                raise ValueError(f"concentrations must be a tuple of numbers, "
-                                 f"not {self.concentrations!r}")
-            for c in self.concentrations:
-                # finite, and for an int, within a float's range
-                if (isinstance(c, bool) or not isinstance(c, numbers.Real)
-                        or not 0 < c <= sys.float_info.max):
-                    raise ValueError(f"each concentration must be a finite "
-                                     f"number > 0, not {c!r}")
-        for key, kind, known in (
-                ("targets", "target", ("gr", "ifd")),
-                ("models", "model", MODELS),
-                ("strategies", "strategy", active_mod.STRATEGIES)):
-            names = getattr(self, key)
-            if not isinstance(names, tuple):
-                raise ValueError(f"{key} must be a tuple of names, not "
-                                 f"{names!r}")
-            if not names:
+        concs = tuple(map(float, self.concentrations or ()))
+        for kind, names, known in (
+                ("target", self.targets, ("gr", "ifd")),
+                ("model", self.models, MODELS),
+                ("strategy", self.strategies, active_mod.STRATEGIES),
+                ("seed", self.seeds, None), ("concentration", concs, None)):
+            if not names and kind != "concentration":
                 raise ValueError(f"empty {kind} list")
-            for name in names:
+            for name in names if known else ():
                 if name not in known:
                     raise ValueError(f"unknown {kind} {name!r}; known: "
                                      f"{', '.join(known)}")
-        concs = tuple(map(float, self.concentrations or ()))
-        for kind, names in (("target", self.targets), ("model", self.models),
-                            ("strategy", self.strategies),
-                            ("seed", self.seeds), ("concentration", concs)):
             if len(set(names)) < len(names):  # units with the same key
                 raise ValueError(f"repeated {kind} in {names!r}")
-        check_count("folds", self.folds, minimum=2)
         defaults = ExperimentConfig()
         for key, run_field in _PER_UNIT.items():
             value = attrgetter(key)(self)

@@ -19,7 +19,7 @@ from alsal.runner import (ExperimentConfig, SyntheticSpec, run_al_study,
                           run_benchmark, write_report)
 
 from oracles import als_rmse, sign_penalty
-from test_als import finite_difference_gradients, full_matrix
+from test_als import finite_difference_gradients
 from test_mlp import fd_gradient, gradient, rel_error
 from test_active import brute_force_elm, fast_model_cfg
 
@@ -41,9 +41,10 @@ def test_als_gradient_correctness():
     for _ in range(50):
         m, n = rng.integers(2, 9, size=2)
         d = int(rng.integers(1, 5))
-        mat = full_matrix(rng.uniform(-1, 1, size=(m, n)))
-        mat.mask = (rng.uniform(size=(m, n)) < 0.7).astype(float)
-        mat.mask[0, 0] = 1.0
+        values = rng.uniform(-1, 1, size=(m, n))
+        mask = (rng.uniform(size=(m, n)) < 0.7).astype(float)
+        mask[0, 0] = 1.0
+        mat = MaskedMatrix(values, mask)
         emb = EmbeddingPair(rng.uniform(-1, 1, size=(m, d)),
                             rng.uniform(-1, 1, size=(d, n)))
         gx, gw = als_gradients(mat, emb)

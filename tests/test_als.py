@@ -5,9 +5,10 @@ import pytest
 
 import alsal.als as als_mod
 from alsal.data import MaskedMatrix, generate_synthetic
-from alsal.als import (AlsConfig, DivergenceError, EmbeddingPair, EpochWork,
-                       als_epoch, als_gradients, als_loss, check_count,
+from alsal.als import (AlsConfig, ConfigError, DivergenceError, EmbeddingPair,
+                       EpochWork, als_epoch, als_gradients, als_loss,
                        init_embeddings, train_als)
+from alsal.mlp import MlpTrainConfig
 from alsal.metrics import FoldSplit, kfold_split
 from oracles import als_rmse, stepped_als
 
@@ -70,24 +71,58 @@ def epoch_problem(stack, seed, m=7, n=6, d=3):
     return matrix, emb
 
 
-class TestCheckCount:
-    @pytest.mark.parametrize("value, minimum", [
-        (0, 0), (1, 1), (2, 2), (np.int64(5), 3), (10**20, 2)])
-    def test_accepts(self, value, minimum):
-        check_count("k", value, minimum)
+class TestCheckFields:
+    """A config dataclass checks each field against its annotation and
+    declared range when it is built, and stores the value unchanged."""
 
-    @pytest.mark.parametrize("value, minimum, message", [
-        (-1, 0, "k must be a non-negative integer, not -1"),
-        (0, 1, "k must be a positive integer, not 0"),
-        (1, 2, "k must be an integer of at least 2, not 1"),
-        (2, 3, "k must be an integer of at least 3, not 2"),
-        (True, 1, "k must be a positive integer, not True"),
-        (2.0, 2, "k must be an integer of at least 2, not 2.0"),
-        ("3", 0, "k must be a non-negative integer, not '3'")])
-    def test_rejects(self, value, minimum, message):
-        with pytest.raises(ValueError) as e:
-            check_count("k", value, minimum)
-        assert str(e.value) == message
+    @pytest.mark.parametrize("value", [1, np.int64(5), 10**20])
+    def test_count_accepted(self, value):
+        assert AlsConfig(d=value).d is value
+
+    @pytest.mark.parametrize("value", [0, -1, True, 2.0, "3", None])
+    def test_count_rejected(self, value):
+        with pytest.raises(ConfigError) as e:
+            AlsConfig(d=value)
+        assert e.value.key == "d"
+        assert str(e.value) == f"d must be an integer >= 1, not {value!r}"
+
+    @pytest.mark.parametrize("value", [1, 1e-300, 1e308, np.float64(0.5)])
+    def test_number_accepted(self, value):
+        # an int stays an int, so a manifest keeps its bytes
+        assert AlsConfig(learning_rate=value).learning_rate is value
+
+    @pytest.mark.parametrize("value", [
+        0, 0.0, -1, float("nan"), float("inf"), -float("inf"), 10**400,
+        True, "x", None])
+    def test_number_rejected(self, value):
+        with pytest.raises(ConfigError) as e:
+            AlsConfig(learning_rate=value)
+        assert e.value.key == "learning_rate"
+        assert str(e.value) == ("learning_rate must be a finite number > 0, "
+                                f"not {value!r}")
+
+    @pytest.mark.parametrize("value, ok", [
+        (0, True), (0.0, True), (0.999, True), (1, False), (1.5, False),
+        (-0.1, False)])
+    def test_two_bounds(self, value, ok):
+        if ok:
+            assert MlpTrainConfig(rmsprop_decay=value).rmsprop_decay is value
+        else:
+            with pytest.raises(ConfigError, match="rmsprop_decay must be a "
+                               "finite number >= 0 and < 1, not"):
+                MlpTrainConfig(rmsprop_decay=value)
+
+    @pytest.mark.parametrize("value", [1, 0, "yes", None])
+    def test_bool_rejects_everything_else(self, value):
+        with pytest.raises(ConfigError) as e:
+            AlsConfig(simultaneous_updates=value)
+        assert str(e.value) == ("simultaneous_updates must be true or false, "
+                                f"not {value!r}")
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ConfigError) as e:
+            replace(AlsConfig(), init_scale=-0.5)
+        assert e.value.key == "init_scale"
 
 
 class TestInitEmbeddings:
@@ -119,8 +154,7 @@ class TestAlsLoss:
         assert als_loss(mat, emb) == 0.0
 
     def test_single_masked_position(self):
-        mat = full_matrix([[1, 2], [3, 4]])
-        mat.mask = np.array([[1.0, 0.0], [0.0, 0.0]])
+        mat = MaskedMatrix([[1, 2], [3, 4]], [[1.0, 0.0], [0.0, 0.0]])
         emb = EmbeddingPair(np.zeros((2, 1)), np.zeros((1, 2)))
         assert als_loss(mat, emb) == pytest.approx(0.5)
 
@@ -140,8 +174,7 @@ class TestAlsGradients:
         assert np.all(gx == 0) and np.all(gw == 0)
 
     def test_zero_mask(self):
-        mat = full_matrix([[1, 2], [3, 4]])
-        mat.mask = np.zeros((2, 2))
+        mat = MaskedMatrix([[1, 2], [3, 4]], np.zeros((2, 2)))
         emb = EmbeddingPair(np.ones((2, 2)), np.ones((2, 2)))
         gx, gw = als_gradients(mat, emb)
         assert np.all(gx == 0) and np.all(gw == 0)
@@ -302,9 +335,10 @@ class TestTrainAls:
 
     def test_masked_values_never_influence_training(self):
         rng = np.random.default_rng(0)
-        mat = full_matrix(rng.normal(size=(4, 4)))
-        mat.mask = (rng.uniform(size=(4, 4)) < 0.6).astype(float)
-        mat.mask[0, 0] = 1.0
+        values = rng.normal(size=(4, 4))
+        mask = (rng.uniform(size=(4, 4)) < 0.6).astype(float)
+        mask[0, 0] = 1.0
+        mat = MaskedMatrix(values, mask)
         cfg = AlsConfig(d=2, epochs=20, seed=5)
         emb1, _ = train_als(mat, cfg)
         flipped = MaskedMatrix(mat.values.copy(), mat.mask.copy())

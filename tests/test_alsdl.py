@@ -24,12 +24,6 @@ class TestBuildFeatures:
         np.testing.assert_array_equal(build_features(emb, [0]),
                                       [[1.0, 2.0, 3.0, 4.0]])
 
-    def test_molecule_first(self):
-        emb = EmbeddingPair(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(
-            build_features(emb, [0], molecule_first=True),
-            [[3.0, 4.0, 1.0, 2.0]])
-
     def test_zero_embeddings(self):
         emb = EmbeddingPair(np.zeros((2, 5)), np.zeros((5, 3)))
         feats = build_features(emb, [1 * 3 + 2])

@@ -183,7 +183,7 @@ class TestBuildResponseMatrix:
         table = parse_rows(grid_rows(["c1"], ["m1"], [1.0]))
         a = build_response_matrix(table, "gr", 1.0)
         b = build_response_matrix(table, "ifd", 1.0)
-        a.values += 5.0
+        a.values[:] += 5.0
         a.mask[:] = 0.0
         assert b.values.tolist() == [[table.ifd[0]]]
         assert b.mask.tolist() == [[1.0]]

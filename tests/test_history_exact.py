@@ -105,13 +105,9 @@ def reference_with_mask(matrix, positions):
     return MaskedMatrix(matrix.values.copy(), mask)
 
 
-def reference_feature_table(emb, positions, molecule_first=False):
-    rows = []
-    for i, j in positions:
-        parts = ((emb.w[:, j], emb.x[i]) if molecule_first
-                 else (emb.x[i], emb.w[:, j]))
-        rows.append(np.concatenate(parts))
-    return np.stack(rows)
+def reference_feature_table(emb, positions):
+    return np.stack([np.concatenate((emb.x[i], emb.w[:, j]))
+                     for i, j in positions])
 
 
 def reference_train_als(matrix, cfg, split=None):
@@ -244,7 +240,7 @@ def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
 def reference_train_alsdl(matrix, cfg, split=None):
     emb, als_history = reference_train_als(matrix, cfg.als, split)
     positions = observed_pairs(matrix)
-    inputs = reference_feature_table(emb, positions, cfg.molecule_first)
+    inputs = reference_feature_table(emb, positions)
     truths = matrix.values[tuple(zip(*positions))]
     net = init_mlp([2 * emb.d, *cfg.hidden_sizes, 1], seed=cfg.mlp_train.seed)
     net, history = reference_train_mlp(
@@ -307,15 +303,13 @@ class TestAlsHistory:
 
 class TestAlsdlHistory:
     @pytest.mark.parametrize("loss", [LossConfig(), THREE_BOUNDARIES])
-    @pytest.mark.parametrize("molecule_first", [False, True])
     @pytest.mark.parametrize("with_split", [True, False])
-    def test_matches_reference(self, loss, molecule_first, with_split):
+    def test_matches_reference(self, loss, with_split):
         mat = holey_matrix(seed=5)
         split = split_for(mat, seed=1) if with_split else None
         cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=15, seed=2),
                           mlp_train=MlpTrainConfig(epochs=25, seed=3),
-                          loss=loss, hidden_sizes=(8, 4),
-                          molecule_first=molecule_first)
+                          loss=loss, hidden_sizes=(8, 4))
         model, hist = train_alsdl(mat, cfg, eval_split=split)
         _, net_ref, hist_ref = reference_train_alsdl(mat, cfg, split)
         assert_same_net(model.net, net_ref)
@@ -386,16 +380,13 @@ class TestWithMask:
 
 
 class TestFeatureTable:
-    @pytest.mark.parametrize("molecule_first", [False, True])
-    def test_matches_stacked_rows(self, molecule_first):
+    def test_matches_stacked_rows(self):
         mat, _ = generate_synthetic(5, 4, 2, 0.0, seed=1)
         emb = init_embeddings(5, 4, AlsConfig(d=3, seed=2))
         positions = mat.observed_positions()[::-1]
-        want = reference_feature_table(emb, to_pairs(positions, 4),
-                                       molecule_first)
+        want = reference_feature_table(emb, to_pairs(positions, 4))
         for given in (positions, positions.tolist()):
-            np.testing.assert_array_equal(
-                build_features(emb, given, molecule_first), want)
+            np.testing.assert_array_equal(build_features(emb, given), want)
 
     # flat indices into 5 x 4: (0, -1), (-1, 0), (5, 0), and far past the end
     @pytest.mark.parametrize("bad", [[-1], [-4], [20], [2**40]])

@@ -4,16 +4,19 @@ import json
 import math
 import os
 import platform
+import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from operator import attrgetter
+from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
 
 import alsal
 from alsal.active import ActiveConfig
-from alsal.als import AlsConfig, DivergenceError
+from alsal.als import AlsConfig, DivergenceError, _rule, check_fields
 from alsal.alsdl import AlsdlConfig
 from alsal.cli import (FLAG_KEYS, _config_from_json, build_parser, main,
                        resolve_config)
@@ -22,6 +25,14 @@ from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import (MODELS, ConfigError, ExperimentConfig,
                           SyntheticSpec, aggregate_concentrations,
                           run_al_study, run_benchmark, write_report, Report)
+
+
+COLUMN_MAP_KIND = "null or a dict, each key a string and each value a string"
+CONCENTRATIONS_KIND = "null or a tuple, each a finite number > 0"
+CONCENTRATIONS_ERROR = ("invalid config key 'concentrations': concentrations "
+                        f"must be {CONCENTRATIONS_KIND}")
+SEEDS_ERROR = ("invalid config key 'seeds': seeds must be a tuple, each an "
+               "integer >= 0")
 
 
 def small_config(**overrides):
@@ -256,9 +267,9 @@ class TestConfigChecks:
          "unknown model 'foo'; known: als, alsdl"),
         ({"strategies": ("random", "rand")},
          "unknown strategy 'rand'; known: orderly, random, uncertainty, elm"),
-        ({"folds": 1}, "folds must be an integer of at least 2, not 1"),
-        ({"folds": 2.0}, "folds must be an integer of at least 2, not 2.0"),
-        ({"folds": True}, "folds must be an integer of at least 2, not True"),
+        ({"folds": 1}, "folds must be an integer >= 2, not 1"),
+        ({"folds": 2.0}, "folds must be an integer >= 2, not 2.0"),
+        ({"folds": True}, "folds must be an integer >= 2, not True"),
         ({"models": ("als", "alsdl", "als")},
          "repeated model in ('als', 'alsdl', 'als')"),
         ({"strategies": ("elm", "elm")},
@@ -272,14 +283,13 @@ class TestConfigChecks:
         ({"concentrations": (2 ** 53 + 1, 2.0 ** 53)},
          "repeated concentration in (9007199254740992.0, "
          "9007199254740992.0)"),
-        ({"column_map": 5}, "column_map must be null or an object mapping "
-         "strings to strings, not 5"),
-        ({"column_map": {"gr": 5}}, "column_map must be null or an object "
-         "mapping strings to strings, not {'gr': 5}"),
-        ({"column_map": {5: "gr"}}, "column_map must be null or an object "
-         "mapping strings to strings, not {5: 'gr'}"),
-        ({"column_map": ["gr"]}, "column_map must be null or an object "
-         "mapping strings to strings, not ['gr']"),
+        ({"column_map": 5}, f"column_map must be {COLUMN_MAP_KIND}, not 5"),
+        ({"column_map": {"gr": 5}},
+         f"column_map must be {COLUMN_MAP_KIND}, not {{'gr': 5}}"),
+        ({"column_map": {5: "gr"}},
+         f"column_map must be {COLUMN_MAP_KIND}, not {{5: 'gr'}}"),
+        ({"column_map": ["gr"]},
+         f"column_map must be {COLUMN_MAP_KIND}, not ['gr']"),
         ({"dataset_path": 5}, "dataset_path must be null or a string, not 5"),
         ({"output_dir": None}, "output_dir must be a string, not None"),
         # a misspelt key would leave its column at the default header
@@ -314,7 +324,8 @@ class TestConfigChecks:
 
     @pytest.mark.parametrize("argv, message", [
         (["benchmark", "--folds", "1"],
-         "invalid config: folds must be an integer of at least 2, not 1"),
+         "invalid config key 'folds' (set by --folds): folds must be an "
+         "integer >= 2, not 1"),
         (["benchmark", "--models", "als,foo", "--folds", "2"],
          "invalid config: unknown model 'foo'; known: als, alsdl"),
         (["benchmark", "--models", ","], "invalid config: empty model list"),
@@ -333,11 +344,11 @@ class TestConfigChecks:
         (["benchmark", "--models", "als,als"],
          "invalid config: repeated model in ('als', 'als')"),
         (["benchmark", "--concentrations", "0"],
-         "invalid config: each concentration must be a finite number > 0, "
-         "not 0.0"),
+         "invalid config key 'concentrations' (set by --concentrations): "
+         f"concentrations must be {CONCENTRATIONS_KIND}, not (0.0,)"),
         (["al-study", "--concentrations", "1,inf"],
-         "invalid config: each concentration must be a finite number > 0, "
-         "not inf"),
+         "invalid config key 'concentrations' (set by --concentrations): "
+         f"concentrations must be {CONCENTRATIONS_KIND}, not (1.0, inf)"),
         (["benchmark", "--concentrations", "1.0,1"],
          "invalid config: repeated concentration in (1.0, 1.0)")])
     def test_cli_exit(self, monkeypatch, tmp_path, argv, message):
@@ -604,20 +615,20 @@ class TestCli:
 
     def test_config_file_alsdl_fields(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"alsdl": {"molecule_first": True,
-                                                  "hidden_sizes": [3]}}))
+        cfg_path.write_text(json.dumps({"alsdl": {"hidden_sizes": [3]}}))
         cfg = _config_from_json(cfg_path)
-        assert cfg.alsdl.molecule_first is True
         assert cfg.alsdl.hidden_sizes == (3,)
         # fields the file leaves out keep AlsdlConfig's defaults
         assert cfg.alsdl.als == AlsdlConfig().als
 
     @pytest.mark.parametrize("alsdl, name", [
-        ({"molecule_first": True, "hiden_sizes": [3]}, "alsdl.hiden_sizes"),
+        ({"hidden_sizes": [3], "hiden_sizes": [3]}, "alsdl.hiden_sizes"),
         ({"loss": {"beta": 0.2, "bta": 0.1}}, "alsdl.loss.bta"),
-        # a key that was removed: beta = 0 trains without the penalty
+        # keys that were removed: beta = 0 trains without the penalty, and
+        # the network's inputs are always [cell, molecule]
         ({"loss": {"use_smooth_surrogate": False}},
-         "alsdl.loss.use_smooth_surrogate")])
+         "alsdl.loss.use_smooth_surrogate"),
+        ({"molecule_first": True}, "alsdl.molecule_first")])
     def test_config_file_unknown_alsdl_key(self, tmp_path, alsdl, name):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alsdl": alsdl}))
@@ -657,34 +668,34 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             _config_from_json(cfg_path)
         assert str(e.value) == (
-            "invalid config key 'alsdl.loss': boundaries must be a non-empty, "
-            "strictly increasing tuple, not ()")
+            "invalid config key 'alsdl.loss.boundaries': boundaries must be a "
+            "non-empty, strictly increasing tuple, not ()")
 
     @pytest.mark.parametrize("raw, message", [
         ({"active": {"elm_candidate_subsample": 0}},
-         "invalid config key 'active': elm_candidate_subsample must be a "
-         "positive integer, not 0"),
+         "invalid config key 'active.elm_candidate_subsample': "
+         "elm_candidate_subsample must be null or an integer >= 1, not 0"),
         ({"active": {"n_per_query": -3}},
-         "invalid config key 'active': n_per_query must be a positive "
-         "integer, not -3"),
+         "invalid config key 'active.n_per_query': n_per_query must be an "
+         "integer >= 1, not -3"),
         ({"alsdl": {"loss": {"boundaries": ["a", 1]}}},
-         "invalid config key 'alsdl.loss': '>=' not supported between "
-         "instances of 'str' and 'int'"),
+         "invalid config key 'alsdl.loss.boundaries': boundaries must be a "
+         "tuple, each a finite number, not ('a', 1)"),
         # an empty curve, a TypeError in train_als, and a failure in numpy
         ({"active": {"n_max_query": -1}},
-         "invalid config key 'active': n_max_query must be a non-negative "
-         "integer, not -1"),
+         "invalid config key 'active.n_max_query': n_max_query must be an "
+         "integer >= 0, not -1"),
         ({"alsdl": {"als": {"epochs": 10.5}}},
-         "invalid config key 'alsdl.als': epochs must be a positive integer, "
-         "not 10.5"),
+         "invalid config key 'alsdl.als.epochs': epochs must be an integer "
+         ">= 1, not 10.5"),
         ({"active": {"n_per_query": True}},
-         "invalid config key 'active': n_per_query must be a positive "
-         "integer, not True"),
+         "invalid config key 'active.n_per_query': n_per_query must be an "
+         "integer >= 1, not True"),
         ({"als": {"d": 0}},
-         "invalid config key 'als': d must be a positive integer, not 0"),
+         "invalid config key 'als.d': d must be an integer >= 1, not 0"),
         ({"alsdl": {"mlp_train": {"epochs": -1}}},
-         "invalid config key 'alsdl.mlp_train': epochs must be a "
-         "non-negative integer, not -1"),
+         "invalid config key 'alsdl.mlp_train.epochs': epochs must be an "
+         "integer >= 0, not -1"),
         # the field's own name: the runner overrides it per --strategy
         # entry, so only ActiveConfig's check sees it
         ({"active": {"strategy": "rand"}},
@@ -725,12 +736,14 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             main(["al-study", "--synthetic", "5,5,2,0", flag, value,
                   "--out", str(tmp_path / "run")])
-        name = {"--als-epochs": "epochs", "--mlp-epochs": "epochs",
-                "--embedding-dim": "d"}.get(flag, flag[2:].replace("-", "_"))
-        kind = ("non-negative" if flag in ("--mlp-epochs", "--n-max-query")
-                else "positive")
-        assert str(e.value) == (f"invalid option: {name} must be a {kind} "
-                                f"integer, not {value}")
+        key = FLAG_KEYS[flag[2:].replace("-", "_")][0]
+        name = key.rsplit(".", 1)[-1]
+        kind = {"--mlp-epochs": "an integer >= 0",
+                "--n-max-query": "an integer >= 0",
+                "--elm-candidate-subsample": "null or an integer >= 1"}.get(
+                    flag, "an integer >= 1")
+        assert str(e.value) == (f"invalid config key {key!r} (set by {flag}): "
+                                f"{name} must be {kind}, not {value}")
         assert not (tmp_path / "run").exists()
 
     def test_elm_candidate_subsample_flag_matches_config_key(self, tmp_path):
@@ -920,9 +933,9 @@ class TestRejectedInput:
         (["--synthetic", "6,6,9,0"],
          "argument --synthetic: '6,6,9,0': rank 9 exceeds min(m, n) = 6"),
         (["--synthetic", "6,6,2,-0.5"], "argument --synthetic: '6,6,2,-0.5': "
-         "noise_sd must be >= 0, not -0.5"),
+         "noise_sd must be a finite number >= 0, not -0.5"),
         (["--synthetic", "0,6,1,0"], "argument --synthetic: '0,6,1,0': m "
-         "must be a positive integer, not 0")])
+         "must be an integer >= 1, not 0")])
     def test_usage_error(self, monkeypatch, capsys, tmp_path, argv, message):
         forbid_training(monkeypatch)
         with pytest.raises(SystemExit) as e:
@@ -934,16 +947,12 @@ class TestRejectedInput:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("raw, message", [
-        ({"seeds": [1.5]},
-         "invalid config: each seed must be a non-negative integer, not 1.5"),
-        ({"seeds": [-1]},
-         "invalid config: each seed must be a non-negative integer, not -1"),
-        ({"seeds": [0, True]},
-         "invalid config: each seed must be a non-negative integer, not True"),
-        ({"seeds": ["a"]},
-         "invalid config: each seed must be a non-negative integer, not 'a'"),
-        ({"seeds": 3},
-         "invalid config: seeds must be a tuple of integers, not 3"),
+        ({"seeds": [1.5]}, f"{SEEDS_ERROR}, not (1.5,)"),
+        ({"seeds": [-1]}, f"{SEEDS_ERROR}, not (-1,)"),
+        ({"seeds": [0, True]}, f"{SEEDS_ERROR}, not (0, True)"),
+        ({"seeds": ["a"]}, f"{SEEDS_ERROR}, not ('a',)"),
+        ({"seeds": 3}, f"{SEEDS_ERROR}, not 3"),
+        ({"seeds": []}, "invalid config: empty seed list"),
         ({"als": {"seed": 5}}, "invalid config: als.seed = 5 would be "
          "ignored: each unit sets it from seeds; set seeds instead"),
         ({"alsdl": {"als": {"seed": 5}}}, "invalid config: alsdl.als.seed = "
@@ -958,21 +967,18 @@ class TestRejectedInput:
          "active.strategy = 'random' would be ignored: each unit sets it "
          "from strategies; set strategies instead"),
         ({"synthetic": {"m": 6, "n": 6, "rank": 9}},
-         "invalid config key 'synthetic': rank 9 exceeds min(m, n) = 6"),
+         "invalid config key 'synthetic.rank': rank 9 exceeds min(m, n) = 6"),
         ({"synthetic": {"noise_sd": -1}},
-         "invalid config key 'synthetic': noise_sd must be >= 0, not -1"),
-        ({"synthetic": {"rank": 2.0}}, "invalid config key 'synthetic': "
-         "rank must be a positive integer, not 2.0"),
-        ({"concentrations": ["x"]}, "invalid config: each concentration must "
-         "be a finite number > 0, not 'x'"),
-        ({"concentrations": [True]}, "invalid config: each concentration "
-         "must be a finite number > 0, not True"),
-        ({"concentrations": [1.0, -1]}, "invalid config: each concentration "
-         "must be a finite number > 0, not -1"),
-        ({"concentrations": [math.nan]}, "invalid config: each concentration "
-         "must be a finite number > 0, not nan"),
-        ({"concentrations": 5}, "invalid config: concentrations must be a "
-         "tuple of numbers, not 5"),
+         "invalid config key 'synthetic.noise_sd': noise_sd must be a finite "
+         "number >= 0, not -1"),
+        ({"synthetic": {"rank": 2.0}}, "invalid config key 'synthetic.rank': "
+         "rank must be an integer >= 1, not 2.0"),
+        ({"concentrations": ["x"]}, f"{CONCENTRATIONS_ERROR}, not ('x',)"),
+        ({"concentrations": [True]}, f"{CONCENTRATIONS_ERROR}, not (True,)"),
+        ({"concentrations": [1.0, -1]},
+         f"{CONCENTRATIONS_ERROR}, not (1.0, -1)"),
+        ({"concentrations": [math.nan]}, f"{CONCENTRATIONS_ERROR}, not (nan,)"),
+        ({"concentrations": 5}, f"{CONCENTRATIONS_ERROR}, not 5"),
         ({"targets": ["gr", "x"]},
          "invalid config: unknown target 'x'; known: gr, ifd"),
         ({"targets": []}, "invalid config: empty target list"),
@@ -980,25 +986,54 @@ class TestRejectedInput:
          "invalid config: repeated target in ('gr', 'gr')"),
         ({"concentrations": [0.1, 1, 1.0]},
          "invalid config: repeated concentration in (0.1, 1.0, 1.0)"),
-        ({"column_map": 5}, "invalid config: column_map must be null or an "
-         "object mapping strings to strings, not 5"),
-        ({"column_map": {"gr": None}}, "invalid config: column_map must be "
-         "null or an object mapping strings to strings, not {'gr': None}"),
-        ({"dataset_path": 5},
-         "invalid config: dataset_path must be null or a string, not 5"),
-        ({"concentrations": [10 ** 400]}, "invalid config: each "
-         f"concentration must be a finite number > 0, not {10 ** 400}"),
-        ({"concentrations": [-10 ** 400]}, "invalid config: each "
-         f"concentration must be a finite number > 0, not {-10 ** 400}"),
-        ({"targets": "gr"},
-         "invalid config: targets must be a tuple of names, not 'gr'"),
-        ({"models": "als"},
-         "invalid config: models must be a tuple of names, not 'als'"),
-        ({"strategies": "elm"},
-         "invalid config: strategies must be a tuple of names, not 'elm'"),
+        ({"column_map": 5}, "invalid config key 'column_map': column_map "
+         f"must be {COLUMN_MAP_KIND}, not 5"),
+        ({"column_map": {"gr": None}}, "invalid config key 'column_map': "
+         f"column_map must be {COLUMN_MAP_KIND}, not {{'gr': None}}"),
+        ({"dataset_path": 5}, "invalid config key 'dataset_path': "
+         "dataset_path must be null or a string, not 5"),
+        ({"concentrations": [10 ** 400]},
+         f"{CONCENTRATIONS_ERROR}, not ({10 ** 400},)"),
+        ({"concentrations": [-10 ** 400]},
+         f"{CONCENTRATIONS_ERROR}, not ({-10 ** 400},)"),
+        ({"targets": "gr"}, "invalid config key 'targets': targets must be "
+         "a tuple, each a string, not 'gr'"),
+        ({"models": "als"}, "invalid config key 'models': models must be "
+         "a tuple, each a string, not 'als'"),
+        ({"strategies": "elm"}, "invalid config key 'strategies': strategies "
+         "must be a tuple, each a string, not 'elm'"),
         ({"column_map": {"gr": "Mean GR", "IFD": "Dead"}}, "invalid config: "
          "unknown column_map key 'IFD'; known: cell_id, molecule_id, "
-         "concentration, gr, ifd")])
+         "concentration, gr, ifd"),
+        # float and bool fields: each ran on, to a traceback or a report
+        ({"als": {"learning_rate": "x"}}, "invalid config key "
+         "'als.learning_rate': learning_rate must be a finite number > 0, "
+         "not 'x'"),
+        ({"als": {"learning_rate": math.nan}}, "invalid config key "
+         "'als.learning_rate': learning_rate must be a finite number > 0, "
+         "not nan"),
+        ({"als": {"init_scale": None}}, "invalid config key 'als.init_scale': "
+         "init_scale must be a finite number >= 0, not None"),
+        ({"alsdl": {"loss": {"beta": "a"}}}, "invalid config key "
+         "'alsdl.loss.beta': beta must be a finite number >= 0, not 'a'"),
+        ({"alsdl": {"hidden_sizes": [20, "a"]}}, "invalid config key "
+         "'alsdl.hidden_sizes': hidden_sizes must be a tuple, each an "
+         "integer >= 1, not (20, 'a')"),
+        ({"alsdl": {"mlp_train": {"rmsprop_learning_rate": -1}}},
+         "invalid config key 'alsdl.mlp_train.rmsprop_learning_rate': "
+         "rmsprop_learning_rate must be a finite number > 0, not -1"),
+        ({"alsdl": {"mlp_train": {"rmsprop_decay": 1.5}}}, "invalid config "
+         "key 'alsdl.mlp_train.rmsprop_decay': rmsprop_decay must be a "
+         "finite number >= 0 and < 1, not 1.5"),
+        ({"synthetic": {"noise_sd": "x"}}, "invalid config key "
+         "'synthetic.noise_sd': noise_sd must be a finite number >= 0, "
+         "not 'x'"),
+        ({"als": {"simultaneous_updates": "yes"}}, "invalid config key "
+         "'als.simultaneous_updates': simultaneous_updates must be true or "
+         "false, not 'yes'"),
+        # a key that was removed: orderly queries are always row-major
+        ({"active": {"orderly_column_major": "yes"}},
+         "unknown config key 'active.orderly_column_major'")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
         forbid_training(monkeypatch)
@@ -1029,8 +1064,8 @@ class TestRejectedInput:
         cfg_path.write_text(json.dumps({"synthetic": {}, "output_dir": 5}))
         with pytest.raises(SystemExit) as e:
             main([command, "--config", str(cfg_path)])
-        assert str(e.value) == ("invalid config: output_dir must be a "
-                                "string, not 5")
+        assert str(e.value) == ("invalid config key 'output_dir': output_dir "
+                                "must be a string, not 5")
 
     @pytest.mark.parametrize("name", ["missing.csv", ""])
     def test_unreadable_dataset(self, monkeypatch, tmp_path, name):
@@ -1106,13 +1141,104 @@ class TestSyntheticSpec:
         assert SyntheticSpec(3, 4, 3, 0.5).rank == 3
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"m": 0}, "m must be a positive integer, not 0"),
-        ({"n": 2.0}, "n must be a positive integer, not 2.0"),
-        ({"rank": True}, "rank must be a positive integer, not True"),
+        ({"m": 0}, "m must be an integer >= 1, not 0"),
+        ({"n": 2.0}, "n must be an integer >= 1, not 2.0"),
+        ({"rank": True}, "rank must be an integer >= 1, not True"),
         ({"m": 4, "rank": 5}, "rank 5 exceeds min(m, n) = 4"),
-        ({"noise_sd": -0.1}, "noise_sd must be >= 0, not -0.1"),
-        ({"noise_sd": math.nan}, "noise_sd must be >= 0, not nan")])
+        ({"noise_sd": -0.1},
+         "noise_sd must be a finite number >= 0, not -0.1"),
+        ({"noise_sd": math.nan},
+         "noise_sd must be a finite number >= 0, not nan")])
     def test_rejects(self, kwargs, message):
         with pytest.raises(ValueError) as e:
             SyntheticSpec(**kwargs)
         assert str(e.value) == message
+
+
+def schema_leaves(config, prefix=""):
+    """(dotted key, field, value) for every field reachable from the config
+    that does not hold a config dataclass; a config that is None by default
+    (synthetic) is walked from its class defaults."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        sub = [t for t in (f.type, *get_args(f.type)) if is_dataclass(t)]
+        if sub:
+            yield from schema_leaves(sub[0]() if value is None else value,
+                                     f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f, value
+
+
+def annotation_types(tp):
+    """tp and every type its arguments name, recursively."""
+    yield tp
+    for arg in get_args(tp):
+        if arg is not Ellipsis:
+            yield from annotation_types(arg)
+
+
+class TestSchema:
+    """Every config field is declared once, with the type and range that
+    check_fields enforces and that the README's table lists."""
+
+    def test_every_field_checked(self):
+        """Each config class reachable from ExperimentConfig has a schema,
+        so check_fields handles each annotation, and each number is
+        declared with a range."""
+        def classes(cls):
+            yield cls
+            for f in fields(cls):
+                for t in annotation_types(f.type):
+                    if is_dataclass(t):
+                        yield from classes(t)
+        reached = set(classes(ExperimentConfig))
+        assert reached == {ExperimentConfig, SyntheticSpec, AlsConfig,
+                           AlsdlConfig, MlpTrainConfig, LossConfig,
+                           ActiveConfig}
+        for cls in reached:
+            for f in fields(cls):
+                _rule(f.type, f.metadata.get("range"))  # TypeError if not
+        for key, f, _ in schema_leaves(ExperimentConfig()):
+            if {int, float} & set(annotation_types(f.type)):
+                assert "range" in f.metadata, key
+
+    @pytest.mark.parametrize("annotation, default", [
+        (int, 0), (float, 0.0), (tuple[int, ...], ()), (int | None, None),
+        (list, None), (tuple, ())])
+    def test_undeclared_field_cannot_be_built(self, annotation, default):
+        """A number without a range, or an annotation the checker does not
+        know, fails when its dataclass is first built."""
+        @dataclass(frozen=True)
+        class Bad:
+            x: annotation = default
+
+            def __post_init__(self):
+                check_fields(self)
+        with pytest.raises(TypeError):
+            Bad()
+
+    def test_tree_checked_by_validate(self):
+        cfg = small_config()
+        cfg.synthetic.noise_sd = -1.0  # SyntheticSpec is not frozen
+        with pytest.raises(ConfigError) as e:
+            cfg.validate()
+        assert e.value.key == "synthetic.noise_sd"
+
+    def test_readme_table(self):
+        """The README's config table lists each key once, with the type,
+        range and default that the schema declares."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme[readme.index("| key | type | range | default |"):]
+        rows = []
+        for line in lines.splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            cells = re.split(r"(?<!\\)\|", line)[1:-1]
+            rows.append(tuple(c.strip().replace("\\|", "|").strip("`")
+                              for c in cells))
+        want = [(key, f.type.__name__ if get_origin(f.type) is None
+                 else str(f.type), f.metadata.get("range", ""),
+                 json.dumps(value))
+                for key, f, value in schema_leaves(ExperimentConfig())]
+        assert sorted(rows) == sorted(want)
+        assert len(rows) == len(set(rows))
