@@ -101,19 +101,16 @@ def _rule(tp, bounds):
     raise TypeError(f"unsupported config annotation {tp!r}")
 
 
-def check_fields(config, tree=False, prefix=""):
-    """Raise ConfigError, keyed by the field's dotted name after prefix,
-    unless each field of the config dataclass holds a value of its
-    annotated type within its declared range (see in_range); with tree,
-    each config dataclass it holds too. Values are kept as they are."""
+def check_fields(config):
+    """Raise ConfigError, keyed by the field's name, unless each field of
+    the config dataclass holds a value of its annotated type within its
+    declared range (see in_range). Values are kept as they are."""
     for f in fields(config):
         value = getattr(config, f.name)
         test, kind = _rule(f.type, f.metadata.get("range"))
         if not test(value):
-            raise ConfigError(prefix + f.name,
+            raise ConfigError(f.name,
                               f"{f.name} must be {kind}, not {value!r}")
-        if tree and is_dataclass(value):
-            check_fields(value, tree, f"{prefix}{f.name}.")
 
 
 @dataclass(frozen=True)

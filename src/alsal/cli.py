@@ -135,7 +135,9 @@ def _set(obj, key, value):
 
 def resolve_config(args):
     """The --config file, or ExperimentConfig(), with each flag given set at
-    its FLAG_KEYS; a source flag replaces the file's source."""
+    its FLAG_KEYS; a source flag replaces the file's source. Each config
+    checks itself when built, so the file must pass every rule on its own,
+    before any flag applies."""
     cfg = _config_from_json(args.config) if args.config else ExperimentConfig()
     if args.dataset is not None or args.synthetic is not None:
         cfg = replace(cfg, dataset_path=None, synthetic=None)
@@ -148,12 +150,6 @@ def resolve_config(args):
                 raise SystemExit(
                     f"invalid config key {key!r} (set by "
                     f"--{dest.replace('_', '-')}): {e}") from e
-    try:
-        cfg.validate()
-    except ConfigError as e:
-        raise SystemExit(f"invalid config key {e.key!r}: {e}") from e
-    except ValueError as e:
-        raise SystemExit(f"invalid config: {e}") from e
     return cfg
 
 

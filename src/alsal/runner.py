@@ -29,7 +29,7 @@ from . import active as active_mod
 from . import als as als_mod
 from . import alsdl as alsdl_mod
 from . import data as data_mod
-from .active import ActiveConfig
+from .active import STRATEGIES, ActiveConfig
 from .alsdl import AlsdlConfig
 from .als import (AlsConfig, ConfigError, DivergenceError, check_fields,
                   in_range)
@@ -58,7 +58,7 @@ _PER_UNIT = {"als.seed": "seeds", "alsdl.als.seed": "seeds",
              "active.strategy": "strategies"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     m: int = in_range(35, ">= 1")
     n: int = in_range(34, ">= 1")
@@ -72,7 +72,7 @@ class SyntheticSpec:
                               f"{min(self.m, self.n)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset_path: str | None = None
     synthetic: SyntheticSpec | None = None
@@ -90,40 +90,40 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        """Check each field, then the rules across fields, each raising
+        ConfigError keyed by its dotted field: no list repeats a value,
+        the name and seed lists are non-empty and hold known names, and
+        the keys each unit sets keep their declared defaults.
+        load_matrices checks the source, where it is read."""
         check_fields(self)
-
-    def validate(self):
-        """Check the fields of the whole tree again, ExperimentConfig being
-        mutable, then the rules across fields: a source is given, names are
-        known, none is repeated, and the keys each unit sets are left alone."""
-        check_fields(self, tree=True)
-        if self.dataset_path is None and self.synthetic is None:
-            raise ValueError("either dataset_path or synthetic must be given")
         for key in self.column_map or ():
             if key not in data_mod.DEFAULT_COLUMNS:
-                raise ValueError(f"unknown column_map key {key!r}; known: "
-                                 f"{', '.join(data_mod.DEFAULT_COLUMNS)}")
+                raise ConfigError("column_map", f"unknown column_map key "
+                                  f"{key!r}; known: "
+                                  f"{', '.join(data_mod.DEFAULT_COLUMNS)}")
         concs = tuple(map(float, self.concentrations or ()))
-        for kind, names, known in (
-                ("target", self.targets, ("gr", "ifd")),
-                ("model", self.models, MODELS),
-                ("strategy", self.strategies, active_mod.STRATEGIES),
-                ("seed", self.seeds, None), ("concentration", concs, None)):
-            if not names and kind != "concentration":
-                raise ValueError(f"empty {kind} list")
+        for key, kind, names, known in (
+                ("targets", "target", self.targets, ("gr", "ifd")),
+                ("models", "model", self.models, MODELS),
+                ("strategies", "strategy", self.strategies, STRATEGIES),
+                ("seeds", "seed", self.seeds, None),
+                ("concentrations", "concentration", concs, None)):
+            if not names and key != "concentrations":
+                raise ConfigError(key, f"empty {kind} list")
             for name in names if known else ():
                 if name not in known:
-                    raise ValueError(f"unknown {kind} {name!r}; known: "
-                                     f"{', '.join(known)}")
+                    raise ConfigError(key, f"unknown {kind} {name!r}; known: "
+                                      f"{', '.join(known)}")
             if len(set(names)) < len(names):  # units with the same key
-                raise ValueError(f"repeated {kind} in {names!r}")
-        defaults = ExperimentConfig()
+                raise ConfigError(key, f"repeated {kind} in {names!r}")
         for key, run_field in _PER_UNIT.items():
-            value = attrgetter(key)(self)
-            if value != attrgetter(key)(defaults):
-                raise ValueError(f"{key} = {value!r} would be ignored: each "
-                                 f"unit sets it from {run_field}; set "
-                                 f"{run_field} instead")
+            owner, _, name = key.rpartition(".")
+            owner = attrgetter(owner)(self)
+            value = getattr(owner, name)
+            if value != owner.__dataclass_fields__[name].default:
+                raise ConfigError(key, f"{name} = {value!r} would be "
+                                  f"ignored: each unit sets it from "
+                                  f"{run_field}; set {run_field} instead")
 
 
 @dataclass
@@ -157,12 +157,17 @@ def _metadata(config):
 def load_matrices(config):
     """Resolve config into a list of (target, concentration_tag, matrix).
 
-    A synthetic config yields one matrix, generated from seeds[0] and
-    tagged "synthetic"; it ignores targets and concentrations. A
-    dataset_path that cannot be opened or read as a dataset raises
-    ConfigError, and so does a requested concentration at which some
-    (cell, molecule) pair has no measurement.
+    Exactly one of dataset_path and synthetic must be given; both or
+    neither raises ConfigError before anything loads. A synthetic config
+    yields one matrix, generated from seeds[0] and tagged "synthetic"; it
+    ignores targets and concentrations. A dataset_path that cannot be
+    opened or read as a dataset raises ConfigError, and so does a
+    requested concentration at which some (cell, molecule) pair has no
+    measurement.
     """
+    if (config.dataset_path is None) == (config.synthetic is None):
+        raise ConfigError("dataset_path", "exactly one of dataset_path and "
+                          "synthetic must be given")
     if config.synthetic is not None:
         s = config.synthetic
         matrix, _ = data_mod.generate_synthetic(s.m, s.n, s.rank, s.noise_sd,
@@ -204,15 +209,14 @@ def run_al_study(config):
 
 
 def _run_units(config, kind, names, status_table, limit, unit):
-    """Validate config, load its matrices, raise ConfigError if they
-    cannot be loaded (see load_matrices) or the count at the dotted key
-    limit exceeds the observed positions of any matrix, then run
-    unit(config, name, matrix, seed, shared) per (target, concentration,
-    name, seed), in that nesting order. shared is one dict per matrix, in which a unit may leave work
+    """Load config's matrices, raise ConfigError if they cannot be loaded
+    (see load_matrices) or the count at the dotted key limit exceeds the
+    observed positions of any matrix, then run unit(config, name, matrix,
+    seed, shared) per (target, concentration, name, seed), in that nesting
+    order. shared is one dict per matrix, in which a unit may leave work
     for a later unit of the same matrix. A unit yields (table, row) pairs,
     which gain the unit's key; when it raises DivergenceError, the rows it
     yielded stay and status_table gains one diverged row."""
-    config.validate()
     matrices = load_matrices(config)
     value = attrgetter(limit)(config)
     for target, conc, matrix in matrices:
@@ -266,7 +270,7 @@ def _train_one(config, model_name, matrix, split, seed, fold, shared):
         k = 0
     if model_name == "als":
         return _train_als(matrix, als_cfg, split, fold, shared, k)[1]
-    # "alsdl", the only other name validate accepts
+    # "alsdl", the only other name ExperimentConfig accepts
     stage1 = _train_als(matrix, alsdl_cfg.als, split, fold, shared, k)
     return alsdl_mod.train_alsdl(matrix, alsdl_cfg, eval_split=split,
                                  stage1=stage1)[1]

@@ -5,14 +5,17 @@ import math
 import os
 import platform
 import re
+import tempfile
 from collections import Counter
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import (FrozenInstanceError, asdict, dataclass, fields,
+                         is_dataclass, replace)
 from operator import attrgetter
 from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import alsal
 from alsal.active import ActiveConfig
@@ -46,9 +49,7 @@ def small_config(**overrides):
                           hidden_sizes=(6, 3)),
         active=ActiveConfig(n_init=6, n_per_query=6, n_max_query=2,
                             elm_inner_epochs=10))
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def read_rows(path):
@@ -94,10 +95,16 @@ class TestRunBenchmark:
             run_benchmark(small_config(models=()))
 
     def test_no_source_rejected(self):
-        cfg = small_config()
-        cfg.synthetic = None
-        with pytest.raises(ValueError):
+        cfg = replace(small_config(), synthetic=None)
+        with pytest.raises(ConfigError) as e:
             run_benchmark(cfg)
+        assert e.value.key == "dataset_path"
+
+    def test_both_sources_rejected(self, tmp_path):
+        cfg = replace(small_config(), dataset_path=str(tmp_path / "d.csv"))
+        with pytest.raises(ConfigError) as e:
+            run_benchmark(cfg)
+        assert e.value.key == "dataset_path"
 
 
 class TestRunAlStudy:
@@ -211,8 +218,8 @@ class TestSharedAlsRuns:
     def test_configs_that_differ_beyond_epochs_share_nothing(
             self, monkeypatch, tmp_path):
         cfg = small_config()
-        cfg.alsdl = replace(cfg.alsdl, als=replace(cfg.alsdl.als,
-                                                   learning_rate=0.02))
+        cfg = replace(cfg, alsdl=replace(cfg.alsdl, als=replace(
+            cfg.alsdl.als, learning_rate=0.02)))
         epochs = self.compare(monkeypatch, tmp_path, cfg)
         assert epochs == {MODELS: 105, MODELS[::-1]: 105}
 
@@ -227,9 +234,9 @@ class TestSharedAlsRuns:
         # alsdl's 5 for each other fold, 5 + 35 + 4 + 2 x 5 (alsdl first:
         # 3 x 5 + 35 + 4)
         cfg = small_config()
-        cfg.als = replace(cfg.als, epochs=40, learning_rate=0.6)
-        cfg.alsdl = replace(cfg.alsdl, als=replace(
-            cfg.als, epochs=stage1_epochs))
+        als = replace(cfg.als, epochs=40, learning_rate=0.6)
+        cfg = replace(cfg, als=als, alsdl=replace(cfg.alsdl, als=replace(
+            als, epochs=stage1_epochs)))
         with np.errstate(all="ignore"):
             assert self.compare(monkeypatch, tmp_path, cfg) == {
                 MODELS: epochs, MODELS[::-1]: epochs}
@@ -322,18 +329,31 @@ class TestConfigChecks:
                            strategies=("random",), als=AlsConfig(epochs=1))
         assert run(cfg)
 
+    # a case with an explicit id keeps the name it had when its exit read
+    # "invalid config: <rule>", before every rule named its key
     @pytest.mark.parametrize("argv, message", [
         (["benchmark", "--folds", "1"],
          "invalid config key 'folds' (set by --folds): folds must be an "
          "integer >= 2, not 1"),
-        (["benchmark", "--models", "als,foo", "--folds", "2"],
-         "invalid config: unknown model 'foo'; known: als, alsdl"),
-        (["benchmark", "--models", ","], "invalid config: empty model list"),
-        (["al-study", "--strategy", ","],
-         "invalid config: empty strategy list"),
-        (["al-study", "--strategy", "rand"],
-         "invalid config: unknown strategy 'rand'; known: orderly, random, "
-         "uncertainty, elm"),
+        pytest.param(
+            ["benchmark", "--models", "als,foo", "--folds", "2"],
+            "invalid config key 'models' (set by --models): unknown model "
+            "'foo'; known: als, alsdl",
+            id="argv1-invalid config: unknown model 'foo'; known: als, alsdl"),
+        pytest.param(
+            ["benchmark", "--models", ","],
+            "invalid config key 'models' (set by --models): empty model list",
+            id="argv2-invalid config: empty model list"),
+        pytest.param(
+            ["al-study", "--strategy", ","],
+            "invalid config key 'strategies' (set by --strategy): empty "
+            "strategy list", id="argv3-invalid config: empty strategy list"),
+        pytest.param(
+            ["al-study", "--strategy", "rand"],
+            "invalid config key 'strategies' (set by --strategy): unknown "
+            "strategy 'rand'; known: orderly, random, uncertainty, elm",
+            id="argv4-invalid config: unknown strategy 'rand'; known: "
+            "orderly, random, uncertainty, elm"),
         (["benchmark", "--folds", "37"],
          "invalid config key 'folds': folds = 37 exceeds the 36 observed "
          "positions of target synthetic, concentration synthetic"),
@@ -341,16 +361,22 @@ class TestConfigChecks:
         (["al-study", "--strategy", "random"],
          "invalid config key 'active.n_init': n_init = 40 exceeds the 36 "
          "observed positions of target synthetic, concentration synthetic"),
-        (["benchmark", "--models", "als,als"],
-         "invalid config: repeated model in ('als', 'als')"),
+        pytest.param(
+            ["benchmark", "--models", "als,als"],
+            "invalid config key 'models' (set by --models): repeated model "
+            "in ('als', 'als')",
+            id="argv7-invalid config: repeated model in ('als', 'als')"),
         (["benchmark", "--concentrations", "0"],
          "invalid config key 'concentrations' (set by --concentrations): "
          f"concentrations must be {CONCENTRATIONS_KIND}, not (0.0,)"),
         (["al-study", "--concentrations", "1,inf"],
          "invalid config key 'concentrations' (set by --concentrations): "
          f"concentrations must be {CONCENTRATIONS_KIND}, not (1.0, inf)"),
-        (["benchmark", "--concentrations", "1.0,1"],
-         "invalid config: repeated concentration in (1.0, 1.0)")])
+        pytest.param(
+            ["benchmark", "--concentrations", "1.0,1"],
+            "invalid config key 'concentrations' (set by --concentrations): "
+            "repeated concentration in (1.0, 1.0)",
+            id="argv10-invalid config: repeated concentration in (1.0, 1.0)")])
     def test_cli_exit(self, monkeypatch, tmp_path, argv, message):
         forbid_training(monkeypatch)
         with pytest.raises(SystemExit) as e:
@@ -724,8 +750,9 @@ class TestCli:
     def test_no_source_rejected_by_cli(self, tmp_path):
         with pytest.raises(SystemExit) as e:
             main(["benchmark", "--out", str(tmp_path / "run")])
-        assert str(e.value) == ("invalid config: either dataset_path or "
-                                "synthetic must be given")
+        assert str(e.value) == ("invalid config key 'dataset_path': exactly "
+                                "one of dataset_path and synthetic must be "
+                                "given")
 
     @pytest.mark.parametrize("flag, value", [
         ("--n-per-query", "0"), ("--elm-candidate-subsample", "-3"),
@@ -952,20 +979,40 @@ class TestRejectedInput:
         ({"seeds": [0, True]}, f"{SEEDS_ERROR}, not (0, True)"),
         ({"seeds": ["a"]}, f"{SEEDS_ERROR}, not ('a',)"),
         ({"seeds": 3}, f"{SEEDS_ERROR}, not 3"),
-        ({"seeds": []}, "invalid config: empty seed list"),
-        ({"als": {"seed": 5}}, "invalid config: als.seed = 5 would be "
-         "ignored: each unit sets it from seeds; set seeds instead"),
-        ({"alsdl": {"als": {"seed": 5}}}, "invalid config: alsdl.als.seed = "
-         "5 would be ignored: each unit sets it from seeds; set seeds "
-         "instead"),
-        ({"alsdl": {"mlp_train": {"seed": 1}}}, "invalid config: "
-         "alsdl.mlp_train.seed = 1 would be ignored: each unit sets it from "
-         "seeds; set seeds instead"),
-        ({"active": {"seed": 2}}, "invalid config: active.seed = 2 would be "
-         "ignored: each unit sets it from seeds; set seeds instead"),
-        ({"active": {"strategy": "random"}}, "invalid config: "
-         "active.strategy = 'random' would be ignored: each unit sets it "
-         "from strategies; set strategies instead"),
+        # a case with an explicit id keeps the name it had when its exit
+        # read "invalid config: <rule>", before every rule named its key
+        pytest.param({"seeds": []},
+                     "invalid config key 'seeds': empty seed list",
+                     id="raw5-invalid config: empty seed list"),
+        pytest.param(
+            {"als": {"seed": 5}}, "invalid config key 'als.seed': seed = 5 "
+            "would be ignored: each unit sets it from seeds; set seeds "
+            "instead", id="raw6-invalid config: als.seed = 5 would be "
+            "ignored: each unit sets it from seeds; set seeds instead"),
+        pytest.param(
+            {"alsdl": {"als": {"seed": 5}}}, "invalid config key "
+            "'alsdl.als.seed': seed = 5 would be ignored: each unit sets it "
+            "from seeds; set seeds instead", id="raw7-invalid config: "
+            "alsdl.als.seed = 5 would be ignored: each unit sets it from "
+            "seeds; set seeds instead"),
+        pytest.param(
+            {"alsdl": {"mlp_train": {"seed": 1}}}, "invalid config key "
+            "'alsdl.mlp_train.seed': seed = 1 would be ignored: each unit "
+            "sets it from seeds; set seeds instead", id="raw8-invalid "
+            "config: alsdl.mlp_train.seed = 1 would be ignored: each unit "
+            "sets it from seeds; set seeds instead"),
+        pytest.param(
+            {"active": {"seed": 2}}, "invalid config key 'active.seed': "
+            "seed = 2 would be ignored: each unit sets it from seeds; set "
+            "seeds instead", id="raw9-invalid config: active.seed = 2 would "
+            "be ignored: each unit sets it from seeds; set seeds instead"),
+        pytest.param(
+            {"active": {"strategy": "random"}}, "invalid config key "
+            "'active.strategy': strategy = 'random' would be ignored: each "
+            "unit sets it from strategies; set strategies instead",
+            id="raw10-invalid config: active.strategy = 'random' would be "
+            "ignored: each unit sets it from strategies; set strategies "
+            "instead"),
         ({"synthetic": {"m": 6, "n": 6, "rank": 9}},
          "invalid config key 'synthetic.rank': rank 9 exceeds min(m, n) = 6"),
         ({"synthetic": {"noise_sd": -1}},
@@ -979,13 +1026,23 @@ class TestRejectedInput:
          f"{CONCENTRATIONS_ERROR}, not (1.0, -1)"),
         ({"concentrations": [math.nan]}, f"{CONCENTRATIONS_ERROR}, not (nan,)"),
         ({"concentrations": 5}, f"{CONCENTRATIONS_ERROR}, not 5"),
-        ({"targets": ["gr", "x"]},
-         "invalid config: unknown target 'x'; known: gr, ifd"),
-        ({"targets": []}, "invalid config: empty target list"),
-        ({"targets": ["gr", "gr"]},
-         "invalid config: repeated target in ('gr', 'gr')"),
-        ({"concentrations": [0.1, 1, 1.0]},
-         "invalid config: repeated concentration in (0.1, 1.0, 1.0)"),
+        pytest.param(
+            {"targets": ["gr", "x"]},
+            "invalid config key 'targets': unknown target 'x'; known: gr, "
+            "ifd", id="raw19-invalid config: unknown target 'x'; known: gr, "
+            "ifd"),
+        pytest.param(
+            {"targets": []}, "invalid config key 'targets': empty target "
+            "list", id="raw20-invalid config: empty target list"),
+        pytest.param(
+            {"targets": ["gr", "gr"]},
+            "invalid config key 'targets': repeated target in ('gr', 'gr')",
+            id="raw21-invalid config: repeated target in ('gr', 'gr')"),
+        pytest.param(
+            {"concentrations": [0.1, 1, 1.0]},
+            "invalid config key 'concentrations': repeated concentration in "
+            "(0.1, 1.0, 1.0)", id="raw22-invalid config: repeated "
+            "concentration in (0.1, 1.0, 1.0)"),
         ({"column_map": 5}, "invalid config key 'column_map': column_map "
          f"must be {COLUMN_MAP_KIND}, not 5"),
         ({"column_map": {"gr": None}}, "invalid config key 'column_map': "
@@ -1002,9 +1059,12 @@ class TestRejectedInput:
          "a tuple, each a string, not 'als'"),
         ({"strategies": "elm"}, "invalid config key 'strategies': strategies "
          "must be a tuple, each a string, not 'elm'"),
-        ({"column_map": {"gr": "Mean GR", "IFD": "Dead"}}, "invalid config: "
-         "unknown column_map key 'IFD'; known: cell_id, molecule_id, "
-         "concentration, gr, ifd"),
+        pytest.param(
+            {"column_map": {"gr": "Mean GR", "IFD": "Dead"}}, "invalid "
+            "config key 'column_map': unknown column_map key 'IFD'; known: "
+            "cell_id, molecule_id, concentration, gr, ifd", id="raw31-invalid "
+            "config: unknown column_map key 'IFD'; known: cell_id, "
+            "molecule_id, concentration, gr, ifd"),
         # float and bool fields: each ran on, to a traceback or a report
         ({"als": {"learning_rate": "x"}}, "invalid config key "
          "'als.learning_rate': learning_rate must be a finite number > 0, "
@@ -1066,6 +1126,29 @@ class TestRejectedInput:
             main([command, "--config", str(cfg_path)])
         assert str(e.value) == ("invalid config key 'output_dir': output_dir "
                                 "must be a string, not 5")
+
+    @pytest.mark.parametrize("command", ["benchmark", "al-study"])
+    def test_both_sources_rejected(self, monkeypatch, tmp_path, command):
+        """Exits before either source is read, rather than study the
+        synthetic matrix and record a dataset_path never read."""
+        forbid_training(monkeypatch)
+        import alsal.runner as runner_mod
+
+        def read(*args, **kwargs):
+            raise AssertionError("a source was read")
+        monkeypatch.setattr(runner_mod.data_mod, "generate_synthetic", read)
+        monkeypatch.setattr(runner_mod.data_mod, "parse_dataset", read)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset_path": "/nonexistent.csv",
+            "synthetic": {"m": 6, "n": 6, "rank": 2}}))
+        with pytest.raises(SystemExit) as e:
+            main([command, "--config", str(cfg_path),
+                  "--out", str(tmp_path / "run")])
+        assert str(e.value) == ("invalid config key 'dataset_path': exactly "
+                                "one of dataset_path and synthetic must be "
+                                "given")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("name", ["missing.csv", ""])
     def test_unreadable_dataset(self, monkeypatch, tmp_path, name):
@@ -1177,6 +1260,15 @@ def annotation_types(tp):
             yield from annotation_types(arg)
 
 
+def config_classes(cls):
+    """cls and every config class its fields' annotations reach."""
+    yield cls
+    for f in fields(cls):
+        for t in annotation_types(f.type):
+            if is_dataclass(t):
+                yield from config_classes(t)
+
+
 class TestSchema:
     """Every config field is declared once, with the type and range that
     check_fields enforces and that the README's table lists."""
@@ -1185,13 +1277,7 @@ class TestSchema:
         """Each config class reachable from ExperimentConfig has a schema,
         so check_fields handles each annotation, and each number is
         declared with a range."""
-        def classes(cls):
-            yield cls
-            for f in fields(cls):
-                for t in annotation_types(f.type):
-                    if is_dataclass(t):
-                        yield from classes(t)
-        reached = set(classes(ExperimentConfig))
+        reached = set(config_classes(ExperimentConfig))
         assert reached == {ExperimentConfig, SyntheticSpec, AlsConfig,
                            AlsdlConfig, MlpTrainConfig, LossConfig,
                            ActiveConfig}
@@ -1217,12 +1303,14 @@ class TestSchema:
         with pytest.raises(TypeError):
             Bad()
 
-    def test_tree_checked_by_validate(self):
-        cfg = small_config()
-        cfg.synthetic.noise_sd = -1.0  # SyntheticSpec is not frozen
-        with pytest.raises(ConfigError) as e:
-            cfg.validate()
-        assert e.value.key == "synthetic.noise_sd"
+    def test_every_config_frozen(self):
+        """A config is checked once, when built, so no field of any config
+        class, nested ones included, can be assigned afterwards."""
+        for cls in config_classes(ExperimentConfig):
+            assert cls.__dataclass_params__.frozen, cls.__name__
+        cfg = ExperimentConfig(synthetic=SyntheticSpec(6, 6, 2, 0.1), folds=2)
+        with pytest.raises(FrozenInstanceError):
+            cfg.synthetic.rank = 9
 
     def test_readme_table(self):
         """The README's config table lists each key once, with the type,
@@ -1242,3 +1330,113 @@ class TestSchema:
                 for key, f, value in schema_leaves(ExperimentConfig())]
         assert sorted(rows) == sorted(want)
         assert len(rows) == len(set(rows))
+
+
+def json_object(leaves):
+    """The JSON object that sets each (dotted key, value) of leaves."""
+    raw = {}
+    for key, value in leaves:
+        *path, name = key.split(".")
+        node = raw
+        for part in path:
+            node = node.setdefault(part, {})
+        node[name] = value
+    return raw
+
+
+SCHEMA = [(key, value) for key, _, value in schema_leaves(ExperimentConfig())]
+OBJECT_KEYS = sorted({key.rsplit(".", 1)[0] for key, _ in SCHEMA
+                      if "." in key})
+# each list of names, and a value to add to it: an unknown name, or for
+# seeds and concentrations, which take any number in range, a new one
+NAME_LISTS = {"targets": "x", "models": "foo", "strategies": "rand",
+              "seeds": 3, "concentrations": 0.5}
+# JSON values of every type, in and out of range
+JSON_VALUES = [None, True, False, 0, -1, 1, 2, 7, 1.5, -0.5, 1e308, 10 ** 400,
+               math.nan, math.inf, "", "x", "gr", [], [1, "a"], [0.5, 0.5],
+               ["gr"], [2, 1], {}, {"gr": "x"}, {"cel_id": "x"}, {"x": 5}]
+
+
+def csv_flag(items):
+    return st.lists(st.sampled_from(items), max_size=3).map(",".join)
+
+
+# argv values each flag parses: the property is about resolve_config
+FLAG_VALUES = {
+    "dataset": st.just("d.csv"),
+    "synthetic": st.sampled_from(["6,6,2,0.1", "5,4,4,0"]),
+    "target": st.sampled_from(["gr", "ifd", "both"]),
+    "concentrations": csv_flag(["0.1", "1", "1.0", "0", "-2", "inf"]),
+    "seeds": csv_flag(["0", "1", "-1"]),
+    "models": csv_flag(["als", "alsdl", "foo"]),
+    "strategy": csv_flag(["orderly", "random", "uncertainty", "elm",
+                          "rand"]),
+    "out": st.just("out2")}
+
+
+@st.composite
+def changes(draw):
+    """One change to the schema's JSON: a leaf set to any JSON value, an
+    unknown key, a non-object where a config object belongs, or a list
+    with an unknown or repeated name."""
+    kind = draw(st.sampled_from(["leaf", "unknown", "non-object", "name"]))
+    if kind == "leaf":
+        return draw(st.sampled_from(SCHEMA))[0], draw(
+            st.sampled_from(JSON_VALUES))
+    if kind == "unknown":
+        return draw(st.sampled_from(["", *(k + "." for k in OBJECT_KEYS)])
+                    ) + "bogus", 1
+    if kind == "non-object":
+        return draw(st.sampled_from(OBJECT_KEYS)), draw(
+            st.sampled_from([5, "x", [], None, True]))
+    key = draw(st.sampled_from(sorted(NAME_LISTS)))
+    names = list(dict(SCHEMA)[key] or [1.0])
+    return key, names + [draw(st.sampled_from(names + [NAME_LISTS[key]]))]
+
+
+@st.composite
+def cli_cases(draw):
+    """(subcommand, JSON config, flags): the schema's leaves at their
+    defaults with one or two changes, and some flags of the subcommand."""
+    command = draw(st.sampled_from(sorted(subparsers())))
+    dests = sorted({a.dest for a in subparsers()[command]._actions}
+                   & FLAG_KEYS.keys())
+    leaves = dict(SCHEMA)
+    for key, value in draw(st.lists(changes(), min_size=1, max_size=2)):
+        # a change above or below a key set before replaces that key
+        leaves = {k: v for k, v in leaves.items()
+                  if not (k.startswith(key + ".") or key.startswith(k + "."))}
+        leaves[key] = value
+    given_dests = draw(st.lists(st.sampled_from(dests), unique=True,
+                                max_size=3))
+    if "dataset" in given_dests and "synthetic" in given_dests:
+        given_dests.remove("synthetic")  # the parser allows one source flag
+    flags = [f"--{dest.replace('_', '-')}="
+             + draw(FLAG_VALUES.get(dest, st.integers(-1, 50).map(str)))
+             for dest in given_dests]
+    return command, json_object(leaves.items()), flags
+
+
+class TestResolveConfigProperty:
+    """Any JSON config built from the schema, with any flags, either exits
+    naming a key or resolves to a config whose asdict, fed back as
+    --config, resolves to an equal config."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(cli_cases())
+    def test_exits_naming_a_key_or_round_trips(self, case):
+        command, raw, flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(raw))
+            args = build_parser().parse_args(
+                [command, "--config", str(path), *flags])
+            try:
+                cfg = resolve_config(args)
+            except SystemExit as e:
+                assert re.match(r"unknown config key |.*config key "
+                                r"'\w+(\.\w+)*'", str(e)), e
+                return
+            path.write_text(json.dumps(asdict(cfg)))
+            again = build_parser().parse_args([command, "--config", str(path)])
+            assert resolve_config(again) == cfg
