@@ -94,9 +94,12 @@ class Scorer:
 
     `add` copies each epoch's predictions into a row of `block`, and each
     full block, and the one that holds the last of `epochs` epochs, is
-    scored into `loss` and `accuracy`. Accuracy tests sign(d) == truth
-    sign, d = pred - boundary, as d * sign > 0 where the truth sign is +-1
-    and d == 0 where it is 0, without the slow np.sign.
+    scored into `loss` and `accuracy`. Accuracy tests sign(pred - boundary)
+    == truth sign by comparing the predictions with the boundary, without
+    the slow np.sign: pred > boundary where the truth sign is +1, pred <
+    boundary where it is -1 and pred == boundary where it is 0 (a float
+    difference is zero only when its operands are equal). The loss is then
+    computed in place in the block, which the next epoch overwrites anyway.
     """
 
     def __init__(self, truths, epochs, boundary=0.0):
@@ -104,10 +107,11 @@ class Scorer:
         if self.truths.size == 0:
             raise MetricError("empty input")
         self.boundary = boundary
-        self.signs = np.sign(self.truths - boundary)
-        self._on_boundary = self.signs == 0
+        signs = np.sign(self.truths - boundary)
+        self._above, self._below = signs > 0, signs < 0
+        self._on_boundary = signs == 0
         shape = (max(1, min(HISTORY_BLOCK, epochs)), self.truths.size)
-        self.block, self._scratch = np.empty(shape), np.empty(shape)
+        self.block = np.empty(shape)
         self._matches = np.empty(shape, dtype=bool)
         self._hits = np.empty(shape, dtype=bool)
         self.loss, self.accuracy = np.empty(epochs), np.empty(epochs)
@@ -129,18 +133,21 @@ class Scorer:
 
     def _score_rows(self, preds, loss, accuracy):
         n, k = preds.shape
-        scratch, matches, hits = (self._scratch[:n], self._matches[:n],
-                                  self._hits[:n])
-        np.subtract(preds, self.truths, out=scratch)
-        np.add.reduce(np.square(scratch, out=scratch), axis=1, out=loss)
-        loss /= k
-        np.sqrt(loss, out=loss)
-        d = np.subtract(preds, self.boundary, out=scratch)
-        np.equal(d, 0.0, out=hits)
+        matches, hits = self._matches[:n], self._hits[:n]
+        b = self.boundary
+        np.greater(preds, b, out=matches)
+        matches &= self._above
+        np.less(preds, b, out=hits)
+        hits &= self._below
+        matches |= hits
+        np.equal(preds, b, out=hits)
         hits &= self._on_boundary
-        np.greater(np.multiply(d, self.signs, out=d), 0.0, out=matches)
         matches |= hits
         np.divide(np.count_nonzero(matches, axis=1), k, out=accuracy)
+        np.subtract(preds, self.truths, out=preds)
+        np.add.reduce(np.square(preds, out=preds), axis=1, out=loss)
+        loss /= k
+        np.sqrt(loss, out=loss)
 
 
 def kfold_split(n_positions, k, seed):

@@ -7,17 +7,19 @@ tanh surrogate, and beta = 0 trains on the RMSE alone. The training curve
 records RMSE and boundary accuracy.
 
 A training epoch allocates no array that grows with the rows; only its
-finiteness check takes a flag per parameter. `_Buffers` holds one batch
-size's work arrays: per layer, the (rows, width) activations,
-back-propagated deltas and tanh-derivative scratch; the output gradient
-and its two scratch rows; and the flat parameter gradient with its
-per-layer views. `train_mlp` makes one for its training rows and, given
-a split, one for the test rows, and passes them to `backward` and
-`predict_batch`, whose ufuncs write through `out=`. It copies the model
-once and then steps that copy in place through `rmsprop_step` and a
-`StepWork`. `predict_batch` alone also runs without buffers: it then
-allocates only the activations, so that a caller outside training owns
-its result.
+finiteness check takes a flag per parameter. `_Buffers` holds the
+training rows' work arrays, each of which the code reads: per layer, the
+(rows, width) activations, which `backward` overwrites in each hidden
+layer with that layer's back-propagated delta; one product buffer for
+delta @ w.T; the output gradient and its two scratch rows; and the flat
+parameter gradient with its per-layer views. `train_mlp` makes one for
+its training rows and passes it to `backward` and `predict_batch`, whose
+ufuncs write through `out=`; given a split, it keeps only the
+activations (`_activations`) of the test rows, for `predict_batch`. It
+copies the model once and then steps that copy in place through
+`rmsprop_step` and a `StepWork`. `predict_batch` also runs without
+activations: it then allocates them, so that a caller outside training
+owns its result.
 `train_mlp` checks each step's training RMSE, which the next epoch's
 `backward` finds anyway (`_Buffers.rmse`), as well as its parameters.
 A layer's bias gradient is the column sums of its delta, taken by
@@ -119,20 +121,27 @@ def init_mlp(layer_sizes, seed):
     return model
 
 
+def _activations(model, rows):
+    """One (rows, width) array per layer, for a forward pass's outputs."""
+    return [np.empty((rows, w)) for w in model.layer_sizes[1:]]
+
+
 class _Buffers:
     """Work arrays for one batch size of one network shape: per layer, its
-    (rows, width) activations, and per hidden layer the back-propagated
-    delta and the tanh-derivative scratch; the output gradient and two
-    scratch rows, (3, rows); and a flat gradient in the layout of
-    `model.params` with its per-layer views `grad_w`/`grad_b`; and `rmse`,
-    the batch RMSE that the last `backward` found. Each call that is given
-    them overwrites them."""
+    (rows, width) activations, which `backward` overwrites in each hidden
+    layer with the delta back-propagated to it; per hidden layer a
+    (rows, width) view, `products`, of one array of the widest hidden
+    layer's size, for delta @ w.T; the output gradient and two scratch
+    rows, (3, rows); and a flat gradient in the layout of `model.params`
+    with its per-layer views `grad_w`/`grad_b`; and `rmse`, the batch RMSE
+    that the last `backward` found. Each call that is given them
+    overwrites them."""
 
     def __init__(self, model, rows):
-        widths = model.layer_sizes[1:]
-        self.acts = [np.empty((rows, w)) for w in widths]
-        self.deltas = [np.empty((rows, w)) for w in widths[:-1]]
-        self.scratch = [np.empty((rows, w)) for w in widths[:-1]]
+        self.acts = _activations(model, rows)
+        hidden = model.layer_sizes[1:-1]
+        product = np.empty(rows * max(hidden, default=0))
+        self.products = [product[:rows * w].reshape(rows, w) for w in hidden]
         self.output_rows = np.empty((3, rows))
         self.grad = np.empty_like(model.params)
         self.grad_w, self.grad_b = model.split(self.grad)
@@ -153,15 +162,13 @@ def _forward_batch(model, inputs, outs):
     return acts
 
 
-def predict_batch(model, inputs, buffers=None):
-    """Network output per input row; a view into `buffers` when given,
-    else into fresh activations that no later call overwrites."""
-    if buffers is None:
-        outs = [np.empty((np.shape(inputs)[0], w))
-                for w in model.layer_sizes[1:]]
-    else:
-        outs = buffers.acts
-    return _forward_batch(model, inputs, outs)[-1][:, 0]
+def predict_batch(model, inputs, acts=None):
+    """Network output per input row; a view into `acts` (per layer, a
+    (rows, width) array, as `_activations` makes) when given, else into
+    fresh activations that no later call overwrites."""
+    if acts is None:
+        acts = _activations(model, np.shape(inputs)[0])
+    return _forward_batch(model, inputs, acts)[-1][:, 0]
 
 
 def _output_gradient(preds, truths, cfg, out):
@@ -213,7 +220,10 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers):
     """Gradient of the training objective, a flat vector in the layout of
     `model.params`: `buffers.grad`, which the next call given the same
     buffers overwrites. The model's RMSE on the batch, found on the way,
-    is left in `buffers.rmse`.
+    is left in `buffers.rmse`. Each hidden layer's activations in
+    `buffers.acts` are overwritten, once its weight gradient has read
+    them, with the delta back-propagated to that layer; the output
+    layer's are left as the forward pass wrote them.
     """
     inputs = np.atleast_2d(np.asarray(batch_inputs, dtype=float))
     truths = np.asarray(batch_truths, dtype=float)
@@ -228,12 +238,13 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers):
         np.matmul(acts[li].T, delta, out=grad_w[li])
         _column_sums(delta, grad_b[li])
         if li > 0:
-            # delta <- (delta @ w.T) * (1 - a**2), a = this layer's input
-            nxt, deriv = buffers.deltas[li - 1], buffers.scratch[li - 1]
-            np.matmul(delta, model.weights[li].T, out=nxt)
-            np.square(acts[li], out=deriv)
-            np.subtract(1.0, deriv, out=deriv)
-            delta = np.multiply(nxt, deriv, out=nxt)
+            # a <- (delta @ w.T) * (1 - a**2), a = this layer's input, which
+            # is the next delta
+            a, product = acts[li], buffers.products[li - 1]
+            np.matmul(delta, model.weights[li].T, out=product)
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            delta = np.multiply(product, a, out=a)
     return buffers.grad
 
 
@@ -311,7 +322,7 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
         inputs_te = inputs[te]
         train_scorer = Scorer(truths_tr, epochs)
         test_scorer = Scorer(truths[te], epochs)
-        test_buffers = _Buffers(model, te.size)
+        test_acts = _activations(model, te.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             grad = backward(model, inputs_tr, truths_tr, loss_cfg,
@@ -325,9 +336,9 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
             if not np.isfinite(model.params).all():
                 raise DivergenceError(epoch)
             if test_scorer:
-                test_scorer.add(predict_batch(model, inputs_te, test_buffers))
+                test_scorer.add(predict_batch(model, inputs_te, test_acts))
         if epochs:  # the model the last step left
-            preds = predict_batch(model, inputs_tr, train_buffers)
+            preds = predict_batch(model, inputs_tr, train_buffers.acts)
             resid = np.subtract(preds, truths_tr,
                                 out=train_buffers.output_rows[0])
             if not math.isfinite(residual_rmse(resid, out=resid)):

@@ -77,11 +77,12 @@ class TestRowWiseReduction:
 
     @pytest.mark.parametrize("boundary", [0.0, -0.0, 0.5])
     def test_special_values(self, boundary):
-        """Infinities, NaNs, signed zeros and the smallest subnormals, in
-        the predictions and the truths."""
+        """Infinities, NaNs, signed zeros, the smallest subnormals and the
+        neighbours of 0.5, in the predictions and the truths: a prediction
+        one ulp from the boundary is on its side."""
         tiny = np.nextafter(0.0, 1.0)
-        grid = [-np.inf, -1.0, -tiny, -0.0, 0.0, tiny, 0.5, 1.0, np.inf,
-                np.nan]
+        grid = [-np.inf, -1.0, -tiny, -0.0, 0.0, tiny, np.nextafter(0.5, 0),
+                0.5, np.nextafter(0.5, 1), 1.0, np.inf, np.nan]
         p, t = (a.ravel() for a in np.meshgrid(grid, grid))
         rows = np.stack([np.roll(p, shift) for shift in range(7)])
         scorer = Scorer(t, len(rows), boundary)
@@ -106,14 +107,13 @@ def scored_alone(truths, preds, boundary):
 class TestBlocksAreCOrdered:
     @pytest.fixture
     def scored(self, monkeypatch):
-        """The row counts of every block scored; each block, and the scratch
-        rows it is scored in, must be C-ordered."""
+        """The row counts of every block scored; each block must be
+        C-ordered."""
         calls = []
         score_rows = Scorer._score_rows
 
         def spy(self, preds, loss, accuracy):
-            for a in (preds, self._scratch[:len(preds)]):
-                assert a.flags.c_contiguous, a.strides
+            assert preds.flags.c_contiguous, preds.strides
             calls.append(len(preds))
             score_rows(self, preds, loss, accuracy)
         monkeypatch.setattr(Scorer, "_score_rows", spy)
@@ -328,9 +328,9 @@ class TestNoHistory:
 
     def test_als_peak_memory_stays_under_one_block(self):
         """A (HISTORY_BLOCK, m*n) block is 299 KB at 35 x 34: training
-        without a split never holds that much, and with one its train
-        Scorer's block and scratch block, 32 epochs of 952 positions each,
-        take more."""
+        without a split never holds that much, and with one its two
+        Scorers' float and bool blocks, 32 epochs of 952 train and 238
+        test positions, take more."""
         mat, _ = generate_synthetic(35, 34, 5, 0.1, seed=1)
         cfg = AlsConfig(epochs=B + 1)
         block_bytes = B * mat.values.size * 8

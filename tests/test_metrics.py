@@ -90,7 +90,7 @@ def scores(truths, rows, boundary=0.0):
 
 class TestScorer:
     """A Scorer gives rmse and boundary_accuracy's values with ==, epoch
-    after epoch on its reused scratch arrays."""
+    after epoch on its reused work arrays."""
 
     @pytest.mark.parametrize("boundary", [0.0, 0.3, -0.5])
     @pytest.mark.parametrize("n", [1, 7, 129, 1071])

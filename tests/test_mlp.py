@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alsal.als import DivergenceError
-from alsal.metrics import FoldSplit
+from alsal.metrics import HISTORY_BLOCK, FoldSplit
 from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, StepWork,
                        _Buffers, _column_sums, _output_gradient, backward,
                        init_mlp, predict_batch, rmsprop_step, train_mlp)
@@ -296,13 +296,13 @@ class TestTrainMlp:
 
 class TestPredictWithoutBuffers:
     """Outside training, predict_batch allocates the (rows, width)
-    activations of each layer and no training buffers: no deltas, scratch
-    rows or flat gradient."""
+    activations of each layer and no training buffers: no product buffer,
+    output rows or flat gradient."""
 
     def test_builds_no_training_buffers(self, rng, monkeypatch):
         model = init_mlp([10, 20, 10, 5, 1], seed=0)
         x = rng.normal(size=(37, 10))
-        want = predict_batch(model, x, _Buffers(model, 37)).copy()
+        want = predict_batch(model, x, _Buffers(model, 37).acts).copy()
 
         def forbidden(*args):
             raise AssertionError("training buffers built for a prediction")
@@ -322,7 +322,8 @@ class TestPredictWithoutBuffers:
         finally:
             tracemalloc.stop()
         # numpy's ufunc buffer for the broadcast bias add comes on top; a
-        # whole _Buffers took about three times the activations
+        # whole _Buffers takes about 1.7 times the activations (three times
+        # while it also held a delta and a scratch array per hidden layer)
         assert peak < 1.5 * acts_bytes
 
 
@@ -653,3 +654,38 @@ class TestTrainingAllocations:
                 tracemalloc.stop()
         peak(1)  # first-call caches, outside the comparison
         assert peak(20) - peak(0) < rows * 8
+
+    def test_peak_is_about_the_arrays_training_reads(self, rng):
+        """At the bench shape, with a held-out split and a full history
+        block, training holds only arrays it reads: the train rows'
+        inputs, activations (which backward overwrites with the deltas),
+        product buffer and output rows, the flat gradient, the test rows'
+        activations, and each Scorer's float block and two bool blocks,
+        1.01 MB in all. A delta and a tanh-derivative scratch array per
+        hidden layer, a whole _Buffers for the test rows and a float
+        scratch block per Scorer took the peak to 1.94 MB."""
+        tr, te, sizes = 1071, 119, [10, 20, 10, 5, 1]
+        model = init_mlp(sizes, seed=0)
+        width = sum(sizes[1:])
+        kept = (8 * (tr * sizes[0]  # train inputs
+                     + tr * width  # train activations
+                     + tr * max(sizes[1:-1])  # delta @ w.T
+                     + 3 * tr  # output gradient and its scratch rows
+                     + model.params.size  # flat gradient
+                     + te * width  # test activations
+                     + HISTORY_BLOCK * (tr + te))  # Scorer blocks
+                + 2 * HISTORY_BLOCK * (tr + te))  # their bool blocks
+        x = rng.normal(size=(tr + te, sizes[0]))
+        t = rng.normal(size=tr + te)
+        split = FoldSplit(np.arange(tr), np.arange(tr, tr + te))
+        cfg = MlpTrainConfig(epochs=HISTORY_BLOCK + 1)
+        train_mlp(model, x, t, cfg, LossConfig(), eval_split=split)  # caches
+        tracemalloc.start()
+        try:
+            train_mlp(model, x, t, cfg, LossConfig(), eval_split=split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the model copy, StepWork, Scorer truths and numpy's ufunc buffers
+        # come on top, about 0.1 MB
+        assert peak < 1.25 * kept
