@@ -1,9 +1,9 @@
 """Dataset ingestion and masked response-matrix construction.
 
 Handles the drug-sensitivity CSV (cell x molecule x concentration triples
-with GR and IFD responses), read in one pass into a columnar Dataset,
-restriction to fully-covered concentrations, and synthetic low-rank
-ground truth for property tests.
+with GR and IFD responses), read in one streamed pass of row blocks
+into a columnar Dataset, restriction to fully-covered concentrations,
+and synthetic low-rank ground truth for property tests.
 
 A position, here and in every module, is a flat row-major index into an
 m x n matrix: entry (i, j) is position i * n + j, held as a 1-D np.intp
@@ -13,6 +13,7 @@ array. as_positions is the one place that checks this form.
 import csv
 from dataclasses import dataclass
 import math
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -27,6 +28,9 @@ DEFAULT_COLUMNS = {
 
 # the target and concentration tag of a synthetic matrix's report rows
 TARGET_SYNTHETIC = "synthetic"
+
+# data rows parse_dataset holds as Python objects at once
+_BLOCK_ROWS = 256
 
 
 class DataError(ValueError):
@@ -124,12 +128,13 @@ class MaskedMatrix:
 
 
 def parse_dataset(csv_stream, columns=None):
-    """Parse the sensitivity CSV into a Dataset in one pass.
+    """Parse the sensitivity CSV into a Dataset in one streamed pass.
 
     `columns` maps the logical names (cell_id, molecule_id, concentration,
     gr, ifd) to actual header names; defaults follow the LINCS export.
     Blank lines are skipped, and errors number the rows that are left,
-    the header being row 1.
+    the header being row 1. Rows are read _BLOCK_ROWS at a time, so that
+    one block of row objects is alive at once beside the columns.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
@@ -145,20 +150,39 @@ def parse_dataset(csv_stream, columns=None):
     where = {name: k for k, name in enumerate(header)}
     cell_k, mol_k, *number_k = (where[colmap[key]] for key in (
         "cell_id", "molecule_id", "concentration", "gr", "ifd"))
-    rows = list(filter(None, reader))  # a blank line reads as []
+    rows = filter(None, reader)  # a blank line reads as []
 
-    numbers = None
-    if min(map(len, rows), default=len(header)) >= len(header):
-        try:
-            numbers = [np.fromiter(map(float, map(itemgetter(k), rows)),
-                                   float, len(rows)) for k in number_k]
-        except ValueError:
-            pass
-    if numbers is None or not _valid_numbers(*numbers):
-        _raise_first_bad_row(rows, len(header), number_k)
-    cell_ids, cell = _codes([row[cell_k] for row in rows])
-    molecule_ids, molecule = _codes([row[mol_k] for row in rows])
-    return Dataset(cell_ids, molecule_ids, cell, molecule, *numbers)
+    # ids get codes in first-seen order; one remap sorts them at the end
+    cell_codes, mol_codes = {}, {}
+    # (cell, molecule, concentration, gr, ifd) per block; the empty first
+    # one gives the columns their dtypes when there are no data rows
+    blocks = [(np.empty(0, np.intp),) * 2 + (np.empty(0),) * 3]
+    done = 0  # data rows in earlier blocks
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        numbers = _block_numbers(block, len(header), number_k)
+        if numbers is None:
+            _raise_first_bad_row(block, done + 2, len(header), number_k)
+        blocks.append((_first_seen_codes(block, cell_k, cell_codes),
+                       _first_seen_codes(block, mol_k, mol_codes), *numbers))
+        done += len(block)
+    cell_ids, cell_rank = _sorted_ranks(cell_codes)
+    molecule_ids, mol_rank = _sorted_ranks(mol_codes)
+    cell, molecule, *numbers = map(np.concatenate, zip(*blocks))
+    return Dataset(cell_ids, molecule_ids, cell_rank[cell],
+                   mol_rank[molecule], *numbers)
+
+
+def _block_numbers(block, width, number_k):
+    """The block's concentration, gr and ifd columns, or None if a row is
+    short, malformed or fails a check."""
+    if min(map(len, block)) < width:
+        return None
+    try:
+        numbers = [np.fromiter(map(float, map(itemgetter(k), block)), float,
+                               len(block)) for k in number_k]
+    except ValueError:
+        return None
+    return numbers if _valid_numbers(*numbers) else None
 
 
 def _valid_numbers(concentration, gr, ifd):
@@ -166,10 +190,11 @@ def _valid_numbers(concentration, gr, ifd):
                 and np.isfinite(gr).all() and np.isfinite(ifd).all())
 
 
-def _raise_first_bad_row(rows, width, number_k):
+def _raise_first_bad_row(rows, first_rownum, width, number_k):
     """Raise the DataError of the first row, in file order, that is short
-    or whose concentration, gr or ifd fails a check."""
-    for rownum, row in enumerate(rows, start=2):
+    or whose concentration, gr or ifd fails a check; rows[0] is row
+    first_rownum of the file."""
+    for rownum, row in enumerate(rows, start=first_rownum):
         if len(row) < width:
             raise DataError(f"row {rownum}: {len(row)} fields, but the header "
                             f"has {width}")
@@ -178,20 +203,29 @@ def _raise_first_bad_row(rows, width, number_k):
         except ValueError as e:
             raise DataError(f"row {rownum}: malformed numeric ({e})") from e
         if not conc > 0:
-            raise DataError(f"concentration must be > 0, got {conc}")
-        if not math.isfinite(conc):
-            raise DataError(f"row {rownum}: concentration must be finite, "
+            raise DataError(f"row {rownum}: concentration must be > 0, "
                             f"got {conc}")
-        if not (math.isfinite(gr) and math.isfinite(ifd)):
-            raise DataError("gr and ifd must be finite")
+        for name, value in (("concentration", conc), ("gr", gr), ("ifd", ifd)):
+            if not math.isfinite(value):
+                raise DataError(f"row {rownum}: {name} must be finite, "
+                                f"got {value}")
 
 
-def _codes(ids):
-    """(sorted distinct ids, each id's index into them as an intp array)."""
-    distinct = sorted(set(ids))
-    index = {name: k for k, name in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, ids), np.intp,
-                                 len(ids))
+def _first_seen_codes(block, k, codes):
+    """Each row's code for its column-k id, as an intp array; an id not in
+    `codes` yet gets the next code there."""
+    ids = [row[k] for row in block]
+    for name in dict.fromkeys(ids):
+        codes.setdefault(name, len(codes))
+    return np.fromiter(map(codes.__getitem__, ids), np.intp, len(ids))
+
+
+def _sorted_ranks(codes):
+    """(the ids of `codes`, sorted; each code's index into them)."""
+    distinct = sorted(codes)
+    rank = np.empty(len(codes), dtype=np.intp)
+    rank[[codes[name] for name in distinct]] = np.arange(len(distinct))
+    return distinct, rank
 
 
 def select_common_concentrations(table):

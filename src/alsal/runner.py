@@ -175,7 +175,9 @@ def load_matrices(config):
         tag = data_mod.TARGET_SYNTHETIC
         return [(tag, tag, matrix)]
     try:
-        f = open(config.dataset_path, newline="", encoding="utf-8")
+        # utf-8-sig drops a byte-order mark, which would otherwise prefix
+        # the first header name
+        f = open(config.dataset_path, newline="", encoding="utf-8-sig")
     except OSError as e:
         raise ConfigError("dataset_path", str(e)) from e
     try:

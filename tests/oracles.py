@@ -125,33 +125,39 @@ class Observation:
     gr: float
     ifd: float
 
-    def __post_init__(self):
-        if not self.concentration > 0:
-            raise DataError(f"concentration must be > 0, got {self.concentration}")
-        if not (math.isfinite(self.gr) and math.isfinite(self.ifd)):
-            raise DataError("gr and ifd must be finite")
-
 
 def parse_observations(csv_stream, columns=None):
     """The sensitivity CSV as a list of Observations, one per data row."""
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
         colmap.update(columns)
-    reader = csv.DictReader(csv_stream)
-    if reader.fieldnames is None:
+    reader = csv.reader(csv_stream)
+    header = next(reader, None)
+    if header is None:
         raise DataError("empty file: no header row")
-    missing = [v for v in colmap.values() if v not in reader.fieldnames]
+    missing = [v for v in colmap.values() if v not in header]
     if missing:
         raise DataError(f"missing required columns: {missing}")
 
     out = []
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, fields in enumerate(filter(None, reader), start=2):
+        if len(fields) < len(header):
+            raise DataError(f"row {rownum}: {len(fields)} fields, but the "
+                            f"header has {len(header)}")
+        row = dict(zip(header, fields))  # a repeated name keeps its last
         try:
             conc = float(row[colmap["concentration"]])
             gr = float(row[colmap["gr"]])
             ifd = float(row[colmap["ifd"]])
         except ValueError as e:
             raise DataError(f"row {rownum}: malformed numeric ({e})") from e
+        if not conc > 0:
+            raise DataError(f"row {rownum}: concentration must be > 0, "
+                            f"got {conc}")
+        for name, value in (("concentration", conc), ("gr", gr), ("ifd", ifd)):
+            if not math.isfinite(value):
+                raise DataError(f"row {rownum}: {name} must be finite, "
+                                f"got {value}")
         out.append(Observation(
             cell_id=row[colmap["cell_id"]],
             molecule_id=row[colmap["molecule_id"]],

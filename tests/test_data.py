@@ -1,3 +1,6 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from alsal.data import (DataError, MaskedMatrix, build_response_matrix,
                         select_common_concentrations)
 from alsal.mlp import init_mlp
 
+import alsal.data as data_mod
 import oracles
 from conftest import (CSV_HEADER, csv_stream, dataset_shaped_csv, grid_rows,
                       parse_rows)
@@ -73,11 +77,30 @@ class TestParseDataset:
         stream = csv_stream(["c1,m1,0.01,0.8,0.05\n",
                              f"c1,m2,{conc},0.8,0.05\n"])
         if conc.startswith("-"):
-            match = "concentration must be > 0, got -inf"
+            message = "row 3: concentration must be > 0, got -inf"
         else:
-            match = "row 3: concentration must be finite, got inf"
-        with pytest.raises(DataError, match=match):
+            message = "row 3: concentration must be finite, got inf"
+        with pytest.raises(DataError) as e:
             parse_dataset(stream)
+        assert str(e.value) == message
+
+    def test_negative_concentration_reports_row(self):
+        rows = grid_rows(["c1", "c2"], ["m1", "m2", "m3"], [1.0])
+        rows[5] = "c2,m3,-1.0,0.8,0.05\n"
+        with pytest.raises(DataError) as e:
+            parse_rows(rows)
+        assert str(e.value) == "row 7: concentration must be > 0, got -1.0"
+
+    @pytest.mark.parametrize("row, message", [
+        ("c3,m1,1.0,nan,0.05\n", "row 9: gr must be finite, got nan"),
+        ("c3,m1,1.0,0.8,-inf\n", "row 9: ifd must be finite, got -inf"),
+        ("c3,m1,1.0,1e999,nan\n", "row 9: gr must be finite, got inf")])
+    def test_nonfinite_response_reports_row_and_column(self, row, message):
+        rows = grid_rows(["c1", "c2"], ["m1", "m2", "m3", "m4"], [1.0])
+        rows[7:7] = [row]
+        with pytest.raises(DataError) as e:
+            parse_rows(rows)
+        assert str(e.value) == message
 
     def test_empty_file(self):
         import io
@@ -266,6 +289,16 @@ def assert_matches_oracle(text, concentrations=None):
         assert table == obs
         return
     assert len(table) == len(obs)
+    assert table.cell_ids == sorted({o.cell_id for o in obs})
+    assert table.molecule_ids == sorted({o.molecule_id for o in obs})
+    assert [table.cell_ids[k] for k in table.cell] == [o.cell_id for o in obs]
+    assert ([table.molecule_ids[k] for k in table.molecule]
+            == [o.molecule_id for o in obs])
+    for name in ("concentration", "gr", "ifd"):
+        want = np.array([getattr(o, name) for o in obs], dtype=float)
+        got = getattr(table, name)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
     assert (outcome(select_common_concentrations, table)
             == outcome(oracles.common_concentrations, obs))
     if concentrations is None:
@@ -275,6 +308,55 @@ def assert_matches_oracle(text, concentrations=None):
             assert_same_matrix(
                 outcome(build_response_matrix, table, target, c),
                 outcome(oracles.response_matrix, obs, target, c), table)
+
+
+def filler(count):
+    """count distinct data rows: 4 cells x 2 molecules at concentration
+    1.0, then the same grid at 2.0, 3.0 and so on."""
+    return [f"c{k % 4},m{k // 4 % 2},{1 + k // 8}.0,{0.5 + 0.001 * k:.3f},"
+            f"{('0.1', '-0.0', '0.0')[k % 3]}\n" for k in range(count)]
+
+
+def replaced(rows, at, row):
+    rows = list(rows)
+    rows[at] = row
+    return rows
+
+
+def with_blank_lines(rows, b):
+    """rows with blank lines before rows[b - 1], rows[b] and (two)
+    rows[b + 1]: on both sides of the end of the first b-row block."""
+    rows = list(rows)
+    for at in (b + 1, b + 1, b, b - 1):  # from the back: none moves the next
+        rows.insert(at, "\n")
+    return rows
+
+
+# block size -> data rows, each a case at a boundary between blocks
+BLOCK_CASES = {
+    "one-block": lambda b: filler(b),
+    "one-block-and-a-row": lambda b: filler(b + 1),
+    "short-last-of-block": lambda b: replaced(filler(b + 2), b - 1,
+                                              "c9,m9,1.0,0.5\n"),
+    "short-first-of-next": lambda b: replaced(filler(b + 2), b,
+                                              "c9,m9,1.0,0.5\n"),
+    "malformed-last-of-block": lambda b: replaced(filler(b + 2), b - 1,
+                                                  "c9,m9,1.0,oops,0.1\n"),
+    "nan-first-of-next": lambda b: replaced(filler(b + 2), b,
+                                            "c9,m9,1.0,0.5,nan\n"),
+    "negative-first-of-next": lambda b: replaced(filler(b + 2), b,
+                                                 "c9,m9,-1.0,0.5,0.1\n"),
+    # the row numbers of the next block count data rows only
+    "blank-lines-straddle": lambda b: with_blank_lines(replaced(
+        filler(b + 3), b + 1, "c9,m9,0,0.5,0.1\n"), b),
+    "blank-lines-straddle-clean": lambda b: with_blank_lines(filler(b + 2), b),
+    # ids first seen in the next block sort before every earlier one
+    "later-id-sorts-first": lambda b: filler(b) + [
+        "a0,m1,1.0,0.7,0.2\n", "c0,a1,1.0,0.6,-0.0\n"],
+    "conflict-across-blocks": lambda b: filler(b) + [
+        "c0,m0,1.0,0.9,0.1\n"],
+    "duplicate-across-blocks": lambda b: filler(b) + filler(1),
+}
 
 
 class TestAgainstRowwiseOracle:
@@ -336,6 +418,15 @@ class TestAgainstRowwiseOracle:
         obs = oracles.parse_observations(io.StringIO(text), columns=columns)
         assert table.gr.tolist() == [o.gr for o in obs] == [1.5, 0.5]
 
+    @pytest.mark.parametrize("block_rows", [3, data_mod._BLOCK_ROWS])
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_CASES.keys())
+    def test_block_boundary(self, monkeypatch, case, block_rows):
+        """Cases that sit on the boundary between two blocks of rows, at the
+        module's block size and at a small one."""
+        monkeypatch.setattr(data_mod, "_BLOCK_ROWS", block_rows)
+        assert_matches_oracle(CSV_HEADER + "".join(BLOCK_CASES[case](
+            block_rows)), concentrations=[1.0, 2.0])
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.sampled_from(["c1", "c2", "c10", "C2"]),
                               st.sampled_from(["m1", "m2"]),
@@ -374,6 +465,42 @@ class TestDatasetShapedCorpus:
         mat = build_response_matrix(table, "gr", 0.01)
         assert mat.shape == (35, 34)
         assert int(mat.mask.sum()) == 1190
+
+
+def traced_peak(stream):
+    """(parse_dataset(stream), the most memory it held at once in bytes,
+    as tracemalloc counts it)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = parse_dataset(stream)
+        return table, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestIngestMemory:
+    """parse_dataset holds one block of rows and about twice its output at
+    once, not every row of the file."""
+
+    def test_peak_is_a_small_multiple_of_the_output(self):
+        table, peak = traced_peak(dataset_shaped_csv())
+        out = sum(getattr(table, name).nbytes for name in (
+            "cell", "molecule", "concentration", "gr", "ifd"))
+        # the blocks' columns, their concatenation and the remapped codes
+        # (2.4 times the output), one block of rows (about 0.3 times here)
+        # and slack; holding every row as a list of str is 11 times
+        assert peak < 3.5 * out
+
+    def test_peak_grows_no_faster_than_the_rows(self):
+        header, body = dataset_shaped_csv().getvalue().split("\n", 1)
+        table, peak = traced_peak(io.StringIO(header + "\n" + body))
+        twice, twice_peak = traced_peak(io.StringIO(header + "\n" + body * 2))
+        assert len(twice) == 2 * len(table)
+        assert twice_peak < 2.2 * peak
 
 
 class TestGenerateSynthetic:

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import csv
 import json
 import math
@@ -1190,7 +1191,10 @@ class TestRejectedInput:
     @pytest.mark.parametrize("row, message", [
         ("C0,M1,1.0,0.8\n", "row 62: 4 fields, but the header has 5"),
         ("C0,M1,1e400,0.8,0.1\n",
-         "row 62: concentration must be finite, got inf")])
+         "row 62: concentration must be finite, got inf"),
+        ("C0,M1,-1.0,0.8,0.1\n",
+         "row 62: concentration must be > 0, got -1.0"),
+        ("C0,M1,1.0,nan,0.1\n", "row 62: gr must be finite, got nan")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_bad_dataset_row(self, monkeypatch, tmp_path, command, row,
                              message):
@@ -1205,6 +1209,32 @@ class TestRejectedInput:
                   "--out", str(tmp_path / "run")])
         assert str(e.value) == f"invalid config key 'dataset_path': {message}"
         assert not (tmp_path / "run").exists()
+
+    def test_byte_order_mark_ignored(self, monkeypatch, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark reads as the same
+        Dataset and matrices as the file without it."""
+        import alsal.runner as runner_mod
+        parse = runner_mod.data_mod.parse_dataset
+        tables = []
+
+        def parse_and_keep(*args, **kwargs):
+            tables.append(parse(*args, **kwargs))
+            return tables[-1]
+        monkeypatch.setattr(runner_mod.data_mod, "parse_dataset",
+                            parse_and_keep)
+        plain = small_dataset(tmp_path / "plain.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        loaded = [runner_mod.load_matrices(ExperimentConfig(
+            dataset_path=str(path))) for path in (plain, marked)]
+        a, b = tables
+        assert (a.cell_ids, a.molecule_ids) == (b.cell_ids, b.molecule_ids)
+        for name in ("cell", "molecule", "concentration", "gr", "ifd"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for (*key, x), (*same_key, y) in zip(*loaded, strict=True):
+            assert key == same_key
+            assert np.array_equal(x.values, y.values)
+            assert np.array_equal(x.mask, y.mask)
 
     def test_per_unit_defaults_accepted(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
