@@ -86,13 +86,13 @@ def query_random(state, n, seed):
     return state.pool[rng.choice(state.pool.size, size=take, replace=False)]
 
 
-def query_uncertainty(state, model, n, boundary=0.0):
-    """Pool positions whose predictions lie closest to the boundary, ties
-    in row-major order."""
+def query_uncertainty(state, model, n):
+    """Pool positions whose predictions lie closest to the data's decision
+    boundary 0, ties in row-major order."""
     if not state.pool.size:
         raise ValueError("empty pool")
     preds = alsdl_mod.alsdl_predict_positions(model, state.pool)
-    order = np.lexsort((state.pool, np.abs(preds - boundary)))
+    order = np.lexsort((state.pool, np.abs(preds)))
     return state.pool[order[:n]]
 
 

@@ -95,9 +95,9 @@ def _rule(tp, bounds):
         return (lambda v: isinstance(v, number) and not isinstance(v, bool)
                 and -top <= v <= top and all(c(v, x) for c, x in limits),
                 kind if bounds == "any" else f"{kind} {bounds}")
-    if tp in (bool, str) or is_dataclass(tp):
-        return (lambda v: isinstance(v, tp)), {
-            bool: "true or false", str: "a string"}.get(tp, f"a {tp.__name__}")
+    if tp is str or is_dataclass(tp):
+        return (lambda v: isinstance(v, tp)), (
+            "a string" if tp is str else f"a {tp.__name__}")
     raise TypeError(f"unsupported config annotation {tp!r}")
 
 
@@ -130,9 +130,10 @@ class AlsConfig:
     epochs: int = in_range(400, ">= 1")
     init_scale: float = in_range(0.1, ">= 0")
     seed: int = in_range(0, ">= 0")
-    # epoch semantics: by default w's gradient is recomputed after x moves
-    # (true alternation); True applies both updates from the same residual
-    simultaneous_updates: bool = False
+    # epochs always alternate. A class attribute, not a field (so no
+    # config key), kept because the bench tracer reads it on each
+    # train_als call; it goes once ROADMAP item 1 stops that read
+    simultaneous_updates = False
 
     def __post_init__(self):
         check_fields(self)
@@ -181,24 +182,20 @@ class EpochWork(NamedTuple):
                    np.empty_like(emb.x), np.empty_like(emb.w))
 
 
-def als_epoch(matrix, emb, alpha, simultaneous, work):
+def als_epoch(matrix, emb, alpha, work):
     """One training epoch: x-step then w-step on the updated x.
 
-    With simultaneous=True both steps use the gradients at the old x. The
-    epoch writes its temporaries into work (an EpochWork shaped for emb),
-    updates emb.x and emb.w in place and returns emb.
+    The epoch writes its temporaries into work (an EpochWork shaped for
+    emb), updates emb.x and emb.w in place and returns emb.
     """
     x, w = emb.x, emb.w
     r, gx, gw = work
     _residual(matrix, emb, out=r)
     np.matmul(r, _t(w), out=gx)
-    if simultaneous:
-        np.matmul(_t(x), r, out=gw)
     gx *= alpha
     x -= gx
-    if not simultaneous:
-        _residual(matrix, emb, out=r)
-        np.matmul(_t(x), r, out=gw)
+    _residual(matrix, emb, out=r)
+    np.matmul(_t(x), r, out=gw)
     gw *= alpha
     w -= gw
     return emb
@@ -247,8 +244,7 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
     work = EpochWork.like(emb)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(start_epoch, cfg.epochs):
-            als_epoch(train_matrix, emb, cfg.learning_rate,
-                      cfg.simultaneous_updates, work)
+            als_epoch(train_matrix, emb, cfg.learning_rate, work)
             if scored:
                 np.matmul(emb.x, emb.w, out=pred.reshape(m, n))
                 for scorer, idx in scored:
@@ -261,8 +257,7 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
             emb = EmbeddingPair(x=start.x[b].copy(), w=start.w[b].copy())
             work = EpochWork.like(emb)
             for epoch in range(start_epoch, cfg.epochs):
-                als_epoch(alone, emb, cfg.learning_rate,
-                          cfg.simultaneous_updates, work)
+                als_epoch(alone, emb, cfg.learning_rate, work)
                 if not (np.isfinite(emb.x).all()
                         and np.isfinite(emb.w).all()):
                     raise DivergenceError(epoch)

@@ -53,10 +53,12 @@ def train_alsdl(matrix, cfg, eval_split=None, stage1=None):
     Curve that covers stage 1 then stage 2, or None for the curve when no
     split is held out.
 
-    Stage-2 epochs continue the stage-1 numbering so the handover between
-    the factor model and the network stays visible in the curve. stage1,
-    when given, is the (embeddings, curve) pair that train_als(matrix,
-    cfg.als, eval_split) returns, trained already; it is used as it is.
+    Stage-2 epochs continue the stage-1 numbering, in the curve and in
+    the network's DivergenceError, so the handover between the factor
+    model and the network stays visible, and so does the stage that
+    diverged. stage1, when given, is the (embeddings, curve) pair that
+    train_als(matrix, cfg.als, eval_split) returns, trained already; it
+    is used as it is.
     """
     if stage1 is None:
         stage1 = als_mod.train_als(matrix, cfg.als, eval_split)

@@ -88,26 +88,25 @@ class Scorer:
     """RMSE and boundary accuracy of a curve's predictions against one fixed
     set of truths. A row's RMSE is sqrt(mean((preds - truths)**2)), with
     `residual_rmse`'s bits; its accuracy is the fraction of predictions on
-    the same side of `boundary` as their truths, where sign(0) = 0: a
-    prediction exactly on the boundary matches only a truth exactly on it.
-    The truths are checked, and their boundary signs computed, once.
+    the same side of the boundary 0 as their truths, where sign(0) = 0: a
+    prediction exactly on 0 matches only a truth exactly on it. Ingest
+    puts the data's decision boundary at 0 (GR - 1). The truths are
+    checked, and their signs computed, once.
 
     `add` copies each epoch's predictions into a row of `block`, and each
     full block, and the one that holds the last of `epochs` epochs, is
-    scored into `loss` and `accuracy`. Accuracy tests sign(pred - boundary)
-    == truth sign by comparing the predictions with the boundary, without
-    the slow np.sign: pred > boundary where the truth sign is +1, pred <
-    boundary where it is -1 and pred == boundary where it is 0 (a float
-    difference is zero only when its operands are equal). The loss is then
-    computed in place in the block, which the next epoch overwrites anyway.
+    scored into `loss` and `accuracy`. Accuracy tests sign(pred) == truth
+    sign by comparing the predictions with 0, without the slow np.sign:
+    pred > 0 where the truth sign is +1, pred < 0 where it is -1 and
+    pred == 0 where it is 0. The loss is then computed in place in the
+    block, which the next epoch overwrites anyway.
     """
 
-    def __init__(self, truths, epochs, boundary=0.0):
+    def __init__(self, truths, epochs):
         self.truths = np.asarray(truths, dtype=float)
         if self.truths.size == 0:
             raise MetricError("empty input")
-        self.boundary = boundary
-        signs = np.sign(self.truths - boundary)
+        signs = np.sign(self.truths)
         self._above, self._below = signs > 0, signs < 0
         self._on_boundary = signs == 0
         shape = (max(1, min(HISTORY_BLOCK, epochs)), self.truths.size)
@@ -134,13 +133,12 @@ class Scorer:
     def _score_rows(self, preds, loss, accuracy):
         n, k = preds.shape
         matches, hits = self._matches[:n], self._hits[:n]
-        b = self.boundary
-        np.greater(preds, b, out=matches)
+        np.greater(preds, 0.0, out=matches)
         matches &= self._above
-        np.less(preds, b, out=hits)
+        np.less(preds, 0.0, out=hits)
         hits &= self._below
         matches |= hits
-        np.equal(preds, b, out=hits)
+        np.equal(preds, 0.0, out=hits)
         hits &= self._on_boundary
         matches |= hits
         np.divide(np.count_nonzero(matches, axis=1), k, out=accuracy)

@@ -52,8 +52,8 @@ class MlpModel:
     """A network's parameters and rmsprop accumulators, each one flat
     float64 vector laid out as all the weight matrices in layer order, then
     all the bias vectors. `weights`/`biases` (per layer, (fan_in, fan_out)
-    and (fan_out,)) view `params`, and `sq_grad_w`/`sq_grad_b` view
-    `sq_grads`, so an edit through a view changes the vector."""
+    and (fan_out,)) view `params`, so an edit through a view changes the
+    vector; `split(sq_grads)` gives the accumulators' views."""
 
     params: np.ndarray
     sq_grads: np.ndarray
@@ -61,7 +61,6 @@ class MlpModel:
 
     def __post_init__(self):
         self.weights, self.biases = self.split(self.params)
-        self.sq_grad_w, self.sq_grad_b = self.split(self.sq_grads)
 
     def split(self, flat):
         """Per-layer views (weights, biases) of a vector in this layout."""
@@ -298,7 +297,8 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
 
     Epoch e's step diverges when it leaves a parameter non-finite, or a
     model whose training RMSE (from that same forward pass) is not finite;
-    the first such step raises DivergenceError(e). The epochs run under
+    the first such step raises DivergenceError(start_epoch + e), so that
+    the error counts epochs as the curve does. The epochs run under
     np.errstate with overflow and invalid values ignored: these checks
     report a divergence.
     """
@@ -329,12 +329,12 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
                             train_buffers)
             if epoch:  # the model the previous epoch's step left
                 if not math.isfinite(train_buffers.rmse):
-                    raise DivergenceError(epoch - 1)
+                    raise DivergenceError(start_epoch + epoch - 1)
                 if train_scorer:
                     train_scorer.add(train_buffers.acts[-1][:, 0])
             rmsprop_step(model, grad, train_cfg, step_work)
             if not np.isfinite(model.params).all():
-                raise DivergenceError(epoch)
+                raise DivergenceError(start_epoch + epoch)
             if test_scorer:
                 test_scorer.add(predict_batch(model, inputs_te, test_acts))
         if epochs:  # the model the last step left
@@ -342,7 +342,7 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
             resid = np.subtract(preds, truths_tr,
                                 out=train_buffers.output_rows[0])
             if not math.isfinite(residual_rmse(resid, out=resid)):
-                raise DivergenceError(epochs - 1)
+                raise DivergenceError(start_epoch + epochs - 1)
             if train_scorer:
                 train_scorer.add(preds)
     if eval_split is None:

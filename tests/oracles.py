@@ -110,8 +110,7 @@ def stepped_als(matrix, cfg, start_epoch=0, emb=None):
     work = EpochWork.like(emb)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(start_epoch, cfg.epochs):
-            als_mod.als_epoch(matrix, emb, cfg.learning_rate,
-                              cfg.simultaneous_updates, work)
+            als_mod.als_epoch(matrix, emb, cfg.learning_rate, work)
             if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
                 raise DivergenceError(epoch)
     return emb

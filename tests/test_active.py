@@ -452,12 +452,6 @@ class TestStackedElmExact:
                                         elm_candidate_subsample=20)
         self.assert_exact(state, model, cfg, inner_seed=11)
 
-    def test_simultaneous_updates(self, monkeypatch):
-        state, model, cfg = elm_problem(
-            seed=3, inner_als={"simultaneous_updates": True})
-        set_chunk(monkeypatch, state.matrix.shape, 5)
-        self.assert_exact(state, model, cfg)
-
     def test_single_candidate_pool(self):
         state, model, cfg = elm_problem(m=2, n=2, n_init=3, seed=4)
         assert len(state.pool) == 1

@@ -35,7 +35,7 @@ def finite_difference_gradients(matrix, emb, step=1e-5):
     return tuple(grads)
 
 
-def reference_als_epoch(matrix, emb, alpha, simultaneous=False):
+def reference_als_epoch(matrix, emb, alpha):
     """The allocating epoch: every temporary a new array."""
     def residual(x, w):
         return matrix.mask * (x @ w - matrix.values)
@@ -43,19 +43,15 @@ def reference_als_epoch(matrix, emb, alpha, simultaneous=False):
     def t(a):
         return a.swapaxes(-1, -2)
 
-    if simultaneous:
-        r = residual(emb.x, emb.w)
-        return EmbeddingPair(x=emb.x - alpha * (r @ t(emb.w)),
-                             w=emb.w - alpha * (t(emb.x) @ r))
     x_new = emb.x - alpha * (residual(emb.x, emb.w) @ t(emb.w))
     r = residual(x_new, emb.w)
     return EmbeddingPair(x=x_new, w=emb.w - alpha * (t(x_new) @ r))
 
 
-def epoch_copy(matrix, emb, alpha, simultaneous=False):
+def epoch_copy(matrix, emb, alpha):
     """A copy of emb, stepped in place by als_epoch with fresh work."""
     emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
-    return als_epoch(matrix, emb, alpha, simultaneous, EpochWork.like(emb))
+    return als_epoch(matrix, emb, alpha, EpochWork.like(emb))
 
 
 def epoch_problem(stack, seed, m=7, n=6, d=3):
@@ -111,13 +107,6 @@ class TestCheckFields:
             with pytest.raises(ConfigError, match="rmsprop_decay must be a "
                                "finite number >= 0 and < 1, not"):
                 MlpTrainConfig(rmsprop_decay=value)
-
-    @pytest.mark.parametrize("value", [1, 0, "yes", None])
-    def test_bool_rejects_everything_else(self, value):
-        with pytest.raises(ConfigError) as e:
-            AlsConfig(simultaneous_updates=value)
-        assert str(e.value) == ("simultaneous_updates must be true or false, "
-                                f"not {value!r}")
 
     def test_replace_is_checked(self):
         with pytest.raises(ConfigError) as e:
@@ -211,14 +200,6 @@ class TestAlsEpoch:
         out = epoch_copy(mat, emb, alpha=0.01)
         assert out.x[0, 0] == 0.0 and out.w[0, 0] == 0.0
 
-    def test_alternating_recomputes_w_gradient(self, rng):
-        mat = full_matrix(rng.normal(size=(4, 4)))
-        emb = init_embeddings(4, 4, AlsConfig(d=2, seed=3))
-        alt = epoch_copy(mat, emb, alpha=0.05, simultaneous=False)
-        sim = epoch_copy(mat, emb, alpha=0.05, simultaneous=True)
-        np.testing.assert_array_equal(alt.x, sim.x)
-        assert not np.array_equal(alt.w, sim.w)
-
     def test_loss_non_increasing_small_alpha(self):
         for seed in range(100):
             mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=seed)
@@ -233,32 +214,30 @@ class TestAlsEpochWork:
     comparison is ==."""
 
     @pytest.mark.parametrize("stack", [0, 1, 4])
-    @pytest.mark.parametrize("simultaneous", [False, True])
-    def test_in_place_equals_pure_and_reference(self, stack, simultaneous):
+    def test_in_place_equals_pure_and_reference(self, stack):
         """One pair and one work set stepped 25 times, and a fresh copy
         and fresh work each epoch, both give the reference's values."""
-        matrix, emb = epoch_problem(stack, seed=stack + 10 * simultaneous)
+        matrix, emb = epoch_problem(stack, seed=stack)
         ref = pure = emb
         work_emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
         work = EpochWork.like(work_emb)
         for _ in range(25):
-            ref = reference_als_epoch(matrix, ref, 0.05, simultaneous)
-            pure = epoch_copy(matrix, pure, 0.05, simultaneous)
-            out = als_epoch(matrix, work_emb, 0.05, simultaneous, work)
+            ref = reference_als_epoch(matrix, ref, 0.05)
+            pure = epoch_copy(matrix, pure, 0.05)
+            out = als_epoch(matrix, work_emb, 0.05, work)
             assert out is work_emb
         for got in (pure, work_emb):
             assert got.x.tolist() == ref.x.tolist()
             assert got.w.tolist() == ref.w.tolist()
 
-    @pytest.mark.parametrize("simultaneous", [False, True])
-    def test_stack_slices_equal_unstacked(self, simultaneous):
+    def test_stack_slices_equal_unstacked(self):
         stacked, emb = epoch_problem(3, seed=4)
-        got = epoch_copy(stacked, emb, 0.05, simultaneous)
+        got = epoch_copy(stacked, emb, 0.05)
         for b in range(3):
             problem = MaskedMatrix(stacked.values[b], stacked.mask[b])
             lone = EmbeddingPair(emb.x[b], emb.w[b])
-            alone = epoch_copy(problem, lone, 0.05, simultaneous)
-            want = reference_als_epoch(problem, lone, 0.05, simultaneous)
+            alone = epoch_copy(problem, lone, 0.05)
+            want = reference_als_epoch(problem, lone, 0.05)
             assert got.x[b].tolist() == alone.x.tolist() == want.x.tolist()
             assert got.w[b].tolist() == alone.w.tolist() == want.w.tolist()
 
@@ -270,7 +249,7 @@ class TestAlsEpochWork:
         view = EmbeddingPair(x[:2], w[:2])
         work = EpochWork(*(a[:2] for a in EpochWork.like(
             EmbeddingPair(x, w))))
-        als_epoch(matrix, view, 0.05, False, work)
+        als_epoch(matrix, view, 0.05, work)
         want = reference_als_epoch(matrix, emb, 0.05)
         assert x[:2].tolist() == want.x.tolist()
         assert w[:2].tolist() == want.w.tolist()
@@ -432,13 +411,11 @@ class TestTrainStack:
     and reports the divergence of the first problem, in stack order, that
     diverges."""
 
-    @pytest.mark.parametrize("simultaneous", [False, True])
     @pytest.mark.parametrize("start_epoch", [0, 7])
-    def test_equals_each_problem_alone(self, simultaneous, start_epoch):
-        stack, emb = epoch_problem(4, seed=20 + simultaneous)
+    def test_equals_each_problem_alone(self, start_epoch):
+        stack, emb = epoch_problem(4, seed=20)
         assert stack.shape == (7, 6)  # one problem's, as for a MaskedMatrix
-        cfg = AlsConfig(d=3, epochs=40, learning_rate=0.05,
-                        simultaneous_updates=simultaneous)
+        cfg = AlsConfig(d=3, epochs=40, learning_rate=0.05)
         got, curve = train_als(stack, cfg, start_epoch=start_epoch, emb=emb)
         assert curve is None and got.x.shape == (4, 7, 3)
         assert np.isfinite(got.x).all() and np.isfinite(got.w).all()

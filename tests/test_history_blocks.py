@@ -61,45 +61,50 @@ class TestRowWiseReduction:
     @pytest.mark.parametrize("k", [1, 7, 119, 1071, 4096, 10001])
     def test_block_equals_per_row_scores(self, k, boundary, rng):
         """Each row of two scored blocks against a Scorer of one epoch and
-        the checked functions, which use np.sign and a 1-D sum."""
+        the checked functions, which use np.sign and a 1-D sum. The data's
+        boundary is moved to 0 before scoring, as ingest moves GR's 1."""
         truths = rng.normal(size=k)
         truths[::5] = boundary  # truths on the boundary
         rows = rng.normal(size=(2 * B, k))
         rows[1::B, ::3] = boundary  # predictions on the boundary
         rows[2::B] = truths
-        scorer = Scorer(truths, 2 * B, boundary)
+        truths -= boundary
+        rows -= boundary
+        scorer = Scorer(truths, 2 * B)
         for row in rows:
             scorer.add(row)
         for i, row in enumerate(rows):
-            want = (rmse(row, truths), boundary_accuracy(row, truths, boundary))
+            want = (rmse(row, truths), boundary_accuracy(row, truths))
             assert (scorer.loss[i], scorer.accuracy[i]) == want
-            assert scored_alone(truths, row, boundary) == want
+            assert scored_alone(truths, row) == want
 
     @pytest.mark.parametrize("boundary", [0.0, -0.0, 0.5])
     def test_special_values(self, boundary):
         """Infinities, NaNs, signed zeros, the smallest subnormals and the
         neighbours of 0.5, in the predictions and the truths: a prediction
-        one ulp from the boundary is on its side."""
+        one ulp from the boundary is on its side. The data's boundary is
+        moved to 0 before scoring (exactly: 0.5 and its neighbours are
+        within a factor 2 of each other)."""
         tiny = np.nextafter(0.0, 1.0)
         grid = [-np.inf, -1.0, -tiny, -0.0, 0.0, tiny, np.nextafter(0.5, 0),
                 0.5, np.nextafter(0.5, 1), 1.0, np.inf, np.nan]
-        p, t = (a.ravel() for a in np.meshgrid(grid, grid))
+        p, t = (a.ravel() - boundary for a in np.meshgrid(grid, grid))
         rows = np.stack([np.roll(p, shift) for shift in range(7)])
-        scorer = Scorer(t, len(rows), boundary)
+        scorer = Scorer(t, len(rows))
         with np.errstate(invalid="ignore"):
             for row in rows:
                 scorer.add(row)
             for row, loss, accuracy in zip(rows, scorer.loss,
                                            scorer.accuracy):
-                assert accuracy == boundary_accuracy(row, t, boundary)
+                assert accuracy == boundary_accuracy(row, t)
                 assert math.isnan(loss) and math.isnan(rmse(row, t))
         finite = t[np.isfinite(t)]
-        assert scored_alone(finite, finite, boundary) == (0.0, 1.0)
+        assert scored_alone(finite, finite) == (0.0, 1.0)
 
 
-def scored_alone(truths, preds, boundary):
+def scored_alone(truths, preds):
     """(loss, accuracy) of preds as the one epoch of a Scorer."""
-    scorer = Scorer(truths, 1, boundary)
+    scorer = Scorer(truths, 1)
     scorer.add(preds)
     return scorer.loss[0], scorer.accuracy[0]
 

@@ -122,8 +122,7 @@ def reference_train_als(matrix, cfg, split=None):
     for epoch in range(cfg.epochs):
         # a new pair each epoch, stepped in place from a copy of the last
         emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
-        als_epoch(train_matrix, emb, cfg.learning_rate,
-                  cfg.simultaneous_updates, EpochWork.like(emb))
+        als_epoch(train_matrix, emb, cfg.learning_rate, EpochWork.like(emb))
         if history is None:
             continue
         full = emb.x @ emb.w
@@ -170,7 +169,7 @@ def reference_rmsprop_step(model, gradients, cfg):
     grad_w, grad_b = gradients
     new_w, new_b, new_sw, new_sb = [], [], [], []
     for w, b, sw, sb, gw, gb in zip(model.weights, model.biases,
-                                    model.sq_grad_w, model.sq_grad_b,
+                                    *model.split(model.sq_grads),
                                     grad_w, grad_b):
         sw = cfg.rmsprop_decay * sw + (1.0 - cfg.rmsprop_decay) * gw * gw
         sb = cfg.rmsprop_decay * sb + (1.0 - cfg.rmsprop_decay) * gb * gb
@@ -220,11 +219,11 @@ def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
         try:
             model = reference_rmsprop_step(model, grads, train_cfg)
         except DivergenceError:
-            raise DivergenceError(epoch)
+            raise DivergenceError(start_epoch + epoch)
         # a step that leaves a non-finite training RMSE diverges too
         if not math.isfinite(rmse(reference_predict_batch(model, inputs_tr),
                                   truths_tr)):
-            raise DivergenceError(epoch)
+            raise DivergenceError(start_epoch + epoch)
         if history is None:
             continue
         p_tr, p_te = history_preds(model, inputs, tr, te)
@@ -273,12 +272,11 @@ def assert_same_curve(curve, want):
 
 
 def assert_same_net(got, want):
-    for name in ("weights", "biases", "sq_grad_w", "sq_grad_b"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert len(g) == len(w)
-        for a, b in zip(g, w):
-            assert a.shape == b.shape
-            np.testing.assert_array_equal(a, b)
+    """Same layer sizes, and so the same per-layer views, over the same
+    parameters and rmsprop accumulators."""
+    assert got.layer_sizes == want.layer_sizes
+    np.testing.assert_array_equal(got.params, want.params)
+    np.testing.assert_array_equal(got.sq_grads, want.sq_grads)
 
 
 def split_for(mat, seed=0):
@@ -286,13 +284,11 @@ def split_for(mat, seed=0):
 
 
 class TestAlsHistory:
-    @pytest.mark.parametrize("simultaneous", [False, True])
     @pytest.mark.parametrize("with_split", [True, False])
-    def test_matches_reference(self, simultaneous, with_split):
+    def test_matches_reference(self, with_split):
         mat = holey_matrix()
         split = split_for(mat) if with_split else None
-        cfg = AlsConfig(d=2, epochs=40, learning_rate=0.05, seed=4,
-                        simultaneous_updates=simultaneous)
+        cfg = AlsConfig(d=2, epochs=40, learning_rate=0.05, seed=4)
         emb, hist = train_als(mat, cfg, eval_positions=split)
         emb_ref, hist_ref = reference_train_als(mat, cfg, split)
         np.testing.assert_array_equal(emb.x, emb_ref.x)
@@ -482,7 +478,7 @@ class TestMlpTraining:
             np.testing.assert_array_equal(
                 w, rng.uniform(-s, s, size=(fan_in, fan_out)))
             assert b.shape == (fan_out,) and not b.any()
-        assert not any(a.any() for a in model.sq_grad_w + model.sq_grad_b)
+        assert not model.sq_grads.any()
 
     # 1e308 overflows the parameters in the first epoch; 2e307 leaves them
     # finite there (they overflow in the second), but with predictions

@@ -79,10 +79,10 @@ class TestMeansEqualNpMean:
         assert type(boundary_accuracy([0.3], [0.1])) is float
 
 
-def scores(truths, rows, boundary=0.0):
+def scores(truths, rows):
     """(loss, accuracy) per row of a Scorer that was given the rows, one
     epoch each, through add."""
-    scorer = Scorer(truths, len(rows), boundary)
+    scorer = Scorer(truths, len(rows))
     for row in rows:
         scorer.add(np.asarray(row, dtype=float))
     return list(zip(scorer.loss.tolist(), scorer.accuracy.tolist()))
@@ -90,23 +90,25 @@ def scores(truths, rows, boundary=0.0):
 
 class TestScorer:
     """A Scorer gives rmse and boundary_accuracy's values with ==, epoch
-    after epoch on its reused work arrays."""
+    after epoch on its reused work arrays. It scores accuracy at 0, so
+    data whose boundary is elsewhere is moved to 0 first, as ingest moves
+    GR's boundary 1."""
 
     @pytest.mark.parametrize("boundary", [0.0, 0.3, -0.5])
     @pytest.mark.parametrize("n", [1, 7, 129, 1071])
     def test_equals_checked_functions(self, n, boundary, rng):
-        t = rng.normal(size=n)
-        rows = rng.normal(size=(3, n))
-        assert scores(t, rows, boundary) == [
-            (rmse(p, t), boundary_accuracy(p, t, boundary)) for p in rows]
+        t = rng.normal(size=n) - boundary
+        rows = rng.normal(size=(3, n)) - boundary
+        assert scores(t, rows) == [
+            (rmse(p, t), boundary_accuracy(p, t)) for p in rows]
 
     @pytest.mark.parametrize("boundary", [0.0, -0.0, 0.5])
     def test_zeros_and_boundary_hits(self, boundary):
         grid = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nextafter(0.0, 1)]
-        p, t = (a.ravel() for a in np.meshgrid(grid, grid))
-        assert scores(t, [p, t], boundary) == [
-            (rmse(p, t), boundary_accuracy(p, t, boundary)), (0.0, 1.0)]
-        assert scores([0.0], [[-0.0]], boundary) == [(0.0, 1.0)]
+        p, t = (a.ravel() - boundary for a in np.meshgrid(grid, grid))
+        assert scores(t, [p, t]) == [
+            (rmse(p, t), boundary_accuracy(p, t)), (0.0, 1.0)]
+        assert scores([0.0], [[-0.0]]) == [(0.0, 1.0)]
 
     def test_checks(self):
         with pytest.raises(MetricError, match="empty input"):

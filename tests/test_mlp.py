@@ -69,7 +69,7 @@ class TestInitMlp:
         shapes = [w.shape for w in model.weights]
         assert shapes == [(10, 20), (20, 10), (10, 5), (5, 1)]
         assert all(np.all(b == 0) for b in model.biases)
-        assert all(np.all(s == 0) for s in model.sq_grad_w)
+        assert not model.sq_grads.any()
 
     def test_minimal_network(self):
         model = init_mlp([1, 1], seed=0)
@@ -223,9 +223,9 @@ class TestRmspropStep:
         assert out is model
         assert out.weights[0][0, 0] == 0.7
         # accumulators decay even with zero gradient
-        model.sq_grad_w[0][:] = 1.0
+        model.sq_grads[0] = 1.0  # the weight's accumulator
         out = rmsprop_step(model, zeros, cfg, work)
-        assert out.sq_grad_w[0][0, 0] == pytest.approx(0.9)
+        assert out.sq_grads[0] == pytest.approx(0.9)
 
     def test_hand_evaluated_step(self):
         model = self._single_param_model(0.0)
@@ -233,7 +233,7 @@ class TestRmspropStep:
                              rmsprop_epsilon=1e-8)
         grads = np.array([1.0, 0.0])  # weight gradient 1, bias gradient 0
         out = rmsprop_step(model, grads, cfg, StepWork.like(model))
-        assert out.sq_grad_w[0][0, 0] == pytest.approx(0.1)
+        assert out.sq_grads[0] == pytest.approx(0.1)
         assert out.weights[0][0, 0] == pytest.approx(
             -0.001 / (np.sqrt(0.1) + 1e-8))
 
@@ -365,15 +365,14 @@ class TestNoSharedMemory:
         rmsprop_step(model, gradient(model, x, t, LossConfig()),
                      MlpTrainConfig(), work)
         kept = model.copy()
-        arrays = kept.weights + kept.biases + kept.sq_grad_w \
-            + kept.sq_grad_b
+        arrays = [kept.params, kept.sq_grads]
         before = [a.copy() for a in arrays]
         out = rmsprop_step(model, gradient(model, x, t, LossConfig()),
                            MlpTrainConfig(), work)
         assert out is model
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
-        new = out.weights + out.biases + out.sq_grad_w + out.sq_grad_b
+        new = [out.params, out.sq_grads]
         assert not any(np.shares_memory(a, b) for a in arrays for b in new)
         assert any((a != b).any() for a, b in zip(arrays, new))
 
@@ -383,25 +382,25 @@ class TestNoSharedMemory:
         stepped = step_copy(model, gradient(model, x, t, LossConfig()), cfg)
         stepped.weights[1][:] = 0.25
         stepped.biases[2][:] = -1.0
-        stepped.sq_grad_w[0][:] = 4.0
+        sq_grad_w, sq_grad_b = stepped.split(stepped.sq_grads)
+        sq_grad_w[0][:] = 4.0
         grads = gradient(stepped, x, t, LossConfig())
         # the edited model, copied layer by layer, gives the same step
         copied = MlpModel(
             to_flat(stepped.weights + stepped.biases),
-            to_flat(stepped.sq_grad_w + stepped.sq_grad_b),
-            stepped.layer_sizes)
+            to_flat(sq_grad_w + sq_grad_b), stepped.layer_sizes)
         np.testing.assert_array_equal(predict_batch(stepped, x),
                                       predict_batch(copied, x))
         out = step_copy(stepped, grads, cfg)
         want = step_copy(copied, gradient(copied, x, t, LossConfig()), cfg)
-        for a, b in zip(out.weights + out.biases + out.sq_grad_w,
-                        want.weights + want.biases + want.sq_grad_w):
+        for a, b in zip((out.params, out.sq_grads),
+                        (want.params, want.sq_grads)):
             np.testing.assert_array_equal(a, b)
         zero = np.zeros_like(stepped.params)
         held = step_copy(stepped, zero, cfg)
         assert (held.weights[1] == 0.25).all()
         assert (held.biases[2] == -1.0).all()
-        assert (held.sq_grad_w[0] == 0.9 * 4.0).all()
+        assert (held.split(held.sq_grads)[0][0] == 0.9 * 4.0).all()
 
     def test_train_mlp_returns_fresh_model(self, rng):
         model, x, t = self.model_and_batch(rng)
@@ -458,17 +457,11 @@ class TestFlatLayout:
                              ["init_mlp", "rmsprop_step", "constructor"])
     def test_lists_view_flat_vectors(self, rng, source):
         model = self.models(rng)[source]
-        for name, flat in (("weights", model.params),
-                           ("biases", model.params),
-                           ("sq_grad_w", model.sq_grads),
-                           ("sq_grad_b", model.sq_grads)):
-            views = getattr(model, name)
-            assert len(views) == 3
-            assert all(np.shares_memory(v, flat) for v in views), name
-        np.testing.assert_array_equal(
-            to_flat(model.weights + model.biases), model.params)
-        np.testing.assert_array_equal(
-            to_flat(model.sq_grad_w + model.sq_grad_b), model.sq_grads)
+        for flat, (w, b) in ((model.params, (model.weights, model.biases)),
+                             (model.sq_grads, model.split(model.sq_grads))):
+            assert len(w) == len(b) == 3
+            assert all(np.shares_memory(v, flat) for v in w + b)
+            np.testing.assert_array_equal(to_flat(w + b), flat)
 
     def test_edit_through_weights_shows_in_params(self):
         model = init_mlp([2, 3, 1], seed=0)

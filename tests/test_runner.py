@@ -583,8 +583,9 @@ class TestCli:
     def test_overflowing_network_predictions_are_a_divergence(self, tmp_path):
         """At rmsprop learning rate 1e250 the network's first step leaves
         finite parameters whose predictions' RMSE overflows: ALSDL's row
-        says diverged at epoch 0, rather than a mean test loss of inf, and
-        numpy prints no RuntimeWarning on the way."""
+        says diverged at epoch 20, the network's first after 20 ALS
+        epochs, rather than a mean test loss of inf, and numpy prints no
+        RuntimeWarning on the way."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"alsdl": {"mlp_train": {"rmsprop_learning_rate": 1e250}}}))
@@ -595,7 +596,22 @@ class TestCli:
         rows = {r["model"]: r for r in read_rows(out / "cv_summary.csv")}
         assert rows["als"]["status"] == "ok"
         assert (rows["alsdl"]["status"], rows["alsdl"]["diverged_epoch"],
-                rows["alsdl"]["mean_test_loss"]) == ("diverged", "0", "")
+                rows["alsdl"]["mean_test_loss"]) == ("diverged", "20", "")
+
+    def test_diverged_epoch_names_the_alsdl_stage(self, tmp_path):
+        """A network divergence counts epochs from the run's start, so
+        ALSDL's row tells it from a stage-1 one: the ALS stage at learning
+        rate 1e300 diverges at epoch 0, and its network never trains."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"alsdl": {"als": {"learning_rate": 1e300}}}))
+        out = tmp_path / "run"
+        main(["benchmark", "--synthetic", "8,7,2,0.1", "--folds", "3",
+              "--als-epochs", "20", "--mlp-epochs", "20", "--models",
+              "alsdl", "--config", str(cfg_path), "--out", str(out)])
+        rows = read_rows(out / "cv_summary.csv")
+        assert [(r["model"], r["status"], r["diverged_epoch"])
+                for r in rows] == [("alsdl", "diverged", "0")]
 
     def test_repeat_runs_byte_identical_csvs(self, tmp_path):
         args = ["al-study", "--synthetic", "5,5,2,0.1", "--strategy",
@@ -655,7 +671,10 @@ class TestCli:
         # the network's inputs are always [cell, molecule]
         ({"loss": {"use_smooth_surrogate": False}},
          "alsdl.loss.use_smooth_surrogate"),
-        ({"molecule_first": True}, "alsdl.molecule_first")])
+        ({"molecule_first": True}, "alsdl.molecule_first"),
+        # epochs always alternate, as the key's default did
+        ({"als": {"simultaneous_updates": False}},
+         "alsdl.als.simultaneous_updates")])
     def test_config_file_unknown_alsdl_key(self, tmp_path, alsdl, name):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alsdl": alsdl}))
@@ -1089,10 +1108,10 @@ class TestRejectedInput:
         ({"synthetic": {"noise_sd": "x"}}, "invalid config key "
          "'synthetic.noise_sd': noise_sd must be a finite number >= 0, "
          "not 'x'"),
-        ({"als": {"simultaneous_updates": "yes"}}, "invalid config key "
-         "'als.simultaneous_updates': simultaneous_updates must be true or "
-         "false, not 'yes'"),
-        # a key that was removed: orderly queries are always row-major
+        # keys that were removed: ALS epochs always alternate, and orderly
+        # queries are always row-major
+        ({"als": {"simultaneous_updates": False}},
+         "unknown config key 'als.simultaneous_updates'"),
         ({"active": {"orderly_column_major": "yes"}},
          "unknown config key 'active.orderly_column_major'")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
@@ -1320,7 +1339,7 @@ class TestSchema:
 
     @pytest.mark.parametrize("annotation, default", [
         (int, 0), (float, 0.0), (tuple[int, ...], ()), (int | None, None),
-        (list, None), (tuple, ())])
+        (list, None), (tuple, ()), (bool, False)])
     def test_undeclared_field_cannot_be_built(self, annotation, default):
         """A number without a range, or an annotation the checker does not
         know, fails when its dataclass is first built."""
@@ -1332,6 +1351,14 @@ class TestSchema:
                 check_fields(self)
         with pytest.raises(TypeError):
             Bad()
+
+    def test_als_alternation_is_not_a_field(self):
+        """AlsConfig keeps simultaneous_updates as a plain class attribute,
+        always False, for the bench tracer that reads it: no config key,
+        no manifest entry, no replace argument."""
+        assert "simultaneous_updates" not in {f.name for f in
+                                              fields(AlsConfig)}
+        assert AlsConfig().simultaneous_updates is False
 
     def test_every_config_frozen(self):
         """A config is checked once, when built, so no field of any config
