@@ -32,18 +32,13 @@ class ActiveConfig:
     n_init: int = in_range(40, ">= 1")
     n_per_query: int = in_range(40, ">= 1")
     n_max_query: int = in_range(8, ">= 0")
-    strategy: str = "elm"  # one of STRATEGIES
     elm_inner_epochs: int = in_range(200, ">= 1")
-    # when set, ELM scores only a seeded random subset of the pool
+    # when set, ELM scores only a random subset of the pool, drawn from the
+    # query's seed
     elm_candidate_subsample: int | None = in_range(None, ">= 1")
-    seed: int = in_range(0, ">= 0")
 
     def __post_init__(self):
         check_fields(self)
-        if self.strategy not in STRATEGIES:
-            raise als_mod.ConfigError(
-                "strategy", f"unknown strategy {self.strategy!r}; known: "
-                f"{', '.join(STRATEGIES)}")
 
 
 @dataclass(frozen=True)
@@ -61,12 +56,12 @@ class ActiveState:
     pool: np.ndarray  # positions, the unlabeled pool U
 
 
-def init_state(matrix, cfg):
+def init_state(matrix, cfg, seed):
     positions = matrix.observed_positions()
     if cfg.n_init > positions.size:
         raise ValueError(
             f"n_init = {cfg.n_init} exceeds {positions.size} observed positions")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     picked = rng.choice(positions.size, size=cfg.n_init, replace=False)
     return ActiveState(matrix=matrix, labeled=positions[picked],
                        pool=np.delete(positions, picked))
@@ -111,9 +106,9 @@ def expected_losses(state, model, cfg, inner_seed):
     a factor-only model on D plus the pseudo-labeled candidate for
     cfg.elm_inner_epochs epochs, and evaluate its RMSE over D's true labels
     joined with current-model predictions on the other pool positions. The
-    retrain uses model.cfg.als with the epochs and seed replaced; all
-    candidates share the same fresh init seed so scores differ only through
-    the candidate.
+    retrain uses model.cfg.als with the epochs replaced; all candidates
+    share the same fresh init, drawn from inner_seed, so scores differ only
+    through the candidate.
 
     Candidates train in chunks, each one train_als run on a stacked
     MaskedMatrix whose (C, m, n) arrays take at most ELM_CHUNK_BYTES
@@ -132,9 +127,8 @@ def expected_losses(state, model, cfg, inner_seed):
         cand = cand[np.sort(keep)]
     pool_preds = alsdl_mod.alsdl_predict_positions(model, pool)
 
-    inner_cfg = replace(model.cfg.als, epochs=cfg.elm_inner_epochs,
-                        seed=inner_seed)
-    init = als_mod.init_embeddings(m, n, inner_cfg)
+    inner_cfg = replace(model.cfg.als, epochs=cfg.elm_inner_epochs)
+    init = als_mod.init_embeddings(m, n, inner_cfg, inner_seed)
     base_values = np.zeros(m * n)
     base_mask = np.zeros(m * n)
     base_values[labeled] = matrix.values.ravel()[labeled]
@@ -162,7 +156,7 @@ def expected_losses(state, model, cfg, inner_seed):
         inits = (np.broadcast_to(a, (c,) + a.shape) for a in (init.x, init.w))
         emb, _ = als_mod.train_als(MaskedMatrix(
             values[:c].reshape(c, m, n), mask[:c].reshape(c, m, n)),
-            inner_cfg, emb=als_mod.EmbeddingPair(*inits))
+            inner_cfg, als_mod.EmbeddingPair(*inits))
         sq_err = (emb.x @ emb.w).reshape(c, -1)[:, score_flat]
         sq_err -= score_labels
         np.square(sq_err, out=sq_err)
@@ -173,21 +167,21 @@ def expected_losses(state, model, cfg, inner_seed):
     return pool[cand], scores
 
 
-def query_elm(state, model, n, cfg, inner_seed=0):
+def query_elm(state, model, n, cfg, inner_seed):
     if not state.pool.size:
         raise ValueError("empty pool")
     candidates, scores = expected_losses(state, model, cfg, inner_seed)
     return candidates[np.argsort(scores, kind="stable")[:n]]
 
 
-def _select(state, model, cfg, round_seed):
-    if cfg.strategy == "orderly":
+def _select(state, model, cfg, strategy, round_seed):
+    if strategy == "orderly":
         return query_orderly(state, cfg.n_per_query)
-    if cfg.strategy == "random":
+    if strategy == "random":
         return query_random(state, cfg.n_per_query, seed=round_seed)
-    if cfg.strategy == "uncertainty":
+    if strategy == "uncertainty":
         return query_uncertainty(state, model, cfg.n_per_query)
-    # ActiveConfig admits only STRATEGIES, so this is "elm"
+    # run_active_learning admits only STRATEGIES, so this is "elm"
     return query_elm(state, model, cfg.n_per_query, cfg, inner_seed=round_seed)
 
 
@@ -196,22 +190,27 @@ def _round_seed(base_seed, rnd):
     return int(np.random.SeedSequence([base_seed, rnd]).generate_state(1)[0])
 
 
-def run_active_learning(matrix, model_cfg, cfg):
-    """Full scheme: init, then train/record/query for n_max_query rounds,
-    each round training model_cfg (an AlsdlConfig) under its own seed.
+def run_active_learning(matrix, model_cfg, cfg, strategy, seed):
+    """Full scheme: init, then train/record/query for n_max_query rounds
+    with strategy (one of STRATEGIES), each round training model_cfg (an
+    AlsdlConfig) under its own seed, drawn from seed. An unknown strategy
+    raises ValueError before any training.
 
     Returns the learning curve (one point per training round, evaluated on
     every observed position against ground truth) and the final model.
     """
-    state = init_state(matrix, cfg)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; known: "
+                         f"{', '.join(STRATEGIES)}")
+    state = init_state(matrix, cfg, seed)
     positions = matrix.observed_positions()
     truths = matrix.values.ravel()[positions]
 
     model, curve = None, []
     for rnd in range(cfg.n_max_query + 1):
         train_matrix = matrix.with_mask(state.labeled)
-        model, _ = alsdl_mod.train_alsdl(
-            train_matrix, model_cfg.seeded(_round_seed(cfg.seed, 2 * rnd)))
+        model, _ = alsdl_mod.train_alsdl(train_matrix, model_cfg,
+                                         _round_seed(seed, 2 * rnd))
 
         scorer = Scorer(truths, 1)
         scorer.add(alsdl_mod.alsdl_predict_positions(model, positions))
@@ -222,7 +221,8 @@ def run_active_learning(matrix, model_cfg, cfg):
 
         if rnd == cfg.n_max_query or not state.pool.size:
             break
-        picks = _select(state, model, cfg, _round_seed(cfg.seed, 2 * rnd + 1))
+        picks = _select(state, model, cfg, strategy,
+                        _round_seed(seed, 2 * rnd + 1))
         state.pool = state.pool[~np.isin(state.pool, picks)]
         state.labeled = np.concatenate([state.labeled, picks])
     return curve, model

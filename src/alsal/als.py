@@ -129,7 +129,6 @@ class AlsConfig:
     learning_rate: float = in_range(0.01, "> 0")
     epochs: int = in_range(400, ">= 1")
     init_scale: float = in_range(0.1, ">= 0")
-    seed: int = in_range(0, ">= 0")
     # epochs always alternate. A class attribute, not a field (so no
     # config key), kept because the bench tracer reads it on each
     # train_als call; it goes once ROADMAP item 1 stops that read
@@ -139,8 +138,8 @@ class AlsConfig:
         check_fields(self)
 
 
-def init_embeddings(m, n, cfg):
-    rng = np.random.default_rng(cfg.seed)
+def init_embeddings(m, n, cfg, seed):
+    rng = np.random.default_rng(seed)
     x = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(m, cfg.d))
     w = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.d, n))
     return EmbeddingPair(x=x, w=w)
@@ -201,30 +200,36 @@ def als_epoch(matrix, emb, alpha, work):
     return emb
 
 
-def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
-    """Run cfg.epochs alternating epochs; returns the embeddings and a
-    Curve numbered from start_epoch, or None for the curve when no split
-    is held out.
+def train_als(matrix, cfg, emb, eval_positions=None, start_epoch=0):
+    """Run cfg.epochs alternating epochs from a copy of emb; returns the
+    embeddings and a Curve numbered from start_epoch, or None for the
+    curve when no split is held out.
+
+    emb holds the embeddings a run of this config starts from (see
+    init_embeddings) or, for start_epoch > 0, had after start_epoch
+    epochs: the run then resumes there and trains epochs start_epoch to
+    cfg.epochs - 1, and its curve and DivergenceError count epochs from
+    the start of the run, so the two legs give what one uninterrupted run
+    does. An emb whose last two axes are not (m, cfg.d) and (cfg.d, n)
+    raises ValueError before any epoch.
 
     When eval_positions (a FoldSplit over matrix.observed_positions()) is
     given, test positions are masked out of training, and each epoch is
     scored at the train and test positions; a split that
     `FoldSplit.indices` rejects raises IndexError before any epoch.
 
-    Given emb, the embeddings a run of this config had after start_epoch
-    epochs, the run resumes there: it trains epochs start_epoch to
-    cfg.epochs - 1 from a copy of emb, and its curve and DivergenceError
-    count epochs from the start of the run, so the two legs give what one
-    uninterrupted run does. Without emb, start_epoch must be 0. Given a
-    stacked emb and no split, matrix may be a stacked MaskedMatrix: each
-    problem trains as it would alone, and the first in stack order to
+    Given a stacked emb and no split, matrix may be a stacked MaskedMatrix:
+    each problem trains as it would alone, and the first in stack order to
     diverge raises. A stacked matrix with a split raises ValueError.
     """
     m, n = matrix.shape
-    if not 0 <= start_epoch <= cfg.epochs or (start_epoch and emb is None):
+    if not 0 <= start_epoch <= cfg.epochs:
         raise ValueError(f"cannot start at epoch {start_epoch} of "
-                         f"{cfg.epochs}" + (" without embeddings"
-                                            if emb is None else ""))
+                         f"{cfg.epochs}")
+    if emb.x.shape[-2:] != (m, cfg.d) or emb.w.shape[-2:] != (cfg.d, n):
+        raise ValueError(f"embeddings of shapes {emb.x.shape} and "
+                         f"{emb.w.shape} do not fit a {m} x {n} matrix at "
+                         f"d = {cfg.d}")
     if not matrix.mask.any(axis=(-2, -1)).all():
         raise ValueError("matrix has no observed positions")
     if eval_positions is not None and matrix.values.ndim > 2:
@@ -239,7 +244,7 @@ def train_als(matrix, cfg, eval_positions=None, start_epoch=0, emb=None):
         scored = [(Scorer(values[idx], cfg.epochs - start_epoch), idx)
                   for idx in (train, test)]
         pred = np.empty(m * n)
-    start = init_embeddings(m, n, cfg) if emb is None else emb
+    start = emb
     emb = EmbeddingPair(x=start.x.copy(), w=start.w.copy())  # trained in place
     work = EpochWork.like(emb)
     with np.errstate(over="ignore", invalid="ignore"):

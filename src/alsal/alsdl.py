@@ -5,7 +5,7 @@ position's cell and molecule embeddings and trains the network under the
 penalized loss. Embeddings are frozen after stage 1.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +26,6 @@ class AlsdlConfig:
     def __post_init__(self):
         check_fields(self)
 
-    def seeded(self, seed):
-        """Seed the factor model with seed and the network with seed + 1."""
-        return replace(self, als=replace(self.als, seed=seed),
-                       mlp_train=replace(self.mlp_train, seed=seed + 1))
-
 
 @dataclass
 class AlsdlModel:
@@ -48,28 +43,29 @@ def build_features(emb, positions):
     return np.hstack((emb.x[rows], emb.w.T[cols]))
 
 
-def train_alsdl(matrix, cfg, eval_split=None, stage1=None):
-    """Train both stages; returns the model, which keeps cfg, and one
-    Curve that covers stage 1 then stage 2, or None for the curve when no
-    split is held out.
+def train_alsdl(matrix, cfg, seed, eval_split=None, stage1=None):
+    """Train both stages, the factor model from seed and the network from
+    seed + 1; returns the model, which keeps cfg, and one Curve that
+    covers stage 1 then stage 2, or None for the curve when no split is
+    held out.
 
     Stage-2 epochs continue the stage-1 numbering, in the curve and in
     the network's DivergenceError, so the handover between the factor
     model and the network stays visible, and so does the stage that
     diverged. stage1, when given, is the (embeddings, curve) pair that
-    train_als(matrix, cfg.als, eval_split) returns, trained already; it
-    is used as it is.
+    train_als(matrix, cfg.als, init_embeddings(m, n, cfg.als, seed),
+    eval_split) returns, trained already; it is used as it is.
     """
     if stage1 is None:
-        stage1 = als_mod.train_als(matrix, cfg.als, eval_split)
+        init = als_mod.init_embeddings(*matrix.shape, cfg.als, seed)
+        stage1 = als_mod.train_als(matrix, cfg.als, init, eval_split)
     emb, curve = stage1
 
     positions = matrix.observed_positions()
     inputs = build_features(emb, positions)
     truths = matrix.values.ravel()[positions]
 
-    net = mlp_mod.init_mlp([2 * emb.d, *cfg.hidden_sizes, 1],
-                           seed=cfg.mlp_train.seed)
+    net = mlp_mod.init_mlp([2 * emb.d, *cfg.hidden_sizes, 1], seed + 1)
     net, mlp_curve = mlp_mod.train_mlp(
         net, inputs, truths, cfg.mlp_train, cfg.loss, eval_split=eval_split,
         start_epoch=cfg.als.epochs)

@@ -85,8 +85,8 @@ def build_parser():
                  "--elm-inner-epochs"):
         a.add_argument(flag, type=int)
     a.add_argument("--elm-candidate-subsample", type=int,
-                   help="ELM scores a seeded random subset of this many "
-                   "pool candidates per query")
+                   help="ELM scores a random subset of this many pool "
+                   "candidates per query, drawn from the query's seed")
     return parser
 
 
@@ -106,7 +106,8 @@ def _from_json(cls, raw, where="", default=None):
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
-            raise SystemExit(f"unknown config key {where + key!r}")
+            raise SystemExit(
+                f"invalid config key {where + key!r}: unknown key")
         f = known[key]
         sub = [t for t in (f.type, *get_args(f.type)) if is_dataclass(t)]
         if sub and not (value is None and f.default is None):

@@ -99,7 +99,6 @@ class MlpTrainConfig:
     rmsprop_learning_rate: float = in_range(0.001, "> 0")
     rmsprop_decay: float = in_range(0.9, ">= 0 and < 1")
     rmsprop_epsilon: float = in_range(1e-8, "> 0")
-    seed: int = in_range(0, ">= 0")
 
     def __post_init__(self):
         check_fields(self)

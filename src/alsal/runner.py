@@ -52,10 +52,6 @@ METRIC_COLUMNS = frozenset({
 # neither metrics nor part of the key that aggregate_concentrations groups by
 _UNGROUPED = METRIC_COLUMNS | {"concentration", "status", "diverged_epoch",
                                "epoch_or_round"}
-# keys each unit overwrites, and the run-level field it takes them from
-_PER_UNIT = {"als.seed": "seeds", "alsdl.als.seed": "seeds",
-             "alsdl.mlp_train.seed": "seeds", "active.seed": "seeds",
-             "active.strategy": "strategies"}
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,7 @@ class ExperimentConfig:
     def __post_init__(self):
         """Check each field, then the rules across fields, each raising
         ConfigError keyed by its dotted field: no list repeats a value,
-        the name and seed lists are non-empty and hold known names, and
-        the keys each unit sets keep their declared defaults.
+        and the name and seed lists are non-empty and hold known names.
         load_matrices checks the source, where it is read."""
         check_fields(self)
         for key in self.column_map or ():
@@ -116,14 +111,6 @@ class ExperimentConfig:
                                       f"{', '.join(known)}")
             if len(set(names)) < len(names):  # units with the same key
                 raise ConfigError(key, f"repeated {kind} in {names!r}")
-        for key, run_field in _PER_UNIT.items():
-            owner, _, name = key.rpartition(".")
-            owner = attrgetter(owner)(self)
-            value = getattr(owner, name)
-            if value != owner.__dataclass_fields__[name].default:
-                raise ConfigError(key, f"{name} = {value!r} would be "
-                                  f"ignored: each unit sets it from "
-                                  f"{run_field}; set {run_field} instead")
 
 
 @dataclass
@@ -264,44 +251,43 @@ def _train_one(config, model_name, matrix, split, seed, fold, shared):
     AlsConfigs differ only in epochs, the als model's run and ALSDL's stage
     1 share their first k epochs, the shorter run's: whichever model comes
     first leaves them in shared, and the other takes them from there."""
-    als_cfg = replace(config.als, seed=seed)
-    alsdl_cfg = config.alsdl.seeded(seed)
+    als_cfg, alsdl_cfg = config.als, config.alsdl
     k = min(als_cfg.epochs, alsdl_cfg.als.epochs)
     if (not set(MODELS) <= set(config.models)
             or replace(als_cfg, epochs=k) != replace(alsdl_cfg.als, epochs=k)):
         k = 0
     if model_name == "als":
-        return _train_als(matrix, als_cfg, split, fold, shared, k)[1]
+        return _train_als(matrix, als_cfg, seed, split, fold, shared, k)[1]
     # "alsdl", the only other name ExperimentConfig accepts
-    stage1 = _train_als(matrix, alsdl_cfg.als, split, fold, shared, k)
-    return alsdl_mod.train_alsdl(matrix, alsdl_cfg, eval_split=split,
+    stage1 = _train_als(matrix, alsdl_cfg.als, seed, split, fold, shared, k)
+    return alsdl_mod.train_alsdl(matrix, alsdl_cfg, seed, eval_split=split,
                                  stage1=stage1)[1]
 
 
-def _train_als(matrix, cfg, split, fold, shared, k):
-    """train_als(matrix, cfg, eval_positions=split), split being fold
-    `fold` of the seed's k-fold split, its first k epochs taken from shared
-    if a run of this seed and fold left them there, else trained and left
-    there; k = 0 shares nothing."""
-    if not k:
-        return als_mod.train_als(matrix, cfg, eval_positions=split)
-    key = cfg.seed, fold
-    if key in shared:  # the second of the two runs: nothing else needs it
+def _train_als(matrix, cfg, seed, split, fold, shared, k):
+    """train_als(matrix, cfg, init_embeddings(m, n, cfg, seed), split),
+    split being fold `fold` of the seed's k-fold split, its first k epochs
+    taken from shared if a run of this seed and fold left them there, else
+    trained and left there; k = 0 shares nothing."""
+    key = seed, fold
+    if k and key in shared:  # the second of the two runs: none other needs it
         emb, curve = shared.pop(key)
     else:
+        emb = als_mod.init_embeddings(*matrix.shape, cfg, seed)
+        if not k:
+            return als_mod.train_als(matrix, cfg, emb, split)
         emb, curve = shared[key] = als_mod.train_als(
-            matrix, replace(cfg, epochs=k), eval_positions=split)
+            matrix, replace(cfg, epochs=k), emb, split)
     if cfg.epochs == k:
         return emb, curve
-    emb, rest = als_mod.train_als(matrix, cfg, eval_positions=split,
-                                  start_epoch=k, emb=emb)
+    emb, rest = als_mod.train_als(matrix, cfg, emb, split, start_epoch=k)
     return emb, curve.then(rest)
 
 
 def _al_unit(config, strategy, matrix, seed, shared):
     """One learning_curves row per AL round; shared is not used."""
-    cfg = replace(config.active, strategy=strategy, seed=seed)
-    curve, _ = active_mod.run_active_learning(matrix, config.alsdl, cfg)
+    curve, _ = active_mod.run_active_learning(matrix, config.alsdl,
+                                              config.active, strategy, seed)
     for point in curve:
         yield "learning_curves", dict(asdict(point), status="ok")
 

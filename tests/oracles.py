@@ -24,8 +24,7 @@ import math
 import numpy as np
 
 import alsal.als as als_mod
-from alsal.als import (DivergenceError, EmbeddingPair, EpochWork,
-                       init_embeddings)
+from alsal.als import DivergenceError, EmbeddingPair, EpochWork
 from alsal.data import DEFAULT_COLUMNS, DataError, MaskedMatrix
 from alsal.metrics import MetricError, residual_rmse
 
@@ -99,13 +98,11 @@ def surrogate_objective(preds, truths, cfg):
     return loss - cfg.beta * float(pen)
 
 
-def stepped_als(matrix, cfg, start_epoch=0, emb=None):
+def stepped_als(matrix, cfg, emb, start_epoch=0):
     """An unsplit ALS run stepped by hand, one `als_epoch` at a time from a
-    copy of emb (the config's init when None), with a finiteness check
-    after every step: raises DivergenceError at the first epoch that
-    leaves x or w non-finite, else returns the embeddings."""
-    if emb is None:
-        emb = init_embeddings(*matrix.shape, cfg)
+    copy of emb, with a finiteness check after every step: raises
+    DivergenceError at the first epoch that leaves x or w non-finite, else
+    returns the embeddings."""
     emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
     work = EpochWork.like(emb)
     with np.errstate(over="ignore", invalid="ignore"):

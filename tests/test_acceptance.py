@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from alsal.active import ActiveConfig, init_state, query_elm, run_active_learning
-from alsal.als import AlsConfig, EmbeddingPair, als_gradients, train_als
+from alsal.als import (AlsConfig, EmbeddingPair, als_gradients,
+                       init_embeddings, train_als)
 from alsal.alsdl import AlsdlConfig, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.mlp import LossConfig, MlpTrainConfig, init_mlp, predict_batch
@@ -87,8 +88,8 @@ def test_penalty_equivalence():
 def test_rank_recovery():
     t0 = time.time()
     mat, _ = generate_synthetic(35, 34, 5, 0.0, seed=101)
-    cfg = AlsConfig(d=5, learning_rate=0.01, epochs=400, seed=202)
-    emb, _ = train_als(mat, cfg)
+    cfg = AlsConfig(d=5, learning_rate=0.01, epochs=400)
+    emb, _ = train_als(mat, cfg, init_embeddings(35, 34, cfg, 202))
     elapsed = time.time() - t0
     final = als_rmse(mat, emb)
     report("rank recovery", final < 0.05 and elapsed < 30,
@@ -100,10 +101,10 @@ def test_elm_oracle_equivalence():
     mismatches = []
     for seed in range(20):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=seed)
-        cfg = ActiveConfig(n_init=8, elm_inner_epochs=50, seed=seed)
-        state = init_state(mat, cfg)
+        cfg = ActiveConfig(n_init=8, elm_inner_epochs=50)
+        state = init_state(mat, cfg, seed)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
-                               fast_model_cfg(seed=seed + 40))
+                               fast_model_cfg(), seed + 40)
         got = query_elm(state, model, 1, cfg, inner_seed=seed + 9)
         expected = brute_force_elm(state, model, cfg, inner_seed=seed + 9)
         if got.tolist() != [expected]:
@@ -123,9 +124,9 @@ def test_strategy_ordering_statistical():
         mat, _ = generate_synthetic(10, 10, 2, 0.1, seed=seed)
         for strategy in finals:
             cfg = ActiveConfig(n_init=10, n_per_query=10, n_max_query=4,
-                               strategy=strategy, elm_inner_epochs=100,
-                               seed=seed)
-            curve, _ = run_active_learning(mat, model_cfg, cfg)
+                               elm_inner_epochs=100)
+            curve, _ = run_active_learning(mat, model_cfg, cfg, strategy,
+                                           seed)
             finals[strategy].append(curve[-1].full_rmse)
     elm, rand = np.mean(finals["elm"]), np.mean(finals["random"])
     elapsed = time.time() - t0

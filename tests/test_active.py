@@ -9,8 +9,7 @@ import alsal.alsdl as alsdl_mod
 from alsal.active import (ActiveConfig, expected_losses, init_state,
                           query_elm, query_orderly, query_random,
                           query_uncertainty, run_active_learning)
-from alsal.als import (AlsConfig, ConfigError, DivergenceError,
-                       init_embeddings)
+from alsal.als import AlsConfig, DivergenceError, init_embeddings
 from alsal.alsdl import AlsdlConfig, alsdl_predict_positions, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
 from oracles import rmse, stepped_als
@@ -18,10 +17,10 @@ from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import ExperimentConfig, SyntheticSpec, run_al_study
 
 
-def fast_model_cfg(seed=0, als_epochs=40, mlp_epochs=40):
+def fast_model_cfg(als_epochs=40, mlp_epochs=40):
     return AlsdlConfig(
-        als=AlsConfig(d=2, epochs=als_epochs, seed=seed),
-        mlp_train=MlpTrainConfig(epochs=mlp_epochs, seed=seed + 1),
+        als=AlsConfig(d=2, epochs=als_epochs),
+        mlp_train=MlpTrainConfig(epochs=mlp_epochs),
         loss=LossConfig(),
         hidden_sizes=(6, 3))
 
@@ -49,7 +48,7 @@ def brute_force_elm(state, model, cfg, inner_seed):
         train_set[cand] = pool_pred[cand]
 
         init = init_embeddings(m, n, AlsConfig(
-            d=d, seed=inner_seed, init_scale=model.cfg.als.init_scale))
+            d=d, init_scale=model.cfg.als.init_scale), inner_seed)
         x = [[init.x[i, l] for l in range(d)] for i in range(m)]
         w = [[init.w[l, j] for j in range(n)] for l in range(d)]
         for _ in range(cfg.elm_inner_epochs):
@@ -113,8 +112,8 @@ def per_candidate_expected_losses(state, model, cfg, inner_seed):
     pool_preds = dict(zip(pool, alsdl_mod.alsdl_predict_positions(
         model, state.pool)))
 
-    inner_cfg = replace(model.cfg.als, epochs=cfg.elm_inner_epochs,
-                        seed=inner_seed)
+    inner_cfg = replace(model.cfg.als, epochs=cfg.elm_inner_epochs)
+    init = init_embeddings(*matrix.shape, inner_cfg, inner_seed)
     base_values = np.zeros(matrix.shape)
     base_mask = np.zeros(matrix.shape)
     for i, j in labeled:
@@ -128,7 +127,7 @@ def per_candidate_expected_losses(state, model, cfg, inner_seed):
         values[cand] = pool_preds[cand]
         mask[cand] = 1.0
         train_matrix = MaskedMatrix(values, mask)
-        emb = stepped_als(train_matrix, inner_cfg)
+        emb = stepped_als(train_matrix, inner_cfg, init)
         full = emb.x @ emb.w
 
         score_pos = labeled + [p for p in pool if p != cand]
@@ -143,33 +142,32 @@ def per_candidate_expected_losses(state, model, cfg, inner_seed):
 class TestInitState:
     def test_budgets(self):
         mat, _ = generate_synthetic(35, 34, 5, 0.0, seed=0)
-        cfg = ActiveConfig(n_init=40, seed=0)
-        state = init_state(mat, cfg)
+        state = init_state(mat, ActiveConfig(n_init=40), 0)
         assert len(state.labeled) == 40
         assert len(state.pool) == 1150
         assert not np.isin(state.labeled, state.pool).any()
 
     def test_full_budget_empties_pool(self):
         mat, _ = generate_synthetic(3, 3, 1, 0.0, seed=1)
-        state = init_state(mat, ActiveConfig(n_init=9, seed=0))
+        state = init_state(mat, ActiveConfig(n_init=9), 0)
         assert state.pool.tolist() == []
 
     def test_deterministic(self):
         mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=2)
-        cfg = ActiveConfig(n_init=10, seed=5)
-        assert (init_state(mat, cfg).labeled.tolist()
-                == init_state(mat, cfg).labeled.tolist())
+        cfg = ActiveConfig(n_init=10)
+        assert (init_state(mat, cfg, 5).labeled.tolist()
+                == init_state(mat, cfg, 5).labeled.tolist())
 
     def test_budget_exceeds_pool(self):
         mat, _ = generate_synthetic(2, 2, 1, 0.0, seed=3)
         with pytest.raises(ValueError):
-            init_state(mat, ActiveConfig(n_init=5, seed=0))
+            init_state(mat, ActiveConfig(n_init=5), 0)
 
 
 class TestQueryOrderly:
     def _state(self, m=2, n=2, pool=None):
         mat, _ = generate_synthetic(m, n, 1, 0.0, seed=4)
-        state = init_state(mat, ActiveConfig(n_init=1, seed=0))
+        state = init_state(mat, ActiveConfig(n_init=1), 0)
         if pool is not None:
             state.pool = np.array(pool, dtype=np.intp)
             observed = mat.observed_positions()
@@ -197,18 +195,18 @@ class TestQueryOrderly:
 class TestQueryRandom:
     def test_full_pool_is_permutation(self):
         mat, _ = generate_synthetic(3, 3, 1, 0.0, seed=5)
-        state = init_state(mat, ActiveConfig(n_init=2, seed=0))
+        state = init_state(mat, ActiveConfig(n_init=2), 0)
         got = query_random(state, len(state.pool), seed=1)
         assert sorted(got.tolist()) == sorted(state.pool.tolist())
 
     def test_single_item_pool(self):
         mat, _ = generate_synthetic(2, 2, 1, 0.0, seed=6)
-        state = init_state(mat, ActiveConfig(n_init=3, seed=0))
+        state = init_state(mat, ActiveConfig(n_init=3), 0)
         assert query_random(state, 1, seed=0).tolist() == state.pool.tolist()
 
     def test_deterministic(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=7)
-        state = init_state(mat, ActiveConfig(n_init=4, seed=0))
+        state = init_state(mat, ActiveConfig(n_init=4), 0)
         assert (query_random(state, 3, seed=2).tolist()
                 == query_random(state, 3, seed=2).tolist())
 
@@ -217,7 +215,7 @@ class TestQueryUncertainty:
     def test_closest_to_boundary(self):
         mat, _ = generate_synthetic(1, 3, 1, 0.0, seed=8)
         mat.values[:] = [[0.5, -0.01, 0.3]]
-        state = init_state(mat, ActiveConfig(n_init=1, seed=0))
+        state = init_state(mat, ActiveConfig(n_init=1), 0)
         state.labeled = np.array([], dtype=np.intp)
         state.pool = np.array([0, 1, 2], dtype=np.intp)
 
@@ -236,12 +234,12 @@ class TestQueryUncertainty:
 
     def test_boundary_tie_broken_row_major(self):
         mat, _ = generate_synthetic(2, 2, 1, 0.0, seed=9)
-        state = init_state(mat, ActiveConfig(n_init=1, seed=0))
+        state = init_state(mat, ActiveConfig(n_init=1), 0)
         state.labeled = np.array([], dtype=np.intp)
         state.pool = np.array([3, 1], dtype=np.intp)  # (1, 1), (0, 1)
         # 2 x 3: (0, 2) = 2 before (1, 0) = 3 only in row-major order
         wide, _ = generate_synthetic(2, 3, 1, 0.0, seed=9)
-        wide_state = init_state(wide, ActiveConfig(n_init=1, seed=0))
+        wide_state = init_state(wide, ActiveConfig(n_init=1), 0)
         wide_state.labeled = np.array([], dtype=np.intp)
         wide_state.pool = np.array([3, 2], dtype=np.intp)
         import alsal.active as active_mod
@@ -258,20 +256,21 @@ class TestQueryUncertainty:
 class TestQueryElm:
     def test_single_candidate_pool(self):
         mat, _ = generate_synthetic(2, 2, 1, 0.0, seed=10)
-        state = init_state(mat, ActiveConfig(n_init=3, seed=0))
+        state = init_state(mat, ActiveConfig(n_init=3), 0)
         assert len(state.pool) == 1
-        cfg = ActiveConfig(n_init=3, elm_inner_epochs=20, seed=0)
+        cfg = ActiveConfig(n_init=3, elm_inner_epochs=20)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
-                               fast_model_cfg(als_epochs=20, mlp_epochs=20))
-        assert query_elm(state, model, 1, cfg).tolist() == state.pool.tolist()
+                               fast_model_cfg(als_epochs=20, mlp_epochs=20), 0)
+        assert (query_elm(state, model, 1, cfg, inner_seed=0).tolist()
+                == state.pool.tolist())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force_oracle(self, seed):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=seed)
-        cfg = ActiveConfig(n_init=8, elm_inner_epochs=50, seed=seed)
-        state = init_state(mat, cfg)
+        cfg = ActiveConfig(n_init=8, elm_inner_epochs=50)
+        state = init_state(mat, cfg, seed)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
-                               fast_model_cfg(seed=seed + 30))
+                               fast_model_cfg(), seed + 30)
         got = query_elm(state, model, 1, cfg, inner_seed=seed + 77)
         expected = brute_force_elm(state, model, cfg, inner_seed=seed + 77)
         assert got.tolist() == [expected]
@@ -309,16 +308,20 @@ class TestActiveConfigChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(**{field: value})
 
-    def test_rejects_unknown_strategy(self):
-        # run_active_learning(m, ActiveConfig(strategy="rand")) trained
-        # round 0 and only then failed in _select; now the config fails
-        message = ("unknown strategy 'rand'; known: orderly, random, "
-                   "uncertainty, elm")
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as e:
-            ActiveConfig(strategy="rand", n_init=6)
-        assert e.value.key == "strategy"
-        with pytest.raises(ValueError, match="unknown strategy"):
-            replace(ActiveConfig(), strategy="ELM")
+    def test_rejects_unknown_strategy(self, monkeypatch):
+        # run_active_learning with strategy "rand" once trained round 0 and
+        # only then failed in _select; now it fails before any training
+        def trained(*args, **kwargs):
+            raise AssertionError("round 0 trained")
+        monkeypatch.setattr(alsdl_mod, "train_alsdl", trained)
+        mat, _ = generate_synthetic(4, 4, 2, 0.0, seed=0)
+        # n_init = 40 exceeds the 16 positions: the strategy is checked first
+        for strategy, cfg in (("rand", ActiveConfig(n_init=6)),
+                              ("ELM", ActiveConfig())):
+            message = (f"unknown strategy {strategy!r}; known: orderly, "
+                       "random, uncertainty, elm")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_active_learning(mat, fast_model_cfg(), cfg, strategy, 0)
 
     def test_accepts_lowest_counts(self):
         assert ActiveConfig(n_init=1, n_max_query=0,
@@ -331,10 +334,10 @@ class TestElmSubsampling:
     def test_subsample_restricts_candidates(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=20)
         cfg = ActiveConfig(n_init=8, elm_inner_epochs=20,
-                           elm_candidate_subsample=3, seed=0)
-        state = init_state(mat, cfg)
+                           elm_candidate_subsample=3)
+        state = init_state(mat, cfg, 0)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
-                               fast_model_cfg(seed=60))
+                               fast_model_cfg(), 60)
         got = query_elm(state, model, 3, cfg, inner_seed=5)
         assert len(got) == 3
         assert set(got.tolist()) <= set(state.pool.tolist())
@@ -342,10 +345,10 @@ class TestElmSubsampling:
     def test_subsample_deterministic(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=21)
         cfg = ActiveConfig(n_init=6, elm_inner_epochs=20,
-                           elm_candidate_subsample=4, seed=0)
-        state = init_state(mat, cfg)
+                           elm_candidate_subsample=4)
+        state = init_state(mat, cfg, 0)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
-                               fast_model_cfg(seed=61))
+                               fast_model_cfg(), 61)
         a = query_elm(state, model, 2, cfg, inner_seed=9)
         b = query_elm(state, model, 2, cfg, inner_seed=9)
         assert a.tolist() == b.tolist()
@@ -354,9 +357,9 @@ class TestElmSubsampling:
 class TestRunActiveLearning:
     def test_point_count_and_budgets(self):
         mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=11)
-        cfg = ActiveConfig(n_init=4, n_per_query=4, n_max_query=3,
-                           strategy="random", seed=1)
-        curve, model = run_active_learning(mat, fast_model_cfg(), cfg)
+        cfg = ActiveConfig(n_init=4, n_per_query=4, n_max_query=3)
+        curve, model = run_active_learning(mat, fast_model_cfg(), cfg,
+                                           "random", 1)
         assert len(curve) == 4
         assert [pt.n_labeled for pt in curve] == [4, 8, 12, 16]
         assert [pt.round for pt in curve] == [0, 1, 2, 3]
@@ -368,25 +371,24 @@ class TestRunActiveLearning:
 
     def test_zero_max_query_single_point(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=12)
-        cfg = ActiveConfig(n_init=5, n_per_query=5, n_max_query=0,
-                           strategy="orderly", seed=0)
-        curve, _ = run_active_learning(mat, fast_model_cfg(), cfg)
+        cfg = ActiveConfig(n_init=5, n_per_query=5, n_max_query=0)
+        curve, _ = run_active_learning(mat, fast_model_cfg(), cfg,
+                                       "orderly", 0)
         assert len(curve) == 1
         assert curve[0].n_labeled == 5
 
     def test_deterministic(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.1, seed=13)
-        cfg = ActiveConfig(n_init=5, n_per_query=5, n_max_query=2,
-                           strategy="random", seed=3)
-        c1, _ = run_active_learning(mat, fast_model_cfg(), cfg)
-        c2, _ = run_active_learning(mat, fast_model_cfg(), cfg)
+        cfg = ActiveConfig(n_init=5, n_per_query=5, n_max_query=2)
+        c1, _ = run_active_learning(mat, fast_model_cfg(), cfg, "random", 3)
+        c2, _ = run_active_learning(mat, fast_model_cfg(), cfg, "random", 3)
         assert c1 == c2
 
     def test_pool_exhaustion_stops_early(self):
         mat, _ = generate_synthetic(3, 3, 1, 0.0, seed=14)
-        cfg = ActiveConfig(n_init=3, n_per_query=6, n_max_query=5,
-                           strategy="orderly", seed=0)
-        curve, _ = run_active_learning(mat, fast_model_cfg(), cfg)
+        cfg = ActiveConfig(n_init=3, n_per_query=6, n_max_query=5)
+        curve, _ = run_active_learning(mat, fast_model_cfg(), cfg,
+                                       "orderly", 0)
         assert curve[-1].n_labeled == 9
         assert len(curve) == 2
 
@@ -395,8 +397,9 @@ class TestRunActiveLearning:
     def test_conservation_no_double_query(self, strategy):
         mat, _ = generate_synthetic(4, 4, 2, 0.0, seed=15)
         cfg = ActiveConfig(n_init=4, n_per_query=3, n_max_query=2,
-                           strategy=strategy, elm_inner_epochs=10, seed=2)
-        curve, _ = run_active_learning(mat, fast_model_cfg(), cfg)
+                           elm_inner_epochs=10)
+        curve, _ = run_active_learning(mat, fast_model_cfg(), cfg,
+                                       strategy, 2)
         assert [pt.n_labeled for pt in curve] == [4, 7, 10]
 
 
@@ -406,9 +409,9 @@ def elm_problem(m=6, n=6, n_init=10, seed=0, noise_sd=0.1, inner_als=None,
     replaces fields of the model's recorded ALS config, which ELM's
     retrains read, without retraining the model."""
     mat, _ = generate_synthetic(m, n, 2, noise_sd, seed=seed)
-    cfg = ActiveConfig(n_init=n_init, elm_inner_epochs=30, seed=seed, **cfg_kw)
-    state = init_state(mat, cfg)
-    model, _ = train_alsdl(mat.with_mask(state.labeled), fast_model_cfg(seed))
+    cfg = ActiveConfig(n_init=n_init, elm_inner_epochs=30, **cfg_kw)
+    state = init_state(mat, cfg, seed)
+    model, _ = train_alsdl(mat.with_mask(state.labeled), fast_model_cfg(), seed)
     model.cfg = replace(model.cfg, als=replace(model.cfg.als,
                                                **(inner_als or {})))
     return state, model, cfg

@@ -116,17 +116,17 @@ class TestCheckFields:
 
 class TestInitEmbeddings:
     def test_shapes(self):
-        emb = init_embeddings(2, 3, AlsConfig(d=5, seed=0))
+        emb = init_embeddings(2, 3, AlsConfig(d=5), 0)
         assert emb.x.shape == (2, 5)
         assert emb.w.shape == (5, 3)
 
     def test_zero_scale(self):
-        emb = init_embeddings(3, 3, AlsConfig(d=2, init_scale=0.0, seed=0))
+        emb = init_embeddings(3, 3, AlsConfig(d=2, init_scale=0.0), 0)
         assert np.all(emb.x == 0) and np.all(emb.w == 0)
 
     def test_deterministic(self):
-        a = init_embeddings(4, 4, AlsConfig(seed=11))
-        b = init_embeddings(4, 4, AlsConfig(seed=11))
+        a = init_embeddings(4, 4, AlsConfig(), 11)
+        b = init_embeddings(4, 4, AlsConfig(), 11)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.w, b.w)
 
@@ -189,7 +189,7 @@ class TestAlsEpoch:
 
     def test_zero_alpha_unchanged(self, rng):
         mat = full_matrix(rng.normal(size=(3, 3)))
-        emb = init_embeddings(3, 3, AlsConfig(d=2, seed=0))
+        emb = init_embeddings(3, 3, AlsConfig(d=2), 0)
         out = epoch_copy(mat, emb, alpha=0.0)
         np.testing.assert_array_equal(out.x, emb.x)
 
@@ -203,7 +203,7 @@ class TestAlsEpoch:
     def test_loss_non_increasing_small_alpha(self):
         for seed in range(100):
             mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=seed)
-            emb = init_embeddings(6, 6, AlsConfig(d=2, seed=seed + 500))
+            emb = init_embeddings(6, 6, AlsConfig(d=2), seed + 500)
             before = als_loss(mat, emb)
             after = als_loss(mat, epoch_copy(mat, emb, alpha=0.001))
             assert after <= before + 1e-12
@@ -263,23 +263,25 @@ class TestAlsEpochWork:
 class TestTrainAls:
     def test_low_rank_recovery_small(self):
         mat, _ = generate_synthetic(12, 10, 3, 0.0, seed=2)
-        emb, hist = train_als(mat, AlsConfig(d=3, epochs=400, seed=9))
+        cfg = AlsConfig(d=3, epochs=400)
+        emb, hist = train_als(mat, cfg, init_embeddings(12, 10, cfg, 9))
         assert hist is None
         assert als_rmse(mat, emb) < 0.05
 
     def test_all_zero_matrix_zero_init(self):
         mat = full_matrix(np.zeros((3, 3)))
-        cfg = AlsConfig(d=2, epochs=5, init_scale=0.0, seed=0)
-        emb, hist = train_als(mat, cfg, kfold_split(9, 3, seed=0)[0])
+        cfg = AlsConfig(d=2, epochs=5, init_scale=0.0)
+        emb, hist = train_als(mat, cfg, init_embeddings(3, 3, cfg, 0),
+                              kfold_split(9, 3, seed=0)[0])
         assert np.all(emb.x == 0) and np.all(emb.w == 0)
         assert hist.train_loss[-1] == hist.test_loss[-1] == 0.0
 
     def test_deterministic(self):
         mat, _ = generate_synthetic(6, 6, 2, 0.1, seed=4)
-        cfg = AlsConfig(d=2, epochs=50, seed=7)
+        cfg = AlsConfig(d=2, epochs=50)
         split = kfold_split(36, 4, seed=0)[1]
-        emb1, hist1 = train_als(mat, cfg, split)
-        emb2, hist2 = train_als(mat, cfg, split)
+        emb1, hist1 = train_als(mat, cfg, init_embeddings(6, 6, cfg, 7), split)
+        emb2, hist2 = train_als(mat, cfg, init_embeddings(6, 6, cfg, 7), split)
         np.testing.assert_array_equal(emb1.x, emb2.x)
         for a, b in zip(hist1, hist2):
             np.testing.assert_array_equal(a, b)
@@ -293,21 +295,23 @@ class TestTrainAls:
         split = FoldSplit(range(0, 56, 2), range(1, 56, 2))
         cfg = AlsConfig(d=2, epochs=20, learning_rate=100.0)
         with pytest.raises(DivergenceError) as e:
-            train_als(mat, cfg, split if with_split else None)
+            train_als(mat, cfg, init_embeddings(8, 7, cfg, 0),
+                      split if with_split else None)
         assert e.value.epoch == 3  # epochs 0-2 stay finite
 
     def test_eval_split_excludes_test_from_training(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=8)
         split = FoldSplit(tuple(range(20)), tuple(range(20, 25)))
-        cfg = AlsConfig(d=2, epochs=30, seed=1)
-        emb1, hist1 = train_als(mat, cfg, eval_positions=split)
+        cfg = AlsConfig(d=2, epochs=30)
+        init = init_embeddings(5, 5, cfg, 1)
+        emb1, hist1 = train_als(mat, cfg, init, split)
         # flipping values at test positions must not change the trained model
         mat2 = full_matrix(mat.values.copy())
         positions = mat.observed_positions()
         for idx in split.test_indices:
             i, j = divmod(int(positions[idx]), 5)
             mat2.values[i, j] += 100.0
-        emb2, _ = train_als(mat2, cfg, eval_positions=split)
+        emb2, _ = train_als(mat2, cfg, init, split)
         np.testing.assert_array_equal(emb1.x, emb2.x)
         np.testing.assert_array_equal(emb1.w, emb2.w)
         assert hist1.test_loss is not None
@@ -318,11 +322,12 @@ class TestTrainAls:
         mask = (rng.uniform(size=(4, 4)) < 0.6).astype(float)
         mask[0, 0] = 1.0
         mat = MaskedMatrix(values, mask)
-        cfg = AlsConfig(d=2, epochs=20, seed=5)
-        emb1, _ = train_als(mat, cfg)
+        cfg = AlsConfig(d=2, epochs=20)
+        init = init_embeddings(4, 4, cfg, 5)
+        emb1, _ = train_als(mat, cfg, init)
         flipped = MaskedMatrix(mat.values.copy(), mat.mask.copy())
         flipped.values[flipped.mask == 0] = 1e6
-        emb2, _ = train_als(flipped, cfg)
+        emb2, _ = train_als(flipped, cfg, init)
         np.testing.assert_array_equal(emb1.x, emb2.x)
         np.testing.assert_array_equal(emb1.w, emb2.w)
 
@@ -333,21 +338,21 @@ class TestResume:
 
     def legs(self, cfg, k, split):
         mat, _ = generate_synthetic(7, 6, 2, 0.1, seed=3)
-        whole = train_als(mat, cfg, eval_positions=split)
-        first = emb, _ = train_als(mat, replace(cfg, epochs=k),
-                                   eval_positions=split)
+        init = init_embeddings(7, 6, cfg, 4)
+        whole = train_als(mat, cfg, init, split)
+        first = emb, _ = train_als(mat, replace(cfg, epochs=k), init, split)
         x, w = emb.x.copy(), emb.w.copy()
-        resumed = train_als(mat, cfg, eval_positions=split, start_epoch=k,
-                            emb=emb)
+        resumed = train_als(mat, cfg, emb, split, start_epoch=k)
         # the given embeddings are copied, not trained in place
         assert (emb.x == x).all() and (emb.w == w).all()
+        assert (init.x == init_embeddings(7, 6, cfg, 4).x).all()
         return whole, first, resumed
 
     @pytest.mark.parametrize("split", [None, FoldSplit(
         tuple(range(0, 42, 2)), tuple(range(1, 42, 2)))])
     def test_equals_uninterrupted_run(self, split):
         # 37 + 20 epochs: the legs meet inside a 32-epoch history block
-        cfg = AlsConfig(d=2, epochs=57, seed=4)
+        cfg = AlsConfig(d=2, epochs=57)
         (emb, curve), (_, first), (emb2, rest) = self.legs(cfg, 37, split)
         assert (emb2.x == emb.x).all() and (emb2.w == emb.w).all()
         if split is None:
@@ -359,7 +364,7 @@ class TestResume:
             assert (column == joined).all(), name
 
     def test_resume_at_the_last_epoch_trains_nothing(self):
-        cfg = AlsConfig(d=2, epochs=5, seed=4)
+        cfg = AlsConfig(d=2, epochs=5)
         (emb, _), _, (emb2, rest) = self.legs(cfg, 5, FoldSplit(
             tuple(range(0, 42, 2)), tuple(range(1, 42, 2))))
         assert (emb2.x == emb.x).all() and (emb2.w == emb.w).all()
@@ -368,24 +373,48 @@ class TestResume:
     @pytest.mark.parametrize("k", [3, 7])
     def test_divergence_epoch_counts_from_the_run_start(self, k):
         mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=4)
-        cfg = AlsConfig(d=2, epochs=30, learning_rate=0.6, seed=1)
+        cfg = AlsConfig(d=2, epochs=30, learning_rate=0.6)
+        init = init_embeddings(6, 6, cfg, 1)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError) as whole:
-                train_als(mat, cfg)
-            emb, _ = train_als(mat, replace(cfg, epochs=k))
+                train_als(mat, cfg, init)
+            emb, _ = train_als(mat, replace(cfg, epochs=k), init)
             with pytest.raises(DivergenceError) as resumed:
-                train_als(mat, cfg, start_epoch=k, emb=emb)
+                train_als(mat, cfg, emb, start_epoch=k)
         assert k < whole.value.epoch < 30
         assert resumed.value.epoch == whole.value.epoch
 
-    @pytest.mark.parametrize("start_epoch, with_emb", [(2, False), (-1, True),
-                                                       (6, True)])
-    def test_rejects_a_start_it_cannot_resume(self, start_epoch, with_emb):
+    # the ids are the ones these cases had when emb could be left out
+    @pytest.mark.parametrize("start_epoch", [pytest.param(-1, id="-1-True"),
+                                             pytest.param(6, id="6-True")])
+    def test_rejects_a_start_it_cannot_resume(self, start_epoch):
         mat, _ = generate_synthetic(4, 4, 2, 0.0, seed=0)
         cfg = AlsConfig(d=2, epochs=5)
-        emb = init_embeddings(4, 4, cfg) if with_emb else None
+        emb = init_embeddings(4, 4, cfg, 0)
         with pytest.raises(ValueError, match="cannot start at epoch"):
-            train_als(mat, cfg, start_epoch=start_epoch, emb=emb)
+            train_als(mat, cfg, emb, start_epoch=start_epoch)
+
+
+class TestEmbeddingShapes:
+    """train_als checks the embeddings it is given against the matrix and
+    cfg.d before any epoch (ELM's stacked inits pass on their last two
+    axes)."""
+
+    @pytest.mark.parametrize("shape", [(4, 3, 4), (5, 2, 4), (4, 2, 3)])
+    def test_rejects_embeddings_that_do_not_fit(self, shape, monkeypatch):
+        """(m, d, n): a d other than cfg.d, which trained a d = 3 model
+        under d = 2, and an m or n other than the matrix's, which failed
+        mid-epoch on a numpy broadcast."""
+        m, d, n = shape
+        mat, _ = generate_synthetic(4, 4, 2, 0.0, seed=0)
+        emb = init_embeddings(m, n, AlsConfig(d=d), 0)
+        epochs = []
+        monkeypatch.setattr(als_mod, "als_epoch",
+                            lambda *args: epochs.append(args))
+        with pytest.raises(ValueError, match="do not fit a 4 x 4 matrix "
+                           "at d = 2"):
+            train_als(mat, AlsConfig(d=2, epochs=5), emb)
+        assert not epochs
 
 
 def same_bits(a, b):
@@ -416,13 +445,13 @@ class TestTrainStack:
         stack, emb = epoch_problem(4, seed=20)
         assert stack.shape == (7, 6)  # one problem's, as for a MaskedMatrix
         cfg = AlsConfig(d=3, epochs=40, learning_rate=0.05)
-        got, curve = train_als(stack, cfg, start_epoch=start_epoch, emb=emb)
+        got, curve = train_als(stack, cfg, emb, start_epoch=start_epoch)
         assert curve is None and got.x.shape == (4, 7, 3)
         assert np.isfinite(got.x).all() and np.isfinite(got.w).all()
         for b in range(4):
             want, _ = train_als(problem_of(stack, b), cfg,
-                                start_epoch=start_epoch,
-                                emb=EmbeddingPair(emb.x[b], emb.w[b]))
+                                EmbeddingPair(emb.x[b], emb.w[b]),
+                                start_epoch=start_epoch)
             assert same_bits(got.x[b], want.x) and same_bits(got.w[b], want.w)
 
     def test_split_rejected_before_any_epoch(self, monkeypatch):
@@ -432,8 +461,7 @@ class TestTrainStack:
         monkeypatch.setattr(als_mod, "als_epoch",
                             lambda *args: epochs.append(args))
         with pytest.raises(ValueError, match="stacked matrix"):
-            train_als(stack, AlsConfig(d=3, epochs=5), eval_positions=split,
-                      emb=emb)
+            train_als(stack, AlsConfig(d=3, epochs=5), emb, split)
         assert not epochs
 
     @staticmethod
@@ -444,7 +472,7 @@ class TestTrainStack:
         def problem(seed, init_scale):
             mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=seed)
             return mat, init_embeddings(6, 6, AlsConfig(
-                d=2, seed=1, init_scale=init_scale))
+                d=2, init_scale=init_scale), 1)
         return {"stays": problem(1, 1.0), "late": problem(1, 0.1),
                 "early": problem(0, 1.0)}
 
@@ -457,14 +485,14 @@ class TestTrainStack:
         problems, epochs = self.problems(), {}
         for name, (mat, emb) in problems.items():
             try:
-                stepped_als(mat, cfg, emb=emb)
+                stepped_als(mat, cfg, emb)
             except DivergenceError as e:
                 epochs[name] = e.epoch
         assert epochs.keys() == {"late", "early"}
         assert epochs["late"] > epochs["early"] + 10
         stack, emb = stacked([problems[name] for name in order])
         with pytest.raises(DivergenceError) as e:
-            train_als(stack, cfg, emb=emb)
+            train_als(stack, cfg, emb)
         first = next(name for name in order if name in epochs)
         assert e.value.epoch == epochs[first]
 
@@ -479,19 +507,20 @@ class TestDivergenceEpoch:
     @pytest.mark.parametrize("leg", ["unsplit", "split", "resumed"])
     def test_matches_stepped_oracle(self, seed, learning_rate, leg):
         mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=seed)
-        cfg = AlsConfig(d=2, epochs=60, learning_rate=learning_rate, seed=1)
-        split, trained, start_epoch, emb = None, mat, 0, None
+        cfg = AlsConfig(d=2, epochs=60, learning_rate=learning_rate)
+        split, trained, start_epoch = None, mat, 0
+        emb = init_embeddings(6, 6, cfg, 1)
         if leg == "split":
             split = kfold_split(36, 4, seed=seed)[0]
             trained = mat.with_mask(
                 mat.observed_positions()[split.train_indices])
         elif leg == "resumed":
             start_epoch = 2
-            emb, _ = train_als(mat, replace(cfg, epochs=start_epoch))
+            emb, _ = train_als(mat, replace(cfg, epochs=start_epoch), emb)
         with pytest.raises(DivergenceError) as want:
-            stepped_als(trained, cfg, start_epoch, emb)
+            stepped_als(trained, cfg, emb, start_epoch)
         with pytest.raises(DivergenceError) as got:
-            train_als(mat, cfg, split, start_epoch, emb)
+            train_als(mat, cfg, emb, split, start_epoch)
         assert got.value.epoch == want.value.epoch
 
     def test_a_replay_that_stays_finite_is_an_error(self, monkeypatch):
@@ -507,7 +536,8 @@ class TestDivergenceEpoch:
             return emb
         monkeypatch.setattr(als_mod, "als_epoch", poisoned_once)
         mat, _ = generate_synthetic(6, 6, 2, 0.1, seed=3)
+        cfg = AlsConfig(d=2, epochs=10)
         with pytest.raises(RuntimeError, match="replay did not") as e:
-            train_als(mat, AlsConfig(d=2, epochs=10))
+            train_als(mat, cfg, init_embeddings(6, 6, cfg, 0))
         assert type(e.value) is RuntimeError
         assert len(calls) == 20  # the run, then its replay

@@ -570,7 +570,7 @@ POSITION_CALLERS = ["with_mask", "build_features", "alsdl_predict_positions"]
 
 def position_caller(name):
     mat, _ = generate_synthetic(3, 4, 1, 0.0, seed=0)
-    emb = init_embeddings(3, 4, AlsConfig(d=2, seed=1))
+    emb = init_embeddings(3, 4, AlsConfig(d=2), 1)
     model = AlsdlModel(emb, init_mlp([4, 3, 1], seed=2), AlsdlConfig())
     return {"with_mask": lambda pos: mat.with_mask(pos).observed_positions(),
             "build_features": lambda pos: build_features(emb, pos),

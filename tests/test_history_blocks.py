@@ -25,7 +25,7 @@ import pytest
 import alsal.als as als_mod
 import alsal.mlp as mlp_mod
 import test_history_exact
-from alsal.als import AlsConfig, DivergenceError, train_als
+from alsal.als import AlsConfig, DivergenceError, init_embeddings, train_als
 from alsal.alsdl import AlsdlConfig, train_alsdl
 from alsal.data import generate_synthetic
 from alsal.metrics import HISTORY_BLOCK, Scorer, kfold_split
@@ -126,8 +126,8 @@ class TestBlocksAreCOrdered:
 
     def test_als(self, scored):
         mat = holey_matrix()
-        train_als(mat, AlsConfig(d=2, epochs=2 * B + 3),
-                  eval_positions=split_for(mat))
+        cfg = AlsConfig(d=2, epochs=2 * B + 3)
+        train_als(mat, cfg, init_embeddings(7, 6, cfg, 0), split_for(mat))
         assert scored == [B, B, B, B, 3, 3]  # train and test per block
 
     def test_mlp(self, scored):
@@ -145,9 +145,9 @@ class TestAlsBlockEdges:
     def test_matches_per_epoch_reference(self, epochs, with_split):
         mat = holey_matrix()
         split = split_for(mat) if with_split else None
-        cfg = AlsConfig(d=2, epochs=epochs, learning_rate=0.05, seed=4)
-        emb, hist = train_als(mat, cfg, eval_positions=split)
-        emb_ref, hist_ref = reference_train_als(mat, cfg, split)
+        cfg = AlsConfig(d=2, epochs=epochs, learning_rate=0.05)
+        emb, hist = train_als(mat, cfg, init_embeddings(7, 6, cfg, 4), split)
+        emb_ref, hist_ref = reference_train_als(mat, cfg, 4, split)
         np.testing.assert_array_equal(emb.x, emb_ref.x)
         assert_same_curve(hist, hist_ref)
         assert (hist is None) == (not with_split)
@@ -172,11 +172,12 @@ class TestAlsBlockEdges:
             return emb
         monkeypatch.setattr(als_mod, "als_epoch", poisoned)
         mat = holey_matrix()
-        cfg = AlsConfig(d=2, epochs=3 * B, seed=4)
+        cfg = AlsConfig(d=2, epochs=3 * B)
+        init = init_embeddings(7, 6, cfg, 4)
         for split in (split_for(mat), None):
             passes.clear()
             with pytest.raises(DivergenceError) as e:
-                train_als(mat, cfg, split)
+                train_als(mat, cfg, init, split)
             assert e.value.epoch == bad_epoch
             assert [n for _, n in passes] == [3 * B, bad_epoch + 1]
 
@@ -279,11 +280,11 @@ class TestMlpBlockEdges:
     def test_zero_epochs_in_alsdl(self):
         mat = holey_matrix(seed=5)
         split = split_for(mat, seed=1)
-        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=B + 1, seed=2),
-                          mlp_train=MlpTrainConfig(epochs=0, seed=3),
+        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=B + 1),
+                          mlp_train=MlpTrainConfig(epochs=0),
                           hidden_sizes=(4,))
-        _, hist = train_alsdl(mat, cfg, eval_split=split)
-        assert_same_curve(hist, reference_train_alsdl(mat, cfg, split)[2])
+        _, hist = train_alsdl(mat, cfg, 2, eval_split=split)
+        assert_same_curve(hist, reference_train_alsdl(mat, cfg, 2, split)[2])
 
 
 class TestCurveExactlyWithASplit:
@@ -299,11 +300,12 @@ class TestCurveExactlyWithASplit:
                           mlp_train=MlpTrainConfig(epochs=9),
                           hidden_sizes=(4,))
         curves = {
-            7: train_als(mat, cfg.als, split)[1],
+            7: train_als(mat, cfg.als, init_embeddings(7, 6, cfg.als, 0),
+                         split)[1],
             9: train_mlp(init_mlp(MLP_SIZES, seed=1), x, t, cfg.mlp_train,
                          LossConfig(),
                          eval_split=mlp_split(t) if with_split else None)[1],
-            16: train_alsdl(mat, cfg, split)[1]}
+            16: train_alsdl(mat, cfg, 0, split)[1]}
         for epochs, curve in curves.items():
             if not with_split:
                 assert curve is None
@@ -322,14 +324,16 @@ class TestNoHistory:
         monkeypatch.setattr(als_mod, "Scorer", forbidden)
         monkeypatch.setattr(mlp_mod, "Scorer", forbidden)
         mat = holey_matrix(seed=5)
-        assert train_als(mat, AlsConfig(d=2, epochs=B + 1))[1] is None
+        als_cfg = AlsConfig(d=2, epochs=B + 1)
+        assert train_als(mat, als_cfg,
+                         init_embeddings(7, 6, als_cfg, 0))[1] is None
         x, t = mlp_problem(MLP_SIZES)
         assert train_mlp(init_mlp(MLP_SIZES, seed=1), x, t,
                          MlpTrainConfig(epochs=B + 1), LossConfig())[1] is None
         cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=3),
                           mlp_train=MlpTrainConfig(epochs=3),
                           hidden_sizes=(4,))
-        assert train_alsdl(mat, cfg)[1] is None
+        assert train_alsdl(mat, cfg, 0)[1] is None
 
     def test_als_peak_memory_stays_under_one_block(self):
         """A (HISTORY_BLOCK, m*n) block is 299 KB at 35 x 34: training
@@ -338,12 +342,13 @@ class TestNoHistory:
         test positions, take more."""
         mat, _ = generate_synthetic(35, 34, 5, 0.1, seed=1)
         cfg = AlsConfig(epochs=B + 1)
+        init = init_embeddings(35, 34, cfg, 0)
         block_bytes = B * mat.values.size * 8
         peaks = []
         for split in (None, split_for(mat)):
             tracemalloc.start()
             try:
-                train_als(mat, cfg, split)
+                train_als(mat, cfg, init, split)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -110,7 +110,7 @@ def reference_feature_table(emb, positions):
                      for i, j in positions])
 
 
-def reference_train_als(matrix, cfg, split=None):
+def reference_train_als(matrix, cfg, seed, split=None):
     positions = observed_pairs(matrix)
     train_matrix, history = matrix, None
     if split is not None:
@@ -118,7 +118,7 @@ def reference_train_als(matrix, cfg, split=None):
         pos_test = [positions[i] for i in split.test_indices]
         train_matrix = reference_with_mask(matrix, pos_train)
         history = []
-    emb = init_embeddings(*matrix.shape, cfg)
+    emb = init_embeddings(*matrix.shape, cfg, seed)
     for epoch in range(cfg.epochs):
         # a new pair each epoch, stepped in place from a copy of the last
         emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
@@ -236,12 +236,12 @@ def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
     return model, history
 
 
-def reference_train_alsdl(matrix, cfg, split=None):
-    emb, als_history = reference_train_als(matrix, cfg.als, split)
+def reference_train_alsdl(matrix, cfg, seed, split=None):
+    emb, als_history = reference_train_als(matrix, cfg.als, seed, split)
     positions = observed_pairs(matrix)
     inputs = reference_feature_table(emb, positions)
     truths = matrix.values[tuple(zip(*positions))]
-    net = init_mlp([2 * emb.d, *cfg.hidden_sizes, 1], seed=cfg.mlp_train.seed)
+    net = init_mlp([2 * emb.d, *cfg.hidden_sizes, 1], seed=seed + 1)
     net, history = reference_train_mlp(
         net, inputs, truths, cfg.mlp_train, cfg.loss, eval_split=split,
         start_epoch=cfg.als.epochs)
@@ -288,9 +288,9 @@ class TestAlsHistory:
     def test_matches_reference(self, with_split):
         mat = holey_matrix()
         split = split_for(mat) if with_split else None
-        cfg = AlsConfig(d=2, epochs=40, learning_rate=0.05, seed=4)
-        emb, hist = train_als(mat, cfg, eval_positions=split)
-        emb_ref, hist_ref = reference_train_als(mat, cfg, split)
+        cfg = AlsConfig(d=2, epochs=40, learning_rate=0.05)
+        emb, hist = train_als(mat, cfg, init_embeddings(7, 6, cfg, 4), split)
+        emb_ref, hist_ref = reference_train_als(mat, cfg, 4, split)
         np.testing.assert_array_equal(emb.x, emb_ref.x)
         np.testing.assert_array_equal(emb.w, emb_ref.w)
         assert_same_curve(hist, hist_ref)
@@ -303,11 +303,11 @@ class TestAlsdlHistory:
     def test_matches_reference(self, loss, with_split):
         mat = holey_matrix(seed=5)
         split = split_for(mat, seed=1) if with_split else None
-        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=15, seed=2),
-                          mlp_train=MlpTrainConfig(epochs=25, seed=3),
+        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=15),
+                          mlp_train=MlpTrainConfig(epochs=25),
                           loss=loss, hidden_sizes=(8, 4))
-        model, hist = train_alsdl(mat, cfg, eval_split=split)
-        _, net_ref, hist_ref = reference_train_alsdl(mat, cfg, split)
+        model, hist = train_alsdl(mat, cfg, 2, eval_split=split)
+        _, net_ref, hist_ref = reference_train_alsdl(mat, cfg, 2, split)
         assert_same_net(model.net, net_ref)
         assert_same_curve(hist, hist_ref)
         assert (hist is not None) == with_split
@@ -318,11 +318,11 @@ class TestAlsdlHistory:
         boundary 0, which for the network is not the first loss boundary."""
         mat = holey_matrix(seed=5)
         split = split_for(mat, seed=1)
-        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=15, seed=2),
-                          mlp_train=MlpTrainConfig(epochs=25, seed=3),
+        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=15),
+                          mlp_train=MlpTrainConfig(epochs=25),
                           loss=LossConfig(boundaries=(-0.5, 0.5)),
                           hidden_sizes=(8, 4))
-        model, hist = train_alsdl(mat, cfg, eval_split=split)
+        model, hist = train_alsdl(mat, cfg, 2, eval_split=split)
         train = mat.observed_positions()[split.train_indices]
         truths = mat.values.ravel()[train]
         emb = model.embeddings
@@ -378,7 +378,7 @@ class TestWithMask:
 class TestFeatureTable:
     def test_matches_stacked_rows(self):
         mat, _ = generate_synthetic(5, 4, 2, 0.0, seed=1)
-        emb = init_embeddings(5, 4, AlsConfig(d=3, seed=2))
+        emb = init_embeddings(5, 4, AlsConfig(d=3), 2)
         positions = mat.observed_positions()[::-1]
         want = reference_feature_table(emb, to_pairs(positions, 4))
         for given in (positions, positions.tolist()):
@@ -387,7 +387,7 @@ class TestFeatureTable:
     # flat indices into 5 x 4: (0, -1), (-1, 0), (5, 0), and far past the end
     @pytest.mark.parametrize("bad", [[-1], [-4], [20], [2**40]])
     def test_out_of_range(self, bad):
-        emb = init_embeddings(5, 4, AlsConfig(d=3, seed=2))
+        emb = init_embeddings(5, 4, AlsConfig(d=3), 2)
         with pytest.raises(IndexError):
             build_features(emb, [1 * 4 + 1] + bad)
 
@@ -433,7 +433,7 @@ class TestMlpTraining:
     def test_matches_reference(self, sizes, loss, with_split, boundary_hits):
         x, t = mlp_problem(sizes, boundary_hits=boundary_hits)
         split = (kfold_split(len(t), 4, seed=2)[3] if with_split else None)
-        cfg = MlpTrainConfig(epochs=30, rmsprop_learning_rate=0.01, seed=1)
+        cfg = MlpTrainConfig(epochs=30, rmsprop_learning_rate=0.01)
         got, hist = train_mlp(init_mlp(sizes, seed=5), x, t, cfg, loss,
                               eval_split=split, start_epoch=7)
         want, hist_ref = reference_train_mlp(
@@ -455,7 +455,7 @@ class TestMlpTraining:
         neither side has a curve."""
         x, t = mlp_problem(sizes)
         split = (kfold_split(len(t), 4, seed=2)[3] if with_split else None)
-        cfg = MlpTrainConfig(epochs=30, rmsprop_learning_rate=0.01, seed=1)
+        cfg = MlpTrainConfig(epochs=30, rmsprop_learning_rate=0.01)
         got, hist = train_mlp(init_mlp(sizes, seed=5), x, t, cfg, loss,
                               eval_split=split, start_epoch=7)
         want, hist_ref = reference_train_mlp(

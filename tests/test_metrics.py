@@ -186,8 +186,10 @@ class TestFoldSplitChecks:
         for mod, name in ((als_mod, "als_epoch"), (mlp_mod, "backward")):
             monkeypatch.setattr(mod, name, lambda *a: pytest.fail(name))
         matrix, _ = generate_synthetic(6, 5, 2, 0.1, seed=0)
+        cfg = als_mod.AlsConfig(d=2, epochs=3)
         with pytest.raises(IndexError):
-            als_mod.train_als(matrix, als_mod.AlsConfig(d=2, epochs=3), split)
+            als_mod.train_als(matrix, cfg,
+                              als_mod.init_embeddings(6, 5, cfg, 0), split)
         inputs = np.zeros((30, 4))
         with pytest.raises(IndexError):
             mlp_mod.train_mlp(mlp_mod.init_mlp([4, 3, 1], seed=0), inputs,

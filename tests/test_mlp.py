@@ -257,7 +257,7 @@ class TestTrainMlp:
     def test_separable_set_reaches_full_accuracy(self):
         x, t = self.separable_toy()
         model = init_mlp([1, 8, 1], seed=3)
-        cfg = MlpTrainConfig(epochs=500, seed=3)
+        cfg = MlpTrainConfig(epochs=500)
         model, hist = train_mlp(model, x, t, cfg, LossConfig())
         assert hist is None
         assert boundary_accuracy(predict_batch(model, x), t) == 1.0
@@ -275,7 +275,7 @@ class TestTrainMlp:
 
     def test_deterministic(self):
         x, t = self.separable_toy()
-        cfg = MlpTrainConfig(epochs=50, seed=4)
+        cfg = MlpTrainConfig(epochs=50)
         runs = []
         for _ in range(2):
             model = init_mlp([1, 4, 1], seed=4)

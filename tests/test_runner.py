@@ -22,8 +22,8 @@ import alsal
 from alsal.active import ActiveConfig
 from alsal.als import AlsConfig, DivergenceError, _rule, check_fields
 from alsal.alsdl import AlsdlConfig
-from alsal.cli import (FLAG_KEYS, _config_from_json, build_parser, main,
-                       resolve_config)
+from alsal.cli import (FLAG_KEYS, _config_from_json, _from_json,
+                       build_parser, main, resolve_config)
 from alsal.metrics import Curve
 from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import (MODELS, ConfigError, ExperimentConfig,
@@ -125,13 +125,13 @@ class TestRunAlStudy:
         import alsal.runner as runner_mod
         real, calls = runner_mod.active_mod.run_active_learning, []
 
-        def spy(matrix, model_cfg, cfg):
-            calls.append((model_cfg, cfg.strategy, cfg.seed))
-            return real(matrix, model_cfg, cfg)
+        def spy(matrix, model_cfg, cfg, strategy, seed):
+            calls.append((model_cfg, cfg, strategy, seed))
+            return real(matrix, model_cfg, cfg, strategy, seed)
         monkeypatch.setattr(runner_mod.active_mod, "run_active_learning", spy)
         cfg = small_config(strategies=("random", "orderly"), seeds=(0, 1))
         run_al_study(cfg)
-        assert calls == [(cfg.alsdl, strategy, seed)
+        assert calls == [(cfg.alsdl, cfg.active, strategy, seed)
                          for strategy in ("random", "orderly")
                          for seed in (0, 1)]
         assert not hasattr(cfg.active, "model_cfg")
@@ -680,7 +680,7 @@ class TestCli:
         cfg_path.write_text(json.dumps({"alsdl": alsdl}))
         with pytest.raises(SystemExit) as e:
             _config_from_json(cfg_path)
-        assert str(e.value) == f"unknown config key {name!r}"
+        assert str(e.value) == f"invalid config key {name!r}: unknown key"
 
     def test_config_file_nested_model_cfg(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -742,11 +742,10 @@ class TestCli:
         ({"alsdl": {"mlp_train": {"epochs": -1}}},
          "invalid config key 'alsdl.mlp_train.epochs': epochs must be an "
          "integer >= 0, not -1"),
-        # the field's own name: the runner overrides it per --strategy
-        # entry, so only ActiveConfig's check sees it
+        # a removed key: each unit's strategy is a run_active_learning
+        # argument, from the strategies entry
         ({"active": {"strategy": "rand"}},
-         "invalid config key 'active.strategy': unknown strategy 'rand'; "
-         "known: orderly, random, uncertainty, elm")])
+         "invalid config key 'active.strategy': unknown key")])
     def test_config_file_value_rejected(self, tmp_path, raw, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
@@ -764,7 +763,8 @@ class TestCli:
             main(["benchmark", "--config", str(cfg_path), "--synthetic",
                   "5,5,2,0", "--out", str(tmp_path / "run")])
         # the AL study trains alsdl; ActiveConfig has no model config
-        assert str(e.value) == "unknown config key 'active.model_cfg'"
+        assert str(e.value) == ("invalid config key 'active.model_cfg': "
+                                "unknown key")
         assert not (tmp_path / "run").exists()
 
     def test_no_source_rejected_by_cli(self, tmp_path):
@@ -895,7 +895,7 @@ class TestCli:
             == dict(config, output_dir=str(again))
 
     @pytest.mark.parametrize("raw", [
-        {"alsdl": {"als": {"d": 5}}}, {"alsdl": {"als": {"seed": 0}}},
+        {"alsdl": {"als": {"d": 5}}}, {"alsdl": {"als": {"init_scale": 0.1}}},
         {"alsdl": {"loss": {"beta": 0.1}, "als": {}}}, {"als": {"d": 5}}])
     def test_config_file_keeps_the_enclosing_defaults(self, tmp_path, raw):
         # alsdl.als.epochs stays AlsdlConfig's 200, not AlsConfig's 400
@@ -1004,35 +1004,32 @@ class TestRejectedInput:
         pytest.param({"seeds": []},
                      "invalid config key 'seeds': empty seed list",
                      id="raw5-invalid config: empty seed list"),
+        # keys that were removed: each unit's seed and strategy are call
+        # arguments, from the seeds and strategies entries. The ids are the
+        # ones these cases had when the keys were fields no run could set
         pytest.param(
-            {"als": {"seed": 5}}, "invalid config key 'als.seed': seed = 5 "
-            "would be ignored: each unit sets it from seeds; set seeds "
-            "instead", id="raw6-invalid config: als.seed = 5 would be "
-            "ignored: each unit sets it from seeds; set seeds instead"),
+            {"als": {"seed": 5}}, "invalid config key 'als.seed': unknown "
+            "key", id="raw6-invalid config: als.seed = 5 would be ignored: "
+            "each unit sets it from seeds; set seeds instead"),
         pytest.param(
             {"alsdl": {"als": {"seed": 5}}}, "invalid config key "
-            "'alsdl.als.seed': seed = 5 would be ignored: each unit sets it "
-            "from seeds; set seeds instead", id="raw7-invalid config: "
+            "'alsdl.als.seed': unknown key", id="raw7-invalid config: "
             "alsdl.als.seed = 5 would be ignored: each unit sets it from "
             "seeds; set seeds instead"),
         pytest.param(
             {"alsdl": {"mlp_train": {"seed": 1}}}, "invalid config key "
-            "'alsdl.mlp_train.seed': seed = 1 would be ignored: each unit "
-            "sets it from seeds; set seeds instead", id="raw8-invalid "
+            "'alsdl.mlp_train.seed': unknown key", id="raw8-invalid "
             "config: alsdl.mlp_train.seed = 1 would be ignored: each unit "
             "sets it from seeds; set seeds instead"),
         pytest.param(
             {"active": {"seed": 2}}, "invalid config key 'active.seed': "
-            "seed = 2 would be ignored: each unit sets it from seeds; set "
-            "seeds instead", id="raw9-invalid config: active.seed = 2 would "
+            "unknown key", id="raw9-invalid config: active.seed = 2 would "
             "be ignored: each unit sets it from seeds; set seeds instead"),
         pytest.param(
             {"active": {"strategy": "random"}}, "invalid config key "
-            "'active.strategy': strategy = 'random' would be ignored: each "
-            "unit sets it from strategies; set strategies instead",
-            id="raw10-invalid config: active.strategy = 'random' would be "
-            "ignored: each unit sets it from strategies; set strategies "
-            "instead"),
+            "'active.strategy': unknown key", id="raw10-invalid config: "
+            "active.strategy = 'random' would be ignored: each unit sets it "
+            "from strategies; set strategies instead"),
         ({"synthetic": {"m": 6, "n": 6, "rank": 9}},
          "invalid config key 'synthetic.rank': rank 9 exceeds min(m, n) = 6"),
         ({"synthetic": {"noise_sd": -1}},
@@ -1109,11 +1106,16 @@ class TestRejectedInput:
          "'synthetic.noise_sd': noise_sd must be a finite number >= 0, "
          "not 'x'"),
         # keys that were removed: ALS epochs always alternate, and orderly
-        # queries are always row-major
-        ({"als": {"simultaneous_updates": False}},
-         "unknown config key 'als.simultaneous_updates'"),
-        ({"active": {"orderly_column_major": "yes"}},
-         "unknown config key 'active.orderly_column_major'")])
+        # queries are always row-major. The ids are the ones these cases
+        # had when an unknown key's exit named no rule
+        pytest.param(
+            {"als": {"simultaneous_updates": False}},
+            "invalid config key 'als.simultaneous_updates': unknown key",
+            id="raw40-unknown config key 'als.simultaneous_updates'"),
+        pytest.param(
+            {"active": {"orderly_column_major": "yes"}},
+            "invalid config key 'active.orderly_column_major': unknown key",
+            id="raw41-unknown config key 'active.orderly_column_major'")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
         forbid_training(monkeypatch)
@@ -1255,17 +1257,21 @@ class TestRejectedInput:
             assert np.array_equal(x.values, y.values)
             assert np.array_equal(x.mask, y.mask)
 
-    def test_per_unit_defaults_accepted(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "synthetic": {}, "als": {"seed": 0},
-            "alsdl": {"als": {"seed": 0, "epochs": 200},
-                      "mlp_train": {"seed": 0}},
-            "active": {"seed": 0, "strategy": "elm"}}))
-        args = build_parser().parse_args(["al-study", "--config",
-                                          str(cfg_path)])
-        assert resolve_config(args) == ExperimentConfig(
-            synthetic=SyntheticSpec())
+    def test_old_manifest_names_a_removed_key(self, tmp_path):
+        """A manifest written when seeds and the strategy were config
+        fields holds them at their defaults; fed back as --config, it exits
+        naming the first."""
+        config = asdict(ExperimentConfig(synthetic=SyntheticSpec()))
+        config["als"]["seed"] = config["alsdl"]["als"]["seed"] = 0
+        config["alsdl"]["mlp_train"]["seed"] = config["active"]["seed"] = 0
+        config["active"]["strategy"] = "elm"
+        cfg_path = tmp_path / "manifest-config.json"
+        cfg_path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as e:
+            main(["al-study", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "run")])
+        assert str(e.value) == "invalid config key 'als.seed': unknown key"
+        assert not (tmp_path / "run").exists()
 
 
 class TestSyntheticSpec:
@@ -1368,6 +1374,35 @@ class TestSchema:
         cfg = ExperimentConfig(synthetic=SyntheticSpec(6, 6, 2, 0.1), folds=2)
         with pytest.raises(FrozenInstanceError):
             cfg.synthetic.rank = 9
+
+    def test_no_key_is_fixed_at_its_default(self):
+        """Each key builds, from a config file, with a value other than its
+        default: the next integer, half a float (0.5 for 0), another string,
+        a list cut to its first entry or, with one, that entry changed, and
+        a set value for each key that is null by default."""
+        for_null = {"dataset_path": "d.csv", "concentrations": [0.5],
+                    "column_map": {"gr": "x"},
+                    "active.elm_candidate_subsample": 3}
+
+        def other(value):
+            if isinstance(value, tuple):
+                return (list(value[:1]) if len(value) > 1
+                        else [other(value[0])])
+            if isinstance(value, str):
+                return value + "2"
+            return value + 1 if isinstance(value, int) else value / 2 or 0.5
+        fixed = []
+        for key, default in SCHEMA:
+            value = for_null[key] if default is None else other(default)
+            try:
+                cfg = _from_json(ExperimentConfig, json_object([(key, value)]))
+            except SystemExit as e:
+                fixed.append(str(e))
+                continue
+            got = attrgetter(key)(cfg)
+            assert got == (tuple(value) if isinstance(value, list)
+                           else value), key
+        assert fixed == []
 
     def test_readme_table(self):
         """The README's config table lists each key once, with the type,
@@ -1491,8 +1526,7 @@ class TestResolveConfigProperty:
             try:
                 cfg = resolve_config(args)
             except SystemExit as e:
-                assert re.match(r"unknown config key |.*config key "
-                                r"'\w+(\.\w+)*'", str(e)), e
+                assert re.match(r".*config key '\w+(\.\w+)*'", str(e)), e
                 return
             path.write_text(json.dumps(asdict(cfg)))
             again = build_parser().parse_args([command, "--config", str(path)])
