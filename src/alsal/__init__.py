@@ -14,7 +14,7 @@ from .data import (Dataset, MaskedMatrix, as_positions, parse_dataset,
                    generate_synthetic)
 from .metrics import Curve, FoldSplit, kfold_split
 from .als import (AlsConfig, EmbeddingPair, DivergenceError, init_embeddings,
-                  als_loss, als_gradients, als_epoch, train_als)
+                  als_epoch, train_als)
 from .mlp import (LossConfig, MlpModel, MlpTrainConfig, init_mlp, backward,
                   rmsprop_step, train_mlp)
 from .alsdl import (AlsdlConfig, AlsdlModel, build_features, train_alsdl,

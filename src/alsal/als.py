@@ -6,9 +6,10 @@ positions only. No regularization term; the loss is
 
     0.5 * sum over mask==1 of (x @ w - y)^2
 
-The gradient and epoch functions also take stacks of problems: leading
-axes of x, w and the matrix's values and mask are batch axes, and each
-slice is computed exactly as it would be on its own.
+`als_epoch` steps x, then w at the updated x, each down this loss's
+gradient. It also takes stacks of problems: leading axes of x, w and the
+matrix's values and mask are batch axes, and each slice is computed
+exactly as it would be on its own.
 
 `train_als`, the one loop that steps ALS epochs, trains a `MaskedMatrix`,
 one problem or a stack, in place (`als_epoch` into an `EpochWork`) and,
@@ -59,8 +60,8 @@ class ConfigError(ValueError):
 
 def in_range(default, bounds):
     """A config field with this default whose number, or each number of
-    its tuple, meets bounds: "any", or comparisons joined by " and ", as
-    in ">= 0 and < 1". Every int and float field declares one."""
+    its tuple, meets bounds: comparisons joined by " and ", as in
+    ">= 0 and < 1". Every int and float field declares one."""
     return field(default=default, metadata={"range": bounds})
 
 
@@ -88,13 +89,13 @@ def _rule(tp, bounds):
         if bounds is None:
             raise TypeError(f"a {tp.__name__} field needs a declared range")
         limits = [(_COMPARE[op], float(x)) for op, x in (
-            b.split() for b in bounds.split(" and ") if b != "any")]
+            b.split() for b in bounds.split(" and "))]
         number, top = ((numbers.Integral, math.inf) if tp is int
                        else (numbers.Real, sys.float_info.max))
         kind = "an integer" if tp is int else "a finite number"
         return (lambda v: isinstance(v, number) and not isinstance(v, bool)
                 and -top <= v <= top and all(c(v, x) for c, x in limits),
-                kind if bounds == "any" else f"{kind} {bounds}")
+                f"{kind} {bounds}")
     if tp is str or is_dataclass(tp):
         return (lambda v: isinstance(v, tp)), (
             "a string" if tp is str else f"a {tp.__name__}")
@@ -145,26 +146,16 @@ def init_embeddings(m, n, cfg, seed):
     return EmbeddingPair(x=x, w=w)
 
 
-def _residual(matrix, emb, out=None):
-    """mask * (x @ w - values), written into out when it is given."""
+def _residual(matrix, emb, out):
+    """mask * (x @ w - values), written into out."""
     r = np.matmul(emb.x, emb.w, out=out)
     r -= matrix.values
     r *= matrix.mask
     return r
 
 
-def als_loss(matrix, emb):
-    r = _residual(matrix, emb)
-    return float(0.5 * np.sum(r * r))
-
-
 def _t(a):
     return a.swapaxes(-1, -2)
-
-
-def als_gradients(matrix, emb):
-    r = _residual(matrix, emb)
-    return r @ _t(emb.w), _t(emb.x) @ r
 
 
 class EpochWork(NamedTuple):

@@ -282,10 +282,12 @@ def build_response_matrix(table, target, concentration):
 
 def generate_synthetic(m, n, rank, noise_sd, seed):
     """Seeded low-rank ground truth: (fully observed matrix, true factors)."""
+    if rank < 1:
+        raise DataError(f"rank must be >= 1, got {rank}")
     if rank > min(m, n):
         raise DataError(f"rank {rank} exceeds min(m, n) = {min(m, n)}")
-    if noise_sd < 0:
-        raise DataError("noise_sd must be >= 0")
+    if not noise_sd >= 0:  # NaN too
+        raise DataError(f"noise_sd must be >= 0, got {noise_sd}")
     from .als import EmbeddingPair  # avoid import cycle at module load
 
     rng = np.random.default_rng(seed)

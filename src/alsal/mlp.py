@@ -1,10 +1,10 @@
 """Small fully connected network trained with rmsprop.
 
 Hidden activations are tanh, the output is linear. The training objective
-is RMSE minus a weighted classification penalty: the exact penalty is a
-sign term (gradient zero almost everywhere), so training uses a smooth
-tanh surrogate, and beta = 0 trains on the RMSE alone. The training curve
-records RMSE and boundary accuracy.
+is RMSE minus a weighted classification penalty at the data's boundary 0:
+the exact penalty is the sign of pred * truth (gradient zero almost
+everywhere), so training uses a smooth tanh surrogate, and beta = 0 trains
+on the RMSE alone. The training curve records RMSE and accuracy at 0.
 
 A training epoch allocates no array that grows with the rows; only its
 finiteness check takes a flag per parameter. `_Buffers` holds the
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .als import ConfigError, DivergenceError, check_fields, in_range
+from .als import DivergenceError, check_fields, in_range
 from .metrics import Curve, Scorer, residual_rmse
 
 
@@ -81,16 +81,15 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class LossConfig:
+    """The training objective: RMSE minus beta times the penalty, whose
+    smooth form tanh(surrogate_sharpness * pred * truth) classifies at the
+    data's boundary 0, as the curves' accuracy does."""
+
     beta: float = in_range(0.1, ">= 0")
-    boundaries: tuple[float, ...] = in_range((0.0,), "any")
     surrogate_sharpness: float = in_range(10.0, "> 0")
 
     def __post_init__(self):
         check_fields(self)
-        b = self.boundaries
-        if not b or any(lo >= hi for lo, hi in zip(b, b[1:])):
-            raise ConfigError("boundaries", "boundaries must be a non-empty, "
-                              f"strictly increasing tuple, not {b!r}")
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def _output_gradient(preds, truths, cfg, out):
     (3, batch) array whose other two rows are scratch. Returns the RMSE of
     preds, which the gradient divides by."""
     n = preds.size
-    grad, th, t_c = out
+    grad, th, pen = out
     resid = np.subtract(preds, truths, out=grad)
     r = residual_rmse(resid, out=th)
     # RMSE = 0 means every residual is 0; the gradient limit is taken as 0
@@ -184,20 +183,16 @@ def _output_gradient(preds, truths, cfg, out):
         grad /= n * r
     if cfg.beta != 0:
         kappa = cfg.surrogate_sharpness
-        k = len(cfg.boundaries)
-        for c in cfg.boundaries:
-            # grad -= beta / (n k) * kappa * (truths - c) * (1 - th**2),
-            # th = tanh(kappa * (preds - c) * (truths - c)), in that order
-            np.subtract(preds, c, out=th)
-            th *= kappa
-            np.subtract(truths, c, out=t_c)
-            th *= t_c
-            np.tanh(th, out=th)
-            np.multiply(th, th, out=th)
-            np.subtract(1.0, th, out=th)
-            t_c *= cfg.beta / (n * k) * kappa
-            t_c *= th
-            grad -= t_c
+        # grad -= beta / n * kappa * truths * (1 - th**2),
+        # th = tanh(kappa * preds * truths), in that order
+        np.multiply(preds, kappa, out=th)
+        th *= truths
+        np.tanh(th, out=th)
+        np.multiply(th, th, out=th)
+        np.subtract(1.0, th, out=th)
+        np.multiply(truths, cfg.beta / n * kappa, out=pen)
+        pen *= th
+        grad -= pen
     return r
 
 

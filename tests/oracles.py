@@ -1,16 +1,20 @@
-"""Checked, allocating references that the package's scoring and ALS
-divergence are pinned against.
+"""Checked, allocating references that the package's scoring, ALS
+training and ALS divergence are pinned against.
 
 `rmse` and `boundary_accuracy` check and convert their inputs on every
 call and score one set of predictions; `metrics.Scorer` must give their
-values with ==. `als_rmse` scores a trained factor model the way an
+values with ==. `als_loss` is the masked squared error that ALS
+minimizes and `als_gradients` its gradients, which the finite-difference
+gradient checks difference and which `als.als_epoch` must step along.
+`als_rmse` scores a trained factor model the way an
 unsplit run, which returns no curve, would score its training set.
 `stepped_als` trains an unsplit ALS run one checked epoch at a time,
 sharing no divergence logic with `train_als`. `sign_penalty`,
 `penalized_loss` and `surrogate_objective` evaluate the network's
-training objective: the exact sign-penalty form and the smooth tanh form
-whose gradient `mlp.backward` takes, which the finite-difference
-gradient checks difference. `parse_observations`,
+training objective, which classifies at the data's boundary 0: the exact
+sign-penalty form and the smooth tanh form whose gradient
+`mlp.backward` takes, which the finite-difference gradient checks
+difference. `parse_observations`,
 `common_concentrations` and `response_matrix` ingest the CSV one Python
 object per row; the columnar `data.parse_dataset`,
 `select_common_concentrations` and `build_response_matrix` must give
@@ -45,6 +49,26 @@ def rmse(preds, truths):
     return residual_rmse(resid, out=resid)
 
 
+def als_residual(matrix, emb):
+    """mask * (x @ w - values), over every batch axis."""
+    r = emb.x @ emb.w
+    r -= matrix.values
+    r *= matrix.mask
+    return r
+
+
+def als_loss(matrix, emb):
+    """0.5 * the sum of squared residuals at the observed positions."""
+    r = als_residual(matrix, emb)
+    return float(0.5 * np.sum(r * r))
+
+
+def als_gradients(matrix, emb):
+    """(d loss / dx, d loss / dw): r @ w.T and x.T @ r."""
+    r = als_residual(matrix, emb)
+    return r @ emb.w.swapaxes(-1, -2), emb.x.swapaxes(-1, -2) @ r
+
+
 def als_rmse(matrix, emb):
     """RMSE of the factor model emb over the matrix's observed positions,
     which an unsplit training run trains on: its final train RMSE."""
@@ -65,12 +89,11 @@ def boundary_accuracy(preds, truths, boundary=0.0):
     return float(np.count_nonzero(same) / same.size)
 
 
-def sign_penalty(pred, truth, boundaries):
-    """+1 if pred and truth share an inter-boundary interval, -1 if any
-    boundary strictly separates them, 0 on an exact boundary hit;
-    elementwise on arrays (float result), an int for scalars."""
-    s = sum(np.sign((pred - c) * (truth - c)) for c in boundaries)
-    penalty = np.sign(s - len(boundaries) + 1)
+def sign_penalty(pred, truth):
+    """+1 if pred and truth lie strictly on one side of the boundary 0, -1
+    if it separates them, 0 on an exact hit (or a product that underflows
+    to 0); elementwise on arrays (float result), an int for scalars."""
+    penalty = np.sign(np.multiply(pred, truth))
     return int(penalty) if penalty.ndim == 0 else penalty
 
 
@@ -80,21 +103,19 @@ def penalized_loss(preds, truths, cfg):
     truths = np.asarray(truths, dtype=float)
     # the mean of +-1/0 values is exact in float64, in any summation order
     return rmse(preds, truths) - cfg.beta * float(
-        np.mean(sign_penalty(preds, truths, cfg.boundaries)))
+        np.mean(sign_penalty(preds, truths)))
 
 
 def surrogate_objective(preds, truths, cfg):
     """The differentiable objective optimized when the smooth surrogate is
-    on: the sign penalty is replaced per boundary by
-    tanh(kappa * (pred - c) * (truth - c)), averaged over boundaries."""
+    on: the sign penalty is replaced by tanh(kappa * pred * truth)."""
     preds = np.asarray(preds, dtype=float)
     truths = np.asarray(truths, dtype=float)
     loss = rmse(preds, truths)
     if cfg.beta == 0:
         return loss
     kappa = cfg.surrogate_sharpness
-    pen = np.mean([np.mean(np.tanh(kappa * (preds - c) * (truths - c)))
-                   for c in cfg.boundaries])
+    pen = np.mean(np.tanh(kappa * preds * truths))
     return loss - cfg.beta * float(pen)
 
 

@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from alsal.active import ActiveConfig, init_state, query_elm, run_active_learning
-from alsal.als import (AlsConfig, EmbeddingPair, als_gradients,
-                       init_embeddings, train_als)
+from alsal.als import AlsConfig, EmbeddingPair, init_embeddings, train_als
 from alsal.alsdl import AlsdlConfig, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.mlp import LossConfig, MlpTrainConfig, init_mlp, predict_batch
 from alsal.runner import (ExperimentConfig, SyntheticSpec, run_al_study,
                           run_benchmark, write_report)
 
-from oracles import als_rmse, sign_penalty
+from oracles import als_gradients, als_rmse, sign_penalty
 from test_als import finite_difference_gradients
 from test_mlp import fd_gradient, gradient, rel_error
 from test_active import brute_force_elm, fast_model_cfg
@@ -78,7 +77,9 @@ def test_penalty_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(5)
     pairs = rng.uniform(-3, 3, size=(10_000, 2))
-    ok = all(sign_penalty(p, t, [0.0]) == int(np.sign(p * t))
+    # the penalty at the boundary 0 is +1 where pred and truth fall in one
+    # class, -1 where they fall in two
+    ok = all(sign_penalty(p, t) == int(np.sign(p)) * int(np.sign(t))
              for p, t in pairs)
     elapsed = time.time() - t0
     report("penalty equivalence (k=1)", ok and elapsed < 1.0,

@@ -192,6 +192,22 @@ class TestQueryOrderly:
             query_orderly(state, 1)
 
 
+class TestEmptyPool:
+    @pytest.mark.parametrize("query", [
+        lambda state: query_random(state, 1, seed=0),
+        lambda state: query_uncertainty(state, None, 1),
+        lambda state: query_elm(state, None, 1, ActiveConfig(), inner_seed=0)],
+        ids=["random", "uncertainty", "elm"])
+    def test_rejected(self, query):
+        """Each query, as orderly's does, raises ValueError on an empty
+        pool before it reads the model."""
+        mat, _ = generate_synthetic(2, 2, 1, 0.0, seed=4)
+        state = init_state(mat, ActiveConfig(n_init=4), 0)
+        assert not state.pool.size
+        with pytest.raises(ValueError, match="empty pool"):
+            query(state)
+
+
 class TestQueryRandom:
     def test_full_pool_is_permutation(self):
         mat, _ = generate_synthetic(3, 3, 1, 0.0, seed=5)

@@ -6,11 +6,10 @@ import pytest
 import alsal.als as als_mod
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.als import (AlsConfig, ConfigError, DivergenceError, EmbeddingPair,
-                       EpochWork, als_epoch, als_gradients, als_loss,
-                       init_embeddings, train_als)
+                       EpochWork, als_epoch, init_embeddings, train_als)
 from alsal.mlp import MlpTrainConfig
 from alsal.metrics import FoldSplit, kfold_split
-from oracles import als_rmse, stepped_als
+from oracles import als_gradients, als_loss, als_rmse, stepped_als
 
 
 def full_matrix(values):
@@ -178,6 +177,21 @@ class TestAlsGradients:
         assert np.linalg.norm(gx - fx) / np.linalg.norm(fx) < 1e-5
         assert np.linalg.norm(gw - fw) / np.linalg.norm(fw) < 1e-5
 
+    @pytest.mark.parametrize("stack", [0, 4])
+    def test_als_epoch_steps_along_them(self, stack):
+        """The gradients that the finite differences check are the ones
+        training steps along: one als_epoch gives, with ==,
+        x - alpha * gx and then w - alpha * gw, gw taken at the new x."""
+        alpha = 0.05
+        for seed in range(20):
+            matrix, emb = epoch_problem(stack, seed=seed)
+            gx, _ = als_gradients(matrix, emb)
+            x = emb.x - alpha * gx
+            _, gw = als_gradients(matrix, EmbeddingPair(x, emb.w))
+            w = emb.w - alpha * gw
+            got = epoch_copy(matrix, emb, alpha)
+            assert same_bits(got.x, x) and same_bits(got.w, w), seed
+
 
 class TestAlsEpoch:
     def test_exact_fit_unchanged(self):
@@ -331,6 +345,21 @@ class TestTrainAls:
         np.testing.assert_array_equal(emb1.x, emb2.x)
         np.testing.assert_array_equal(emb1.w, emb2.w)
 
+
+
+    @pytest.mark.parametrize("stack", [0, 3])
+    def test_rejects_a_matrix_with_no_observed_position(self, stack,
+                                                        monkeypatch):
+        """A problem with no observed position, alone or anywhere in a
+        stack, raises ValueError before any epoch."""
+        matrix, emb = epoch_problem(stack, seed=1)
+        matrix.mask[-1 if stack else ...] = 0.0
+        epochs = []
+        monkeypatch.setattr(als_mod, "als_epoch",
+                            lambda *args: epochs.append(args))
+        with pytest.raises(ValueError, match="no observed positions"):
+            train_als(matrix, AlsConfig(d=3, epochs=5), emb)
+        assert not epochs
 
 
 class TestResume:

@@ -526,6 +526,18 @@ class TestGenerateSynthetic:
         with pytest.raises(DataError):
             generate_synthetic(3, 4, 5, 0.0, seed=0)
 
+    @pytest.mark.parametrize("rank, noise_sd, message", [
+        (0, 0.0, "rank must be >= 1, got 0"),
+        (-1, 0.0, "rank must be >= 1, got -1"),
+        (1, -0.5, "noise_sd must be >= 0, got -0.5"),
+        (1, float("nan"), "noise_sd must be >= 0, got nan")])
+    def test_rejects_what_synthetic_spec_rejects(self, rank, noise_sd,
+                                                 message):
+        """A rank below 1 returned an all-zero matrix, and a NaN noise_sd
+        the noiseless one, without an error."""
+        with pytest.raises(DataError, match=message):
+            generate_synthetic(3, 3, rank, noise_sd, seed=0)
+
 
 class TestMaskedMatrix:
     """One checked form for one m x n problem and for a stack of them."""

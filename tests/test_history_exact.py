@@ -43,7 +43,8 @@ from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, _output_gradient,
                        init_mlp, train_mlp)
 from oracles import boundary_accuracy, penalized_loss, rmse, sign_penalty
 
-THREE_BOUNDARIES = LossConfig(boundaries=(-0.5, 0.0, 0.5))
+# a strong penalty with a sharp surrogate, beside the default loss
+SHARP_PENALTY = LossConfig(beta=1.0, surrogate_sharpness=50.0)
 
 
 @dataclass(frozen=True)
@@ -70,17 +71,14 @@ def observed_pairs(matrix):
     return to_pairs(matrix.observed_positions(), matrix.shape[1])
 
 
-def reference_sign_penalty(pred, truth, boundaries):
-    k = len(boundaries)
-    s = sum(np.sign((pred - c) * (truth - c)) for c in boundaries)
-    return int(np.sign(s - k + 1))
+def reference_sign_penalty(pred, truth):
+    return int(np.sign(pred * truth))
 
 
 def reference_penalized_loss(preds, truths, cfg):
     preds = np.asarray(preds, dtype=float)
     truths = np.asarray(truths, dtype=float)
-    penalties = [reference_sign_penalty(p, t, cfg.boundaries)
-                 for p, t in zip(preds, truths)]
+    penalties = [reference_sign_penalty(p, t) for p, t in zip(preds, truths)]
     return rmse(preds, truths) - cfg.beta * float(np.mean(penalties))
 
 
@@ -227,7 +225,7 @@ def reference_train_mlp(model, inputs, truths, train_cfg, loss_cfg,
         if history is None:
             continue
         p_tr, p_te = history_preds(model, inputs, tr, te)
-        # accuracy at the data's boundary 0, whatever the loss's boundaries
+        # accuracy at the data's boundary 0
         history.append(EvalPoint(
             start_epoch + epoch, train_loss=rmse(p_tr, truths_tr),
             test_loss=rmse(p_te, truths[te]),
@@ -249,8 +247,8 @@ def reference_train_alsdl(matrix, cfg, seed, split=None):
 
 
 def holey_matrix(seed=3):
-    """7x6 noisy low-rank matrix with unobserved holes and truths exactly on
-    the boundaries -0.5, 0 and 0.5."""
+    """7x6 noisy low-rank matrix with unobserved holes, one truth exactly
+    on the boundary 0 and two at +-0.5."""
     mat, _ = generate_synthetic(7, 6, 2, 0.2, seed=seed)
     mat.values[0, 0], mat.values[2, 3], mat.values[5, 1] = 0.0, -0.5, 0.5
     mat.mask[1, 2] = mat.mask[4, 0] = mat.mask[6, 5] = 0.0
@@ -298,7 +296,7 @@ class TestAlsHistory:
 
 
 class TestAlsdlHistory:
-    @pytest.mark.parametrize("loss", [LossConfig(), THREE_BOUNDARIES])
+    @pytest.mark.parametrize("loss", [LossConfig(), SHARP_PENALTY])
     @pytest.mark.parametrize("with_split", [True, False])
     def test_matches_reference(self, loss, with_split):
         mat = holey_matrix(seed=5)
@@ -313,14 +311,12 @@ class TestAlsdlHistory:
         assert (hist is not None) == with_split
 
     def test_both_stages_score_accuracy_at_zero(self):
-        """Loss boundaries shape the network's penalty only: the ALS and
-        the network stage of one curve both score accuracy at the data's
-        boundary 0, which for the network is not the first loss boundary."""
+        """The ALS and the network stage of one curve both score accuracy
+        at the data's boundary 0, the one the network's penalty uses."""
         mat = holey_matrix(seed=5)
         split = split_for(mat, seed=1)
         cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=15),
                           mlp_train=MlpTrainConfig(epochs=25),
-                          loss=LossConfig(boundaries=(-0.5, 0.5)),
                           hidden_sizes=(8, 4))
         model, hist = train_alsdl(mat, cfg, 2, eval_split=split)
         train = mat.observed_positions()[split.train_indices]
@@ -335,16 +331,16 @@ class TestAlsdlHistory:
 
 
 class TestPenalizedLossReference:
-    @pytest.mark.parametrize("cfg", [LossConfig(beta=0.3), THREE_BOUNDARIES])
+    @pytest.mark.parametrize("cfg", [LossConfig(beta=0.3), SHARP_PENALTY])
     def test_random_inputs(self, cfg, rng):
         p, t = rng.normal(size=257), rng.normal(size=257)
         assert penalized_loss(p, t, cfg) == reference_penalized_loss(p, t, cfg)
 
-    @pytest.mark.parametrize("cfg", [LossConfig(beta=0.3), THREE_BOUNDARIES])
+    @pytest.mark.parametrize("cfg", [LossConfig(beta=0.3), SHARP_PENALTY])
     def test_exact_boundary_hits(self, cfg):
         grid = [-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0]
         p, t = (a.ravel() for a in np.meshgrid(grid, grid))
-        assert (sign_penalty(p, t, cfg.boundaries) == 0).any()
+        assert (sign_penalty(p, t) == 0).any()
         assert penalized_loss(p, t, cfg) == reference_penalized_loss(p, t, cfg)
         # all zeros: RMSE 0, and every penalty 0
         zeros = np.zeros(5)
@@ -393,7 +389,8 @@ class TestFeatureTable:
 
 
 def mlp_problem(layer_sizes, rows=37, seed=0, boundary_hits=True):
-    """Random inputs and truths, some truths exactly on the boundaries."""
+    """Random inputs and truths, some truths exactly on the boundary 0 and
+    some at 0.5."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.5, 1.5, size=(rows, layer_sizes[0]))
     t = rng.uniform(-1.0, 1.0, size=rows)
@@ -405,7 +402,7 @@ def mlp_problem(layer_sizes, rows=37, seed=0, boundary_hits=True):
 
 MLP_LOSSES = [LossConfig(), LossConfig(beta=0.0),
               LossConfig(beta=0.3),
-              THREE_BOUNDARIES]
+              SHARP_PENALTY]
 
 
 def assert_within_rounding(curve, want, n_train, n_test):

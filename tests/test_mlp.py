@@ -117,34 +117,24 @@ class TestForward:
 
 class TestSignPenalty:
     def test_binary_cases(self):
-        assert sign_penalty(0.3, 0.7, [0.0]) == 1
-        assert sign_penalty(0.3, -0.7, [0.0]) == -1
-        assert sign_penalty(0.0, 0.7, [0.0]) == 0
-
-    def test_two_boundaries_same_interval(self):
-        assert sign_penalty(0.5, 0.7, [0.0, 1.0]) == 1
-
-    def test_two_boundaries_separated(self):
-        assert sign_penalty(1.5, 0.5, [0.0, 1.0]) == -1
-
-    def test_two_boundaries_outside_both(self):
-        # both below 0: same interval -> +1
-        assert sign_penalty(-0.5, -0.2, [0.0, 1.0]) == 1
+        assert sign_penalty(0.3, 0.7) == 1
+        assert sign_penalty(-0.3, -0.7) == 1
+        assert sign_penalty(0.3, -0.7) == -1
+        assert sign_penalty(0.0, 0.7) == 0
+        assert sign_penalty(-0.0, -0.7) == 0
 
     @given(st.floats(-10, 10, allow_nan=False),
            st.floats(-10, 10, allow_nan=False))
     def test_k1_equals_sign_of_product(self, p, t):
-        assert sign_penalty(p, t, [0.0]) == int(np.sign(p * t))
+        assert sign_penalty(p, t) == int(np.sign(p * t))
 
-    @pytest.mark.parametrize("boundaries", [(0.0,), (-0.5, 0.0, 0.5)])
-    def test_array_form_equals_scalar_form(self, boundaries):
-        grid = [-2.0, -0.5, np.nextafter(-0.5, 0), -0.25, -0.0, 0.0,
-                np.nextafter(0.0, 1), 0.25, 0.5, np.nextafter(0.5, 1), 3.0]
+    def test_array_form_equals_scalar_form(self):
+        grid = [-2.0, -0.5, np.nextafter(-0.0, -1), -0.0, 0.0,
+                np.nextafter(0.0, 1), 0.25, 3.0]
         p, t = (a.ravel() for a in np.meshgrid(grid, grid))
-        penalties = sign_penalty(p, t, boundaries)
+        penalties = sign_penalty(p, t)
         assert penalties.shape == p.shape
-        scalars = [sign_penalty(float(a), float(b), boundaries)
-                   for a, b in zip(p, t)]
+        scalars = [sign_penalty(float(a), float(b)) for a, b in zip(p, t)]
         assert all(type(s) is int for s in scalars)
         assert penalties.tolist() == scalars
         assert set(scalars) == {-1, 0, 1}
@@ -202,10 +192,17 @@ class TestBackward:
         g0 = gradient(model, x, t, LossConfig(beta=0.0))
         # beta = 0 reads no other penalty setting, and leaves the RMSE's
         g_other = gradient(model, x, t, LossConfig(
-            beta=0.0, boundaries=(-0.5, 0.5), surrogate_sharpness=3.0))
+            beta=0.0, surrogate_sharpness=3.0))
         np.testing.assert_array_equal(g0, g_other)
         fd = fd_gradient(model, x, t, LossConfig(beta=0.0))
         assert rel_error(g0, fd) < 1e-4
+
+
+    def test_rejects_mismatched_rows(self):
+        model = init_mlp([2, 3, 1], seed=0)
+        x = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            backward(model, x, np.zeros(2), LossConfig(), _Buffers(model, 3))
 
 
 class TestRmspropStep:
@@ -272,6 +269,12 @@ class TestTrainMlp:
         assert hist.epoch_or_round.size == 0
         for w0, w1 in zip(before, out.weights):
             np.testing.assert_array_equal(w0, w1)
+
+    def test_rejects_an_empty_training_set(self):
+        model = init_mlp([1, 4, 1], seed=0)
+        with pytest.raises(ValueError, match="empty training set"):
+            train_mlp(model, np.empty((0, 1)), np.empty(0),
+                      MlpTrainConfig(epochs=5), LossConfig())
 
     def test_deterministic(self):
         x, t = self.separable_toy()
@@ -508,31 +511,17 @@ class TestFlatLayout:
             MlpModel(np.zeros(3), np.zeros(3), [2, 3, 1])
 
 
-class TestLossConfig:
-    @pytest.mark.parametrize("boundaries", [(), (0.5, 0.0), (0.0, 0.0),
-                                            (-0.5, 0.0, 0.0, 0.5)])
-    def test_rejects_empty_unsorted_or_duplicated(self, boundaries):
-        with pytest.raises(ValueError, match="non-empty, strictly increasing"):
-            LossConfig(boundaries=boundaries)
-
-    def test_accepts_increasing(self):
-        assert LossConfig(boundaries=(-0.5, 0.0, 0.5)).boundaries \
-            == (-0.5, 0.0, 0.5)
-
-
 def reference_output_gradient(preds, truths, cfg):
-    """_output_gradient as it was written before it took scratch rows: every
-    temporary a new array."""
+    """_output_gradient as it was written before it took scratch rows, at
+    the boundary 0: every temporary a new array."""
     n = preds.size
     resid = preds - truths
     r = rmse(preds, truths)
     grad = np.zeros_like(preds) if r == 0 else resid / (n * r)
     if cfg.beta != 0:
         kappa = cfg.surrogate_sharpness
-        k = len(cfg.boundaries)
-        for c in cfg.boundaries:
-            th = np.tanh(kappa * (preds - c) * (truths - c))
-            grad -= cfg.beta / (n * k) * kappa * (truths - c) * (1.0 - th * th)
+        th = np.tanh(kappa * preds * truths)
+        grad -= cfg.beta / n * kappa * truths * (1.0 - th * th)
     return grad
 
 
@@ -543,7 +532,7 @@ class TestInPlaceForms:
 
     LOSSES = [LossConfig(), LossConfig(beta=0.0),
               LossConfig(beta=0.3, surrogate_sharpness=3.0),
-              LossConfig(boundaries=(-0.5, 0.0, 0.5))]
+              LossConfig(beta=1.0, surrogate_sharpness=50.0)]
 
     @pytest.mark.parametrize("cfg", LOSSES)
     @pytest.mark.parametrize("case", ["random", "all_zero_residuals",

@@ -687,11 +687,11 @@ class TestCli:
         cfg_path.write_text(json.dumps({
             "active": {"n_init": 5},
             "alsdl": {"hidden_sizes": [4],
-                      "loss": {"boundaries": [-0.5, 0.5]}}}))
+                      "loss": {"surrogate_sharpness": 3.0}}}))
         cfg = _config_from_json(cfg_path)
         assert cfg.active == ActiveConfig(n_init=5)
         assert cfg.alsdl == AlsdlConfig(
-            hidden_sizes=(4,), loss=LossConfig(boundaries=(-0.5, 0.5)))
+            hidden_sizes=(4,), loss=LossConfig(surrogate_sharpness=3.0))
 
     @pytest.mark.parametrize("raw, message", [
         ([1], "config must be a JSON object"),
@@ -709,13 +709,16 @@ class TestCli:
         assert str(e.value) == message
 
     def test_config_file_empty_boundaries(self, tmp_path):
+        """The network's penalty classifies at 0 only, so boundaries, empty
+        or at the [0.0] an old manifest holds, is an unknown key."""
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"alsdl": {"loss": {"boundaries": []}}}))
-        with pytest.raises(SystemExit) as e:
-            _config_from_json(cfg_path)
-        assert str(e.value) == (
-            "invalid config key 'alsdl.loss.boundaries': boundaries must be a "
-            "non-empty, strictly increasing tuple, not ()")
+        for boundaries in ([], [0.0]):
+            cfg_path.write_text(json.dumps(
+                {"alsdl": {"loss": {"boundaries": boundaries}}}))
+            with pytest.raises(SystemExit) as e:
+                _config_from_json(cfg_path)
+            assert str(e.value) == (
+                "invalid config key 'alsdl.loss.boundaries': unknown key")
 
     @pytest.mark.parametrize("raw, message", [
         ({"active": {"elm_candidate_subsample": 0}},
@@ -725,8 +728,7 @@ class TestCli:
          "invalid config key 'active.n_per_query': n_per_query must be an "
          "integer >= 1, not -3"),
         ({"alsdl": {"loss": {"boundaries": ["a", 1]}}},
-         "invalid config key 'alsdl.loss.boundaries': boundaries must be a "
-         "tuple, each a finite number, not ('a', 1)"),
+         "invalid config key 'alsdl.loss.boundaries': unknown key"),
         # an empty curve, a TypeError in train_als, and a failure in numpy
         ({"active": {"n_max_query": -1}},
          "invalid config key 'active.n_max_query': n_max_query must be an "
