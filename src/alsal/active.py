@@ -93,9 +93,10 @@ def query_uncertainty(state, model, n):
 
 # Size in bytes of one stacked (candidates x m x n) float64 array, which
 # sets how many candidates ELM trains at once: 24 at 35x34. A query holds
-# about five such arrays at once (values, mask, residual and scoring). At
-# 35x34, 32 candidates were no faster than 24 and raised peak RSS by
-# 1.1 MB, against 0.6 MB at 24.
+# three such arrays at once: values and mask, in which a trained chunk is
+# also scored, and train_als's residual. At 35x34, 32 candidates were no
+# faster than 24 on the al-elm benchmark (3 of 6 pairs) and raised its
+# peak RSS by 0.33 MB.
 ELM_CHUNK_BYTES = 230_000
 
 
@@ -112,8 +113,11 @@ def expected_losses(state, model, cfg, inner_seed):
 
     Candidates train in chunks, each one train_als run on a stacked
     MaskedMatrix whose (C, m, n) arrays take at most ELM_CHUNK_BYTES
-    (C >= 1). Every score, and the DivergenceError of the first candidate
-    to diverge, is that of training and scoring the candidate alone.
+    (C >= 1). The query allocates one chunk's values and mask; each chunk
+    refills them, trains on them and is then scored inside them, so the
+    query's peak memory is that of training a chunk. Every score, and the
+    DivergenceError of the first candidate to diverge, is that of training
+    and scoring the candidate alone.
     """
     matrix = state.matrix
     m, n = matrix.shape
@@ -137,7 +141,7 @@ def expected_losses(state, model, cfg, inner_seed):
     # candidate drops its own pool column
     score_flat = np.concatenate([labeled, pool])
     score_labels = np.concatenate([base_values[labeled], pool_preds])
-    n_labeled = len(labeled)
+    n_labeled, n_scored = len(labeled), score_flat.size
 
     chunk = max(1, min(ELM_CHUNK_BYTES // (8 * m * n), len(cand)))
     # one pair of chunk-sized values and mask arrays per query; a shorter
@@ -157,13 +161,22 @@ def expected_losses(state, model, cfg, inner_seed):
         emb, _ = als_mod.train_als(MaskedMatrix(
             values[:c].reshape(c, m, n), mask[:c].reshape(c, m, n)),
             inner_cfg, als_mod.EmbeddingPair(*inits))
-        sq_err = (emb.x @ emb.w).reshape(c, -1)[:, score_flat]
+        # scored in the chunk's own arrays: predictions into values, their
+        # squared errors over the scoring set into mask, and each
+        # candidate's errors without its own column back into values
+        np.matmul(emb.x, emb.w, out=values[:c].reshape(c, m, n))
+        del emb  # not alive while the next chunk trains
+        sq_err = mask.reshape(-1)[:c * n_scored].reshape(c, n_scored)
+        # every index is in range; "clip" writes out directly, where the
+        # default "raise" would buffer it
+        np.take(values[:c], score_flat, axis=1, out=sq_err, mode="clip")
         sq_err -= score_labels
         np.square(sq_err, out=sq_err)
-        kept = np.ones(sq_err.shape, dtype=bool)
-        kept[rows, n_labeled + k] = False
-        scores[start:start + c] = np.sqrt(np.mean(
-            sq_err[kept].reshape(c, -1), axis=1))
+        kept_err = values.reshape(-1)[:c * (n_scored - 1)].reshape(c, -1)
+        for kept, err, own in zip(kept_err, sq_err, n_labeled + k):
+            kept[:own] = err[:own]
+            kept[own:] = err[own + 1:]
+        scores[start:start + c] = np.sqrt(np.mean(kept_err, axis=1))
     return pool[cand], scores
 
 

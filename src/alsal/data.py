@@ -235,15 +235,22 @@ def select_common_concentrations(table):
     concentration, and two distinct floats are two, however close."""
     if not len(table):
         raise DataError("empty observation list")
-    concs, conc = np.unique(table.concentration, return_inverse=True)
-    pair_ids, pair = np.unique(table.pairs(), return_inverse=True)
-    n_pairs = pair_ids.size
-    # each distinct (concentration, pair) once, as its concentration; a
-    # sort, as np.unique without return arrays hashes, several times slower
-    key = np.sort(conc * n_pairs + pair)
-    measured = key[np.diff(key, prepend=-1) != 0] // n_pairs
-    covered = np.bincount(measured, minlength=concs.size) == n_pairs
-    return set(concs[covered].tolist())
+    pairs = table.pairs()
+    # measured pairs as marks on the m x n positions: the table's, then
+    # each concentration's in turn
+    measured = np.zeros(len(table.cell_ids) * len(table.molecule_ids), bool)
+    measured[pairs] = True
+    n_pairs = np.count_nonzero(measured)
+    # a sorted copy, not np.unique: without return arrays that imports
+    # numpy.ma, about 1 MB
+    concs = np.sort(table.concentration)
+    covered = set()
+    for conc in concs[np.diff(concs, prepend=np.nan) != 0].tolist():
+        measured[:] = False
+        measured[pairs[table.concentration == conc]] = True
+        if np.count_nonzero(measured) == n_pairs:
+            covered.add(conc)
+    return covered
 
 
 def build_response_matrix(table, target, concentration):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -491,6 +492,40 @@ class TestStackedElmExact:
         assert (query_elm(state, model, 5, cfg, inner_seed=5).tolist()
                 == candidates[:5].tolist())
         assert candidates[:5].tolist() == sorted(state.pool.tolist())[:5]
+
+
+class TestElmMemory:
+    """An ELM query scores each chunk in the chunk's own values and mask
+    arrays, so its peak is that of training a chunk."""
+
+    def test_peak_is_about_training_one_chunk(self):
+        # the benchmark's query: 35 x 34 fully observed, 40 labelled, 96
+        # candidates in chunks of 24, d = 5
+        m, n, d = 35, 34, 5
+        c = active_mod.ELM_CHUNK_BYTES // (8 * m * n)
+        mat, _ = generate_synthetic(m, n, d, 0.1, seed=0)
+        cfg = ActiveConfig(n_init=40, elm_inner_epochs=5,
+                           elm_candidate_subsample=96)
+        state = init_state(mat, cfg, 0)
+        model, _ = train_alsdl(mat.with_mask(state.labeled), AlsdlConfig(
+            als=AlsConfig(d=d, epochs=20), mlp_train=MlpTrainConfig(epochs=5),
+            hidden_sizes=(6, 3)), 0)
+        chunk_array = c * m * n * 8  # 228 KB
+        kept = (3 * chunk_array  # values and mask, train_als's residual
+                + 2 * c * (m * d + d * n) * 8  # embeddings and gradients
+                + len(state.pool) * 8)  # pool predictions; 827 KB in all
+        expected_losses(state, model, cfg, 3)  # first-call caches
+        tracemalloc.start()
+        try:
+            expected_losses(state, model, cfg, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the query's few m * n vectors and numpy's temporaries come on
+        # top (7% here); scoring in fresh (c, m * n) arrays peaked at 1.57
+        # times the kept arrays, with the last chunk's scoring arrays and
+        # embeddings still alive while the next chunk trained
+        assert peak < 1.15 * kept
 
 
 # a divergence is an error with its epoch, not a numpy warning

@@ -128,6 +128,14 @@ class TestSelectCommonConcentrations:
         rows += grid_rows(["c2"], ["m2"], [5.0])
         assert select_common_concentrations(parse_rows(rows)) == set()
 
+    def test_duplicate_rows_do_not_stand_in_for_a_missing_pair(self):
+        rows = grid_rows(["c1", "c2"], ["m1", "m2"], [2.0])
+        rows = [r for r in rows if not r.startswith("c2,m2,")]
+        # (c1, m1) twice: 2.0 has a row per pair, but 3 of the 4 pairs
+        rows += [rows[0]] + grid_rows(["c2"], ["m2"], [5.0])
+        assert sum(",2.0," in r for r in rows) == 4
+        assert select_common_concentrations(parse_rows(rows)) == set()
+
     def test_partial_coverage(self):
         rows = (grid_rows(["c1", "c2"], ["m1", "m2"], [1.0, 2.0])
                 + grid_rows(["c1"], ["m1"], [3.0]))
