@@ -38,6 +38,8 @@ import numpy as np
 from .data import MaskedMatrix
 from .metrics import Curve, Scorer
 
+INIT_SCALE = 0.1  # init_embeddings draws from [-INIT_SCALE, INIT_SCALE)
+
 
 class DivergenceError(RuntimeError):
     """The step of `epoch` left a parameter non-finite or, in `train_mlp`,
@@ -60,12 +62,12 @@ class ConfigError(ValueError):
 
 def in_range(default, bounds):
     """A config field with this default whose number, or each number of
-    its tuple, meets bounds: comparisons joined by " and ", as in
-    ">= 0 and < 1". Every int and float field declares one."""
+    its tuple, meets bounds: one comparison, as in ">= 1" or "> 0". Every
+    int and float field declares one."""
     return field(default=default, metadata={"range": bounds})
 
 
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
 @cache
@@ -88,13 +90,13 @@ def _rule(tp, bounds):
     if tp in (int, float):  # a bool is neither; a float is finite
         if bounds is None:
             raise TypeError(f"a {tp.__name__} field needs a declared range")
-        limits = [(_COMPARE[op], float(x)) for op, x in (
-            b.split() for b in bounds.split(" and "))]
+        op, limit = bounds.split()
+        compare, limit = _COMPARE[op], float(limit)
         number, top = ((numbers.Integral, math.inf) if tp is int
                        else (numbers.Real, sys.float_info.max))
         kind = "an integer" if tp is int else "a finite number"
         return (lambda v: isinstance(v, number) and not isinstance(v, bool)
-                and -top <= v <= top and all(c(v, x) for c, x in limits),
+                and -top <= v <= top and compare(v, limit),
                 f"{kind} {bounds}")
     if tp is str or is_dataclass(tp):
         return (lambda v: isinstance(v, tp)), (
@@ -129,7 +131,6 @@ class AlsConfig:
     d: int = in_range(5, ">= 1")
     learning_rate: float = in_range(0.01, "> 0")
     epochs: int = in_range(400, ">= 1")
-    init_scale: float = in_range(0.1, ">= 0")
     # epochs always alternate. A class attribute, not a field (so no
     # config key), kept because the bench tracer reads it on each
     # train_als call; it goes once ROADMAP item 1 stops that read
@@ -141,8 +142,8 @@ class AlsConfig:
 
 def init_embeddings(m, n, cfg, seed):
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(m, cfg.d))
-    w = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.d, n))
+    x = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(m, cfg.d))
+    w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(cfg.d, n))
     return EmbeddingPair(x=x, w=w)
 
 

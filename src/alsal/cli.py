@@ -99,8 +99,9 @@ def _from_json(cls, raw, where="", default=None):
     non-object where an object belongs, or a value the dataclass rejects
     exits with its dotted name."""
     if not isinstance(raw, dict):
-        raise SystemExit(f"config key {where[:-1]!r} must be an object"
-                         if where else "config must be a JSON object")
+        raise SystemExit(f"invalid config key {where[:-1]!r}: must be an "
+                         "object" if where else
+                         "invalid config: must be a JSON object")
     known = {f.name: f for f in fields(cls)}
     base = cls() if default is None else default
     kwargs = {}
@@ -123,8 +124,14 @@ def _from_json(cls, raw, where="", default=None):
 
 
 def _config_from_json(path):
-    with open(path, encoding="utf-8") as f:
-        return _from_json(ExperimentConfig, json.load(f))
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = json.load(f)
+    # unreadable, not UTF-8, not JSON, or nested deeper than json.load goes
+    except (OSError, ValueError, RecursionError) as e:
+        raise SystemExit(f"invalid config file {str(path)!r}: "
+                         f"{getattr(e, 'strerror', None) or e}") from e
+    return _from_json(ExperimentConfig, raw)
 
 
 def _set(obj, key, value):
@@ -159,8 +166,8 @@ def main(argv=None):
     cfg = resolve_config(args)
     run = run_benchmark if args.command == "benchmark" else run_al_study
     try:
-        report = run(cfg)
-    except ConfigError as e:  # raised by loading, before any training
+        report = run(cfg, cfg.output_dir)
+    except ConfigError as e:  # raised before any training
         raise SystemExit(f"invalid config key {e.key!r}: {e}") from e
     out = write_report(aggregate_concentrations(report), cfg.output_dir)
     print(f"wrote report to {out}")

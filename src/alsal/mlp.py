@@ -33,7 +33,8 @@ An `MlpModel` stores its parameters, its rmsprop accumulators and, from
 `backward`, its gradients as flat float64 vectors in one layout (all weight
 matrices in layer order, then all biases), and `MlpModel.split` gives the
 per-layer views of any of them; `rmsprop_step` updates the flat vectors in
-one pass, with the same per-element arithmetic as a per-layer update.
+one pass, with the same per-element arithmetic as a per-layer update, its
+decay and epsilon the constants RMSPROP_DECAY and RMSPROP_EPSILON.
 """
 
 import math
@@ -45,6 +46,10 @@ import numpy as np
 
 from .als import DivergenceError, check_fields, in_range
 from .metrics import Curve, Scorer, residual_rmse
+
+SURROGATE_SHARPNESS = 10.0
+RMSPROP_DECAY = 0.9
+RMSPROP_EPSILON = 1e-8
 
 
 @dataclass
@@ -82,11 +87,10 @@ class MlpModel:
 @dataclass(frozen=True)
 class LossConfig:
     """The training objective: RMSE minus beta times the penalty, whose
-    smooth form tanh(surrogate_sharpness * pred * truth) classifies at the
+    smooth form tanh(SURROGATE_SHARPNESS * pred * truth) classifies at the
     data's boundary 0, as the curves' accuracy does."""
 
     beta: float = in_range(0.1, ">= 0")
-    surrogate_sharpness: float = in_range(10.0, "> 0")
 
     def __post_init__(self):
         check_fields(self)
@@ -96,8 +100,6 @@ class LossConfig:
 class MlpTrainConfig:
     epochs: int = in_range(200, ">= 0")
     rmsprop_learning_rate: float = in_range(0.001, "> 0")
-    rmsprop_decay: float = in_range(0.9, ">= 0 and < 1")
-    rmsprop_epsilon: float = in_range(1e-8, "> 0")
 
     def __post_init__(self):
         check_fields(self)
@@ -182,7 +184,7 @@ def _output_gradient(preds, truths, cfg, out):
     else:
         grad /= n * r
     if cfg.beta != 0:
-        kappa = cfg.surrogate_sharpness
+        kappa = SURROGATE_SHARPNESS
         # grad -= beta / n * kappa * truths * (1 - th**2),
         # th = tanh(kappa * preds * truths), in that order
         np.multiply(preds, kappa, out=th)
@@ -260,7 +262,7 @@ def rmsprop_step(model, grad, cfg, work):
     finiteness; train_mlp does.
     """
     step, denom = work
-    decay = cfg.rmsprop_decay
+    decay = RMSPROP_DECAY
     # sq_grads <- decay * sq_grads + (1 - decay) * grad * grad
     model.sq_grads *= decay
     np.multiply(grad, 1.0 - decay, out=step)
@@ -269,7 +271,7 @@ def rmsprop_step(model, grad, cfg, work):
     # params <- params - learning_rate * grad / (sqrt(sq_grads) + epsilon)
     np.multiply(grad, cfg.rmsprop_learning_rate, out=step)
     np.sqrt(model.sq_grads, out=denom)
-    denom += cfg.rmsprop_epsilon
+    denom += RMSPROP_EPSILON
     step /= denom
     model.params -= step
     return model

@@ -184,28 +184,31 @@ def load_matrices(config):
         raise ConfigError("dataset_path", str(e)) from e
 
 
-def run_benchmark(config):
-    """k-fold cross-validation per target x concentration x model x seed."""
+def run_benchmark(config, out_dir=None):
+    """k-fold cross-validation per target x concentration x model x seed.
+    A given out_dir is made before any training (see _run_units)."""
     return _run_units(config, "model", config.models, "cv_summary", "folds",
-                      _cv_unit)
+                      _cv_unit, out_dir)
 
 
-def run_al_study(config):
+def run_al_study(config, out_dir=None):
     """Active-learning curves per target x concentration x strategy x seed;
-    every strategy trains config.alsdl."""
+    every strategy trains config.alsdl. A given out_dir is made before any
+    training (see _run_units)."""
     return _run_units(config, "strategy", config.strategies,
-                      "learning_curves", "active.n_init", _al_unit)
+                      "learning_curves", "active.n_init", _al_unit, out_dir)
 
 
-def _run_units(config, kind, names, status_table, limit, unit):
+def _run_units(config, kind, names, status_table, limit, unit, out_dir):
     """Load config's matrices, raise ConfigError if they cannot be loaded
     (see load_matrices) or the count at the dotted key limit exceeds the
-    observed positions of any matrix, then run unit(config, name, matrix,
-    seed, shared) per (target, concentration, name, seed), in that nesting
-    order. shared is one dict per matrix, in which a unit may leave work
-    for a later unit of the same matrix. A unit yields (table, row) pairs,
-    which gain the unit's key; when it raises DivergenceError, the rows it
-    yielded stay and status_table gains one diverged row."""
+    observed positions of any matrix, make out_dir unless it is None (an
+    OSError raises ConfigError keyed output_dir), then run unit(config,
+    name, matrix, seed, shared) per (target, concentration, name, seed), in
+    that nesting order. shared is one dict per matrix, in which a unit may
+    leave work for a later unit of the same matrix. A unit yields (table,
+    row) pairs, which gain the unit's key; when it raises DivergenceError,
+    the rows it yielded stay and status_table gains one diverged row."""
     matrices = load_matrices(config)
     value = attrgetter(limit)(config)
     for target, conc, matrix in matrices:
@@ -214,6 +217,11 @@ def _run_units(config, kind, names, status_table, limit, unit):
             raise ConfigError(limit, f"{limit.rsplit('.', 1)[-1]} = {value} "
                               f"exceeds the {n_obs} observed positions of "
                               f"target {target}, concentration {conc}")
+    if out_dir is not None:
+        try:  # before any unit trains, so an unusable out_dir wastes none
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError("output_dir", str(e)) from e
     report = Report(metadata=_metadata(config))
     for target, conc, matrix in matrices:
         shared = {}

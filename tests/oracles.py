@@ -108,13 +108,14 @@ def penalized_loss(preds, truths, cfg):
 
 def surrogate_objective(preds, truths, cfg):
     """The differentiable objective optimized when the smooth surrogate is
-    on: the sign penalty is replaced by tanh(kappa * pred * truth)."""
+    on: the sign penalty is replaced by tanh(kappa * pred * truth), kappa
+    being mlp's SURROGATE_SHARPNESS, written out."""
     preds = np.asarray(preds, dtype=float)
     truths = np.asarray(truths, dtype=float)
     loss = rmse(preds, truths)
     if cfg.beta == 0:
         return loss
-    kappa = cfg.surrogate_sharpness
+    kappa = 10.0
     pen = np.mean(np.tanh(kappa * preds * truths))
     return loss - cfg.beta * float(pen)
 

@@ -59,7 +59,7 @@ def test_als_gradient_correctness():
 
 def test_mlp_gradient_correctness():
     t0 = time.time()
-    cfg = LossConfig(beta=0.1, surrogate_sharpness=10.0)
+    cfg = LossConfig(beta=0.1)
     rng = np.random.default_rng(77)
     worst = 0.0
     for seed in range(20):

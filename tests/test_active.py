@@ -48,8 +48,7 @@ def brute_force_elm(state, model, cfg, inner_seed):
         train_set = {p: matrix.values[p] for p in labeled}
         train_set[cand] = pool_pred[cand]
 
-        init = init_embeddings(m, n, AlsConfig(
-            d=d, init_scale=model.cfg.als.init_scale), inner_seed)
+        init = init_embeddings(m, n, AlsConfig(d=d), inner_seed)
         x = [[init.x[i, l] for l in range(d)] for i in range(m)]
         w = [[init.w[l, j] for j in range(n)] for l in range(d)]
         for _ in range(cfg.elm_inner_epochs):
@@ -480,8 +479,8 @@ class TestStackedElmExact:
     def test_exact_tie_ordered_by_candidate_index(self, monkeypatch):
         # zero init is a fixed point of training and every pool position
         # gets the same prediction, so every candidate scores the same
-        state, model, cfg = elm_problem(seed=5,
-                                        inner_als={"init_scale": 0.0})
+        state, model, cfg = elm_problem(seed=5)
+        monkeypatch.setattr(active_mod.als_mod, "INIT_SCALE", 0.0)
         monkeypatch.setattr(alsdl_mod, "alsdl_predict_positions",
                             lambda model, pos: np.full(len(pos), 0.25))
         state.pool = state.pool[::-1]

@@ -7,7 +7,6 @@ import alsal.als as als_mod
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.als import (AlsConfig, ConfigError, DivergenceError, EmbeddingPair,
                        EpochWork, als_epoch, init_embeddings, train_als)
-from alsal.mlp import MlpTrainConfig
 from alsal.metrics import FoldSplit, kfold_split
 from oracles import als_gradients, als_loss, als_rmse, stepped_als
 
@@ -96,21 +95,10 @@ class TestCheckFields:
         assert str(e.value) == ("learning_rate must be a finite number > 0, "
                                 f"not {value!r}")
 
-    @pytest.mark.parametrize("value, ok", [
-        (0, True), (0.0, True), (0.999, True), (1, False), (1.5, False),
-        (-0.1, False)])
-    def test_two_bounds(self, value, ok):
-        if ok:
-            assert MlpTrainConfig(rmsprop_decay=value).rmsprop_decay is value
-        else:
-            with pytest.raises(ConfigError, match="rmsprop_decay must be a "
-                               "finite number >= 0 and < 1, not"):
-                MlpTrainConfig(rmsprop_decay=value)
-
     def test_replace_is_checked(self):
         with pytest.raises(ConfigError) as e:
-            replace(AlsConfig(), init_scale=-0.5)
-        assert e.value.key == "init_scale"
+            replace(AlsConfig(), learning_rate=-0.5)
+        assert e.value.key == "learning_rate"
 
 
 class TestInitEmbeddings:
@@ -119,9 +107,16 @@ class TestInitEmbeddings:
         assert emb.x.shape == (2, 5)
         assert emb.w.shape == (5, 3)
 
-    def test_zero_scale(self):
-        emb = init_embeddings(3, 3, AlsConfig(d=2, init_scale=0.0), 0)
+    def test_zero_scale(self, monkeypatch):
+        monkeypatch.setattr(als_mod, "INIT_SCALE", 0.0)
+        emb = init_embeddings(3, 3, AlsConfig(d=2), 0)
         assert np.all(emb.x == 0) and np.all(emb.w == 0)
+
+    def test_draws_x_then_w_within_0_1(self):
+        rng = np.random.default_rng(4)
+        emb = init_embeddings(3, 5, AlsConfig(d=2), 4)
+        assert same_bits(emb.x, rng.uniform(-0.1, 0.1, size=(3, 2)))
+        assert same_bits(emb.w, rng.uniform(-0.1, 0.1, size=(2, 5)))
 
     def test_deterministic(self):
         a = init_embeddings(4, 4, AlsConfig(), 11)
@@ -284,8 +279,9 @@ class TestTrainAls:
 
     def test_all_zero_matrix_zero_init(self):
         mat = full_matrix(np.zeros((3, 3)))
-        cfg = AlsConfig(d=2, epochs=5, init_scale=0.0)
-        emb, hist = train_als(mat, cfg, init_embeddings(3, 3, cfg, 0),
+        cfg = AlsConfig(d=2, epochs=5)
+        emb, hist = train_als(mat, cfg, EmbeddingPair(np.zeros((3, 2)),
+                                                      np.zeros((2, 3))),
                               kfold_split(9, 3, seed=0)[0])
         assert np.all(emb.x == 0) and np.all(emb.w == 0)
         assert hist.train_loss[-1] == hist.test_loss[-1] == 0.0
@@ -498,10 +494,13 @@ class TestTrainStack:
         """At learning rate 0.8 and d = 2, by the stepped oracle: a 6 x 6
         problem that does not diverge, one that diverges late and one that
         diverges early."""
-        def problem(seed, init_scale):
+        def problem(seed, scale):
+            # init_embeddings's draws, from seed 1, at this scale
             mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=seed)
-            return mat, init_embeddings(6, 6, AlsConfig(
-                d=2, init_scale=init_scale), 1)
+            rng = np.random.default_rng(1)
+            x = rng.uniform(-scale, scale, size=(6, 2))
+            return mat, EmbeddingPair(x, rng.uniform(-scale, scale,
+                                                     size=(2, 6)))
         return {"stays": problem(1, 1.0), "late": problem(1, 0.1),
                 "early": problem(0, 1.0)}
 

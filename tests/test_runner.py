@@ -6,6 +6,8 @@ import math
 import os
 import platform
 import re
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import (FrozenInstanceError, asdict, dataclass, fields,
@@ -530,6 +532,38 @@ class TestManifestEnvironment:
             assert b"Haswell" not in raw and b"numpy" not in raw
 
 
+class TestModulesLoaded:
+    def test_no_run_imports_numpy_ma(self, tmp_path):
+        """numpy.ma is about 1 MB of modules that no run needs, yet some
+        numpy calls import it (np.unique without return arrays, in numpy
+        2.4): a benchmark and an al-study with every strategy, on a dataset
+        of two concentrations, so that selection, matrix building and the
+        mean rows all run, in a fresh interpreter, leave it unloaded."""
+        data = str(small_dataset(tmp_path / "data.csv"))
+        short = ["--als-epochs", "3", "--mlp-epochs", "3", "--embedding-dim",
+                 "2"]
+        runs = [["benchmark", "--dataset", data, "--folds", "2", *short,
+                 "--out", str(tmp_path / "benchmark")],
+                ["al-study", "--dataset", data, "--n-init", "6",
+                 "--n-per-query", "3", "--n-max-query", "1",
+                 "--elm-inner-epochs", "3", "--elm-candidate-subsample", "4",
+                 *short, "--out", str(tmp_path / "al-study")]]
+        script = ("import sys\nfrom alsal.cli import main\n"
+                  f"for argv in {runs!r}:\n    main(argv)\n"
+                  "print(sorted(m for m in sys.modules if m == 'numpy.ma' "
+                  "or m.startswith('numpy.ma.')))")
+        src = str(Path(alsal.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
+        rows = read_rows(tmp_path / "al-study" / "learning_curves.csv")
+        assert {r["strategy"] for r in rows} == {
+            "orderly", "random", "uncertainty", "elm"}
+        assert {r["concentration"] for r in rows} == {"0.1", "1.0", "mean"}
+
+
 class TestCli:
     def test_al_study_end_to_end(self, tmp_path):
         out = tmp_path / "run1"
@@ -674,7 +708,15 @@ class TestCli:
         ({"molecule_first": True}, "alsdl.molecule_first"),
         # epochs always alternate, as the key's default did
         ({"als": {"simultaneous_updates": False}},
-         "alsdl.als.simultaneous_updates")])
+         "alsdl.als.simultaneous_updates"),
+        # the optimizer's and initializer's internals are constants
+        ({"als": {"init_scale": 0.1}}, "alsdl.als.init_scale"),
+        ({"mlp_train": {"rmsprop_decay": 0.9}},
+         "alsdl.mlp_train.rmsprop_decay"),
+        ({"mlp_train": {"rmsprop_epsilon": 1e-8}},
+         "alsdl.mlp_train.rmsprop_epsilon"),
+        ({"loss": {"surrogate_sharpness": 10.0}},
+         "alsdl.loss.surrogate_sharpness")])
     def test_config_file_unknown_alsdl_key(self, tmp_path, alsdl, name):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alsdl": alsdl}))
@@ -686,21 +728,28 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "active": {"n_init": 5},
-            "alsdl": {"hidden_sizes": [4],
-                      "loss": {"surrogate_sharpness": 3.0}}}))
+            "alsdl": {"hidden_sizes": [4], "loss": {"beta": 0.3}}}))
         cfg = _config_from_json(cfg_path)
         assert cfg.active == ActiveConfig(n_init=5)
-        assert cfg.alsdl == AlsdlConfig(
-            hidden_sizes=(4,), loss=LossConfig(surrogate_sharpness=3.0))
+        assert cfg.alsdl == AlsdlConfig(hidden_sizes=(4,),
+                                        loss=LossConfig(beta=0.3))
 
+    # the ids are the ones these cases had before each message began
+    # "invalid config", as every config error's does
     @pytest.mark.parametrize("raw, message", [
-        ([1], "config must be a JSON object"),
-        ({"als": 5}, "config key 'als' must be an object"),
-        ({"als": None}, "config key 'als' must be an object"),
-        ({"alsdl": {"loss": [0.1]}},
-         "config key 'alsdl.loss' must be an object"),
-        ({"alsdl": {"als": "d=2"}},
-         "config key 'alsdl.als' must be an object")])
+        pytest.param([1], "invalid config: must be a JSON object",
+                     id="raw0-config must be a JSON object"),
+        pytest.param({"als": 5}, "invalid config key 'als': must be an object",
+                     id="raw1-config key 'als' must be an object"),
+        pytest.param({"als": None},
+                     "invalid config key 'als': must be an object",
+                     id="raw2-config key 'als' must be an object"),
+        pytest.param({"alsdl": {"loss": [0.1]}},
+                     "invalid config key 'alsdl.loss': must be an object",
+                     id="raw3-config key 'alsdl.loss' must be an object"),
+        pytest.param({"alsdl": {"als": "d=2"}},
+                     "invalid config key 'alsdl.als': must be an object",
+                     id="raw4-config key 'alsdl.als' must be an object")])
     def test_config_file_non_object(self, tmp_path, raw, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
@@ -897,7 +946,7 @@ class TestCli:
             == dict(config, output_dir=str(again))
 
     @pytest.mark.parametrize("raw", [
-        {"alsdl": {"als": {"d": 5}}}, {"alsdl": {"als": {"init_scale": 0.1}}},
+        {"alsdl": {"als": {"d": 5}}}, {"alsdl": {"als": {"learning_rate": 0.01}}},
         {"alsdl": {"loss": {"beta": 0.1}, "als": {}}}, {"als": {"d": 5}}])
     def test_config_file_keeps_the_enclosing_defaults(self, tmp_path, raw):
         # alsdl.als.epochs stays AlsdlConfig's 200, not AlsConfig's 400
@@ -1091,8 +1140,13 @@ class TestRejectedInput:
         ({"als": {"learning_rate": math.nan}}, "invalid config key "
          "'als.learning_rate': learning_rate must be a finite number > 0, "
          "not nan"),
-        ({"als": {"init_scale": None}}, "invalid config key 'als.init_scale': "
-         "init_scale must be a finite number >= 0, not None"),
+        # keys that became constants; the ids are the ones these cases had
+        # when the keys held values
+        pytest.param(
+            {"als": {"init_scale": None}},
+            "invalid config key 'als.init_scale': unknown key",
+            id="raw34-invalid config key 'als.init_scale': init_scale must "
+            "be a finite number >= 0, not None"),
         ({"alsdl": {"loss": {"beta": "a"}}}, "invalid config key "
          "'alsdl.loss.beta': beta must be a finite number >= 0, not 'a'"),
         ({"alsdl": {"hidden_sizes": [20, "a"]}}, "invalid config key "
@@ -1101,9 +1155,11 @@ class TestRejectedInput:
         ({"alsdl": {"mlp_train": {"rmsprop_learning_rate": -1}}},
          "invalid config key 'alsdl.mlp_train.rmsprop_learning_rate': "
          "rmsprop_learning_rate must be a finite number > 0, not -1"),
-        ({"alsdl": {"mlp_train": {"rmsprop_decay": 1.5}}}, "invalid config "
-         "key 'alsdl.mlp_train.rmsprop_decay': rmsprop_decay must be a "
-         "finite number >= 0 and < 1, not 1.5"),
+        pytest.param(
+            {"alsdl": {"mlp_train": {"rmsprop_decay": 1.5}}},
+            "invalid config key 'alsdl.mlp_train.rmsprop_decay': unknown key",
+            id="raw38-invalid config key 'alsdl.mlp_train.rmsprop_decay': "
+            "rmsprop_decay must be a finite number >= 0 and < 1, not 1.5"),
         ({"synthetic": {"noise_sd": "x"}}, "invalid config key "
          "'synthetic.noise_sd': noise_sd must be a finite number >= 0, "
          "not 'x'"),
@@ -1183,6 +1239,67 @@ class TestRejectedInput:
         assert str(e.value) == ("invalid config key 'dataset_path': [Errno 2] "
                                 f"No such file or directory: {name!r}")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("content, reason", [
+        pytest.param(None, "No such file or directory", id="missing"),
+        pytest.param(b'{"als": ', "Expecting value: line 1 column 9 (char 8)",
+                     id="not-json"),
+        pytest.param(b"\xff{}", "'utf-8' codec can't decode byte 0xff in "
+                     "position 0: invalid start byte", id="not-utf-8"),
+        pytest.param("directory", "Is a directory", id="a-directory"),
+        # the rest of this message is the json module's
+        pytest.param(b"[" * 100_000, "maximum recursion depth exceeded",
+                     id="nested-too-deep")])
+    def test_unreadable_config_file(self, monkeypatch, tmp_path, content,
+                                    reason):
+        """A --config file that cannot be read or parsed exits naming its
+        path, as a config error: no traceback, no data loaded."""
+        forbid_training(monkeypatch)
+        path = tmp_path / "cfg.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SystemExit) as e:
+            main(["benchmark", "--synthetic", "6,6,2,0.1", "--config",
+                  str(path), "--out", str(tmp_path / "run")])
+        assert str(e.value).startswith(
+            f"invalid config file {str(path)!r}: {reason}")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("out, reason", [
+        ("taken", "[Errno 17] File exists"),
+        ("taken/run", "[Errno 20] Not a directory")])
+    @pytest.mark.parametrize("command", ["benchmark", "al-study"])
+    def test_out_that_cannot_be_made(self, monkeypatch, tmp_path, command,
+                                     out, reason):
+        """An --out that names a file, or a path under one, exits naming
+        output_dir once the data has loaded, before any unit trains, not
+        when the report is written after the whole study."""
+        forbid_training(monkeypatch)
+        (tmp_path / "taken").write_text("kept")
+        path = str(tmp_path / out)
+        with pytest.raises(SystemExit) as e:
+            main([command, "--synthetic", "8,8,2,0.1", "--out", path])
+        assert str(e.value) == (f"invalid config key 'output_dir': {reason}: "
+                                f"{path!r}")
+        assert (tmp_path / "taken").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["benchmark", "al-study"])
+    def test_out_is_made_before_any_unit_trains(self, monkeypatch, tmp_path,
+                                                command):
+        import alsal.runner as runner_mod
+        out, made = tmp_path / "new" / "run", []
+
+        def trained(*args, **kwargs):
+            made.append(out.is_dir())
+            raise DivergenceError(0)
+        monkeypatch.setattr(runner_mod, "_train_one", trained)
+        monkeypatch.setattr(runner_mod.active_mod, "run_active_learning",
+                            trained)
+        assert main([command, "--synthetic", "8,8,2,0.1",
+                     "--out", str(out)]) == 0
+        assert made == [True] * (2 if command == "benchmark" else 4)
 
     @pytest.mark.parametrize("raw, argv, message", [
         ({}, ["--concentrations", "5.0"],
