@@ -19,7 +19,7 @@ import numpy as np
 
 from . import als as als_mod
 from . import alsdl as alsdl_mod
-from .als import check_fields, in_range
+from .als import Config, in_range
 from .data import MaskedMatrix
 from .metrics import Scorer
 
@@ -28,7 +28,7 @@ STRATEGIES = ("orderly", "random", "uncertainty", "elm")
 
 
 @dataclass(frozen=True)
-class ActiveConfig:
+class ActiveConfig(Config):
     n_init: int = in_range(40, ">= 1")
     n_per_query: int = in_range(40, ">= 1")
     n_max_query: int = in_range(8, ">= 0")
@@ -36,9 +36,6 @@ class ActiveConfig:
     # when set, ELM scores only a random subset of the pool, drawn from the
     # query's seed
     elm_candidate_subsample: int | None = in_range(None, ">= 1")
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -104,16 +104,19 @@ def _rule(tp, bounds):
     raise TypeError(f"unsupported config annotation {tp!r}")
 
 
-def check_fields(config):
-    """Raise ConfigError, keyed by the field's name, unless each field of
-    the config dataclass holds a value of its annotated type within its
-    declared range (see in_range). Values are kept as they are."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        test, kind = _rule(f.type, f.metadata.get("range"))
-        if not test(value):
-            raise ConfigError(f.name,
-                              f"{f.name} must be {kind}, not {value!r}")
+class Config:
+    """Base of the config dataclasses: each checks its fields when built,
+    raising ConfigError, keyed by the field's name, unless each field holds
+    a value of its annotated type within its declared range (see in_range).
+    Values are kept as they are."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            test, kind = _rule(f.type, f.metadata.get("range"))
+            if not test(value):
+                raise ConfigError(f.name,
+                                  f"{f.name} must be {kind}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class EmbeddingPair:
 
 
 @dataclass(frozen=True)
-class AlsConfig:
+class AlsConfig(Config):
     d: int = in_range(5, ">= 1")
     learning_rate: float = in_range(0.01, "> 0")
     epochs: int = in_range(400, ">= 1")
@@ -135,9 +138,6 @@ class AlsConfig:
     # config key), kept because the bench tracer reads it on each
     # train_als call; it goes once ROADMAP item 1 stops that read
     simultaneous_updates = False
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def init_embeddings(m, n, cfg, seed):

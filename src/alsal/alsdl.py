@@ -11,20 +11,17 @@ import numpy as np
 
 from . import als as als_mod
 from . import mlp as mlp_mod
-from .als import AlsConfig, EmbeddingPair, check_fields, in_range
+from .als import AlsConfig, Config, EmbeddingPair, in_range
 from .data import as_positions
 from .mlp import LossConfig, MlpModel, MlpTrainConfig
 
 
 @dataclass(frozen=True)
-class AlsdlConfig:
+class AlsdlConfig(Config):
     als: AlsConfig = field(default_factory=lambda: AlsConfig(epochs=200))
     mlp_train: MlpTrainConfig = field(default_factory=MlpTrainConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     hidden_sizes: tuple[int, ...] = in_range((20, 10, 5), ">= 1")
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass

@@ -125,7 +125,7 @@ def _from_json(cls, raw, where="", default=None):
 
 def _config_from_json(path):
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:  # as load_matrices
             raw = json.load(f)
     # unreadable, not UTF-8, not JSON, or nested deeper than json.load goes
     except (OSError, ValueError, RecursionError) as e:

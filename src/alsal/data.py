@@ -87,7 +87,9 @@ class MaskedMatrix:
     Rows are cells and columns molecules; a matrix built from a Dataset
     has its sorted cell_ids and molecule_ids in that order.
     observed_positions and with_mask take one problem. Frozen, so that
-    values and mask are never replaced unchecked.
+    values and mask are never replaced unchecked. A value must be finite
+    where observed; a non-finite one where unobserved is stored as 0.0, in
+    a copy, since training reads every value ((x @ w - nan) * 0 is nan).
     """
 
     values: np.ndarray
@@ -101,8 +103,11 @@ class MaskedMatrix:
                             "must share one shape (..., m, n)")
         if not np.all((mask == 0) | (mask == 1)):
             raise DataError("mask entries must be 0 or 1")
-        if not np.all(np.isfinite(values[mask == 1])):
-            raise DataError("non-finite value at an observed position")
+        finite = np.isfinite(values)
+        if not finite.all():
+            if mask[~finite].any():
+                raise DataError("non-finite value at an observed position")
+            values = np.where(finite, values, 0.0)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 

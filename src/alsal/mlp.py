@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .als import DivergenceError, check_fields, in_range
+from .als import Config, DivergenceError, in_range
 from .metrics import Curve, Scorer, residual_rmse
 
 SURROGATE_SHARPNESS = 10.0
@@ -85,24 +85,18 @@ class MlpModel:
 
 
 @dataclass(frozen=True)
-class LossConfig:
+class LossConfig(Config):
     """The training objective: RMSE minus beta times the penalty, whose
     smooth form tanh(SURROGATE_SHARPNESS * pred * truth) classifies at the
     data's boundary 0, as the curves' accuracy does."""
 
     beta: float = in_range(0.1, ">= 0")
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class MlpTrainConfig:
+class MlpTrainConfig(Config):
     epochs: int = in_range(200, ">= 0")
     rmsprop_learning_rate: float = in_range(0.001, "> 0")
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def init_mlp(layer_sizes, seed):

@@ -31,8 +31,7 @@ from . import alsdl as alsdl_mod
 from . import data as data_mod
 from .active import STRATEGIES, ActiveConfig
 from .alsdl import AlsdlConfig
-from .als import (AlsConfig, ConfigError, DivergenceError, check_fields,
-                  in_range)
+from .als import AlsConfig, Config, ConfigError, DivergenceError, in_range
 from .metrics import kfold_split
 
 SCHEMA_VERSION = 2
@@ -55,21 +54,21 @@ _UNGROUPED = METRIC_COLUMNS | {"concentration", "status", "diverged_epoch",
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Config):
     m: int = in_range(35, ">= 1")
     n: int = in_range(34, ">= 1")
     rank: int = in_range(5, ">= 1")
     noise_sd: float = in_range(0.0, ">= 0")
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.rank > min(self.m, self.n):
             raise ConfigError("rank", f"rank {self.rank} exceeds min(m, n) = "
                               f"{min(self.m, self.n)}")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     dataset_path: str | None = None
     synthetic: SyntheticSpec | None = None
     targets: tuple[str, ...] = ("gr", "ifd")
@@ -90,7 +89,7 @@ class ExperimentConfig:
         ConfigError keyed by its dotted field: no list repeats a value,
         and the name and seed lists are non-empty and hold known names.
         load_matrices checks the source, where it is read."""
-        check_fields(self)
+        super().__post_init__()
         for key in self.column_map or ():
             if key not in data_mod.DEFAULT_COLUMNS:
                 raise ConfigError("column_map", f"unknown column_map key "

@@ -341,7 +341,20 @@ class TestTrainAls:
         np.testing.assert_array_equal(emb1.x, emb2.x)
         np.testing.assert_array_equal(emb1.w, emb2.w)
 
-
+    @pytest.mark.parametrize("stack", [0, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_unobserved_values_are_never_read(self, value, stack):
+        """Non-finite values at the unobserved positions, alone or in a
+        stack, train to the bits that 0.0 there gives."""
+        matrix, emb = epoch_problem(stack, seed=2)
+        runs = []
+        for v in (value, 0.0):
+            values = matrix.values.copy()
+            values[matrix.mask == 0] = v
+            runs.append(train_als(MaskedMatrix(values, matrix.mask),
+                                  AlsConfig(d=3, epochs=5), emb)[0])
+        assert same_bits(runs[0].x, runs[1].x)
+        assert same_bits(runs[0].w, runs[1].w)
 
     @pytest.mark.parametrize("stack", [0, 3])
     def test_rejects_a_matrix_with_no_observed_position(self, stack,

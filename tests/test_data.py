@@ -581,6 +581,17 @@ class TestMaskedMatrix:
         mask[1, 0, 1] = 0.0
         MaskedMatrix(values, mask)  # an unobserved value is never read
 
+    def test_non_finite_unobserved_values_stored_as_zero(self):
+        """Training reads every value, so a non-finite one where unobserved
+        is stored as 0.0, in a copy; finite values are kept, uncopied."""
+        values = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
+        mask = np.array([[0.0, 1.0], [0.0, 0.0]])
+        mat = MaskedMatrix(values, mask)
+        assert mat.values.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        assert np.isnan(values[0, 0])  # the caller's array is untouched
+        finite = np.ones((2, 2))
+        assert MaskedMatrix(finite, mask).values is finite
+
 
 # inputs that are not positions of a 3 x 4 matrix
 BAD_POSITIONS = {"negative": [-1], "float": [1.7], "past the end": [12],

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import alsal
 from alsal.active import ActiveConfig
-from alsal.als import AlsConfig, DivergenceError, _rule, check_fields
+from alsal.als import AlsConfig, Config, DivergenceError, _rule
 from alsal.alsdl import AlsdlConfig
 from alsal.cli import (FLAG_KEYS, _config_from_json, _from_json,
                        build_parser, main, resolve_config)
@@ -689,6 +689,18 @@ class TestCli:
         assert rc == 0
         rows = read_rows(out / "learning_curves.csv")
         assert any(r["seed"] == "3" for r in rows)
+
+    def test_config_file_byte_order_mark(self, tmp_path):
+        """A file saved with a UTF-8 byte-order mark, as some editors save
+        JSON, builds the config the same file builds without one."""
+        text = json.dumps({"folds": 2, "alsdl": {"hidden_sizes": [3]}})
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+        cfg = _config_from_json(marked)
+        assert cfg == _config_from_json(plain)
+        assert cfg.folds == 2 and cfg.alsdl.hidden_sizes == (3,)
 
     def test_config_file_alsdl_fields(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -1445,11 +1457,11 @@ def config_classes(cls):
 
 class TestSchema:
     """Every config field is declared once, with the type and range that
-    check_fields enforces and that the README's table lists."""
+    Config enforces and that the README's table lists."""
 
     def test_every_field_checked(self):
         """Each config class reachable from ExperimentConfig has a schema,
-        so check_fields handles each annotation, and each number is
+        so Config handles each annotation, and each number is
         declared with a range."""
         reached = set(config_classes(ExperimentConfig))
         assert reached == {ExperimentConfig, SyntheticSpec, AlsConfig,
@@ -1462,6 +1474,38 @@ class TestSchema:
             if {int, float} & set(annotation_types(f.type)):
                 assert "range" in f.metadata, key
 
+    def test_every_config_is_a_config(self):
+        """Each config class inherits the field check, so none can be
+        added that skips it."""
+        for cls in config_classes(ExperimentConfig):
+            assert issubclass(cls, Config), cls.__name__
+
+    def test_every_bound_is_enforced(self):
+        """Each numeric leaf, replaced in its own config with a value just
+        past its declared bound (one tuple entry for a tuple), raises a
+        ConfigError naming that field: a config class that never checks,
+        or an override that skips super().__post_init__(), fails here."""
+        cfg = ExperimentConfig(synthetic=SyntheticSpec())
+        checked = set()
+        for key, f, _ in schema_leaves(cfg):
+            types = set(annotation_types(f.type))
+            if not {int, float} & types:
+                continue
+            op, limit = f.metadata["range"].split()
+            if int in types:
+                past = int(limit) - (op == ">=")
+            else:
+                past = (math.nextafter(float(limit), -math.inf)
+                        if op == ">=" else float(limit))
+            path, _, name = key.rpartition(".")
+            owner = attrgetter(path)(cfg) if path else cfg
+            with pytest.raises(ConfigError) as e:
+                replace(owner, **{name: (past,) if tuple in map(
+                    get_origin, types) else past})
+            assert e.value.key == name and name in str(e.value), key
+            checked.add(type(owner))
+        assert checked == set(config_classes(ExperimentConfig))
+
     @pytest.mark.parametrize("annotation, default", [
         (int, 0), (float, 0.0), (tuple[int, ...], ()), (int | None, None),
         (list, None), (tuple, ()), (bool, False)])
@@ -1469,11 +1513,8 @@ class TestSchema:
         """A number without a range, or an annotation the checker does not
         know, fails when its dataclass is first built."""
         @dataclass(frozen=True)
-        class Bad:
+        class Bad(Config):
             x: annotation = default
-
-            def __post_init__(self):
-                check_fields(self)
         with pytest.raises(TypeError):
             Bad()
 
