@@ -29,7 +29,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from typing import NamedTuple, get_args, get_origin
 
@@ -117,6 +117,34 @@ class Config:
             if not test(value):
                 raise ConfigError(f.name,
                                   f"{f.name} must be {kind}, not {value!r}")
+
+    def updated(self, raw):
+        """This config with the fields that raw, a JSON object, names
+        replaced; a config-typed field is updated the same way from its
+        value here (its class defaults if null), and takes null only where
+        its default is null. Lists become tuples. An unknown key, a
+        non-object where a config belongs, or a value a config rejects
+        raises ConfigError keyed by its dotted name (None for raw)."""
+        if not isinstance(raw, dict):
+            raise ConfigError(None, "must be a JSON object")
+        known = {f.name: f for f in fields(self)}
+        changes = {}
+        for key, value in raw.items():
+            if key not in known:
+                raise ConfigError(key, "unknown key")
+            f = known[key]
+            sub = [t for t in (f.type, *get_args(f.type)) if is_dataclass(t)]
+            if sub and not (value is None and f.default is None):
+                if not isinstance(value, dict):
+                    raise ConfigError(key, "must be an object")
+                try:
+                    value = (getattr(self, key) or sub[0]()).updated(value)
+                except ConfigError as e:
+                    raise ConfigError(f"{key}.{e.key}", str(e)) from e
+            elif isinstance(value, list):
+                value = tuple(value)
+            changes[key] = value
+        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 import argparse
 import json
-from dataclasses import fields, is_dataclass, replace
-from typing import get_args
+from dataclasses import asdict, replace
 
 from .runner import (ConfigError, ExperimentConfig, SyntheticSpec,
                      aggregate_concentrations, run_al_study, run_benchmark,
@@ -33,10 +32,10 @@ def _csv_list(conv):
 
 
 def _synthetic(s):
-    """An argparse type: M,N,RANK,NOISE as a SyntheticSpec, which checks it."""
+    """An argparse type: M,N,RANK,NOISE as asdict of a SyntheticSpec."""
     try:
         m, n, rank, noise = s.split(",")
-        return SyntheticSpec(int(m), int(n), int(rank), float(noise))
+        return asdict(SyntheticSpec(int(m), int(n), int(rank), float(noise)))
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"{s!r}: {e}") from e
 
@@ -90,74 +89,45 @@ def build_parser():
     return parser
 
 
-def _from_json(cls, raw, where="", default=None):
-    """Dataclass cls from a JSON object: default (cls() if None) with the
-    object's fields replaced. Fields annotated with a dataclass are built
-    the same way on default's value (null only where the default is None),
-    so a field left out keeps the value its enclosing default gives it,
-    not its class default; lists become tuples. An unknown key, a
-    non-object where an object belongs, or a value the dataclass rejects
-    exits with its dotted name."""
-    if not isinstance(raw, dict):
-        raise SystemExit(f"invalid config key {where[:-1]!r}: must be an "
-                         "object" if where else
-                         "invalid config: must be a JSON object")
-    known = {f.name: f for f in fields(cls)}
-    base = cls() if default is None else default
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in known:
-            raise SystemExit(
-                f"invalid config key {where + key!r}: unknown key")
-        f = known[key]
-        sub = [t for t in (f.type, *get_args(f.type)) if is_dataclass(t)]
-        if sub and not (value is None and f.default is None):
-            value = _from_json(sub[0], value, f"{where}{key}.",
-                               getattr(base, key))
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return replace(base, **kwargs)
-    except ConfigError as e:
-        raise SystemExit(f"invalid config key {where + e.key!r}: {e}") from e
-
-
 def _config_from_json(path):
     try:
         with open(path, encoding="utf-8-sig") as f:  # as load_matrices
-            raw = json.load(f)
+            return json.load(f)
     # unreadable, not UTF-8, not JSON, or nested deeper than json.load goes
     except (OSError, ValueError, RecursionError) as e:
         raise SystemExit(f"invalid config file {str(path)!r}: "
                          f"{getattr(e, 'strerror', None) or e}") from e
-    return _from_json(ExperimentConfig, raw)
 
 
-def _set(obj, key, value):
-    """obj with the dotted key set, each dataclass on the path replaced."""
-    name, _, rest = key.partition(".")
-    return replace(obj, **{name: _set(getattr(obj, name), rest, value)
-                           if rest else value})
+def _exit(e, flag=""):
+    """The exit for ConfigError e, naming its key and any flag that set it."""
+    key = "" if e.key is None else f" key {e.key!r}"
+    return SystemExit(f"invalid config{key}{flag}: {e}")
 
 
 def resolve_config(args):
-    """The --config file, or ExperimentConfig(), with each flag given set at
-    its FLAG_KEYS; a source flag replaces the file's source. Each config
-    checks itself when built, so the file must pass every rule on its own,
+    """ExperimentConfig() updated from the --config file, then by each flag
+    given, as a one-key nested object per key in FLAG_KEYS; a source flag
+    replaces the file's source. The file must pass every rule on its own,
     before any flag applies."""
-    cfg = _config_from_json(args.config) if args.config else ExperimentConfig()
+    cfg = ExperimentConfig()
+    if args.config:
+        try:
+            cfg = cfg.updated(_config_from_json(args.config))
+        except ConfigError as e:
+            raise _exit(e) from e
     if args.dataset is not None or args.synthetic is not None:
         cfg = replace(cfg, dataset_path=None, synthetic=None)
     for dest, keys in FLAG_KEYS.items():
         value = getattr(args, dest, None)  # a subcommand has a subset
         for key in keys if value is not None else ():
+            raw = value
+            for name in reversed(key.split(".")):
+                raw = {name: raw}
             try:
-                cfg = _set(cfg, key, value)
+                cfg = cfg.updated(raw)
             except ConfigError as e:
-                raise SystemExit(
-                    f"invalid config key {key!r} (set by "
-                    f"--{dest.replace('_', '-')}): {e}") from e
+                raise _exit(e, f" (set by --{dest.replace('_', '-')})") from e
     return cfg
 
 
@@ -168,7 +138,7 @@ def main(argv=None):
     try:
         report = run(cfg, cfg.output_dir)
     except ConfigError as e:  # raised before any training
-        raise SystemExit(f"invalid config key {e.key!r}: {e}") from e
+        raise _exit(e) from e
     out = write_report(aggregate_concentrations(report), cfg.output_dir)
     print(f"wrote report to {out}")
     return 0

@@ -86,9 +86,9 @@ class ExperimentConfig(Config):
 
     def __post_init__(self):
         """Check each field, then the rules across fields, each raising
-        ConfigError keyed by its dotted field: no list repeats a value,
-        and the name and seed lists are non-empty and hold known names.
-        load_matrices checks the source, where it is read."""
+        ConfigError keyed by its dotted field: no list is empty or repeats
+        a value, and the name lists hold known names. load_matrices checks
+        the source, where it is read."""
         super().__post_init__()
         for key in self.column_map or ():
             if key not in data_mod.DEFAULT_COLUMNS:
@@ -102,7 +102,7 @@ class ExperimentConfig(Config):
                 ("strategies", "strategy", self.strategies, STRATEGIES),
                 ("seeds", "seed", self.seeds, None),
                 ("concentrations", "concentration", concs, None)):
-            if not names and key != "concentrations":
+            if not names and getattr(self, key) is not None:  # null means all
                 raise ConfigError(key, f"empty {kind} list")
             for name in names if known else ():
                 if name not in known:
@@ -175,7 +175,8 @@ def load_matrices(config):
                 raise ConfigError("concentrations", f"concentration {c!r} is "
                                   "absent or not fully covered; fully "
                                   f"covered: {sorted(common)}")
-        concs = config.concentrations or sorted(common)
+        concs = (sorted(common) if config.concentrations is None
+                 else config.concentrations)
         return [(target, repr(float(c)),
                  data_mod.build_response_matrix(table, target, c))
                 for target in config.targets for c in concs]

@@ -24,8 +24,7 @@ import alsal
 from alsal.active import ActiveConfig
 from alsal.als import AlsConfig, Config, DivergenceError, _rule
 from alsal.alsdl import AlsdlConfig
-from alsal.cli import (FLAG_KEYS, _config_from_json, _from_json,
-                       build_parser, main, resolve_config)
+from alsal.cli import FLAG_KEYS, build_parser, main, resolve_config
 from alsal.metrics import Curve
 from alsal.mlp import LossConfig, MlpTrainConfig
 from alsal.runner import (MODELS, ConfigError, ExperimentConfig,
@@ -72,6 +71,12 @@ def small_dataset(path):
         f"{rng.uniform(-0.5, 0.5):.6f}\n"
         for i in range(6) for j in range(5) for c in (0.1, 1.0)).getvalue())
     return path
+
+
+def load_file(path):
+    """The config `alsal benchmark --config path` resolves to."""
+    return resolve_config(build_parser().parse_args(
+        ["benchmark", "--config", str(path)]))
 
 
 class TestRunBenchmark:
@@ -305,7 +310,8 @@ class TestConfigChecks:
         # a misspelt key would leave its column at the default header
         ({"column_map": {"cel_id": "Cell HMS LINCS ID"}}, "unknown "
          "column_map key 'cel_id'; known: cell_id, molecule_id, "
-         "concentration, gr, ifd")])
+         "concentration, gr, ifd"),
+        ({"concentrations": ()}, "empty concentration list")])
     def test_validate(self, monkeypatch, run, overrides, message):
         forbid_training(monkeypatch)
         with pytest.raises(ValueError) as e:
@@ -698,14 +704,14 @@ class TestCli:
         plain.write_text(text, encoding="utf-8")
         marked.write_text(text, encoding="utf-8-sig")
         assert marked.read_bytes().startswith(codecs.BOM_UTF8)
-        cfg = _config_from_json(marked)
-        assert cfg == _config_from_json(plain)
+        cfg = load_file(marked)
+        assert cfg == load_file(plain)
         assert cfg.folds == 2 and cfg.alsdl.hidden_sizes == (3,)
 
     def test_config_file_alsdl_fields(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alsdl": {"hidden_sizes": [3]}}))
-        cfg = _config_from_json(cfg_path)
+        cfg = load_file(cfg_path)
         assert cfg.alsdl.hidden_sizes == (3,)
         # fields the file leaves out keep AlsdlConfig's defaults
         assert cfg.alsdl.als == AlsdlConfig().als
@@ -733,7 +739,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alsdl": alsdl}))
         with pytest.raises(SystemExit) as e:
-            _config_from_json(cfg_path)
+            load_file(cfg_path)
         assert str(e.value) == f"invalid config key {name!r}: unknown key"
 
     def test_config_file_nested_model_cfg(self, tmp_path):
@@ -741,7 +747,7 @@ class TestCli:
         cfg_path.write_text(json.dumps({
             "active": {"n_init": 5},
             "alsdl": {"hidden_sizes": [4], "loss": {"beta": 0.3}}}))
-        cfg = _config_from_json(cfg_path)
+        cfg = load_file(cfg_path)
         assert cfg.active == ActiveConfig(n_init=5)
         assert cfg.alsdl == AlsdlConfig(hidden_sizes=(4,),
                                         loss=LossConfig(beta=0.3))
@@ -766,7 +772,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         with pytest.raises(SystemExit) as e:
-            _config_from_json(cfg_path)
+            load_file(cfg_path)
         assert str(e.value) == message
 
     def test_config_file_empty_boundaries(self, tmp_path):
@@ -777,7 +783,7 @@ class TestCli:
             cfg_path.write_text(json.dumps(
                 {"alsdl": {"loss": {"boundaries": boundaries}}}))
             with pytest.raises(SystemExit) as e:
-                _config_from_json(cfg_path)
+                load_file(cfg_path)
             assert str(e.value) == (
                 "invalid config key 'alsdl.loss.boundaries': unknown key")
 
@@ -942,10 +948,14 @@ class TestCli:
          "--elm-candidate-subsample", "5"]])
     def test_manifest_config_reproduces_the_run(self, tmp_path, argv):
         first, again = tmp_path / "first", tmp_path / "again"
-        main(argv + ["--dataset", str(small_dataset(tmp_path / "data.csv")),
-                     "--target", "ifd", "--embedding-dim", "2",
-                     "--out", str(first)])
+        argv = argv + ["--dataset", str(small_dataset(tmp_path / "data.csv")),
+                       "--target", "ifd", "--embedding-dim", "2",
+                       "--out", str(first)]
+        main(argv)
         config = json.loads((first / "manifest.json").read_text())["config"]
+        # loaded in process, the manifest's config is the run's
+        assert ExperimentConfig().updated(config) == resolve_config(
+            build_parser().parse_args(argv))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         main([argv[0], "--config", str(cfg_path), "--out", str(again)])
@@ -964,12 +974,12 @@ class TestCli:
         # alsdl.als.epochs stays AlsdlConfig's 200, not AlsConfig's 400
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
-        assert _config_from_json(cfg_path) == ExperimentConfig()
+        assert load_file(cfg_path) == ExperimentConfig()
 
     def test_config_file_null_where_default_is_none(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"synthetic": None, "folds": 3}))
-        cfg = _config_from_json(cfg_path)
+        cfg = load_file(cfg_path)
         assert cfg.synthetic is None
         assert cfg.folds == 3
 
@@ -1185,7 +1195,10 @@ class TestRejectedInput:
         pytest.param(
             {"active": {"orderly_column_major": "yes"}},
             "invalid config key 'active.orderly_column_major': unknown key",
-            id="raw41-unknown config key 'active.orderly_column_major'")])
+            id="raw41-unknown config key 'active.orderly_column_major'"),
+        # only null asks for every fully covered concentration
+        ({"concentrations": []},
+         "invalid config key 'concentrations': empty concentration list")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
         forbid_training(monkeypatch)
@@ -1322,7 +1335,10 @@ class TestRejectedInput:
          "or not fully covered; fully covered: [0.1, 1.0]"),
         ({"column_map": {"gr": "nope"}}, [],
          "invalid config key 'dataset_path': missing required columns: "
-         "['nope']")])
+         "['nope']"),
+        ({}, ["--concentrations", ""],
+         "invalid config key 'concentrations' (set by --concentrations): "
+         "empty concentration list")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_dataset_config_error(self, monkeypatch, tmp_path, command, raw,
                                   argv, message):
@@ -1422,6 +1438,39 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError) as e:
             SyntheticSpec(**kwargs)
         assert str(e.value) == message
+
+
+class TestUpdated:
+    """Config.updated loads a JSON object in process: every fault is a
+    ConfigError keyed by its dotted name, never an exit."""
+
+    @pytest.mark.parametrize("raw, key, message", [
+        ([1], None, "must be a JSON object"),
+        ({"alsdl": {"loss": {"beta": 0.2, "bta": 0.1}}}, "alsdl.loss.bta",
+         "unknown key"),
+        ({"bogus": 1}, "bogus", "unknown key"),
+        ({"alsdl": {"als": "d=2"}}, "alsdl.als", "must be an object"),
+        ({"als": None}, "als", "must be an object"),
+        ({"active": {"n_per_query": -3}}, "active.n_per_query",
+         "n_per_query must be an integer >= 1, not -3"),
+        ({"synthetic": {"m": 6, "n": 6, "rank": 9}}, "synthetic.rank",
+         "rank 9 exceeds min(m, n) = 6"),
+        ({"seeds": [0, 0]}, "seeds", "repeated seed in (0, 0)")])
+    def test_rejects_naming_the_key(self, raw, key, message):
+        with pytest.raises(ConfigError) as e:
+            ExperimentConfig().updated(raw)
+        assert (e.value.key, str(e.value)) == (key, message)
+
+    def test_updates_from_the_configs_own_values(self):
+        cfg = small_config()
+        new = cfg.updated({"alsdl": {"als": {"epochs": 3}}, "seeds": [2, 1],
+                           "synthetic": None})
+        assert new == replace(cfg, alsdl=replace(
+            cfg.alsdl, als=replace(cfg.alsdl.als, epochs=3)), seeds=(2, 1),
+            synthetic=None)
+        # a null config is updated from its class defaults
+        assert new.updated({"synthetic": {"m": 40}}).synthetic == \
+            SyntheticSpec(m=40)
 
 
 def schema_leaves(config, prefix=""):
@@ -1555,9 +1604,9 @@ class TestSchema:
         for key, default in SCHEMA:
             value = for_null[key] if default is None else other(default)
             try:
-                cfg = _from_json(ExperimentConfig, json_object([(key, value)]))
-            except SystemExit as e:
-                fixed.append(str(e))
+                cfg = ExperimentConfig().updated(json_object([(key, value)]))
+            except ConfigError as e:
+                fixed.append(f"{e.key}: {e}")
                 continue
             got = attrgetter(key)(cfg)
             assert got == (tuple(value) if isinstance(value, list)
@@ -1688,6 +1737,7 @@ class TestResolveConfigProperty:
             except SystemExit as e:
                 assert re.match(r".*config key '\w+(\.\w+)*'", str(e)), e
                 return
+            assert ExperimentConfig().updated(asdict(cfg)) == cfg
             path.write_text(json.dumps(asdict(cfg)))
             again = build_parser().parse_args([command, "--config", str(path)])
             assert resolve_config(again) == cfg
