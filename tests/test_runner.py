@@ -1,6 +1,8 @@
 import argparse
 import codecs
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -15,10 +17,11 @@ from dataclasses import (FrozenInstanceError, asdict, dataclass, fields,
 from operator import attrgetter
 from pathlib import Path
 from typing import get_args, get_origin
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import alsal
 from alsal.active import ActiveConfig
@@ -597,8 +600,7 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["schema_version"] == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered",
-                                "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_benchmark_is_a_status_row(self, tmp_path):
         from conftest import dataset_shaped_csv
         csv_path = tmp_path / "data.csv"
@@ -637,6 +639,65 @@ class TestCli:
         assert rows["als"]["status"] == "ok"
         assert (rows["alsdl"]["status"], rows["alsdl"]["diverged_epoch"],
                 rows["alsdl"]["mean_test_loss"]) == ("diverged", "20", "")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, raw, name, row", [
+        pytest.param(
+            ["benchmark", "--synthetic", "8,7,2,0.1", "--folds", "3",
+             "--models", "als", "--als-epochs", "20"],
+            {"als": {"learning_rate": 100.0}}, "cv_summary.csv",
+            "als,synthetic,synthetic,0,,,diverged,3", id="als"),
+        # the network's first step leaves finite parameters whose
+        # predictions overflow: epoch 20, after the 20 ALS epochs
+        pytest.param(
+            ["benchmark", "--synthetic", "8,7,2,0.1", "--folds", "3",
+             "--models", "alsdl", "--als-epochs", "20", "--mlp-epochs", "20"],
+            {"alsdl": {"mlp_train": {"rmsprop_learning_rate": 1e250}}},
+            "cv_summary.csv", "alsdl,synthetic,synthetic,0,,,diverged,20",
+            id="mlp"),
+        # ELM's retrains, 200 epochs at learning rate 100, diverge in the
+        # first query, after the model's own 2 ALS epochs
+        pytest.param(
+            ["al-study", "--synthetic", "6,6,2,0", "--strategy", "elm"],
+            {"alsdl": {"als": {"d": 2, "epochs": 2, "learning_rate": 100.0},
+                       "mlp_train": {"epochs": 10}, "hidden_sizes": [6, 3]},
+             "active": {"n_init": 10, "n_per_query": 3, "n_max_query": 2,
+                        "elm_inner_epochs": 200}},
+            "learning_curves.csv",
+            "elm,synthetic,synthetic,0,,,,,diverged,3", id="elm")])
+    def test_diverged_row_in_full(self, tmp_path, argv, raw, name, row):
+        """A diverging run's table holds its one diverged row, every cell
+        as written, and the run gives no warning: numpy's overflow is
+        already recorded in the row."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        main([*argv, "--config", str(cfg_path), "--out", str(out)])
+        assert (out / name).read_text().splitlines()[1:] == [row]
+
+    def test_history_rows_where_epochs_end_mid_block(self, tmp_path):
+        """History is scored 32 epochs at a time; at 37 ALS and 5 network
+        epochs every epoch of each fold still has its row, with a finite
+        number in every metric cell, and so does each model's summary."""
+        out = tmp_path / "run"
+        main(["benchmark", "--synthetic", "6,6,2,0.1", "--folds", "2",
+              "--als-epochs", "37", "--mlp-epochs", "5", "--out", str(out)])
+        curves = read_rows(out / "training_curves.csv")
+        summary = read_rows(out / "cv_summary.csv")
+        # ALSDL's rows: 37 ALS epochs, then 5 network epochs numbered on
+        for model, n_epochs in (("als", 37), ("alsdl", 37 + 5)):
+            for fold in ("0", "1"):
+                assert [r["epoch_or_round"] for r in curves
+                        if (r["model"], r["fold"]) == (model, fold)] == [
+                    str(e) for e in range(n_epochs)]
+        assert len(curves) == 2 * (37 + 37 + 5)
+        assert [(r["model"], r["status"]) for r in summary] == [
+            ("als", "ok"), ("alsdl", "ok")]
+        metrics = {"train_loss", "test_loss", "train_accuracy",
+                   "test_accuracy", "mean_test_loss", "mean_test_accuracy"}
+        for row in curves + summary:
+            assert all(math.isfinite(float(row[c]))
+                       for c in metrics & row.keys()), row
 
     def test_diverged_epoch_names_the_alsdl_stage(self, tmp_path):
         """A network divergence counts epochs from the run's start, so
@@ -1695,13 +1756,18 @@ def changes(draw):
     return key, names + [draw(st.sampled_from(names + [NAME_LISTS[key]]))]
 
 
+def flag_dests(command):
+    """The FLAG_KEYS dests of command's flags, sorted."""
+    return sorted({a.dest for a in subparsers()[command]._actions}
+                  & FLAG_KEYS.keys())
+
+
 @st.composite
 def cli_cases(draw):
     """(subcommand, JSON config, flags): the schema's leaves at their
     defaults with one or two changes, and some flags of the subcommand."""
     command = draw(st.sampled_from(sorted(subparsers())))
-    dests = sorted({a.dest for a in subparsers()[command]._actions}
-                   & FLAG_KEYS.keys())
+    dests = flag_dests(command)
     leaves = dict(SCHEMA)
     for key, value in draw(st.lists(changes(), min_size=1, max_size=2)):
         # a change above or below a key set before replaces that key
@@ -1718,26 +1784,143 @@ def cli_cases(draw):
     return command, json_object(leaves.items()), flags
 
 
+# values the schema accepts for what the run checks against its data: the
+# sources, the counts that the observed positions limit, and the
+# concentrations, seeds and targets that pick the matrices and units
+RUN_VALUES = {
+    "dataset_path": st.just("d.csv"),
+    "synthetic": st.just({"m": 6, "n": 6, "rank": 2, "noise_sd": 0.1}),
+    "folds": st.integers(2, 40), "active.n_init": st.integers(1, 40),
+    "concentrations": st.sampled_from([None, [0.1], [1.0, 0.1], [0.5]]),
+    "seeds": st.sampled_from([[0], [2, 0]]),
+    "targets": st.sampled_from([["gr"], ["ifd", "gr"]])}
+
+
+@st.composite
+def run_cases(draw):
+    """(subcommand, JSON config, flags) that mostly resolve: the defaults
+    with some of RUN_VALUES, and some of the source and count flags."""
+    command = draw(st.sampled_from(sorted(subparsers())))
+    raw = json_object(draw(st.fixed_dictionaries(
+        {}, optional=RUN_VALUES)).items())
+    dests = draw(st.lists(st.sampled_from(sorted(
+        {"dataset", "synthetic", "folds", "n_init"}
+        & set(flag_dests(command)))), unique=True, max_size=2))
+    if {"dataset", "synthetic"} <= set(dests):
+        dests.remove("synthetic")  # the parser allows one source flag
+    return command, raw, [f"--{dest.replace('_', '-')}=" + draw(
+        FLAG_VALUES.get(dest, st.integers(1, 40).map(str))) for dest in dests]
+
+
+# argv values that each flag's type rejects
+UNPARSEABLE = {
+    **{a.dest: st.sampled_from(["x", "1.5", ""])
+       for parser in subparsers().values() for a in parser._actions
+       if a.type is int},
+    "seeds": st.sampled_from(["1,a", "0,1.5"]),
+    "concentrations": st.sampled_from(["x", "0.1,y"]),
+    "synthetic": st.sampled_from(["6,6", "6,6,9,0", "a,6,2,0"]),
+    "target": st.just("all")}
+
+
+@st.composite
+def unparseable_cases(draw):
+    """(subcommand, argv, dest): a cli_cases argv with one flag added, at
+    any place, whose value does not parse."""
+    command, _, flags = draw(cli_cases())
+    dest = draw(st.sampled_from(sorted(UNPARSEABLE.keys()
+                                       & set(flag_dests(command)))))
+    flags.insert(draw(st.integers(0, len(flags))),
+                 f"--{dest.replace('_', '-')}=" + draw(UNPARSEABLE[dest]))
+    return command, [command, *flags], dest
+
+
+def small_sources(config, csv_path):
+    """config with each source it sets swapped for a small one: the CSV at
+    csv_path for dataset_path, a 6 x 6 matrix for synthetic."""
+    return replace(
+        config,
+        dataset_path=None if config.dataset_path is None else str(csv_path),
+        synthetic=None if config.synthetic is None
+        else SyntheticSpec(m=6, n=6, rank=2, noise_sd=0.0))
+
+
+def resolves_and_runs(command, raw, flags):
+    """Check TestResolveConfigProperty's property on one case."""
+    import alsal.runner as runner_mod
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(raw))
+        args = build_parser().parse_args(
+            [command, "--config", str(path), *flags])
+        try:
+            cfg = resolve_config(args)
+        except SystemExit as e:
+            assert re.match(r".*config key '\w+(\.\w+)*'", str(e)), e
+            return
+        assert ExperimentConfig().updated(asdict(cfg)) == cfg
+        path.write_text(json.dumps(asdict(cfg)))
+        again = build_parser().parse_args([command, "--config", str(path)])
+        assert resolve_config(again) == cfg
+
+        load = runner_mod.load_matrices
+        csv_path = small_dataset(Path(tmp) / "data.csv")
+        units = []
+        run, limit = ((run_benchmark, "folds") if command == "benchmark"
+                      else (run_al_study, "active.n_init"))
+
+        def unit(config, name, matrix, seed, shared):
+            # a unit runs only on a matrix with the positions it needs
+            assert attrgetter(limit)(config) <= matrix.observed_positions(
+                ).size
+            units.append((name, seed))
+            return ()
+        with mock.patch.multiple(
+                runner_mod, _cv_unit=unit, _al_unit=unit,
+                load_matrices=lambda c: load(small_sources(c, csv_path))):
+            try:
+                run(cfg)
+            except ConfigError as e:
+                attrgetter(e.key)(cfg)  # a dotted name of the config
+                return
+    names = cfg.models if command == "benchmark" else cfg.strategies
+    assert set(units) == {(name, seed) for name in names
+                          for seed in cfg.seeds}
+
+
 class TestResolveConfigProperty:
     """Any JSON config built from the schema, with any flags, either exits
     naming a key or resolves to a config whose asdict, fed back as
-    --config, resolves to an equal config."""
+    --config, resolves to an equal config. Run with small stand-ins for its
+    sources and with units that train nothing, the resolved config either
+    raises ConfigError keyed by one of its dotted names or reaches every
+    unit. A flag value that does not parse is a usage error."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(cli_cases())
     def test_exits_naming_a_key_or_round_trips(self, case):
-        command, raw, flags = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "cfg.json"
-            path.write_text(json.dumps(raw))
-            args = build_parser().parse_args(
-                [command, "--config", str(path), *flags])
-            try:
-                cfg = resolve_config(args)
-            except SystemExit as e:
-                assert re.match(r".*config key '\w+(\.\w+)*'", str(e)), e
-                return
-            assert ExperimentConfig().updated(asdict(cfg)) == cfg
-            path.write_text(json.dumps(asdict(cfg)))
-            again = build_parser().parse_args([command, "--config", str(path)])
-            assert resolve_config(again) == cfg
+        resolves_and_runs(*case)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(run_cases())
+    def test_run_names_a_key_or_reaches_every_unit(self, case):
+        resolves_and_runs(*case)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(unparseable_cases())
+    @example(("benchmark", ["benchmark", "--folds=x"], "folds"))
+    @example(("benchmark", ["benchmark", "--seeds=1,a"], "seeds"))
+    @example(("al-study", ["al-study", "--n-init=1.5"], "n_init"))
+    @example(("benchmark", ["benchmark", "--synthetic=6,6"], "synthetic"))
+    @example(("al-study", ["al-study", "--concentrations=x"],
+              "concentrations"))
+    def test_unparseable_flag_is_a_usage_error(self, case):
+        command, argv, dest = case
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as e, contextlib.redirect_stderr(err):
+            main(argv)
+        assert e.value.code == 2
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(f"alsal {command}: error: argument "
+                               f"--{dest.replace('_', '-')}: "), last
+        assert "Traceback" not in err.getvalue()
