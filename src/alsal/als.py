@@ -15,14 +15,14 @@ exactly as it would be on its own.
 one problem or a stack, in place (`als_epoch` into an `EpochWork`) and,
 given a held-out split, hands each epoch's x @ w at its train and test
 positions to a `metrics.Scorer`. An epoch scores to the same bits in any
-history block, so a run resumed from its embeddings at any epoch gives
-the curve of an uninterrupted one. Its epochs run under np.errstate with
-overflow and invalid values ignored; finiteness is checked once, after
-the last epoch (a non-finite entry stays non-finite under
-x - alpha * g), and the first problem found non-finite is replayed alone,
-checked every epoch, for its DivergenceError. Finite embeddings whose
-product overflows are reported at the next epoch, which that product
-makes non-finite.
+history block, so a run of the epochs left after k, given the embeddings
+at epoch k and start_epoch=k, continues the curve of an uninterrupted
+one. Its epochs run under np.errstate with overflow and invalid values
+ignored; finiteness is checked once, after the last epoch (a non-finite
+entry stays non-finite under x - alpha * g), and the first problem found
+non-finite is replayed alone, checked every epoch, for its
+DivergenceError. Finite embeddings whose product overflows are reported
+at the next epoch, which that product makes non-finite.
 """
 
 import math
@@ -220,20 +220,17 @@ def als_epoch(matrix, emb, alpha, work):
     return emb
 
 
-def train_als(matrix, cfg, emb, eval_positions=None, start_epoch=0):
+def train_als(matrix, cfg, emb, eval_split=None, start_epoch=0):
     """Run cfg.epochs alternating epochs from a copy of emb; returns the
     embeddings and a Curve numbered from start_epoch, or None for the
     curve when no split is held out.
 
-    emb holds the embeddings a run of this config starts from (see
-    init_embeddings) or, for start_epoch > 0, had after start_epoch
-    epochs: the run then resumes there and trains epochs start_epoch to
-    cfg.epochs - 1, and its curve and DivergenceError count epochs from
-    the start of the run, so the two legs give what one uninterrupted run
-    does. An emb whose last two axes are not (m, cfg.d) and (cfg.d, n)
+    start_epoch numbers the run's first epoch, in the curve and in a
+    DivergenceError, and does not change how many epochs run. A negative
+    one, or an emb whose last two axes are not (m, cfg.d) and (cfg.d, n),
     raises ValueError before any epoch.
 
-    When eval_positions (a FoldSplit over matrix.observed_positions()) is
+    When eval_split (a FoldSplit over matrix.observed_positions()) is
     given, test positions are masked out of training, and each epoch is
     scored at the train and test positions; a split that
     `FoldSplit.indices` rejects raises IndexError before any epoch.
@@ -243,32 +240,30 @@ def train_als(matrix, cfg, emb, eval_positions=None, start_epoch=0):
     diverge raises. A stacked matrix with a split raises ValueError.
     """
     m, n = matrix.shape
-    if not 0 <= start_epoch <= cfg.epochs:
-        raise ValueError(f"cannot start at epoch {start_epoch} of "
-                         f"{cfg.epochs}")
+    if start_epoch < 0:
+        raise ValueError(f"start_epoch must be >= 0, not {start_epoch}")
     if emb.x.shape[-2:] != (m, cfg.d) or emb.w.shape[-2:] != (cfg.d, n):
         raise ValueError(f"embeddings of shapes {emb.x.shape} and "
                          f"{emb.w.shape} do not fit a {m} x {n} matrix at "
                          f"d = {cfg.d}")
     if not matrix.mask.any(axis=(-2, -1)).all():
         raise ValueError("matrix has no observed positions")
-    if eval_positions is not None and matrix.values.ndim > 2:
+    if eval_split is not None and matrix.values.ndim > 2:
         raise ValueError("a stacked matrix cannot hold out a split")
     train_matrix, scored = matrix, []
-    if eval_positions is not None:
+    if eval_split is not None:
         observed = matrix.observed_positions()
-        train, test = (observed[i]
-                       for i in eval_positions.indices(observed.size))
+        train, test = (observed[i] for i in eval_split.indices(observed.size))
         train_matrix = matrix.with_mask(train)
         values = matrix.values.ravel()  # the truths, prepared once
-        scored = [(Scorer(values[idx], cfg.epochs - start_epoch), idx)
+        scored = [(Scorer(values[idx], cfg.epochs), idx)
                   for idx in (train, test)]
         pred = np.empty(m * n)
     start = emb
     emb = EmbeddingPair(x=start.x.copy(), w=start.w.copy())  # trained in place
     work = EpochWork.like(emb)
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(start_epoch, cfg.epochs):
+        for _ in range(cfg.epochs):
             als_epoch(train_matrix, emb, cfg.learning_rate, work)
             if scored:
                 np.matmul(emb.x, emb.w, out=pred.reshape(m, n))
@@ -281,7 +276,7 @@ def train_als(matrix, cfg, emb, eval_positions=None, start_epoch=0):
             alone = MaskedMatrix(train_matrix.values[b], train_matrix.mask[b])
             emb = EmbeddingPair(x=start.x[b].copy(), w=start.w[b].copy())
             work = EpochWork.like(emb)
-            for epoch in range(start_epoch, cfg.epochs):
+            for epoch in range(start_epoch, start_epoch + cfg.epochs):
                 als_epoch(alone, emb, cfg.learning_rate, work)
                 if not (np.isfinite(emb.x).all()
                         and np.isfinite(emb.w).all()):

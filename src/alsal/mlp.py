@@ -290,8 +290,11 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     the first such step raises DivergenceError(start_epoch + e), so that
     the error counts epochs as the curve does. The epochs run under
     np.errstate with overflow and invalid values ignored: these checks
-    report a divergence.
+    report a divergence. A negative start_epoch raises ValueError before
+    any epoch.
     """
+    if start_epoch < 0:
+        raise ValueError(f"start_epoch must be >= 0, not {start_epoch}")
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     truths = np.asarray(truths, dtype=float)
     if eval_split is None:

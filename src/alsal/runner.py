@@ -146,7 +146,8 @@ def load_matrices(config):
     Exactly one of dataset_path and synthetic must be given; both or
     neither raises ConfigError before anything loads. A synthetic config
     yields one matrix, generated from seeds[0] and tagged "synthetic"; it
-    ignores targets and concentrations. A dataset_path that cannot be
+    ignores targets and concentrations, and one too large to generate
+    raises ConfigError. A dataset_path that cannot be
     opened or read as a dataset raises ConfigError, and so does a
     requested concentration at which some (cell, molecule) pair has no
     measurement.
@@ -156,8 +157,11 @@ def load_matrices(config):
                           "synthetic must be given")
     if config.synthetic is not None:
         s = config.synthetic
-        matrix, _ = data_mod.generate_synthetic(s.m, s.n, s.rank, s.noise_sd,
-                                                seed=config.seeds[0])
+        try:  # numpy's errors for an m x n it cannot represent or allocate
+            matrix, _ = data_mod.generate_synthetic(
+                s.m, s.n, s.rank, s.noise_sd, seed=config.seeds[0])
+        except (ValueError, MemoryError) as e:
+            raise ConfigError("synthetic", str(e)) from e
         tag = data_mod.TARGET_SYNTHETIC
         return [(tag, tag, matrix)]
     try:
@@ -258,38 +262,30 @@ def _train_one(config, model_name, matrix, split, seed, fold, shared):
     """The fold's curve. When a study trains both models and their
     AlsConfigs differ only in epochs, the als model's run and ALSDL's stage
     1 share their first k epochs, the shorter run's: whichever model comes
-    first leaves them in shared, and the other takes them from there."""
-    als_cfg, alsdl_cfg = config.als, config.alsdl
-    k = min(als_cfg.epochs, alsdl_cfg.als.epochs)
-    if (not set(MODELS) <= set(config.models)
-            or replace(als_cfg, epochs=k) != replace(alsdl_cfg.als, epochs=k)):
-        k = 0
-    if model_name == "als":
-        return _train_als(matrix, als_cfg, seed, split, fold, shared, k)[1]
-    # "alsdl", the only other name ExperimentConfig accepts
-    stage1 = _train_als(matrix, alsdl_cfg.als, seed, split, fold, shared, k)
-    return alsdl_mod.train_alsdl(matrix, alsdl_cfg, seed, eval_split=split,
-                                 stage1=stage1)[1]
-
-
-def _train_als(matrix, cfg, seed, split, fold, shared, k):
-    """train_als(matrix, cfg, init_embeddings(m, n, cfg, seed), split),
-    split being fold `fold` of the seed's k-fold split, its first k epochs
-    taken from shared if a run of this seed and fold left them there, else
-    trained and left there; k = 0 shares nothing."""
-    key = seed, fold
-    if k and key in shared:  # the second of the two runs: none other needs it
-        emb, curve = shared.pop(key)
+    first trains them and leaves them in shared, and the other takes them
+    from there. Each run trains its epochs after k itself."""
+    cfg, other = config.als, config.alsdl.als
+    if model_name != "als":  # "alsdl", the only other name accepted
+        cfg, other = other, cfg
+    k = min(cfg.epochs, other.epochs)
+    if not (set(MODELS) <= set(config.models)
+            and replace(cfg, epochs=k) == replace(other, epochs=k)):
+        k, shared = cfg.epochs, {}  # nothing to share: the run is its prefix
+    if (seed, fold) in shared:  # the second run: none other needs it
+        emb, curve = shared.pop((seed, fold))
     else:
-        emb = als_mod.init_embeddings(*matrix.shape, cfg, seed)
-        if not k:
-            return als_mod.train_als(matrix, cfg, emb, split)
-        emb, curve = shared[key] = als_mod.train_als(
-            matrix, replace(cfg, epochs=k), emb, split)
-    if cfg.epochs == k:
-        return emb, curve
-    emb, rest = als_mod.train_als(matrix, cfg, emb, split, start_epoch=k)
-    return emb, curve.then(rest)
+        init = als_mod.init_embeddings(*matrix.shape, cfg, seed)
+        emb, curve = shared[seed, fold] = als_mod.train_als(
+            matrix, replace(cfg, epochs=k), init, split)
+    if cfg.epochs > k:
+        emb, rest = als_mod.train_als(
+            matrix, replace(cfg, epochs=cfg.epochs - k), emb, split,
+            start_epoch=k)
+        curve = curve.then(rest)
+    if model_name == "als":
+        return curve
+    return alsdl_mod.train_alsdl(matrix, config.alsdl, seed, eval_split=split,
+                                 stage1=(emb, curve))[1]
 
 
 def _al_unit(config, strategy, matrix, seed, shared):
@@ -305,7 +301,8 @@ def aggregate_concentrations(report):
     across concentrations within each otherwise-identical key. A key gets
     one only when the table has two or more concentrations and each has an
     ok row for that key, so no mean leaves out a diverged concentration.
-    Curves are averaged entry by entry, over the epochs all of them reach."""
+    Curves are averaged entry by entry: a key's curves are finished fold
+    curves of one config, so they have the same length."""
     out = Report(metadata=report.metadata,
                  training_curves=list(report.training_curves),
                  learning_curves=list(report.learning_curves),
@@ -332,8 +329,7 @@ def aggregate_concentrations(report):
             if "status" in columns:
                 mean_row["status"] = "ok"
             else:  # a curve: its epochs are the first member's
-                mean_row["epoch_or_round"] = members[0]["epoch_or_round"][
-                    :len(mean_row["train_loss"])]
+                mean_row["epoch_or_round"] = members[0]["epoch_or_round"]
             rows.append(mean_row)
     return out
 
@@ -343,9 +339,7 @@ def _mean(values):
     the row-wise mean of a C-ordered array gives it."""
     if not isinstance(values[0], np.ndarray):
         return float(np.mean(values))
-    n = min(map(len, values))
-    return np.mean(np.ascontiguousarray(np.transpose([v[:n] for v in values])),
-                   axis=1)
+    return np.mean(np.ascontiguousarray(np.transpose(values)), axis=1)
 
 
 def _write_csv(path, columns, rows):

@@ -121,14 +121,14 @@ def surrogate_objective(preds, truths, cfg):
 
 
 def stepped_als(matrix, cfg, emb, start_epoch=0):
-    """An unsplit ALS run stepped by hand, one `als_epoch` at a time from a
-    copy of emb, with a finiteness check after every step: raises
-    DivergenceError at the first epoch that leaves x or w non-finite, else
-    returns the embeddings."""
+    """An unsplit ALS run of cfg.epochs epochs, numbered from start_epoch,
+    stepped by hand, one `als_epoch` at a time from a copy of emb, with a
+    finiteness check after every step: raises DivergenceError at the first
+    epoch that leaves x or w non-finite, else returns the embeddings."""
     emb = EmbeddingPair(emb.x.copy(), emb.w.copy())
     work = EpochWork.like(emb)
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(start_epoch, cfg.epochs):
+        for epoch in range(start_epoch, start_epoch + cfg.epochs):
             als_mod.als_epoch(matrix, emb, cfg.learning_rate, work)
             if not (np.isfinite(emb.x).all() and np.isfinite(emb.w).all()):
                 raise DivergenceError(epoch)

@@ -1,13 +1,16 @@
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 import alsal.als as als_mod
+import alsal.mlp as mlp_mod
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.als import (AlsConfig, ConfigError, DivergenceError, EmbeddingPair,
                        EpochWork, als_epoch, init_embeddings, train_als)
 from alsal.metrics import FoldSplit, kfold_split
+from alsal.mlp import LossConfig, MlpTrainConfig, init_mlp, train_mlp
 from oracles import als_gradients, als_loss, als_rmse, stepped_als
 
 
@@ -371,8 +374,44 @@ class TestTrainAls:
         assert not epochs
 
 
+def als_curve(epochs, start_epoch, diverges=False):
+    """train_als's curve on a split 6 x 6 problem; at learning rate 0.8 the
+    run diverges, at its epoch 15."""
+    mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=4)
+    cfg = AlsConfig(d=2, epochs=epochs,
+                    learning_rate=0.8 if diverges else 0.01)
+    return train_als(mat, cfg, init_embeddings(6, 6, cfg, 1),
+                     kfold_split(36, 4, seed=0)[0], start_epoch)[1]
+
+
+def mlp_curve(epochs, start_epoch, diverges=False):
+    """train_mlp's curve on 12 split rows; at rmsprop learning rate 1e153
+    the run diverges, at its epoch 1."""
+    rng = np.random.default_rng(0)
+    x, t = rng.uniform(-1.5, 1.5, size=(12, 2)), rng.uniform(-1, 1, size=12)
+    cfg = MlpTrainConfig(epochs=epochs, rmsprop_learning_rate=(
+        1e153 if diverges else 0.01))
+    return train_mlp(init_mlp([2, 4, 1], seed=0), x, t, cfg, LossConfig(),
+                     eval_split=kfold_split(12, 4, seed=0)[0],
+                     start_epoch=start_epoch)[1]
+
+
+class Trainer(NamedTuple):
+    curve: Callable  # (epochs, start_epoch, diverges=False) -> Curve
+    module: object
+    epoch_step: str  # the function of module that each epoch calls
+
+
+ALS = Trainer(als_curve, als_mod, "als_epoch")
+MLP = Trainer(mlp_curve, mlp_mod, "backward")
+TRAINERS = [pytest.param(ALS, id="train_als"),
+            pytest.param(MLP, id="train_mlp")]
+
+
 class TestResume:
-    """A run resumed from its own embeddings gives the uninterrupted run."""
+    """start_epoch numbers a run's epochs, in train_als as in train_mlp,
+    and never changes how many run; so a run resumed from its own
+    embeddings for the epochs left gives the uninterrupted run."""
 
     def legs(self, cfg, k, split):
         mat, _ = generate_synthetic(7, 6, 2, 0.1, seed=3)
@@ -380,7 +419,8 @@ class TestResume:
         whole = train_als(mat, cfg, init, split)
         first = emb, _ = train_als(mat, replace(cfg, epochs=k), init, split)
         x, w = emb.x.copy(), emb.w.copy()
-        resumed = train_als(mat, cfg, emb, split, start_epoch=k)
+        resumed = train_als(mat, replace(cfg, epochs=cfg.epochs - k), emb,
+                            split, start_epoch=k)
         # the given embeddings are copied, not trained in place
         assert (emb.x == x).all() and (emb.w == w).all()
         assert (init.x == init_embeddings(7, 6, cfg, 4).x).all()
@@ -401,13 +441,6 @@ class TestResume:
                                         first.then(rest)):
             assert (column == joined).all(), name
 
-    def test_resume_at_the_last_epoch_trains_nothing(self):
-        cfg = AlsConfig(d=2, epochs=5)
-        (emb, _), _, (emb2, rest) = self.legs(cfg, 5, FoldSplit(
-            tuple(range(0, 42, 2)), tuple(range(1, 42, 2))))
-        assert (emb2.x == emb.x).all() and (emb2.w == emb.w).all()
-        assert rest.train_loss.size == 0
-
     @pytest.mark.parametrize("k", [3, 7])
     def test_divergence_epoch_counts_from_the_run_start(self, k):
         mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=4)
@@ -418,19 +451,44 @@ class TestResume:
                 train_als(mat, cfg, init)
             emb, _ = train_als(mat, replace(cfg, epochs=k), init)
             with pytest.raises(DivergenceError) as resumed:
-                train_als(mat, cfg, emb, start_epoch=k)
+                train_als(mat, replace(cfg, epochs=30 - k), emb,
+                          start_epoch=k)
         assert k < whole.value.epoch < 30
         assert resumed.value.epoch == whole.value.epoch
 
-    # the ids are the ones these cases had when emb could be left out
-    @pytest.mark.parametrize("start_epoch", [pytest.param(-1, id="-1-True"),
-                                             pytest.param(6, id="6-True")])
-    def test_rejects_a_start_it_cannot_resume(self, start_epoch):
-        mat, _ = generate_synthetic(4, 4, 2, 0.0, seed=0)
-        cfg = AlsConfig(d=2, epochs=5)
-        emb = init_embeddings(4, 4, cfg, 0)
-        with pytest.raises(ValueError, match="cannot start at epoch"):
-            train_als(mat, cfg, emb, start_epoch=start_epoch)
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_curve_numbers_epochs_from_the_start(self, trainer):
+        """A run of 5 epochs from start_epoch 7 trains and scores what one
+        from 0 does, numbered 7 to 11."""
+        from_0, from_7 = trainer.curve(5, 0), trainer.curve(5, 7)
+        assert from_0.epoch_or_round.tolist() == list(range(5))
+        assert from_7.epoch_or_round.tolist() == list(range(7, 12))
+        for name, a, b in zip(from_0._fields[1:], from_0[1:], from_7[1:]):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_divergence_epoch_counts_from_the_start(self, trainer):
+        """A run of 20 epochs diverges 7 epochs later from start_epoch 7
+        (for train_als, at epoch 22: all 20 epochs ran)."""
+        epochs = []
+        for start_epoch in (0, 7):
+            with pytest.raises(DivergenceError) as e:
+                trainer.curve(20, start_epoch, diverges=True)
+            epochs.append(e.value.epoch)
+        assert epochs[0] < 20 and epochs[1] == epochs[0] + 7
+
+    # train_als's id is the one this case had when emb could be left out
+    @pytest.mark.parametrize("trainer", [pytest.param(ALS, id="-1-True"),
+                                         pytest.param(MLP, id="-1-train_mlp")])
+    def test_rejects_a_start_it_cannot_resume(self, trainer, monkeypatch):
+        """A negative start_epoch raises ValueError before any epoch."""
+        epochs = []
+        monkeypatch.setattr(trainer.module, trainer.epoch_step,
+                            lambda *args: epochs.append(args))
+        with pytest.raises(ValueError, match="start_epoch must be >= 0, "
+                           "not -1"):
+            trainer.curve(5, -1)
+        assert not epochs
 
 
 class TestEmbeddingShapes:
@@ -545,7 +603,8 @@ class TestDivergenceEpoch:
 
     @pytest.mark.parametrize("seed, learning_rate", [
         (0, 0.6), (1, 0.8), (2, 1.5), (0, 100.0)])
-    @pytest.mark.parametrize("leg", ["unsplit", "split", "resumed"])
+    @pytest.mark.parametrize("leg", ["unsplit", "split", "resumed",
+                                     "numbered"])
     def test_matches_stepped_oracle(self, seed, learning_rate, leg):
         mat, _ = generate_synthetic(6, 6, 2, 0.0, seed=seed)
         cfg = AlsConfig(d=2, epochs=60, learning_rate=learning_rate)
@@ -555,9 +614,12 @@ class TestDivergenceEpoch:
             split = kfold_split(36, 4, seed=seed)[0]
             trained = mat.with_mask(
                 mat.observed_positions()[split.train_indices])
-        elif leg == "resumed":
+        elif leg == "resumed":  # epochs 2 to 59, from the run's epoch 2
             start_epoch = 2
             emb, _ = train_als(mat, replace(cfg, epochs=start_epoch), emb)
+            cfg = replace(cfg, epochs=cfg.epochs - start_epoch)
+        elif leg == "numbered":  # all 60 epochs, numbered 50 to 109
+            start_epoch = 50
         with pytest.raises(DivergenceError) as want:
             stepped_als(trained, cfg, emb, start_epoch)
         with pytest.raises(DivergenceError) as got:

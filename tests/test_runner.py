@@ -442,7 +442,8 @@ class TestAggregateConcentrations:
             dict(al, strategy="elm", concentration="1.0", status="diverged",
                  diverged_epoch=12),
         ], training_curves=[
-            curve_row(tc, "0.1", [0], [1.0], [2.0], [0.5], [0.25]),
+            curve_row(tc, "0.1", [0, 1], [1.0, 1.5], [2.0, 0.5], [0.5, 1.0],
+                      [0.25, 0.5]),
             curve_row(tc, "1.0", [0, 1], [3.0, 0.5], [4.0, 0.5], [1.0, 1.0],
                       [0.75, 1.0]),
         ], cv_summary=[
@@ -472,9 +473,11 @@ class TestAggregateConcentrations:
             "model,target,concentration,seed,fold,epoch_or_round,train_loss,"
             "test_loss,train_accuracy,test_accuracy\r\n"
             "als,gr,0.1,0,0,0,1.0,2.0,0.5,0.25\r\n"
+            "als,gr,0.1,0,0,1,1.5,0.5,1.0,0.5\r\n"
             "als,gr,1.0,0,0,0,3.0,4.0,1.0,0.75\r\n"
             "als,gr,1.0,0,0,1,0.5,0.5,1.0,1.0\r\n"
-            "als,gr,mean,0,0,0,2.0,3.0,0.75,0.5\r\n")
+            "als,gr,mean,0,0,0,2.0,3.0,0.75,0.5\r\n"
+            "als,gr,mean,0,0,1,1.0,0.5,1.0,0.75\r\n")
         assert text["cv_summary.csv"] == (
             "model,target,concentration,seed,mean_test_loss,"
             "mean_test_accuracy,status,diverged_epoch\r\n"
@@ -1314,6 +1317,41 @@ class TestRejectedInput:
         assert str(e.value) == ("invalid config key 'dataset_path': exactly "
                                 "one of dataset_path and synthetic must be "
                                 "given")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("m, reason", [
+        pytest.param(10**400, "Maximum allowed dimension exceeded",
+                     id="no-dimension"),
+        pytest.param(2**62, "array is too big", id="no-size")])
+    def test_synthetic_matrix_too_large(self, monkeypatch, tmp_path, m,
+                                        reason):
+        """A synthetic m x 6 matrix that numpy cannot represent exits as a
+        config error, with no traceback and no output directory."""
+        forbid_training(monkeypatch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": {"m": m, "n": 6,
+                                                      "rank": 2}}))
+        with pytest.raises(SystemExit) as e:
+            main(["benchmark", "--folds", "2", "--models", "als", "--config",
+                  str(cfg_path), "--out", str(tmp_path / "run")])
+        assert str(e.value).startswith(
+            f"invalid config key 'synthetic': {reason}")
+        assert not (tmp_path / "run").exists()
+
+    def test_synthetic_matrix_that_cannot_be_allocated(self, monkeypatch,
+                                                       tmp_path):
+        forbid_training(monkeypatch)
+        import alsal.runner as runner_mod
+
+        def generate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.9 GiB")
+        monkeypatch.setattr(runner_mod.data_mod, "generate_synthetic",
+                            generate)
+        with pytest.raises(SystemExit) as e:
+            main(["benchmark", "--synthetic", "10,6,2,0", "--out",
+                  str(tmp_path / "run")])
+        assert str(e.value) == ("invalid config key 'synthetic': Unable to "
+                                "allocate 14.9 GiB")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("name", ["missing.csv", ""])
