@@ -20,13 +20,14 @@ copies the model once and then steps that copy in place through
 `rmsprop_step` and a `StepWork`. `predict_batch` also runs without
 activations: it then allocates them, so that a caller outside training
 owns its result.
-`train_mlp` checks each step's training RMSE, which the next epoch's
-`backward` finds anyway (`_Buffers.rmse`), as well as its parameters.
 A layer's bias gradient is the column sums of its delta, taken by
 `_column_sums` with the bits of `np.sum(delta, axis=0)`.
-An epoch's train curve cells come from the next epoch's training
-forward pass (the one `backward` runs anyway), so the curve costs one
-forward pass over the test rows per epoch. Two `metrics.Scorer`s score the
+`train_mlp` runs `backward` once before its first step and once after
+each step, for the next step's gradient. The forward pass of the
+`backward` after step e gives epoch e's training RMSE (`_Buffers.rmse`),
+which is checked along with the parameters, and its train curve cells;
+its test cells come from one forward pass over the test rows, the
+curve's only extra cost. Two `metrics.Scorer`s score the
 train and test cells HISTORY_BLOCK epochs at a time, at the boundary 0
 that the data and the ALS history use.
 An `MlpModel` stores its parameters, its rmsprop accumulators and, from
@@ -279,11 +280,12 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
 
     eval_split indexes rows of `inputs`; training uses the train rows only,
     and a split that `FoldSplit.indices` rejects raises IndexError before
-    any epoch. Epoch e's train cells come from the forward pass of epoch
-    e + 1's `backward`, which runs on the model that epoch e left (the
-    last epoch's from one more pass over the train rows), and its test
-    cells from a pass over the test rows alone. Both are scored at the
-    boundary 0.
+    any epoch. Each epoch steps the model with the gradient of the last
+    `backward`, then runs `backward` on the stepped model for the next
+    step, so n epochs run n + 1 `backward` passes (a 0-epoch run computes
+    one unused gradient). Epoch e's train cells come from the forward pass
+    of the `backward` after its step, and its test cells from a pass over
+    the test rows alone. Both are scored at the boundary 0.
 
     Epoch e's step diverges when it leaves a parameter non-finite, or a
     model whose training RMSE (from that same forward pass) is not finite;
@@ -317,27 +319,20 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
         test_scorer = Scorer(truths[te], epochs)
         test_acts = _activations(model, te.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            grad = backward(model, inputs_tr, truths_tr, loss_cfg,
-                            train_buffers)
-            if epoch:  # the model the previous epoch's step left
-                if not math.isfinite(train_buffers.rmse):
-                    raise DivergenceError(start_epoch + epoch - 1)
-                if train_scorer:
-                    train_scorer.add(train_buffers.acts[-1][:, 0])
+        grad = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
+        for epoch in range(start_epoch, start_epoch + epochs):
             rmsprop_step(model, grad, train_cfg, step_work)
             if not np.isfinite(model.params).all():
-                raise DivergenceError(start_epoch + epoch)
+                raise DivergenceError(epoch)
             if test_scorer:
                 test_scorer.add(predict_batch(model, inputs_te, test_acts))
-        if epochs:  # the model the last step left
-            preds = predict_batch(model, inputs_tr, train_buffers.acts)
-            resid = np.subtract(preds, truths_tr,
-                                out=train_buffers.output_rows[0])
-            if not math.isfinite(residual_rmse(resid, out=resid)):
-                raise DivergenceError(start_epoch + epochs - 1)
+            # the stepped model's forward pass, and the next step's gradient
+            grad = backward(model, inputs_tr, truths_tr, loss_cfg,
+                            train_buffers)
+            if not math.isfinite(train_buffers.rmse):
+                raise DivergenceError(epoch)
             if train_scorer:
-                train_scorer.add(preds)
+                train_scorer.add(train_buffers.acts[-1][:, 0])
     if eval_split is None:
         return model, None
     return model, Curve.scored(start_epoch, train_scorer, test_scorer)

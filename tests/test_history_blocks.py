@@ -265,6 +265,40 @@ class TestMlpBlockEdges:
             epochs.append(e.value.epoch)
         assert epochs == [bad_epoch, bad_epoch]
 
+    @pytest.mark.parametrize("bad_epoch", [0, B // 2, B + 5, 3 * B - 1])
+    @pytest.mark.parametrize("with_split", [True, False])
+    def test_infinite_weight_mid_block(self, bad_epoch, with_split,
+                                       monkeypatch):
+        """A step that leaves a first-layer weight infinite stops both
+        forms at that epoch, the last one included, although the
+        predictions stay finite: the weight's hidden unit saturates at
+        tanh = +-1, so only the parameter check sees it."""
+        step, ref_step = (mlp_mod.rmsprop_step,
+                          test_history_exact.reference_rmsprop_step)
+        calls = []
+
+        def infinite(model):
+            calls.append(None)
+            if len(calls) == bad_epoch + 1:
+                model.weights[0][0, 0] = np.inf
+            return model
+
+        monkeypatch.setattr(mlp_mod, "rmsprop_step",
+                            lambda model, *rest: step(infinite(model), *rest))
+        monkeypatch.setattr(test_history_exact, "reference_rmsprop_step",
+                            lambda model, *rest: ref_step(infinite(model),
+                                                          *rest))
+        x, t = mlp_problem(MLP_SIZES)
+        cfg = MlpTrainConfig(epochs=3 * B)
+        epochs = []
+        for train in (train_mlp, reference_train_mlp):
+            calls.clear()
+            with pytest.raises(DivergenceError) as e:
+                train(init_mlp(MLP_SIZES, seed=1), x, t, cfg, LossConfig(),
+                      eval_split=mlp_split(t) if with_split else None)
+            epochs.append(e.value.epoch)
+        assert epochs == [bad_epoch, bad_epoch]
+
     @pytest.mark.parametrize("with_split", [True, False])
     def test_zero_epochs(self, with_split):
         x, t = mlp_problem(MLP_SIZES)

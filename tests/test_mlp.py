@@ -424,23 +424,24 @@ class TestPerEpochCalls:
         None, FoldSplit((0, 1, 2, 3, 4, 5), (6, 7))])
     def test_counts(self, monkeypatch, split):
         import alsal.mlp as mlp_mod
-        counts = {}
-        for name in ("backward", "rmsprop_step", "predict_batch"):
+        counts = dict.fromkeys(("backward", "rmsprop_step", "predict_batch"),
+                               0)
+        for name in counts:
             orig = getattr(mlp_mod, name)
 
             def counted(*args, _orig=orig, _name=name):
-                counts[_name] = counts.get(_name, 0) + 1
+                counts[_name] += 1
                 return _orig(*args)
             monkeypatch.setattr(mlp_mod, name, counted)
         x = np.linspace(-1, 1, 8)[:, None]
         mlp_mod.train_mlp(init_mlp([1, 3, 1], seed=0), x, x[:, 0],
                           MlpTrainConfig(epochs=5), LossConfig(),
                           eval_split=split)
-        # The train cells come from the next epoch's backward pass, so
-        # predict_batch runs once per epoch on the test rows, if any, and
-        # once on the train rows for the last epoch
-        assert counts == {"backward": 5, "rmsprop_step": 5,
-                          "predict_batch": 1 if split is None else 6}
+        # backward runs once before the first step and once after each,
+        # its forward pass giving the stepped model's train cells, so
+        # predict_batch runs only on the test rows, once per epoch
+        assert counts == {"backward": 6, "rmsprop_step": 5,
+                          "predict_batch": 0 if split is None else 5}
 
 
 class TestFlatLayout:
