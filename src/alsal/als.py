@@ -189,7 +189,12 @@ def _t(a):
 
 class EpochWork(NamedTuple):
     """Work arrays for als_epoch: the residual (..., m, n) and the
-    gradients of x (..., m, d) and w (..., d, n)."""
+    gradients of x (..., m, d) and w (..., d, n). They pay for a stacked
+    ELM epoch: at (24, 35, 34) one takes 90 us with them, against 96-99 us
+    through temporaries in the same order (the same bits) and 318-324 us
+    written as plain expressions, timeit minima on a 2-vCPU VM; about 0.1 s
+    over al-elm's 16,400 epochs. One problem takes 10.8 us against
+    11.2-11.6 us, so they stay the one form of als_epoch."""
 
     residual: np.ndarray
     grad_x: np.ndarray
@@ -258,7 +263,6 @@ def train_als(matrix, cfg, emb, eval_split=None, start_epoch=0):
         values = matrix.values.ravel()  # the truths, prepared once
         scored = [(Scorer(values[idx], cfg.epochs), idx)
                   for idx in (train, test)]
-        pred = np.empty(m * n)
     start = emb
     emb = EmbeddingPair(x=start.x.copy(), w=start.w.copy())  # trained in place
     work = EpochWork.like(emb)
@@ -266,7 +270,7 @@ def train_als(matrix, cfg, emb, eval_split=None, start_epoch=0):
         for _ in range(cfg.epochs):
             als_epoch(train_matrix, emb, cfg.learning_rate, work)
             if scored:
-                np.matmul(emb.x, emb.w, out=pred.reshape(m, n))
+                pred = (emb.x @ emb.w).ravel()
                 for scorer, idx in scored:
                     scorer.add(pred[idx])
         finite = (np.isfinite(emb.x).all(axis=(-2, -1))

@@ -111,8 +111,6 @@ class Scorer:
         self._on_boundary = signs == 0
         shape = (max(1, min(HISTORY_BLOCK, epochs)), self.truths.size)
         self.block = np.empty(shape)
-        self._matches = np.empty(shape, dtype=bool)
-        self._hits = np.empty(shape, dtype=bool)
         self.loss, self.accuracy = np.empty(epochs), np.empty(epochs)
         self.scored = self.pending = 0
 
@@ -131,17 +129,11 @@ class Scorer:
                              self.accuracy[done:done + n])
 
     def _score_rows(self, preds, loss, accuracy):
-        n, k = preds.shape
-        matches, hits = self._matches[:n], self._hits[:n]
-        np.greater(preds, 0.0, out=matches)
-        matches &= self._above
-        np.less(preds, 0.0, out=hits)
-        hits &= self._below
-        matches |= hits
-        np.equal(preds, 0.0, out=hits)
-        hits &= self._on_boundary
-        matches |= hits
-        np.divide(np.count_nonzero(matches, axis=1), k, out=accuracy)
+        k = preds.shape[1]
+        hits = (preds > 0) & self._above
+        hits |= (preds < 0) & self._below
+        hits |= (preds == 0) & self._on_boundary
+        np.divide(np.count_nonzero(hits, axis=1), k, out=accuracy)
         np.subtract(preds, self.truths, out=preds)
         np.add.reduce(np.square(preds, out=preds), axis=1, out=loss)
         loss /= k

@@ -7,8 +7,9 @@ everywhere), so training uses a smooth tanh surrogate, and beta = 0 trains
 on the RMSE alone. The training curve records RMSE and accuracy at 0.
 
 A training epoch allocates no array that grows with the rows; only its
-finiteness check takes a flag per parameter. `_Buffers` holds the
-training rows' work arrays, each of which the code reads: per layer, the
+rmsprop step takes temporaries the size of the parameters, and its
+finiteness check a flag per parameter. `_Buffers` holds the training
+rows' work arrays, each of which the code reads: per layer, the
 (rows, width) activations, which `backward` overwrites in each hidden
 layer with that layer's back-propagated delta; one product buffer for
 delta @ w.T; the output gradient and its two scratch rows; and the flat
@@ -17,9 +18,8 @@ its training rows and passes it to `backward` and `predict_batch`, whose
 ufuncs write through `out=`; given a split, it keeps only the
 activations (`_activations`) of the test rows, for `predict_batch`. It
 copies the model once and then steps that copy in place through
-`rmsprop_step` and a `StepWork`. `predict_batch` also runs without
-activations: it then allocates them, so that a caller outside training
-owns its result.
+`rmsprop_step`. `predict_batch` also runs without activations: it then
+allocates them, so that a caller outside training owns its result.
 A layer's bias gradient is the column sums of its delta, taken by
 `_column_sums` with the bits of `np.sum(delta, axis=0)`.
 `train_mlp` runs `backward` once before its first step and once after
@@ -41,7 +41,6 @@ decay and epsilon the constants RMSPROP_DECAY and RMSPROP_EPSILON.
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -238,37 +237,16 @@ def backward(model, batch_inputs, batch_truths, cfg, buffers):
     return buffers.grad
 
 
-class StepWork(NamedTuple):
-    """Work vectors for rmsprop_step, each the size of `model.params`: the
-    step and its denominator."""
-
-    step: np.ndarray
-    denom: np.ndarray
-
-    @classmethod
-    def like(cls, model):
-        return cls(np.empty_like(model.params), np.empty_like(model.params))
-
-
-def rmsprop_step(model, grad, cfg, work):
-    """One rmsprop update for the flat gradient `grad`, written through
-    work (a StepWork for the model) into `model.params` and
-    `model.sq_grads`; returns the model. It does not check the result for
+def rmsprop_step(model, grad, cfg):
+    """One rmsprop update for the flat gradient `grad`, written into
+    `model.params` and `model.sq_grads` through temporaries the size of
+    the parameters; returns the model. It does not check the result for
     finiteness; train_mlp does.
     """
-    step, denom = work
-    decay = RMSPROP_DECAY
-    # sq_grads <- decay * sq_grads + (1 - decay) * grad * grad
-    model.sq_grads *= decay
-    np.multiply(grad, 1.0 - decay, out=step)
-    step *= grad
-    model.sq_grads += step
-    # params <- params - learning_rate * grad / (sqrt(sq_grads) + epsilon)
-    np.multiply(grad, cfg.rmsprop_learning_rate, out=step)
-    np.sqrt(model.sq_grads, out=denom)
-    denom += RMSPROP_EPSILON
-    step /= denom
-    model.params -= step
+    model.sq_grads *= RMSPROP_DECAY
+    model.sq_grads += (1.0 - RMSPROP_DECAY) * grad * grad
+    model.params -= (grad * cfg.rmsprop_learning_rate
+                     / (np.sqrt(model.sq_grads) + RMSPROP_EPSILON))
     return model
 
 
@@ -310,7 +288,6 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     model = model.copy()  # stepped in place from here on
     # allocated once: each epoch overwrites them
     train_buffers = _Buffers(model, tr.size)
-    step_work = StepWork.like(model)
     epochs = train_cfg.epochs
     train_scorer = test_scorer = None
     if eval_split is not None:
@@ -321,7 +298,7 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     with np.errstate(over="ignore", invalid="ignore"):
         grad = backward(model, inputs_tr, truths_tr, loss_cfg, train_buffers)
         for epoch in range(start_epoch, start_epoch + epochs):
-            rmsprop_step(model, grad, train_cfg, step_work)
+            rmsprop_step(model, grad, train_cfg)
             if not np.isfinite(model.params).all():
                 raise DivergenceError(epoch)
             if test_scorer:

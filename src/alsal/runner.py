@@ -335,11 +335,9 @@ def aggregate_concentrations(report):
 
 
 def _mean(values):
-    """float(np.mean(values)), or for curve cells the same per entry, as
+    """The mean of scalar cells, or of curve cells the same per entry, as
     the row-wise mean of a C-ordered array gives it."""
-    if not isinstance(values[0], np.ndarray):
-        return float(np.mean(values))
-    return np.mean(np.ascontiguousarray(np.transpose(values)), axis=1)
+    return np.mean(np.ascontiguousarray(np.transpose(values)), axis=-1)
 
 
 def _write_csv(path, columns, rows):

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from alsal.als import DivergenceError
 from alsal.metrics import HISTORY_BLOCK, FoldSplit
-from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, StepWork,
-                       _Buffers, _column_sums, _output_gradient, backward,
-                       init_mlp, predict_batch, rmsprop_step, train_mlp)
+from alsal.mlp import (LossConfig, MlpModel, MlpTrainConfig, _Buffers,
+                       _column_sums, _output_gradient, backward, init_mlp,
+                       predict_batch, rmsprop_step, train_mlp)
 
 import alsal.mlp as mlp_mod
 from oracles import (boundary_accuracy, penalized_loss, rmse, sign_penalty,
@@ -27,7 +27,7 @@ def gradient(model, inputs, truths, cfg):
 def step_copy(model, grad, cfg):
     """A copy of model, stepped in place by rmsprop_step."""
     model = model.copy()
-    return rmsprop_step(model, grad, cfg, StepWork.like(model))
+    return rmsprop_step(model, grad, cfg)
 
 
 def hand_rolled_forward(model, x):
@@ -215,13 +215,12 @@ class TestRmspropStep:
         model = self._single_param_model(0.7)
         cfg = MlpTrainConfig()
         zeros = np.zeros(2)  # the one weight, then the one bias
-        work = StepWork.like(model)
-        out = rmsprop_step(model, zeros, cfg, work)
+        out = rmsprop_step(model, zeros, cfg)
         assert out is model
         assert out.weights[0][0, 0] == 0.7
         # accumulators decay even with zero gradient
         model.sq_grads[0] = 1.0  # the weight's accumulator
-        out = rmsprop_step(model, zeros, cfg, work)
+        out = rmsprop_step(model, zeros, cfg)
         assert out.sq_grads[0] == pytest.approx(0.9)
 
     def test_hand_evaluated_step(self):
@@ -229,7 +228,7 @@ class TestRmspropStep:
         # mlp's decay 0.9 and epsilon 1e-8
         cfg = MlpTrainConfig(rmsprop_learning_rate=0.001)
         grads = np.array([1.0, 0.0])  # weight gradient 1, bias gradient 0
-        out = rmsprop_step(model, grads, cfg, StepWork.like(model))
+        out = rmsprop_step(model, grads, cfg)
         assert out.sq_grads[0] == pytest.approx(0.1)
         assert out.weights[0][0, 0] == pytest.approx(
             -0.001 / (np.sqrt(0.1) + 1e-8))
@@ -331,7 +330,7 @@ class TestPredictWithoutBuffers:
 
 
 class TestNoSharedMemory:
-    """A call writes only into the buffers, work and model it is given, so
+    """A call writes only into the buffers and model it is given, so
     results in other buffers or models stay as they were; predict_batch
     without buffers hands out arrays that no later call overwrites."""
 
@@ -364,14 +363,13 @@ class TestNoSharedMemory:
         """A step changes only the model it is given: a copy taken before
         it keeps its values and shares no memory with the stepped model."""
         model, x, t = self.model_and_batch(rng)
-        work = StepWork.like(model)
         rmsprop_step(model, gradient(model, x, t, LossConfig()),
-                     MlpTrainConfig(), work)
+                     MlpTrainConfig())
         kept = model.copy()
         arrays = [kept.params, kept.sq_grads]
         before = [a.copy() for a in arrays]
         out = rmsprop_step(model, gradient(model, x, t, LossConfig()),
-                           MlpTrainConfig(), work)
+                           MlpTrainConfig())
         assert out is model
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
@@ -527,8 +525,8 @@ def reference_output_gradient(preds, truths, cfg):
 
 
 class TestInPlaceForms:
-    """Each function that writes into work arrays gives, with ==, what its
-    allocating reference gives, also when the work arrays hold an earlier
+    """Each function that writes in place gives, with ==, what its
+    allocating reference gives, also when its work arrays hold an earlier
     call's values."""
 
     LOSSES = [LossConfig(), LossConfig(beta=0.0),
@@ -574,9 +572,7 @@ class TestInPlaceForms:
         grad = rng.normal(size=model.params.size)
         want = reference_rmsprop_step(model, model.split(grad), cfg)
         in_place = model.copy()
-        work = StepWork.like(model)
-        work.step[:] = work.denom[:] = np.nan  # stale values
-        got = rmsprop_step(in_place, grad, cfg, work)
+        got = rmsprop_step(in_place, grad, cfg)
         assert got is in_place
         np.testing.assert_array_equal(got.params, want.params)
         np.testing.assert_array_equal(got.sq_grads, want.sq_grads)
@@ -594,11 +590,11 @@ class TestInPlaceForms:
             cfg = MlpTrainConfig(epochs=10,
                                  rmsprop_learning_rate=learning_rate)
             with np.errstate(all="ignore"):
-                stepped, work = model.copy(), StepWork.like(model)
+                stepped = model.copy()
                 ref = model.copy()
                 for epoch in range(cfg.epochs):
                     grad = gradient(stepped, x, t, LossConfig())
-                    rmsprop_step(stepped, grad, cfg, work)
+                    rmsprop_step(stepped, grad, cfg)
                     ref_grad = reference_backward(ref, x, t, LossConfig())
                     finite = np.isfinite(stepped.params).all()
                     if not finite:
@@ -642,10 +638,11 @@ class TestTrainingAllocations:
         block, training holds only arrays it reads: the train rows'
         inputs, activations (which backward overwrites with the deltas),
         product buffer and output rows, the flat gradient, the test rows'
-        activations, and each Scorer's float block and two bool blocks,
-        1.01 MB in all. A delta and a tanh-derivative scratch array per
-        hidden layer, a whole _Buffers for the test rows and a float
-        scratch block per Scorer took the peak to 1.94 MB."""
+        activations, and each Scorer's float block and, only while a block
+        is scored, its bool blocks, 1.01 MB in all. A delta and a
+        tanh-derivative scratch array per hidden layer, a whole _Buffers
+        for the test rows and a float scratch block per Scorer took the
+        peak to 1.94 MB."""
         tr, te, sizes = 1071, 119, [10, 20, 10, 5, 1]
         model = init_mlp(sizes, seed=0)
         width = sum(sizes[1:])
@@ -668,6 +665,7 @@ class TestTrainingAllocations:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the model copy, StepWork, Scorer truths and numpy's ufunc buffers
-        # come on top, about 0.1 MB
+        # the model copy, the rmsprop step's temporaries, Scorer truths and
+        # numpy's ufunc buffers come on top, about 0.1 MB; the bool blocks
+        # exist only while a block is scored
         assert peak < 1.25 * kept
