@@ -22,5 +22,4 @@ from .alsdl import (AlsdlConfig, AlsdlModel, build_features, train_alsdl,
 from .active import (ActiveConfig, ActiveState, LearningCurvePoint, init_state,
                      query_orderly, query_random, query_uncertainty, query_elm,
                      run_active_learning)
-from .runner import (ExperimentConfig, SyntheticSpec, Report, run_benchmark,
-                     run_al_study, aggregate_concentrations, write_report)
+from .runner import ExperimentConfig, SyntheticSpec, run_benchmark, run_al_study

@@ -95,7 +95,7 @@ class LossConfig(Config):
 
 @dataclass(frozen=True)
 class MlpTrainConfig(Config):
-    epochs: int = in_range(200, ">= 0")
+    epochs: int = in_range(200, ">= 1")
     rmsprop_learning_rate: float = in_range(0.001, "> 0")
 
 
@@ -260,10 +260,10 @@ def train_mlp(model, inputs, truths, train_cfg, loss_cfg, eval_split=None,
     and a split that `FoldSplit.indices` rejects raises IndexError before
     any epoch. Each epoch steps the model with the gradient of the last
     `backward`, then runs `backward` on the stepped model for the next
-    step, so n epochs run n + 1 `backward` passes (a 0-epoch run computes
-    one unused gradient). Epoch e's train cells come from the forward pass
-    of the `backward` after its step, and its test cells from a pass over
-    the test rows alone. Both are scored at the boundary 0.
+    step, so n epochs run n + 1 `backward` passes. Epoch e's train cells
+    come from the forward pass of the `backward` after its step, and its
+    test cells from a pass over the test rows alone. Both are scored at the
+    boundary 0.
 
     Epoch e's step diverges when it leaves a parameter non-finite, or a
     model whose training RMSE (from that same forward pass) is not finite;

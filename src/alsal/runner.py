@@ -1,14 +1,15 @@
 """Experiment runner: cross-validated benchmarks and active-learning
 studies, each one loop over units (target, concentration, model or
-strategy, seed), and CSV report emission with concentration averaging.
-When a benchmark's als model and ALSDL's stage 1 differ only in epochs,
-they train the same ALS run up to the shorter one's end: per fold,
-whichever comes first trains that part once, and the other takes it over
-(see _train_one).
+strategy, seed) that writes the report's CSV rows as each unit yields
+them, then the concentration-mean rows, then manifest.json; an out_dir
+without a manifest holds an unfinished run. When a benchmark's als model
+and ALSDL's stage 1 differ only in epochs, they train the same ALS run up
+to the shorter one's end: per fold, whichever comes first trains that part
+once, and the other takes it over (see _train_one).
 
 Report schema 2 (manifest "schema_version"): a cv_summary or learning_curves
 row has status ok or diverged; a diverged one holds only its key and
-diverged_epoch. For mean rows see aggregate_concentrations. Only the
+diverged_epoch. For mean rows see _concentration_means. Only the
 manifest records the environment; the data CSVs do not depend on it."""
 
 import csv
@@ -17,6 +18,7 @@ import json
 import os
 import platform
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, asdict, replace
 from itertools import repeat
 from operator import attrgetter
@@ -36,19 +38,21 @@ from .metrics import kfold_split
 
 SCHEMA_VERSION = 2
 MODELS = ("als", "alsdl")
-LEARNING_CURVE_COLUMNS = ["strategy", "target", "concentration", "seed",
-                          "round", "n_labeled", "full_rmse", "full_accuracy",
-                          "status", "diverged_epoch"]
-TRAINING_CURVE_COLUMNS = ["model", "target", "concentration", "seed", "fold",
-                          "epoch_or_round", "train_loss", "test_loss",
-                          "train_accuracy", "test_accuracy"]
-CV_SUMMARY_COLUMNS = ["model", "target", "concentration", "seed",
-                      "mean_test_loss", "mean_test_accuracy", "status",
-                      "diverged_epoch"]
+# {table: its columns}; each table is the CSV file "<table>.csv"
+TABLES = {
+    "learning_curves": ["strategy", "target", "concentration", "seed",
+                        "round", "n_labeled", "full_rmse", "full_accuracy",
+                        "status", "diverged_epoch"],
+    "training_curves": ["model", "target", "concentration", "seed", "fold",
+                        "epoch_or_round", "train_loss", "test_loss",
+                        "train_accuracy", "test_accuracy"],
+    "cv_summary": ["model", "target", "concentration", "seed",
+                   "mean_test_loss", "mean_test_accuracy", "status",
+                   "diverged_epoch"]}
 METRIC_COLUMNS = frozenset({
     "full_rmse", "full_accuracy", "train_loss", "test_loss", "train_accuracy",
     "test_accuracy", "mean_test_loss", "mean_test_accuracy"})
-# neither metrics nor part of the key that aggregate_concentrations groups by
+# neither metrics nor part of the key that _concentration_means groups by
 _UNGROUPED = METRIC_COLUMNS | {"concentration", "status", "diverged_epoch",
                                "epoch_or_round"}
 
@@ -110,17 +114,6 @@ class ExperimentConfig(Config):
                                       f"{', '.join(known)}")
             if len(set(names)) < len(names):  # units with the same key
                 raise ConfigError(key, f"repeated {kind} in {names!r}")
-
-
-@dataclass
-class Report:
-    """Tables of row dicts; a training_curves row holds one fold's Curve,
-    an array per curve column, and is written as one line per epoch."""
-
-    metadata: dict
-    training_curves: list = field(default_factory=list)
-    learning_curves: list = field(default_factory=list)
-    cv_summary: list = field(default_factory=list)
 
 
 def config_digest(config):
@@ -190,15 +183,15 @@ def load_matrices(config):
 
 def run_benchmark(config, out_dir=None):
     """k-fold cross-validation per target x concentration x model x seed.
-    A given out_dir is made before any training (see _run_units)."""
+    A given out_dir gets the report as the run goes (see _run_units)."""
     return _run_units(config, "model", config.models, "cv_summary", "folds",
                       _cv_unit, out_dir)
 
 
 def run_al_study(config, out_dir=None):
     """Active-learning curves per target x concentration x strategy x seed;
-    every strategy trains config.alsdl. A given out_dir is made before any
-    training (see _run_units)."""
+    every strategy trains config.alsdl. A given out_dir gets the report as
+    the run goes (see _run_units)."""
     return _run_units(config, "strategy", config.strategies,
                       "learning_curves", "active.n_init", _al_unit, out_dir)
 
@@ -206,13 +199,17 @@ def run_al_study(config, out_dir=None):
 def _run_units(config, kind, names, status_table, limit, unit, out_dir):
     """Load config's matrices, raise ConfigError if they cannot be loaded
     (see load_matrices) or the count at the dotted key limit exceeds the
-    observed positions of any matrix, make out_dir unless it is None (an
-    OSError raises ConfigError keyed output_dir), then run unit(config,
-    name, matrix, seed, shared) per (target, concentration, name, seed), in
-    that nesting order. shared is one dict per matrix, in which a unit may
-    leave work for a later unit of the same matrix. A unit yields (table,
-    row) pairs, which gain the unit's key; when it raises DivergenceError,
-    the rows it yielded stay and status_table gains one diverged row."""
+    observed positions of any matrix, then run unit(config, name, matrix,
+    seed, shared) per (target, concentration, name, seed), in that nesting
+    order, and return {table: rows}, the mean rows last. shared is one dict
+    per matrix, in which a unit may leave work for a later unit of the same
+    matrix. A unit yields (table, row) pairs, which gain the unit's key;
+    when it raises DivergenceError, the rows it yielded stay and
+    status_table gains one diverged row. Unless out_dir is None, it is made,
+    its manifest.json removed and each CSV's header written and flushed
+    before any unit trains (an OSError raises ConfigError keyed
+    output_dir); each row is written as it comes, the CSVs are flushed
+    after each unit, and manifest.json is written once they are closed."""
     matrices = load_matrices(config)
     value = attrgetter(limit)(config)
     for target, conc, matrix in matrices:
@@ -221,26 +218,47 @@ def _run_units(config, kind, names, status_table, limit, unit, out_dir):
             raise ConfigError(limit, f"{limit.rsplit('.', 1)[-1]} = {value} "
                               f"exceeds the {n_obs} observed positions of "
                               f"target {target}, concentration {conc}")
+    metadata, tables, files = _metadata(config), {t: [] for t in TABLES}, {}
+    with ExitStack() as stack:
+        if out_dir is not None:
+            out = Path(out_dir)
+            try:  # before any unit trains, so an unusable out_dir wastes none
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "manifest.json").unlink(missing_ok=True)
+                for table, columns in TABLES.items():
+                    files[table] = stack.enter_context(open(
+                        out / f"{table}.csv", "w", newline="",
+                        encoding="utf-8"))
+                    csv.writer(files[table]).writerow(columns)
+                    files[table].flush()
+            except OSError as e:
+                raise ConfigError("output_dir", str(e)) from e
+
+        def add(table, row):
+            tables[table].append(row)
+            if files:
+                _write_csv(files[table], TABLES[table], row)
+        for target, conc, matrix in matrices:
+            shared = {}
+            for name in names:
+                for seed in config.seeds:
+                    key = {kind: name, "target": target, "concentration": conc,
+                           "seed": seed}
+                    try:
+                        for table, row in unit(config, name, matrix, seed,
+                                               shared):
+                            add(table, dict(key, **row))
+                    except DivergenceError as e:
+                        add(status_table, dict(key, status="diverged",
+                                               diverged_epoch=e.epoch))
+                    for f in files.values():
+                        f.flush()
+        for table, row in list(_concentration_means(tables)):
+            add(table, row)
     if out_dir is not None:
-        try:  # before any unit trains, so an unusable out_dir wastes none
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise ConfigError("output_dir", str(e)) from e
-    report = Report(metadata=_metadata(config))
-    for target, conc, matrix in matrices:
-        shared = {}
-        for name in names:
-            for seed in config.seeds:
-                key = {kind: name, "target": target, "concentration": conc,
-                       "seed": seed}
-                try:
-                    for table, row in unit(config, name, matrix, seed,
-                                           shared):
-                        getattr(report, table).append(dict(key, **row))
-                except DivergenceError as e:
-                    getattr(report, status_table).append(dict(
-                        key, status="diverged", diverged_epoch=e.epoch))
-    return report
+        with open(out / "manifest.json", "w", encoding="utf-8") as f:
+            json.dump(metadata, f, indent=2, default=str)
+    return tables
 
 
 def _cv_unit(config, model_name, matrix, seed, shared):
@@ -296,25 +314,20 @@ def _al_unit(config, strategy, matrix, seed, shared):
         yield "learning_curves", dict(asdict(point), status="ok")
 
 
-def aggregate_concentrations(report):
-    """Append rows tagged concentration="mean": unweighted arithmetic mean
-    across concentrations within each otherwise-identical key. A key gets
-    one only when the table has two or more concentrations and each has an
-    ok row for that key, so no mean leaves out a diverged concentration.
-    Curves are averaged entry by entry: a key's curves are finished fold
-    curves of one config, so they have the same length."""
-    out = Report(metadata=report.metadata,
-                 training_curves=list(report.training_curves),
-                 learning_curves=list(report.learning_curves),
-                 cv_summary=list(report.cv_summary))
-    for rows, columns in ((out.learning_curves, LEARNING_CURVE_COLUMNS),
-                          (out.training_curves, TRAINING_CURVE_COLUMNS),
-                          (out.cv_summary, CV_SUMMARY_COLUMNS)):
+def _concentration_means(tables):
+    """(table, row) per mean row, tagged concentration="mean": the
+    unweighted arithmetic mean across concentrations within each otherwise
+    identical key. A key gets one only when its table has two or more
+    concentrations and each has an ok row for that key, so no mean leaves
+    out a diverged concentration. Curves are averaged entry by entry: a
+    key's curves are finished fold curves of one config, so they have the
+    same length."""
+    for table, columns in TABLES.items():
+        rows = tables[table]
         n_concs = len({row["concentration"] for row in rows})
         if n_concs < 2:
             continue
         key_cols = [c for c in columns if c not in _UNGROUPED]
-        value_cols = [c for c in columns if c in METRIC_COLUMNS]
         groups = {}
         for row in rows:
             if row.get("status", "ok") == "ok":
@@ -324,14 +337,13 @@ def aggregate_concentrations(report):
             if len(members) < n_concs:
                 continue
             mean_row = dict(zip(key_cols, key), concentration="mean")
-            for c in value_cols:
-                mean_row[c] = _mean([m[c] for m in members])
+            mean_row.update((c, _mean([m[c] for m in members]))
+                            for c in columns if c in METRIC_COLUMNS)
             if "status" in columns:
                 mean_row["status"] = "ok"
             else:  # a curve: its epochs are the first member's
                 mean_row["epoch_or_round"] = members[0]["epoch_or_round"]
-            rows.append(mean_row)
-    return out
+            yield table, mean_row
 
 
 def _mean(values):
@@ -340,29 +352,12 @@ def _mean(values):
     return np.mean(np.ascontiguousarray(np.transpose(values)), axis=-1)
 
 
-def _write_csv(path, columns, rows):
-    """Row dicts as CSV lines; a curve row gives one per .tolist() entry."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(columns)
-        for row in rows:
-            cells = [row.get(c) for c in columns]
-            if isinstance(row.get("epoch_or_round"), np.ndarray):
-                writer.writerows(zip(*(
-                    c.tolist() if isinstance(c, np.ndarray) else repeat(c)
-                    for c in cells)))
-            else:
-                writer.writerow(cells)
-
-
-def write_report(report, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "learning_curves.csv", LEARNING_CURVE_COLUMNS,
-               report.learning_curves)
-    _write_csv(out / "training_curves.csv", TRAINING_CURVE_COLUMNS,
-               report.training_curves)
-    _write_csv(out / "cv_summary.csv", CV_SUMMARY_COLUMNS, report.cv_summary)
-    with open(out / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(report.metadata, f, indent=2, default=str)
-    return out
+def _write_csv(f, columns, row):
+    """A row dict as CSV lines; a curve row gives one per .tolist() entry."""
+    writer, cells = csv.writer(f), [row.get(c) for c in columns]
+    if isinstance(row.get("epoch_or_round"), np.ndarray):
+        writer.writerows(zip(*(
+            c.tolist() if isinstance(c, np.ndarray) else repeat(c)
+            for c in cells)))
+    else:
+        writer.writerow(cells)

@@ -7,10 +7,10 @@ Data CSVs stay byte-identical for the same config and seeds, so a change
 that moves one must say so. This script extracts REV's `src/` with
 `git archive` into a temporary directory, builds two inputs once with this
 tree's `perfbench/gen_input.py` (a 1,498-row LINCS-layout CSV and the
-benchmark's seed-7 CSV), and runs 12 studies on each tree, each in a fresh
-interpreter as `PYTHONPATH=<tree>/src python -m alsal.cli ...`: 10 that
-cover every kind of row, and the benchmark's two workloads with the
-argv of `perfbench/run.py`. It prints one line per data CSV,
+benchmark's seed-7 CSV), and runs 14 studies on each tree, each in a fresh
+interpreter as `PYTHONPATH=<tree>/src python -m alsal.cli ...`: 12 that
+cover every kind of row, concentration means included, and the
+benchmark's two workloads with the argv of `perfbench/run.py`. It prints one line per data CSV,
 
     study/file base <sha256|missing> head <sha256|missing>
 
@@ -94,6 +94,12 @@ def studies(work, out):
                               "--concentrations", "1.0"],
         "al-study-dataset": ["al-study", "--dataset", compare_csv, *AL_SMALL,
                              "--concentrations", "1.0"],
+        # the same two at two doses, so that mean rows are compared too
+        "benchmark-means": ["benchmark", "--dataset", compare_csv,
+                            "--folds", "3", *EPOCHS,
+                            "--concentrations", "1.0,2.0"],
+        "al-study-means": ["al-study", "--dataset", compare_csv, *AL_SMALL,
+                           "--concentrations", "1.0,2.0"],
     }
     argv = {name: [*args, "--out", str(out / name)]
             for name, args in argv.items()}
@@ -108,7 +114,7 @@ def write_inputs(work):
     """The input CSVs and config files that studies(work, ...) reads."""
     # 6 cells x 5 molecules at 50 doses, 0.1 to 5.0, 2 pairs unmeasured at
     # 0.1: ingest and matrix building over several of parse_dataset's
-    # 256-row blocks; the studies keep to 1.0
+    # 256-row blocks; the studies keep to 1.0, or to 1.0 and 2.0
     gen_input.generate(work / "compare.csv", 0, n_cells=6, n_molecules=5,
                        rank=2, concentrations=tuple(round(0.1 * k, 1)
                                                     for k in range(1, 51)),

@@ -16,7 +16,7 @@ from alsal.alsdl import AlsdlConfig, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
 from alsal.mlp import LossConfig, MlpTrainConfig, init_mlp, predict_batch
 from alsal.runner import (ExperimentConfig, SyntheticSpec, run_al_study,
-                          run_benchmark, write_report)
+                          run_benchmark)
 
 from oracles import als_gradients, als_rmse, sign_penalty
 from test_als import finite_difference_gradients
@@ -144,11 +144,9 @@ def test_runner_determinism(tmp_path):
                           hidden_sizes=(6, 3)),
         active=ActiveConfig(n_init=6, n_per_query=6, n_max_query=1,
                             elm_inner_epochs=10))
-    dirs = []
-    for name in ("x", "y"):
-        cfg = ExperimentConfig(**cfg_kwargs)
-        out = write_report(run_al_study(cfg), tmp_path / name)
-        dirs.append(out)
+    dirs = [tmp_path / "x", tmp_path / "y"]
+    for out in dirs:
+        run_al_study(ExperimentConfig(**cfg_kwargs), out)
     same = all((dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes()
                for f in ("learning_curves.csv", "training_curves.csv",
                          "cv_summary.csv"))
@@ -162,7 +160,7 @@ def test_table1_reproduction(tmp_path):
                            seeds=(0,), folds=10)
     rep = run_benchmark(cfg)
     by_model = {}
-    for row in rep.cv_summary:
+    for row in rep["cv_summary"]:
         by_model.setdefault(row["model"], []).append(row)
     als_loss = np.mean([r["mean_test_loss"] for r in by_model["als"]])
     als_acc = np.mean([r["mean_test_accuracy"] for r in by_model["als"]])
@@ -183,7 +181,7 @@ def test_budget_arithmetic():
                            seeds=(0,), strategies=("random",))
     rep = run_al_study(cfg)
     runs = {}
-    for row in rep.learning_curves:
+    for row in rep["learning_curves"]:
         key = (row["target"], row["concentration"], row["strategy"], row["seed"])
         runs.setdefault(key, []).append(row)
     ok = all(len(rows) == 9 and rows[-1]["n_labeled"] == 360

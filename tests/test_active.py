@@ -317,8 +317,12 @@ class TestActiveConfigChecks:
         (AlsConfig, "d", 0, ">= 1"),
         (AlsConfig, "epochs", 10.5, ">= 1"),
         (AlsConfig, "epochs", False, ">= 1"),
-        (MlpTrainConfig, "epochs", -1, ">= 0"),
-        (MlpTrainConfig, "epochs", True, ">= 0")])
+        (MlpTrainConfig, "epochs", 0, ">= 1"),
+        # ids kept from when 0 network epochs were allowed
+        pytest.param(MlpTrainConfig, "epochs", -1, ">= 1",
+                     id="MlpTrainConfig-epochs--1->= 0"),
+        pytest.param(MlpTrainConfig, "epochs", True, ">= 1",
+                     id="MlpTrainConfig-epochs-True->= 0")])
     def test_rejects_bad_counts(self, cls, field, value, kind):
         message = f"{field} must be an integer {kind}, not {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -343,7 +347,7 @@ class TestActiveConfigChecks:
         assert ActiveConfig(n_init=1, n_max_query=0,
                             elm_inner_epochs=1).n_max_query == 0
         assert AlsConfig(d=1, epochs=np.int64(1)).epochs == 1
-        assert MlpTrainConfig(epochs=0).epochs == 0
+        assert MlpTrainConfig(epochs=1).epochs == 1
 
 
 class TestElmSubsampling:
@@ -558,10 +562,10 @@ class TestStackedElmDivergence:
             active=ActiveConfig(n_init=10, n_per_query=3, n_max_query=2,
                                 elm_inner_epochs=200))
         set_chunk(monkeypatch, (6, 6), 3)
-        got = run_al_study(config).learning_curves
+        got = run_al_study(config)["learning_curves"]
         monkeypatch.setattr(active_mod, "expected_losses",
                             per_candidate_expected_losses)
-        want = run_al_study(config).learning_curves
+        want = run_al_study(config)["learning_curves"]
         assert got == want
         assert got[-1]["status"] == "diverged"
         # past the 2 epochs of the model's own ALS: the ELM retrain diverged

@@ -54,20 +54,13 @@ class TestTrainAlsdl:
         assert hist.epoch_or_round.tolist() == list(range(50))
         assert len(hist) == 5 and all(col.shape == (50,) for col in hist)
 
-    def test_zero_mlp_epochs_keeps_stage1_embeddings(self):
-        mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=3)
-        cfg = small_config(mlp_epochs=0)
-        emb_ref, _ = train_als(mat, cfg.als, init_embeddings(5, 5, cfg.als, 4))
-        model, _ = train_alsdl(mat, cfg, 4)
-        np.testing.assert_array_equal(model.embeddings.x, emb_ref.x)
-        np.testing.assert_array_equal(model.embeddings.w, emb_ref.w)
-
     def test_embeddings_frozen_during_stage2(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=5)
         cfg = small_config(mlp_epochs=40)
         emb_ref, _ = train_als(mat, cfg.als, init_embeddings(5, 5, cfg.als, 6))
         model, _ = train_alsdl(mat, cfg, 6)
         np.testing.assert_array_equal(model.embeddings.x, emb_ref.x)
+        np.testing.assert_array_equal(model.embeddings.w, emb_ref.w)
 
     def test_no_test_leakage(self):
         mat, _ = generate_synthetic(5, 5, 2, 0.0, seed=7)

@@ -55,9 +55,15 @@ def test_changed_byte_and_missing_csv(tmp_path, capsys):
 
 
 def test_every_study_parses_with_its_own_output(tmp_path):
-    """The 12 studies, the benchmark's two workloads among them, are
-    argv that this tree's CLI accepts, each writing its own directory."""
+    """The 14 studies, the benchmark's two workloads and two studies of
+    concentration means among them, are argv that this tree's CLI accepts,
+    each writing its own directory."""
     argv = studies(tmp_path, tmp_path / "out")
-    assert len(argv) == 12 and {"cv-history", "al-elm"} <= argv.keys()
+    assert len(argv) == 14
+    assert {"cv-history", "al-elm", "benchmark-means", "al-study-means"} \
+        <= argv.keys()
+    for name in ("benchmark-means", "al-study-means"):
+        assert build_parser().parse_args(argv[name]).concentrations \
+            == (1.0, 2.0)
     assert {build_parser().parse_args(args).out for args in argv.values()} \
         == {str(tmp_path / "out" / name) for name in argv}

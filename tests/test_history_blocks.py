@@ -32,9 +32,8 @@ from alsal.metrics import HISTORY_BLOCK, Scorer, kfold_split
 from alsal.mlp import LossConfig, MlpTrainConfig, init_mlp, train_mlp
 from oracles import boundary_accuracy, rmse
 from test_history_exact import (STRONG_PENALTY, assert_same_curve,
-                                assert_same_net, curve_points, holey_matrix,
-                                mlp_problem, reference_train_als,
-                                reference_train_alsdl, reference_train_mlp,
+                                assert_same_net, holey_matrix, mlp_problem,
+                                reference_train_als, reference_train_mlp,
                                 split_for)
 
 B = HISTORY_BLOCK
@@ -298,27 +297,6 @@ class TestMlpBlockEdges:
                       eval_split=mlp_split(t) if with_split else None)
             epochs.append(e.value.epoch)
         assert epochs == [bad_epoch, bad_epoch]
-
-    @pytest.mark.parametrize("with_split", [True, False])
-    def test_zero_epochs(self, with_split):
-        x, t = mlp_problem(MLP_SIZES)
-        _, hist = train_mlp(init_mlp(MLP_SIZES, seed=1), x, t,
-                            MlpTrainConfig(epochs=0), LossConfig(),
-                            eval_split=mlp_split(t) if with_split else None,
-                            start_epoch=9)
-        if with_split:
-            assert curve_points(hist) == []
-        else:
-            assert hist is None
-
-    def test_zero_epochs_in_alsdl(self):
-        mat = holey_matrix(seed=5)
-        split = split_for(mat, seed=1)
-        cfg = AlsdlConfig(als=AlsConfig(d=2, epochs=B + 1),
-                          mlp_train=MlpTrainConfig(epochs=0),
-                          hidden_sizes=(4,))
-        _, hist = train_alsdl(mat, cfg, 2, eval_split=split)
-        assert_same_curve(hist, reference_train_alsdl(mat, cfg, 2, split)[2])
 
 
 class TestCurveExactlyWithASplit:

@@ -30,9 +30,9 @@ from alsal.alsdl import AlsdlConfig
 from alsal.cli import FLAG_KEYS, build_parser, main, resolve_config
 from alsal.metrics import Curve
 from alsal.mlp import LossConfig, MlpTrainConfig
-from alsal.runner import (MODELS, ConfigError, ExperimentConfig,
-                          SyntheticSpec, aggregate_concentrations,
-                          run_al_study, run_benchmark, write_report, Report)
+from alsal.runner import (MODELS, TABLES, ConfigError, ExperimentConfig,
+                          SyntheticSpec, _concentration_means, _write_csv,
+                          run_al_study, run_benchmark)
 
 
 COLUMN_MAP_KIND = "null or a dict, each key a string and each value a string"
@@ -85,21 +85,21 @@ def load_file(path):
 class TestRunBenchmark:
     def test_summary_and_curves(self):
         report = run_benchmark(small_config())
-        assert len(report.cv_summary) == 2  # als + alsdl, one seed
-        models = {r["model"] for r in report.cv_summary}
+        assert len(report["cv_summary"]) == 2  # als + alsdl, one seed
+        models = {r["model"] for r in report["cv_summary"]}
         assert models == {"als", "alsdl"}
-        for r in report.cv_summary:
+        for r in report["cv_summary"]:
             assert 0.0 <= r["mean_test_accuracy"] <= 1.0
         # 3 folds x (20 als epochs) + 3 folds x (15+15 alsdl epochs)
         als_rows = sum(len(r["epoch_or_round"])
-                       for r in report.training_curves if r["model"] == "als")
+                       for r in report["training_curves"] if r["model"] == "als")
         assert als_rows == 3 * 20
 
     def test_noise_free_als_fits_well(self):
         cfg = small_config(models=("als",),
                            als=AlsConfig(d=2, epochs=400))
         report = run_benchmark(cfg)
-        assert report.cv_summary[0]["mean_test_loss"] < 0.3
+        assert report["cv_summary"][0]["mean_test_loss"] < 0.3
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(ValueError, match="empty model list"):
@@ -123,8 +123,8 @@ class TestRunAlStudy:
         cfg = small_config(strategies=("random", "orderly"), seeds=(0, 1))
         report = run_al_study(cfg)
         # 3 curve points per (strategy, seed) with n_max_query=2
-        assert len(report.learning_curves) == 2 * 2 * 3
-        rounds = {r["round"] for r in report.learning_curves}
+        assert len(report["learning_curves"]) == 2 * 2 * 3
+        rounds = {r["round"] for r in report["learning_curves"]}
         assert rounds == {0, 1, 2}
 
     def test_empty_strategy_list_rejected(self):
@@ -161,14 +161,14 @@ class TestUnitDivergence:
         monkeypatch.setattr(runner_mod, "_train_one", train)
         report = run_benchmark(small_config(seeds=(0, 1)))
         key = {"target": "synthetic", "concentration": "synthetic"}
-        assert report.cv_summary[0] == dict(
+        assert report["cv_summary"][0] == dict(
             key, model="als", seed=0, status="diverged", diverged_epoch=7)
         # the next (model, seed) units still run, each to its summary
         assert [(r["model"], r["seed"], r["status"])
-                for r in report.cv_summary[1:]] == [
+                for r in report["cv_summary"][1:]] == [
             ("als", 1, "ok"), ("alsdl", 0, "ok"), ("alsdl", 1, "ok")]
         assert [(r["model"], r["seed"], r["fold"])
-                for r in report.training_curves] == [
+                for r in report["training_curves"]] == [
             ("als", 0, f) for f in range(fold)] + [
             (model, seed, f) for model in ("als", "alsdl")
             for seed in (0, 1) if (model, seed) != ("als", 0)
@@ -187,9 +187,8 @@ def count_als_epochs(monkeypatch):
     return calls
 
 
-def lines_by_model(report, out):
+def lines_by_model(out):
     """{(CSV name, model): its data lines} of the report written to out."""
-    write_report(report, out)
     lines = {}
     for name in ("training_curves.csv", "cv_summary.csv"):
         for line in (out / name).read_text().splitlines()[1:]:
@@ -207,17 +206,17 @@ class TestSharedAlsRuns:
         lines equal those of the models run alone."""
         alone = {}
         for model in MODELS:
-            alone.update(lines_by_model(
-                run_benchmark(replace(cfg, models=(model,))),
-                tmp_path / f"alone-{model}"))
+            out = tmp_path / f"alone-{model}"
+            run_benchmark(replace(cfg, models=(model,)), out)
+            alone.update(lines_by_model(out))
         calls = count_als_epochs(monkeypatch)
         epochs = {}
         for models in (MODELS, MODELS[::-1]):
             calls.clear()
-            report = run_benchmark(replace(cfg, models=models))
+            out = tmp_path / "-".join(models)
+            run_benchmark(replace(cfg, models=models), out)
             epochs[models] = calls["epochs"]
-            assert lines_by_model(report, tmp_path / "-".join(models)) \
-                == alone
+            assert lines_by_model(out) == alone
         return epochs
 
     def test_either_order_equals_each_model_alone(self, monkeypatch,
@@ -252,10 +251,10 @@ class TestSharedAlsRuns:
             assert self.compare(monkeypatch, tmp_path, cfg) == {
                 MODELS: epochs, MODELS[::-1]: epochs}
             report = run_benchmark(cfg)
-        assert report.cv_summary[0] == dict(
+        assert report["cv_summary"][0] == dict(
             model="als", target="synthetic", concentration="synthetic",
             seed=0, status="diverged", diverged_epoch=8)
-        assert report.cv_summary[1]["status"] == (
+        assert report["cv_summary"][1]["status"] == (
             "diverged" if stage1_epochs > 8 else "ok")
 
     def test_default_study_trains_4000_als_epochs(self, monkeypatch):
@@ -388,7 +387,11 @@ class TestConfigChecks:
             ["benchmark", "--concentrations", "1.0,1"],
             "invalid config key 'concentrations' (set by --concentrations): "
             "repeated concentration in (1.0, 1.0)",
-            id="argv10-invalid config: repeated concentration in (1.0, 1.0)")])
+            id="argv10-invalid config: repeated concentration in (1.0, 1.0)"),
+        # a network of 0 epochs would be reported as its stage 1
+        (["benchmark", "--mlp-epochs", "0"],
+         "invalid config key 'alsdl.mlp_train.epochs' (set by --mlp-epochs): "
+         "epochs must be an integer >= 1, not 0")])
     def test_cli_exit(self, monkeypatch, tmp_path, argv, message):
         forbid_training(monkeypatch)
         with pytest.raises(SystemExit) as e:
@@ -404,23 +407,44 @@ def curve_row(key, concentration, *columns):
                 **Curve(*map(np.array, columns))._asdict())
 
 
+def with_means(**tables):
+    """Every table of TABLES: the rows given for it, then its
+    _concentration_means rows, as a run returns them."""
+    tables = {name: list(tables.get(name, ())) for name in TABLES}
+    for name, row in list(_concentration_means(tables)):
+        tables[name].append(row)
+    return tables
+
+
+def write_tables(tables, out):
+    """Each table's CSV under out, as a run writes it: its header, then one
+    _write_csv call per row."""
+    for name, columns in TABLES.items():
+        with open(out / f"{name}.csv", "w", newline="",
+                  encoding="utf-8") as f:
+            csv.writer(f).writerow(columns)
+            for row in tables[name]:
+                _write_csv(f, columns, row)
+
+
 class TestAggregateConcentrations:
+    """The mean rows of runner._concentration_means, and the CSV text of
+    runner._write_csv."""
+
     def test_single_concentration_gets_no_mean_row(self):
-        report = Report(metadata={}, learning_curves=[
-            {"strategy": "random", "target": "gr", "concentration": "0.01",
-             "seed": 0, "round": 0, "n_labeled": 40,
-             "full_rmse": 0.5, "full_accuracy": 0.8, "status": "ok"}])
-        out = aggregate_concentrations(report)
-        assert out.learning_curves == report.learning_curves
+        rows = [{"strategy": "random", "target": "gr", "concentration": "0.01",
+                 "seed": 0, "round": 0, "n_labeled": 40,
+                 "full_rmse": 0.5, "full_accuracy": 0.8, "status": "ok"}]
+        assert with_means(learning_curves=rows)["learning_curves"] == rows
 
     def test_two_concentrations_averaged(self):
         base = {"strategy": "elm", "target": "gr", "seed": 0, "round": 1,
                 "n_labeled": 80}
-        report = Report(metadata={}, learning_curves=[
+        out = with_means(learning_curves=[
             dict(base, concentration="0.01", full_rmse=0.1, full_accuracy=0.7),
             dict(base, concentration="0.1", full_rmse=0.3, full_accuracy=0.9)])
-        out = aggregate_concentrations(report)
-        mean = [r for r in out.learning_curves if r["concentration"] == "mean"]
+        mean = [r for r in out["learning_curves"]
+                if r["concentration"] == "mean"]
         assert len(mean) == 1
         assert mean[0]["full_rmse"] == pytest.approx(0.2)
         assert mean[0]["full_accuracy"] == pytest.approx(0.8)
@@ -430,7 +454,7 @@ class TestAggregateConcentrations:
         al = {"strategy": "random", "target": "gr", "seed": 0, "status": "ok"}
         tc = {"model": "als", "target": "gr", "seed": 0, "fold": 0}
         cv = {"model": "als", "target": "gr", "seed": 0}
-        report = Report(metadata={}, learning_curves=[
+        tables = with_means(learning_curves=[
             dict(al, concentration="0.1", round=0, n_labeled=40,
                  full_rmse=0.25, full_accuracy=0.5),
             dict(al, concentration="0.1", round=1, n_labeled=80,
@@ -456,10 +480,9 @@ class TestAggregateConcentrations:
             dict(cv, model="alsdl", concentration="1.0", mean_test_loss=1.0,
                  mean_test_accuracy=1.0, status="ok"),
         ])
-        write_report(aggregate_concentrations(report), tmp_path)
+        write_tables(tables, tmp_path)
         text = {name: (tmp_path / name).read_bytes().decode()
-                for name in ("learning_curves.csv", "training_curves.csv",
-                             "cv_summary.csv")}
+                for name in CSV_NAMES}
         assert text["learning_curves.csv"] == (
             "strategy,target,concentration,seed,round,n_labeled,full_rmse,"
             "full_accuracy,status,diverged_epoch\r\n"
@@ -498,9 +521,8 @@ class TestAggregateConcentrations:
                 for c in range(n_concs) for model in ("als", "alsdl")
                 for fold in (0, 1)]
         del rows[1]  # als fold 1 misses a concentration: no mean for it
-        out = aggregate_concentrations(Report(metadata={},
-                                              training_curves=rows))
-        means = out.training_curves[len(rows):]
+        means = with_means(training_curves=rows)["training_curves"][
+            len(rows):]
         assert [(r["model"], r["fold"], r["concentration"]) for r in means] \
             == [("als", 0, "mean"), ("alsdl", 0, "mean"), ("alsdl", 1, "mean")]
         for mean in means:
@@ -512,6 +534,91 @@ class TestAggregateConcentrations:
                 for e in range(37):
                     want = float(np.mean([m[col][e] for m in members]))
                     assert mean[col][e] == want, (mean, col, e)
+
+
+class TestStreamedReport:
+    """A run writes each row as its unit yields it, the mean rows after the
+    last unit, and manifest.json last, once its CSVs are closed."""
+
+    def argv(self, tmp_path):
+        # 2 concentrations x 2 models x 2 seeds: 8 units of 2 folds each
+        return ["benchmark", "--dataset",
+                str(small_dataset(tmp_path / "data.csv")), "--target", "gr",
+                "--seeds", "0,1", "--folds", "2", "--als-epochs", "4",
+                "--mlp-epochs", "3", "--embedding-dim", "2"]
+
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    @pytest.mark.parametrize("folds_trained", [0, 3, 8])
+    def test_stopped_run_keeps_what_it_finished(
+            self, monkeypatch, tmp_path, error, folds_trained):
+        """A run stopped in its fold k, even one into an old run's
+        directory, leaves no manifest and each CSV's first lines: those of
+        the k folds trained, and of each unit they finish. Its finished
+        units are on disk already when it stops, as a killed run leaves
+        them."""
+        import alsal.runner as runner_mod
+        full, stopped = tmp_path / "full", tmp_path / "stopped"
+        main(self.argv(tmp_path) + ["--out", str(full)])
+        main(self.argv(tmp_path) + ["--seeds", "0", "--out", str(stopped)])
+        real, trained, on_disk = runner_mod._train_one, [], {}
+
+        def train(*args):
+            if len(trained) == folds_trained:
+                on_disk.update((name, (stopped / name).read_bytes())
+                               for name in CSV_NAMES)
+                raise error
+            trained.append(args)
+            return real(*args)
+        monkeypatch.setattr(runner_mod, "_train_one", train)
+        with pytest.raises(error):
+            main(self.argv(tmp_path) + ["--out", str(stopped)])
+        assert not (stopped / "manifest.json").exists()
+        left = {name: (stopped / name).read_bytes() for name in CSV_NAMES}
+        # 2 folds a unit
+        for csvs, folds in ((left, folds_trained),
+                            (on_disk, folds_trained - folds_trained % 2)):
+            for name, text in csvs.items():
+                want = (full / name).read_bytes().splitlines(keepends=True)
+                got = text.splitlines(keepends=True)
+                assert got == want[:len(got)] and got, name
+            rows = csv.DictReader(io.StringIO(
+                csvs["training_curves.csv"].decode()))
+            assert len({(r["concentration"], r["model"], r["seed"],
+                         r["fold"]) for r in rows}) == folds
+            assert csvs["cv_summary.csv"].count(b"\n") == 1 + folds // 2
+
+    def test_complete_run_replaces_an_old_one(self, tmp_path):
+        """A run into an old run's directory writes its own CSVs and
+        manifest, as into a new directory; its timestamp aside."""
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        argv = self.argv(tmp_path) + ["--seeds", "1", "--models", "als",
+                                      "--out", str(out)]
+        main(argv)
+        out.rename(fresh)
+        main(self.argv(tmp_path) + ["--out", str(out)])
+        main(argv)
+        for name in CSV_NAMES:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        manifests = [json.loads((d / "manifest.json").read_text())
+                     for d in (out, fresh)]
+        for manifest in manifests:
+            del manifest["timestamp"]
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["config"]["seeds"] == [1]
+
+    def test_rows_returned_are_the_rows_written(self, tmp_path):
+        """The {table: rows} a run returns, mean rows last, are the lines
+        of the CSVs it writes."""
+        from alsal.cli import resolve_config
+        out = tmp_path / "run"
+        args = build_parser().parse_args(self.argv(tmp_path))
+        tables = run_benchmark(resolve_config(args), out)
+        assert tables.keys() == TABLES.keys()
+        write_tables(tables, tmp_path)
+        for name in CSV_NAMES:
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+        assert [r["concentration"] for r in tables["cv_summary"]] \
+            == ["0.1"] * 4 + ["1.0"] * 4 + ["mean"] * 4
 
 
 class TestManifestEnvironment:
@@ -591,6 +698,21 @@ class TestCli:
         assert [r["n_labeled"] for r in data_rows] == ["6", "12", "18"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert "config_hash" in manifest
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        """python -m alsal.cli exits with main's exit: here a config error's
+        text, with no traceback."""
+        src = str(Path(alsal.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "alsal.cli", "benchmark", "--synthetic",
+             "6,6,2,0.1", "--folds", "1", "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "invalid config key 'folds' (set by --folds): folds must "
+            "be an integer >= 2, not 1\n")
+        assert not (tmp_path / "run").exists()
 
     def test_benchmark_end_to_end(self, tmp_path):
         out = tmp_path / "bench"
@@ -874,7 +996,7 @@ class TestCli:
          "invalid config key 'als.d': d must be an integer >= 1, not 0"),
         ({"alsdl": {"mlp_train": {"epochs": -1}}},
          "invalid config key 'alsdl.mlp_train.epochs': epochs must be an "
-         "integer >= 0, not -1"),
+         "integer >= 1, not -1"),
         # a removed key: each unit's strategy is a run_active_learning
         # argument, from the strategies entry
         ({"active": {"strategy": "rand"}},
@@ -918,8 +1040,7 @@ class TestCli:
                   "--out", str(tmp_path / "run")])
         key = FLAG_KEYS[flag[2:].replace("-", "_")][0]
         name = key.rsplit(".", 1)[-1]
-        kind = {"--mlp-epochs": "an integer >= 0",
-                "--n-max-query": "an integer >= 0",
+        kind = {"--n-max-query": "an integer >= 0",
                 "--elm-candidate-subsample": "null or an integer >= 1"}.get(
                     flag, "an integer >= 1")
         assert str(e.value) == (f"invalid config key {key!r} (set by {flag}): "
@@ -1398,8 +1519,7 @@ class TestRejectedInput:
     def test_out_that_cannot_be_made(self, monkeypatch, tmp_path, command,
                                      out, reason):
         """An --out that names a file, or a path under one, exits naming
-        output_dir once the data has loaded, before any unit trains, not
-        when the report is written after the whole study."""
+        output_dir once the data has loaded, before any unit trains."""
         forbid_training(monkeypatch)
         (tmp_path / "taken").write_text("kept")
         path = str(tmp_path / out)
@@ -1408,6 +1528,22 @@ class TestRejectedInput:
         assert str(e.value) == (f"invalid config key 'output_dir': {reason}: "
                                 f"{path!r}")
         assert (tmp_path / "taken").read_text() == "kept"
+
+    @pytest.mark.parametrize("name", ["cv_summary.csv", "manifest.json"])
+    @pytest.mark.parametrize("command", ["benchmark", "al-study"])
+    def test_report_file_that_cannot_be_written(self, monkeypatch, tmp_path,
+                                                command, name):
+        """A report file of --out that cannot be opened, or an old manifest
+        that cannot be removed, exits naming output_dir before any unit
+        trains, not after the whole study."""
+        forbid_training(monkeypatch)
+        (tmp_path / "run" / name).mkdir(parents=True)
+        with pytest.raises(SystemExit) as e:
+            main([command, "--synthetic", "8,8,2,0.1", "--out",
+                  str(tmp_path / "run")])
+        assert str(e.value) == ("invalid config key 'output_dir': [Errno 21] "
+                                "Is a directory: "
+                                f"{str(tmp_path / 'run' / name)!r}")
 
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_out_is_made_before_any_unit_trains(self, monkeypatch, tmp_path,
