@@ -89,11 +89,11 @@ def query_uncertainty(state, model, n):
 
 
 # Size in bytes of one stacked (candidates x m x n) float64 array, which
-# sets how many candidates ELM trains at once: 24 at 35x34. A query holds
-# three such arrays at once: values and mask, in which a trained chunk is
-# also scored, and train_als's residual. At 35x34, 32 candidates were no
-# faster than 24 on the al-elm benchmark (3 of 6 pairs) and raised its
-# peak RSS by 0.33 MB.
+# sets how many candidates ELM trains at once: 24 at 35x34. A training
+# chunk holds three such arrays: its values and mask and train_als's
+# residual; it is scored in fresh arrays once values and mask are freed.
+# At 35x34, 32 candidates were no faster than 24 on the al-elm benchmark
+# (3 of 6 pairs) and raised its peak RSS by 0.33 MB.
 ELM_CHUNK_BYTES = 230_000
 
 
@@ -110,11 +110,12 @@ def expected_losses(state, model, cfg, inner_seed):
 
     Candidates train in chunks, each one train_als run on a stacked
     MaskedMatrix whose (C, m, n) arrays take at most ELM_CHUNK_BYTES
-    (C >= 1). The query allocates one chunk's values and mask; each chunk
-    refills them, trains on them and is then scored inside them, so the
-    query's peak memory is that of training a chunk. Every score, and the
-    DivergenceError of the first candidate to diverge, is that of training
-    and scoring the candidate alone.
+    (C >= 1). Each chunk allocates its own values and mask, frees them once
+    trained and is scored in fresh arrays of at most that size, and no
+    array outlives its chunk, so the query's peak memory is that of
+    training a chunk. Every score, and the DivergenceError of the first
+    candidate to diverge, is that of training and scoring the candidate
+    alone.
     """
     matrix = state.matrix
     m, n = matrix.shape
@@ -138,42 +139,30 @@ def expected_losses(state, model, cfg, inner_seed):
     # candidate drops its own pool column
     score_flat = np.concatenate([labeled, pool])
     score_labels = np.concatenate([base_values[labeled], pool_preds])
-    n_labeled, n_scored = len(labeled), score_flat.size
+    n_labeled = len(labeled)
 
     chunk = max(1, min(ELM_CHUNK_BYTES // (8 * m * n), len(cand)))
-    # one pair of chunk-sized values and mask arrays per query; a shorter
-    # last chunk uses leading-axis views of them
-    values = np.empty((chunk, m * n))
-    mask = np.empty((chunk, m * n))
     scores = np.empty(len(cand))
     for start in range(0, len(cand), chunk):
         k = cand[start:start + chunk]
-        c = len(k)
-        rows = np.arange(c)
-        values[:c] = base_values
-        mask[:c] = base_mask
+        c, rows = len(k), np.arange(len(k))
+        values, mask = (np.broadcast_to(a, (c, m * n)).copy()
+                        for a in (base_values, base_mask))
         values[rows, pool[k]] = pool_preds[k]
         mask[rows, pool[k]] = 1.0
         inits = (np.broadcast_to(a, (c,) + a.shape) for a in (init.x, init.w))
         emb, _ = als_mod.train_als(MaskedMatrix(
-            values[:c].reshape(c, m, n), mask[:c].reshape(c, m, n)),
+            values.reshape(c, m, n), mask.reshape(c, m, n)),
             inner_cfg, als_mod.EmbeddingPair(*inits))
-        # scored in the chunk's own arrays: predictions into values, their
-        # squared errors over the scoring set into mask, and each
-        # candidate's errors without its own column back into values
-        np.matmul(emb.x, emb.w, out=values[:c].reshape(c, m, n))
-        del emb  # not alive while the next chunk trains
-        sq_err = mask.reshape(-1)[:c * n_scored].reshape(c, n_scored)
-        # every index is in range; "clip" writes out directly, where the
-        # default "raise" would buffer it
-        np.take(values[:c], score_flat, axis=1, out=sq_err, mode="clip")
-        sq_err -= score_labels
-        np.square(sq_err, out=sq_err)
-        kept_err = values.reshape(-1)[:c * (n_scored - 1)].reshape(c, -1)
-        for kept, err, own in zip(kept_err, sq_err, n_labeled + k):
-            kept[:own] = err[:own]
-            kept[own:] = err[own + 1:]
-        scores[start:start + c] = np.sqrt(np.mean(kept_err, axis=1))
+        del values, mask  # freed before the chunk is scored
+        err = (emb.x @ emb.w).reshape(c, m * n)[:, score_flat] - score_labels
+        err **= 2
+        # each candidate's squared errors without its own pool column
+        others = np.ones(err.shape, dtype=bool)
+        others[rows, n_labeled + k] = False
+        scores[start:start + c] = np.sqrt(np.mean(
+            err[others].reshape(c, -1), axis=1))
+        del emb, err, others  # not alive while the next chunk trains
     return pool[cand], scores
 
 

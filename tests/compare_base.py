@@ -5,12 +5,14 @@ their data CSVs.
 
 Data CSVs stay byte-identical for the same config and seeds, so a change
 that moves one must say so. This script extracts REV's `src/` with
-`git archive` into a temporary directory, builds two inputs once with this
-tree's `perfbench/gen_input.py` (a 1,498-row LINCS-layout CSV and the
-benchmark's seed-7 CSV), and runs 14 studies on each tree, each in a fresh
-interpreter as `PYTHONPATH=<tree>/src python -m alsal.cli ...`: 12 that
-cover every kind of row, concentration means included, and the
-benchmark's two workloads with the argv of `perfbench/run.py`. It prints one line per data CSV,
+`git archive` into a temporary directory, builds two inputs once with
+this tree's `perfbench/gen_input.py` (a 1,498-row LINCS-layout CSV and the
+benchmark's seed-7 CSV) and a third, the first without one (cell,
+molecule) pair, and runs 15 studies on each tree, each in a fresh
+interpreter as `PYTHONPATH=<tree>/src python -m alsal.cli ...`: 13 that
+cover every kind of row, concentration means and an ELM study on a matrix
+with an unobserved position included, and the benchmark's two workloads
+with the argv of `perfbench/run.py`. It prints one line per data CSV,
 
     study/file base <sha256|missing> head <sha256|missing>
 
@@ -54,6 +56,8 @@ CONFIGS = {
         "active": {"n_init": 10, "n_per_query": 3, "n_max_query": 2,
                    "elm_inner_epochs": 200}},
 }
+# the pair that compare-unmeasured.csv drops, as its rows start
+UNMEASURED_PAIR = "C002,M003,"
 SMALL = ("--synthetic", "8,7,2,0.1", "--folds", "3")
 EPOCHS = ("--als-epochs", "20", "--mlp-epochs", "20")
 AL_SMALL = ("--strategy", "orderly,random,uncertainty,elm", "--n-init", "6",
@@ -80,7 +84,7 @@ def studies(work, out):
             config[f"{kind}-diverges"]] for kind in ("als", "mlp")},
         "al-study": ["al-study", "--synthetic", "6,6,2,0.1", *AL_SMALL],
         # 30 ELM candidates on a 35 x 34 matrix train in chunks of 24 and 6,
-        # so the shorter last chunk's views are compared too
+        # so a shorter last chunk is compared too
         "al-study-elm-chunks": [
             "al-study", "--synthetic", "35,34,5,0.1", "--strategy", "elm",
             "--n-init", "40", "--n-per-query", "10", "--n-max-query", "2",
@@ -100,6 +104,12 @@ def studies(work, out):
                             "--concentrations", "1.0,2.0"],
         "al-study-means": ["al-study", "--dataset", compare_csv, *AL_SMALL,
                            "--concentrations", "1.0,2.0"],
+        # ELM scores every candidate over 29 of the 30 positions
+        "al-study-unmeasured": [
+            "al-study", "--dataset", str(work / "compare-unmeasured.csv"),
+            "--strategy", "elm", "--n-init", "6", "--n-per-query", "3",
+            "--n-max-query", "2", "--als-epochs", "10", "--mlp-epochs", "10",
+            "--elm-inner-epochs", "10", "--concentrations", "1.0"],
     }
     argv = {name: [*args, "--out", str(out / name)]
             for name, args in argv.items()}
@@ -119,6 +129,12 @@ def write_inputs(work):
                        rank=2, concentrations=tuple(round(0.1 * k, 1)
                                                     for k in range(1, 51)),
                        partial=(0.1,), missing_per_conc=2)
+    # the same rows without one (cell, molecule) pair, whose position is
+    # then unobserved at every dose
+    rows = (work / "compare.csv").read_text(encoding="utf-8").splitlines(True)
+    (work / "compare-unmeasured.csv").write_text("".join(
+        row for row in rows if not row.startswith(UNMEASURED_PAIR)),
+        encoding="utf-8")
     gen_input.generate(work / "bench.csv", 7)
     for name, raw in {**CONFIGS, "bench": bench.STUDY_CONFIG}.items():
         (work / f"{name}.json").write_text(json.dumps(raw), encoding="utf-8")

@@ -36,16 +36,19 @@ import atexit, json, os, sys, threading
 _hits = {}
 
 
+# no per-call closure: one that names itself is a reference cycle, garbage
+# until the next collection, which raised the tracemalloc peaks that tests
+# bound by up to 55 KB
+def _line(frame, event, arg):
+    _hits[frame.f_code.co_filename].add(frame.f_lineno)
+    return _line
+
+
 def _call(frame, event, arg):
     name = frame.f_code.co_filename
     if not name.startswith(%(src)r):
         return None
-    lines = _hits.setdefault(name, set())
-    lines.add(frame.f_lineno)
-
-    def _line(frame, event, arg):
-        lines.add(frame.f_lineno)
-        return _line
+    _hits.setdefault(name, set()).add(frame.f_lineno)
     return _line
 
 

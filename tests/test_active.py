@@ -424,11 +424,15 @@ class TestRunActiveLearning:
 
 
 def elm_problem(m=6, n=6, n_init=10, seed=0, noise_sd=0.1, inner_als=None,
-                **cfg_kw):
+                unmeasured=0.0, **cfg_kw):
     """A labelled state, its current model, and an ELM config. inner_als
     replaces fields of the model's recorded ALS config, which ELM's
-    retrains read, without retraining the model."""
+    retrains read, without retraining the model. About a fraction
+    unmeasured of the positions is never observed."""
     mat, _ = generate_synthetic(m, n, 2, noise_sd, seed=seed)
+    if unmeasured:
+        measured = np.random.default_rng(seed).random(mat.shape) >= unmeasured
+        mat = MaskedMatrix(np.where(measured, mat.values, 0.0), measured)
     cfg = ActiveConfig(n_init=n_init, elm_inner_epochs=30, **cfg_kw)
     state = init_state(mat, cfg, seed)
     model, _ = train_alsdl(mat.with_mask(state.labeled), fast_model_cfg(), seed)
@@ -480,6 +484,14 @@ class TestStackedElmExact:
         assert len(state.pool) == 1
         self.assert_exact(state, model, cfg)
 
+    def test_partially_observed_matrix(self, monkeypatch):
+        # about 30% of positions never measured, as a dataset with absent
+        # (cell, molecule) pairs gives, so fewer than m * n are scored
+        state, model, cfg = elm_problem(m=8, n=7, seed=6, unmeasured=0.3)
+        assert len(state.labeled) + len(state.pool) == 40
+        set_chunk(monkeypatch, state.matrix.shape, 4)
+        self.assert_exact(state, model, cfg)
+
     def test_exact_tie_ordered_by_candidate_index(self, monkeypatch):
         # zero init is a fixed point of training and every pool position
         # gets the same prediction, so every candidate scores the same
@@ -498,17 +510,18 @@ class TestStackedElmExact:
 
 
 class TestElmMemory:
-    """An ELM query scores each chunk in the chunk's own values and mask
-    arrays, so its peak is that of training a chunk."""
+    """An ELM query trains each chunk in its own values and mask arrays,
+    frees them before scoring it, and keeps no array into the next chunk,
+    so its peak is that of training a chunk."""
 
-    def test_peak_is_about_training_one_chunk(self):
-        # the benchmark's query: 35 x 34 fully observed, 40 labelled, 96
-        # candidates in chunks of 24, d = 5
+    def query_peak_and_kept(self, subsample):
+        # the benchmark's matrix: 35 x 34 fully observed, 40 labelled,
+        # chunks of 24, d = 5
         m, n, d = 35, 34, 5
         c = active_mod.ELM_CHUNK_BYTES // (8 * m * n)
         mat, _ = generate_synthetic(m, n, d, 0.1, seed=0)
         cfg = ActiveConfig(n_init=40, elm_inner_epochs=5,
-                           elm_candidate_subsample=96)
+                           elm_candidate_subsample=subsample)
         state = init_state(mat, cfg, 0)
         model, _ = train_alsdl(mat.with_mask(state.labeled), AlsdlConfig(
             als=AlsConfig(d=d, epochs=20), mlp_train=MlpTrainConfig(epochs=5),
@@ -524,10 +537,20 @@ class TestElmMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, kept
+
+    def test_peak_is_about_training_one_chunk(self):
+        # the benchmark's query: 96 candidates in 4 chunks
+        peak, kept = self.query_peak_and_kept(96)
         # the query's few m * n vectors and numpy's temporaries come on
-        # top (7% here); scoring in fresh (c, m * n) arrays peaked at 1.57
-        # times the kept arrays, with the last chunk's scoring arrays and
-        # embeddings still alive while the next chunk trained
+        # top (7% here); a chunk's scoring arrays and embeddings kept
+        # alive while the next chunk trained peaked at 1.57 times the
+        # kept arrays, and the scoring mask alone at 28.5 KB more
+        assert peak < 1.15 * kept
+
+    def test_full_pool(self):
+        # 1,150 candidates in 48 chunks, the last of 22
+        peak, kept = self.query_peak_and_kept(None)
         assert peak < 1.15 * kept
 
 

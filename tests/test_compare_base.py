@@ -5,7 +5,9 @@ argv of the studies it runs."""
 import hashlib
 
 from alsal.cli import build_parser
-from compare_base import CSV_NAMES, report, studies
+from alsal.data import build_response_matrix, parse_dataset
+from compare_base import (CSV_NAMES, UNMEASURED_PAIR, report, studies,
+                          write_inputs)
 
 STUDIES = ("benchmark", "al-study")
 
@@ -55,15 +57,30 @@ def test_changed_byte_and_missing_csv(tmp_path, capsys):
 
 
 def test_every_study_parses_with_its_own_output(tmp_path):
-    """The 14 studies, the benchmark's two workloads and two studies of
-    concentration means among them, are argv that this tree's CLI accepts,
-    each writing its own directory."""
+    """The 15 studies, the benchmark's two workloads, two studies of
+    concentration means and one on an unmeasured pair among them, are argv
+    that this tree's CLI accepts, each writing its own directory."""
     argv = studies(tmp_path, tmp_path / "out")
-    assert len(argv) == 14
-    assert {"cv-history", "al-elm", "benchmark-means", "al-study-means"} \
-        <= argv.keys()
+    assert len(argv) == 15
+    assert {"cv-history", "al-elm", "benchmark-means", "al-study-means",
+            "al-study-unmeasured"} <= argv.keys()
     for name in ("benchmark-means", "al-study-means"):
         assert build_parser().parse_args(argv[name]).concentrations \
             == (1.0, 2.0)
     assert {build_parser().parse_args(args).out for args in argv.values()} \
         == {str(tmp_path / "out" / name) for name in argv}
+
+
+def test_unmeasured_pair_input(tmp_path):
+    """compare-unmeasured.csv is compare.csv without one (cell, molecule)
+    pair's rows, so the studied dose leaves exactly that position
+    unobserved."""
+    write_inputs(tmp_path)
+    rows = (tmp_path / "compare.csv").read_text(encoding="utf-8")
+    kept = (tmp_path / "compare-unmeasured.csv").read_text(encoding="utf-8")
+    assert kept.splitlines() == [row for row in rows.splitlines()
+                                 if not row.startswith(UNMEASURED_PAIR)]
+    assert len(kept) < len(rows)
+    with open(tmp_path / "compare-unmeasured.csv", encoding="utf-8") as f:
+        mask = build_response_matrix(parse_dataset(f), "gr", 1.0).mask
+    assert mask.shape == (6, 5) and mask.sum() == 29 and mask[2, 3] == 0
