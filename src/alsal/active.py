@@ -19,7 +19,7 @@ import numpy as np
 
 from . import als as als_mod
 from . import alsdl as alsdl_mod
-from .als import Config, in_range
+from .als import Config, ConfigError, in_range
 from .data import MaskedMatrix
 from .metrics import Scorer
 
@@ -34,8 +34,17 @@ class ActiveConfig(Config):
     n_max_query: int = in_range(8, ">= 0")
     elm_inner_epochs: int = in_range(200, ">= 1")
     # when set, ELM scores only a random subset of the pool, drawn from the
-    # query's seed
+    # query's seed; never fewer than n_per_query, so ELM labels as many
+    # positions a round as the strategies it is compared with
     elm_candidate_subsample: int | None = in_range(None, ">= 1")
+
+    def __post_init__(self):
+        super().__post_init__()
+        k = self.elm_candidate_subsample
+        if k is not None and k < self.n_per_query:
+            raise ConfigError("elm_candidate_subsample",
+                              f"elm_candidate_subsample {k} is below "
+                              f"n_per_query = {self.n_per_query}")
 
 
 @dataclass(frozen=True)

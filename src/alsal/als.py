@@ -25,13 +25,12 @@ DivergenceError. Finite embeddings whose product overflows are reported
 at the next epoch, which that product makes non-finite.
 """
 
-import math
 import numbers
 import operator
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
-from typing import NamedTuple, get_args, get_origin
+from typing import Literal, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -87,17 +86,22 @@ def _rule(tp, bounds):
         return (lambda v: isinstance(v, dict) and all(map(test_k, v))
                 and all(map(test_v, v.values())),
                 f"a dict, each key {kind_k} and each value {kind_v}")
-    if tp in (int, float):  # a bool is neither; a float is finite
+    if tp in (int, float):  # a bool is neither; a number is finite
         if bounds is None:
             raise TypeError(f"a {tp.__name__} field needs a declared range")
         op, limit = bounds.split()
         compare, limit = _COMPARE[op], float(limit)
-        number, top = ((numbers.Integral, math.inf) if tp is int
-                       else (numbers.Real, sys.float_info.max))
-        kind = "an integer" if tp is int else "a finite number"
+        if tp is int:  # numpy's largest index: np.iinfo(np.intp).max
+            number, top = numbers.Integral, sys.maxsize
+            kind = f"an integer {bounds} and <= {top}"
+        else:
+            number, top = numbers.Real, sys.float_info.max
+            kind = f"a finite number {bounds}"
         return (lambda v: isinstance(v, number) and not isinstance(v, bool)
-                and -top <= v <= top and compare(v, limit),
-                f"{kind} {bounds}")
+                and -top <= v <= top and compare(v, limit), kind)
+    if get_origin(tp) is Literal:  # names, each a string
+        return (lambda v: isinstance(v, str) and v in args,
+                f"one of {', '.join(map(repr, args))}")
     if tp is str or is_dataclass(tp):
         return (lambda v: isinstance(v, tp)), (
             "a string" if tp is str else f"a {tp.__name__}")

@@ -40,19 +40,13 @@ def _synthetic(s):
         raise argparse.ArgumentTypeError(f"{s!r}: {e}") from e
 
 
-class _Targets(argparse.Action):
-    """--target's choice as the tuple of targets it studies."""
-    def __call__(self, parser, namespace, value, option_string=None):
-        setattr(namespace, self.dest,
-                ("gr", "ifd") if value == "both" else (value,))
-
-
 def _add_common(p):
     src = p.add_mutually_exclusive_group()
     src.add_argument("--dataset", help="path to the sensitivity CSV")
     src.add_argument("--synthetic", metavar="M,N,RANK,NOISE", type=_synthetic,
                      help="generate a synthetic low-rank matrix instead")
-    p.add_argument("--target", choices=["gr", "ifd", "both"], action=_Targets)
+    p.add_argument("--target", type=_csv_list(str),
+                   help="comma-separated subset of gr,ifd")
     p.add_argument("--concentrations", type=_csv_list(float), help="comma-"
                    "separated list; default: all fully-covered concentrations")
     p.add_argument("--seeds", type=_csv_list(int),

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, asdict, replace
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -75,43 +76,34 @@ class SyntheticSpec(Config):
 class ExperimentConfig(Config):
     dataset_path: str | None = None
     synthetic: SyntheticSpec | None = None
-    targets: tuple[str, ...] = ("gr", "ifd")
+    targets: tuple[Literal["gr", "ifd"], ...] = ("gr", "ifd")
     # None = all fully-covered ones
     concentrations: tuple[float, ...] | None = in_range(None, "> 0")
-    models: tuple[str, ...] = ("als", "alsdl")
-    strategies: tuple[str, ...] = ("orderly", "random", "uncertainty", "elm")
+    models: tuple[Literal[MODELS], ...] = MODELS
+    strategies: tuple[Literal[STRATEGIES], ...] = STRATEGIES
     seeds: tuple[int, ...] = in_range((0,), ">= 0")
     folds: int = in_range(10, ">= 2")
     als: AlsConfig = field(default_factory=AlsConfig)
     alsdl: AlsdlConfig = field(default_factory=AlsdlConfig)
     active: ActiveConfig = field(default_factory=ActiveConfig)
-    column_map: dict[str, str] | None = None
+    column_map: dict[Literal[tuple(data_mod.DEFAULT_COLUMNS)],
+                     str] | None = None
     output_dir: str = "out"
 
     def __post_init__(self):
         """Check each field, then the rules across fields, each raising
         ConfigError keyed by its dotted field: no list is empty or repeats
-        a value, and the name lists hold known names. load_matrices checks
-        the source, where it is read."""
+        a value. load_matrices checks the source, where it is read."""
         super().__post_init__()
-        for key in self.column_map or ():
-            if key not in data_mod.DEFAULT_COLUMNS:
-                raise ConfigError("column_map", f"unknown column_map key "
-                                  f"{key!r}; known: "
-                                  f"{', '.join(data_mod.DEFAULT_COLUMNS)}")
         concs = tuple(map(float, self.concentrations or ()))
-        for key, kind, names, known in (
-                ("targets", "target", self.targets, ("gr", "ifd")),
-                ("models", "model", self.models, MODELS),
-                ("strategies", "strategy", self.strategies, STRATEGIES),
-                ("seeds", "seed", self.seeds, None),
-                ("concentrations", "concentration", concs, None)):
+        for key, kind, names in (
+                ("targets", "target", self.targets),
+                ("models", "model", self.models),
+                ("strategies", "strategy", self.strategies),
+                ("seeds", "seed", self.seeds),
+                ("concentrations", "concentration", concs)):
             if not names and getattr(self, key) is not None:  # null means all
                 raise ConfigError(key, f"empty {kind} list")
-            for name in names if known else ():
-                if name not in known:
-                    raise ConfigError(key, f"unknown {kind} {name!r}; known: "
-                                      f"{', '.join(known)}")
             if len(set(names)) < len(names):  # units with the same key
                 raise ConfigError(key, f"repeated {kind} in {names!r}")
 

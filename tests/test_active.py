@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,8 @@ import alsal.alsdl as alsdl_mod
 from alsal.active import (ActiveConfig, expected_losses, init_state,
                           query_elm, query_orderly, query_random,
                           query_uncertainty, run_active_learning)
-from alsal.als import AlsConfig, DivergenceError, init_embeddings
+from alsal.als import (AlsConfig, ConfigError, DivergenceError,
+                       init_embeddings)
 from alsal.alsdl import AlsdlConfig, alsdl_predict_positions, train_alsdl
 from alsal.data import MaskedMatrix, generate_synthetic
 from oracles import rmse, stepped_als
@@ -301,7 +303,8 @@ class TestActiveConfigChecks:
     def test_rejects_non_positive_counts(self, field, value):
         # 0 ran rounds that labelled nothing; -3 died inside Generator.choice;
         # True is an integer to isinstance, but never a count
-        message = f"{field} must be (null or )?an integer >= 1, not"
+        message = (f"{field} must be (null or )?an integer >= 1 and <= "
+                   f"{sys.maxsize}, not")
         with pytest.raises(ValueError, match=message):
             ActiveConfig(**{field: value})
         with pytest.raises(ValueError, match=message):
@@ -310,6 +313,19 @@ class TestActiveConfigChecks:
     def test_accepts_one_and_unset_subsample(self):
         cfg = ActiveConfig(n_per_query=1, elm_candidate_subsample=1)
         assert replace(cfg, elm_candidate_subsample=None).n_per_query == 1
+
+    @pytest.mark.parametrize("n_per_query, subsample", [(2, 1), (40, 39)])
+    def test_rejects_subsample_below_n_per_query(self, n_per_query,
+                                                 subsample):
+        # ELM would label fewer positions a round than the other strategies
+        with pytest.raises(ConfigError) as e:
+            ActiveConfig(n_per_query=n_per_query,
+                         elm_candidate_subsample=subsample)
+        assert e.value.key == "elm_candidate_subsample"
+        assert str(e.value) == (f"elm_candidate_subsample {subsample} is "
+                                f"below n_per_query = {n_per_query}")
+        assert ActiveConfig(n_per_query=n_per_query,
+                            elm_candidate_subsample=n_per_query)
 
     @pytest.mark.parametrize("cls, field, value, kind", [
         (ActiveConfig, "n_max_query", -1, ">= 0"),
@@ -324,7 +340,8 @@ class TestActiveConfigChecks:
         pytest.param(MlpTrainConfig, "epochs", True, ">= 1",
                      id="MlpTrainConfig-epochs-True->= 0")])
     def test_rejects_bad_counts(self, cls, field, value, kind):
-        message = f"{field} must be an integer {kind}, not {value!r}"
+        message = (f"{field} must be an integer {kind} and <= {sys.maxsize}, "
+                   f"not {value!r}")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(**{field: value})
 
@@ -353,7 +370,7 @@ class TestActiveConfigChecks:
 class TestElmSubsampling:
     def test_subsample_restricts_candidates(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=20)
-        cfg = ActiveConfig(n_init=8, elm_inner_epochs=20,
+        cfg = ActiveConfig(n_init=8, n_per_query=3, elm_inner_epochs=20,
                            elm_candidate_subsample=3)
         state = init_state(mat, cfg, 0)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
@@ -364,7 +381,7 @@ class TestElmSubsampling:
 
     def test_subsample_deterministic(self):
         mat, _ = generate_synthetic(4, 4, 1, 0.0, seed=21)
-        cfg = ActiveConfig(n_init=6, elm_inner_epochs=20,
+        cfg = ActiveConfig(n_init=6, n_per_query=2, elm_inner_epochs=20,
                            elm_candidate_subsample=4)
         state = init_state(mat, cfg, 0)
         model, _ = train_alsdl(mat.with_mask(state.labeled),
@@ -476,6 +493,7 @@ class TestStackedElmExact:
 
     def test_candidate_subsample(self):
         state, model, cfg = elm_problem(m=35, n=34, n_init=40, seed=2,
+                                        n_per_query=20,
                                         elm_candidate_subsample=20)
         self.assert_exact(state, model, cfg, inner_seed=11)
 

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
@@ -72,16 +73,22 @@ class TestCheckFields:
     """A config dataclass checks each field against its annotation and
     declared range when it is built, and stores the value unchanged."""
 
-    @pytest.mark.parametrize("value", [1, np.int64(5), 10**20])
+    # sys.maxsize is numpy's largest index: np.iinfo(np.intp).max
+    @pytest.mark.parametrize("value", [1, np.int64(5), sys.maxsize])
     def test_count_accepted(self, value):
         assert AlsConfig(d=value).d is value
 
-    @pytest.mark.parametrize("value", [0, -1, True, 2.0, "3", None])
+    @pytest.mark.parametrize("value", [0, -1, True, 2.0, "3", None,
+                                       sys.maxsize + 1, 10**20])
     def test_count_rejected(self, value):
         with pytest.raises(ConfigError) as e:
             AlsConfig(d=value)
         assert e.value.key == "d"
-        assert str(e.value) == f"d must be an integer >= 1, not {value!r}"
+        assert str(e.value) == (f"d must be an integer >= 1 and <= "
+                                f"{sys.maxsize}, not {value!r}")
+
+    def test_count_limit_is_numpy_index_limit(self):
+        assert sys.maxsize == np.iinfo(np.intp).max
 
     @pytest.mark.parametrize("value", [1, 1e-300, 1e308, np.float64(0.5)])
     def test_number_accepted(self, value):

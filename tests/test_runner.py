@@ -35,12 +35,25 @@ from alsal.runner import (MODELS, TABLES, ConfigError, ExperimentConfig,
                           run_al_study, run_benchmark)
 
 
-COLUMN_MAP_KIND = "null or a dict, each key a string and each value a string"
+# the largest integer an int field takes: numpy's largest index
+MAX = sys.maxsize
+COLUMN_MAP_KIND = ("null or a dict, each key one of 'cell_id', "
+                   "'molecule_id', 'concentration', 'gr', 'ifd' and each "
+                   "value a string")
 CONCENTRATIONS_KIND = "null or a tuple, each a finite number > 0"
 CONCENTRATIONS_ERROR = ("invalid config key 'concentrations': concentrations "
                         f"must be {CONCENTRATIONS_KIND}")
 SEEDS_ERROR = ("invalid config key 'seeds': seeds must be a tuple, each an "
-               "integer >= 0")
+               f"integer >= 0 and <= {MAX}")
+# SEEDS_ERROR before an int field had an upper limit, kept in test ids
+OLD_SEEDS_ERROR = ("invalid config key 'seeds': seeds must be a tuple, each "
+                   "an integer >= 0")
+# column_map's kind before its keys were a Literal, kept in test ids
+OLD_COLUMN_MAP_KIND = ("column_map must be null or a dict, each key a string "
+                       "and each value a string")
+MODELS_KIND = "a tuple, each one of 'als', 'alsdl'"
+STRATEGIES_KIND = ("a tuple, each one of 'orderly', 'random', 'uncertainty', "
+                   "'elm'")
 
 
 def small_config(**overrides):
@@ -279,14 +292,29 @@ class TestConfigChecks:
     """Bad names and counts are rejected before any model trains."""
 
     @pytest.mark.parametrize("run", [run_benchmark, run_al_study])
+    # a case with an explicit id keeps the name it had before the name
+    # lists were field annotations and an int field had an upper limit
     @pytest.mark.parametrize("overrides, message", [
-        ({"models": ("als", "foo")},
-         "unknown model 'foo'; known: als, alsdl"),
-        ({"strategies": ("random", "rand")},
-         "unknown strategy 'rand'; known: orderly, random, uncertainty, elm"),
-        ({"folds": 1}, "folds must be an integer >= 2, not 1"),
-        ({"folds": 2.0}, "folds must be an integer >= 2, not 2.0"),
-        ({"folds": True}, "folds must be an integer >= 2, not True"),
+        pytest.param(
+            {"models": ("als", "foo")},
+            f"models must be {MODELS_KIND}, not ('als', 'foo')",
+            id="overrides0-unknown model 'foo'; known: als, alsdl"),
+        pytest.param(
+            {"strategies": ("random", "rand")},
+            f"strategies must be {STRATEGIES_KIND}, not ('random', 'rand')",
+            id="overrides1-unknown strategy 'rand'; known: orderly, random, "
+            "uncertainty, elm"),
+        pytest.param(
+            {"folds": 1}, f"folds must be an integer >= 2 and <= {MAX}, not 1",
+            id="overrides2-folds must be an integer >= 2, not 1"),
+        pytest.param(
+            {"folds": 2.0},
+            f"folds must be an integer >= 2 and <= {MAX}, not 2.0",
+            id="overrides3-folds must be an integer >= 2, not 2.0"),
+        pytest.param(
+            {"folds": True},
+            f"folds must be an integer >= 2 and <= {MAX}, not True",
+            id="overrides4-folds must be an integer >= 2, not True"),
         ({"models": ("als", "alsdl", "als")},
          "repeated model in ('als', 'alsdl', 'als')"),
         ({"strategies": ("elm", "elm")},
@@ -300,20 +328,35 @@ class TestConfigChecks:
         ({"concentrations": (2 ** 53 + 1, 2.0 ** 53)},
          "repeated concentration in (9007199254740992.0, "
          "9007199254740992.0)"),
-        ({"column_map": 5}, f"column_map must be {COLUMN_MAP_KIND}, not 5"),
-        ({"column_map": {"gr": 5}},
-         f"column_map must be {COLUMN_MAP_KIND}, not {{'gr': 5}}"),
-        ({"column_map": {5: "gr"}},
-         f"column_map must be {COLUMN_MAP_KIND}, not {{5: 'gr'}}"),
-        ({"column_map": ["gr"]},
-         f"column_map must be {COLUMN_MAP_KIND}, not ['gr']"),
+        pytest.param(
+            {"column_map": 5}, f"column_map must be {COLUMN_MAP_KIND}, not 5",
+            id=f"overrides11-{OLD_COLUMN_MAP_KIND}, not 5"),
+        pytest.param(
+            {"column_map": {"gr": 5}},
+            f"column_map must be {COLUMN_MAP_KIND}, not {{'gr': 5}}",
+            id=f"overrides12-{OLD_COLUMN_MAP_KIND}, not {{'gr': 5}}"),
+        pytest.param(
+            {"column_map": {5: "gr"}},
+            f"column_map must be {COLUMN_MAP_KIND}, not {{5: 'gr'}}",
+            id=f"overrides13-{OLD_COLUMN_MAP_KIND}, not {{5: 'gr'}}"),
+        pytest.param(
+            {"column_map": ["gr"]},
+            f"column_map must be {COLUMN_MAP_KIND}, not ['gr']",
+            id=f"overrides14-{OLD_COLUMN_MAP_KIND}, not ['gr']"),
         ({"dataset_path": 5}, "dataset_path must be null or a string, not 5"),
         ({"output_dir": None}, "output_dir must be a string, not None"),
         # a misspelt key would leave its column at the default header
-        ({"column_map": {"cel_id": "Cell HMS LINCS ID"}}, "unknown "
-         "column_map key 'cel_id'; known: cell_id, molecule_id, "
-         "concentration, gr, ifd"),
-        ({"concentrations": ()}, "empty concentration list")])
+        pytest.param(
+            {"column_map": {"cel_id": "Cell HMS LINCS ID"}},
+            f"column_map must be {COLUMN_MAP_KIND}, not "
+            "{'cel_id': 'Cell HMS LINCS ID'}",
+            id="overrides17-unknown column_map key 'cel_id'; known: cell_id, "
+            "molecule_id, concentration, gr, ifd"),
+        ({"concentrations": ()}, "empty concentration list"),
+        ({"folds": MAX + 1},
+         f"folds must be an integer >= 2 and <= {MAX}, not {MAX + 1}"),
+        ({"targets": ("gr", "x")}, "targets must be a tuple, each one of "
+         "'gr', 'ifd', not ('gr', 'x')")])
     def test_validate(self, monkeypatch, run, overrides, message):
         forbid_training(monkeypatch)
         with pytest.raises(ValueError) as e:
@@ -341,15 +384,20 @@ class TestConfigChecks:
         assert run(cfg)
 
     # a case with an explicit id keeps the name it had when its exit read
-    # "invalid config: <rule>", before every rule named its key
+    # "invalid config: <rule>", before every rule named its key, or before
+    # the name lists were field annotations and an int field had an upper
+    # limit
     @pytest.mark.parametrize("argv, message", [
-        (["benchmark", "--folds", "1"],
-         "invalid config key 'folds' (set by --folds): folds must be an "
-         "integer >= 2, not 1"),
+        pytest.param(
+            ["benchmark", "--folds", "1"],
+            "invalid config key 'folds' (set by --folds): folds must be an "
+            f"integer >= 2 and <= {MAX}, not 1",
+            id="argv0-invalid config key 'folds' (set by --folds): folds "
+            "must be an integer >= 2, not 1"),
         pytest.param(
             ["benchmark", "--models", "als,foo", "--folds", "2"],
-            "invalid config key 'models' (set by --models): unknown model "
-            "'foo'; known: als, alsdl",
+            "invalid config key 'models' (set by --models): models must be "
+            f"{MODELS_KIND}, not ('als', 'foo')",
             id="argv1-invalid config: unknown model 'foo'; known: als, alsdl"),
         pytest.param(
             ["benchmark", "--models", ","],
@@ -361,8 +409,8 @@ class TestConfigChecks:
             "strategy list", id="argv3-invalid config: empty strategy list"),
         pytest.param(
             ["al-study", "--strategy", "rand"],
-            "invalid config key 'strategies' (set by --strategy): unknown "
-            "strategy 'rand'; known: orderly, random, uncertainty, elm",
+            "invalid config key 'strategies' (set by --strategy): strategies "
+            f"must be {STRATEGIES_KIND}, not ('rand',)",
             id="argv4-invalid config: unknown strategy 'rand'; known: "
             "orderly, random, uncertainty, elm"),
         (["benchmark", "--folds", "37"],
@@ -389,9 +437,37 @@ class TestConfigChecks:
             "repeated concentration in (1.0, 1.0)",
             id="argv10-invalid config: repeated concentration in (1.0, 1.0)"),
         # a network of 0 epochs would be reported as its stage 1
-        (["benchmark", "--mlp-epochs", "0"],
+        pytest.param(
+            ["benchmark", "--mlp-epochs", "0"],
+            "invalid config key 'alsdl.mlp_train.epochs' (set by "
+            f"--mlp-epochs): epochs must be an integer >= 1 and <= {MAX}, "
+            "not 0", id="argv11-invalid config key 'alsdl.mlp_train.epochs' "
+            "(set by --mlp-epochs): epochs must be an integer >= 1, not 0"),
+        # beyond numpy's index range: each passed every check, trained the
+        # als units and then failed in numpy, leaving no manifest
+        (["benchmark", "--mlp-epochs", str(10**30)],
          "invalid config key 'alsdl.mlp_train.epochs' (set by --mlp-epochs): "
-         "epochs must be an integer >= 1, not 0")])
+         f"epochs must be an integer >= 1 and <= {MAX}, not {10**30}"),
+        (["benchmark", "--als-epochs", str(10**30)],
+         "invalid config key 'als.epochs' (set by --als-epochs): epochs "
+         f"must be an integer >= 1 and <= {MAX}, not {10**30}"),
+        (["al-study", "--embedding-dim", str(10**30)],
+         "invalid config key 'als.d' (set by --embedding-dim): d must be an "
+         f"integer >= 1 and <= {MAX}, not {10**30}"),
+        (["al-study", "--n-per-query", str(MAX + 1)],
+         "invalid config key 'active.n_per_query' (set by --n-per-query): "
+         f"n_per_query must be an integer >= 1 and <= {MAX}, not {MAX + 1}"),
+        # ELM would label fewer positions a round than random
+        (["al-study", "--strategy", "elm,random", "--n-init", "4",
+          "--n-per-query", "2", "--n-max-query", "2", "--als-epochs", "5",
+          "--mlp-epochs", "5", "--elm-inner-epochs", "5",
+          "--elm-candidate-subsample", "1", "--seeds", "0,1"],
+         "invalid config key 'active.elm_candidate_subsample' (set by "
+         "--elm-candidate-subsample): elm_candidate_subsample 1 is below "
+         "n_per_query = 2"),
+        (["benchmark", "--target", "gr,x"],
+         "invalid config key 'targets' (set by --target): targets must be a "
+         "tuple, each one of 'gr', 'ifd', not ('gr', 'x')")])
     def test_cli_exit(self, monkeypatch, tmp_path, argv, message):
         forbid_training(monkeypatch)
         with pytest.raises(SystemExit) as e:
@@ -711,7 +787,7 @@ class TestCli:
             env=env, capture_output=True, text=True)
         assert (done.returncode, done.stdout, done.stderr) == (
             1, "", "invalid config key 'folds' (set by --folds): folds must "
-            "be an integer >= 2, not 1\n")
+            f"be an integer >= 2 and <= {MAX}, not 1\n")
         assert not (tmp_path / "run").exists()
 
     def test_benchmark_end_to_end(self, tmp_path):
@@ -973,34 +1049,61 @@ class TestCli:
             assert str(e.value) == (
                 "invalid config key 'alsdl.loss.boundaries': unknown key")
 
+    # a case with an explicit id keeps the name it had before an int
+    # field had an upper limit
     @pytest.mark.parametrize("raw, message", [
-        ({"active": {"elm_candidate_subsample": 0}},
-         "invalid config key 'active.elm_candidate_subsample': "
-         "elm_candidate_subsample must be null or an integer >= 1, not 0"),
-        ({"active": {"n_per_query": -3}},
-         "invalid config key 'active.n_per_query': n_per_query must be an "
-         "integer >= 1, not -3"),
+        pytest.param(
+            {"active": {"elm_candidate_subsample": 0}},
+            "invalid config key 'active.elm_candidate_subsample': "
+            "elm_candidate_subsample must be null or an integer >= 1 and <= "
+            f"{MAX}, not 0", id="raw0-invalid config key "
+            "'active.elm_candidate_subsample': elm_candidate_subsample must "
+            "be null or an integer >= 1, not 0"),
+        pytest.param(
+            {"active": {"n_per_query": -3}},
+            "invalid config key 'active.n_per_query': n_per_query must be "
+            f"an integer >= 1 and <= {MAX}, not -3",
+            id="raw1-invalid config key 'active.n_per_query': n_per_query "
+            "must be an integer >= 1, not -3"),
         ({"alsdl": {"loss": {"boundaries": ["a", 1]}}},
          "invalid config key 'alsdl.loss.boundaries': unknown key"),
         # an empty curve, a TypeError in train_als, and a failure in numpy
-        ({"active": {"n_max_query": -1}},
-         "invalid config key 'active.n_max_query': n_max_query must be an "
-         "integer >= 0, not -1"),
-        ({"alsdl": {"als": {"epochs": 10.5}}},
-         "invalid config key 'alsdl.als.epochs': epochs must be an integer "
-         ">= 1, not 10.5"),
-        ({"active": {"n_per_query": True}},
-         "invalid config key 'active.n_per_query': n_per_query must be an "
-         "integer >= 1, not True"),
-        ({"als": {"d": 0}},
-         "invalid config key 'als.d': d must be an integer >= 1, not 0"),
-        ({"alsdl": {"mlp_train": {"epochs": -1}}},
-         "invalid config key 'alsdl.mlp_train.epochs': epochs must be an "
-         "integer >= 1, not -1"),
+        pytest.param(
+            {"active": {"n_max_query": -1}},
+            "invalid config key 'active.n_max_query': n_max_query must be "
+            f"an integer >= 0 and <= {MAX}, not -1",
+            id="raw3-invalid config key 'active.n_max_query': n_max_query "
+            "must be an integer >= 0, not -1"),
+        pytest.param(
+            {"alsdl": {"als": {"epochs": 10.5}}},
+            "invalid config key 'alsdl.als.epochs': epochs must be an "
+            f"integer >= 1 and <= {MAX}, not 10.5",
+            id="raw4-invalid config key 'alsdl.als.epochs': epochs must be "
+            "an integer >= 1, not 10.5"),
+        pytest.param(
+            {"active": {"n_per_query": True}},
+            "invalid config key 'active.n_per_query': n_per_query must be "
+            f"an integer >= 1 and <= {MAX}, not True",
+            id="raw5-invalid config key 'active.n_per_query': n_per_query "
+            "must be an integer >= 1, not True"),
+        pytest.param(
+            {"als": {"d": 0}}, "invalid config key 'als.d': d must be an "
+            f"integer >= 1 and <= {MAX}, not 0", id="raw6-invalid config "
+            "key 'als.d': d must be an integer >= 1, not 0"),
+        pytest.param(
+            {"alsdl": {"mlp_train": {"epochs": -1}}},
+            "invalid config key 'alsdl.mlp_train.epochs': epochs must be an "
+            f"integer >= 1 and <= {MAX}, not -1",
+            id="raw7-invalid config key 'alsdl.mlp_train.epochs': epochs "
+            "must be an integer >= 1, not -1"),
         # a removed key: each unit's strategy is a run_active_learning
         # argument, from the strategies entry
         ({"active": {"strategy": "rand"}},
-         "invalid config key 'active.strategy': unknown key")])
+         "invalid config key 'active.strategy': unknown key"),
+        # a file must pass on its own: the flags apply after it
+        ({"active": {"elm_candidate_subsample": 4}},
+         "invalid config key 'active.elm_candidate_subsample': "
+         "elm_candidate_subsample 4 is below n_per_query = 40")])
     def test_config_file_value_rejected(self, tmp_path, raw, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
@@ -1040,9 +1143,10 @@ class TestCli:
                   "--out", str(tmp_path / "run")])
         key = FLAG_KEYS[flag[2:].replace("-", "_")][0]
         name = key.rsplit(".", 1)[-1]
-        kind = {"--n-max-query": "an integer >= 0",
-                "--elm-candidate-subsample": "null or an integer >= 1"}.get(
-                    flag, "an integer >= 1")
+        kind = {"--n-max-query": f"an integer >= 0 and <= {MAX}",
+                "--elm-candidate-subsample":
+                    f"null or an integer >= 1 and <= {MAX}"}.get(
+                        flag, f"an integer >= 1 and <= {MAX}")
         assert str(e.value) == (f"invalid config key {key!r} (set by {flag}): "
                                 f"{name} must be {kind}, not {value}")
         assert not (tmp_path / "run").exists()
@@ -1054,8 +1158,9 @@ class TestCli:
                   "--mlp-epochs", "10", "--elm-inner-epochs", "10",
                   "--embedding-dim", "2"]
         cfg_path = tmp_path / "cfg.json"
+        # a file must pass on its own, so it sets n_per_query as the flag
         cfg_path.write_text(json.dumps(
-            {"active": {"elm_candidate_subsample": 4}}))
+            {"active": {"n_per_query": 2, "elm_candidate_subsample": 4}}))
         runs = {"flag": ["--elm-candidate-subsample", "4"],
                 "json": ["--config", str(cfg_path)], "full": []}
         for name, extra in runs.items():
@@ -1239,8 +1344,11 @@ class TestRejectedInput:
          "argument --synthetic: '6,6,9,0': rank 9 exceeds min(m, n) = 6"),
         (["--synthetic", "6,6,2,-0.5"], "argument --synthetic: '6,6,2,-0.5': "
          "noise_sd must be a finite number >= 0, not -0.5"),
-        (["--synthetic", "0,6,1,0"], "argument --synthetic: '0,6,1,0': m "
-         "must be an integer >= 1, not 0")])
+        pytest.param(
+            ["--synthetic", "0,6,1,0"], "argument --synthetic: '0,6,1,0': m "
+            f"must be an integer >= 1 and <= {MAX}, not 0",
+            id="argv6-argument --synthetic: '0,6,1,0': m must be an integer "
+            ">= 1, not 0")])
     def test_usage_error(self, monkeypatch, capsys, tmp_path, argv, message):
         forbid_training(monkeypatch)
         with pytest.raises(SystemExit) as e:
@@ -1252,11 +1360,16 @@ class TestRejectedInput:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("raw, message", [
-        ({"seeds": [1.5]}, f"{SEEDS_ERROR}, not (1.5,)"),
-        ({"seeds": [-1]}, f"{SEEDS_ERROR}, not (-1,)"),
-        ({"seeds": [0, True]}, f"{SEEDS_ERROR}, not (0, True)"),
-        ({"seeds": ["a"]}, f"{SEEDS_ERROR}, not ('a',)"),
-        ({"seeds": 3}, f"{SEEDS_ERROR}, not 3"),
+        pytest.param({"seeds": [1.5]}, f"{SEEDS_ERROR}, not (1.5,)",
+                     id=f"raw0-{OLD_SEEDS_ERROR}, not (1.5,)"),
+        pytest.param({"seeds": [-1]}, f"{SEEDS_ERROR}, not (-1,)",
+                     id=f"raw1-{OLD_SEEDS_ERROR}, not (-1,)"),
+        pytest.param({"seeds": [0, True]}, f"{SEEDS_ERROR}, not (0, True)",
+                     id=f"raw2-{OLD_SEEDS_ERROR}, not (0, True)"),
+        pytest.param({"seeds": ["a"]}, f"{SEEDS_ERROR}, not ('a',)",
+                     id=f"raw3-{OLD_SEEDS_ERROR}, not ('a',)"),
+        pytest.param({"seeds": 3}, f"{SEEDS_ERROR}, not 3",
+                     id=f"raw4-{OLD_SEEDS_ERROR}, not 3"),
         # a case with an explicit id keeps the name it had when its exit
         # read "invalid config: <rule>", before every rule named its key
         pytest.param({"seeds": []},
@@ -1293,8 +1406,11 @@ class TestRejectedInput:
         ({"synthetic": {"noise_sd": -1}},
          "invalid config key 'synthetic.noise_sd': noise_sd must be a finite "
          "number >= 0, not -1"),
-        ({"synthetic": {"rank": 2.0}}, "invalid config key 'synthetic.rank': "
-         "rank must be an integer >= 1, not 2.0"),
+        pytest.param(
+            {"synthetic": {"rank": 2.0}}, "invalid config key "
+            f"'synthetic.rank': rank must be an integer >= 1 and <= {MAX}, "
+            "not 2.0", id="raw13-invalid config key 'synthetic.rank': rank "
+            "must be an integer >= 1, not 2.0"),
         ({"concentrations": ["x"]}, f"{CONCENTRATIONS_ERROR}, not ('x',)"),
         ({"concentrations": [True]}, f"{CONCENTRATIONS_ERROR}, not (True,)"),
         ({"concentrations": [1.0, -1]},
@@ -1303,9 +1419,9 @@ class TestRejectedInput:
         ({"concentrations": 5}, f"{CONCENTRATIONS_ERROR}, not 5"),
         pytest.param(
             {"targets": ["gr", "x"]},
-            "invalid config key 'targets': unknown target 'x'; known: gr, "
-            "ifd", id="raw19-invalid config: unknown target 'x'; known: gr, "
-            "ifd"),
+            "invalid config key 'targets': targets must be a tuple, each one "
+            "of 'gr', 'ifd', not ('gr', 'x')", id="raw19-invalid config: "
+            "unknown target 'x'; known: gr, ifd"),
         pytest.param(
             {"targets": []}, "invalid config key 'targets': empty target "
             "list", id="raw20-invalid config: empty target list"),
@@ -1318,26 +1434,39 @@ class TestRejectedInput:
             "invalid config key 'concentrations': repeated concentration in "
             "(0.1, 1.0, 1.0)", id="raw22-invalid config: repeated "
             "concentration in (0.1, 1.0, 1.0)"),
-        ({"column_map": 5}, "invalid config key 'column_map': column_map "
-         f"must be {COLUMN_MAP_KIND}, not 5"),
-        ({"column_map": {"gr": None}}, "invalid config key 'column_map': "
-         f"column_map must be {COLUMN_MAP_KIND}, not {{'gr': None}}"),
+        pytest.param(
+            {"column_map": 5}, "invalid config key 'column_map': column_map "
+            f"must be {COLUMN_MAP_KIND}, not 5", id="raw23-invalid config "
+            f"key 'column_map': {OLD_COLUMN_MAP_KIND}, not 5"),
+        pytest.param(
+            {"column_map": {"gr": None}}, "invalid config key 'column_map': "
+            f"column_map must be {COLUMN_MAP_KIND}, not {{'gr': None}}",
+            id="raw24-invalid config key 'column_map': "
+            f"{OLD_COLUMN_MAP_KIND}, not {{'gr': None}}"),
         ({"dataset_path": 5}, "invalid config key 'dataset_path': "
          "dataset_path must be null or a string, not 5"),
         ({"concentrations": [10 ** 400]},
          f"{CONCENTRATIONS_ERROR}, not ({10 ** 400},)"),
         ({"concentrations": [-10 ** 400]},
          f"{CONCENTRATIONS_ERROR}, not ({-10 ** 400},)"),
-        ({"targets": "gr"}, "invalid config key 'targets': targets must be "
-         "a tuple, each a string, not 'gr'"),
-        ({"models": "als"}, "invalid config key 'models': models must be "
-         "a tuple, each a string, not 'als'"),
-        ({"strategies": "elm"}, "invalid config key 'strategies': strategies "
-         "must be a tuple, each a string, not 'elm'"),
+        pytest.param(
+            {"targets": "gr"}, "invalid config key 'targets': targets must "
+            "be a tuple, each one of 'gr', 'ifd', not 'gr'",
+            id="raw28-invalid config key 'targets': targets must be a tuple, "
+            "each a string, not 'gr'"),
+        pytest.param(
+            {"models": "als"}, "invalid config key 'models': models must be "
+            f"{MODELS_KIND}, not 'als'", id="raw29-invalid config key "
+            "'models': models must be a tuple, each a string, not 'als'"),
+        pytest.param(
+            {"strategies": "elm"}, "invalid config key 'strategies': "
+            f"strategies must be {STRATEGIES_KIND}, not 'elm'",
+            id="raw30-invalid config key 'strategies': strategies must be a "
+            "tuple, each a string, not 'elm'"),
         pytest.param(
             {"column_map": {"gr": "Mean GR", "IFD": "Dead"}}, "invalid "
-            "config key 'column_map': unknown column_map key 'IFD'; known: "
-            "cell_id, molecule_id, concentration, gr, ifd", id="raw31-invalid "
+            f"config key 'column_map': column_map must be {COLUMN_MAP_KIND}, "
+            "not {'gr': 'Mean GR', 'IFD': 'Dead'}", id="raw31-invalid "
             "config: unknown column_map key 'IFD'; known: cell_id, "
             "molecule_id, concentration, gr, ifd"),
         # float and bool fields: each ran on, to a traceback or a report
@@ -1356,9 +1485,12 @@ class TestRejectedInput:
             "be a finite number >= 0, not None"),
         ({"alsdl": {"loss": {"beta": "a"}}}, "invalid config key "
          "'alsdl.loss.beta': beta must be a finite number >= 0, not 'a'"),
-        ({"alsdl": {"hidden_sizes": [20, "a"]}}, "invalid config key "
-         "'alsdl.hidden_sizes': hidden_sizes must be a tuple, each an "
-         "integer >= 1, not (20, 'a')"),
+        pytest.param(
+            {"alsdl": {"hidden_sizes": [20, "a"]}}, "invalid config key "
+            "'alsdl.hidden_sizes': hidden_sizes must be a tuple, each an "
+            f"integer >= 1 and <= {MAX}, not (20, 'a')",
+            id="raw36-invalid config key 'alsdl.hidden_sizes': hidden_sizes "
+            "must be a tuple, each an integer >= 1, not (20, 'a')"),
         ({"alsdl": {"mlp_train": {"rmsprop_learning_rate": -1}}},
          "invalid config key 'alsdl.mlp_train.rmsprop_learning_rate': "
          "rmsprop_learning_rate must be a finite number > 0, not -1"),
@@ -1383,7 +1515,12 @@ class TestRejectedInput:
             id="raw41-unknown config key 'active.orderly_column_major'"),
         # only null asks for every fully covered concentration
         ({"concentrations": []},
-         "invalid config key 'concentrations': empty concentration list")])
+         "invalid config key 'concentrations': empty concentration list"),
+        # beyond numpy's index range: it passed every check, trained the
+        # als units and then failed in numpy, leaving no manifest
+        ({"alsdl": {"hidden_sizes": [10**21]}}, "invalid config key "
+         "'alsdl.hidden_sizes': hidden_sizes must be a tuple, each an "
+         f"integer >= 1 and <= {MAX}, not ({10**21},)")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
         forbid_training(monkeypatch)
@@ -1440,14 +1577,18 @@ class TestRejectedInput:
                                 "given")
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("m, reason", [
-        pytest.param(10**400, "Maximum allowed dimension exceeded",
+    @pytest.mark.parametrize("m, message", [
+        pytest.param(10**400, "invalid config key 'synthetic.m': m must be "
+                     f"an integer >= 1 and <= {MAX}, not {10**400}",
                      id="no-dimension"),
-        pytest.param(2**62, "array is too big", id="no-size")])
+        pytest.param(2**62, "invalid config key 'synthetic': array is too "
+                     "big", id="no-size")])
     def test_synthetic_matrix_too_large(self, monkeypatch, tmp_path, m,
-                                        reason):
+                                        message):
         """A synthetic m x 6 matrix that numpy cannot represent exits as a
-        config error, with no traceback and no output directory."""
+        config error, with no traceback and no output directory: an m
+        beyond numpy's index range when the config is read, one within it
+        when numpy cannot size the array."""
         forbid_training(monkeypatch)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"synthetic": {"m": m, "n": 6,
@@ -1455,8 +1596,7 @@ class TestRejectedInput:
         with pytest.raises(SystemExit) as e:
             main(["benchmark", "--folds", "2", "--models", "als", "--config",
                   str(cfg_path), "--out", str(tmp_path / "run")])
-        assert str(e.value).startswith(
-            f"invalid config key 'synthetic': {reason}")
+        assert str(e.value).startswith(message)
         assert not (tmp_path / "run").exists()
 
     def test_synthetic_matrix_that_cannot_be_allocated(self, monkeypatch,
@@ -1660,10 +1800,17 @@ class TestSyntheticSpec:
     def test_accepts_full_rank(self):
         assert SyntheticSpec(3, 4, 3, 0.5).rank == 3
 
+    # a case with an explicit id keeps the name it had before an int
+    # field had an upper limit
     @pytest.mark.parametrize("kwargs, message", [
-        ({"m": 0}, "m must be an integer >= 1, not 0"),
-        ({"n": 2.0}, "n must be an integer >= 1, not 2.0"),
-        ({"rank": True}, "rank must be an integer >= 1, not True"),
+        pytest.param({"m": 0}, f"m must be an integer >= 1 and <= {MAX}, "
+                     "not 0", id="kwargs0-m must be an integer >= 1, not 0"),
+        pytest.param({"n": 2.0}, f"n must be an integer >= 1 and <= {MAX}, "
+                     "not 2.0",
+                     id="kwargs1-n must be an integer >= 1, not 2.0"),
+        pytest.param({"rank": True}, "rank must be an integer >= 1 and <= "
+                     f"{MAX}, not True",
+                     id="kwargs2-rank must be an integer >= 1, not True"),
         ({"m": 4, "rank": 5}, "rank 5 exceeds min(m, n) = 4"),
         ({"noise_sd": -0.1},
          "noise_sd must be a finite number >= 0, not -0.1"),
@@ -1686,8 +1833,11 @@ class TestUpdated:
         ({"bogus": 1}, "bogus", "unknown key"),
         ({"alsdl": {"als": "d=2"}}, "alsdl.als", "must be an object"),
         ({"als": None}, "als", "must be an object"),
-        ({"active": {"n_per_query": -3}}, "active.n_per_query",
-         "n_per_query must be an integer >= 1, not -3"),
+        pytest.param(
+            {"active": {"n_per_query": -3}}, "active.n_per_query",
+            f"n_per_query must be an integer >= 1 and <= {MAX}, not -3",
+            id="raw5-active.n_per_query-n_per_query must be an integer >= 1, "
+            "not -3"),
         ({"synthetic": {"m": 6, "n": 6, "rank": 9}}, "synthetic.rank",
          "rank 9 exceeds min(m, n) = 6"),
         ({"seeds": [0, 0]}, "seeds", "repeated seed in (0, 0)")])
@@ -1826,7 +1976,7 @@ class TestSchema:
         a set value for each key that is null by default."""
         for_null = {"dataset_path": "d.csv", "concentrations": [0.5],
                     "column_map": {"gr": "x"},
-                    "active.elm_candidate_subsample": 3}
+                    "active.elm_candidate_subsample": 40}
 
         def other(value):
             if isinstance(value, tuple):
@@ -1901,7 +2051,7 @@ def csv_flag(items):
 FLAG_VALUES = {
     "dataset": st.just("d.csv"),
     "synthetic": st.sampled_from(["6,6,2,0.1", "5,4,4,0"]),
-    "target": st.sampled_from(["gr", "ifd", "both"]),
+    "target": csv_flag(["gr", "ifd", "x"]),
     "concentrations": csv_flag(["0.1", "1", "1.0", "0", "-2", "inf"]),
     "seeds": csv_flag(["0", "1", "-1"]),
     "models": csv_flag(["als", "alsdl", "foo"]),
@@ -1993,8 +2143,7 @@ UNPARSEABLE = {
        if a.type is int},
     "seeds": st.sampled_from(["1,a", "0,1.5"]),
     "concentrations": st.sampled_from(["x", "0.1,y"]),
-    "synthetic": st.sampled_from(["6,6", "6,6,9,0", "a,6,2,0"]),
-    "target": st.just("all")}
+    "synthetic": st.sampled_from(["6,6", "6,6,9,0", "a,6,2,0"])}
 
 
 @st.composite
