@@ -6,15 +6,15 @@ pool-based active-learning engine with an expected-loss-minimization
 query strategy.
 """
 
-# set before the imports: the runner records it in every manifest
+# pyproject.toml reads it; set before the imports, for the runner's manifests
 __version__ = "0.1.0"
 
 from .data import (Dataset, MaskedMatrix, as_positions, parse_dataset,
                    select_common_concentrations, build_response_matrix,
-                   generate_synthetic)
+                   generate_synthetic, EmbeddingPair)
 from .metrics import Curve, FoldSplit, kfold_split
-from .als import (AlsConfig, EmbeddingPair, DivergenceError, init_embeddings,
-                  als_epoch, train_als)
+from .als import (AlsConfig, DivergenceError, init_embeddings, als_epoch,
+                  train_als)
 from .mlp import (LossConfig, MlpModel, MlpTrainConfig, init_mlp, backward,
                   rmsprop_step, train_mlp)
 from .alsdl import (AlsdlConfig, AlsdlModel, build_features, train_alsdl,

@@ -20,7 +20,7 @@ import numpy as np
 from . import als as als_mod
 from . import alsdl as alsdl_mod
 from .als import Config, ConfigError, in_range
-from .data import MaskedMatrix
+from .data import EmbeddingPair, MaskedMatrix
 from .metrics import Scorer
 
 
@@ -162,7 +162,7 @@ def expected_losses(state, model, cfg, inner_seed):
         inits = (np.broadcast_to(a, (c,) + a.shape) for a in (init.x, init.w))
         emb, _ = als_mod.train_als(MaskedMatrix(
             values.reshape(c, m, n), mask.reshape(c, m, n)),
-            inner_cfg, als_mod.EmbeddingPair(*inits))
+            inner_cfg, EmbeddingPair(*inits))
         del values, mask  # freed before the chunk is scored
         err = (emb.x @ emb.w).reshape(c, m * n)[:, score_flat] - score_labels
         err **= 2

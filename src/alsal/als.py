@@ -34,7 +34,7 @@ from typing import Literal, NamedTuple, get_args, get_origin
 
 import numpy as np
 
-from .data import MaskedMatrix
+from .data import EmbeddingPair, MaskedMatrix
 from .metrics import Curve, Scorer
 
 INIT_SCALE = 0.1  # init_embeddings draws from [-INIT_SCALE, INIT_SCALE)
@@ -149,16 +149,6 @@ class Config:
                 value = tuple(value)
             changes[key] = value
         return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class EmbeddingPair:
-    x: np.ndarray  # m x d, or stacked: ... x m x d
-    w: np.ndarray  # d x n, or stacked: ... x d x n
-
-    @property
-    def d(self):
-        return self.x.shape[-1]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import als as als_mod
 from . import mlp as mlp_mod
-from .als import AlsConfig, Config, EmbeddingPair, in_range
-from .data import as_positions
+from .als import AlsConfig, Config, in_range
+from .data import EmbeddingPair, as_positions
 from .mlp import LossConfig, MlpModel, MlpTrainConfig
 
 

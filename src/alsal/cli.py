@@ -5,7 +5,9 @@ import json
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .runner import (ConfigError, ExperimentConfig, SyntheticSpec,
+from .active import STRATEGIES
+from .data import TARGETS
+from .runner import (MODELS, ConfigError, ExperimentConfig, SyntheticSpec,
                      run_al_study, run_benchmark)
 
 
@@ -46,7 +48,7 @@ def _add_common(p):
     src.add_argument("--synthetic", metavar="M,N,RANK,NOISE", type=_synthetic,
                      help="generate a synthetic low-rank matrix instead")
     p.add_argument("--target", type=_csv_list(str),
-                   help="comma-separated subset of gr,ifd")
+                   help="comma-separated subset of " + ",".join(TARGETS))
     p.add_argument("--concentrations", type=_csv_list(float), help="comma-"
                    "separated list; default: all fully-covered concentrations")
     p.add_argument("--seeds", type=_csv_list(int),
@@ -67,13 +69,14 @@ def build_parser():
     b = sub.add_parser("benchmark", help="10-fold cross-validated model "
                        "comparison (ALS vs ALSDL)")
     _add_common(b)
-    b.add_argument("--models", type=_csv_list(str))
+    b.add_argument("--models", type=_csv_list(str),
+                   help="comma-separated subset of " + ",".join(MODELS))
     b.add_argument("--folds", type=int)
 
     a = sub.add_parser("al-study", help="active-learning strategy comparison")
     _add_common(a)
-    a.add_argument("--strategy", type=_csv_list(str), help="comma-separated "
-                   "subset of orderly,random,uncertainty,elm")
+    a.add_argument("--strategy", type=_csv_list(str),
+                   help="comma-separated subset of " + ",".join(STRATEGIES))
     for flag in ("--n-init", "--n-per-query", "--n-max-query",
                  "--elm-inner-epochs"):
         a.add_argument(flag, type=int)

@@ -25,6 +25,8 @@ DEFAULT_COLUMNS = {
     "gr": "Mean Normalized Growth Rate Inhibition Value",
     "ifd": "Increased Fraction Dead",
 }
+# the response columns a matrix can be built from
+TARGETS = ("gr", "ifd")
 
 # the target and concentration tag of a synthetic matrix's report rows
 TARGET_SYNTHETIC = "synthetic"
@@ -59,6 +61,16 @@ class Dataset:
     def pairs(self):
         """Each row's (cell, molecule) as a position of the m x n matrix."""
         return self.cell * len(self.molecule_ids) + self.molecule
+
+
+@dataclass(frozen=True)
+class EmbeddingPair:
+    x: np.ndarray  # m x d, or stacked: ... x m x d
+    w: np.ndarray  # d x n, or stacked: ... x d x n
+
+    @property
+    def d(self):
+        return self.x.shape[-1]
 
 
 def as_positions(positions, size):
@@ -153,8 +165,7 @@ def parse_dataset(csv_stream, columns=None):
         raise DataError(f"missing required columns: {missing}")
     # a repeated header name reads its last column, as csv.DictReader does
     where = {name: k for k, name in enumerate(header)}
-    cell_k, mol_k, *number_k = (where[colmap[key]] for key in (
-        "cell_id", "molecule_id", "concentration", "gr", "ifd"))
+    cell_k, mol_k, *number_k = (where[colmap[key]] for key in DEFAULT_COLUMNS)
     rows = filter(None, reader)  # a blank line reads as []
 
     # ids get codes in first-seen order; one remap sorts them at the end
@@ -265,7 +276,7 @@ def build_response_matrix(table, target, concentration):
     stored minus 1 so the classification boundary is 0. Duplicate rows
     must agree (==); the matrix holds the last of them.
     """
-    if target not in ("gr", "ifd"):
+    if target not in TARGETS:
         raise DataError(f"unknown target {target!r}")
     rows = np.flatnonzero(table.concentration == float(concentration))
     if not rows.size:
@@ -300,8 +311,6 @@ def generate_synthetic(m, n, rank, noise_sd, seed):
         raise DataError(f"rank {rank} exceeds min(m, n) = {min(m, n)}")
     if not noise_sd >= 0:  # NaN too
         raise DataError(f"noise_sd must be >= 0, got {noise_sd}")
-    from .als import EmbeddingPair  # avoid import cycle at module load
-
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(m, rank))
     w = rng.uniform(-1.0, 1.0, size=(rank, n))

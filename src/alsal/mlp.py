@@ -128,7 +128,8 @@ class _Buffers:
     rows, (3, rows); and a flat gradient in the layout of `model.params`
     with its per-layer views `grad_w`/`grad_b`; and `rmse`, the batch RMSE
     that the last `backward` found. Each call that is given them
-    overwrites them."""
+    overwrites them. Fresh temporaries give the same bits, but cost time:
+    glibc returns their freed pages to the system and faults them back."""
 
     def __init__(self, model, rows):
         self.acts = _activations(model, rows)

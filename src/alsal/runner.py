@@ -19,7 +19,7 @@ import os
 import platform
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -32,21 +32,20 @@ from . import active as active_mod
 from . import als as als_mod
 from . import alsdl as alsdl_mod
 from . import data as data_mod
-from .active import STRATEGIES, ActiveConfig
+from .active import STRATEGIES, ActiveConfig, LearningCurvePoint
 from .alsdl import AlsdlConfig
 from .als import AlsConfig, Config, ConfigError, DivergenceError, in_range
-from .metrics import kfold_split
+from .metrics import Curve, kfold_split
 
 SCHEMA_VERSION = 2
 MODELS = ("als", "alsdl")
 # {table: its columns}; each table is the CSV file "<table>.csv"
 TABLES = {
     "learning_curves": ["strategy", "target", "concentration", "seed",
-                        "round", "n_labeled", "full_rmse", "full_accuracy",
+                        *(f.name for f in fields(LearningCurvePoint)),
                         "status", "diverged_epoch"],
     "training_curves": ["model", "target", "concentration", "seed", "fold",
-                        "epoch_or_round", "train_loss", "test_loss",
-                        "train_accuracy", "test_accuracy"],
+                        *Curve._fields],
     "cv_summary": ["model", "target", "concentration", "seed",
                    "mean_test_loss", "mean_test_accuracy", "status",
                    "diverged_epoch"]}
@@ -76,7 +75,7 @@ class SyntheticSpec(Config):
 class ExperimentConfig(Config):
     dataset_path: str | None = None
     synthetic: SyntheticSpec | None = None
-    targets: tuple[Literal["gr", "ifd"], ...] = ("gr", "ifd")
+    targets: tuple[Literal[data_mod.TARGETS], ...] = data_mod.TARGETS
     # None = all fully-covered ones
     concentrations: tuple[float, ...] | None = in_range(None, "> 0")
     models: tuple[Literal[MODELS], ...] = MODELS
@@ -307,13 +306,13 @@ def _al_unit(config, strategy, matrix, seed, shared):
 
 
 def _concentration_means(tables):
-    """(table, row) per mean row, tagged concentration="mean": the
-    unweighted arithmetic mean across concentrations within each otherwise
-    identical key. A key gets one only when its table has two or more
-    concentrations and each has an ok row for that key, so no mean leaves
-    out a diverged concentration. Curves are averaged entry by entry: a
-    key's curves are finished fold curves of one config, so they have the
-    same length."""
+    """(table, row) per mean row: its key's first row, tagged
+    concentration="mean", with each metric the unweighted arithmetic mean
+    across concentrations within each otherwise identical key. A key gets
+    one only when its table has two or more concentrations and each has an
+    ok row for that key, so no mean leaves out a diverged concentration.
+    Curves are averaged entry by entry: a key's curves are finished fold
+    curves of one config, so they have the same length and epochs."""
     for table, columns in TABLES.items():
         rows = tables[table]
         n_concs = len({row["concentration"] for row in rows})
@@ -328,13 +327,9 @@ def _concentration_means(tables):
         for key, members in groups.items():
             if len(members) < n_concs:
                 continue
-            mean_row = dict(zip(key_cols, key), concentration="mean")
+            mean_row = dict(members[0], concentration="mean")
             mean_row.update((c, _mean([m[c] for m in members]))
                             for c in columns if c in METRIC_COLUMNS)
-            if "status" in columns:
-                mean_row["status"] = "ok"
-            else:  # a curve: its epochs are the first member's
-                mean_row["epoch_or_round"] = members[0]["epoch_or_round"]
             yield table, mean_row
 
 
@@ -345,9 +340,10 @@ def _mean(values):
 
 
 def _write_csv(f, columns, row):
-    """A row dict as CSV lines; a curve row gives one per .tolist() entry."""
+    """A row dict as CSV lines: one per .tolist() entry of its array cells,
+    if it has any, each line repeating its other cells."""
     writer, cells = csv.writer(f), [row.get(c) for c in columns]
-    if isinstance(row.get("epoch_or_round"), np.ndarray):
+    if any(isinstance(c, np.ndarray) for c in cells):
         writer.writerows(zip(*(
             c.tolist() if isinstance(c, np.ndarray) else repeat(c)
             for c in cells)))

@@ -8,11 +8,12 @@ that moves one must say so. This script extracts REV's `src/` with
 `git archive` into a temporary directory, builds two inputs once with
 this tree's `perfbench/gen_input.py` (a 1,498-row LINCS-layout CSV and the
 benchmark's seed-7 CSV) and a third, the first without one (cell,
-molecule) pair, and runs 15 studies on each tree, each in a fresh
-interpreter as `PYTHONPATH=<tree>/src python -m alsal.cli ...`: 13 that
-cover every kind of row, concentration means and an ELM study on a matrix
-with an unobserved position included, and the benchmark's two workloads
-with the argv of `perfbench/run.py`. It prints one line per data CSV,
+molecule) pair, and runs 16 studies on each tree, each in a fresh
+interpreter as `PYTHONPATH=<tree>/src python -m alsal.cli ...`: 14 that
+cover every kind of row, concentration means, an ELM study on a matrix
+with an unobserved position and a network of one hidden layer trained
+without the penalty included, and the benchmark's two workloads with the
+argv of `perfbench/run.py`. It prints one line per data CSV,
 
     study/file base <sha256|missing> head <sha256|missing>
 
@@ -55,6 +56,9 @@ CONFIGS = {
                   "mlp_train": {"epochs": 10}, "hidden_sizes": [6, 3]},
         "active": {"n_init": 10, "n_per_query": 3, "n_max_query": 2,
                    "elm_inner_epochs": 200}},
+    # the network's gradient without the penalty term, through one hidden
+    # layer
+    "net-variant": {"alsdl": {"loss": {"beta": 0.0}, "hidden_sizes": [8]}},
 }
 # the pair that compare-unmeasured.csv drops, as its rows start
 UNMEASURED_PAIR = "C002,M003,"
@@ -79,6 +83,9 @@ def studies(work, out):
         "benchmark-resume": ["benchmark", *SMALL, "--models", "alsdl,als",
                              "--mlp-epochs", "20", "--config",
                              config["resume"]],
+        "benchmark-net-variant": ["benchmark", *SMALL, *EPOCHS, "--models",
+                                  "alsdl", "--config",
+                                  config["net-variant"]],
         **{f"benchmark-{kind}-diverges": [
             "benchmark", *SMALL, *EPOCHS, "--config",
             config[f"{kind}-diverges"]] for kind in ("als", "mlp")},

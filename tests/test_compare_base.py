@@ -57,13 +57,14 @@ def test_changed_byte_and_missing_csv(tmp_path, capsys):
 
 
 def test_every_study_parses_with_its_own_output(tmp_path):
-    """The 15 studies, the benchmark's two workloads, two studies of
-    concentration means and one on an unmeasured pair among them, are argv
-    that this tree's CLI accepts, each writing its own directory."""
+    """The 16 studies, the benchmark's two workloads, two studies of
+    concentration means, one on an unmeasured pair and one of another
+    network among them, are argv that this tree's CLI accepts, each
+    writing its own directory."""
     argv = studies(tmp_path, tmp_path / "out")
-    assert len(argv) == 15
+    assert len(argv) == 16
     assert {"cv-history", "al-elm", "benchmark-means", "al-study-means",
-            "al-study-unmeasured"} <= argv.keys()
+            "al-study-unmeasured", "benchmark-net-variant"} <= argv.keys()
     for name in ("benchmark-means", "al-study-means"):
         assert build_parser().parse_args(argv[name]).concentrations \
             == (1.0, 2.0)

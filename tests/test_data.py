@@ -1,5 +1,7 @@
+import ast
 import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from alsal.data import (DataError, MaskedMatrix, build_response_matrix,
                         select_common_concentrations)
 from alsal.mlp import init_mlp
 
+import alsal
+import alsal.als
 import alsal.data as data_mod
 import oracles
 from conftest import (CSV_HEADER, csv_stream, dataset_shaped_csv, grid_rows,
@@ -622,3 +626,23 @@ class TestBadPositions:
     @pytest.mark.parametrize("caller", POSITION_CALLERS)
     def test_empty_gives_empty(self, caller):
         assert len(position_caller(caller)([])) == 0
+
+
+def test_data_is_a_leaf_module():
+    """alsal.data imports no alsal module, relatively or by name, at any
+    depth, and nothing inside a function; the modules that use its types
+    import them from it."""
+    tree = ast.parse(Path(data_mod.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(node in tree.body for node in imports)
+    for node in imports:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            names = [node.module]
+        else:
+            names = [alias.name for alias in node.names]
+        assert all(name.split(".")[0] != "alsal" for name in names), \
+            ast.unparse(node)
+    assert alsal.EmbeddingPair is alsal.als.EmbeddingPair \
+        is data_mod.EmbeddingPair

@@ -24,9 +24,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import alsal
-from alsal.active import ActiveConfig
+from alsal.active import STRATEGIES, ActiveConfig
 from alsal.als import AlsConfig, Config, DivergenceError, _rule
 from alsal.alsdl import AlsdlConfig
+from alsal.data import TARGETS
 from alsal.cli import FLAG_KEYS, build_parser, main, resolve_config
 from alsal.metrics import Curve
 from alsal.mlp import LossConfig, MlpTrainConfig
@@ -760,6 +761,21 @@ class TestModulesLoaded:
 
 
 class TestCli:
+    @pytest.mark.parametrize("command, name_lists", [
+        ("benchmark", (TARGETS, MODELS)),
+        ("al-study", (TARGETS, STRATEGIES))])
+    def test_help_lists_every_allowed_name(self, monkeypatch, capsys,
+                                           command, name_lists):
+        """Each flag that takes a list of names gives all of them, comma-
+        joined, in its help."""
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width
+        with pytest.raises(SystemExit) as e:
+            main([command, "--help"])
+        assert e.value.code == 0
+        text = capsys.readouterr().out
+        for names in name_lists:
+            assert ",".join(names) in text
+
     def test_al_study_end_to_end(self, tmp_path):
         out = tmp_path / "run1"
         rc = main(["al-study", "--synthetic", "6,6,2,0", "--strategy",
