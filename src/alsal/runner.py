@@ -9,17 +9,19 @@ once, and the other takes it over (see _train_one).
 
 Report schema 2 (manifest "schema_version"): a cv_summary or learning_curves
 row has status ok or diverged; a diverged one holds only its key and
-diverged_epoch. For mean rows see _concentration_means. Only the
-manifest records the environment; the data CSVs do not depend on it."""
+diverged_epoch. A mean row averages a key's float and float-array cells
+across concentrations; its other cells, but the concentration, are the key
+(see _concentration_means). Only the manifest records the environment and
+the UTC timestamp; the data CSVs do not depend on them."""
 
 import csv
 import hashlib
 import json
 import os
 import platform
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, asdict, replace
+from datetime import datetime, timezone
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -49,12 +51,6 @@ TABLES = {
     "cv_summary": ["model", "target", "concentration", "seed",
                    "mean_test_loss", "mean_test_accuracy", "status",
                    "diverged_epoch"]}
-METRIC_COLUMNS = frozenset({
-    "full_rmse", "full_accuracy", "train_loss", "test_loss", "train_accuracy",
-    "test_accuracy", "mean_test_loss", "mean_test_accuracy"})
-# neither metrics nor part of the key that _concentration_means groups by
-_UNGROUPED = METRIC_COLUMNS | {"concentration", "status", "diverged_epoch",
-                               "epoch_or_round"}
 
 
 @dataclass(frozen=True)
@@ -92,15 +88,18 @@ class ExperimentConfig(Config):
     def __post_init__(self):
         """Check each field, then the rules across fields, each raising
         ConfigError keyed by its dotted field: no list is empty or repeats
-        a value. load_matrices checks the source, where it is read."""
+        a value, and no two columns read one header under column_map.
+        load_matrices checks the source, where it is read."""
         super().__post_init__()
         concs = tuple(map(float, self.concentrations or ()))
+        headers = {**data_mod.DEFAULT_COLUMNS, **(self.column_map or {})}
         for key, kind, names in (
                 ("targets", "target", self.targets),
                 ("models", "model", self.models),
                 ("strategies", "strategy", self.strategies),
                 ("seeds", "seed", self.seeds),
-                ("concentrations", "concentration", concs)):
+                ("concentrations", "concentration", concs),
+                ("column_map", "column", tuple(headers.values()))):
             if not names and getattr(self, key) is not None:  # null means all
                 raise ConfigError(key, f"empty {kind} list")
             if len(set(names)) < len(names):  # units with the same key
@@ -121,7 +120,7 @@ def _metadata(config):
             "environment": {"alsal": __version__,
                             "python": platform.python_version(),
                             "numpy": np.__version__, **blas},
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+            "timestamp": datetime.now(timezone.utc).isoformat("T", "seconds")}
 
 
 def load_matrices(config):
@@ -308,29 +307,28 @@ def _al_unit(config, strategy, matrix, seed, shared):
 def _concentration_means(tables):
     """(table, row) per mean row: its key's first row, tagged
     concentration="mean", with each metric the unweighted arithmetic mean
-    across concentrations within each otherwise identical key. A key gets
-    one only when its table has two or more concentrations and each has an
-    ok row for that key, so no mean leaves out a diverged concentration.
-    Curves are averaged entry by entry: a key's curves are finished fold
-    curves of one config, so they have the same length and epochs."""
-    for table, columns in TABLES.items():
-        rows = tables[table]
-        n_concs = len({row["concentration"] for row in rows})
-        if n_concs < 2:
-            continue
-        key_cols = [c for c in columns if c not in _UNGROUPED]
-        groups = {}
+    across its key's concentrations. A cell's value decides its role: a
+    float or an array of floats is a metric; a row's other arrays (a
+    curve's epoch numbers) are its first row's; its other cells but the
+    concentration are its key. A key gets a mean row only when its table
+    has two or more concentrations and each has an ok row for that key, so
+    no mean leaves out a diverged concentration. Curves are averaged entry
+    by entry: a key's curves are finished fold curves of one config, so
+    they have the same length and epochs."""
+    for table, rows in tables.items():
+        concs, groups = {row["concentration"] for row in rows}, {}
         for row in rows:
             if row.get("status", "ok") == "ok":
-                key = tuple(row[c] for c in key_cols)
+                key = frozenset((c, v) for c, v in row.items()
+                                if c != "concentration"
+                                and not isinstance(v, (float, np.ndarray)))
                 groups.setdefault(key, []).append(row)
-        for key, members in groups.items():
-            if len(members) < n_concs:
-                continue
-            mean_row = dict(members[0], concentration="mean")
-            mean_row.update((c, _mean([m[c] for m in members]))
-                            for c in columns if c in METRIC_COLUMNS)
-            yield table, mean_row
+        for members in groups.values():
+            if 1 < len(members) == len(concs):
+                yield table, {**members[0], "concentration": "mean", **{
+                    c: _mean([m[c] for m in members])
+                    for c, v in members[0].items()
+                    if np.asarray(v).dtype.kind == "f"}}
 
 
 def _mean(values):

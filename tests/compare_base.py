@@ -8,12 +8,13 @@ that moves one must say so. This script extracts REV's `src/` with
 `git archive` into a temporary directory, builds two inputs once with
 this tree's `perfbench/gen_input.py` (a 1,498-row LINCS-layout CSV and the
 benchmark's seed-7 CSV) and a third, the first without one (cell,
-molecule) pair, and runs 16 studies on each tree, each in a fresh
-interpreter as `PYTHONPATH=<tree>/src python -m alsal.cli ...`: 14 that
-cover every kind of row, concentration means, an ELM study on a matrix
-with an unobserved position and a network of one hidden layer trained
-without the penalty included, and the benchmark's two workloads with the
-argv of `perfbench/run.py`. It prints one line per data CSV,
+molecule) pair, and runs 17 studies on each tree, each in a fresh
+interpreter as `PYTHONPATH=<tree>/src python -m alsal.cli ...`: 15 that
+cover every kind of row, concentration means (with and without a key that
+diverged at every concentration), an ELM study on a matrix with an
+unobserved position and a network of one hidden layer trained without the
+penalty included, and the benchmark's two workloads with the argv of
+`perfbench/run.py`. It prints one line per data CSV,
 
     study/file base <sha256|missing> head <sha256|missing>
 
@@ -111,6 +112,12 @@ def studies(work, out):
                             "--concentrations", "1.0,2.0"],
         "al-study-means": ["al-study", "--dataset", compare_csv, *AL_SMALL,
                            "--concentrations", "1.0,2.0"],
+        # every alsdl unit diverges at both doses, so its key gets no mean
+        # row while the als model's do
+        "benchmark-means-diverges": [
+            "benchmark", "--dataset", compare_csv, "--folds", "3", *EPOCHS,
+            "--concentrations", "1.0,2.0", "--config",
+            config["mlp-diverges"]],
         # ELM scores every candidate over 29 of the 30 positions
         "al-study-unmeasured": [
             "al-study", "--dataset", str(work / "compare-unmeasured.csv"),

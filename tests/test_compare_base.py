@@ -57,15 +57,17 @@ def test_changed_byte_and_missing_csv(tmp_path, capsys):
 
 
 def test_every_study_parses_with_its_own_output(tmp_path):
-    """The 16 studies, the benchmark's two workloads, two studies of
-    concentration means, one on an unmeasured pair and one of another
-    network among them, are argv that this tree's CLI accepts, each
-    writing its own directory."""
+    """The 17 studies, the benchmark's two workloads, three studies of
+    concentration means (one of them with a key diverged at both), one on
+    an unmeasured pair and one of another network among them, are argv
+    that this tree's CLI accepts, each writing its own directory."""
     argv = studies(tmp_path, tmp_path / "out")
-    assert len(argv) == 16
+    assert len(argv) == 17
     assert {"cv-history", "al-elm", "benchmark-means", "al-study-means",
-            "al-study-unmeasured", "benchmark-net-variant"} <= argv.keys()
-    for name in ("benchmark-means", "al-study-means"):
+            "benchmark-means-diverges", "al-study-unmeasured",
+            "benchmark-net-variant"} <= argv.keys()
+    for name in ("benchmark-means", "al-study-means",
+                 "benchmark-means-diverges"):
         assert build_parser().parse_args(argv[name]).concentrations \
             == (1.0, 2.0)
     assert {build_parser().parse_args(args).out for args in argv.values()} \

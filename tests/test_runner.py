@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from dataclasses import (FrozenInstanceError, asdict, dataclass, fields,
                          is_dataclass, replace)
 from operator import attrgetter
@@ -27,7 +28,7 @@ import alsal
 from alsal.active import STRATEGIES, ActiveConfig
 from alsal.als import AlsConfig, Config, DivergenceError, _rule
 from alsal.alsdl import AlsdlConfig
-from alsal.data import TARGETS
+from alsal.data import DEFAULT_COLUMNS, TARGETS
 from alsal.cli import FLAG_KEYS, build_parser, main, resolve_config
 from alsal.metrics import Curve
 from alsal.mlp import LossConfig, MlpTrainConfig
@@ -52,6 +53,10 @@ OLD_SEEDS_ERROR = ("invalid config key 'seeds': seeds must be a tuple, each "
 # column_map's kind before its keys were a Literal, kept in test ids
 OLD_COLUMN_MAP_KIND = ("column_map must be null or a dict, each key a string "
                        "and each value a string")
+# column_map's repeat error, up to its fourth header, gr's
+COLUMN_MAP_REPEATED = ("invalid config key 'column_map': repeated column in "
+                       "('Cell HMS LINCS ID', 'Small Molecule HMS LINCS ID', "
+                       "'Small Mol Concentration (uM)', ")
 MODELS_KIND = "a tuple, each one of 'als', 'alsdl'"
 STRATEGIES_KIND = ("a tuple, each one of 'orderly', 'random', 'uncertainty', "
                    "'elm'")
@@ -377,6 +382,11 @@ class TestConfigChecks:
             f"{key.split('.')[-1]} = {value} exceeds the 36 observed "
             "positions of target synthetic, concentration synthetic")
 
+    def test_column_map_may_swap_headers(self):
+        """Only two columns that read one header are rejected."""
+        swapped = {"gr": DEFAULT_COLUMNS["ifd"], "ifd": DEFAULT_COLUMNS["gr"]}
+        assert ExperimentConfig(column_map=swapped).column_map == swapped
+
     @pytest.mark.parametrize("run", [run_benchmark, run_al_study])
     def test_limits_reached_exactly(self, run):
         cfg = small_config(folds=36, active=ActiveConfig(
@@ -525,6 +535,38 @@ class TestAggregateConcentrations:
         assert len(mean) == 1
         assert mean[0]["full_rmse"] == pytest.approx(0.2)
         assert mean[0]["full_accuracy"] == pytest.approx(0.8)
+
+    def test_float_cell_of_no_column_averaged(self):
+        """A cell's value, not its column, makes it a metric: a float cell
+        that no column list names is averaged too. The key does not depend
+        on the order of a row's cells."""
+        row = {"model": "als", "target": "gr", "seed": 0,
+               "mean_test_loss": 1.0, "mean_test_accuracy": 0.5,
+               "status": "ok", "extra": 0.1}
+        other = dict(reversed(dict(row, mean_test_loss=2.0, extra=0.3,
+                                   concentration="1.0").items()))
+        out = with_means(cv_summary=[dict(row, concentration="0.1"), other])
+        [mean] = out["cv_summary"][2:]
+        assert mean == dict(row, concentration="mean", mean_test_loss=1.5,
+                            extra=pytest.approx(0.2))
+
+    def test_key_diverged_at_every_concentration_gets_no_mean_row(self):
+        """Diverged rows never join a key's group, even when the key
+        diverged alike at every concentration."""
+        cv = {"target": "gr", "seed": 0}
+        al = {"strategy": "elm", "target": "gr", "seed": 0,
+              "status": "diverged", "diverged_epoch": 20}
+        out = with_means(cv_summary=[
+            dict(cv, model=model, concentration=c, **cells)
+            for c in ("0.1", "1.0") for model, cells in (
+                ("als", dict(mean_test_loss=1.0, mean_test_accuracy=0.5,
+                             status="ok")),
+                ("alsdl", dict(status="diverged", diverged_epoch=20)))],
+            learning_curves=[dict(al, concentration=c)
+                             for c in ("0.1", "1.0")])
+        assert [(r["model"], r["concentration"])
+                for r in out["cv_summary"][4:]] == [("als", "mean")]
+        assert len(out["learning_curves"]) == 2
 
     def test_report_text(self, tmp_path):
         # two concentrations; one key only at 0.1, and one diverged run
@@ -702,6 +744,16 @@ class TestManifestEnvironment:
     ARGS = ["benchmark", "--synthetic", "6,6,2,0.1", "--models", "als,alsdl",
             "--folds", "2", "--als-epochs", "5", "--mlp-epochs", "5",
             "--embedding-dim", "2"]
+
+    def test_timestamp_is_utc(self, tmp_path):
+        """The run's time in UTC, with its offset, so that manifests from
+        any hosts can be put in order."""
+        start = datetime.now(timezone.utc).replace(microsecond=0)
+        main(self.ARGS + ["--out", str(tmp_path)])
+        stamp = datetime.fromisoformat(json.loads(
+            (tmp_path / "manifest.json").read_text())["timestamp"])
+        assert stamp.utcoffset() == timedelta(0)
+        assert start <= stamp <= datetime.now(timezone.utc)
 
     def test_recorded_in_the_manifest_only(self, tmp_path, monkeypatch):
         for var in [k for k in os.environ if k.startswith("OPENBLAS_")] + [
@@ -1536,7 +1588,13 @@ class TestRejectedInput:
         # als units and then failed in numpy, leaving no manifest
         ({"alsdl": {"hidden_sizes": [10**21]}}, "invalid config key "
          "'alsdl.hidden_sizes': hidden_sizes must be a tuple, each an "
-         f"integer >= 1 and <= {MAX}, not ({10**21},)")])
+         f"integer >= 1 and <= {MAX}, not ({10**21},)"),
+        # two columns that read one header: ifd read the GR values
+        ({"column_map": {"ifd": DEFAULT_COLUMNS["gr"]}},
+         f"{COLUMN_MAP_REPEATED}{DEFAULT_COLUMNS['gr']!r}, "
+         f"{DEFAULT_COLUMNS['gr']!r})"),
+        ({"column_map": {"gr": "Dead", "ifd": "Dead"}},
+         f"{COLUMN_MAP_REPEATED}'Dead', 'Dead')")])
     @pytest.mark.parametrize("command", ["benchmark", "al-study"])
     def test_config_error(self, monkeypatch, tmp_path, command, raw, message):
         forbid_training(monkeypatch)
